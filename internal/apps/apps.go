@@ -262,14 +262,7 @@ const DefaultPeakRate = 0.40
 // sources scale proportionally to their row sums. cfg must match the
 // application's mesh.
 func (a App) Injector(cfg noc.Config, speed, peak float64, seed int64) (*traffic.Injector, error) {
-	if cfg.Width != a.Width || cfg.Height != a.Height {
-		return nil, fmt.Errorf("apps: %s needs a %dx%d mesh, config is %dx%d",
-			a.Name, a.Width, a.Height, cfg.Width, cfg.Height)
-	}
-	if speed < 0 || peak <= 0 {
-		return nil, fmt.Errorf("apps: bad speed %g / peak %g", speed, peak)
-	}
-	m, err := a.Matrix()
+	m, rates, err := a.demand(cfg, speed, peak)
 	if err != nil {
 		return nil, err
 	}
@@ -277,12 +270,34 @@ func (a App) Injector(cfg noc.Config, speed, peak float64, seed int64) (*traffic
 	if err != nil {
 		return nil, err
 	}
-	rates, err := traffic.RowRates(m)
-	if err != nil {
-		return nil, err
+	return traffic.NewInjectorRates(cfg, pattern, rates, seed)
+}
+
+// Rates returns the per-node injection rates (flits per node per node
+// cycle) of Injector(cfg, speed, peak, ·), without building it.
+func (a App) Rates(cfg noc.Config, speed, peak float64) ([]float64, error) {
+	_, rates, err := a.demand(cfg, speed, peak)
+	return rates, err
+}
+
+// demand checks the arguments and returns the application's traffic
+// matrix with the per-node rates at the given speed.
+func (a App) demand(cfg noc.Config, speed, peak float64) (m [][]float64, rates []float64, err error) {
+	if cfg.Width != a.Width || cfg.Height != a.Height {
+		return nil, nil, fmt.Errorf("apps: %s needs a %dx%d mesh, config is %dx%d",
+			a.Name, a.Width, a.Height, cfg.Width, cfg.Height)
+	}
+	if speed < 0 || peak <= 0 {
+		return nil, nil, fmt.Errorf("apps: bad speed %g / peak %g", speed, peak)
+	}
+	if m, err = a.Matrix(); err != nil {
+		return nil, nil, err
+	}
+	if rates, err = traffic.RowRates(m); err != nil {
+		return nil, nil, err
 	}
 	for i := range rates {
 		rates[i] *= speed * peak
 	}
-	return traffic.NewInjectorRates(cfg, pattern, rates, seed)
+	return m, rates, nil
 }

@@ -230,6 +230,27 @@ func (s *Scenario) injector(load float64, seed int64) (*traffic.Injector, error)
 	return inj, nil
 }
 
+// offeredRate returns the mean per-node rate (flits per node per node
+// cycle) the scenario's injector offers at the given load — what
+// injector(load, ·).MeanRate() reports, summed in the same order, without
+// seeding a generator per node to find out.
+func (s *Scenario) offeredRate(load float64) (float64, error) {
+	var rates []float64
+	var err error
+	switch {
+	case s.Trace != nil:
+		rates, err = traffic.ReplayRates(s.Noc, s.Trace)
+	case s.App != nil:
+		rates, err = s.App.Rates(s.Noc, load, s.PeakRate)
+	default:
+		rates = traffic.UniformRates(s.Noc, load)
+	}
+	if err != nil {
+		return 0, err
+	}
+	return traffic.MeanRate(rates), nil
+}
+
 // simParams assembles sim.Params for one run seeded with seed.
 func (s *Scenario) simParams(load float64, pol dvfs.Policy, adaptive bool, seed int64) (sim.Params, error) {
 	inj, err := s.injector(load, seed)
@@ -323,8 +344,8 @@ func EquilibriumFreq(s Scenario, load float64, cal Calibration) float64 {
 		// For apps the load is a relative speed (and for traces it is
 		// ignored); the offered network rate is the injector's mean
 		// per-node rate.
-		if inj, err := s.injector(load, s.Seed); err == nil {
-			lambda = inj.MeanRate()
+		if rate, err := s.offeredRate(load); err == nil {
+			lambda = rate
 		}
 	}
 	return dvfs.Clip(1.1*s.FNode*lambda/cal.LambdaMax, s.Range.FMin, s.Range.FMax)
@@ -485,11 +506,10 @@ func Calibrate(ctx context.Context, s Scenario) (Calibration, error) {
 	// λmax is a *network rate* (flits per node per cycle): for synthetic
 	// patterns it equals the load; for apps it is the mean per-node rate
 	// the injector offers at the near-saturation speed.
-	inj, err := s.injector(loadStar, s.Seed)
+	lmax, err := s.offeredRate(loadStar)
 	if err != nil {
 		return Calibration{}, err
 	}
-	lmax := inj.MeanRate()
 	pol := dvfs.NewNoDVFS(s.FNode)
 	p, err := s.simParams(loadStar, pol, false, s.Seed)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/noc"
+	"repro/internal/trace"
 )
 
 // quickScenario returns the paper's baseline scenario with shrunk windows.
@@ -178,5 +179,43 @@ func TestAllPolicies(t *testing.T) {
 	ps := AllPolicies()
 	if len(ps) != 3 || ps[0] != NoDVFS || ps[1] != RMSD || ps[2] != DMSD {
 		t.Errorf("AllPolicies() = %v", ps)
+	}
+}
+
+// TestOfferedRateMatchesInjector: Calibrate's λmax and the DMSD warm-start
+// frequency come from offeredRate; it must return, to the last bit, the
+// MeanRate of the injector the scenario would build — for a synthetic
+// pattern, an application rate vector and a recorded trace.
+func TestOfferedRateMatchesInjector(t *testing.T) {
+	app := apps.H264()
+	appScenario := Scenario{
+		Noc: noc.Config{Width: 4, Height: 4, VCs: 8, BufDepth: 4, PacketSize: 20, Routing: noc.RoutingXY},
+		App: &app,
+	}
+	var tr trace.Injection
+	capture := quickScenario()
+	capture.TraceCapture = &tr
+	cal := Calibration{SaturationRate: 0.4, LambdaMax: 0.36, TargetDelayNs: 150}
+	if _, err := RunOne(context.Background(), capture, NoDVFS, 0.17, cal); err != nil {
+		t.Fatal(err)
+	}
+	replay := quickScenario()
+	replay.Pattern, replay.Trace = "", &tr
+
+	for name, s := range map[string]Scenario{"uniform": quickScenario(), "app": appScenario, "trace": replay} {
+		s.setDefaults()
+		for _, load := range []float64{0.07, 0.1, 0.3, 1.0 / 3} {
+			inj, err := s.injector(load, s.Seed)
+			if err != nil {
+				t.Fatalf("%s at %g: %v", name, load, err)
+			}
+			got, err := s.offeredRate(load)
+			if err != nil {
+				t.Fatalf("%s at %g: %v", name, load, err)
+			}
+			if want := inj.MeanRate(); got != want || got <= 0 {
+				t.Errorf("%s at %g: offeredRate %v, injector MeanRate %v", name, load, got, want)
+			}
+		}
 	}
 }

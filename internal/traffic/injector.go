@@ -2,7 +2,9 @@ package traffic
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"sync"
 
 	"repro/internal/noc"
 	"repro/internal/trace"
@@ -15,6 +17,28 @@ import (
 // DVFS the network clock slows down while the injector keeps its pace,
 // which is exactly how the network injection rate λnoc = λnode·Fnode/Fnoc
 // of Eq. (1) arises.
+//
+// The trials are not run cycle by cycle. Each node's generator is scanned
+// ahead to its next hit, the injector remembers the cycle that falls on,
+// and NodeCycle does nothing until the earliest such cycle arrives. The
+// packets, their order and every later draw are the ones the per-cycle
+// loop would produce, because:
+//
+//   - a node's generator has a single consumer, that node, so only the
+//     order of draws within one node matters, not how the nodes' draws
+//     interleave in host time;
+//   - the destination (and O1TURN dimension) draws that follow a hit are
+//     deferred to the cycle of the hit and the scan resumes only after
+//     them, so the generator sees trial, destination, trial in the same
+//     order as before;
+//   - an on-off source's state toggles are events on the same schedule,
+//     each handled at its own cycle, so the sojourn draw still precedes
+//     the trial of the toggle cycle and OnFraction is exact at every
+//     cycle;
+//   - the nodes due in one cycle emit in ascending id, which fixes the
+//     packet ids the network hands out;
+//   - the schedule is primed by the first NodeCycle, after SetSource has
+//     drawn each node's initial on-off state from the same generators.
 type Injector struct {
 	cfg     noc.Config
 	pattern Pattern
@@ -22,7 +46,17 @@ type Injector struct {
 	rates []float64
 	// probs[s] is the per-node-cycle packet generation probability.
 	probs []float64
-	rngs  []*rand.Rand
+	// nodes[s] is node s's generator and schedule state; nil for replay.
+	nodes []nodeSource
+	// next[s] is the node cycle of s's next event: a packet to emit, an
+	// on-off toggle, or the end of a scan that found nothing within
+	// scanHorizon. It is kept apart from nodes so the per-cycle search
+	// for due nodes reads one dense array.
+	next []int64
+	// nextDue is the earliest cycle with an event: the minimum of next,
+	// or the cycle of the next recorded event under replay. Its zero
+	// value sends cycle 0 to fireDue, which is where next gets primed.
+	nextDue int64
 
 	// generatedFlits counts flits offered since the last WindowReset; the
 	// RMSD controller's rate monitor reads it.
@@ -35,7 +69,7 @@ type Injector struct {
 	cycle int64
 	// burst, when non-nil, modulates every source with an on-off state
 	// machine (MMPP or Pareto; see source.go).
-	burst *burstState
+	burst *SourceConfig
 	// capture, when non-nil, records every generated packet as an
 	// injection-trace event.
 	capture *trace.Injection
@@ -44,6 +78,37 @@ type Injector struct {
 	replay *replayState
 }
 
+// nodeSource is one node's packet source.
+type nodeSource struct {
+	gen lfg
+	// rng wraps gen for the draws that go through math/rand: destinations,
+	// the O1TURN dimension, on-off sojourns.
+	rng *rand.Rand
+	// thresh encodes the node's trial probability (see hitThreshold).
+	thresh uint64
+	// hit reports that the event at next[s] is a packet.
+	hit bool
+	// on and until are the on-off state: whether the source is ON, and
+	// the cycle at which it toggles.
+	on    bool
+	until int64
+}
+
+const (
+	// scanHorizon bounds one scan, in trials. A scan that runs past the
+	// end of the simulation is wasted host work, and a source with a
+	// vanishing rate would otherwise scan forever.
+	scanHorizon = 1024
+	// never is the event cycle of a source with nothing left to do.
+	never = math.MaxInt64
+)
+
+// seeders recycles the stdlib sources NewInjectorRates seeds its nodes
+// through: 4.9 KB each, needed for microseconds per injector, and a sweep
+// builds an injector per point. Every use starts with Seed, so what a
+// source did before does not matter.
+var seeders = sync.Pool{New: func() any { return rand.NewSource(0) }}
+
 // NewInjector builds an injector offering rate flits per node per node
 // cycle at every node, with destinations from pattern. Each node gets an
 // independent deterministic RNG derived from seed.
@@ -51,11 +116,17 @@ func NewInjector(cfg noc.Config, pattern Pattern, rate float64, seed int64) (*In
 	if rate < 0 {
 		return nil, fmt.Errorf("traffic: negative injection rate %g", rate)
 	}
+	return NewInjectorRates(cfg, pattern, UniformRates(cfg, rate), seed)
+}
+
+// UniformRates returns the rate vector of NewInjector: rate at every node
+// of cfg's mesh.
+func UniformRates(cfg noc.Config, rate float64) []float64 {
 	rates := make([]float64, cfg.Nodes())
 	for i := range rates {
 		rates[i] = rate
 	}
-	return NewInjectorRates(cfg, pattern, rates, seed)
+	return rates
 }
 
 // NewInjectorRates builds an injector with a per-node rate vector (flits
@@ -70,9 +141,14 @@ func NewInjectorRates(cfg noc.Config, pattern Pattern, rates []float64, seed int
 		pattern: pattern,
 		rates:   append([]float64(nil), rates...),
 		probs:   make([]float64, len(rates)),
-		rngs:    make([]*rand.Rand, len(rates)),
+		nodes:   make([]nodeSource, len(rates)),
+		next:    make([]int64, len(rates)),
 		o1turn:  cfg.Routing == noc.RoutingO1TURN,
 	}
+	// One stdlib source seeds every node in turn, so seeding allocates
+	// nothing per node and the generators sit in one slab.
+	seeder := seeders.Get().(rand.Source64)
+	defer seeders.Put(seeder)
 	for i, r := range rates {
 		if r < 0 {
 			return nil, fmt.Errorf("traffic: negative rate %g at node %d", r, i)
@@ -82,7 +158,10 @@ func NewInjectorRates(cfg noc.Config, pattern Pattern, rates []float64, seed int
 			return nil, fmt.Errorf("traffic: node %d rate %g exceeds one packet per cycle", i, r)
 		}
 		inj.probs[i] = p
-		inj.rngs[i] = rand.New(rand.NewSource(seed + int64(i)*7919))
+		nd := &inj.nodes[i]
+		seeder.Seed(seed + int64(i)*7919)
+		nd.gen.seedFrom(seeder)
+		nd.rng = rand.New(&nd.gen)
 	}
 	return inj, nil
 }
@@ -92,12 +171,17 @@ func (inj *Injector) Pattern() Pattern { return inj.pattern }
 
 // MeanRate returns the average offered rate across nodes (flits per node
 // per node cycle).
-func (inj *Injector) MeanRate() float64 {
+func (inj *Injector) MeanRate() float64 { return MeanRate(inj.rates) }
+
+// MeanRate returns the average of a per-node rate vector, summed in node
+// order: the value Injector.MeanRate reports for an injector built on
+// rates, for callers that need the number and not the injector.
+func MeanRate(rates []float64) float64 {
 	sum := 0.0
-	for _, r := range inj.rates {
+	for _, r := range rates {
 		sum += r
 	}
-	return sum / float64(len(inj.rates))
+	return sum / float64(len(rates))
 }
 
 // NodeCycle performs one node-clock cycle of packet generation for every
@@ -106,27 +190,85 @@ func (inj *Injector) MeanRate() float64 {
 func (inj *Injector) NodeCycle(net *noc.Network, nowNs float64) {
 	c := inj.cycle
 	inj.cycle++
-	switch {
-	case inj.replay != nil:
-		inj.replayCycle(net, nowNs, c)
-	case inj.burst != nil:
-		inj.burstCycle(net, nowNs, c)
-	default:
-		for s := range inj.probs {
-			p := inj.probs[s]
-			if p == 0 {
-				continue
-			}
-			rng := inj.rngs[s]
-			if rng.Float64() >= p {
-				continue
-			}
-			inj.emit(net, nowNs, c, noc.NodeID(s), rng)
-		}
+	if c >= inj.nextDue {
+		inj.fireDue(net, nowNs, c)
 	}
 	if inj.capture != nil {
 		inj.capture.Cycles = inj.cycle
 	}
+}
+
+// fireDue handles every event of cycle c, in ascending node id (recorded
+// order under replay), and finds the next cycle that has one.
+func (inj *Injector) fireDue(net *noc.Network, nowNs float64, c int64) {
+	if r := inj.replay; r != nil {
+		for ; r.pos < len(r.events) && r.events[r.pos].Cycle == c; r.pos++ {
+			e := r.events[r.pos]
+			net.NewPacket(e.Src, e.Dst, nowNs, e.Dim)
+			inj.generatedFlits += int64(inj.cfg.PacketSize)
+		}
+		inj.nextDue = never
+		if r.pos < len(r.events) {
+			inj.nextDue = r.events[r.pos].Cycle
+		}
+		return
+	}
+	if c == 0 {
+		inj.prime()
+	}
+	due := int64(never)
+	for s := range inj.next {
+		for inj.next[s] == c {
+			nd := &inj.nodes[s]
+			from := c
+			if nd.hit {
+				inj.emit(net, nowNs, c, noc.NodeID(s), nd.rng)
+				from = c + 1
+			} else if inj.burst != nil && c == nd.until {
+				nd.on = !nd.on
+				nd.until = c + inj.burst.sojourn(nd.on, nd.rng)
+			}
+			inj.schedule(s, from)
+		}
+		if inj.next[s] < due {
+			due = inj.next[s]
+		}
+	}
+	inj.nextDue = due
+}
+
+// prime starts every active node's schedule at cycle 0. Zero-rate nodes
+// never draw.
+func (inj *Injector) prime() {
+	for s, p := range inj.probs {
+		if p == 0 {
+			inj.next[s] = never
+			continue
+		}
+		if inj.burst != nil {
+			p *= inj.burst.BurstRatio
+		}
+		inj.nodes[s].thresh = hitThreshold(p)
+		inj.schedule(s, 0)
+	}
+}
+
+// schedule finds node s's next event given that its trials before cycle
+// from are done: it scans ahead for the next hit, stopping short at the
+// scan horizon and, for an on-off source, at the end of the ON sojourn (an
+// OFF source just sleeps until its toggle).
+func (inj *Injector) schedule(s int, from int64) {
+	nd := &inj.nodes[s]
+	limit := int64(scanHorizon)
+	if inj.burst != nil {
+		if !nd.on || from == nd.until {
+			inj.next[s], nd.hit = nd.until, false
+			return
+		}
+		limit = min(limit, nd.until-from)
+	}
+	misses, hit := nd.gen.scan(nd.thresh, limit)
+	inj.next[s], nd.hit = from+misses, hit
 }
 
 // emit generates one packet at src, drawing the destination (and O1TURN

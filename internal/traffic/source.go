@@ -63,27 +63,18 @@ func (s SourceConfig) Validate() error {
 	return nil
 }
 
-// burstState is the per-node on-off modulation state.
-type burstState struct {
-	cfg SourceConfig
-	// on[s] reports whether source s is in its ON state.
-	on []bool
-	// left[s] is the number of node cycles remaining in s's sojourn.
-	left []int64
-}
-
 // offLen returns the mean OFF sojourn in cycles.
-func (b *burstState) offLen() float64 { return b.cfg.BurstLen * (b.cfg.BurstRatio - 1) }
+func (s SourceConfig) offLen() float64 { return s.BurstLen * (s.BurstRatio - 1) }
 
 // sojourn draws the next sojourn length (≥ 1 cycle) for the given state.
-func (b *burstState) sojourn(on bool, rng *rand.Rand) int64 {
-	mean := b.cfg.BurstLen
+func (s SourceConfig) sojourn(on bool, rng *rand.Rand) int64 {
+	mean := s.BurstLen
 	if !on {
-		mean = b.offLen()
+		mean = s.offLen()
 	}
-	if b.cfg.Kind == SourcePareto {
+	if s.Kind == SourcePareto {
 		// Pareto with scale xm = mean·(α−1)/α has mean exactly `mean`.
-		alpha := b.cfg.ParetoAlpha
+		alpha := s.ParetoAlpha
 		xm := mean * (alpha - 1) / alpha
 		u := 1 - rng.Float64() // (0, 1]
 		d := int64(xm/math.Pow(u, 1/alpha) + 0.5)
@@ -106,12 +97,16 @@ func (b *burstState) sojourn(on bool, rng *rand.Rand) int64 {
 }
 
 // SetSource configures the injector's per-node on-off modulation. It
-// must be called before the first NodeCycle; each node is started in its
-// stationary state (ON with probability 1/β) using the node's own RNG,
-// so a sweep stays deterministic for any worker count.
+// must be called before the first NodeCycle, and fails after it: by then
+// the generators have been scanned ahead under the old source. Each node
+// is started in its stationary state (ON with probability 1/β) using the
+// node's own RNG, so a sweep stays deterministic for any worker count.
 func (inj *Injector) SetSource(src SourceConfig) error {
 	if err := src.Validate(); err != nil {
 		return err
+	}
+	if inj.cycle > 0 {
+		return fmt.Errorf("traffic: SetSource after %d node cycles; set the source before the first NodeCycle", inj.cycle)
 	}
 	if src.Kind == "" {
 		inj.burst = nil
@@ -126,20 +121,17 @@ func (inj *Injector) SetSource(src SourceConfig) error {
 				i, inj.rates[i]*src.BurstRatio, src.BurstRatio)
 		}
 	}
-	b := &burstState{
-		cfg:  src,
-		on:   make([]bool, len(inj.probs)),
-		left: make([]int64, len(inj.probs)),
-	}
-	for i := range inj.probs {
+	for i := range inj.nodes {
 		if inj.probs[i] == 0 {
 			continue
 		}
-		rng := inj.rngs[i]
-		b.on[i] = rng.Float64() < 1/src.BurstRatio
-		b.left[i] = b.sojourn(b.on[i], rng)
+		nd := &inj.nodes[i]
+		nd.on = nd.rng.Float64() < 1/src.BurstRatio
+		// The per-cycle model counts the sojourn down before each cycle's
+		// trial, so the initial state lasts one cycle less than drawn.
+		nd.until = src.sojourn(nd.on, nd.rng) - 1
 	}
-	inj.burst = b
+	inj.burst = &src
 	return nil
 }
 
@@ -149,33 +141,7 @@ func (inj *Injector) Source() SourceConfig {
 	if inj.burst == nil {
 		return SourceConfig{}
 	}
-	return inj.burst.cfg
-}
-
-// burstCycle is NodeCycle for on-off modulated sources: advance every
-// active node's state machine, then trial at the ON rate while ON.
-func (inj *Injector) burstCycle(net *noc.Network, nowNs float64, cycle int64) {
-	b := inj.burst
-	beta := b.cfg.BurstRatio
-	for s := range inj.probs {
-		p := inj.probs[s]
-		if p == 0 {
-			continue
-		}
-		rng := inj.rngs[s]
-		b.left[s]--
-		if b.left[s] <= 0 {
-			b.on[s] = !b.on[s]
-			b.left[s] = b.sojourn(b.on[s], rng)
-		}
-		if !b.on[s] {
-			continue
-		}
-		if rng.Float64() >= p*beta {
-			continue
-		}
-		inj.emit(net, nowNs, cycle, noc.NodeID(s), rng)
-	}
+	return *inj.burst
 }
 
 // OnFraction returns the fraction of active nodes currently in the ON
@@ -190,7 +156,7 @@ func (inj *Injector) OnFraction() float64 {
 			continue
 		}
 		active++
-		if inj.burst.on[s] {
+		if inj.nodes[s].on {
 			on++
 		}
 	}
@@ -226,23 +192,13 @@ type replayState struct {
 // are exhausted. Per-node rates and the destination pattern are derived
 // from the trace so rate monitors and capacity estimates keep working.
 func NewReplayInjector(cfg noc.Config, tr *trace.Injection) (*Injector, error) {
-	if tr == nil {
-		return nil, fmt.Errorf("traffic: nil injection trace")
-	}
-	if err := tr.Validate(cfg); err != nil {
-		return nil, err
-	}
-	m := tr.Matrix()
-	pattern, err := NewMatrixPattern("trace", cfg, m)
+	rates, err := ReplayRates(cfg, tr)
 	if err != nil {
 		return nil, err
 	}
-	rates := make([]float64, cfg.Nodes())
-	for _, e := range tr.Events {
-		rates[e.Src] += float64(cfg.PacketSize)
-	}
-	for i := range rates {
-		rates[i] /= float64(tr.Cycles)
+	pattern, err := NewMatrixPattern("trace", cfg, tr.Matrix())
+	if err != nil {
+		return nil, err
 	}
 	inj := &Injector{
 		cfg:     cfg,
@@ -254,16 +210,25 @@ func NewReplayInjector(cfg noc.Config, tr *trace.Injection) (*Injector, error) {
 	return inj, nil
 }
 
+// ReplayRates checks tr against cfg and returns the per-node rates (flits
+// per node per node cycle) a replay of it offers: the rate vector of
+// NewReplayInjector(cfg, tr).
+func ReplayRates(cfg noc.Config, tr *trace.Injection) ([]float64, error) {
+	if tr == nil {
+		return nil, fmt.Errorf("traffic: nil injection trace")
+	}
+	if err := tr.Validate(cfg); err != nil {
+		return nil, err
+	}
+	rates := make([]float64, cfg.Nodes())
+	for _, e := range tr.Events {
+		rates[e.Src] += float64(cfg.PacketSize)
+	}
+	for i := range rates {
+		rates[i] /= float64(tr.Cycles)
+	}
+	return rates, nil
+}
+
 // Replaying reports whether the injector replays a recorded trace.
 func (inj *Injector) Replaying() bool { return inj.replay != nil }
-
-// replayCycle is NodeCycle for trace replay.
-func (inj *Injector) replayCycle(net *noc.Network, nowNs float64, cycle int64) {
-	r := inj.replay
-	for r.pos < len(r.events) && r.events[r.pos].Cycle == cycle {
-		e := r.events[r.pos]
-		r.pos++
-		net.NewPacket(e.Src, e.Dst, nowNs, e.Dim)
-		inj.generatedFlits += int64(inj.cfg.PacketSize)
-	}
-}
