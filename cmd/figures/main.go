@@ -49,7 +49,6 @@ import (
 	"repro/internal/exp"
 	"repro/internal/queue"
 	"repro/internal/sweep"
-	"repro/nocsim"
 	"repro/nocsim/manifest"
 )
 
@@ -123,16 +122,12 @@ func main() {
 		maxPoints   = flag.Int("max-points", 0, "stop each figure after this many new points (0 = no limit); for testing interrupted runs")
 		coordinator = flag.String("coordinator", "", "compute through this nocsimd coordinator URL and reassemble tables from its journal")
 		authToken   = cli.AuthTokenFlag("bearer token for a -coordinator that runs with -auth-token")
-		stepWorkers = cli.StepWorkersFlag()
 	)
 	adaptive, refineBudget := cli.RefineFlags()
 	cpuProfile, memProfile := cli.ProfileFlags()
 	flag.Parse()
 
 	if err := cli.CheckWorkers(*workers); err != nil {
-		log.Fatal(err)
-	}
-	if err := cli.CheckStepWorkers(*stepWorkers); err != nil {
 		log.Fatal(err)
 	}
 	stopProfiles, err := cli.StartProfiles(*cpuProfile, *memProfile)
@@ -144,7 +139,6 @@ func main() {
 			log.Print(err)
 		}
 	}()
-	nocsim.SetDefaultStepWorkers(*stepWorkers)
 	if *maxPoints < 0 {
 		log.Fatalf("-max-points must be >= 0 (got %d); 0 means no limit", *maxPoints)
 	}

@@ -44,7 +44,6 @@ import (
 	"repro/internal/exp"
 	"repro/internal/queue"
 	"repro/internal/sweep"
-	"repro/nocsim"
 	"repro/nocsim/manifest"
 	"repro/nocsim/results"
 )
@@ -54,30 +53,26 @@ func main() {
 	log.SetPrefix("nocsimd: ")
 
 	var (
-		workerURL   = flag.String("worker", "", "run as a worker against this coordinator URL (instead of serving)")
-		addr        = flag.String("addr", "127.0.0.1:9090", "serve: listen address")
-		figs        = flag.String("fig", "all", "serve: comma-separated figures to plan and serve — same tokens as cmd/figures -fig (paper numbers or manifest names) or 'all'")
-		quick       = flag.Bool("quick", false, "serve: plan with shorter windows and smaller grids")
-		points      = flag.Int("points", 0, "serve: samples per curve (0 = default)")
-		seed        = flag.Int64("seed", 1, "serve: random seed")
-		dir         = flag.String("manifest", "", "serve: journal manifests and posted points under this directory (enables crash resume)")
-		resultsDB   = flag.String("results", "", "serve: also mirror every plan and accepted point into this results-store file (what cmd/resultsd serves)")
-		resume      = flag.Bool("resume", false, "serve: with -manifest, reuse stored manifests and journaled points")
-		leaseTTL    = flag.Duration("lease-ttl", 60*time.Second, "serve: fallback lease time before an unanswered point is re-issued (adapts to observed point latencies once warmed up)")
-		maxLeases   = flag.Int("max-leases", 1024, "serve: cap on outstanding leases across all manifests")
-		exitDone    = flag.Bool("exit-when-done", false, "serve: exit once every served manifest is complete")
-		workers     = cli.WorkersFlag("concurrent simulations in this process (planning calibrations in serve mode, leased points in worker mode)")
-		poll        = flag.Duration("poll", 500*time.Millisecond, "worker: back-off between lease attempts while no point is available")
-		authToken   = cli.AuthTokenFlag("shared bearer token: serve mode requires it of every request, worker mode attaches it; empty disables auth")
-		stepWorkers = cli.StepWorkersFlag()
+		workerURL = flag.String("worker", "", "run as a worker against this coordinator URL (instead of serving)")
+		addr      = flag.String("addr", "127.0.0.1:9090", "serve: listen address")
+		figs      = flag.String("fig", "all", "serve: comma-separated figures to plan and serve — same tokens as cmd/figures -fig (paper numbers or manifest names) or 'all'")
+		quick     = flag.Bool("quick", false, "serve: plan with shorter windows and smaller grids")
+		points    = flag.Int("points", 0, "serve: samples per curve (0 = default)")
+		seed      = flag.Int64("seed", 1, "serve: random seed")
+		dir       = flag.String("manifest", "", "serve: journal manifests and posted points under this directory (enables crash resume)")
+		resultsDB = flag.String("results", "", "serve: also mirror every plan and accepted point into this results-store file (what cmd/resultsd serves)")
+		resume    = flag.Bool("resume", false, "serve: with -manifest, reuse stored manifests and journaled points")
+		leaseTTL  = flag.Duration("lease-ttl", 60*time.Second, "serve: fallback lease time before an unanswered point is re-issued (adapts to observed point latencies once warmed up)")
+		maxLeases = flag.Int("max-leases", 1024, "serve: cap on outstanding leases across all manifests")
+		exitDone  = flag.Bool("exit-when-done", false, "serve: exit once every served manifest is complete")
+		workers   = cli.WorkersFlag("concurrent simulations in this process (planning calibrations in serve mode, leased points in worker mode)")
+		poll      = flag.Duration("poll", 500*time.Millisecond, "worker: back-off between lease attempts while no point is available")
+		authToken = cli.AuthTokenFlag("shared bearer token: serve mode requires it of every request, worker mode attaches it; empty disables auth")
 	)
 	cpuProfile, memProfile := cli.ProfileFlags()
 	flag.Parse()
 
 	if err := cli.CheckWorkers(*workers); err != nil {
-		log.Fatal(err)
-	}
-	if err := cli.CheckStepWorkers(*stepWorkers); err != nil {
 		log.Fatal(err)
 	}
 	// A zero or negative TTL would re-issue every lease immediately and a
@@ -91,7 +86,6 @@ func main() {
 	}
 	token := cli.AuthToken(*authToken)
 	exp.SetLeafBudget(*workers)
-	nocsim.SetDefaultStepWorkers(*stepWorkers)
 	stopProfiles, err := cli.StartProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		log.Fatal(err)

@@ -54,16 +54,12 @@ func main() {
 		resume      = flag.Bool("resume", false, "with -manifest: reuse stored manifests and completed points")
 		coordinator = flag.String("coordinator", "", "compute through this nocsimd coordinator URL and assemble the report from its journal")
 		authToken   = cli.AuthTokenFlag("bearer token for a -coordinator that runs with -auth-token")
-		stepWorkers = cli.StepWorkersFlag()
 	)
 	adaptive, refineBudget := cli.RefineFlags()
 	cpuProfile, memProfile := cli.ProfileFlags()
 	flag.Parse()
 
 	if err := cli.CheckWorkers(*workers); err != nil {
-		log.Fatal(err)
-	}
-	if err := cli.CheckStepWorkers(*stepWorkers); err != nil {
 		log.Fatal(err)
 	}
 	if err := cli.CheckRefine(*adaptive, *refineBudget, cli.FlagWasSet("refine-budget"),
@@ -81,7 +77,6 @@ func main() {
 	}()
 
 	exp.SetLeafBudget(*workers)
-	nocsim.SetDefaultStepWorkers(*stepWorkers)
 
 	ctx, stop := cli.SignalContext()
 	defer stop()

@@ -24,25 +24,6 @@ func CheckWorkers(n int) error {
 	return nil
 }
 
-// StepWorkersFlag registers the -step-workers flag shared by the
-// simulation-running commands: the number of engine threads stepping
-// each simulation's network. Results are bit-identical for every value;
-// each run charges step-workers slots of the process-wide leaf budget,
-// so -workers × -step-workers in-flight threads never exceed the
-// available cores. Validate with CheckStepWorkers after flag.Parse.
-func StepWorkersFlag() *int {
-	return flag.Int("step-workers", 1, "engine threads per simulation (bit-identical results; each run charges this many leaf-budget slots)")
-}
-
-// CheckStepWorkers rejects a non-positive -step-workers value with the
-// shared error wording.
-func CheckStepWorkers(n int) error {
-	if n <= 0 {
-		return fmt.Errorf("-step-workers must be positive (got %d); use 1 for serial", n)
-	}
-	return nil
-}
-
 // AuthTokenFlag registers the -auth-token flag shared by the queue
 // commands (coordinator, workers, -coordinator clients). Read the
 // parsed value with AuthToken, which falls back to $NOCSIM_TOKEN — the

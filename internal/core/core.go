@@ -108,13 +108,6 @@ type Scenario struct {
 	// exp engine collects results in grid order.
 	Workers int
 
-	// StepWorkers is the number of engine threads stepping each
-	// simulation's network (0 or 1 = serial). Results are bit-identical
-	// for every value. Each run charges max(1, StepWorkers) slots against
-	// the exp leaf budget, so intra-simulation threads and concurrent
-	// points draw from the same pool of cores.
-	StepWorkers int
-
 	// PacketLog, when non-nil, records every measured packet's lifecycle
 	// (see package trace). Sweeps reuse the same log across points, so a
 	// scenario with a log always runs serially.
@@ -267,7 +260,6 @@ func (s *Scenario) simParams(load float64, pol dvfs.Policy, adaptive bool, seed 
 		FNode:          s.FNode,
 		AdaptiveWarmup: adaptive,
 		PacketLog:      s.PacketLog,
-		StepWorkers:    s.StepWorkers,
 		Faults:         s.Faults,
 		Islands:        s.Islands,
 	}
@@ -305,19 +297,13 @@ func (s *Scenario) simParams(load float64, pol dvfs.Policy, adaptive bool, seed 
 }
 
 // runSim executes one simulation under the process-wide leaf budget:
-// the slots are held exactly for the duration of the engine run, so no
+// the slot is held exactly for the duration of the engine run, so no
 // matter how many worker pools are stacked above (figure panels fanning
-// out policy grids fanning out probes), in-flight simulation threads
-// never exceed exp.SetLeafBudget's cap. A run stepped by k engine
-// workers charges k slots — intra-run parallelism is not free
-// concurrency on top of the grid's. Every sim.RunContext call in this
+// out policy grids fanning out probes), in-flight simulations never
+// exceed exp.SetLeafBudget's cap. Every sim.RunContext call in this
 // package goes through here.
 func runSim(ctx context.Context, p sim.Params) (sim.Result, error) {
-	slots := p.StepWorkers
-	if slots < 1 {
-		slots = 1
-	}
-	release, err := exp.AcquireLeafN(ctx, slots)
+	release, err := exp.AcquireLeaf(ctx)
 	if err != nil {
 		return sim.Result{}, err
 	}

@@ -26,14 +26,11 @@
 // Worker pools bound goroutines per Run call, not work per process:
 // nested grids (a panel point that fans out its own sub-grid) stack
 // pools multiplicatively. The process-wide leaf budget (SetLeafBudget,
-// AcquireLeaf, AcquireLeafN) is the depth-aware bound: only the
-// innermost unit of work — one simulation — holds budget slots while it
-// executes, so total in-flight simulation threads never exceed the
-// budget no matter how deeply grids nest, and since panel jobs never
-// hold slots the scheme cannot deadlock. The budget is weighted: a
-// simulation stepped by k engine workers acquires k slots (AcquireLeafN),
-// so intra-simulation parallelism and grid parallelism draw from the
-// same pool of cores.
+// AcquireLeaf) is the depth-aware bound: only the innermost unit of
+// work — one simulation, which runs on one goroutine — holds a budget
+// slot while it executes, so total in-flight simulations never exceed
+// the budget no matter how deeply grids nest, and since panel jobs never
+// hold slots the scheme cannot deadlock.
 //
 // # Cancellation and failure
 //
@@ -163,30 +160,19 @@ func Stats() (scheduled, done int64) {
 // Worker pools bound goroutines per Run call, so nested grids (a figure
 // panel whose points each fan out their own sub-grid) multiply pools up
 // to W² goroutines; the budget is what bounds the actual work. Only leaf
-// work — a single simulation, wrapped in AcquireLeaf/AcquireLeafN by the
-// layer that runs it — holds slots; panel/outer jobs never do, so a
-// blocked leaf only ever waits on other leaves, which always finish:
-// nesting cannot deadlock (a naive per-level semaphore would, with a
-// panel holding a slot while its children wait for one).
-//
-// The semaphore is weighted: a leaf that itself runs on k engine threads
-// (a simulation with k step workers) charges k slots, so "budget = CPU
-// cores" keeps meaning "about one busy core per slot" whether the
-// parallelism lives between simulations or inside one. Waiters are
-// served strictly FIFO; the queue head blocks the line, so a wide
-// request cannot be starved by a stream of narrow ones.
-type leafWaiter struct {
-	want    int
-	granted int
-	ready   chan struct{}
-}
-
+// work — a single simulation, wrapped in AcquireLeaf by the layer that
+// runs it — holds a slot; panel/outer jobs never do, so a blocked leaf
+// only ever waits on other leaves, which always finish: nesting cannot
+// deadlock (a naive per-level semaphore would, with a panel holding a
+// slot while its children wait for one). A simulation runs on one
+// goroutine, so "budget = CPU cores" means about one busy core per slot.
+// Waiters are served strictly FIFO.
 var (
 	leafMu      sync.Mutex
 	leafCap     int // 0 until first use; then the configured budget
 	leafInUse   int
 	leafPeakN   int
-	leafWaiters []*leafWaiter
+	leafWaiters []chan struct{} // closed on grant
 )
 
 // leafCapLocked returns the budget, defaulting to GOMAXPROCS on first
@@ -198,25 +184,21 @@ func leafCapLocked() int {
 	return leafCap
 }
 
-// leafGrantLocked hands slots to queued waiters, in FIFO order, while
-// they fit. Callers hold leafMu.
+// leafTakeLocked charges one slot. Callers hold leafMu.
+func leafTakeLocked() {
+	leafInUse++
+	if leafInUse > leafPeakN {
+		leafPeakN = leafInUse
+	}
+}
+
+// leafGrantLocked hands free slots to queued waiters in FIFO order.
+// Callers hold leafMu.
 func leafGrantLocked() {
 	budget := leafCapLocked()
-	for len(leafWaiters) > 0 {
-		w := leafWaiters[0]
-		take := w.want
-		if take > budget {
-			take = budget
-		}
-		if leafInUse+take > budget {
-			return
-		}
-		leafInUse += take
-		if leafInUse > leafPeakN {
-			leafPeakN = leafInUse
-		}
-		w.granted = take
-		close(w.ready)
+	for len(leafWaiters) > 0 && leafInUse < budget {
+		leafTakeLocked()
+		close(leafWaiters[0])
 		leafWaiters[0] = nil
 		leafWaiters = leafWaiters[1:]
 	}
@@ -242,68 +224,42 @@ func SetLeafBudget(n int) {
 // simulation: never hold a slot across code that acquires another, or
 // the no-deadlock argument above is void.
 func AcquireLeaf(ctx context.Context) (release func(), err error) {
-	return AcquireLeafN(ctx, 1)
-}
-
-// AcquireLeafN blocks until n leaf slots are free (or ctx is done) and
-// returns the release function for all of them. A leaf simulation that
-// runs on n engine threads acquires weight n, so intra-simulation
-// parallelism spends the same budget as inter-simulation parallelism.
-// Requests wider than the whole budget are clamped to it (they would
-// never be satisfiable otherwise); n < 1 acquires one slot. The
-// acquisition is all-or-nothing — a waiter never holds a partial grant
-// while blocked, so concurrent wide acquirers cannot deadlock.
-func AcquireLeafN(ctx context.Context, n int) (release func(), err error) {
-	if n < 1 {
-		n = 1
-	}
 	leafMu.Lock()
-	budget := leafCapLocked()
-	take := n
-	if take > budget {
-		take = budget
-	}
-	if len(leafWaiters) == 0 && leafInUse+take <= budget {
-		leafInUse += take
-		if leafInUse > leafPeakN {
-			leafPeakN = leafInUse
-		}
+	if len(leafWaiters) == 0 && leafInUse < leafCapLocked() {
+		leafTakeLocked()
 		leafMu.Unlock()
-		return leafRelease(take), nil
+		return leafRelease(), nil
 	}
-	w := &leafWaiter{want: n, ready: make(chan struct{})}
-	leafWaiters = append(leafWaiters, w)
+	ready := make(chan struct{})
+	leafWaiters = append(leafWaiters, ready)
 	leafMu.Unlock()
 	select {
-	case <-w.ready:
-		return leafRelease(w.granted), nil
+	case <-ready:
+		return leafRelease(), nil
 	case <-ctx.Done():
 		leafMu.Lock()
+		defer leafMu.Unlock()
 		for i, q := range leafWaiters {
-			if q == w {
+			if q == ready {
 				leafWaiters = append(leafWaiters[:i], leafWaiters[i+1:]...)
-				// Removing the queue head can unblock the next waiter.
-				leafGrantLocked()
-				leafMu.Unlock()
 				return nil, ctx.Err()
 			}
 		}
 		// Lost the race: the grant landed before cancellation was seen.
-		// Give the slots back.
-		leafInUse -= w.granted
+		// Give the slot back.
+		leafInUse--
 		leafGrantLocked()
-		leafMu.Unlock()
 		return nil, ctx.Err()
 	}
 }
 
-// leafRelease builds the (idempotent) release function for n held slots.
-func leafRelease(n int) func() {
+// leafRelease builds the (idempotent) release function for one held slot.
+func leafRelease() func() {
 	var once sync.Once
 	return func() {
 		once.Do(func() {
 			leafMu.Lock()
-			leafInUse -= n
+			leafInUse--
 			leafGrantLocked()
 			leafMu.Unlock()
 		})

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -357,132 +356,55 @@ func TestAcquireLeafReleaseIdempotent(t *testing.T) {
 	}
 }
 
-// TestAcquireLeafNWeighted pins the weighted-semaphore contract: a leaf
-// holding n step workers charges n slots, so the peak proves intra-sim
-// parallelism spends the same budget as inter-sim parallelism.
-func TestAcquireLeafNWeighted(t *testing.T) {
-	SetLeafBudget(4)
+// TestAcquireLeafFIFO: waiters are granted in arrival order, one per
+// released slot.
+func TestAcquireLeafFIFO(t *testing.T) {
+	SetLeafBudget(1)
 	defer SetLeafBudget(0)
-	ResetLeafPeak()
-	rel3, err := AcquireLeafN(context.Background(), 3)
+	held, err := AcquireLeaf(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if busy, _ := LeafStats(); busy != 3 {
-		t.Fatalf("busy = %d after AcquireLeafN(3), want 3", busy)
-	}
-	rel1, err := AcquireLeafN(context.Background(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 3+1 fill the budget: a second wide request must block until both
-	// release, not sneak past with a partial grant.
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if _, err := AcquireLeafN(ctx, 2); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("over-budget AcquireLeafN returned %v, want deadline exceeded", err)
-	}
-	rel3()
-	rel1()
-	if inFlight, peak := LeafStats(); inFlight != 0 || peak != 4 {
-		t.Errorf("LeafStats = (%d, %d), want (0, 4)", inFlight, peak)
-	}
-}
-
-// TestAcquireLeafNNoPartialDeadlock is the reason the budget is not a
-// channel semaphore: two acquirers each wanting 3 of 4 slots must resolve
-// one after the other, never deadlock holding 2 slots each.
-func TestAcquireLeafNNoPartialDeadlock(t *testing.T) {
-	SetLeafBudget(4)
-	defer SetLeafBudget(0)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		var wg sync.WaitGroup
-		for i := 0; i < 2; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for iter := 0; iter < 50; iter++ {
-					release, err := AcquireLeafN(context.Background(), 3)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					release()
-				}
-			}()
+	granted := make(chan int, 2)
+	release := make(chan struct{})
+	for i := 0; i < 2; i++ {
+		go func(i int) {
+			rel, err := AcquireLeaf(context.Background())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			granted <- i
+			<-release
+			rel()
+		}(i)
+		// Wait until waiter i is actually queued before starting the next.
+		for {
+			if func() bool { leafMu.Lock(); defer leafMu.Unlock(); return len(leafWaiters) == i+1 }() {
+				break
+			}
+			time.Sleep(time.Millisecond)
 		}
-		wg.Wait()
-	}()
+	}
+	held()
+	if first := <-granted; first != 0 {
+		t.Fatalf("waiter %d granted first, want 0", first)
+	}
 	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("concurrent wide acquirers deadlocked")
+	case i := <-granted:
+		t.Fatalf("waiter %d granted while the only slot is held", i)
+	case <-time.After(20 * time.Millisecond):
 	}
-	if busy, _ := LeafStats(); busy != 0 {
-		t.Fatalf("busy = %d after all releases, want 0", busy)
+	close(release)
+	if second := <-granted; second != 1 {
+		t.Fatalf("waiter %d granted second, want 1", second)
 	}
-}
-
-// TestAcquireLeafNClampsOversize: a request wider than the entire budget
-// is unsatisfiable as asked; it clamps to the budget instead of hanging.
-func TestAcquireLeafNClampsOversize(t *testing.T) {
-	SetLeafBudget(2)
-	defer SetLeafBudget(0)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	release, err := AcquireLeafN(ctx, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if busy, _ := LeafStats(); busy != 2 {
-		t.Fatalf("busy = %d after oversize acquire, want clamp to 2", busy)
-	}
-	release()
-}
-
-// TestAcquireLeafNFIFO: the queue head blocks the line, so a wide waiter
-// is not starved by narrow requests that would individually fit.
-func TestAcquireLeafNFIFO(t *testing.T) {
-	SetLeafBudget(2)
-	defer SetLeafBudget(0)
-	rel1, err := AcquireLeafN(context.Background(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wideGranted := make(chan func(), 1)
-	go func() {
-		rel, err := AcquireLeafN(context.Background(), 2)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		wideGranted <- rel
-	}()
-	// Wait until the wide request is actually queued.
+	// Both waiters release on the closed channel; wait for the slots.
 	for {
-		if func() bool { leafMu.Lock(); defer leafMu.Unlock(); return len(leafWaiters) == 1 }() {
+		if busy, _ := LeafStats(); busy == 0 {
 			break
 		}
 		time.Sleep(time.Millisecond)
-	}
-	// A narrow request arriving behind the queued wide one must wait its
-	// turn even though one slot is free.
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if _, err := AcquireLeafN(ctx, 1); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("narrow acquire jumped the FIFO queue: %v", err)
-	}
-	rel1()
-	select {
-	case rel := <-wideGranted:
-		rel()
-	case <-time.After(5 * time.Second):
-		t.Fatal("wide waiter never granted after slots freed")
-	}
-	if busy, _ := LeafStats(); busy != 0 {
-		t.Fatalf("busy = %d, want 0", busy)
 	}
 }
 

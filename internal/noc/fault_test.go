@@ -60,7 +60,6 @@ func TestRouteTableAvoidsFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer net.Close()
 	dead := map[Link]bool{}
 	for _, f := range faults {
 		dead[f] = true
@@ -162,7 +161,6 @@ func TestFaultedTrafficDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer net.Close()
 	stepTraffic(net, 1500, 4)
 	if !net.Drain(20_000) {
 		t.Fatal("faulted traffic did not drain")
@@ -175,21 +173,16 @@ func TestFaultedTrafficDrains(t *testing.T) {
 
 // TestFaultedMatchesAcrossEngines locks the determinism contract for the
 // heterogeneous extensions: the faulted route table produces identical
-// arrivals under the naive loop, the stage-major fast path and banded
-// step workers.
+// arrivals under the naive loop and the stage-major fast path.
 func TestFaultedMatchesAcrossEngines(t *testing.T) {
 	cfg := DefaultConfig()
 	faults := []Link{{From: 6, To: 7}, {From: 11, To: 12}}
-	run := func(skip bool, workers int) ([][2]int64, [4]int64) {
+	run := func(skip bool) ([][2]int64, [4]int64) {
 		net, err := NewNetworkWithFaults(cfg, faults)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer net.Close()
 		net.SetSkipAhead(skip)
-		if workers > 1 {
-			net.SetStepWorkers(workers)
-		}
 		var arr [][2]int64
 		net.OnArrive = func(p *Packet, cycle int64) {
 			arr = append(arr, [2]int64{p.ID, cycle})
@@ -202,23 +195,17 @@ func TestFaultedMatchesAcrossEngines(t *testing.T) {
 		q, a, i, e := net.Stats()
 		return arr, [4]int64{q, a, i, e}
 	}
-	refArr, refStats := run(true, 1)
-	for _, v := range []struct {
-		name    string
-		skip    bool
-		workers int
-	}{{"naive", false, 1}, {"workers3", true, 3}, {"workers8", true, 8}} {
-		arr, stats := run(v.skip, v.workers)
-		if stats != refStats {
-			t.Errorf("%s: counters diverge: %v vs %v", v.name, stats, refStats)
-		}
-		if len(arr) != len(refArr) {
-			t.Fatalf("%s: arrival counts diverge: %d vs %d", v.name, len(arr), len(refArr))
-		}
-		for i := range arr {
-			if arr[i] != refArr[i] {
-				t.Fatalf("%s: arrival %d diverges: %v vs %v", v.name, i, arr[i], refArr[i])
-			}
+	refArr, refStats := run(true)
+	arr, stats := run(false)
+	if stats != refStats {
+		t.Errorf("naive: counters diverge: %v vs %v", stats, refStats)
+	}
+	if len(arr) != len(refArr) {
+		t.Fatalf("naive: arrival counts diverge: %d vs %d", len(arr), len(refArr))
+	}
+	for i := range arr {
+		if arr[i] != refArr[i] {
+			t.Fatalf("naive: arrival %d diverges: %v vs %v", i, arr[i], refArr[i])
 		}
 	}
 }

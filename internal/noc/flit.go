@@ -45,8 +45,7 @@ type Packet struct {
 // Flits are plain 16-byte values, stored by value in the VC buffers and in
 // the staged link events: copying one is cheaper than chasing a pointer to
 // it, and value storage is what lets the stage-major engine keep all flit
-// state in flat contiguous arrays with no free lists (and no shared pool
-// for the banded step workers to race on).
+// state in flat contiguous arrays with no free lists.
 type Flit struct {
 	Packet *Packet
 	Seq    int32 // index of this flit within the packet, 0-based
@@ -56,4 +55,72 @@ type Flit struct {
 	VC   int8
 	Head bool // first flit of the packet
 	Tail bool // last flit of the packet
+}
+
+// linkEvent records one link (or injection) traversal staged during cycle
+// t and applied at the start of cycle t+1. The flit itself has already
+// been written into the destination VC's ring slot by the sender — the
+// sending stage is that slot's only writer in the cycle, since exactly one
+// flit per (router, input port) can arrive per cycle — so the event
+// carries only the arrival notice and the piggybacked credit for the
+// freed upstream slot. Targets are precomputed at staging time from the
+// flat link tables, so delivery never chases neighbour pointers.
+//
+// node/port/vc locate the arrival: input port `port`, VC `vc` of router
+// `node`. credNode/credTarget/credVC locate the credit: credNode is the
+// upstream node id (< 0 means no credit, used for source injections,
+// which track their own credits), and credTarget >= 0 is the flat
+// output-port index node*NumPorts+port of the upstream router (the credit
+// lands at outState[credTarget*VCs+credVC]) while credTarget < 0 means
+// the upstream feeder is the injection source of node -credTarget-1.
+//
+// The six fields are packed into one word: staging and draining these
+// events is the hottest memory traffic in the engine (one per flit-hop
+// per cycle), and a single 8-byte store halves it against the naive
+// 16-byte struct. The field widths bound the mesh at levMaxNodes nodes
+// (Config.Validate enforces it) and ride on the existing VCs <= 64 cap.
+type linkEvent uint64
+
+const (
+	// linkEvent bit layout, LSB up: node(14) port(3) vc(6) credVC(6)
+	// credNode+1(15) credTarget+levCredBias(18).
+	levNodeBits        = 14
+	levMaxNodes        = 1 << levNodeBits
+	levPortShift       = levNodeBits
+	levVCShift         = levPortShift + 3
+	levCredVCShift     = levVCShift + 6
+	levCredNodeShift   = levCredVCShift + 6
+	levCredTargetShift = levCredNodeShift + 15
+	// levCredBias shifts credTarget (>= -nodes-1) into unsigned range.
+	levCredBias = levMaxNodes + 1
+)
+
+// makeLinkEvent packs an arrival notice (node, port, vc) and its
+// piggybacked credit (credNode, credTarget, credVC; credNode < 0 for
+// none) into one event word.
+func makeLinkEvent(node int32, port, vc int8, credNode, credTarget int32, credVC int8) linkEvent {
+	return linkEvent(uint64(node) |
+		uint64(port)<<levPortShift |
+		uint64(vc)<<levVCShift |
+		uint64(credVC)<<levCredVCShift |
+		uint64(credNode+1)<<levCredNodeShift |
+		uint64(credTarget+levCredBias)<<levCredTargetShift)
+}
+
+func (e linkEvent) node() int32       { return int32(e & (levMaxNodes - 1)) }
+func (e linkEvent) port() int8        { return int8(e >> levPortShift & 7) }
+func (e linkEvent) vc() int8          { return int8(e >> levVCShift & 63) }
+func (e linkEvent) credVC() int8      { return int8(e >> levCredVCShift & 63) }
+func (e linkEvent) credNode() int32   { return int32(e>>levCredNodeShift&(1<<15-1)) - 1 }
+func (e linkEvent) credTarget() int32 { return int32(e>>levCredTargetShift&(1<<18-1)) - levCredBias }
+
+// ejectEvent is a flit leaving the network at a local ejection port,
+// carrying the upstream credit for its freed slot. The eject phase needs
+// no flit payload — only packet completion on the tail — so the event
+// carries the packet pointer (nil for body flits) instead of a 16-byte
+// flit copy.
+type ejectEvent struct {
+	packet     *Packet
+	credTarget int32
+	credVC     int8
 }

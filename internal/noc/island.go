@@ -83,8 +83,7 @@ func (n *Network) Islands() []Island {
 // its speed and decides whether the island's routers run this cycle. It
 // runs unconditionally at the top of Step — before the quiescent fast
 // path returns — so the stall phase is identical between the skip-ahead
-// and naive engines for any step-worker count (it is a serial point of
-// the cycle).
+// and naive engines.
 func (n *Network) advanceIslands() {
 	for k := range n.islandAcc {
 		n.islandAcc[k] += n.islands[k].Speed

@@ -32,7 +32,6 @@ func TestIslandSlowsDelivery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer net.Close()
 		if err := net.SetIslands(islands); err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +60,6 @@ func TestIslandOverlapLaterWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer net.Close()
 	err = net.SetIslands([]Island{
 		{X0: 0, Y0: 0, X1: 4, Y1: 4, Speed: 0.5},
 		{X0: 2, Y0: 2, X1: 2, Y1: 2, Speed: 1},
@@ -82,26 +80,22 @@ func TestIslandOverlapLaterWins(t *testing.T) {
 }
 
 // TestIslandsMatchAcrossEngines locks determinism for clock-gated
-// regions: the naive loop, the stage-major fast path and banded step
-// workers must agree bit for bit when part of the mesh is stalled.
+// regions: the naive loop and the stage-major fast path must agree bit
+// for bit when part of the mesh is stalled.
 func TestIslandsMatchAcrossEngines(t *testing.T) {
 	islands := []Island{
 		{X0: 0, Y0: 0, X1: 1, Y1: 4, Speed: 0.5},
 		{X0: 3, Y0: 0, X1: 4, Y1: 2, Speed: 0.3},
 	}
-	run := func(skip bool, workers int) ([][2]int64, [4]int64, []RouterActivity) {
+	run := func(skip bool) ([][2]int64, [4]int64, []RouterActivity) {
 		net, err := NewNetwork(DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer net.Close()
 		if err := net.SetIslands(islands); err != nil {
 			t.Fatal(err)
 		}
 		net.SetSkipAhead(skip)
-		if workers > 1 {
-			net.SetStepWorkers(workers)
-		}
 		var arr [][2]int64
 		net.OnArrive = func(p *Packet, cycle int64) {
 			arr = append(arr, [2]int64{p.ID, cycle})
@@ -116,28 +110,22 @@ func TestIslandsMatchAcrossEngines(t *testing.T) {
 		q, a, i, e := net.Stats()
 		return arr, [4]int64{q, a, i, e}, net.RouterActivities()
 	}
-	refArr, refStats, refAct := run(true, 1)
-	for _, v := range []struct {
-		name    string
-		skip    bool
-		workers int
-	}{{"naive", false, 1}, {"workers3", true, 3}, {"workers25", true, 25}} {
-		arr, stats, act := run(v.skip, v.workers)
-		if stats != refStats {
-			t.Errorf("%s: counters diverge: %v vs %v", v.name, stats, refStats)
+	refArr, refStats, refAct := run(true)
+	arr, stats, act := run(false)
+	if stats != refStats {
+		t.Errorf("naive: counters diverge: %v vs %v", stats, refStats)
+	}
+	if len(arr) != len(refArr) {
+		t.Fatalf("naive: arrival counts diverge: %d vs %d", len(arr), len(refArr))
+	}
+	for i := range arr {
+		if arr[i] != refArr[i] {
+			t.Fatalf("naive: arrival %d diverges: %v vs %v", i, arr[i], refArr[i])
 		}
-		if len(arr) != len(refArr) {
-			t.Fatalf("%s: arrival counts diverge: %d vs %d", v.name, len(arr), len(refArr))
-		}
-		for i := range arr {
-			if arr[i] != refArr[i] {
-				t.Fatalf("%s: arrival %d diverges: %v vs %v", v.name, i, arr[i], refArr[i])
-			}
-		}
-		for id := range act {
-			if act[id] != refAct[id] {
-				t.Errorf("%s: router %d activity diverges", v.name, id)
-			}
+	}
+	for id := range act {
+		if act[id] != refAct[id] {
+			t.Errorf("naive: router %d activity diverges", id)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package noc
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 )
 
 // linkInfo is one packed row of the flat link table (see Network.links):
@@ -27,22 +26,20 @@ type linkInfo struct {
 // ejection) it sweeps the active-router bitmask once over flat
 // struct-of-arrays state (vc/bufs/outState) owned by the network, and link
 // traversal resolves targets through flat link tables instead of chasing
-// per-router neighbour pointers. The mesh is sharded into contiguous id
-// bands (SetStepWorkers) stepped by a persistent worker group under a
-// two-phase deliver->compute barrier per cycle; routers interact only
-// through events staged for the next cycle, so any band count produces
-// results bit-identical to serial (golden-tested). A quiescent network
-// (nothing buffered, staged, or queued) advances the clock in O(bands) —
-// the skip-ahead fast path. SetSkipAhead(false) restores the naive
-// router-major iterate-everything loop, kept as the reference
-// implementation that equivalence tests compare against.
+// per-router neighbour pointers. Routers interact only through events
+// staged for the next cycle, so each Step is eject -> deliver -> compute
+// on the calling goroutine. A quiescent network (nothing buffered, staged,
+// or queued) advances the clock in O(1) — the skip-ahead fast path.
+// SetSkipAhead(false) selects the naive router-major iterate-everything
+// loop, kept as the reference implementation that equivalence tests
+// compare against.
 type Network struct {
 	cfg Config
 	// routers holds the mesh's routers contiguously (never reallocated
 	// after construction, so interior pointers — neighbor links, source
 	// backrefs — stay valid). Contiguity keeps the per-router allocator
 	// state of adjacent routers on neighbouring cache lines for the
-	// band sweeps.
+	// stage sweeps.
 	routers []Router
 	sources []*source
 
@@ -78,18 +75,40 @@ type Network struct {
 	islandAcc []float64
 	islandRun []bool
 
-	// bands partition the node id space; band workers 1..W-1 run on
-	// persistent goroutines fed by phaseCh, with phaseWG as the per-phase
-	// barrier and workerWG tracking goroutine lifetime for Close.
-	bands       []*band
-	stepWorkers int
-	phaseCh     []chan workerPhase
-	phaseWG     sync.WaitGroup
-	workerWG    sync.WaitGroup
+	// Active-set bitmasks over node ids: bit k of word w set means node
+	// w*64+k holds work. Iterating set bits in word order visits nodes in
+	// ascending id, matching the event order of the naive router-major
+	// loop. The counters make the quiescence check O(1).
+	routerWords    []uint64
+	sourceWords    []uint64
+	nActiveRouters int
+	nActiveSources int
+
+	// Per-stage router bitmasks: bit k of rcWords/vaWords/saWords is set
+	// exactly while router w*64+k has a nonzero nRouting/nWaitVC/nActive
+	// counter. Each stage pass sweeps only its own mask, so a router
+	// streaming a packet body (SA work every cycle, RC/VA work once per
+	// packet) costs the RC and VA passes nothing. The stage functions keep
+	// the bits in sync at counter 0<->nonzero transitions.
+	rcWords []uint64
+	vaWords []uint64
+	saWords []uint64
+
+	// Two-phase event staging: events produced during cycle t are applied
+	// at the start of cycle t+1, modelling one-cycle link and credit
+	// delays.
+	stagedLinks   []linkEvent
+	pendingLinks  []linkEvent
+	stagedEjects  []ejectEvent
+	pendingEjects []ejectEvent
+
+	// VA slow-path scratch (NumPorts*VCs > 64), shared by all routers so
+	// the fallback allocator stays allocation-free.
+	vaReq   [NumPorts][]int32
+	vaIsReq []bool
 
 	// fullStep disables the skip-ahead fast path, the active sets, and
-	// the stage-major order, restoring the naive router-major loop
-	// (always serial, regardless of SetStepWorkers).
+	// the stage-major order, selecting the naive router-major loop.
 	fullStep bool
 
 	// packetFree recycles Packet objects on tail ejection, keeping the
@@ -105,17 +124,16 @@ type Network struct {
 
 	nextPacketID int64
 
-	// Counters for conservation checks and throughput statistics
-	// (flit injections are counted per band; see band.flitsInjected).
+	// Counters for conservation checks and throughput statistics.
+	// flitsInjected counts source->router flit deliveries staged.
 	packetsQueued  int64
 	packetsArrived int64
+	flitsInjected  int64
 	flitsEjected   int64
 }
 
 // NewNetwork builds a mesh network from cfg. It returns an error if the
-// configuration is invalid. The network starts with one step worker; use
-// SetStepWorkers to shard the mesh, and Close to stop the worker group
-// when done (a no-op for the serial default).
+// configuration is invalid.
 func NewNetwork(cfg Config) (*Network, error) {
 	return NewNetworkWithFaults(cfg, nil)
 }
@@ -132,8 +150,16 @@ func NewNetworkWithFaults(cfg Config, faults []Link) (*Network, error) {
 	if err := validateFaults(cfg, faults); err != nil {
 		return nil, err
 	}
-	n := &Network{cfg: cfg}
 	nodes := cfg.Nodes()
+	words := (nodes + 63) / 64
+	n := &Network{
+		cfg:         cfg,
+		routerWords: make([]uint64, words),
+		sourceWords: make([]uint64, words),
+		rcWords:     make([]uint64, words),
+		vaWords:     make([]uint64, words),
+		saWords:     make([]uint64, words),
+	}
 	total := NumPorts * cfg.VCs
 	depth := cfg.BufDepth
 
@@ -205,7 +231,6 @@ func NewNetworkWithFaults(cfg Config, faults []Link) (*Network, error) {
 		}
 	}
 
-	n.buildBands(1)
 	return n, nil
 }
 
@@ -226,69 +251,28 @@ func (n *Network) Router(id NodeID) *Router { return &n.routers[id] }
 // measure the difference.
 func (n *Network) SetSkipAhead(on bool) { n.fullStep = !on }
 
-// SetStepWorkers shards the mesh into w contiguous id bands (clamped to
-// [1, nodes]) stepped in parallel by a persistent worker group. Because
-// routers interact only through events staged for the next cycle, results
-// are bit-identical for every w. The network must be quiescent (freshly
-// built, or fully drained); changing the partition with work in flight
-// would need event rebucketing, which no caller requires.
-func (n *Network) SetStepWorkers(w int) {
-	if w < 1 {
-		w = 1
-	}
-	if w > len(n.routers) {
-		w = len(n.routers)
-	}
-	if w == n.stepWorkers {
-		return
-	}
-	if !n.Quiescent() {
-		panic("noc: SetStepWorkers requires a quiescent network")
-	}
-	n.stopWorkers()
-	n.buildBands(w)
-	n.startWorkers()
-}
-
-// StepWorkers returns the current step-worker count.
-func (n *Network) StepWorkers() int { return n.stepWorkers }
-
-// Close stops the band worker goroutines. It is idempotent and a no-op
-// for the serial default; the network must not be stepped after Close.
-func (n *Network) Close() { n.stopWorkers() }
-
 // Quiescent reports whether the network holds no work at all: no flits
 // buffered or in flight, no staged credits, and no source with queued or
 // partially sent packets. A quiescent Step only advances the clock.
 func (n *Network) Quiescent() bool {
-	for _, b := range n.bands {
-		if b.nActiveRouters != 0 || b.nActiveSources != 0 ||
-			len(b.stagedLinks) != 0 || len(b.stagedEjects) != 0 {
-			return false
-		}
-	}
-	return true
+	return n.nActiveRouters == 0 && n.nActiveSources == 0 &&
+		len(n.stagedLinks) == 0 && len(n.stagedEjects) == 0
 }
 
-// activateRouter sets r's bit in its band's active mask. Callers must
-// check r.active first. During the delivery phase only the band worker
-// that owns r calls this, so the mask update needs no synchronization.
+// activateRouter sets r's bit in the active-router mask. Callers must
+// check r.active first.
 func (n *Network) activateRouter(r *Router) {
 	r.active = true
-	b := r.band
-	k := int(r.id) - b.lo
-	b.routerWords[k>>6] |= 1 << uint(k&63)
-	b.nActiveRouters++
+	n.routerWords[r.id>>6] |= 1 << uint(r.id&63)
+	n.nActiveRouters++
 }
 
-// activateSource sets s's bit in its band's active mask. Callers must
+// activateSource sets s's bit in the active-source mask. Callers must
 // check s.active first.
 func (n *Network) activateSource(s *source) {
 	s.active = true
-	b := s.band
-	k := int(s.node) - b.lo
-	b.sourceWords[k>>6] |= 1 << uint(k&63)
-	b.nActiveSources++
+	n.sourceWords[s.node>>6] |= 1 << uint(s.node&63)
+	n.nActiveSources++
 }
 
 // getPacket returns a recycled Packet or a fresh one.
@@ -336,10 +320,9 @@ func (n *Network) NewPacket(src, dst NodeID, nowNs float64, dimOrder uint8) *Pac
 // Step advances the network by one clock cycle: it completes last cycle's
 // ejections, delivers staged flits and credits, runs the router pipelines
 // stage-major over the active sets, and lets every source with pending
-// packets inject at most one flit. With step workers configured, delivery
-// and compute each fan out across the bands under a barrier. When the
-// network is quiescent the whole call is the skip-ahead fast path: the
-// clock advances and nothing else runs.
+// packets inject at most one flit. When the network is quiescent the whole
+// call is the skip-ahead fast path: the clock advances and nothing else
+// runs.
 func (n *Network) Step() {
 	n.cycle++
 	if n.islandRun != nil {
@@ -352,47 +335,37 @@ func (n *Network) Step() {
 
 	// Swap staging buffers: everything staged during cycle-1 is delivered
 	// now; new events are staged for cycle+1.
-	for _, b := range n.bands {
-		b.pendingLinks, b.stagedLinks = b.stagedLinks, b.pendingLinks[:0]
-		b.pendingEjects, b.stagedEjects = b.stagedEjects, b.pendingEjects[:0]
-	}
+	n.pendingLinks, n.stagedLinks = n.stagedLinks, n.pendingLinks[:0]
+	n.pendingEjects, n.stagedEjects = n.stagedEjects, n.pendingEjects[:0]
 
-	// Ejection completes serially, in band order: bands hold contiguous
-	// ascending id ranges and each band staged its ejects in ascending
-	// router id order, so the concatenation reproduces exactly the
-	// OnArrive order of the naive loop. Keeping this phase (and with it
-	// the packet free list and the caller's OnArrive accumulators) on one
-	// goroutine is what lets the rest of the cycle parallelize. The
-	// piggybacked upstream credits are applied here too — still before the
-	// parallel phases start, and commutative with the credits those will
-	// deliver (distinct (output port, vc) slots or plain increments).
-	for _, b := range n.bands {
-		for i := range b.pendingEjects {
-			ev := &b.pendingEjects[i]
-			n.flitsEjected++
-			if ev.credTarget < 0 {
-				n.sources[-ev.credTarget-1].acceptCredit(int(ev.credVC))
-			} else {
-				n.returnCredit(ev.credTarget, ev.credVC)
+	// Ejection: the SA sweep staged the ejects in ascending router id
+	// order, which is exactly the OnArrive order of the naive loop. The
+	// piggybacked upstream credits commute with the credits delivery
+	// applies next (distinct (output port, vc) slots or plain increments).
+	for i := range n.pendingEjects {
+		ev := &n.pendingEjects[i]
+		n.flitsEjected++
+		if ev.credTarget < 0 {
+			n.sources[-ev.credTarget-1].acceptCredit(int(ev.credVC))
+		} else {
+			n.returnCredit(ev.credTarget, ev.credVC)
+		}
+		if p := ev.packet; p != nil {
+			p.ArriveCycle = cycle
+			n.packetsArrived++
+			if n.OnArrive != nil {
+				n.OnArrive(p, cycle)
 			}
-			if p := ev.packet; p != nil {
-				p.ArriveCycle = cycle
-				n.packetsArrived++
-				if n.OnArrive != nil {
-					n.OnArrive(p, cycle)
-				}
-				n.packetFree = append(n.packetFree, p)
-			}
+			n.packetFree = append(n.packetFree, p)
 		}
 	}
+
+	n.deliver(cycle)
 
 	if n.fullStep {
-		// Naive reference loop: serial router-major over everything.
-		// Island gating mirrors computeBand exactly: stalled nodes still
-		// receive deliveries but run no pipeline stage or injection.
-		for _, b := range n.bands {
-			n.deliverBand(b)
-		}
+		// Naive reference loop: router-major over everything. Island
+		// gating mirrors compute exactly: stalled nodes still receive
+		// deliveries but run no pipeline stage or injection.
 		gated := n.islandOf != nil
 		for id := range n.routers {
 			if gated && n.nodeStalled(id) {
@@ -408,25 +381,116 @@ func (n *Network) Step() {
 		}
 		return
 	}
+	n.compute(cycle)
+}
 
-	if n.stepWorkers == 1 {
-		b := n.bands[0]
-		n.deliverBand(b)
-		n.computeBand(b, cycle)
-		return
+// deliver applies last cycle's link events: arrival commits for flits
+// already sitting in their destination ring slots, and upstream credits.
+// At most one flit per (router, input port) and one credit per (router,
+// output port, vc) exist per cycle, so delivery order across sibling
+// events is commutative.
+func (n *Network) deliver(cycle int64) {
+	for _, ev := range n.pendingLinks {
+		n.routers[ev.node()].commitArrival(Port(ev.port()), int(ev.vc()), cycle)
+		if ev.credNode() >= 0 {
+			if ct := ev.credTarget(); ct < 0 {
+				n.sources[-ct-1].acceptCredit(int(ev.credVC()))
+			} else {
+				n.returnCredit(ct, ev.credVC())
+			}
+		}
 	}
-	n.runPhase(phaseDeliver)
-	n.runPhase(phaseCompute)
+}
+
+// returnCredit restores one credit to output VC credVC of the flat output
+// port credTarget (= node*NumPorts+port), keeping the owning router's
+// credit mask in sync.
+func (n *Network) returnCredit(credTarget int32, credVC int8) {
+	o := &n.outState[int(credTarget)*n.cfg.VCs+int(credVC)]
+	o.credits++
+	if o.credits == 1 {
+		r := &n.routers[int(credTarget)/NumPorts]
+		r.creditMask[int(credTarget)%NumPorts] |= 1 << uint(credVC)
+		// A 0->1 transition may restore SA eligibility for the input VC
+		// holding this output VC (if it still has flits to send).
+		if owner := o.owner; owner >= 0 && r.vc[owner].bufLen > 0 {
+			r.saEligMask[int(owner)/r.vcs] |= 1 << uint(int(owner)%r.vcs)
+		}
+	} else if o.credits > int32(n.cfg.BufDepth) {
+		panic("noc: credit overflow (more credits than buffer slots)")
+	}
+}
+
+// compute runs one stage-major cycle: each pipeline stage sweeps its
+// router bitmask once, in ascending id order, over the contiguous per-VC
+// state, before the next stage starts; then the active sources inject.
+// Routers that end the cycle with no work are pruned from the active set,
+// as are drained sources.
+func (n *Network) compute(cycle int64) {
+	routers := n.routers
+	// gated is false on homogeneous meshes, keeping the island check out
+	// of the hot path; stalled nodes skip every stage (and injection) but
+	// stay in the active sets until they run again.
+	gated := n.islandOf != nil
+	for w, word := range n.rcWords {
+		for base := w * 64; word != 0; word &= word - 1 {
+			id := base + bits.TrailingZeros64(word)
+			if gated && n.nodeStalled(id) {
+				continue
+			}
+			routers[id].stageRC(cycle)
+		}
+	}
+	for w, word := range n.vaWords {
+		for base := w * 64; word != 0; word &= word - 1 {
+			id := base + bits.TrailingZeros64(word)
+			if gated && n.nodeStalled(id) {
+				continue
+			}
+			routers[id].stageVA(cycle)
+		}
+	}
+	// A router can only run out of work during its SA pass (flits leave
+	// nowhere else), so pruning the active set here catches every router
+	// the moment it goes idle.
+	for w, word := range n.saWords {
+		for base := w * 64; word != 0; word &= word - 1 {
+			k := bits.TrailingZeros64(word)
+			if gated && n.nodeStalled(base+k) {
+				continue
+			}
+			r := &routers[base+k]
+			r.stageSA(cycle)
+			if !r.hasWork() {
+				r.active = false
+				n.routerWords[w] &^= 1 << uint(k)
+				n.nActiveRouters--
+			}
+		}
+	}
+	sources := n.sources
+	for w, word := range n.sourceWords {
+		for base := w * 64; word != 0; word &= word - 1 {
+			k := bits.TrailingZeros64(word)
+			if gated && n.nodeStalled(base+k) {
+				continue
+			}
+			s := sources[base+k]
+			s.step(cycle, &n.cfg)
+			if !s.hasWork() {
+				s.active = false
+				n.sourceWords[w] &^= 1 << uint(k)
+				n.nActiveSources--
+			}
+		}
+	}
 }
 
 // InFlight returns the number of flits currently inside the network:
 // buffered in routers or in flight on links (including flits owed by the
 // sources' partially sent packets and queued packets).
 func (n *Network) InFlight() int64 {
-	var total int64
-	for _, b := range n.bands {
-		total += int64(len(b.stagedLinks)) + int64(len(b.stagedEjects))
-	}
+	total := int64(len(n.stagedLinks)) + int64(len(n.stagedEjects))
 	if n.fullStep {
 		// The active sets are stale supersets in naive mode; walk everything.
 		for id := range n.routers {
@@ -437,18 +501,14 @@ func (n *Network) InFlight() int64 {
 		}
 		return total
 	}
-	for _, b := range n.bands {
-		for w, word := range b.routerWords {
-			base := b.lo + w*64
-			for ; word != 0; word &= word - 1 {
-				total += int64(n.routers[base+bits.TrailingZeros64(word)].occupancy())
-			}
+	for w, word := range n.routerWords {
+		for base := w * 64; word != 0; word &= word - 1 {
+			total += int64(n.routers[base+bits.TrailingZeros64(word)].occupancy())
 		}
-		for w, word := range b.sourceWords {
-			base := b.lo + w*64
-			for ; word != 0; word &= word - 1 {
-				total += n.sources[base+bits.TrailingZeros64(word)].pendingFlits(&n.cfg)
-			}
+	}
+	for w, word := range n.sourceWords {
+		for base := w * 64; word != 0; word &= word - 1 {
+			total += n.sources[base+bits.TrailingZeros64(word)].pendingFlits(&n.cfg)
 		}
 	}
 	return total
@@ -469,10 +529,7 @@ func (n *Network) SourceBacklog() int64 {
 // Stats returns cumulative packet and flit counters: packets queued,
 // packets arrived, flits injected into routers, flits ejected.
 func (n *Network) Stats() (queued, arrived, injected, ejected int64) {
-	for _, b := range n.bands {
-		injected += b.flitsInjected
-	}
-	return n.packetsQueued, n.packetsArrived, injected, n.flitsEjected
+	return n.packetsQueued, n.packetsArrived, n.flitsInjected, n.flitsEjected
 }
 
 // Activity returns the aggregate activity of all routers plus the elapsed
@@ -496,63 +553,51 @@ func (n *Network) RouterActivities() []RouterActivity {
 	return out
 }
 
-// CheckInvariants panics if any router's credit or VC state, or the band
+// CheckInvariants panics if any router's credit or VC state, or the
 // active-set bookkeeping, is inconsistent. Tests call it liberally;
 // production code does not need to.
 func (n *Network) CheckInvariants() {
 	for id := range n.routers {
 		n.routers[id].checkInvariants()
 	}
-	for _, b := range n.bands {
-		nr, ns := 0, 0
-		for w, word := range b.routerWords {
-			base := b.lo + w*64
-			for ; word != 0; word &= word - 1 {
-				id := base + bits.TrailingZeros64(word)
-				if id >= b.hi {
-					panic("noc: active router bit outside band range")
-				}
-				if !n.routers[id].active {
-					panic("noc: active router bit set for inactive router")
-				}
-				nr++
+	nr, ns := 0, 0
+	for w, word := range n.routerWords {
+		for base := w * 64; word != 0; word &= word - 1 {
+			id := base + bits.TrailingZeros64(word)
+			if id >= len(n.routers) {
+				panic("noc: active router bit outside the mesh")
 			}
-		}
-		for w, word := range b.sourceWords {
-			base := b.lo + w*64
-			for ; word != 0; word &= word - 1 {
-				id := base + bits.TrailingZeros64(word)
-				if id >= b.hi {
-					panic("noc: active source bit outside band range")
-				}
-				if !n.sources[id].active {
-					panic("noc: active source bit set for inactive source")
-				}
-				ns++
+			if !n.routers[id].active {
+				panic("noc: active router bit set for inactive router")
 			}
+			nr++
 		}
-		if nr != b.nActiveRouters || ns != b.nActiveSources {
-			panic("noc: band active counts out of sync")
-		}
-		for id := b.lo; id < b.hi; id++ {
-			k := id - b.lo
-			bit := uint64(1) << uint(k&63)
-			r := n.routers[id]
-			if (b.rcWords[k>>6]&bit != 0) != (r.nRouting > 0) ||
-				(b.vaWords[k>>6]&bit != 0) != (r.nWaitVC > 0) ||
-				(b.saWords[k>>6]&bit != 0) != (r.nActive > 0) {
-				panic("noc: band per-stage words out of sync with stage counters")
+	}
+	for w, word := range n.sourceWords {
+		for base := w * 64; word != 0; word &= word - 1 {
+			id := base + bits.TrailingZeros64(word)
+			if id >= len(n.sources) {
+				panic("noc: active source bit outside the mesh")
 			}
+			if !n.sources[id].active {
+				panic("noc: active source bit set for inactive source")
+			}
+			ns++
 		}
+	}
+	if nr != n.nActiveRouters || ns != n.nActiveSources {
+		panic("noc: active counts out of sync")
 	}
 	for id := range n.routers {
 		r := &n.routers[id]
-		if r.active {
-			b := r.band
-			k := int(r.id) - b.lo
-			if b.routerWords[k>>6]&(1<<uint(k&63)) == 0 {
-				panic("noc: active router missing from band mask")
-			}
+		bit := uint64(1) << uint(id&63)
+		if (n.rcWords[id>>6]&bit != 0) != (r.nRouting > 0) ||
+			(n.vaWords[id>>6]&bit != 0) != (r.nWaitVC > 0) ||
+			(n.saWords[id>>6]&bit != 0) != (r.nActive > 0) {
+			panic("noc: per-stage words out of sync with stage counters")
+		}
+		if r.active && n.routerWords[id>>6]&bit == 0 {
+			panic("noc: active router missing from the active mask")
 		}
 	}
 }

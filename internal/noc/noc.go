@@ -34,20 +34,9 @@
 // events staged for the next cycle: a sender writes the outgoing flit
 // directly into the destination ring slot (exactly one flit per router
 // and input port can arrive per cycle, so the slot has a single writer)
-// and stages a 16-byte link event carrying the arrival notice and the
-// piggybacked upstream credit, applied at the start of cycle t+1.
-//
-// # Step workers
-//
-// SetStepWorkers(n) shards the mesh into n contiguous-id bands, each
-// stepped by one worker of a persistent goroutine group under a
-// two-phase barrier per cycle: deliver (each band applies last cycle's
-// events targeting its own routers) then compute (each band runs its
-// stage sweeps and stages new events into its own buffers). Ejections
-// run serially between the phases in band order, so OnArrive ordering —
-// and every other observable — is bit-identical to the serial engine for
-// every worker count; the golden tests in step_test.go enforce it.
-// Callers that run many simulations concurrently should charge one
-// leaf-budget slot per step worker (see exp.AcquireLeafN) so intra-sim
-// threads and concurrent sims draw from the same pool of cores.
+// and stages one packed 8-byte link event carrying the arrival notice and
+// the piggybacked upstream credit, applied at the start of cycle t+1. A
+// Step is therefore eject -> deliver -> compute, all on the calling
+// goroutine; callers get parallelism by running independent simulations
+// side by side (see exp.AcquireLeaf).
 package noc

@@ -68,7 +68,6 @@ type Router struct {
 	id   NodeID
 	x, y int
 	net  *Network
-	band *band
 
 	vcs   int // cached Config.VCs
 	depth int // cached Config.BufDepth
@@ -112,9 +111,8 @@ type Router struct {
 	// outState[p*vcs+v].credits > 0. SA eligibility tests this
 	// register-hot word instead of loading the counter's cache line; the
 	// counters stay authoritative and the mask is updated on every 0<->1
-	// transition. Only this router's band worker writes it (SA decrements
-	// in compute, credit returns in this band's delivery or the serial
-	// eject phase).
+	// transition (SA decrements in compute, credit returns in delivery or
+	// the eject phase).
 	creditMask [NumPorts]uint64
 
 	// saEligMask caches full SA eligibility per input port: bit v is set
@@ -123,14 +121,14 @@ type Router struct {
 	// this word and takes the first ready bit instead of probing per-VC
 	// state; the mask is updated at the transitions that change any of
 	// the three conditions (VA grant, SA send, arrival commit, credit
-	// return). Same single-writer discipline as creditMask.
+	// return).
 	saEligMask [NumPorts]uint64
 
 	// buffered is the total number of flits held in input VC buffers;
 	// it makes occupancy O(1) for the quiescence check.
 	buffered int
 
-	// active reports membership in the band's active-router bitmask.
+	// active reports membership in the network's active-router bitmask.
 	active bool
 
 	// Activity is the per-router event accumulator for power estimation.
@@ -140,17 +138,15 @@ type Router struct {
 // ID returns the router's node id.
 func (r *Router) ID() NodeID { return r.id }
 
-// setStageBit / clearStageBit keep one of the band's per-stage word sets
-// (rcWords/vaWords/saWords) in sync with this router's stage counter at a
-// 0<->nonzero transition. Only this router's band worker calls them.
+// setStageBit / clearStageBit keep one of the network's per-stage word
+// sets (rcWords/vaWords/saWords) in sync with this router's stage counter
+// at a 0<->nonzero transition.
 func (r *Router) setStageBit(words []uint64) {
-	k := int(r.id) - r.band.lo
-	words[k>>6] |= 1 << uint(k&63)
+	words[r.id>>6] |= 1 << uint(r.id&63)
 }
 
 func (r *Router) clearStageBit(words []uint64) {
-	k := int(r.id) - r.band.lo
-	words[k>>6] &^= 1 << uint(k&63)
+	words[r.id>>6] &^= 1 << uint(r.id&63)
 }
 
 // hasWork reports whether the router holds any flits or any input VC in a
@@ -162,8 +158,7 @@ func (r *Router) hasWork() bool {
 
 // commitArrival is called by the delivery phase when a flit staged last
 // cycle (already sitting in the ring slot its writer stored it to)
-// becomes visible on input port p. Only the band worker that owns this
-// router calls it.
+// becomes visible on input port p.
 func (r *Router) commitArrival(p Port, vc int, cycle int64) {
 	i := int(p)*r.vcs + vc
 	st := &r.vc[i]
@@ -190,7 +185,7 @@ func (r *Router) commitArrival(p Port, vc int, cycle int64) {
 			r.nRouting++
 			r.routingMask[p] |= 1 << uint(vc)
 			if r.nRouting == 1 {
-				r.setStageBit(r.band.rcWords)
+				r.setStageBit(r.net.rcWords)
 			}
 		} else if st.stage == vcActive && r.creditMask[st.port]&(1<<uint(st.outVC)) != 0 {
 			r.saEligMask[p] |= 1 << uint(vc)
@@ -228,10 +223,10 @@ func (r *Router) stageRC(cycle int64) {
 		}
 	}
 	if r.nRouting == 0 {
-		r.clearStageBit(r.band.rcWords)
+		r.clearStageBit(r.net.rcWords)
 	}
 	if r.nWaitVC > 0 {
-		r.setStageBit(r.band.vaWords)
+		r.setStageBit(r.net.vaWords)
 	}
 }
 
@@ -246,10 +241,10 @@ func (r *Router) stageVA(cycle int64) {
 		r.stageVASlow(cycle)
 	}
 	if r.nWaitVC == 0 {
-		r.clearStageBit(r.band.vaWords)
+		r.clearStageBit(r.net.vaWords)
 	}
 	if r.nActive > 0 {
-		r.setStageBit(r.band.saWords)
+		r.setStageBit(r.net.saWords)
 	}
 }
 
@@ -335,17 +330,17 @@ func (r *Router) stageVAMask(cycle int64) {
 }
 
 // stageVASlow is the list-based VA fallback for NumPorts*VCs > 64. Its
-// scratch (vaReq/vaIsReq) is shared across the routers of a band, so it
-// stays allocation-free in steady state.
+// scratch (vaReq/vaIsReq) is shared across all routers, so it stays
+// allocation-free in steady state.
 func (r *Router) stageVASlow(cycle int64) {
-	b := r.band
+	net := r.net
 	vcs := r.vcs
 	total := NumPorts * vcs
-	if len(b.vaIsReq) < total {
-		b.vaIsReq = make([]bool, total)
+	if len(net.vaIsReq) < total {
+		net.vaIsReq = make([]bool, total)
 	}
-	for p := range b.vaReq {
-		b.vaReq[p] = b.vaReq[p][:0]
+	for p := range net.vaReq {
+		net.vaReq[p] = net.vaReq[p][:0]
 	}
 	anyReq := false
 	for p := 0; p < NumPorts; p++ {
@@ -360,8 +355,8 @@ func (r *Router) stageVASlow(cycle int64) {
 			if st.ready > cycle {
 				continue
 			}
-			b.vaReq[st.port] = append(b.vaReq[st.port], int32(i))
-			b.vaIsReq[i] = true
+			net.vaReq[st.port] = append(net.vaReq[st.port], int32(i))
+			net.vaIsReq[i] = true
 			anyReq = true
 		}
 	}
@@ -369,7 +364,7 @@ func (r *Router) stageVASlow(cycle int64) {
 		return
 	}
 	for op := 0; op < NumPorts; op++ {
-		reqs := b.vaReq[op]
+		reqs := net.vaReq[op]
 		if len(reqs) == 0 {
 			continue
 		}
@@ -390,10 +385,10 @@ func (r *Router) stageVASlow(cycle int64) {
 				if want >= total {
 					want -= total
 				}
-				if !b.vaIsReq[want] {
+				if !net.vaIsReq[want] {
 					continue
 				}
-				b.vaIsReq[want] = false
+				net.vaIsReq[want] = false
 				ip := want / vcs
 				iv := want - ip*vcs
 				ov := int(free[granted])
@@ -418,7 +413,7 @@ func (r *Router) stageVASlow(cycle int64) {
 			}
 		}
 		for _, req := range reqs {
-			b.vaIsReq[req] = false
+			net.vaIsReq[req] = false
 		}
 	}
 }
@@ -486,9 +481,8 @@ func (r *Router) stageSA(cycle int64) {
 		return
 	}
 	net := r.net
-	b := r.band
-	links := b.stagedLinks
-	ejects := b.stagedEjects
+	links := net.stagedLinks
+	ejects := net.stagedEjects
 	// Output phase + traversal, in ascending output-port order. Each
 	// requested port grants the first requesting input port at or after
 	// its round-robin pointer: rotating the request mask right by the
@@ -609,19 +603,19 @@ func (r *Router) stageSA(cycle int64) {
 			r.saEligMask[ip] &^= 1 << uint(v)
 		}
 	}
-	b.stagedLinks = links
-	b.stagedEjects = ejects
+	net.stagedLinks = links
+	net.stagedEjects = ejects
 	if r.nActive == 0 {
-		r.clearStageBit(b.saWords)
+		r.clearStageBit(net.saWords)
 	}
 	if r.nRouting > 0 {
-		r.setStageBit(b.rcWords)
+		r.setStageBit(net.rcWords)
 	}
 }
 
 // step runs one router-major cycle (RC, VA, SA in sequence), skipping empty
 // stages via the population counters. The stage-major engine instead calls
-// the stage functions directly, batched across the routers of a band; this
+// the stage functions directly, batched across the active routers; this
 // router-major order is kept as the naive-mode reference path
 // (SetSkipAhead(false)) that the golden equivalence tests compare against.
 func (r *Router) step(cycle int64) {

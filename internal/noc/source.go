@@ -10,7 +10,6 @@ type source struct {
 	node   NodeID
 	queue  packetQueue
 	router *Router
-	band   *band
 
 	// credits[v] counts free slots in the router's local input VC v.
 	credits []int
@@ -32,7 +31,7 @@ type source struct {
 
 	rrVC int // round-robin pointer for VC selection
 
-	// active reports membership in the band's active-source bitmask.
+	// active reports membership in the network's active-source bitmask.
 	active bool
 }
 
@@ -72,8 +71,8 @@ func (s *source) acceptCredit(vc int) {
 
 // step sends at most one flit into the router's local input port: the
 // flit is written directly into the local VC's ring slot (the source is
-// that slot's only writer this cycle) and the arrival notice is staged on
-// the source's band for delivery next cycle. No credit rides along
+// that slot's only writer this cycle) and the arrival notice is staged
+// for delivery next cycle. No credit rides along
 // (credNode < 0): the source tracks its own credits and the router
 // returns them through the link tables when the slot drains.
 func (s *source) step(cycle int64, cfg *Config) {
@@ -97,17 +96,17 @@ func (s *source) step(cycle int64, cfg *Config) {
 	s.credits[s.curVC]--
 	s.outstanding[s.curVC]++
 	r := s.router
+	net := r.net
 	g := (int(s.node)*NumPorts+int(PortLocal))*r.vcs + s.curVC
-	dst := &r.net.vc[g]
+	dst := &net.vc[g]
 	slot := int(dst.wrHead)
-	r.net.bufs[g*r.depth+slot] = f
+	net.bufs[g*r.depth+slot] = f
 	if slot++; slot == r.depth {
 		slot = 0
 	}
 	dst.wrHead = uint8(slot)
-	b := s.band
-	b.stagedLinks = append(b.stagedLinks, makeLinkEvent(int32(s.node), int8(PortLocal), int8(s.curVC), -1, 0, 0))
-	b.flitsInjected++
+	net.stagedLinks = append(net.stagedLinks, makeLinkEvent(int32(s.node), int8(PortLocal), int8(s.curVC), -1, 0, 0))
+	net.flitsInjected++
 	if f.Head {
 		p.InjectCycle = cycle
 	}

@@ -1,21 +1,52 @@
 package noc
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 )
 
 // stepTraffic drives a deterministic packet mix through the network: one
-// packet every injectEvery cycles, cycling over a fixed set of flows.
+// packet every injectEvery cycles, cycling over a fixed set of flows that
+// span the mesh corner to corner (on the default 5x5: 0->24, 24->0, 4->20,
+// 12->7, 3->18), checking the engine invariants every 100 cycles.
 func stepTraffic(net *Network, cycles int, injectEvery int) {
-	flows := [][2]NodeID{{0, 24}, {24, 0}, {4, 20}, {12, 7}, {3, 18}}
+	w, nodes := net.cfg.Width, net.cfg.Nodes()
+	last := nodes - 1
+	flows := [][2]int{{0, last}, {last, 0}, {w - 1, last - w + 1}, {nodes / 2, w + 2}, {w - 2, last - w - 1}}
 	fi := 0
 	for c := 0; c < cycles; c++ {
 		if injectEvery > 0 && c%injectEvery == 0 {
 			f := flows[fi%len(flows)]
 			fi++
-			net.NewPacket(f[0], f[1], float64(net.Cycle()), 0)
+			net.NewPacket(NodeID(f[0]), NodeID(f[1]), float64(net.Cycle()), 0)
 		}
 		net.Step()
+		if c%100 == 99 {
+			net.CheckInvariants()
+		}
+	}
+}
+
+// randomTraffic has every node start a packet to a random other node with
+// probability prob per cycle, so work lands on every word of the active
+// and per-stage bitmasks.
+func randomTraffic(net *Network, rng *rand.Rand, cycles int, prob float64) {
+	nodes := net.cfg.Nodes()
+	for c := 0; c < cycles; c++ {
+		for s := 0; s < nodes; s++ {
+			if rng.Float64() < prob {
+				d := rng.Intn(nodes - 1)
+				if d >= s {
+					d++
+				}
+				net.NewPacket(NodeID(s), NodeID(d), float64(net.Cycle()), 0)
+			}
+		}
+		net.Step()
+		if c%100 == 99 {
+			net.CheckInvariants()
+		}
 	}
 }
 
@@ -63,176 +94,58 @@ func TestQuiescentStepZeroAllocs(t *testing.T) {
 
 // TestSkipAheadMatchesNaiveLoop runs the identical traffic script with the
 // fast paths on and off and requires identical cycle-by-cycle observable
-// state: packet/flit counters, per-router activity, and arrival order.
+// state: packet/flit counters, per-router activity, and arrival order. The
+// 9x9 and 13x5 meshes have more than 64 nodes, so their bitmasks span two
+// words (13x5 with a single node in the second).
 func TestSkipAheadMatchesNaiveLoop(t *testing.T) {
 	type arrival struct {
 		id    int64
 		cycle int64
 	}
-	run := func(skip bool) ([]arrival, [4]int64, []RouterActivity) {
-		net, err := NewNetwork(DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		net.SetSkipAhead(skip)
-		var arrivals []arrival
-		net.OnArrive = func(p *Packet, cycle int64) {
-			arrivals = append(arrivals, arrival{id: p.ID, cycle: cycle})
-		}
-		// Bursts separated by long idle gaps, so skip-ahead actually skips.
-		stepTraffic(net, 300, 3)
-		stepTraffic(net, 500, 0) // idle: quiescent fast path
-		stepTraffic(net, 300, 5)
-		if !net.Drain(10_000) {
-			t.Fatal("traffic did not drain")
-		}
-		net.CheckInvariants()
-		q, a, i, e := net.Stats()
-		return arrivals, [4]int64{q, a, i, e}, net.RouterActivities()
-	}
-	fastArr, fastStats, fastAct := run(true)
-	naiveArr, naiveStats, naiveAct := run(false)
-	if fastStats != naiveStats {
-		t.Errorf("counters diverge: fast %v naive %v", fastStats, naiveStats)
-	}
-	if len(fastArr) != len(naiveArr) {
-		t.Fatalf("arrival counts diverge: %d vs %d", len(fastArr), len(naiveArr))
-	}
-	for i := range fastArr {
-		if fastArr[i] != naiveArr[i] {
-			t.Fatalf("arrival %d diverges: fast %+v naive %+v", i, fastArr[i], naiveArr[i])
-		}
-	}
-	for id := range fastAct {
-		if fastAct[id] != naiveAct[id] {
-			t.Errorf("router %d activity diverges:\nfast:  %+v\nnaive: %+v", id, fastAct[id], naiveAct[id])
-		}
-	}
-}
-
-// runWorkersGolden drives the shared traffic script with the given worker
-// count and returns every observable: arrival order (id, cycle, latency),
-// cumulative counters, and per-router activity.
-func runWorkersGolden(t *testing.T, workers int) ([][3]int64, [4]int64, []RouterActivity) {
-	t.Helper()
-	net, err := NewNetwork(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.SetStepWorkers(workers)
-	defer net.Close()
-	if got := net.StepWorkers(); got != workers {
-		t.Fatalf("StepWorkers() = %d after SetStepWorkers(%d)", got, workers)
-	}
-	var arrivals [][3]int64
-	net.OnArrive = func(p *Packet, cycle int64) {
-		arrivals = append(arrivals, [3]int64{p.ID, cycle, p.ArriveCycle - p.CreateCycle})
-	}
-	stepTraffic(net, 400, 2)
-	stepTraffic(net, 300, 0)
-	stepTraffic(net, 400, 5)
-	if !net.Drain(10_000) {
-		t.Fatal("traffic did not drain")
-	}
-	net.CheckInvariants()
-	q, a, i, e := net.Stats()
-	return arrivals, [4]int64{q, a, i, e}, net.RouterActivities()
-}
-
-// TestStepWorkersMatchSerial asserts the tentpole's determinism claim: the
-// banded parallel engine is bit-identical to the serial engine for every
-// worker count — same arrival order, same latencies, same counters, same
-// per-router activity. Under -race this doubles as the data-race proof for
-// the two-phase deliver/compute barrier and the direct-write flit rings.
-func TestStepWorkersMatchSerial(t *testing.T) {
-	serialArr, serialStats, serialAct := runWorkersGolden(t, 1)
-	for _, w := range []int{2, 3, 4, 8, 25} {
-		arr, stats, act := runWorkersGolden(t, w)
-		if stats != serialStats {
-			t.Errorf("workers=%d: counters diverge: %v vs serial %v", w, stats, serialStats)
-		}
-		if len(arr) != len(serialArr) {
-			t.Fatalf("workers=%d: arrival counts diverge: %d vs %d", w, len(arr), len(serialArr))
-		}
-		for i := range arr {
-			if arr[i] != serialArr[i] {
-				t.Fatalf("workers=%d: arrival %d diverges: %v vs serial %v", w, i, arr[i], serialArr[i])
+	for _, dim := range [][2]int{{5, 5}, {9, 9}, {13, 5}} {
+		t.Run(fmt.Sprintf("%dx%d", dim[0], dim[1]), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Width, cfg.Height = dim[0], dim[1]
+			run := func(skip bool) ([]arrival, [4]int64, []RouterActivity) {
+				net, err := NewNetwork(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				net.SetSkipAhead(skip)
+				var arrivals []arrival
+				net.OnArrive = func(p *Packet, cycle int64) {
+					arrivals = append(arrivals, arrival{id: p.ID, cycle: cycle})
+				}
+				// Bursts separated by long idle gaps, so skip-ahead actually skips.
+				stepTraffic(net, 300, 3)
+				stepTraffic(net, 500, 0) // idle: quiescent fast path
+				stepTraffic(net, 300, 5)
+				randomTraffic(net, rand.New(rand.NewSource(1)), 400, 0.01)
+				if !net.Drain(10_000) {
+					t.Fatal("traffic did not drain")
+				}
+				net.CheckInvariants()
+				q, a, i, e := net.Stats()
+				return arrivals, [4]int64{q, a, i, e}, net.RouterActivities()
 			}
-		}
-		for id := range act {
-			if act[id] != serialAct[id] {
-				t.Errorf("workers=%d: router %d activity diverges:\nparallel: %+v\nserial:   %+v", w, id, act[id], serialAct[id])
+			fastArr, fastStats, fastAct := run(true)
+			naiveArr, naiveStats, naiveAct := run(false)
+			if fastStats != naiveStats {
+				t.Errorf("counters diverge: fast %v naive %v", fastStats, naiveStats)
 			}
-		}
-	}
-}
-
-// TestStepWorkersReconfigure exercises the worker-group lifecycle: resizing
-// between drained bursts keeps results identical to serial, worker counts
-// clamp to [1, nodes], and Close is idempotent.
-func TestStepWorkersReconfigure(t *testing.T) {
-	cfg := DefaultConfig()
-	run := func(resize bool) ([4]int64, []RouterActivity) {
-		net, err := NewNetwork(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer net.Close()
-		for burst, w := range []int{4, 1, 2} {
-			if resize {
-				net.SetStepWorkers(w)
+			if len(fastArr) != len(naiveArr) {
+				t.Fatalf("arrival counts diverge: %d vs %d", len(fastArr), len(naiveArr))
 			}
-			stepTraffic(net, 300, 3+burst)
-			if !net.Drain(10_000) {
-				t.Fatal("burst did not drain")
+			for i := range fastArr {
+				if fastArr[i] != naiveArr[i] {
+					t.Fatalf("arrival %d diverges: fast %+v naive %+v", i, fastArr[i], naiveArr[i])
+				}
 			}
-			net.CheckInvariants()
-		}
-		q, a, i, e := net.Stats()
-		return [4]int64{q, a, i, e}, net.RouterActivities()
+			for id := range fastAct {
+				if fastAct[id] != naiveAct[id] {
+					t.Errorf("router %d activity diverges:\nfast:  %+v\nnaive: %+v", id, fastAct[id], naiveAct[id])
+				}
+			}
+		})
 	}
-	serialStats, serialAct := run(false)
-	resizedStats, resizedAct := run(true)
-	if resizedStats != serialStats {
-		t.Errorf("counters diverge after resizing: %v vs %v", resizedStats, serialStats)
-	}
-	for id := range resizedAct {
-		if resizedAct[id] != serialAct[id] {
-			t.Errorf("router %d activity diverges after resizing", id)
-		}
-	}
-
-	net, err := NewNetwork(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.SetStepWorkers(1000)
-	if got := net.StepWorkers(); got != cfg.Nodes() {
-		t.Errorf("StepWorkers() = %d, want clamp to %d nodes", got, cfg.Nodes())
-	}
-	net.SetStepWorkers(0)
-	if got := net.StepWorkers(); got != 1 {
-		t.Errorf("StepWorkers() = %d, want clamp to 1", got)
-	}
-	net.Close()
-	net.Close() // idempotent
-}
-
-// TestSetStepWorkersPanicsMidFlight pins the quiescence precondition:
-// repartitioning with staged events or buffered flits would misroute
-// in-flight work, so the engine refuses it loudly.
-func TestSetStepWorkersPanicsMidFlight(t *testing.T) {
-	net, err := NewNetwork(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer net.Close()
-	net.NewPacket(0, 24, 0, 0)
-	stepN(net, 3)
-	defer func() {
-		if recover() == nil {
-			t.Error("SetStepWorkers with work in flight did not panic")
-		}
-	}()
-	net.SetStepWorkers(4)
 }

@@ -164,38 +164,3 @@ func TestSkipAheadGoldenEquivalence(t *testing.T) {
 		t.Error("degenerate run: no packets measured")
 	}
 }
-
-// TestStepWorkersGoldenEquivalence asserts the engine-level determinism
-// contract of Params.StepWorkers: the banded parallel network produces a
-// bit-identical Result and packet log for every worker count, DVFS loop
-// and all.
-func TestStepWorkersGoldenEquivalence(t *testing.T) {
-	run := func(workers int) (Result, []trace.Record) {
-		rmsd, err := dvfs.NewRMSD(1e9, 0.378, dvfs.DefaultRange())
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := testParams(t, 0.02, rmsd)
-		p.TraceFreq = true
-		p.PacketLog = trace.NewLog(0)
-		p.StepWorkers = workers
-		res, err := Run(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, p.PacketLog.Records()
-	}
-	serial, serialLog := run(1)
-	if serial.Packets == 0 {
-		t.Fatal("degenerate run: no packets measured")
-	}
-	for _, w := range []int{2, 4} {
-		res, log := run(w)
-		if !reflect.DeepEqual(res, serial) {
-			t.Errorf("StepWorkers=%d Result differs from serial:\nparallel: %+v\nserial:   %+v", w, res, serial)
-		}
-		if !reflect.DeepEqual(log, serialLog) {
-			t.Errorf("StepWorkers=%d packet log differs: %d vs %d records", w, len(log), len(serialLog))
-		}
-	}
-}

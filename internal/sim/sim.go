@@ -85,14 +85,6 @@ type Params struct {
 	// the cap the run aborts early.
 	SatBacklogPerNode float64
 
-	// StepWorkers is the number of engine threads stepping the network
-	// (0 or 1 = serial). Results are bit-identical for every value; the
-	// workers only spread the per-cycle router sweeps across contiguous
-	// mesh bands. Callers holding an exp leaf-budget slot should acquire
-	// StepWorkers slots instead (exp.AcquireLeafN), so intra-run threads
-	// are charged against the same core budget as parallel runs.
-	StepWorkers int
-
 	// TraceFreq, when true, records one Sample per control period.
 	TraceFreq bool
 	// PacketLog, when non-nil, records the lifecycle of every packet
@@ -237,10 +229,6 @@ func RunContext(ctx context.Context, p Params) (Result, error) {
 	}
 	if p.disableSkipAhead {
 		net.SetSkipAhead(false)
-	}
-	if p.StepWorkers > 1 {
-		net.SetStepWorkers(p.StepWorkers)
-		defer net.Close()
 	}
 	p.Policy.Reset()
 

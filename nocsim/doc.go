@@ -50,12 +50,9 @@
 // replication and variance analysis across points see uncorrelated
 // samples.
 //
-// Determinism extends inside a single simulation: WithStepWorkers(n)
-// splits every engine step across n goroutines on a static router
-// partition, so the result is bit-identical to serial stepping for any
-// n. Step workers multiply against sweep-level Workers; under a leaf
-// budget each simulation acquires its full worker count, so the global
-// cap holds.
+// Each simulation runs on one goroutine and holds one slot of the
+// process-wide leaf budget while it does, so sweep-level Workers is the
+// only concurrency there is to size.
 //
 // # Calibration
 //
@@ -211,9 +208,8 @@
 //	workers       int      concurrent points in Sweep/Calibrate (0 =
 //	                       GOMAXPROCS, 1 = serial); must be ≥ 0; results
 //	                       are identical for every value. Flag —.
-//	step_workers  int      engine threads per simulation (0 = process
-//	                       default, 1 = serial); must be ≥ 0; results are
-//	                       bit-identical for every value. Flag —.
+//
+// A step_workers key (scenario or result meta) is ignored since PR 15.
 //
 // Runtime attachments (a PacketLog from WithPacketLog, a Trace sink from
 // WithTraceCapture) are deliberately not part of the wire form: they do

@@ -185,15 +185,6 @@ func WithWorkers(n int) Option {
 	return func(s *Scenario) error { s.Workers = n; return nil }
 }
 
-// WithStepWorkers sets the number of engine threads stepping each
-// simulation's network (0 or 1 = serial). Results are bit-identical for
-// every value; a run stepped by k threads charges k slots of the
-// process-wide leaf budget (see exp.SetLeafBudget), so grid concurrency
-// and intra-simulation concurrency share one core pool.
-func WithStepWorkers(n int) Option {
-	return func(s *Scenario) error { s.StepWorkers = n; return nil }
-}
-
 // WithPacketLog attaches a per-packet lifecycle log to the scenario's
 // runs. The log is a runtime attachment — it does not survive JSON
 // marshalling — and forces sweeps to run serially so records do not

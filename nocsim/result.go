@@ -50,9 +50,6 @@ type RunMeta struct {
 	Seed int64 `json:"seed"`
 	// Workers is the concurrency bound the run was configured with.
 	Workers int `json:"workers"`
-	// StepWorkers is the number of engine threads that stepped the
-	// network (0 and 1 both mean serial).
-	StepWorkers int `json:"step_workers,omitempty"`
 	// WallTime is the host time the run took, calibration included.
 	WallTime time.Duration `json:"wall_time_ns"`
 	// PointIndex is the position of this result in its Sweep grid, and 0

@@ -43,7 +43,7 @@ func Run(ctx context.Context, s Scenario) (Result, error) {
 	out := Result{
 		Scenario: s,
 		Metrics:  metricsFrom(res),
-		Meta:     RunMeta{Seed: s.Seed, Workers: s.Workers, StepWorkers: s.stepWorkers(), WallTime: time.Since(start)},
+		Meta:     RunMeta{Seed: s.Seed, Workers: s.Workers, WallTime: time.Since(start)},
 	}
 	for _, sm := range res.Trace {
 		out.Trace = append(out.Trace, TraceSample{TimeNs: sm.TimeNs, FreqHz: sm.FreqHz, Volts: sm.Volts, DelayNs: sm.DelayNs})

@@ -153,41 +153,6 @@ func TestRunReproducible(t *testing.T) {
 	}
 }
 
-// TestStepWorkersBitIdentical is the public determinism contract of
-// WithStepWorkers: intra-simulation parallelism must not change a single
-// metric bit, and the setting must survive the JSON wire form.
-func TestStepWorkersBitIdentical(t *testing.T) {
-	serial, err := Run(context.Background(), quickBase(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{2, 4} {
-		s := quickBase(t, WithStepWorkers(w))
-		data, err := json.Marshal(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var back Scenario
-		if err := json.Unmarshal(data, &back); err != nil {
-			t.Fatal(err)
-		}
-		if back.StepWorkers != w {
-			t.Fatalf("step_workers lost on the wire: %d, want %d", back.StepWorkers, w)
-		}
-		res, err := Run(context.Background(), back)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if metricsJSON(t, res) != metricsJSON(t, serial) {
-			t.Errorf("StepWorkers=%d metrics differ from serial:\nparallel %s\nserial   %s",
-				w, metricsJSON(t, res), metricsJSON(t, serial))
-		}
-		if res.Meta.StepWorkers != w {
-			t.Errorf("Meta.StepWorkers = %d, want %d", res.Meta.StepWorkers, w)
-		}
-	}
-}
-
 // TestJSONRoundTripRunByteIdentical is the wire-form determinism
 // contract end to end: a scenario that crosses the wire must Run to
 // byte-identical metrics on the other side.

@@ -3,7 +3,6 @@ package nocsim
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/apps"
 	"repro/internal/core"
@@ -263,15 +262,6 @@ type Scenario struct {
 	// Sweep, Calibrate and FindSaturation (0 = GOMAXPROCS, 1 = serial).
 	// Results are byte-identical for every value.
 	Workers int `json:"workers,omitempty"`
-	// StepWorkers is the number of engine threads stepping each
-	// simulation's network (0 = the process default set with
-	// SetDefaultStepWorkers, 1 = serial). Results are bit-identical for
-	// every value; the threads only spread each cycle's router sweeps
-	// across contiguous mesh bands. A run stepped by k threads charges
-	// k slots of the process-wide leaf budget, so the total number of
-	// in-flight engine threads stays under the configured core budget no
-	// matter how grid concurrency and intra-run concurrency combine.
-	StepWorkers int `json:"step_workers,omitempty"`
 
 	// packetLog, when attached with WithPacketLog, records every
 	// measured packet's lifecycle. It is a runtime attachment, not part
@@ -440,9 +430,6 @@ func (s Scenario) Validate() error {
 	if s.Workers < 0 {
 		errs = append(errs, fmt.Errorf("nocsim: workers %d", s.Workers))
 	}
-	if s.StepWorkers < 0 {
-		errs = append(errs, fmt.Errorf("nocsim: step workers %d", s.StepWorkers))
-	}
 	if s.ControlPeriod < 0 {
 		errs = append(errs, fmt.Errorf("nocsim: control period %d", s.ControlPeriod))
 	}
@@ -481,7 +468,6 @@ func (s Scenario) toCore() (core.Scenario, error) {
 		Seed:          s.Seed,
 		Quick:         s.Quick,
 		Workers:       s.Workers,
-		StepWorkers:   s.stepWorkers(),
 		ControlPeriod: s.ControlPeriod,
 		KI:            s.KI,
 		KP:            s.KP,
@@ -541,34 +527,6 @@ func (s Scenario) nocIslands() []noc.Island {
 		out[i] = isl.toNoc()
 	}
 	return out
-}
-
-// defaultStepWorkers is the process-wide fallback for scenarios whose
-// StepWorkers field is zero. It is execution configuration, not part of
-// the scenario wire form: manifests and shipped jobs stay
-// host-independent, and each host applies its own default when it runs
-// them — exactly like the worker bound a manifest runner passes locally.
-var defaultStepWorkers atomic.Int32
-
-// SetDefaultStepWorkers sets the process-wide engine-thread count
-// applied to every run whose scenario leaves StepWorkers at zero
-// (n <= 1 restores serial stepping). Results are bit-identical for
-// every value, so changing the default never changes what a job
-// computes, only how many leaf-budget slots it charges while running.
-func SetDefaultStepWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	defaultStepWorkers.Store(int32(n))
-}
-
-// stepWorkers resolves the effective engine-thread count for this
-// scenario: its own StepWorkers, or the process default when unset.
-func (s Scenario) stepWorkers() int {
-	if s.StepWorkers != 0 {
-		return s.StepWorkers
-	}
-	return int(defaultStepWorkers.Load())
 }
 
 // coreCal returns the scenario's calibration in internal form, zero when

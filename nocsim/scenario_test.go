@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -152,7 +153,9 @@ func TestScenarioDiversityGoldenJSON(t *testing.T) {
 // diversity fields existed (the baseline golden file) must decode,
 // normalize and validate unchanged, with every new field at its zero
 // value — the backward-compatibility contract for stored manifests and
-// fleet jobs.
+// fleet jobs. The same file carrying the retired "step_workers" key — as
+// a scenario, a grid base and a result with the key in its meta too —
+// must decode to exactly the scenario it decodes to without it.
 func TestOldManifestStillDecodes(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "scenario.golden.json"))
 	if err != nil {
@@ -171,6 +174,34 @@ func TestOldManifestStillDecodes(t *testing.T) {
 	}
 	if n.Pattern != "uniform" || n.Policy != DMSD {
 		t.Errorf("old manifest lost its settings: pattern %q policy %q", n.Pattern, n.Policy)
+	}
+
+	withKey := strings.Replace(string(data), `"seed": 7,`, `"seed": 7, "step_workers": 4,`, 1)
+	if withKey == string(data) {
+		t.Fatal("golden file has no seed line to splice step_workers after")
+	}
+	var sk Scenario
+	var gk Grid
+	var rk Result
+	for _, in := range []struct {
+		doc string
+		v   any
+	}{
+		{withKey, &sk},
+		{`{"base":` + withKey + `,"loads":[0.1]}`, &gk},
+		{`{"scenario":` + withKey + `,"meta":{"seed":7,"step_workers":4}}`, &rk},
+	} {
+		if err := json.Unmarshal([]byte(in.doc), in.v); err != nil {
+			t.Fatalf("document with step_workers no longer decodes: %v\n%s", err, in.doc)
+		}
+	}
+	for name, got := range map[string]Scenario{"scenario": sk, "grid base": gk.Base, "result": rk.Scenario} {
+		if !reflect.DeepEqual(got, s) {
+			t.Errorf("%s with step_workers decodes to a different scenario:\n got %+v\nwant %+v", name, got, s)
+		}
+	}
+	if rk.Meta.Seed != 7 {
+		t.Errorf("result meta lost its seed beside step_workers: %+v", rk.Meta)
 	}
 }
 
