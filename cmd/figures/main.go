@@ -49,6 +49,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/queue"
 	"repro/internal/sweep"
+	"repro/nocsim"
 	"repro/nocsim/manifest"
 )
 
@@ -259,6 +260,11 @@ func main() {
 		if err := tables[i].Format(os.Stdout); err != nil {
 			log.Fatal(err)
 		}
+	}
+	if *progress {
+		searches, searchesReused, calsReused, probesCancelled := nocsim.CalibrationStats()
+		log.Printf("calibration: %d saturation searches run, %d reused; %d calibrations reused; %d probes cancelled",
+			searches, searchesReused, calsReused, probesCancelled)
 	}
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {

@@ -206,7 +206,9 @@ func main() {
 	fmt.Fprintf(w, "gains, discrete levels, routing, power breakdown) are regenerated with\n")
 	fmt.Fprintf(w, "`-fig 8` and `-fig ablation` and asserted by the test suite\n")
 	fmt.Fprintf(w, "(`internal/sweep/ablation_test.go`).\n")
-	log.Println("done")
+	searches, searchesReused, calsReused, probesCancelled := nocsim.CalibrationStats()
+	log.Printf("done (calibration: %d saturation searches run, %d reused; %d calibrations reused; %d probes cancelled)",
+		searches, searchesReused, calsReused, probesCancelled)
 }
 
 // writeTableMarkdown renders one sweep table as a markdown pipe table

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/apps"
 	"repro/internal/dvfs"
@@ -337,6 +338,16 @@ func EquilibriumFreq(s Scenario, load float64, cal Calibration) float64 {
 	return dvfs.Clip(1.1*s.FNode*lambda/cal.LambdaMax, s.Range.FMin, s.Range.FMax)
 }
 
+// SearchStats counts the probe simulations of one saturation search.
+type SearchStats struct {
+	// Probes is the number of probe simulations the search scheduled.
+	Probes int
+	// Cancelled counts the scheduled probes that were stopped in flight or
+	// never started, because an earlier probe of the same round had
+	// already decided the bracket.
+	Cancelled int
+}
+
 // FindSaturation locates the saturation injection rate of the scenario's
 // fabric under its traffic (No-DVFS, full speed) by bracketing on the
 // engine's saturation guards. The search starts from the theoretical
@@ -347,14 +358,28 @@ func EquilibriumFreq(s Scenario, load float64, cal Calibration) float64 {
 // capacity bound proves optimistic, the bracket-expansion rungs are also
 // probed concurrently (after the first rung misses) with the same fixed
 // layout. Cancelling ctx aborts the in-flight simulations promptly.
+//
+// The search belongs to the fabric and its traffic, not to the
+// controller: the probes are built with ControlPeriod and Transient
+// cleared (they set their own windows, and a fixed-frequency policy never
+// actuates), so scenarios that differ only in controller fields run the
+// same search and return the same rate.
 func FindSaturation(ctx context.Context, s Scenario) (float64, error) {
+	rate, _, err := FindSaturationStats(ctx, s)
+	return rate, err
+}
+
+// FindSaturationStats is FindSaturation that also reports how many probes
+// the search scheduled and how many of them it stopped early.
+func FindSaturationStats(ctx context.Context, s Scenario) (float64, SearchStats, error) {
 	s.setDefaults()
 	if err := s.validate(); err != nil {
-		return 0, err
+		return 0, SearchStats{}, err
 	}
 	if s.Trace != nil {
-		return 0, errors.New("core: saturation search needs load to vary; trace scenarios must carry a pinned calibration")
+		return 0, SearchStats{}, errors.New("core: saturation search needs load to vary; trace scenarios must carry a pinned calibration")
 	}
+	s.ControlPeriod, s.Transient = 0, false
 	// maxLoad is the physical injection ceiling: one flit per cycle per
 	// node for synthetic rates; for apps, the speed at which the busiest
 	// node reaches one flit per cycle.
@@ -393,6 +418,15 @@ func FindSaturation(ctx context.Context, s Scenario) (float64, error) {
 		}
 		return res.Saturated, nil
 	}
+	return searchSaturation(ctx, s.workers(), hi, maxLoad, saturatedAt)
+}
+
+// searchSaturation brackets the saturation load in (0, maxLoad] starting
+// from the upper guess hi, asking probe whether the fabric saturates at a
+// given load. It is FindSaturation minus the simulator, so the bracket
+// logic can be tested against a stubbed predicate.
+func searchSaturation(ctx context.Context, workers int, hi, maxLoad float64, probe func(ctx context.Context, load float64) (bool, error)) (float64, SearchStats, error) {
+	var st SearchStats
 	lo := 0.0
 	// Ensure hi really saturates; expand if the capacity bound was
 	// optimistic for this router configuration. The first rung is probed
@@ -402,38 +436,32 @@ func FindSaturation(ctx context.Context, s Scenario) (float64, error) {
 	// layout does not depend on probe outcomes, so the selected bracket —
 	// and hence the returned rate — is identical to the sequential
 	// expansion for every worker count.
-	sat0, err := saturatedAt(ctx, hi)
+	st.Probes++
+	sat0, err := probe(ctx, hi)
 	if err != nil {
-		return 0, err
+		return 0, st, err
 	}
 	if !sat0 {
 		lo = hi
 		if hi >= maxLoad {
-			return maxLoad, nil // injection-port-limited, never saturates
+			return maxLoad, st, nil // injection-port-limited, never saturates
 		}
 		rungs := []float64{min(hi*1.3, maxLoad)}
 		for len(rungs) < 3 && rungs[len(rungs)-1] < maxLoad {
 			rungs = append(rungs, min(rungs[len(rungs)-1]*1.3, maxLoad))
 		}
-		sats, err := exp.Map(ctx, s.workers(), len(rungs),
-			func(ctx context.Context, i int) (bool, error) {
-				return saturatedAt(ctx, rungs[i])
-			})
+		first, err := probeRound(ctx, workers, rungs, probe, &st)
 		if err != nil {
-			return 0, err
+			return 0, st, err
 		}
-		found := false
-		for i, sat := range sats {
-			if sat {
-				hi = rungs[i]
-				found = true
-				break
-			}
-			lo = rungs[i]
+		if first > 0 {
+			lo = rungs[first-1]
 		}
-		if !found {
+		if first < len(rungs) {
+			hi = rungs[first]
+		} else {
 			if top := rungs[len(rungs)-1]; top >= maxLoad {
-				return maxLoad, nil // injection-port-limited, never saturates
+				return maxLoad, st, nil // injection-port-limited, never saturates
 			}
 			// All probed rungs sustain the load: refine inside the next,
 			// unprobed rung, exactly as the sequential expansion did.
@@ -443,28 +471,26 @@ func FindSaturation(ctx context.Context, s Scenario) (float64, error) {
 	// Quarter-section refinement: three interior probes shrink the bracket
 	// 4x per round (5 rounds ≈ 10 bisection steps), and the probes of one
 	// round are independent runs fanned out across the worker pool. The
-	// speculative probes cost up to ~50% more simulations than bisection
-	// when run serially — the price of a fixed probe layout, which is what
-	// keeps the returned rate independent of the worker count.
+	// layout is fixed, which keeps the returned rate independent of the
+	// worker count. The probes above a round's first saturated one are
+	// never read, and probeRound stops them the moment that one reports:
+	// the serial path simulates exactly the probes its decisions read, a
+	// parallel one wastes at most the part of a probe already run.
 	for round := 0; round < 5 && (hi-lo)/hi > 0.02; round++ {
-		probes := [3]float64{
+		probes := []float64{
 			lo + 0.25*(hi-lo),
 			lo + 0.50*(hi-lo),
 			lo + 0.75*(hi-lo),
 		}
-		sats, err := exp.Map(ctx, s.workers(), len(probes),
-			func(ctx context.Context, i int) (bool, error) {
-				return saturatedAt(ctx, probes[i])
-			})
+		first, err := probeRound(ctx, workers, probes, probe, &st)
 		if err != nil {
-			return 0, err
+			return 0, st, err
 		}
-		for i, sat := range sats {
-			if sat {
-				hi = probes[i]
-				break
-			}
-			lo = probes[i]
+		if first > 0 {
+			lo = probes[first-1]
+		}
+		if first < len(probes) {
+			hi = probes[first]
 		}
 	}
 	// Return the highest load observed to be sustainable (lo), not the
@@ -472,9 +498,67 @@ func FindSaturation(ctx context.Context, s Scenario) (float64, error) {
 	// the DMSD target inside the stable region, as the paper's 10% margin
 	// intends.
 	if lo == 0 {
-		return (lo + hi) / 2, nil
+		return (lo + hi) / 2, st, nil
 	}
-	return lo, nil
+	return lo, st, nil
+}
+
+// probeRound probes the ascending loads concurrently and returns the
+// index of the first one that saturates, len(loads) when none does. That
+// index is all a round's decision reads — the loads below it become the
+// new lower bound, it becomes the new upper bound — so the moment probe i
+// reports saturated, every probe j > i is cancelled, in flight or still
+// queued: its answer can no longer be consulted. A probe below the first
+// saturated one is never cancelled, so the index returned is the one a
+// sequential scan would find, for every worker count and whatever order
+// the probes finish in (including a non-monotone predicate).
+func probeRound(ctx context.Context, workers int, loads []float64, probe func(ctx context.Context, load float64) (bool, error), st *SearchStats) (int, error) {
+	var mu sync.Mutex
+	first := len(loads) // lowest index seen saturated so far
+	cancels := make([]context.CancelFunc, len(loads))
+	cancelled := 0
+	_, err := exp.Map(ctx, workers, len(loads),
+		func(ctx context.Context, i int) (struct{}, error) {
+			mu.Lock()
+			if first < i { // decided before this probe started
+				cancelled++
+				mu.Unlock()
+				return struct{}{}, nil
+			}
+			ctx, cancel := context.WithCancel(ctx)
+			defer cancel()
+			cancels[i] = cancel
+			mu.Unlock()
+
+			sat, err := probe(ctx, loads[i])
+
+			mu.Lock()
+			defer mu.Unlock()
+			if err != nil {
+				if first < i && errors.Is(err, context.Canceled) {
+					// Stopped by a lower saturated probe, not by the
+					// caller: not consulted, not a failure.
+					cancelled++
+					return struct{}{}, nil
+				}
+				return struct{}{}, err
+			}
+			if sat && i < first {
+				first = i
+				for _, c := range cancels[i+1:] {
+					if c != nil {
+						c()
+					}
+				}
+			}
+			return struct{}{}, nil
+		})
+	st.Probes += len(loads)
+	st.Cancelled += cancelled
+	if err != nil {
+		return 0, err
+	}
+	return first, nil
 }
 
 // Calibrate runs the paper's calibration recipe for the scenario: measure
@@ -483,9 +567,20 @@ func FindSaturation(ctx context.Context, s Scenario) (float64, error) {
 // what RMSD delivers throughout its scaling range — Sec. IV sets the
 // target to "the value of RMSD at injection rate λmax").
 func Calibrate(ctx context.Context, s Scenario) (Calibration, error) {
-	s.setDefaults()
 	satLoad, err := FindSaturation(ctx, s)
 	if err != nil {
+		return Calibration{}, err
+	}
+	return CalibrateAt(ctx, s, satLoad)
+}
+
+// CalibrateAt is the second stage of Calibrate: given the scenario's
+// measured saturation rate, derive λmax and run the one reference
+// simulation that fixes the DMSD target. Unlike the search, the
+// reference run keeps the scenario's own windows and control period.
+func CalibrateAt(ctx context.Context, s Scenario, satLoad float64) (Calibration, error) {
+	s.setDefaults()
+	if err := s.validate(); err != nil {
 		return Calibration{}, err
 	}
 	loadStar := 0.9 * satLoad

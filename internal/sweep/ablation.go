@@ -31,8 +31,11 @@ import (
 // per swept knob value, the knob carried in the panel's base scenario —
 // so an ablation is the same restartable manifest-of-jobs as a figure.
 
-// calibrateBase measures the baseline calibration once for the studies
-// whose panels all share it.
+// calibrateBase returns the baseline scenario and its calibration for the
+// studies whose panels all share it. It is the calibration the baseline
+// figure pins, so in a process that has already planned that figure (or
+// another of these studies) nocsim answers from its memo and nothing is
+// measured again.
 func (o *Options) calibrateBase(ctx context.Context) (nocsim.Scenario, nocsim.Calibration, error) {
 	base := o.baseScenario()
 	base.Workers = o.Workers

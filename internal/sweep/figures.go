@@ -117,8 +117,13 @@ func ResolveFigures(list string) (figs []string, fig5 bool, err error) {
 // calibrations the figure needs (fanning independent panels across the
 // worker pool) and pins them into the panels' grids, so every point of
 // the returned manifest is a self-contained, restartable job. Plan is
-// the only part of a figure run that is not resumable; it is also the
-// cheap part (a calibration per panel at most).
+// the only part of a figure run that is not resumable, and it is not
+// cheap: a calibration per panel at most, but a cold calibration is a
+// saturation search of a dozen simulations, which the benchmark measures
+// at about three quarters of a quick figure. nocsim computes each
+// distinct calibration once per process, so panels and figures that
+// calibrate the same fabric — the default one recurs in nearly every
+// study — pay for its search once between them.
 func Plan(ctx context.Context, fig string, o Options) (*manifest.Manifest, error) {
 	o.setDefaults()
 	var panels []manifest.Panel

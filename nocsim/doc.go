@@ -62,6 +62,17 @@
 // in their results; pin them with WithCalibration to skip the search —
 // in particular before shipping Grid points to remote workers.
 //
+// A calibration is a pure function of the scenario, and the process
+// computes each distinct one once: Calibrate, FindSaturation,
+// Grid.Resolve and Run's auto-calibration share a memo, concurrent
+// callers of one key wait for a single search, and only successes are
+// kept (CalibrationStats counts the reuse). What identifies a calibration
+// is the whole normalized scenario minus Load, Policy, Calibration and
+// Workers; the saturation search alone also ignores ControlPeriod and
+// Transient, so a controller study reuses its fabric's search and runs
+// only its own reference point. Scenarios with a packet log or trace sink
+// attached always run their calibration, since it writes into them.
+//
 // # Beyond-paper workloads
 //
 // Three scenario families extend the paper's Poisson-only evaluation

@@ -51,45 +51,6 @@ func Run(ctx context.Context, s Scenario) (Result, error) {
 	return out, nil
 }
 
-// Calibrate runs the paper's calibration recipe for the scenario:
-// measure the saturation rate (load and policy fields are ignored), set
-// λmax 10% below it, and set the DMSD target to the full-speed delay at
-// λmax. The search fans its probe simulations across Scenario.Workers;
-// the result is identical for every worker count.
-func Calibrate(ctx context.Context, s Scenario) (Calibration, error) {
-	s = s.normalized()
-	if err := s.Validate(); err != nil {
-		return Calibration{}, err
-	}
-	cs, err := s.toCore()
-	if err != nil {
-		return Calibration{}, err
-	}
-	cal, err := core.Calibrate(ctx, cs)
-	if err != nil {
-		return Calibration{}, err
-	}
-	return Calibration{
-		SaturationRate: cal.SaturationRate,
-		LambdaMax:      cal.LambdaMax,
-		TargetDelayNs:  cal.TargetDelayNs,
-	}, nil
-}
-
-// FindSaturation measures the scenario's saturation injection rate (the
-// first stage of Calibrate) in flits per node per node cycle.
-func FindSaturation(ctx context.Context, s Scenario) (float64, error) {
-	s = s.normalized()
-	if err := s.Validate(); err != nil {
-		return 0, err
-	}
-	cs, err := s.toCore()
-	if err != nil {
-		return 0, err
-	}
-	return core.FindSaturation(ctx, cs)
-}
-
 // TheoreticalCapacity returns the scenario's theoretical channel-load
 // capacity in flits per node per node cycle: the injection rate at which
 // the busiest channel reaches unit load under the scenario's traffic
