@@ -265,6 +265,7 @@ func main() {
 		searches, searchesReused, calsReused, probesCancelled := nocsim.CalibrationStats()
 		log.Printf("calibration: %d saturation searches run, %d reused; %d calibrations reused; %d probes cancelled",
 			searches, searchesReused, calsReused, probesCancelled)
+		log.Printf("set-up: %s", nocsim.FabricStats())
 	}
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {

@@ -207,8 +207,8 @@ func main() {
 	fmt.Fprintf(w, "`-fig 8` and `-fig ablation` and asserted by the test suite\n")
 	fmt.Fprintf(w, "(`internal/sweep/ablation_test.go`).\n")
 	searches, searchesReused, calsReused, probesCancelled := nocsim.CalibrationStats()
-	log.Printf("done (calibration: %d saturation searches run, %d reused; %d calibrations reused; %d probes cancelled)",
-		searches, searchesReused, calsReused, probesCancelled)
+	log.Printf("done (calibration: %d saturation searches run, %d reused; %d calibrations reused; %d probes cancelled; set-up: %s)",
+		searches, searchesReused, calsReused, probesCancelled, nocsim.FabricStats())
 }
 
 // writeTableMarkdown renders one sweep table as a markdown pipe table

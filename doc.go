@@ -31,6 +31,7 @@
 //	internal/stats    streaming statistics
 //	internal/sim      the two-clock-domain simulation engine (context-aware)
 //	internal/exp      parallel deterministic experiment runner (worker pool)
+//	internal/freelist keyed, bounded free list (reused networks and injector slabs)
 //	internal/core     experiments: calibration, saturation search, sweeps
 //	internal/sweep    figure/table planners and renderers for the evaluation
 //	internal/queue    HTTP work-queue: lease coordinator, client, worker loop

@@ -303,13 +303,20 @@ func (s *Scenario) simParams(load float64, pol dvfs.Policy, adaptive bool, seed 
 // out policy grids fanning out probes), in-flight simulations never
 // exceed exp.SetLeafBudget's cap. Every sim.RunContext call in this
 // package goes through here.
+//
+// The run consumes p.Injector: simParams built it for this one run and
+// nothing else holds it, so once the engine returns — completed, aborted
+// or cancelled, but not panicking — its generator slab goes back to the
+// traffic package for the next point's injector.
 func runSim(ctx context.Context, p sim.Params) (sim.Result, error) {
 	release, err := exp.AcquireLeaf(ctx)
 	if err != nil {
 		return sim.Result{}, err
 	}
 	defer release()
-	return sim.RunContext(ctx, p)
+	res, err := sim.RunContext(ctx, p)
+	p.Injector.Release()
+	return res, err
 }
 
 // EquilibriumFreq estimates the DMSD steady-state network frequency at

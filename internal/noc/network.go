@@ -33,6 +33,13 @@ type linkInfo struct {
 // SetSkipAhead(false) selects the naive router-major iterate-everything
 // loop, kept as the reference implementation that equivalence tests
 // compare against.
+//
+// A Network is used by one goroutine at a time and by one run at a time.
+// Reset makes it as good as new for the next run on the same fabric;
+// package sim pools networks that way, and a network in its pool belongs
+// to the pool — a run touches a network only between acquiring it and
+// handing it back. NewNetwork itself never pools: what it returns is the
+// caller's alone.
 type Network struct {
 	cfg Config
 	// routers holds the mesh's routers contiguously (never reallocated
@@ -41,6 +48,8 @@ type Network struct {
 	// state of adjacent routers on neighbouring cache lines for the
 	// stage sweeps.
 	routers []Router
+	// sources[id] points into one contiguous slab of sources (see
+	// newSources), so walking it in id order walks memory forward.
 	sources []*source
 
 	cycle int64
@@ -143,6 +152,10 @@ func NewNetwork(cfg Config) (*Network, error) {
 // installed in place of algorithmic routing (see fault.go). It returns
 // an error if any fault is malformed or the surviving channels leave any
 // node pair disconnected. An empty fault list is exactly NewNetwork.
+//
+// Construction is two steps: allocate the flat arrays and wire what a run
+// never changes (views, coordinates, the link and route tables), then
+// Reset, which is the only code that writes initial run state.
 func NewNetworkWithFaults(cfg Config, faults []Link) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("noc: invalid config: %w", err)
@@ -166,15 +179,12 @@ func NewNetworkWithFaults(cfg Config, faults []Link) (*Network, error) {
 	n.vc = make([]vcState, nodes*total)
 	n.bufs = make([]Flit, nodes*total*depth)
 	n.outState = make([]outVCState, nodes*total)
-	for i := range n.vc {
-		n.vc[i].outVC = -1
-	}
-	for i := range n.outState {
-		n.outState[i] = outVCState{owner: -1, credits: int32(depth)}
+	if total > 64 {
+		// The VA slow path's request flags; it leaves them all false.
+		n.vaIsReq = make([]bool, total)
 	}
 
 	n.routers = make([]Router, nodes)
-	n.sources = make([]*source, nodes)
 	for id := 0; id < nodes; id++ {
 		r := &n.routers[id]
 		*r = Router{
@@ -188,14 +198,8 @@ func NewNetworkWithFaults(cfg Config, faults []Link) (*Network, error) {
 			linkBase: id * NumPorts,
 		}
 		r.x, r.y = cfg.Coord(NodeID(id))
-		vcBits := ^uint64(0)
-		if cfg.VCs < 64 {
-			vcBits = uint64(1)<<uint(cfg.VCs) - 1
-		}
-		for p := range r.creditMask {
-			r.creditMask[p] = vcBits
-		}
 	}
+	n.sources = newSources(n.routers, cfg.VCs)
 
 	n.links = make([]linkInfo, nodes*NumPorts)
 	for id := 0; id < nodes; id++ {
@@ -220,7 +224,6 @@ func NewNetworkWithFaults(cfg Config, faults []Link) (*Network, error) {
 				upNode: int32(nb.id),
 			}
 		}
-		n.sources[id] = newSource(NodeID(id), r, &cfg)
 	}
 
 	if len(faults) > 0 {
@@ -231,7 +234,65 @@ func NewNetworkWithFaults(cfg Config, faults []Link) (*Network, error) {
 		}
 	}
 
+	n.Reset()
 	return n, nil
+}
+
+// Reset returns the network to exactly the state its constructor leaves
+// it in: cycle 0, every buffer, credit, allocator pointer, counter and
+// activity record as built, nothing staged or queued, no islands, no
+// OnArrive, skip-ahead on. It may be called in any state, including on a
+// run abandoned mid-flight, whose flits and packets are dropped. What a
+// run cannot change stays: the flat arrays themselves, the link and route
+// tables (and so the fault set), and the capacity the event buffers, the
+// source queues and the packet free list have grown to — which is what
+// makes a reset network cheaper than a new one and otherwise
+// indistinguishable from it.
+func (n *Network) Reset() {
+	depth := n.cfg.BufDepth
+	n.cycle = 0
+	for i := range n.vc {
+		n.vc[i] = vcState{outVC: -1}
+	}
+	clear(n.bufs) // stale flits pin their packets
+	for i := range n.outState {
+		n.outState[i] = outVCState{owner: -1, credits: int32(depth)}
+	}
+	vcBits := ^uint64(0)
+	if n.cfg.VCs < 64 {
+		vcBits = uint64(1)<<uint(n.cfg.VCs) - 1
+	}
+	for id := range n.routers {
+		n.routers[id].reset(vcBits)
+	}
+	for _, s := range n.sources {
+		s.reset(depth)
+	}
+
+	n.islands, n.islandOf, n.islandAcc, n.islandRun = nil, nil, nil, nil
+
+	clear(n.routerWords)
+	clear(n.sourceWords)
+	clear(n.rcWords)
+	clear(n.vaWords)
+	clear(n.saWords)
+	n.nActiveRouters, n.nActiveSources = 0, 0
+
+	n.stagedLinks = n.stagedLinks[:0]
+	n.pendingLinks = n.pendingLinks[:0]
+	clear(n.stagedEjects[:cap(n.stagedEjects)])
+	clear(n.pendingEjects[:cap(n.pendingEjects)])
+	n.stagedEjects = n.stagedEjects[:0]
+	n.pendingEjects = n.pendingEjects[:0]
+	for p := range n.vaReq {
+		n.vaReq[p] = n.vaReq[p][:0]
+	}
+	clear(n.vaIsReq)
+
+	n.fullStep = false
+	n.OnArrive = nil
+	n.nextPacketID = 0
+	n.packetsQueued, n.packetsArrived, n.flitsInjected, n.flitsEjected = 0, 0, 0, 0
 }
 
 // Config returns the network configuration.

@@ -52,6 +52,22 @@ func TestPacketQueueCompaction(t *testing.T) {
 	}
 }
 
+// TestPacketQueueRewindsWhenDrained: a queue that keeps draining reuses
+// its first slots and never grows, however many packets pass through it.
+func TestPacketQueueRewindsWhenDrained(t *testing.T) {
+	var q packetQueue
+	p := &Packet{}
+	for i := 0; i < 10_000; i++ {
+		q.Push(p)
+		if q.Pop() != p || q.Len() != 0 {
+			t.Fatalf("pair %d: queue did not return the packet and drain", i)
+		}
+	}
+	if c := cap(q.items); c > 2 {
+		t.Errorf("10000 push/pop pairs grew the queue to %d slots, want at most 2", c)
+	}
+}
+
 // TestVCRingWrapAround exercises the inline per-VC flit ring (bufHead/
 // bufLen over the network's flat bufs array) through the router's public
 // accept/step path at a non-power-of-two depth, forcing wrap-around.

@@ -135,6 +135,23 @@ type Router struct {
 	Activity RouterActivity
 }
 
+// reset returns the router to its as-built state, keeping what
+// construction wired: identity, the views into the network's flat
+// arrays, and the neighbour pointers. Every other field is zeroed by
+// omission, so a field added later is reset unless it is listed here.
+// vcBits has one bit set per VC: every output VC starts with credits.
+func (r *Router) reset(vcBits uint64) {
+	*r = Router{
+		id: r.id, x: r.x, y: r.y, net: r.net,
+		vcs: r.vcs, depth: r.depth,
+		vc: r.vc, bufs: r.bufs, outState: r.outState,
+		linkBase: r.linkBase, neighbor: r.neighbor,
+	}
+	for p := range r.creditMask {
+		r.creditMask[p] = vcBits
+	}
+}
+
 // ID returns the router's node id.
 func (r *Router) ID() NodeID { return r.id }
 

@@ -41,20 +41,52 @@ type source struct {
 // (credit returns are delivered independently of step).
 func (s *source) hasWork() bool { return s.cur != nil || s.queue.Len() > 0 }
 
-func newSource(node NodeID, r *Router, cfg *Config) *source {
-	s := &source{
-		node:        node,
-		router:      r,
-		credits:     make([]int, cfg.VCs),
-		outstanding: make([]int, cfg.VCs),
-		tailSent:    make([]bool, cfg.VCs),
-		busy:        make([]bool, cfg.VCs),
+// newSources builds the injection source of every router. The structs
+// and each of the four per-VC arrays are one allocation for the whole
+// mesh, carved per node; Network.Reset fills in the run state.
+func newSources(routers []Router, vcs int) []*source {
+	nodes := len(routers)
+	slab := make([]source, nodes)
+	credits := make([]int, nodes*vcs)
+	outstanding := make([]int, nodes*vcs)
+	tailSent := make([]bool, nodes*vcs)
+	busy := make([]bool, nodes*vcs)
+	sources := make([]*source, nodes)
+	for id := range slab {
+		lo, hi := id*vcs, (id+1)*vcs
+		slab[id] = source{
+			node:        NodeID(id),
+			router:      &routers[id],
+			credits:     credits[lo:hi],
+			outstanding: outstanding[lo:hi],
+			tailSent:    tailSent[lo:hi],
+			busy:        busy[lo:hi],
+		}
+		sources[id] = &slab[id]
+	}
+	return sources
+}
+
+// reset returns the source to its as-built state — an empty queue, every
+// local VC free with depth credits — keeping its wiring, its per-VC
+// arrays and the queue's capacity.
+func (s *source) reset(depth int) {
+	s.queue.reset()
+	*s = source{
+		node:        s.node,
+		router:      s.router,
+		queue:       s.queue,
+		credits:     s.credits,
+		outstanding: s.outstanding,
+		tailSent:    s.tailSent,
+		busy:        s.busy,
 	}
 	for v := range s.credits {
-		s.credits[v] = cfg.BufDepth
+		s.credits[v] = depth
+		s.outstanding[v] = 0
 		s.tailSent[v] = true
+		s.busy[v] = false
 	}
-	return s
 }
 
 // acceptCredit processes a credit returned by the router's local input port.

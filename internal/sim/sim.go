@@ -212,6 +212,11 @@ const ctxCheckCycles = 1024
 // when ctx is cancelled mid-run the simulation stops promptly, discards
 // its partial measurement, and returns ctx.Err(). A context that is
 // already cancelled on entry returns before the network is even built.
+//
+// The network is taken from, and afterwards returned to, a process-wide
+// free list of fabrics (see fabric.go), so a process that runs many points
+// on one mesh builds it once per concurrent run rather than once per
+// point. The run owns the network exclusively in between.
 func RunContext(ctx context.Context, p Params) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
@@ -220,7 +225,15 @@ func RunContext(ctx context.Context, p Params) (Result, error) {
 	if err := p.validate(); err != nil {
 		return Result{}, err
 	}
-	net, err := noc.NewNetworkWithFaults(p.Noc, p.Faults)
+	var integ *power.Integrator
+	if p.Power != nil {
+		var err error
+		if integ, err = power.NewIntegrator(*p.Power, p.Noc.Nodes()); err != nil {
+			return Result{}, err
+		}
+	}
+	key := newFabricKey(p.Noc, p.Faults)
+	net, err := acquireFabric(key, p.Faults)
 	if err != nil {
 		return Result{}, err
 	}
@@ -232,14 +245,6 @@ func RunContext(ctx context.Context, p Params) (Result, error) {
 	}
 	p.Policy.Reset()
 
-	var integ *power.Integrator
-	if p.Power != nil {
-		integ, err = power.NewIntegrator(*p.Power, p.Noc.Nodes())
-		if err != nil {
-			return Result{}, err
-		}
-	}
-
 	eng := &engine{
 		p:     p,
 		net:   net,
@@ -247,10 +252,14 @@ func RunContext(ctx context.Context, p Params) (Result, error) {
 		f:     p.Policy.Freq(),
 	}
 	eng.v = p.VF.VoltageFor(eng.f)
-	if err := eng.run(ctx); err != nil {
-		return Result{}, err
+	var res Result
+	if err = eng.run(ctx); err == nil {
+		res = eng.result()
 	}
-	return eng.result(), nil
+	// Reached when the run completed or was cancelled, not when it
+	// panicked: a fabric whose run blew up is not offered to another.
+	releaseFabric(key, net)
+	return res, err
 }
 
 // engine holds the mutable state of one run.

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
+	"repro/internal/freelist"
 	"repro/internal/noc"
 	"repro/internal/trace"
 )
@@ -39,6 +39,12 @@ import (
 //     packet ids the network hands out;
 //   - the schedule is primed by the first NodeCycle, after SetSource has
 //     drawn each node's initial on-off state from the same generators.
+//
+// An injector serves one run and has one owner, whoever built it. Its
+// bulk, the per-node generator slab, may come from an earlier injector of
+// the same mesh size and go on to a later one: the owner calls Release
+// when the run is over (see there), and until then nothing else touches
+// the slab.
 type Injector struct {
 	cfg     noc.Config
 	pattern Pattern
@@ -46,7 +52,8 @@ type Injector struct {
 	rates []float64
 	// probs[s] is the per-node-cycle packet generation probability.
 	probs []float64
-	// nodes[s] is node s's generator and schedule state; nil for replay.
+	// nodes[s] is node s's generator and schedule state; nil for replay
+	// and after Release.
 	nodes []nodeSource
 	// next[s] is the node cycle of s's next event: a packet to emit, an
 	// on-off toggle, or the end of a scan that found nothing within
@@ -83,7 +90,13 @@ type nodeSource struct {
 	gen lfg
 	// rng wraps gen for the draws that go through math/rand: destinations,
 	// the O1TURN dimension, on-off sojourns.
-	rng *rand.Rand
+	rng rand.Rand
+	nodeSchedule
+}
+
+// nodeSchedule is the part of a nodeSource that a recycled slab starts
+// from zero; the generator and its wrapper are overwritten by seeding.
+type nodeSchedule struct {
 	// thresh encodes the node's trial probability (see hitThreshold).
 	thresh uint64
 	// hit reports that the event at next[s] is a packet.
@@ -103,11 +116,22 @@ const (
 	never = math.MaxInt64
 )
 
-// seeders recycles the stdlib sources NewInjectorRates seeds its nodes
-// through: 4.9 KB each, needed for microseconds per injector, and a sweep
-// builds an injector per point. Every use starts with Seed, so what a
-// source did before does not matter.
-var seeders = sync.Pool{New: func() any { return rand.NewSource(0) }}
+// maxPooledNodes is the largest mesh whose generator slab Release keeps
+// (5 MB at 4.9 KB a node); a larger one is left to the collector.
+const maxPooledNodes = 1024
+
+// slabs holds released generator slabs by node count. A slab is the bulk
+// of an injector (4.9 KB a node, a lagged-Fibonacci ring each) and a
+// sweep builds an injector per point; every word of a recycled slab is
+// overwritten before it is read, so where it came from cannot matter.
+var slabs freelist.List[int, []nodeSource]
+
+// SlabStats returns the process's cumulative generator-slab counters:
+// slabs allocated and slabs taken from the free list.
+func SlabStats() (built, reused int64) {
+	built, reused, _ = slabs.Stats()
+	return built, reused
+}
 
 // NewInjector builds an injector offering rate flits per node per node
 // cycle at every node, with destinations from pattern. Each node gets an
@@ -141,14 +165,9 @@ func NewInjectorRates(cfg noc.Config, pattern Pattern, rates []float64, seed int
 		pattern: pattern,
 		rates:   append([]float64(nil), rates...),
 		probs:   make([]float64, len(rates)),
-		nodes:   make([]nodeSource, len(rates)),
 		next:    make([]int64, len(rates)),
 		o1turn:  cfg.Routing == noc.RoutingO1TURN,
 	}
-	// One stdlib source seeds every node in turn, so seeding allocates
-	// nothing per node and the generators sit in one slab.
-	seeder := seeders.Get().(rand.Source64)
-	defer seeders.Put(seeder)
 	for i, r := range rates {
 		if r < 0 {
 			return nil, fmt.Errorf("traffic: negative rate %g at node %d", r, i)
@@ -158,12 +177,32 @@ func NewInjectorRates(cfg noc.Config, pattern Pattern, rates []float64, seed int
 			return nil, fmt.Errorf("traffic: node %d rate %g exceeds one packet per cycle", i, r)
 		}
 		inj.probs[i] = p
+	}
+	var recycled bool
+	if inj.nodes, recycled = slabs.Get(len(rates)); !recycled {
+		inj.nodes = make([]nodeSource, len(rates))
+	}
+	for i := range inj.nodes {
 		nd := &inj.nodes[i]
-		seeder.Seed(seed + int64(i)*7919)
-		nd.gen.seedFrom(seeder)
-		nd.rng = rand.New(&nd.gen)
+		nd.gen.Seed(seed + int64(i)*7919)
+		nd.rng = *rand.New(&nd.gen)
+		nd.nodeSchedule = nodeSchedule{}
 	}
 	return inj, nil
+}
+
+// Release hands the injector's generator slab to whichever injector is
+// built next for a mesh of the same size, and ends this injector's life:
+// only its owner may call it, once the last run that draws from it has
+// returned, and nothing may use the injector afterwards. Never calling it
+// is safe (the slab is collected with the injector); calling it on an
+// injector abandoned mid-run is too, since the next owner reseeds every
+// node. A replay injector owns no slab and Release does nothing.
+func (inj *Injector) Release() {
+	if inj.nodes != nil && len(inj.nodes) <= maxPooledNodes {
+		slabs.Put(len(inj.nodes), inj.nodes)
+	}
+	inj.nodes = nil
 }
 
 // Pattern returns the injector's destination pattern.
@@ -222,11 +261,11 @@ func (inj *Injector) fireDue(net *noc.Network, nowNs float64, c int64) {
 			nd := &inj.nodes[s]
 			from := c
 			if nd.hit {
-				inj.emit(net, nowNs, c, noc.NodeID(s), nd.rng)
+				inj.emit(net, nowNs, c, noc.NodeID(s), &nd.rng)
 				from = c + 1
 			} else if inj.burst != nil && c == nd.until {
 				nd.on = !nd.on
-				nd.until = c + inj.burst.sojourn(nd.on, nd.rng)
+				nd.until = c + inj.burst.sojourn(nd.on, &nd.rng)
 			}
 			inj.schedule(s, from)
 		}

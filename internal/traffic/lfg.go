@@ -24,15 +24,74 @@ const (
 	resampleMin = 1<<63 - 512
 )
 
+// The stdlib fills the ring from a Lehmer generator, x ← 48271·x mod
+// 2³¹−1: twenty steps to warm up, then three per slot, whose outputs are
+// shifted together and XORed with an entry of a fixed table (rngCooked).
+// It takes each step by Schrage's method, a divide and a multiply on a
+// chain 1841 steps long. Three steps are one multiplication by 48271³, so
+// here three independent chains — one per output of a slot — advance a
+// slot at a time, and since 2³¹ ≡ 1 modulo 2³¹−1 each reduction is a
+// shift and an add.
+const (
+	lehmerM = 1<<31 - 1
+	lehmerA = 48271
+	// Untyped constant arithmetic is exact, so these are 48271³ and
+	// 48271²¹ modulo 2³¹−1.
+	lehmerA3  = lehmerA * lehmerA * lehmerA % lehmerM
+	lehmerA21 = lehmerA3 * lehmerA3 * lehmerA3 * lehmerA3 * lehmerA3 * lehmerA3 * lehmerA3 % lehmerM
+)
+
+// lehmerMul returns a·b mod 2³¹−1 for a and b in [1, 2³¹−1). The product
+// is never a multiple of the prime modulus, so one conditional subtraction
+// finishes the reduction.
+func lehmerMul(a, b uint64) uint64 {
+	p := a * b
+	p = p&lehmerM + p>>31
+	if p >= lehmerM {
+		p -= lehmerM
+	}
+	return p
+}
+
+// lfgCooked is the stdlib's additive seeding table, recovered once per
+// process rather than copied: seedFrom yields the ring the stdlib seeds
+// for some seed, and XORing out the Lehmer part fill computes for the same
+// seed leaves the table.
+var lfgCooked = func() [lfgLen]uint64 {
+	var seeded, lehmer lfg
+	seeded.seedFrom(rand.NewSource(1).(rand.Source64))
+	lehmer.fill(1, &[lfgLen]uint64{})
+	for i := range seeded.vec {
+		seeded.vec[i] ^= lehmer.vec[i]
+	}
+	return seeded.vec
+}()
+
 // Seed implements rand.Source: the stream that follows is the one
-// rand.NewSource(seed) produces.
-func (g *lfg) Seed(seed int64) {
-	g.seedFrom(rand.NewSource(seed).(rand.Source64))
+// rand.NewSource(seed) produces, for every seed.
+func (g *lfg) Seed(seed int64) { g.fill(seed, &lfgCooked) }
+
+// fill seeds the ring as the stdlib does, with cooked as the table.
+func (g *lfg) fill(seed int64, cooked *[lfgLen]uint64) {
+	g.tap, g.feed = 0, lfgLen-lfgTap
+	seed %= lehmerM
+	if seed < 0 {
+		seed += lehmerM
+	}
+	if seed == 0 {
+		seed = 89482311 // the stdlib's stand-in for the one seed Lehmer cannot leave
+	}
+	a := lehmerMul(uint64(seed), lehmerA21)
+	b := lehmerMul(a, lehmerA)
+	c := lehmerMul(b, lehmerA)
+	for i := range g.vec {
+		g.vec[i] = a<<40 ^ b<<20 ^ c ^ cooked[i]
+		a, b, c = lehmerMul(a, lehmerA3), lehmerMul(b, lehmerA3), lehmerMul(c, lehmerA3)
+	}
 }
 
 // seedFrom positions g at the start of the stream of src, which must be a
-// freshly seeded stdlib source. The stdlib seeds its ring from an
-// unexported table; rather than copy it, draw the ring out of src: every
+// freshly seeded stdlib source, using nothing but its outputs: every
 // draw overwrites one slot with its output, walking down from feed and
 // wrapping once, so after lfgLen draws the ring is exactly those outputs
 // and both indices are back where Seed put them. Undoing the additions,

@@ -129,7 +129,7 @@ func (inj *Injector) SetSource(src SourceConfig) error {
 		nd.on = nd.rng.Float64() < 1/src.BurstRatio
 		// The per-cycle model counts the sojourn down before each cycle's
 		// trial, so the initial state lasts one cycle less than drawn.
-		nd.until = src.sojourn(nd.on, nd.rng) - 1
+		nd.until = src.sojourn(nd.on, &nd.rng) - 1
 	}
 	inj.burst = &src
 	return nil

@@ -73,6 +73,29 @@
 // only its own reference point. Scenarios with a packet log or trace sink
 // attached always run their calibration, since it writes into them.
 //
+// # Set-up
+//
+// A sweep runs hundreds of points on one mesh, so the two large objects
+// of a run are kept between runs instead of rebuilt: the network (the
+// routers' flat buffer, credit and link arrays) and the injector's slab
+// of per-node random generators. A finished run hands its network to a
+// process-wide free list keyed by the mesh configuration and the set of
+// faulty links; the next run on that fabric takes it and resets it to
+// exactly the state a constructor leaves — on taking it, so whatever a
+// cancelled or aborted run left inside is gone first — and a run that
+// panicked hands nothing back. The generator slab travels the same way,
+// keyed by node count, and every generator in it is reseeded in full
+// before its first draw. Neither object carries anything from one run
+// into the next, so reuse cannot change a result; islands, sources,
+// policies and seeds are per-run and never part of a pooled object.
+//
+// Ownership is exclusive: a pooled object belongs to the free list, an
+// acquired one to the run that acquired it, and nothing outside that run
+// may touch it. The lists are bounded — at most 16 objects under each of
+// the 8 most recently used keys, nothing for a key the last 32 runs did
+// not use, and nothing above about 2 MB a network or 5 MB a slab — and
+// FabricStats counts builds, reuses and evictions.
+//
 // # Beyond-paper workloads
 //
 // Three scenario families extend the paper's Poisson-only evaluation

@@ -2,10 +2,12 @@ package nocsim
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/noc"
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/traffic"
 )
@@ -49,6 +51,33 @@ func Run(ctx context.Context, s Scenario) (Result, error) {
 		out.Trace = append(out.Trace, TraceSample{TimeNs: sm.TimeNs, FreqHz: sm.FreqHz, Volts: sm.Volts, DelayNs: sm.DelayNs})
 	}
 	return out, nil
+}
+
+// FabricUse counts how the process's simulations came by their two large
+// per-run objects, the network and the injector's generator slab (see the
+// package doc's "Set-up" section).
+type FabricUse struct {
+	// FabricsBuilt and FabricsReused split the runs by whether their
+	// network was constructed or was an earlier run's, reset;
+	// FabricsEvicted counts networks the free list dropped to stay inside
+	// its bounds.
+	FabricsBuilt, FabricsReused, FabricsEvicted int64
+	// SlabsBuilt and SlabsReused do the same for injectors.
+	SlabsBuilt, SlabsReused int64
+}
+
+// FabricStats returns the process's cumulative set-up counters.
+func FabricStats() FabricUse {
+	var u FabricUse
+	u.FabricsBuilt, u.FabricsReused, u.FabricsEvicted = sim.FabricStats()
+	u.SlabsBuilt, u.SlabsReused = traffic.SlabStats()
+	return u
+}
+
+// String renders the counters as the CLIs log them.
+func (u FabricUse) String() string {
+	return fmt.Sprintf("%d fabrics built, %d reused, %d evicted; %d injector slabs built, %d reused",
+		u.FabricsBuilt, u.FabricsReused, u.FabricsEvicted, u.SlabsBuilt, u.SlabsReused)
 }
 
 // TheoreticalCapacity returns the scenario's theoretical channel-load

@@ -137,9 +137,12 @@ func waitForGoroutines(t *testing.T, baseline int) {
 }
 
 // TestRunReproducible: the same scenario run twice yields byte-identical
-// metrics — the determinism contract behind the wire form.
+// metrics — the determinism contract behind the wire form — although the
+// second run simulates on the first one's network and generator slab,
+// which FabricStats shows.
 func TestRunReproducible(t *testing.T) {
 	s := quickBase(t)
+	before := FabricStats()
 	a, err := Run(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
@@ -150,6 +153,13 @@ func TestRunReproducible(t *testing.T) {
 	}
 	if metricsJSON(t, a) != metricsJSON(t, b) {
 		t.Errorf("two runs of the same scenario differ:\n%s\n%s", metricsJSON(t, a), metricsJSON(t, b))
+	}
+	u := FabricStats()
+	if got := u.FabricsBuilt + u.FabricsReused - before.FabricsBuilt - before.FabricsReused; got != 2 {
+		t.Errorf("FabricStats counted %d networks for 2 runs", got)
+	}
+	if u.FabricsReused == before.FabricsReused || u.SlabsReused == before.SlabsReused {
+		t.Errorf("the second run reused nothing: %s (before: %s)", u, before)
 	}
 }
 
