@@ -44,15 +44,15 @@ func TestAdaptiveSweepMatchesFixedGridWithFewerPoints(t *testing.T) {
 	ctx := context.Background()
 
 	fixedOpts := sweep.Options{Quick: true, Points: 18, Seed: 1}
-	fixed, complete, err := sweep.Generate(ctx, "baseline", fixedOpts, nil, false, 0)
-	if err != nil || !complete {
-		t.Fatalf("fixed-grid run: (complete=%v, %v)", complete, err)
+	fixed, err := sweep.Tables(ctx, "baseline", fixedOpts)
+	if err != nil {
+		t.Fatalf("fixed-grid run: %v", err)
 	}
 	fixedSims := fixedOpts.Points * 3 // three policies per load
 
 	adaptOpts := sweep.Options{Quick: true, Points: 4, Seed: 1}
 	const budget = 6
-	adaptive, stats, err := sweep.GenerateAdaptive(ctx, "baseline", adaptOpts, nil, false, budget)
+	adaptive, stats, err := sweep.Generate(ctx, "baseline", adaptOpts, sweep.Executor{}, budget)
 	if err != nil {
 		t.Fatal(err)
 	}

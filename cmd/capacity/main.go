@@ -30,7 +30,7 @@ func main() {
 		pattern = flag.String("pattern", "uniform", "traffic pattern")
 		seed    = flag.Int64("seed", 1, "random seed")
 		quick   = flag.Bool("quick", false, "shorter simulations")
-		workers = cli.WorkersFlag("concurrent saturation probes (default GOMAXPROCS, 1 = serial); the measured rate is identical either way")
+		workers = cli.WorkersFlag(flag.CommandLine, "concurrent saturation probes (default GOMAXPROCS, 1 = serial); the measured rate is identical either way")
 	)
 	flag.Parse()
 

@@ -37,6 +37,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -47,10 +48,7 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/exp"
-	"repro/internal/queue"
 	"repro/internal/sweep"
-	"repro/nocsim"
-	"repro/nocsim/manifest"
 )
 
 // reportProgress polls the exp engine's cumulative point counters and
@@ -111,24 +109,16 @@ func main() {
 	log.SetPrefix("figures: ")
 
 	var (
-		figs        = flag.String("fig", "all", "comma-separated figure list: 2,4,5,6,7,8,10,pi,summary,ablation (or period,gains,levels,routing,breakdown individually) or 'all'")
-		quick       = flag.Bool("quick", false, "shorter windows and smaller grids")
-		points      = flag.Int("points", 0, "samples per curve (0 = default)")
-		seed        = flag.Int64("seed", 1, "random seed")
-		csvDir      = flag.String("csv", "", "also write one CSV per table into this directory")
-		workers     = cli.WorkersFlag("concurrent simulation points (default GOMAXPROCS, 1 = serial); results are identical either way")
-		progress    = flag.Bool("progress", false, "log point completion and ETA every few seconds")
-		manifestDir = flag.String("manifest", "", "persist resolved-grid manifests and completed points under this directory")
-		resume      = flag.Bool("resume", false, "with -manifest: reuse stored manifests and completed points, running only the missing ones")
-		maxPoints   = flag.Int("max-points", 0, "stop each figure after this many new points (0 = no limit); for testing interrupted runs")
-		coordinator = flag.String("coordinator", "", "compute through this nocsimd coordinator URL and reassemble tables from its journal")
-		authToken   = cli.AuthTokenFlag("bearer token for a -coordinator that runs with -auth-token")
+		figs     = flag.String("fig", "all", "comma-separated figure list: 2,4,5,6,7,8,10,pi,summary,ablation (or period,gains,levels,routing,breakdown individually) or 'all'")
+		csvDir   = flag.String("csv", "", "also write one CSV per table into this directory")
+		progress = flag.Bool("progress", false, "log point completion and ETA every few seconds")
 	)
-	adaptive, refineBudget := cli.RefineFlags()
+	sf := cli.RunFlags(flag.CommandLine, 0)
+	sf.MaxPointsFlag()
 	cpuProfile, memProfile := cli.ProfileFlags()
 	flag.Parse()
 
-	if err := cli.CheckWorkers(*workers); err != nil {
+	if err := sf.Check(); err != nil {
 		log.Fatal(err)
 	}
 	stopProfiles, err := cli.StartProfiles(*cpuProfile, *memProfile)
@@ -140,27 +130,17 @@ func main() {
 			log.Print(err)
 		}
 	}()
-	if *maxPoints < 0 {
-		log.Fatalf("-max-points must be >= 0 (got %d); 0 means no limit", *maxPoints)
-	}
-	if err := cli.CheckRefine(*adaptive, *refineBudget, cli.FlagWasSet("refine-budget"),
-		*manifestDir != "" || *coordinator != ""); err != nil {
-		log.Fatal(err)
-	}
-	if *adaptive && *maxPoints > 0 {
-		log.Fatal("-adaptive is exclusive with -max-points: refinement needs the whole coarse pass (interrupt and -resume instead)")
-	}
 
 	// The leaf budget is the process-wide cap on concurrently executing
 	// simulations: nested panels stack worker pools, but never sims.
-	exp.SetLeafBudget(*workers)
+	exp.SetLeafBudget(*sf.Workers)
 
 	// Interrupt cancels the context, which aborts in-flight simulations
 	// promptly (the engine loop observes it).
 	ctx, stop := cli.SignalContext()
 	defer stop()
 
-	o := sweep.Options{Quick: *quick, Points: *points, Seed: *seed, Workers: *workers}
+	o := sf.Options()
 	run, fig5, baselineIDs, err := selection(*figs)
 	if err != nil {
 		log.Fatal(err)
@@ -168,16 +148,19 @@ func main() {
 	if len(run) == 0 && !fig5 {
 		log.Fatalf("nothing selected by -fig %q", *figs)
 	}
-
-	var qc *queue.Client
-	if *coordinator != "" {
-		if *manifestDir != "" || *resume || *maxPoints > 0 {
-			log.Fatal("-coordinator is exclusive with -manifest/-resume/-max-points: the coordinator owns the journal")
-		}
-		qc = &queue.Client{Base: strings.TrimRight(*coordinator, "/"), Token: cli.AuthToken(*authToken)}
+	ex, err := sf.Executor()
+	if err != nil {
+		log.Fatal(err)
+	}
+	how := ""
+	if *sf.Adaptive {
+		how = " adaptively"
+	}
+	if *sf.Coordinator != "" {
+		how += " via coordinator " + *sf.Coordinator
 	}
 	if *progress {
-		if qc != nil {
+		if *sf.Coordinator != "" {
 			// The exp counters track the local engine's grid points, which a
 			// coordinator-mode run does not schedule; polling them would
 			// print nothing (or nonsense) for the whole run.
@@ -186,54 +169,27 @@ func main() {
 			go reportProgress(3 * time.Second)
 		}
 	}
-	var store *manifest.DirStore
-	if *manifestDir != "" {
-		if store, err = manifest.NewDirStore(*manifestDir); err != nil {
-			log.Fatal(err)
-		}
-	} else if *resume {
-		log.Fatal("-resume needs -manifest")
-	} else if *maxPoints > 0 {
-		// Without a store the interrupted run's points would be computed
-		// and thrown away, with no way to resume.
-		log.Fatal("-max-points needs -manifest")
-	}
 
 	var tables []sweep.Table
 	incomplete := 0
 	for _, fig := range run {
-		var ts []sweep.Table
-		var stats *sweep.AdaptiveStats
-		complete := true
-		switch {
-		case *adaptive && qc != nil:
-			log.Printf("running %s adaptively via coordinator %s...", fig, *coordinator)
-			ts, stats, err = sweep.GenerateRemoteAdaptive(ctx, fig, o, qc, *refineBudget)
-		case *adaptive:
-			log.Printf("running %s adaptively...", fig)
-			ts, stats, err = sweep.GenerateAdaptive(ctx, fig, o, store, *resume, *refineBudget)
-		case qc != nil:
-			log.Printf("running %s via coordinator %s...", fig, *coordinator)
-			ts, err = sweep.GenerateRemote(ctx, fig, o, qc)
-		default:
-			log.Printf("running %s...", fig)
-			ts, complete, err = sweep.Generate(ctx, fig, o, store, *resume, *maxPoints)
+		log.Printf("running %s%s...", fig, how)
+		ts, stats, err := sweep.Generate(ctx, fig, o, ex, sf.RefineBudget())
+		if errors.Is(err, sweep.ErrIncomplete) {
+			incomplete++
+			log.Printf("%s: stopped after -max-points %d new points; finish it with -resume", fig, *sf.MaxPoints)
+			continue
 		}
 		if err != nil {
 			log.Fatal(err)
 		}
-		if stats != nil {
+		if *sf.Adaptive {
 			if stats.ChildName == "" {
 				log.Printf("%s: adaptive run simulated %d points, refinement found nothing worth adding", fig, stats.Total())
 			} else {
 				log.Printf("%s: adaptive run simulated %d points (%d coarse + %d refined as %s)",
 					fig, stats.Total(), stats.CoarsePoints, stats.RefinedPoints, stats.ChildName)
 			}
-		}
-		if !complete {
-			incomplete++
-			log.Printf("%s: stopped after -max-points %d new points; finish it with -resume", fig, *maxPoints)
-			continue
 		}
 		if fig == "baseline" {
 			for _, t := range ts {
@@ -252,7 +208,7 @@ func main() {
 		tables = append(tables, sweep.Fig5(o)...)
 	}
 	if incomplete > 0 {
-		log.Printf("%d figure(s) left incomplete (manifest saved under %s)", incomplete, *manifestDir)
+		log.Printf("%d figure(s) left incomplete (manifest saved under %s)", incomplete, *sf.Manifest)
 		return
 	}
 
@@ -262,10 +218,7 @@ func main() {
 		}
 	}
 	if *progress {
-		searches, searchesReused, calsReused, probesCancelled := nocsim.CalibrationStats()
-		log.Printf("calibration: %d saturation searches run, %d reused; %d calibrations reused; %d probes cancelled",
-			searches, searchesReused, calsReused, probesCancelled)
-		log.Printf("set-up: %s", nocsim.FabricStats())
+		log.Print(cli.SetupSummary())
 	}
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {

@@ -44,7 +44,6 @@ import (
 	"repro/internal/exp"
 	"repro/internal/queue"
 	"repro/internal/sweep"
-	"repro/nocsim/manifest"
 	"repro/nocsim/results"
 )
 
@@ -56,23 +55,18 @@ func main() {
 		workerURL = flag.String("worker", "", "run as a worker against this coordinator URL (instead of serving)")
 		addr      = flag.String("addr", "127.0.0.1:9090", "serve: listen address")
 		figs      = flag.String("fig", "all", "serve: comma-separated figures to plan and serve — same tokens as cmd/figures -fig (paper numbers or manifest names) or 'all'")
-		quick     = flag.Bool("quick", false, "serve: plan with shorter windows and smaller grids")
-		points    = flag.Int("points", 0, "serve: samples per curve (0 = default)")
-		seed      = flag.Int64("seed", 1, "serve: random seed")
-		dir       = flag.String("manifest", "", "serve: journal manifests and posted points under this directory (enables crash resume)")
 		resultsDB = flag.String("results", "", "serve: also mirror every plan and accepted point into this results-store file (what cmd/resultsd serves)")
-		resume    = flag.Bool("resume", false, "serve: with -manifest, reuse stored manifests and journaled points")
 		leaseTTL  = flag.Duration("lease-ttl", 60*time.Second, "serve: fallback lease time before an unanswered point is re-issued (adapts to observed point latencies once warmed up)")
 		maxLeases = flag.Int("max-leases", 1024, "serve: cap on outstanding leases across all manifests")
 		exitDone  = flag.Bool("exit-when-done", false, "serve: exit once every served manifest is complete")
-		workers   = cli.WorkersFlag("concurrent simulations in this process (planning calibrations in serve mode, leased points in worker mode)")
 		poll      = flag.Duration("poll", 500*time.Millisecond, "worker: back-off between lease attempts while no point is available")
-		authToken = cli.AuthTokenFlag("shared bearer token: serve mode requires it of every request, worker mode attaches it; empty disables auth")
+		authToken = cli.AuthTokenFlag(flag.CommandLine, "shared bearer token: serve mode requires it of every request, worker mode attaches it; empty disables auth")
 	)
+	pf := cli.PlanFlags(flag.CommandLine, 0, "serve: ", "concurrent simulations in this process (planning calibrations in serve mode, leased points in worker mode)")
 	cpuProfile, memProfile := cli.ProfileFlags()
 	flag.Parse()
 
-	if err := cli.CheckWorkers(*workers); err != nil {
+	if err := pf.Check(); err != nil {
 		log.Fatal(err)
 	}
 	// A zero or negative TTL would re-issue every lease immediately and a
@@ -84,8 +78,8 @@ func main() {
 	if *maxLeases <= 0 {
 		log.Fatalf("-max-leases must be positive (got %d)", *maxLeases)
 	}
-	token := cli.AuthToken(*authToken)
-	exp.SetLeafBudget(*workers)
+	token := cli.AuthToken(flag.CommandLine, *authToken)
+	exp.SetLeafBudget(*pf.Workers)
 	stopProfiles, err := cli.StartProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		log.Fatal(err)
@@ -100,16 +94,15 @@ func main() {
 	defer stop()
 
 	if *workerURL != "" {
-		if err := work(ctx, *workerURL, *workers, *poll, token); err != nil && ctx.Err() == nil {
+		if err := work(ctx, *workerURL, *pf.Workers, *poll, token); err != nil && ctx.Err() == nil {
 			log.Fatal(err)
 		}
 		return
 	}
 	if err := serve(ctx, serveConfig{
-		addr: *addr, figs: *figs, dir: *dir, results: *resultsDB, resume: *resume,
+		addr: *addr, figs: *figs, plan: pf, results: *resultsDB,
 		leaseTTL: *leaseTTL, maxLeases: *maxLeases, exitDone: *exitDone,
 		authToken: token,
-		opts:      sweep.Options{Quick: *quick, Points: *points, Seed: *seed, Workers: *workers},
 	}); err != nil && ctx.Err() == nil {
 		log.Fatal(err)
 	}
@@ -133,14 +126,12 @@ func work(ctx context.Context, url string, workers int, poll time.Duration, toke
 type serveConfig struct {
 	addr      string
 	figs      string
-	dir       string
+	plan      *cli.SweepFlags // the planning options, and -manifest/-resume: where plans and journals live
 	results   string
-	resume    bool
 	leaseTTL  time.Duration
 	maxLeases int
 	exitDone  bool
 	authToken string
-	opts      sweep.Options
 }
 
 // selectFigs resolves the -fig list (sweep.ResolveFigures: the same
@@ -164,13 +155,9 @@ func serve(ctx context.Context, cfg serveConfig) error {
 	if err != nil {
 		return err
 	}
-	var store *manifest.DirStore
-	if cfg.dir != "" {
-		if store, err = manifest.NewDirStore(cfg.dir); err != nil {
-			return err
-		}
-	} else if cfg.resume {
-		return fmt.Errorf("-resume needs -manifest")
+	local, err := cfg.plan.Executor()
+	if err != nil {
+		return err
 	}
 	var resultsStore *results.Store
 	if cfg.results != "" {
@@ -182,7 +169,7 @@ func serve(ctx context.Context, cfg serveConfig) error {
 
 	coord := queue.New(queue.Config{
 		LeaseTTL: cfg.leaseTTL, MaxLeases: cfg.maxLeases,
-		AuthToken: cfg.authToken, Store: store, Results: resultsStore,
+		AuthToken: cfg.authToken, Store: local.Store, Results: resultsStore,
 	})
 	defer coord.Close()
 
@@ -223,7 +210,7 @@ func serve(ctx context.Context, cfg serveConfig) error {
 	}
 
 	for _, fig := range figs {
-		m, have, err := sweep.PlanOrResume(ctx, fig, cfg.opts, store, cfg.resume)
+		m, have, err := local.Open(ctx, fig, cfg.plan.Options())
 		if err != nil {
 			server.Close()
 			return fmt.Errorf("planning %s: %w", fig, err)

@@ -33,37 +33,21 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/exp"
-	"repro/internal/queue"
 	"repro/internal/report"
 	"repro/internal/sweep"
 	"repro/nocsim"
-	"repro/nocsim/manifest"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("report: ")
 
-	var (
-		quick       = flag.Bool("quick", false, "reduced windows and grids")
-		points      = flag.Int("points", 6, "samples per curve")
-		seed        = flag.Int64("seed", 1, "random seed")
-		out         = flag.String("o", "", "output file (default stdout)")
-		workers     = cli.WorkersFlag("concurrent simulation points (default GOMAXPROCS, 1 = serial); results are identical either way")
-		manifestDir = flag.String("manifest", "", "persist resolved-grid manifests and completed points under this directory")
-		resume      = flag.Bool("resume", false, "with -manifest: reuse stored manifests and completed points")
-		coordinator = flag.String("coordinator", "", "compute through this nocsimd coordinator URL and assemble the report from its journal")
-		authToken   = cli.AuthTokenFlag("bearer token for a -coordinator that runs with -auth-token")
-	)
-	adaptive, refineBudget := cli.RefineFlags()
+	out := flag.String("o", "", "output file (default stdout)")
+	sf := cli.RunFlags(flag.CommandLine, 6)
 	cpuProfile, memProfile := cli.ProfileFlags()
 	flag.Parse()
 
-	if err := cli.CheckWorkers(*workers); err != nil {
-		log.Fatal(err)
-	}
-	if err := cli.CheckRefine(*adaptive, *refineBudget, cli.FlagWasSet("refine-budget"),
-		*manifestDir != "" || *coordinator != ""); err != nil {
+	if err := sf.Check(); err != nil {
 		log.Fatal(err)
 	}
 	stopProfiles, err := cli.StartProfiles(*cpuProfile, *memProfile)
@@ -76,47 +60,22 @@ func main() {
 		}
 	}()
 
-	exp.SetLeafBudget(*workers)
+	exp.SetLeafBudget(*sf.Workers)
 
 	ctx, stop := cli.SignalContext()
 	defer stop()
 
-	o := sweep.Options{Quick: *quick, Points: *points, Seed: *seed, Workers: *workers}
-
-	var qc *queue.Client
-	if *coordinator != "" {
-		if *manifestDir != "" || *resume {
-			log.Fatal("-coordinator is exclusive with -manifest/-resume: the coordinator owns the journal")
-		}
-		qc = &queue.Client{Base: strings.TrimRight(*coordinator, "/"), Token: cli.AuthToken(*authToken)}
-	}
-	var store *manifest.DirStore
-	if *manifestDir != "" {
-		var err error
-		if store, err = manifest.NewDirStore(*manifestDir); err != nil {
-			log.Fatal(err)
-		}
-	} else if *resume {
-		log.Fatal("-resume needs -manifest")
+	o := sf.Options()
+	ex, err := sf.Executor()
+	if err != nil {
+		log.Fatal(err)
 	}
 	generate := func(fig string) []sweep.Table {
-		var tables []sweep.Table
-		var stats *sweep.AdaptiveStats
-		var err error
-		switch {
-		case *adaptive && qc != nil:
-			tables, stats, err = sweep.GenerateRemoteAdaptive(ctx, fig, o, qc, *refineBudget)
-		case *adaptive:
-			tables, stats, err = sweep.GenerateAdaptive(ctx, fig, o, store, *resume, *refineBudget)
-		case qc != nil:
-			tables, err = sweep.GenerateRemote(ctx, fig, o, qc)
-		default:
-			tables, _, err = sweep.Generate(ctx, fig, o, store, *resume, 0)
-		}
+		tables, stats, err := sweep.Generate(ctx, fig, o, ex, sf.RefineBudget())
 		if err != nil {
 			log.Fatal(err)
 		}
-		if stats != nil {
+		if *sf.Adaptive {
 			log.Printf("%s: adaptive run simulated %d points (%d coarse + %d refined)",
 				fig, stats.Total(), stats.CoarsePoints, stats.RefinedPoints)
 		}
@@ -139,10 +98,10 @@ func main() {
 
 	fmt.Fprintf(w, "# EXPERIMENTS — paper vs measured\n\n")
 	fmt.Fprintf(w, "Generated by `go run ./cmd/report`%s on %s.\n\n",
-		map[bool]string{true: " -quick", false: ""}[*quick],
+		map[bool]string{true: " -quick", false: ""}[*sf.Quick],
 		time.Now().UTC().Format("2006-01-02"))
 	fmt.Fprintf(w, "Acceptance bands are generous where the paper's absolute values depend\n")
-	fmt.Fprintf(w, "on the authors' router RTL or 28-nm library (see DESIGN.md §2); the\n")
+	fmt.Fprintf(w, "on the authors' router RTL or 28-nm library (see README.md § What was substituted); the\n")
 	fmt.Fprintf(w, "*orderings and shapes* are the reproduced claims.\n\n")
 	fmt.Fprintf(w, "DMSD points are measured independently, each warm-started at its\n")
 	fmt.Fprintf(w, "load's equilibrium guess (`core.EquilibriumFreq`) — the same model a\n")
@@ -206,9 +165,7 @@ func main() {
 	fmt.Fprintf(w, "gains, discrete levels, routing, power breakdown) are regenerated with\n")
 	fmt.Fprintf(w, "`-fig 8` and `-fig ablation` and asserted by the test suite\n")
 	fmt.Fprintf(w, "(`internal/sweep/ablation_test.go`).\n")
-	searches, searchesReused, calsReused, probesCancelled := nocsim.CalibrationStats()
-	log.Printf("done (calibration: %d saturation searches run, %d reused; %d calibrations reused; %d probes cancelled; set-up: %s)",
-		searches, searchesReused, calsReused, probesCancelled, nocsim.FabricStats())
+	log.Printf("done (%s)", cli.SetupSummary())
 }
 
 // writeTableMarkdown renders one sweep table as a markdown pipe table

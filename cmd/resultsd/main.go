@@ -62,14 +62,14 @@ func main() {
 		compact     = flag.Bool("compact", false, "rewrite the store dropping superseded plans and duplicate points, then exit")
 		exportRef   = flag.String("export", "", "write one plan (name or fingerprint) to stdout as points-journal lines, then exit")
 		coordinator = flag.String("coordinator", "", "serve: proxy this coordinator's /metrics for the live dashboard")
-		authToken   = cli.AuthTokenFlag("bearer token attached when proxying a -coordinator that runs with -auth-token")
+		authToken   = cli.AuthTokenFlag(flag.CommandLine, "bearer token attached when proxying a -coordinator that runs with -auth-token")
 	)
 	flag.Parse()
 
 	if *storePath == "" {
 		log.Fatal("-store is required")
 	}
-	token := cli.AuthToken(*authToken)
+	token := cli.AuthToken(flag.CommandLine, *authToken)
 
 	if *importDir != "" || *compact || *exportRef != "" {
 		if err := oneShot(*storePath, *importDir, *compact, *exportRef); err != nil {

@@ -153,16 +153,14 @@
 //
 // # Benchmarks
 //
-// The benchmarks in bench_test.go map one-to-one onto the paper's tables
-// and figures; see EXPERIMENTS.md for measured-vs-paper comparisons.
-// Below them, per-subsystem benchmarks (bench_*_test.go in internal/noc,
-// internal/traffic and internal/sim) attribute the cost of a figure run
-// to its layers — router pipeline stages, ring-buffer primitives,
-// injector draws, engine loop — and paired "Naive" variants re-run the
-// same load with quiescent skip-ahead disabled so the fast-path win is
-// measured rather than assumed. Steady-state Network.Step is
-// allocation-free, asserted by testing.AllocsPerRun in internal/noc.
-// cmd/benchjson turns `go test -bench` output into the committed
-// BENCH_*.json baseline and gates CI on regressions against it; see
-// README.md for the workflow.
+// The benchmark of record is `bash bench/run.sh` (BENCHMARK.json,
+// bench/README.md): five digest-checked workloads on which every
+// performance claim is made. Beside it, micro-benchmarks
+// (bench_*_test.go in internal/noc, internal/traffic and internal/sim)
+// time one layer while working on it — router pipeline stages,
+// ring-buffer primitives, injector draws, engine loop — and paired
+// "Naive" variants re-run the same load with quiescent skip-ahead
+// disabled so the fast-path win is measured rather than assumed.
+// Steady-state Network.Step is allocation-free, asserted by
+// testing.AllocsPerRun in internal/noc.
 package repro

@@ -13,7 +13,7 @@
 // (ME/MC prediction loop, DCT->Q->IQ->IDCT reconstruction, deblocking
 // reference path, entropy-coded output). The experiments depend on the
 // weighted hop-length distribution of the traffic, which this
-// reconstruction preserves; see DESIGN.md for the substitution note.
+// reconstruction preserves; see README.md § What was substituted.
 package apps
 
 import (

@@ -10,8 +10,8 @@ import (
 // WorkersFlag registers the -workers flag shared by every command: a
 // positive concurrency bound defaulting to GOMAXPROCS. Validate the
 // parsed value with CheckWorkers after flag.Parse.
-func WorkersFlag(usage string) *int {
-	return flag.Int("workers", runtime.GOMAXPROCS(0), usage)
+func WorkersFlag(fs *flag.FlagSet, usage string) *int {
+	return fs.Int("workers", runtime.GOMAXPROCS(0), usage)
 }
 
 // CheckWorkers rejects a non-positive -workers value with the shared
@@ -31,26 +31,15 @@ func CheckWorkers(n int) error {
 // The flag's registered default stays empty on purpose: baking the env
 // value in would print the secret in -h output and in the usage text of
 // every flag-parse error.
-func AuthTokenFlag(usage string) *string {
-	return flag.String("auth-token", "", usage+" (default $NOCSIM_TOKEN)")
+func AuthTokenFlag(fs *flag.FlagSet, usage string) *string {
+	return fs.String("auth-token", "", usage+" (default $NOCSIM_TOKEN)")
 }
 
-// RefineFlags registers the adaptive-sweep flags shared by figures and
-// report: -adaptive turns on the two-phase planner (coarse pass, refine
-// where the curves bend, merged render) and -refine-budget caps how many
-// extra simulation points the refinement pass may spend. Validate the
-// parsed combination with CheckRefine after flag.Parse.
-func RefineFlags() (adaptive *bool, budget *int) {
-	adaptive = flag.Bool("adaptive", false, "two-phase adaptive sweep: coarse pass, then refine where the curves bend")
-	budget = flag.Int("refine-budget", 16, "with -adaptive: max extra simulation points the refinement pass may add")
-	return adaptive, budget
-}
-
-// FlagWasSet reports whether the named flag was passed explicitly on the
-// command line (flag.Visit only walks set flags). Call after flag.Parse.
-func FlagWasSet(name string) bool {
+// wasSet reports whether the named flag was passed explicitly on the
+// command line (Visit only walks set flags). Call after Parse.
+func wasSet(fs *flag.FlagSet, name string) bool {
 	set := false
-	flag.Visit(func(f *flag.Flag) {
+	fs.Visit(func(f *flag.Flag) {
 		if f.Name == name {
 			set = true
 		}
@@ -84,18 +73,9 @@ func CheckRefine(adaptive bool, budget int, budgetSet, persistent bool) error {
 // -auth-token "" disables auth even with the env var exported — the
 // documented "empty = open" escape hatch — which is why the env
 // fallback only applies when the flag was not given at all.
-func AuthToken(flagValue string) string {
-	if flagValue != "" {
+func AuthToken(fs *flag.FlagSet, flagValue string) string {
+	if flagValue != "" || wasSet(fs, "auth-token") {
 		return flagValue
-	}
-	explicit := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "auth-token" {
-			explicit = true
-		}
-	})
-	if explicit {
-		return ""
 	}
 	return os.Getenv("NOCSIM_TOKEN")
 }

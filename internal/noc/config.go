@@ -86,9 +86,10 @@ func (c Config) Validate() error {
 	if c.VCs < 1 {
 		errs = append(errs, fmt.Errorf("need at least 1 virtual channel, got %d", c.VCs))
 	}
-	if c.VCs > 64 {
-		// Router allocators track per-port VC occupancy in 64-bit masks.
-		errs = append(errs, fmt.Errorf("at most 64 virtual channels are supported, got %d", c.VCs))
+	if NumPorts*c.VCs > 64 {
+		// The VC allocator keeps one request bit per input VC of a router
+		// (NumPorts*VCs of them) in a single 64-bit word.
+		errs = append(errs, fmt.Errorf("at most %d virtual channels are supported (%d ports x VCs must fit a 64-bit allocator mask), got %d", 64/NumPorts, NumPorts, c.VCs))
 	}
 	if c.BufDepth < 1 {
 		errs = append(errs, fmt.Errorf("need at least 1 buffer slot per VC, got %d", c.BufDepth))

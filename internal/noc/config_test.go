@@ -41,6 +41,8 @@ func TestConfigValidate(t *testing.T) {
 		{"single node", func(c *Config) { c.Width, c.Height = 1, 1 }, true},
 		{"zero VCs", func(c *Config) { c.VCs = 0 }, true},
 		{"one VC ok", func(c *Config) { c.VCs = 1 }, false},
+		{"12 VCs ok", func(c *Config) { c.VCs = 12 }, false},
+		{"13 VCs", func(c *Config) { c.VCs = 13 }, true},
 		{"zero buffers", func(c *Config) { c.BufDepth = 0 }, true},
 		{"zero packet size", func(c *Config) { c.PacketSize = 0 }, true},
 		{"single flit packets ok", func(c *Config) { c.PacketSize = 1 }, false},

@@ -51,7 +51,7 @@ type Flit struct {
 	Seq    int32 // index of this flit within the packet, 0-based
 	// VC is the virtual channel the flit occupies in the input buffer it
 	// is currently stored in (or is in flight towards). Config.Validate
-	// caps VCs at 64, so int8 always holds it.
+	// caps VCs at 12, so int8 always holds it.
 	VC   int8
 	Head bool // first flit of the packet
 	Tail bool // last flit of the packet
@@ -78,7 +78,7 @@ type Flit struct {
 // events is the hottest memory traffic in the engine (one per flit-hop
 // per cycle), and a single 8-byte store halves it against the naive
 // 16-byte struct. The field widths bound the mesh at levMaxNodes nodes
-// (Config.Validate enforces it) and ride on the existing VCs <= 64 cap.
+// (Config.Validate enforces it) and ride on the existing VCs <= 12 cap.
 type linkEvent uint64
 
 const (

@@ -111,11 +111,6 @@ type Network struct {
 	stagedEjects  []ejectEvent
 	pendingEjects []ejectEvent
 
-	// VA slow-path scratch (NumPorts*VCs > 64), shared by all routers so
-	// the fallback allocator stays allocation-free.
-	vaReq   [NumPorts][]int32
-	vaIsReq []bool
-
 	// fullStep disables the skip-ahead fast path, the active sets, and
 	// the stage-major order, selecting the naive router-major loop.
 	fullStep bool
@@ -179,10 +174,6 @@ func NewNetworkWithFaults(cfg Config, faults []Link) (*Network, error) {
 	n.vc = make([]vcState, nodes*total)
 	n.bufs = make([]Flit, nodes*total*depth)
 	n.outState = make([]outVCState, nodes*total)
-	if total > 64 {
-		// The VA slow path's request flags; it leaves them all false.
-		n.vaIsReq = make([]bool, total)
-	}
 
 	n.routers = make([]Router, nodes)
 	for id := 0; id < nodes; id++ {
@@ -258,10 +249,7 @@ func (n *Network) Reset() {
 	for i := range n.outState {
 		n.outState[i] = outVCState{owner: -1, credits: int32(depth)}
 	}
-	vcBits := ^uint64(0)
-	if n.cfg.VCs < 64 {
-		vcBits = uint64(1)<<uint(n.cfg.VCs) - 1
-	}
+	vcBits := uint64(1)<<uint(n.cfg.VCs) - 1
 	for id := range n.routers {
 		n.routers[id].reset(vcBits)
 	}
@@ -284,10 +272,6 @@ func (n *Network) Reset() {
 	clear(n.pendingEjects[:cap(n.pendingEjects)])
 	n.stagedEjects = n.stagedEjects[:0]
 	n.pendingEjects = n.pendingEjects[:0]
-	for p := range n.vaReq {
-		n.vaReq[p] = n.vaReq[p][:0]
-	}
-	clear(n.vaIsReq)
 
 	n.fullStep = false
 	n.OnArrive = nil

@@ -22,28 +22,11 @@ func asBuilt(t *testing.T, n *Network) *Network {
 	empty("stagedEjects", len(n.stagedEjects))
 	empty("pendingEjects", len(n.pendingEjects))
 	n.stagedLinks, n.pendingLinks, n.stagedEjects, n.pendingEjects = nil, nil, nil, nil
-	for p := range n.vaReq {
-		empty("vaReq", len(n.vaReq[p]))
-		n.vaReq[p] = nil
-	}
 	for _, s := range n.sources {
 		empty("source queue", len(s.queue.items))
 		s.queue.items = nil
 	}
 	return n
-}
-
-// oneFlow sends a corner-to-corner packet every fourth cycle. Every VA
-// request at a router then names the same output port, which is all the
-// NumPorts*VCs > 64 allocator handles correctly (its request flags are not
-// kept per port).
-func oneFlow(n *Network, cycles int) {
-	for c := 0; c < cycles; c++ {
-		if c%4 == 0 {
-			n.NewPacket(0, NodeID(n.cfg.Nodes()-1), 0, 0)
-		}
-		n.Step()
-	}
 }
 
 // TestResetEqualsNew: whatever a run left behind, Reset yields the state
@@ -52,8 +35,8 @@ func oneFlow(n *Network, cycles int) {
 func TestResetEqualsNew(t *testing.T) {
 	small := DefaultConfig()
 	small.Width, small.Height = 4, 3
-	wide := DefaultConfig() // 16 VCs: NumPorts*VCs > 64, the VA slow path and its scratch
-	wide.Width, wide.Height, wide.VCs = 3, 3, 16
+	wide := DefaultConfig() // 12 VCs: the most Validate accepts, 60 of the allocator word's 64 bits
+	wide.Width, wide.Height, wide.VCs = 3, 3, 12
 	big := DefaultConfig() // 9x9: every bitmask spans two words
 	big.Width, big.Height = 9, 9
 	faults := []Link{{From: 1, To: 2}, {From: 2, To: 1}, {From: 5, To: 9}}
@@ -90,10 +73,10 @@ func TestResetEqualsNew(t *testing.T) {
 			n.SetSkipAhead(false)
 			randomTraffic(n, rand.New(rand.NewSource(5)), 400, 0.02)
 		}},
-		{"slow VA path", wide, nil, func(n *Network) {
-			oneFlow(n, 300)
-			if n.Quiescent() || cap(n.vaReq[PortEast])+cap(n.vaReq[PortSouth]) == 0 {
-				t.Fatal("the VA slow path did not run, or nothing is in flight")
+		{"12 VCs", wide, nil, func(n *Network) {
+			randomTraffic(n, rand.New(rand.NewSource(11)), 300, 0.05)
+			if n.Quiescent() {
+				t.Fatal("nothing is in flight")
 			}
 		}},
 		{"faulted mesh", small, faults, func(n *Network) {
@@ -130,11 +113,7 @@ func TestResetEqualsNew(t *testing.T) {
 			used.OnArrive = func(p *Packet, _ int64) { got = append(got, *p) }
 			fresh.OnArrive = func(p *Packet, _ int64) { want = append(want, *p) }
 			for _, n := range []*Network{used, fresh} {
-				if tc.cfg == wide {
-					oneFlow(n, 600)
-				} else {
-					randomTraffic(n, rand.New(rand.NewSource(19)), 600, 0.01)
-				}
+				randomTraffic(n, rand.New(rand.NewSource(19)), 600, 0.01)
 			}
 			if len(want) == 0 || !reflect.DeepEqual(got, want) {
 				t.Fatalf("the reset network delivered %d packets, the new one %d, or they differ", len(got), len(want))

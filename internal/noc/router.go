@@ -99,7 +99,7 @@ type Router struct {
 	// Stage population counters let a stage pass skip the router cheaply;
 	// the per-input-port bitmasks (bit v set when VC v of the port is in
 	// that stage) let it visit only occupied VCs. Config.Validate caps VCs
-	// at 64 to keep the masks single words.
+	// at 12, so each mask is a single word.
 	nRouting    int
 	nWaitVC     int
 	nActive     int
@@ -251,27 +251,14 @@ func (r *Router) stageRC(cycle int64) {
 // waiting input VC requests its routed output port; each output port grants
 // its free VCs (in index order) to requesters in round-robin order starting
 // at the priority pointer.
+//
+// Config.Validate keeps NumPorts*VCs within one word, so requester sets
+// are uint64 masks over flat input VC indices and the round-robin scan is a
+// rotate + trailing-zeros loop that visits requesters in exactly the order
+// a linear scan would. Every requester encountered is granted until the
+// free list runs out, so a single rotation by the initial priority pointer
+// suffices.
 func (r *Router) stageVA(cycle int64) {
-	if NumPorts*r.vcs <= 64 {
-		r.stageVAMask(cycle)
-	} else {
-		r.stageVASlow(cycle)
-	}
-	if r.nWaitVC == 0 {
-		r.clearStageBit(r.net.vaWords)
-	}
-	if r.nActive > 0 {
-		r.setStageBit(r.net.saWords)
-	}
-}
-
-// stageVAMask is the VA fast path for NumPorts*VCs <= 64 (every practical
-// configuration): requester sets are uint64 masks over flat input VC
-// indices and the round-robin scan is a rotate + trailing-zeros loop that
-// visits requesters in exactly the order the linear scan would. Every
-// requester encountered is granted until the free list runs out, so a
-// single rotation by the initial priority pointer suffices.
-func (r *Router) stageVAMask(cycle int64) {
 	vcs := r.vcs
 	total := NumPorts * vcs
 	var req [NumPorts]uint64
@@ -309,9 +296,7 @@ func (r *Router) stageVAMask(cycle int64) {
 		}
 		pri := r.vaPri[op]
 		rot := req[op]>>uint(pri) | req[op]<<uint(total-pri)
-		if total < 64 {
-			rot &= uint64(1)<<uint(total) - 1
-		}
+		rot &= uint64(1)<<uint(total) - 1
 		granted := 0
 		for ; rot != 0 && granted < nfree; rot &= rot - 1 {
 			want := pri + bits.TrailingZeros64(rot)
@@ -344,94 +329,11 @@ func (r *Router) stageVAMask(cycle int64) {
 			}
 		}
 	}
-}
-
-// stageVASlow is the list-based VA fallback for NumPorts*VCs > 64. Its
-// scratch (vaReq/vaIsReq) is shared across all routers, so it stays
-// allocation-free in steady state.
-func (r *Router) stageVASlow(cycle int64) {
-	net := r.net
-	vcs := r.vcs
-	total := NumPorts * vcs
-	if len(net.vaIsReq) < total {
-		net.vaIsReq = make([]bool, total)
+	if r.nWaitVC == 0 {
+		r.clearStageBit(r.net.vaWords)
 	}
-	for p := range net.vaReq {
-		net.vaReq[p] = net.vaReq[p][:0]
-	}
-	anyReq := false
-	for p := 0; p < NumPorts; p++ {
-		m := r.waitMask[p]
-		if m == 0 {
-			continue
-		}
-		base := p * vcs
-		for ; m != 0; m &= m - 1 {
-			i := base + bits.TrailingZeros64(m)
-			st := &r.vc[i]
-			if st.ready > cycle {
-				continue
-			}
-			net.vaReq[st.port] = append(net.vaReq[st.port], int32(i))
-			net.vaIsReq[i] = true
-			anyReq = true
-		}
-	}
-	if !anyReq {
-		return
-	}
-	for op := 0; op < NumPorts; op++ {
-		reqs := net.vaReq[op]
-		if len(reqs) == 0 {
-			continue
-		}
-		obase := op * vcs
-		var free [64]int8
-		nfree := 0
-		for ov := 0; ov < vcs; ov++ {
-			if r.outState[obase+ov].owner < 0 {
-				free[nfree] = int8(ov)
-				nfree++
-			}
-		}
-		if nfree > 0 {
-			granted := 0
-			pri := r.vaPri[op]
-			for off := 0; off < total && granted < nfree; off++ {
-				want := pri + off
-				if want >= total {
-					want -= total
-				}
-				if !net.vaIsReq[want] {
-					continue
-				}
-				net.vaIsReq[want] = false
-				ip := want / vcs
-				iv := want - ip*vcs
-				ov := int(free[granted])
-				granted++
-				r.outState[obase+ov].owner = int32(want)
-				st := &r.vc[want]
-				st.outVC = int8(ov)
-				st.stage = vcActive
-				st.ready = cycle + 1
-				r.nWaitVC--
-				r.nActive++
-				r.waitMask[ip] &^= 1 << uint(iv)
-				r.activeMask[ip] |= 1 << uint(iv)
-				if r.creditMask[op]&(1<<uint(ov)) != 0 {
-					r.saEligMask[ip] |= 1 << uint(iv)
-				}
-				r.Activity.VCAllocs++
-				r.vaPri[op] = want + 1
-				if r.vaPri[op] >= total {
-					r.vaPri[op] = 0
-				}
-			}
-		}
-		for _, req := range reqs {
-			net.vaIsReq[req] = false
-		}
+	if r.nActive > 0 {
+		r.setStageBit(r.net.saWords)
 	}
 }
 

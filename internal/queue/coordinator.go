@@ -137,7 +137,7 @@ func New(cfg Config) *Coordinator {
 // Add registers a manifest and its already-completed points (from a
 // resumed journal; nil for a fresh run). With a store configured, the
 // journal for the manifest is opened for appends — persist the manifest
-// itself (DirStore.SaveManifest or sweep.PlanOrResume) before calling
+// itself (DirStore.SaveManifest or sweep.Executor.Open) before calling
 // Add, since saving later would truncate the very journal the
 // coordinator writes.
 func (c *Coordinator) Add(m *manifest.Manifest, have map[int]nocsim.Result) error {
@@ -252,24 +252,10 @@ func (c *Coordinator) AddFollowOn(m *manifest.Manifest) error {
 	}
 	var have map[int]nocsim.Result
 	if c.cfg.Store != nil {
-		stored, err := c.cfg.Store.LoadManifest(m.Name)
-		if err != nil {
-			return err
-		}
-		storedSum := ""
-		if stored != nil {
-			if storedSum, err = manifest.Sum(stored); err != nil {
-				return err
-			}
-		}
-		if storedSum == sum {
-			// The same refinement was journaled by an earlier run (a
-			// restarted coordinator, a previous adaptive client): resume
-			// its completed points instead of recomputing them.
-			if have, err = c.cfg.Store.LoadPoints(m.Name); err != nil {
-				return err
-			}
-		} else if err := c.cfg.Store.SaveManifest(m); err != nil {
+		// When the same refinement was journaled by an earlier run (a
+		// restarted coordinator, a previous adaptive client), resume its
+		// completed points instead of recomputing them.
+		if have, err = c.cfg.Store.SaveOrResume(m); err != nil {
 			return err
 		}
 	}

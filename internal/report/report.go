@@ -7,7 +7,7 @@
 // tables, and the acceptance band within which the reproduction is
 // considered to match. Bands are deliberately generous where the paper's
 // number depends on the authors' specific router RTL or standard-cell
-// library; see DESIGN.md §2.
+// library; see README.md § What was substituted.
 package report
 
 import (

@@ -77,14 +77,11 @@ func (o *Options) planPeriod(ctx context.Context) ([]manifest.Panel, error) {
 	return panels, nil
 }
 
-// AblationControlPeriod sweeps the DMSD control update period and reports
-// the steady-state delay error and power at a fixed moderate load. The
-// paper's claim holds when the tracked delay stays near the target across
-// periods spanning two orders of magnitude.
-func AblationControlPeriod(ctx context.Context, o Options) ([]Table, error) {
-	return Tables(ctx, "period", o)
-}
-
+// renderPeriod renders the control-period ablation: the DMSD control
+// update period is swept and the steady-state delay error and power
+// reported at a fixed moderate load. The paper's claim holds when the
+// tracked delay stays near the target across periods spanning two orders
+// of magnitude.
 func renderPeriod(m *manifest.Manifest, results []nocsim.Result) []Table {
 	cal := *m.Panels[0].Grid.Base.Calibration
 	t := Table{
@@ -135,13 +132,10 @@ func (o *Options) planGains(ctx context.Context) ([]manifest.Panel, error) {
 	return panels, nil
 }
 
-// AblationGains sweeps the PI gains around the published values at a
-// fixed load, reporting settling behaviour (delay error) and the average
-// frequency. Unstable gain choices show up as large residual errors.
-func AblationGains(ctx context.Context, o Options) ([]Table, error) {
-	return Tables(ctx, "gains", o)
-}
-
+// renderGains renders the PI-gain ablation: the gains are swept around
+// the published values at a fixed load, reporting settling behaviour
+// (delay error) and the average frequency. Unstable gain choices show up
+// as large residual errors.
 func renderGains(m *manifest.Manifest, results []nocsim.Result) []Table {
 	cal := *m.Panels[0].Grid.Base.Calibration
 	t := Table{
@@ -186,13 +180,10 @@ func (o *Options) planLevels(ctx context.Context) ([]manifest.Panel, error) {
 	return panels, nil
 }
 
-// AblationDiscreteLevels compares continuous actuation against discrete
-// frequency tables of a few sizes for both policies (paper footnote 2:
-// "the results remain valid in case of discrete values").
-func AblationDiscreteLevels(ctx context.Context, o Options) ([]Table, error) {
-	return Tables(ctx, "levels", o)
-}
-
+// renderLevels renders the discrete-levels ablation: continuous
+// actuation against discrete frequency tables of a few sizes for both
+// policies (paper footnote 2: "the results remain valid in case of
+// discrete values").
 func renderLevels(m *manifest.Manifest, results []nocsim.Result) []Table {
 	cal := *m.Panels[0].Grid.Base.Calibration
 	t := Table{
@@ -232,13 +223,9 @@ func (o *Options) planRouting(ctx context.Context) ([]manifest.Panel, error) {
 	})
 }
 
-// AblationRouting repeats the three-policy comparison under XY, YX and
-// O1TURN routing at half saturation, checking the conclusions do not hang
-// on the routing algorithm.
-func AblationRouting(ctx context.Context, o Options) ([]Table, error) {
-	return Tables(ctx, "routing", o)
-}
-
+// renderRouting renders the routing ablation: the three-policy
+// comparison repeated under XY, YX and O1TURN routing at half saturation,
+// checking the conclusions do not hang on the routing algorithm.
 func renderRouting(m *manifest.Manifest, results []nocsim.Result) []Table {
 	t := Table{
 		ID:      "abl_routing",
@@ -269,13 +256,9 @@ func (o *Options) planBreakdown(ctx context.Context) ([]manifest.Panel, error) {
 	}}, nil
 }
 
-// PowerBreakdown decomposes each policy's power at a moderate load into
+// renderBreakdown decomposes each policy's power at a moderate load into
 // switching, clock-tree and leakage shares, showing where the V²F scaling
 // bites.
-func PowerBreakdown(ctx context.Context, o Options) ([]Table, error) {
-	return Tables(ctx, "breakdown", o)
-}
-
 func renderBreakdown(m *manifest.Manifest, results []nocsim.Result) []Table {
 	cal := *m.Panels[0].Grid.Base.Calibration
 	t := Table{

@@ -12,7 +12,7 @@ func TestAblationControlPeriod(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	tables, err := AblationControlPeriod(context.Background(), ablOpts())
+	tables, err := Tables(context.Background(), "period", ablOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestAblationGains(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	tables, err := AblationGains(context.Background(), ablOpts())
+	tables, err := Tables(context.Background(), "gains", ablOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestAblationDiscreteLevels(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	tables, err := AblationDiscreteLevels(context.Background(), ablOpts())
+	tables, err := Tables(context.Background(), "levels", ablOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestAblationRouting(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	tables, err := AblationRouting(context.Background(), ablOpts())
+	tables, err := Tables(context.Background(), "routing", ablOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestPowerBreakdown(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	tables, err := PowerBreakdown(context.Background(), ablOpts())
+	tables, err := Tables(context.Background(), "breakdown", ablOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,10 +3,15 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"errors"
+	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/queue"
+	"repro/nocsim"
 	"repro/nocsim/manifest"
 )
 
@@ -38,7 +43,7 @@ func TestGenerateAdaptiveLocal(t *testing.T) {
 	o := Options{Quick: true, Points: 3, Seed: 1}
 	ctx := context.Background()
 
-	tables, stats, err := GenerateAdaptive(ctx, "baseline", o, st, false, 6)
+	tables, stats, err := Generate(ctx, "baseline", o, Executor{Store: st}, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +62,7 @@ func TestGenerateAdaptiveLocal(t *testing.T) {
 		}
 	}
 
-	again, stats2, err := GenerateAdaptive(ctx, "baseline", o, st, true, 6)
+	again, stats2, err := Generate(ctx, "baseline", o, Executor{Store: st, Resume: true}, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,10 +74,110 @@ func TestGenerateAdaptiveLocal(t *testing.T) {
 	}
 }
 
+// TestSubmitReusesOnlyTheSamePlan pins which journaled child points a
+// local run may pick up: those of the identical plan, and only when
+// resuming. A stored child of the same name refined from other coarse
+// results is stale — its journal is truncated, not merged.
+func TestSubmitReusesOnlyTheSamePlan(t *testing.T) {
+	ctx := context.Background()
+	child := refineParent([]float64{0.10, 0.20})
+	child.Name = "baseline-refine-test"
+	stale := refineParent([]float64{0.15, 0.25})
+	stale.Name = child.Name
+
+	journaled := func(t *testing.T, m *manifest.Manifest) *manifest.DirStore {
+		t.Helper()
+		st, err := manifest.NewDirStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.SaveManifest(m); err != nil {
+			t.Fatal(err)
+		}
+		j, err := st.Journal(m.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Append(0, nocsim.Result{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	for _, tc := range []struct {
+		name   string
+		stored *manifest.Manifest
+		resume bool
+		want   int // journaled points handed back, and left in the store
+	}{
+		{"same plan, resuming", child, true, 1},
+		{"same plan, fresh run", child, false, 0},
+		{"stale plan, resuming", stale, true, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := journaled(t, tc.stored)
+			have, err := Executor{Store: st, Resume: tc.resume}.submit(ctx, child)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(have) != tc.want {
+				t.Errorf("Submit handed back %d journaled points, want %d", len(have), tc.want)
+			}
+			kept, err := st.LoadPoints(child.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(kept) != tc.want {
+				t.Errorf("%d points left in the store, want %d", len(kept), tc.want)
+			}
+			now, err := st.LoadManifest(child.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotSum, _ := manifest.Sum(now)
+			wantSum, _ := manifest.Sum(child)
+			if gotSum != wantSum {
+				t.Error("the store does not hold the submitted plan")
+			}
+		})
+	}
+	if have, err := (Executor{}).submit(ctx, child); err != nil || have != nil {
+		t.Errorf("Submit without a store = (%v, %v), want nothing", have, err)
+	}
+}
+
+// serveFigure plans fig in-process and serves it from a sealed in-memory
+// coordinator, as cmd/nocsimd does once its planning finishes. dropLease,
+// when non-nil, sees each lease request arrive and may have it refused.
+func serveFigure(t *testing.T, fig string, o Options, dropLease func() bool) (*queue.Coordinator, *queue.Client) {
+	t.Helper()
+	m, _, err := Executor{}.Open(context.Background(), fig, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := queue.New(queue.Config{})
+	if err := coord.Add(m, nil); err != nil {
+		t.Fatal(err)
+	}
+	coord.Seal()
+	handler := coord.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if dropLease != nil && r.URL.Path == "/v1/lease" && dropLease() {
+			http.Error(w, "lease dropped by the test", http.StatusServiceUnavailable)
+			return
+		}
+		handler.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	return coord, &queue.Client{Base: srv.URL}
+}
+
 // TestAdaptiveRemoteFollowOn proves the remote flow matches the local
 // one byte for byte: the client registers the refinement expectation,
 // drains the coarse pass, posts the follow-on manifest to the live
-// coordinator, drains it, and renders exactly what GenerateAdaptive
+// coordinator, drains it, and renders exactly what the same Generate
 // renders in-process.
 func TestAdaptiveRemoteFollowOn(t *testing.T) {
 	if testing.Short() {
@@ -81,24 +186,13 @@ func TestAdaptiveRemoteFollowOn(t *testing.T) {
 	o := Options{Quick: true, Points: 2, Seed: 1}
 	ctx := context.Background()
 
-	local, localStats, err := GenerateAdaptive(ctx, "baseline", o, nil, false, 6)
+	local, localStats, err := Generate(ctx, "baseline", o, Executor{}, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	coord := queue.New(queue.Config{})
-	m, _, err := PlanOrResume(ctx, "baseline", o, nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := coord.Add(m, nil); err != nil {
-		t.Fatal(err)
-	}
-	coord.Seal()
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
-
-	remote, remoteStats, err := GenerateRemoteAdaptive(ctx, "baseline", o, &queue.Client{Base: srv.URL}, 6)
+	coord, client := serveFigure(t, "baseline", o, nil)
+	remote, remoteStats, err := Generate(ctx, "baseline", o, Executor{Client: client}, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,4 +207,72 @@ func TestAdaptiveRemoteFollowOn(t *testing.T) {
 	if !coord.Complete() {
 		t.Fatal("coordinator not complete after the adaptive run")
 	}
+}
+
+// TestAdaptiveRemoteReleasesTheFleet covers the two ways a remote
+// adaptive run ends without posting a refinement — it is interrupted
+// during the coarse pass, or refinement finds nothing to add. Either
+// way the expectation it registered must be withdrawn, or a coordinator
+// running with -exit-when-done, and every unscoped worker attached to
+// it, would wait forever for a manifest nobody will send. The PI
+// transient is the figure: one point, and a single-load panel has no
+// axis to refine.
+func TestAdaptiveRemoteReleasesTheFleet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	o := Options{Quick: true, Seed: 1}
+	want, err := Tables(context.Background(), "pi", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("cancelled during the coarse pass", func(t *testing.T) {
+		// Cancelled as its first lease request arrives: after the
+		// expectation is registered, before a point is leased (one lease
+		// loop, so no second request is in flight to be granted).
+		o := o
+		o.Workers = 1
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var first sync.Once
+		coord, client := serveFigure(t, "pi", o, func() (drop bool) {
+			first.Do(func() { cancel(); drop = true })
+			return drop
+		})
+		_, _, err := Generate(ctx, "pi", o, Executor{Client: client}, 6)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled run: %v, want context.Canceled", err)
+		}
+		if coord.Complete() {
+			t.Fatal("the cancelled run computed the coarse pass anyway")
+		}
+		// An unscoped worker is told "done" only once nothing is expected.
+		wctx, stop := context.WithTimeout(context.Background(), time.Minute)
+		defer stop()
+		w := &queue.Worker{Client: client, Workers: 1, Poll: 10 * time.Millisecond}
+		if err := w.Run(wctx); err != nil {
+			t.Fatalf("worker after the cancelled run: %v", err)
+		}
+		if !coord.Complete() {
+			t.Fatal("an expectation outlived the cancelled run")
+		}
+	})
+
+	t.Run("refinement finds nothing", func(t *testing.T) {
+		coord, client := serveFigure(t, "pi", o, nil)
+		tables, stats, err := Generate(context.Background(), "pi", o, Executor{Client: client}, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.ChildName != "" || stats.RefinedPoints != 0 || stats.Total() != 1 {
+			t.Fatalf("stats %+v, want the one coarse point and no refinement", stats)
+		}
+		if !bytes.Equal(formatAll(t, tables), formatAll(t, want)) {
+			t.Fatal("an adaptive run that refined nothing differs from a plain run")
+		}
+		if !coord.Complete() {
+			t.Fatal("an expectation outlived a run that refined nothing")
+		}
+	})
 }

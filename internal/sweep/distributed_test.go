@@ -28,9 +28,9 @@ func TestCoordinatorMatchesInProcess(t *testing.T) {
 	o := Options{Quick: true, Points: 2, Workers: 2}
 
 	// Reference: the plain in-process path (plan + manifest.Run + render).
-	direct, complete, err := Generate(ctx, "period", o, nil, false, 0)
-	if err != nil || !complete {
-		t.Fatalf("in-process run: complete=%v err=%v", complete, err)
+	direct, err := Tables(ctx, "period", o)
+	if err != nil {
+		t.Fatalf("in-process run: %v", err)
 	}
 
 	// Distributed: a journaling coordinator over the same (deterministic)
@@ -39,7 +39,7 @@ func TestCoordinatorMatchesInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, have, err := PlanOrResume(ctx, "period", o, st, false)
+	m, have, err := Executor{Store: st}.Open(ctx, "period", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,9 +80,9 @@ func TestCoordinatorMatchesInProcess(t *testing.T) {
 	}
 	// ...plus this process joining through the same path cmd/figures
 	// -coordinator uses, which also reassembles the tables.
-	remote, err := GenerateRemote(ctx, "period", o, client)
+	remote, _, err := Generate(ctx, "period", o, Executor{Client: client}, 0)
 	if err != nil {
-		t.Fatalf("GenerateRemote: %v", err)
+		t.Fatalf("Generate through the coordinator: %v", err)
 	}
 	wg.Wait()
 	for i, err := range werrs {

@@ -195,10 +195,10 @@ func Render(m *manifest.Manifest, results []nocsim.Result) ([]Table, error) {
 	}
 }
 
-// Tables plans, runs and renders one figure in memory — the
-// non-persistent convenience behind the per-figure helpers.
+// Tables plans, runs and renders one figure in memory: Generate on the
+// zero Executor, nothing persisted.
 func Tables(ctx context.Context, fig string, o Options) ([]Table, error) {
-	tables, _, err := Generate(ctx, fig, o, nil, false, 0)
+	tables, _, err := Generate(ctx, fig, o, Executor{}, 0)
 	return tables, err
 }
 
@@ -539,21 +539,12 @@ func renderSummary(m *manifest.Manifest, results []nocsim.Result) []Table {
 	return []Table{t}
 }
 
-// Fig7 renders the four synthetic-pattern panels: delay and power vs
-// injection rate under tornado, bit-complement, transpose and neighbor.
-func Fig7(ctx context.Context, o Options) ([]Table, error) { return Tables(ctx, "fig7", o) }
-
-// Fig8 renders the sensitivity study: delay and power when varying the
-// number of VCs, buffers per VC, packet size, and mesh size, under
-// uniform traffic.
-func Fig8(ctx context.Context, o Options) ([]Table, error) { return Tables(ctx, "fig8", o) }
-
-// Fig10 renders the multimedia panels: delay and power vs application
-// speed for the H.264 encoder (4x4) and the VCE (5x5).
-func Fig10(ctx context.Context, o Options) ([]Table, error) { return Tables(ctx, "fig10", o) }
-
-// renderComparison renders a comparison figure (fig7/fig8/fig10): one
-// delay table and one power table per panel.
+// renderComparison renders a comparison figure, one delay table and one
+// power table per panel: fig7's four synthetic patterns (tornado,
+// bit-complement, transpose, neighbor) against injection rate, fig8's
+// sensitivity ladder (VCs, buffers per VC, packet size, mesh size, under
+// uniform traffic), and fig10's multimedia panels against application
+// speed (the H.264 encoder on 4x4, the VCE on 5x5).
 func renderComparison(m *manifest.Manifest, results []nocsim.Result) []Table {
 	off := m.Offsets()
 	var tables []Table
@@ -636,11 +627,9 @@ func (o *Options) planBurst(ctx context.Context) ([]manifest.Panel, error) {
 	return panels, nil
 }
 
-// BurstStudy renders the beyond-paper arrival-process panels: delay and
+// renderBurst renders the beyond-paper arrival-process panels: delay and
 // power under Poisson, MMPP and Pareto on-off arrivals, plus the direct
 // MMPP-vs-Poisson delay comparison EXPERIMENTS.md embeds.
-func BurstStudy(ctx context.Context, o Options) ([]Table, error) { return Tables(ctx, "burst", o) }
-
 func renderBurst(m *manifest.Manifest, results []nocsim.Result) []Table {
 	off := m.Offsets()
 	var tables []Table
@@ -671,11 +660,9 @@ func renderBurst(m *manifest.Manifest, results []nocsim.Result) []Table {
 	return tables
 }
 
-// PIStep renders the DMSD transient: the frequency and window-delay trace
-// of the PI loop from cold start (FMax) at a fixed load, supporting the
-// paper's stability and control-period claims (Sec. IV).
-func PIStep(ctx context.Context, o Options) ([]Table, error) { return Tables(ctx, "pi", o) }
-
+// renderPI renders the DMSD transient: the frequency and window-delay
+// trace of the PI loop from cold start (FMax) at a fixed load, supporting
+// the paper's stability and control-period claims (Sec. IV).
 func renderPI(m *manifest.Manifest, results []nocsim.Result) []Table {
 	g := m.Panels[0].Grid
 	res := results[0]

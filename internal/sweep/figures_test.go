@@ -122,7 +122,7 @@ func TestPIStepTransient(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	tables, err := PIStep(context.Background(), Options{Quick: true, Points: 2})
+	tables, err := Tables(context.Background(), "pi", Options{Quick: true, Points: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"errors"
 	"os"
 	"reflect"
 	"strings"
@@ -22,7 +23,7 @@ func TestGenerateStoreMatchesInMemory(t *testing.T) {
 	}
 	ctx := context.Background()
 	o := Options{Quick: true, Points: 2, Workers: 2}
-	direct, err := AblationControlPeriod(ctx, o)
+	direct, err := Tables(ctx, "period", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,12 +31,9 @@ func TestGenerateStoreMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored, complete, err := Generate(ctx, "period", o, st, false, 0)
+	stored, _, err := Generate(ctx, "period", o, Executor{Store: st}, 0)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !complete {
-		t.Fatal("unlimited Generate reported incomplete")
 	}
 	if !reflect.DeepEqual(stored, direct) {
 		t.Errorf("store-backed tables differ from in-memory tables:\n got %+v\nwant %+v", stored, direct)
@@ -90,9 +88,9 @@ func TestResumeFillsOnlyGaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, complete, err := Generate(ctx, "baseline", o, st, false, 0)
-	if err != nil || !complete {
-		t.Fatalf("reference run: complete=%v err=%v", complete, err)
+	full, _, err := Generate(ctx, "baseline", o, Executor{Store: st}, 0)
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
 	}
 
 	// Surgically drop every other recorded point.
@@ -117,9 +115,9 @@ func TestResumeFillsOnlyGaps(t *testing.T) {
 
 	// The resumed run must execute only the gaps: afterwards the points
 	// file holds the kept lines plus exactly one appended line per gap.
-	resumed, complete, err := Generate(ctx, "baseline", o, st, true, 0)
-	if err != nil || !complete {
-		t.Fatalf("resumed run: complete=%v err=%v", complete, err)
+	resumed, _, err := Generate(ctx, "baseline", o, Executor{Store: st, Resume: true}, 0)
+	if err != nil {
+		t.Fatalf("resumed run: %v", err)
 	}
 	if !reflect.DeepEqual(resumed, full) {
 		t.Errorf("resumed tables differ from uninterrupted run:\n got %+v\nwant %+v", resumed, full)
@@ -143,8 +141,8 @@ func TestResumeFillsOnlyGaps(t *testing.T) {
 	// incompatible points.
 	bad := o
 	bad.Seed = 99
-	if _, _, err := Generate(ctx, "baseline", bad, st, true, 0); err == nil {
-		t.Error("resume with mismatched options succeeded, want error")
+	if _, _, err := Generate(ctx, "baseline", bad, Executor{Store: st, Resume: true}, 0); err == nil || !strings.Contains(err.Error(), "was planned with") {
+		t.Errorf("resume with mismatched options: %v, want the planned-with refusal", err)
 	}
 }
 
@@ -161,12 +159,9 @@ func TestGenerateLimitAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables, complete, err := Generate(ctx, "period", o, st, false, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if complete || tables != nil {
-		t.Fatalf("limited run: complete=%v tables=%v, want incomplete and none", complete, tables)
+	tables, _, err := Generate(ctx, "period", o, Executor{Store: st, Limit: 1}, 0)
+	if !errors.Is(err, ErrIncomplete) || tables != nil {
+		t.Fatalf("limited run: err=%v tables=%v, want ErrIncomplete and none", err, tables)
 	}
 	have, err := st.LoadPoints("period")
 	if err != nil {
@@ -175,16 +170,26 @@ func TestGenerateLimitAndResume(t *testing.T) {
 	if len(have) != 1 {
 		t.Fatalf("limited run recorded %d points, want 1", len(have))
 	}
-	resumed, complete, err := Generate(ctx, "period", o, st, true, 0)
-	if err != nil || !complete {
-		t.Fatalf("resume: complete=%v err=%v", complete, err)
+	resumed, _, err := Generate(ctx, "period", o, Executor{Store: st, Resume: true}, 0)
+	if err != nil {
+		t.Fatalf("resume: %v", err)
 	}
-	direct, err := AblationControlPeriod(ctx, o)
+	direct, err := Tables(ctx, "period", o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(resumed, direct) {
 		t.Errorf("interrupt+resume tables differ from uninterrupted run")
+	}
+}
+
+// TestLimitNeedsAStore: a limited run with nowhere to keep its points
+// would compute them and throw them away, so it is refused before
+// anything is planned.
+func TestLimitNeedsAStore(t *testing.T) {
+	_, _, err := Generate(context.Background(), "period", Options{Quick: true}, Executor{Limit: 1}, 0)
+	if err == nil || !strings.Contains(err.Error(), "-max-points needs -manifest") {
+		t.Fatalf("limit without a store: %v, want a refusal", err)
 	}
 }
 

@@ -132,7 +132,7 @@
 //	                                  rectangle is legal — meshes need not be
 //	                                  square. Flags -width, -height.
 //	mesh.vcs                  int     virtual channels per input port;
-//	                                  default 8, must be ≥ 1. Flag -vcs.
+//	                                  default 8, 1 to 12. Flag -vcs.
 //	mesh.buf_depth            int     flit slots per VC buffer; default 4,
 //	                                  must be ≥ 1. Flag -buffers.
 //	mesh.packet_size          int     packet length in flits; default 20,

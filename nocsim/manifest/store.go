@@ -105,6 +105,33 @@ func (st *DirStore) SaveManifest(m *Manifest) error {
 	return nil
 }
 
+// SaveOrResume puts a plan derived at run time — an adaptive sweep's
+// refinement manifest — on record. When the identical plan (same Sum) is
+// already stored, an earlier run journaled the same refinement: its
+// completed points are returned instead of being recomputed. A stored
+// manifest of that name under any other plan is stale, and saving m
+// truncates its points.
+func (st *DirStore) SaveOrResume(m *Manifest) (map[int]nocsim.Result, error) {
+	stored, err := st.LoadManifest(m.Name)
+	if err != nil {
+		return nil, err
+	}
+	if stored != nil {
+		storedSum, err := Sum(stored)
+		if err != nil {
+			return nil, err
+		}
+		sum, err := Sum(m)
+		if err != nil {
+			return nil, err
+		}
+		if storedSum == sum {
+			return st.LoadPoints(m.Name)
+		}
+	}
+	return nil, st.SaveManifest(m)
+}
+
 // Record is one line of a points journal: the global point index and its
 // measured result.
 type Record struct {
