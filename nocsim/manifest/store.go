@@ -6,11 +6,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/nocsim"
 )
@@ -57,7 +60,7 @@ func (st *DirStore) Names() ([]string, error) {
 			names = append(names, n)
 		}
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	return names, nil
 }
 
@@ -139,35 +142,16 @@ type Record struct {
 	Result nocsim.Result `json:"result"`
 }
 
-// LoadPoints reads a manifest's completed points. A trailing line that
-// does not parse (a crash mid-append) is dropped; a malformed line
-// elsewhere is an error.
+// LoadPoints reads a manifest's completed points: every record of the
+// journal, under ScanRecords' one rule for what a record is.
 func (st *DirStore) LoadPoints(name string) (map[int]nocsim.Result, error) {
-	f, err := os.Open(st.PointsPath(name))
-	if errors.Is(err, os.ErrNotExist) {
-		return map[int]nocsim.Result{}, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
 	have := make(map[int]nocsim.Result)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
-	var parseErr error
-	for sc.Scan() {
-		if parseErr != nil {
-			return nil, fmt.Errorf("manifest: points %s: %w", st.PointsPath(name), parseErr)
-		}
-		var rec Record
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			parseErr = err // fatal only if more lines follow
-			continue
-		}
+	_, err := ScanRecords(st.PointsPath(name), 0, func(_ []byte, rec *Record) error {
 		have[rec.Index] = rec.Result
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("manifest: points %w", err)
 	}
 	return have, nil
 }
@@ -176,7 +160,8 @@ func (st *DirStore) LoadPoints(name string) (map[int]nocsim.Result, error) {
 // file. Each Append writes one Record line through a buffered writer,
 // flushes it, and fsyncs the file before returning, so a line either
 // reaches the disk whole or — if the process dies mid-write — is left as
-// a torn tail that LoadPoints skips and the next Journal truncates away.
+// an unterminated tail that is no record to LoadPoints (see ScanRecords)
+// and that the next Journal truncates away.
 // Append is safe for concurrent use.
 type Journal struct {
 	mu sync.Mutex
@@ -238,9 +223,10 @@ func (j *Journal) Close() error {
 
 // TruncatePartialTail cuts an append-only record file back to its last
 // complete (newline-terminated) line — the crash-recovery step shared by
-// the points Journal and the results store, which reuse the same
-// line-per-record codec. A missing file is fine; so is a healthy one —
-// the common case costs one stat and one 1-byte read.
+// the points Journal and the results store, and the writer's half of
+// ScanRecords' rule: what it cuts is exactly what a scan ignores. A
+// missing file is fine; so is a healthy one — the common case costs one
+// stat and one 1-byte read.
 func TruncatePartialTail(path string) error {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if errors.Is(err, os.ErrNotExist) {
@@ -271,4 +257,98 @@ func TruncatePartialTail(path string) error {
 	}
 	keep := int64(bytes.LastIndexByte(data, '\n') + 1)
 	return f.Truncate(keep)
+}
+
+const (
+	scanBatch = 1024 // lines read, then decoded together: bounds what a scan holds, and long enough (~10 ms) to outlast a sleeping core's wake-up
+	scanShare = 8    // fewest lines worth a goroutine of their own
+)
+
+// decoded is one line's json.Unmarshal outcome.
+type decoded[T any] struct {
+	rec T
+	err error
+}
+
+// ScanRecords is the one reader of the line-per-record files (the points
+// journals here, the results store's file). It reads path from byte
+// offset off and calls fn, serially and in file order, with each record's
+// line (newline included, fn's to keep) and the T decoded from it (valid
+// during the call only). It returns the offset after the last record fn
+// accepted, where a later scan resumes. A missing file holds no records.
+//
+// A record exists if and only if its line ends in a newline. Bytes after
+// the last newline — a write in flight, or the torn tail that
+// TruncatePartialTail cuts — are neither parsed nor consumed. A
+// terminated line that does not decode, or that fn rejects, is an error
+// naming path and the line's offset, wherever it sits. Lines may be any
+// length.
+//
+// Each batch of scanBatch lines is decoded on up to GOMAXPROCS
+// goroutines: a file is read back at the speed of every core.
+func ScanRecords[T any](path string, off int64, fn func(line []byte, rec *T) error) (int64, error) {
+	f, err := os.Open(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return off, nil
+	}
+	if err != nil {
+		return off, err
+	}
+	defer f.Close()
+	if _, err := f.Seek(off, io.SeekStart); err != nil {
+		return off, err
+	}
+	rd := bufio.NewReaderSize(f, 64<<10)
+	var lines [][]byte
+	var out []decoded[T]
+	for eof := false; !eof; {
+		lines = lines[:0]
+		for len(lines) < scanBatch {
+			line, err := rd.ReadBytes('\n')
+			if err == io.EOF {
+				eof = true
+				break
+			}
+			if err != nil {
+				return off, err
+			}
+			lines = append(lines, line)
+		}
+		out = slices.Grow(out[:0], len(lines))[:len(lines)]
+		clear(out) // Unmarshal into a used T would write through what fn copied out of it
+		decodeLines(lines, out)
+		for i, line := range lines {
+			err := out[i].err
+			if err == nil {
+				err = fn(line, &out[i].rec)
+			}
+			if err != nil {
+				return off, fmt.Errorf("%s at offset %d: %w", path, off, err)
+			}
+			off += int64(len(line))
+		}
+	}
+	return off, nil
+}
+
+// decodeLines unmarshals lines[i] into out[i]. The caller decodes too,
+// joined by one goroutine per scanShare lines up to GOMAXPROCS in all,
+// each taking the next undecoded line.
+func decodeLines[T any](lines [][]byte, out []decoded[T]) {
+	var next atomic.Int64
+	work := func() {
+		for i := next.Add(1) - 1; i < int64(len(lines)); i = next.Add(1) - 1 {
+			out[i].err = json.Unmarshal(lines[i], &out[i].rec)
+		}
+	}
+	var wg sync.WaitGroup
+	for n := min(runtime.GOMAXPROCS(0), len(lines)/scanShare); n > 1; n-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }

@@ -2,45 +2,43 @@ package results
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/nocsim"
 	"repro/nocsim/manifest"
 )
-
-// countLocked returns how many points of the plan are stored.
-func (s *Store) count(sum string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if p, ok := s.plans[sum]; ok {
-		return len(p.points)
-	}
-	return 0
-}
 
 // ImportJournal ingests one manifest and its completed points (a loaded
 // DirStore journal) into the store, returning the plan's fingerprint and
 // how many points were newly stored. Points are ingested in index order,
 // so a store populated only by this import exports the same journal a
 // serial run would have written, byte for byte (see ExportJournal). The
-// import is idempotent: re-importing converges instead of duplicating.
+// import is idempotent — re-importing converges instead of duplicating —
+// which is why the plan's points share one flush and fsync at the end: a
+// crash before it loses lines that the next import writes again.
 func (s *Store) ImportJournal(m *manifest.Manifest, points map[int]nocsim.Result) (sum string, added int, err error) {
 	sum, err = s.AddManifest(m)
 	if err != nil {
 		return "", 0, err
 	}
-	before := s.count(sum)
 	idx := make([]int, 0, len(points))
 	for i := range points {
 		idx = append(idx, i)
 	}
-	sort.Ints(idx)
+	slices.Sort(idx)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	before := s.lines // a point line is written only for a point not yet stored
 	for _, i := range idx {
-		if err := s.AddPoint(sum, i, points[i]); err != nil {
-			return sum, s.count(sum) - before, err
+		if err = s.addPointLocked(sum, i, points[i], false); err != nil {
+			break
 		}
 	}
-	return sum, s.count(sum) - before, nil
+	added = s.lines - before
+	if err == nil && added > 0 {
+		err = s.syncLocked()
+	}
+	return sum, added, err
 }
 
 // ImportDir backfills every manifest stored in a DirStore directory —

@@ -2,7 +2,6 @@ package results
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -56,16 +55,14 @@ func TestCompactRoundTrip(t *testing.T) {
 
 	// A duplicate point line on disk — the kind a re-imported journal
 	// leaves behind. The index collapses it; only compaction removes it.
-	dup, err := json.Marshal(&record{Kind: kindPoint, Sum: curSum,
-		Point: &manifest.Record{Index: 0, Result: fakeResult(t, cur, 0)}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	late := fakeResult(t, cur, 0)
+	late.AvgDelayNs = 9999 // not the first result for the point: must not survive
+	dup := recordLine(t, &record{Kind: kindPoint, Sum: curSum, Point: &manifest.Record{Index: 0, Result: late}})
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(append(dup, '\n')); err != nil {
+	if _, err := f.Write(dup); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -107,6 +104,20 @@ func TestCompactRoundTrip(t *testing.T) {
 		t.Fatalf("file did not shrink: %d -> %d bytes", before.Size(), after.Size())
 	}
 
+	// Compaction copies the stored point lines; the file must be the one
+	// re-encoding every surviving record would have written.
+	var reencoded bytes.Buffer
+	for _, m := range []*manifest.Manifest{cur, live} {
+		sum, _ := manifest.Sum(m)
+		reencoded.Write(recordLine(t, &record{Kind: kindManifest, Sum: sum, Manifest: m}))
+		for i := 0; i < m.NumPoints(); i++ {
+			reencoded.Write(recordLine(t, &record{Kind: kindPoint, Sum: sum, Point: &manifest.Record{Index: i, Result: fakeResult(t, m, i)}}))
+		}
+	}
+	if compacted, err := os.ReadFile(path); err != nil || !bytes.Equal(compacted, reencoded.Bytes()) {
+		t.Fatalf("compacted file (%v) is not the re-encoded one:\n--- compacted ---\n%s--- re-encoded ---\n%s", err, compacted, reencoded.Bytes())
+	}
+
 	check := func(s *Store, label string, wantPlans int) {
 		t.Helper()
 		if got := exportOf(s, curSum); !bytes.Equal(got, wantCur) {
@@ -141,6 +152,10 @@ func TestCompactRoundTrip(t *testing.T) {
 	}
 	if err := s.AddPoint(extraSum, 0, fakeResult(t, extra, 0)); err != nil {
 		t.Fatal(err)
+	}
+	// Nothing is dead now, and the store knows without reading the file.
+	if plans, points, err := s.Compact(); err != nil || plans != 0 || points != 0 {
+		t.Fatalf("second compaction dropped (%d plans, %d points, %v), want nothing", plans, points, err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

@@ -62,13 +62,8 @@ func (s *Store) Select(q Query) ([]Point, error) {
 	var out []Point
 	for _, sum := range scope {
 		p := s.plans[sum]
-		idx := make([]int, 0, len(p.points))
-		for i := range p.points {
-			idx = append(idx, i)
-		}
-		sort.Ints(idx)
-		for _, i := range idx {
-			r := p.points[i]
+		for _, i := range p.indexes() {
+			r := p.points[i].r
 			label := p.label(i)
 			if !q.matches(label, &r) {
 				continue

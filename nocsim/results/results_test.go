@@ -12,7 +12,7 @@ import (
 
 // testManifest builds a small resolved manifest: three policies crossed
 // with loads, calibration pinned, so points resolve without simulating.
-func testManifest(t *testing.T, name string, loads ...float64) *manifest.Manifest {
+func testManifest(t testing.TB, name string, loads ...float64) *manifest.Manifest {
 	t.Helper()
 	base := nocsim.Scenario{Mesh: nocsim.DefaultMesh(), Pattern: "uniform", Quick: true, Seed: 1}.Normalized()
 	base.Calibration = &nocsim.Calibration{SaturationRate: 0.6, LambdaMax: 0.54, TargetDelayNs: 100}
@@ -24,7 +24,7 @@ func testManifest(t *testing.T, name string, loads ...float64) *manifest.Manifes
 // fakeResult synthesizes a result whose scenario is the manifest's
 // resolved point i — so scenario-level query filters see realistic
 // policy/pattern/load values without running a simulation.
-func fakeResult(t *testing.T, m *manifest.Manifest, i int) nocsim.Result {
+func fakeResult(t testing.TB, m *manifest.Manifest, i int) nocsim.Result {
 	t.Helper()
 	_, sc, err := m.Point(i)
 	if err != nil {
@@ -244,6 +244,46 @@ func TestBackfillRoundTripByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(again.Bytes(), original) {
 		t.Fatal("export changed after re-import")
+	}
+}
+
+// TestImportJournalSameBytesOneSync pins the import's file: a manifest
+// line and the points in index order, exactly what one durable append per
+// point wrote — and, because the points now share one fsync, that a crash
+// anywhere before it (the file cut at any byte) converges on re-import to
+// that same file.
+func TestImportJournalSameBytesOneSync(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results.jsonl")
+	m := testManifest(t, "fig7", 0.1, 0.2, 0.3)
+	sum, err := manifest.Sum(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	have := map[int]nocsim.Result{}
+	var want bytes.Buffer
+	want.Write(recordLine(t, &record{Kind: kindManifest, Sum: sum, Manifest: m}))
+	for i := 0; i < m.NumPoints(); i++ {
+		have[i] = fakeResult(t, m, i)
+		want.Write(recordLine(t, &record{Kind: kindPoint, Sum: sum, Point: &manifest.Record{Index: i, Result: have[i]}}))
+	}
+	for cut := 0; cut <= want.Len(); cut += 131 {
+		if err := os.WriteFile(path, want.Bytes()[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := openStore(t, path)
+		stored := 0 // points whose whole line is before the cut
+		if p := s.plans[sum]; p != nil {
+			stored = len(p.points)
+		}
+		if _, added, err := s.ImportJournal(m, have); err != nil || added != m.NumPoints()-stored {
+			t.Fatalf("cut %d: import = (%d added, %v), want %d", cut, added, err, m.NumPoints()-stored)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("cut %d: imported file (%v) differs from the per-point import's:\n--- got ---\n%s--- want ---\n%s", cut, err, got, want.Bytes())
+		}
 	}
 }
 

@@ -7,9 +7,13 @@
 // The container ships no database, so the store is built on the same
 // line-per-record JSON codec as the manifest journals: an append-only
 // file of records — each either a full manifest (a plan, identified by
-// its manifest.Sum fingerprint) or one completed point of a plan — with
-// every append flushed and fsynced, torn tails skipped on load, and an
-// in-memory index (by plan, by name, by point) rebuilt on open. The
+// its manifest.Sum fingerprint) or one completed point of a plan — read
+// back by the journals' own reader (manifest.ScanRecords: a record is
+// complete at its newline and anything after the last newline is no
+// record yet), with one flush and fsync per AddManifest and AddPoint and
+// one per imported plan, and an in-memory index (by plan, by name, by
+// point) rebuilt on open. The index keeps each point's stored line beside
+// its decoded result, so Compact copies lines instead of re-encoding. The
 // query contract, not the storage engine, is the interface: filter
 // points by manifest/panel/policy/pattern/app/mesh/load, fetch a plan's
 // complete result set for rendering, and export a plan back out as a
@@ -30,7 +34,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/nocsim"
@@ -63,7 +67,24 @@ type plan struct {
 	sum    string
 	m      *manifest.Manifest
 	offs   []int // panel offsets, for point → panel label resolution
-	points map[int]nocsim.Result
+	points map[int]point
+}
+
+// point is one stored point: its result and the file line (newline
+// included) that holds it, which is what Compact writes back.
+type point struct {
+	r    nocsim.Result
+	line []byte
+}
+
+// indexes returns the stored point indexes in ascending order.
+func (p *plan) indexes() []int {
+	idx := make([]int, 0, len(p.points))
+	for i := range p.points {
+		idx = append(idx, i)
+	}
+	slices.Sort(idx)
+	return idx
 }
 
 // PlanInfo summarizes one stored plan for listings and the dashboard.
@@ -90,6 +111,7 @@ type Store struct {
 	f     *os.File // nil in read-only mode and after Close
 	w     *bufio.Writer
 	off   int64               // bytes of the file consumed by the index
+	lines int                 // point lines among them, duplicates included
 	plans map[string]*plan    // keyed by manifest.Sum
 	order []string            // sums in first-ingested order
 	names map[string][]string // manifest name -> sums in first-ingested order
@@ -136,45 +158,21 @@ func newStore(path string, readOnly bool) *Store {
 	}
 }
 
-// replay scans the file from s.off, indexing every complete line, and
-// advances s.off past the consumed bytes. A torn tail (no trailing
-// newline yet) is left for the next call. Callers hold s.mu (or own the
-// store exclusively, during open).
-func (s *Store) replay() error {
-	f, err := os.Open(s.path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
+// replay indexes every record of the file from s.off on and advances
+// s.off past them. A torn tail (no trailing newline yet) is left for the
+// next call. Callers hold s.mu (or own the store exclusively, during
+// open).
+func (s *Store) replay() (err error) {
+	s.off, err = manifest.ScanRecords(s.path, s.off, s.indexLocked)
 	if err != nil {
-		return err
+		return fmt.Errorf("results: %w", err)
 	}
-	defer f.Close()
-	if _, err := f.Seek(s.off, io.SeekStart); err != nil {
-		return err
-	}
-	rd := bufio.NewReaderSize(f, 1<<20)
-	for {
-		line, err := rd.ReadBytes('\n')
-		if err == io.EOF {
-			return nil // torn or empty tail: wait for the writer to finish it
-		}
-		if err != nil {
-			return err
-		}
-		var rec record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return fmt.Errorf("results: %s at offset %d: %w", s.path, s.off, err)
-		}
-		if err := s.indexLocked(&rec); err != nil {
-			return fmt.Errorf("results: %s at offset %d: %w", s.path, s.off, err)
-		}
-		s.off += int64(len(line))
-	}
+	return nil
 }
 
-// indexLocked folds one record into the in-memory index. Callers hold
-// s.mu.
-func (s *Store) indexLocked(rec *record) error {
+// indexLocked folds one record of the file, and the line that holds it,
+// into the in-memory index. Callers hold s.mu.
+func (s *Store) indexLocked(line []byte, rec *record) error {
 	switch rec.Kind {
 	case kindManifest:
 		if rec.Manifest == nil || rec.Sum == "" {
@@ -187,7 +185,7 @@ func (s *Store) indexLocked(rec *record) error {
 			sum:    rec.Sum,
 			m:      rec.Manifest,
 			offs:   rec.Manifest.Offsets(),
-			points: map[int]nocsim.Result{},
+			points: map[int]point{},
 		}
 		s.plans[rec.Sum] = p
 		s.order = append(s.order, rec.Sum)
@@ -205,19 +203,22 @@ func (s *Store) indexLocked(rec *record) error {
 		if i < 0 || i >= p.m.NumPoints() {
 			return fmt.Errorf("plan %s point %d out of range [0, %d)", rec.Sum, i, p.m.NumPoints())
 		}
+		s.lines++
 		if _, ok := p.points[i]; ok {
 			return nil // duplicate: first result wins, like the journal
 		}
-		p.points[i] = rec.Point.Result
+		p.points[i] = point{rec.Point.Result, line}
 		return nil
 	default:
 		return fmt.Errorf("unknown record kind %q", rec.Kind)
 	}
 }
 
-// appendLocked writes one record line durably: marshal, write, flush,
-// fsync. Callers hold s.mu.
-func (s *Store) appendLocked(rec *record) error {
+// appendLocked marshals one record, writes its line and indexes it.
+// With sync the line is flushed and fsynced first, so a record this
+// store acknowledges is durable; without, the caller owes a syncLocked.
+// Callers hold s.mu.
+func (s *Store) appendLocked(rec *record, sync bool) error {
 	if s.readOnly {
 		return errors.New("results: store is read-only")
 	}
@@ -228,9 +229,22 @@ func (s *Store) appendLocked(rec *record) error {
 	if err != nil {
 		return err
 	}
-	if _, err := s.w.Write(append(data, '\n')); err != nil {
+	line := append(data, '\n')
+	if _, err := s.w.Write(line); err != nil {
 		return err
 	}
+	if sync {
+		if err := s.syncLocked(); err != nil {
+			return err
+		}
+	}
+	s.off += int64(len(line))
+	return s.indexLocked(line, rec)
+}
+
+// syncLocked flushes and fsyncs the file. Callers hold s.mu and have
+// checked s.f.
+func (s *Store) syncLocked() error {
 	if err := s.w.Flush(); err != nil {
 		return err
 	}
@@ -250,11 +264,7 @@ func (s *Store) AddManifest(m *manifest.Manifest) (string, error) {
 	if _, ok := s.plans[sum]; ok {
 		return sum, nil
 	}
-	rec := &record{Kind: kindManifest, Sum: sum, Manifest: m}
-	if err := s.appendLocked(rec); err != nil {
-		return "", err
-	}
-	return sum, s.indexLocked(rec)
+	return sum, s.appendLocked(&record{Kind: kindManifest, Sum: sum, Manifest: m}, true)
 }
 
 // AddPoint stores one completed point of a registered plan. The first
@@ -264,6 +274,11 @@ func (s *Store) AddManifest(m *manifest.Manifest) (string, error) {
 func (s *Store) AddPoint(sum string, index int, r nocsim.Result) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.addPointLocked(sum, index, r, true)
+}
+
+// addPointLocked is AddPoint under s.mu, with appendLocked's sync.
+func (s *Store) addPointLocked(sum string, index int, r nocsim.Result, sync bool) error {
 	p, ok := s.plans[sum]
 	if !ok {
 		return fmt.Errorf("results: point for unregistered plan %s", sum)
@@ -274,11 +289,7 @@ func (s *Store) AddPoint(sum string, index int, r nocsim.Result) error {
 	if _, ok := p.points[index]; ok {
 		return nil
 	}
-	rec := &record{Kind: kindPoint, Sum: sum, Point: &manifest.Record{Index: index, Result: r}}
-	if err := s.appendLocked(rec); err != nil {
-		return err
-	}
-	return s.indexLocked(rec)
+	return s.appendLocked(&record{Kind: kindPoint, Sum: sum, Point: &manifest.Record{Index: index, Result: r}}, sync)
 }
 
 // Refresh folds in any records other processes appended since the last
@@ -350,8 +361,8 @@ func (s *Store) PointsOf(sum string) (map[int]nocsim.Result, bool) {
 		return nil, false
 	}
 	out := make(map[int]nocsim.Result, len(p.points))
-	for i, r := range p.points {
-		out[i] = r
+	for i, pt := range p.points {
+		out[i] = pt.r
 	}
 	return out, true
 }
@@ -379,14 +390,9 @@ func (s *Store) ExportJournal(w io.Writer, sum string) error {
 		s.mu.Unlock()
 		return fmt.Errorf("results: unknown plan %s", sum)
 	}
-	idx := make([]int, 0, len(p.points))
-	for i := range p.points {
-		idx = append(idx, i)
-	}
-	recs := make([]manifest.Record, 0, len(idx))
-	sort.Ints(idx)
-	for _, i := range idx {
-		recs = append(recs, manifest.Record{Index: i, Result: p.points[i]})
+	recs := make([]manifest.Record, 0, len(p.points))
+	for _, i := range p.indexes() {
+		recs = append(recs, manifest.Record{Index: i, Result: p.points[i].r})
 	}
 	s.mu.Unlock()
 	bw := bufio.NewWriter(w)
@@ -406,7 +412,8 @@ func (s *Store) ExportJournal(w io.Writer, sum string) error {
 // manifest name only the most recently ingested plan survives (older
 // same-name plans are superseded — Resolve already ignores them), and
 // every surviving plan is written as one manifest record followed by its
-// points in index order, which drops duplicate point lines the index
+// points in index order — each the line the file already holds, copied
+// rather than re-encoded — which drops duplicate point lines the index
 // collapsed on ingest. Queries and ExportJournal answer identically
 // before and after; only dead bytes leave the file.
 //
@@ -424,18 +431,7 @@ func (s *Store) Compact() (droppedPlans, droppedPoints int, err error) {
 	if s.f == nil {
 		return 0, 0, errors.New("results: store is closed")
 	}
-	if err := s.w.Flush(); err != nil {
-		return 0, 0, err
-	}
-	if err := s.f.Sync(); err != nil {
-		return 0, 0, err
-	}
-
-	// The file is the only witness of duplicate point lines (the index
-	// collapsed them on ingest), so count its point records for the
-	// dropped-points report.
-	pointLines, err := s.countPointLinesLocked()
-	if err != nil {
+	if err := s.syncLocked(); err != nil {
 		return 0, 0, err
 	}
 
@@ -449,61 +445,52 @@ func (s *Store) Compact() (droppedPlans, droppedPoints int, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
+	done := false
+	defer func() {
+		if !done {
+			tf.Close()
+			os.Remove(tmp)
+		}
+	}()
 	bw := bufio.NewWriter(tf)
 	var written int64
 	keptPoints := 0
-	writeRec := func(rec *record) error {
-		data, err := json.Marshal(rec)
-		if err != nil {
-			return err
-		}
-		n, err := bw.Write(append(data, '\n'))
-		written += int64(n)
-		return err
-	}
 	for _, sum := range s.order {
 		if !keep[sum] {
 			continue
 		}
 		p := s.plans[sum]
-		if err := writeRec(&record{Kind: kindManifest, Sum: sum, Manifest: p.m}); err != nil {
-			tf.Close()
-			os.Remove(tmp)
+		data, err := json.Marshal(&record{Kind: kindManifest, Sum: sum, Manifest: p.m})
+		if err != nil {
 			return 0, 0, err
 		}
-		idx := make([]int, 0, len(p.points))
-		for i := range p.points {
-			idx = append(idx, i)
+		n, err := bw.Write(append(data, '\n'))
+		written += int64(n)
+		if err != nil {
+			return 0, 0, err
 		}
-		sort.Ints(idx)
-		for _, i := range idx {
-			r := p.points[i]
-			if err := writeRec(&record{Kind: kindPoint, Sum: sum, Point: &manifest.Record{Index: i, Result: r}}); err != nil {
-				tf.Close()
-				os.Remove(tmp)
+		for _, i := range p.indexes() {
+			n, err := bw.Write(p.points[i].line)
+			written += int64(n)
+			if err != nil {
 				return 0, 0, err
 			}
 			keptPoints++
 		}
 	}
 	if err := bw.Flush(); err != nil {
-		tf.Close()
-		os.Remove(tmp)
 		return 0, 0, err
 	}
 	if err := tf.Sync(); err != nil {
-		tf.Close()
-		os.Remove(tmp)
 		return 0, 0, err
 	}
 	if err := tf.Close(); err != nil {
-		os.Remove(tmp)
 		return 0, 0, err
 	}
 	if err := os.Rename(tmp, s.path); err != nil {
-		os.Remove(tmp)
 		return 0, 0, err
 	}
+	done = true
 
 	// Swap the append handle onto the new file; the old handle still
 	// points at the replaced (unlinked) bytes.
@@ -517,6 +504,8 @@ func (s *Store) Compact() (droppedPlans, droppedPoints int, err error) {
 	s.f = f
 	s.w = bufio.NewWriter(f)
 	s.off = written
+	droppedPoints = s.lines - keptPoints
+	s.lines = keptPoints
 
 	order := make([]string, 0, len(keep))
 	plans := make(map[string]*plan, len(keep))
@@ -532,40 +521,7 @@ func (s *Store) Compact() (droppedPlans, droppedPoints int, err error) {
 		names[p.m.Name] = append(names[p.m.Name], sum)
 	}
 	s.order, s.plans, s.names = order, plans, names
-	return droppedPlans, pointLines - keptPoints, nil
-}
-
-// countPointLinesLocked scans the (flushed) file and counts its point
-// records. Callers hold s.mu.
-func (s *Store) countPointLinesLocked() (int, error) {
-	f, err := os.Open(s.path)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	rd := bufio.NewReaderSize(f, 1<<20)
-	n := 0
-	for {
-		line, err := rd.ReadBytes('\n')
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return 0, err
-		}
-		var k struct {
-			Kind string `json:"kind"`
-		}
-		if err := json.Unmarshal(line, &k); err != nil {
-			return 0, fmt.Errorf("results: %s: %w", s.path, err)
-		}
-		if k.Kind == kindPoint {
-			n++
-		}
-	}
+	return droppedPlans, droppedPoints, nil
 }
 
 // Sync flushes and fsyncs the file (writable stores only).
@@ -575,10 +531,7 @@ func (s *Store) Sync() error {
 	if s.readOnly || s.f == nil {
 		return nil
 	}
-	if err := s.w.Flush(); err != nil {
-		return err
-	}
-	return s.f.Sync()
+	return s.syncLocked()
 }
 
 // Close flushes, fsyncs and closes the store. Closing twice (or closing
@@ -589,13 +542,10 @@ func (s *Store) Close() error {
 	if s.readOnly || s.f == nil {
 		return nil
 	}
+	err := s.syncLocked()
 	f := s.f
 	s.f = nil
-	if err := s.w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
+	if err != nil {
 		f.Close()
 		return err
 	}
