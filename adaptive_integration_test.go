@@ -17,15 +17,8 @@ func kneeFromTables(t *testing.T, tables []sweep.Table) (knee, maxLoad float64) 
 		if tables[i].ID != "fig2b" {
 			continue
 		}
-		loads, ok := tables[i].Column("rate")
-		if !ok {
-			t.Fatal("fig2b has no rate column")
-		}
-		delays, ok := tables[i].Column("nodvfs_delay_ns")
-		if !ok {
-			t.Fatal("fig2b has no nodvfs_delay_ns column")
-		}
-		knee, _ := sweep.Knee(loads, delays)
+		loads := column(t, tables[i], "rate")
+		knee, _ := sweep.Knee(loads, column(t, tables[i], "nodvfs_delay_ns"))
 		return knee, loads[len(loads)-1]
 	}
 	t.Fatal("no fig2b table rendered")
@@ -44,7 +37,7 @@ func TestAdaptiveSweepMatchesFixedGridWithFewerPoints(t *testing.T) {
 	ctx := context.Background()
 
 	fixedOpts := sweep.Options{Quick: true, Points: 18, Seed: 1}
-	fixed, err := sweep.Tables(ctx, "baseline", fixedOpts)
+	fixed, _, err := sweep.Generate(ctx, "baseline", fixedOpts, sweep.Executor{}, 0)
 	if err != nil {
 		t.Fatalf("fixed-grid run: %v", err)
 	}

@@ -247,7 +247,10 @@ func TestTheoreticalCapacityOfAppMatrices(t *testing.T) {
 			}
 		}
 		cfg := noc.Config{Width: a.Width, Height: a.Height, Routing: noc.RoutingXY}
-		cap := noc.TheoreticalCapacity(cfg, norm)
+		cap, err := noc.TheoreticalCapacity(cfg, nil, nil, norm)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if cap <= 0 {
 			t.Errorf("%s: non-positive capacity", a.Name)
 		}

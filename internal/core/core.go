@@ -2,8 +2,8 @@
 // traffic, dvfs, volt, power, sim) into the paper's experiments. It
 // provides saturation-rate search, the paper's auto-calibration recipe
 // (λmax = 90% of saturation; DMSD target = the RMSD delay at λmax), and
-// policy-comparison sweeps over injection rate or application speed —
-// the machinery behind every figure of the evaluation.
+// one (policy, load) run on the calibrated scenario — the point every
+// figure of the evaluation is a grid of.
 package core
 
 import (
@@ -75,11 +75,9 @@ type Scenario struct {
 	FNode float64
 	// Range is the DVFS actuation range (default 333 MHz – 1 GHz).
 	Range dvfs.Range
-	// Seed is the root seed that makes runs reproducible. ComparePolicies
-	// derives one independent RNG stream per grid point from it through
-	// exp.Seed, so replications and variance analysis across points see
-	// uncorrelated samples; single runs and the saturation search use the
-	// root seed directly.
+	// Seed is the root seed that makes runs reproducible. Runs and the
+	// saturation search use it directly; a grid of runs gives each point
+	// its own stream through exp.Seed.
 	Seed int64
 
 	// Quick shrinks warmup/measurement windows roughly 4x for smoke tests
@@ -103,14 +101,13 @@ type Scenario struct {
 	// in the result.
 	Transient bool
 
-	// Workers bounds how many simulation points run concurrently in the
-	// sweeps and searches (0 = GOMAXPROCS, 1 = serial reference). Results
-	// are byte-identical for every value: each point owns its RNG and the
-	// exp engine collects results in grid order.
+	// Workers bounds how many probe simulations of a saturation search run
+	// concurrently (0 = GOMAXPROCS, 1 = serial reference). Results are
+	// byte-identical for every value: the probe layout is fixed.
 	Workers int
 
 	// PacketLog, when non-nil, records every measured packet's lifecycle
-	// (see package trace). Sweeps reuse the same log across points, so a
+	// (see package trace). Searches reuse the same log across probes, so a
 	// scenario with a log always runs serially.
 	PacketLog *trace.Log
 }
@@ -357,28 +354,23 @@ type SearchStats struct {
 
 // FindSaturation locates the saturation injection rate of the scenario's
 // fabric under its traffic (No-DVFS, full speed) by bracketing on the
-// engine's saturation guards. The search starts from the theoretical
-// channel-load capacity and refines to ~2% relative precision with a
-// fixed three-probe quarter-section per round, so each round's probes run
-// concurrently on the exp engine while the probe layout — and hence the
-// returned rate — stays identical for every worker count. When the
-// capacity bound proves optimistic, the bracket-expansion rungs are also
-// probed concurrently (after the first rung misses) with the same fixed
-// layout. Cancelling ctx aborts the in-flight simulations promptly.
+// engine's saturation guards, and counts the probes it scheduled and
+// stopped early. The search starts from the theoretical channel-load
+// capacity of the fabric, faults and islands included, and refines to
+// ~2% relative precision with a fixed three-probe quarter-section per
+// round, so each round's probes run concurrently on the exp engine while
+// the probe layout — and hence the returned rate — stays identical for
+// every worker count. When the capacity bound proves optimistic, the
+// bracket-expansion rungs are also probed concurrently (after the first
+// rung misses) with the same fixed layout. Cancelling ctx aborts the
+// in-flight simulations promptly.
 //
 // The search belongs to the fabric and its traffic, not to the
 // controller: the probes are built with ControlPeriod and Transient
 // cleared (they set their own windows, and a fixed-frequency policy never
 // actuates), so scenarios that differ only in controller fields run the
 // same search and return the same rate.
-func FindSaturation(ctx context.Context, s Scenario) (float64, error) {
-	rate, _, err := FindSaturationStats(ctx, s)
-	return rate, err
-}
-
-// FindSaturationStats is FindSaturation that also reports how many probes
-// the search scheduled and how many of them it stopped early.
-func FindSaturationStats(ctx context.Context, s Scenario) (float64, SearchStats, error) {
+func FindSaturation(ctx context.Context, s Scenario) (float64, SearchStats, error) {
 	s.setDefaults()
 	if err := s.validate(); err != nil {
 		return 0, SearchStats{}, err
@@ -397,7 +389,8 @@ func FindSaturationStats(ctx context.Context, s Scenario) (float64, SearchStats,
 	hi := maxLoad
 	if s.Pattern != "" {
 		if p, err := traffic.ByName(s.Pattern, s.Noc); err == nil {
-			if c := noc.TheoreticalCapacity(s.Noc, traffic.Matrix(p, s.Noc)); c > 0 && c < 1 {
+			c, err := noc.TheoreticalCapacity(s.Noc, s.Faults, s.Islands, traffic.Matrix(p, s.Noc))
+			if err == nil && c > 0 && c < 1 {
 				hi = c * 1.1
 				if hi > maxLoad {
 					hi = maxLoad
@@ -574,7 +567,7 @@ func probeRound(ctx context.Context, workers int, loads []float64, probe func(ct
 // what RMSD delivers throughout its scaling range — Sec. IV sets the
 // target to "the value of RMSD at injection rate λmax").
 func Calibrate(ctx context.Context, s Scenario) (Calibration, error) {
-	satLoad, err := FindSaturation(ctx, s)
+	satLoad, _, err := FindSaturation(ctx, s)
 	if err != nil {
 		return Calibration{}, err
 	}
@@ -641,7 +634,7 @@ func buildPolicy(kind PolicyKind, s *Scenario, cal Calibration, load float64) (d
 		if kp == 0 {
 			kp = dvfs.DefaultKP
 		}
-		pol, err := dvfs.NewDMSDGains(cal.TargetDelayNs, rng, ki, kp)
+		pol, err := dvfs.NewDMSD(cal.TargetDelayNs, rng, ki, kp)
 		if err != nil {
 			return nil, err
 		}
@@ -654,98 +647,13 @@ func buildPolicy(kind PolicyKind, s *Scenario, cal Calibration, load float64) (d
 	}
 }
 
-// Point is one sweep sample: the offered load and the measured result for
-// one policy.
-type Point struct {
-	Load   float64
-	Result sim.Result
-}
-
-// Sweep holds one policy's curve over the load grid.
-type Sweep struct {
-	Policy PolicyKind
-	Points []Point
-}
-
-// Comparison is the full output of ComparePolicies: the calibration used
-// plus one curve per policy.
-type Comparison struct {
-	Scenario    Scenario
-	Calibration Calibration
-	Sweeps      map[PolicyKind]Sweep
-}
-
-// ComparePolicies runs every requested policy across the load grid
-// (injection rates for synthetic traffic, speeds for apps) and returns
-// the measured curves. A zero-valued cal triggers automatic calibration.
-//
-// Every (policy, load) point is one independent job fanned out across
-// the exp engine under Scenario.Workers: the memoryless policies
-// (No-DVFS, RMSD) build a fresh controller per point, and DMSD is
-// warm-started at the point's equilibrium guess (EquilibriumFreq), which
-// replaces the old sequential warm-start chain and is exactly what
-// nocsim.Run does for a standalone grid point — the two paths produce
-// identical numbers. Each point owns an independent RNG stream derived
-// from the scenario seed and the point's position in the kinds × loads
-// grid through exp.Seed, so replication samples across points are
-// uncorrelated. Results are byte-identical to serial execution for any
-// worker count; cancelling ctx aborts in-flight points promptly.
-func ComparePolicies(ctx context.Context, s Scenario, loads []float64, kinds []PolicyKind, cal Calibration) (Comparison, error) {
-	s.setDefaults()
-	if err := s.validate(); err != nil {
-		return Comparison{}, err
-	}
-	if len(loads) == 0 {
-		return Comparison{}, errors.New("core: empty load grid")
-	}
-	if len(kinds) == 0 {
-		kinds = AllPolicies()
-	}
-	if cal == (Calibration{}) {
-		var err error
-		cal, err = Calibrate(ctx, s)
-		if err != nil {
-			return Comparison{}, err
-		}
-	}
-	// One leaf job per (policy, load) point; index i maps to policy
-	// i/len(loads) at load i%len(loads), and the per-point seed stream
-	// depends only on that flat grid position.
-	n := len(kinds) * len(loads)
-	curves, err := exp.Map(ctx, s.workers(), n,
-		func(ctx context.Context, i int) (Point, error) {
-			kind, load := kinds[i/len(loads)], loads[i%len(loads)]
-			pol, err := buildPolicy(kind, &s, cal, load)
-			if err != nil {
-				return Point{}, err
-			}
-			p, err := s.simParams(load, pol, kind == DMSD, exp.Seed(s.Seed, i))
-			if err != nil {
-				return Point{}, err
-			}
-			res, err := runSim(ctx, p)
-			if err != nil {
-				return Point{}, err
-			}
-			return Point{Load: load, Result: res}, nil
-		})
-	if err != nil {
-		return Comparison{}, err
-	}
-	out := Comparison{Scenario: s, Calibration: cal, Sweeps: make(map[PolicyKind]Sweep, len(kinds))}
-	for ki, kind := range kinds {
-		out.Sweeps[kind] = Sweep{Policy: kind, Points: curves[ki*len(loads) : (ki+1)*len(loads)]}
-	}
-	return out, nil
-}
-
 // RunOne executes a single (policy, load) point with automatic policy
-// construction; a convenience for examples and spot checks, and the
-// execution path of every nocsim grid point. The run uses the scenario's
-// root seed directly and observes ctx. A DMSD run is warm-started at the
-// load's equilibrium guess exactly as a ComparePolicies grid point is
-// (unless Scenario.Transient captures the cold start), so a grid point
-// re-run standalone reproduces the sweep's number.
+// construction: the execution path of every nocsim grid point. The run
+// uses the scenario's seed directly and observes ctx. A DMSD run is
+// warm-started at the load's equilibrium guess (unless
+// Scenario.Transient captures the cold start), so every point is an
+// independent job and a grid point re-run standalone reproduces the
+// grid's number.
 func RunOne(ctx context.Context, s Scenario, kind PolicyKind, load float64, cal Calibration) (sim.Result, error) {
 	s.setDefaults()
 	if err := s.validate(); err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/noc"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -61,7 +62,7 @@ func TestFindSaturationBaseline(t *testing.T) {
 	// The paper reports saturation ≈0.42 for the baseline configuration
 	// (Sec. III). Accept a band around it: exact value depends on
 	// allocator details.
-	sat, err := FindSaturation(context.Background(), quickScenario())
+	sat, _, err := FindSaturation(context.Background(), quickScenario())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,12 +76,12 @@ func TestFindSaturationFewerVCsIsLower(t *testing.T) {
 		t.Skip("short mode: saturation search runs tens of simulations")
 	}
 	s := quickScenario()
-	sat8, err := FindSaturation(context.Background(), s)
+	sat8, _, err := FindSaturation(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Noc.VCs = 2
-	sat2, err := FindSaturation(context.Background(), s)
+	sat2, _, err := FindSaturation(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,21 +125,27 @@ func TestRunOneUnknownPolicy(t *testing.T) {
 	}
 }
 
+// runPoints runs each policy once at load on the scenario, as a grid of
+// nocsim points does.
+func runPoints(t *testing.T, s Scenario, load float64, kinds []PolicyKind, cal Calibration) map[PolicyKind]sim.Result {
+	t.Helper()
+	out := make(map[PolicyKind]sim.Result, len(kinds))
+	for _, kind := range kinds {
+		res, err := RunOne(context.Background(), s, kind, load, cal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[kind] = res
+	}
+	return out
+}
+
 func TestComparePoliciesOrderings(t *testing.T) {
 	// One moderate-load point, all three policies, fixed calibration to
 	// keep the test fast and deterministic. Verifies the paper's headline
 	// orderings: P(RMSD) < P(DMSD) < P(NoDVFS); D(RMSD) > D(DMSD).
-	cal := Calibration{SaturationRate: 0.42, LambdaMax: 0.378, TargetDelayNs: 150}
-	cmp, err := ComparePolicies(context.Background(), quickScenario(), []float64{0.2}, AllPolicies(), cal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cmp.Sweeps) != 3 {
-		t.Fatalf("got %d sweeps", len(cmp.Sweeps))
-	}
-	pN := cmp.Sweeps[NoDVFS].Points[0].Result
-	pR := cmp.Sweeps[RMSD].Points[0].Result
-	pD := cmp.Sweeps[DMSD].Points[0].Result
+	res := runPoints(t, quickScenario(), 0.2, AllPolicies(), goldenCal())
+	pN, pR, pD := res[NoDVFS], res[RMSD], res[DMSD]
 	if !(pR.AvgPowerMW < pD.AvgPowerMW && pD.AvgPowerMW < pN.AvgPowerMW) {
 		t.Errorf("power ordering: rmsd %.1f, dmsd %.1f, nodvfs %.1f mW",
 			pR.AvgPowerMW, pD.AvgPowerMW, pN.AvgPowerMW)
@@ -146,12 +153,6 @@ func TestComparePoliciesOrderings(t *testing.T) {
 	if pR.AvgDelayNs <= pD.AvgDelayNs {
 		t.Errorf("delay ordering: rmsd %.1f ns not above dmsd %.1f ns",
 			pR.AvgDelayNs, pD.AvgDelayNs)
-	}
-}
-
-func TestComparePoliciesEmptyGrid(t *testing.T) {
-	if _, err := ComparePolicies(context.Background(), quickScenario(), nil, nil, Calibration{SaturationRate: 0.4, LambdaMax: 0.36, TargetDelayNs: 150}); err == nil {
-		t.Error("accepted empty load grid")
 	}
 }
 
@@ -163,14 +164,11 @@ func TestComparePoliciesAppScenario(t *testing.T) {
 		Quick: true,
 	}
 	cal := Calibration{SaturationRate: 0.5, LambdaMax: 0.45, TargetDelayNs: 120}
-	cmp, err := ComparePolicies(context.Background(), s, []float64{0.5}, []PolicyKind{NoDVFS, RMSD}, cal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmp.Sweeps[NoDVFS].Points[0].Result.Packets == 0 {
+	res := runPoints(t, s, 0.5, []PolicyKind{NoDVFS, RMSD}, cal)
+	if res[NoDVFS].Packets == 0 {
 		t.Error("app scenario measured no packets")
 	}
-	if cmp.Sweeps[RMSD].Points[0].Result.AvgPowerMW >= cmp.Sweeps[NoDVFS].Points[0].Result.AvgPowerMW {
+	if res[RMSD].AvgPowerMW >= res[NoDVFS].AvgPowerMW {
 		t.Error("RMSD power not below No-DVFS on app traffic")
 	}
 }

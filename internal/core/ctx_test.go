@@ -65,7 +65,7 @@ func TestFindSaturationCancelled(t *testing.T) {
 	time.AfterFunc(150*time.Millisecond, cancel)
 
 	start := time.Now()
-	_, _, err := FindSaturationStats(ctx, s)
+	_, _, err := FindSaturation(ctx, s)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -3,46 +3,50 @@ package core
 import (
 	"context"
 	"reflect"
-	"runtime"
 	"testing"
-	"time"
+
+	"repro/internal/exp"
+	"repro/internal/sim"
 )
 
 // goldenCal is a fixed calibration so the golden tests exercise only the
-// sweep path, not the saturation search.
+// runs, not the saturation search.
 func goldenCal() Calibration {
 	return Calibration{SaturationRate: 0.42, LambdaMax: 0.378, TargetDelayNs: 150}
 }
 
-// TestGoldenParallelMatchesSerial is the determinism contract of the exp
-// rewiring: the same root seed must produce bit-identical sweep results
-// whether the grid runs serially (Workers=1, the pre-exp reference
-// semantics) or fanned out across many workers.
+// TestGoldenParallelMatchesSerial is the determinism contract of a grid
+// of RunOne points, the way nocsim fans one out: each point seeded by
+// exp.Seed from the root seed and its grid position, the same root seed
+// must produce bit-identical results whether the points run serially or
+// concurrently, sharing the process's fabric and injector free lists.
 func TestGoldenParallelMatchesSerial(t *testing.T) {
-	grid := LoadGrid(0.3, 3)
+	loads := LoadGrid(0.3, 3)
 	workerSet := []int{2, 8}
 	if testing.Short() {
-		// Scaled-down grid: the determinism contract still gets exercised
-		// end to end, just over fewer points and one worker count.
-		grid = LoadGrid(0.3, 2)
+		loads = LoadGrid(0.3, 2)
 		workerSet = []int{4}
 	}
-	run := func(workers int) map[PolicyKind]Sweep {
-		s := quickScenario()
-		s.Workers = workers
-		cmp, err := ComparePolicies(context.Background(), s, grid, AllPolicies(), goldenCal())
+	kinds := AllPolicies()
+	run := func(workers int) []sim.Result {
+		res, err := exp.Map(context.Background(), workers, len(kinds)*len(loads),
+			func(ctx context.Context, i int) (sim.Result, error) {
+				s := quickScenario()
+				s.Seed = exp.Seed(1, i)
+				return RunOne(ctx, s, kinds[i/len(loads)], loads[i%len(loads)], goldenCal())
+			})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return cmp.Sweeps
+		return res
 	}
 	serial := run(1)
 	for _, workers := range workerSet {
 		par := run(workers)
-		for _, kind := range AllPolicies() {
-			if !reflect.DeepEqual(serial[kind], par[kind]) {
-				t.Errorf("workers=%d: %s sweep differs from serial:\nserial:   %+v\nparallel: %+v",
-					workers, kind, serial[kind], par[kind])
+		for i := range serial {
+			if !reflect.DeepEqual(serial[i], par[i]) {
+				t.Errorf("workers=%d: point %d differs from serial:\nserial:   %+v\nparallel: %+v",
+					workers, i, serial[i], par[i])
 			}
 		}
 	}
@@ -57,64 +61,16 @@ func TestGoldenFindSaturationParallelMatchesSerial(t *testing.T) {
 	}
 	s := quickScenario()
 	s.Workers = 1
-	serial, err := FindSaturation(context.Background(), s)
+	serial, _, err := FindSaturation(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Workers = 8
-	parallel, err := FindSaturation(context.Background(), s)
+	parallel, _, err := FindSaturation(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if serial != parallel {
 		t.Errorf("saturation rate depends on workers: serial %v, parallel %v", serial, parallel)
-	}
-}
-
-// TestParallelSweepSpeedup is the wall-clock acceptance check: on a
-// machine with >= 4 cores a multi-point three-policy sweep must run at
-// least 2x faster in parallel than serially. It skips on smaller machines
-// (and in short mode), where the golden tests above still prove the
-// engine's correctness.
-func TestParallelSweepSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	cores := runtime.GOMAXPROCS(0)
-	if cores < 4 {
-		t.Skipf("need >= 4 cores for a meaningful speedup, have %d", cores)
-	}
-	grid := LoadGrid(0.3, 6)
-	timeIt := func(workers int) time.Duration {
-		s := quickScenario()
-		s.Workers = workers
-		start := time.Now()
-		if _, err := ComparePolicies(context.Background(), s, grid, AllPolicies(), goldenCal()); err != nil {
-			t.Fatal(err)
-		}
-		return time.Since(start)
-	}
-	timeIt(cores) // warm up
-	serial := timeIt(1)
-	parallel := timeIt(cores)
-	t.Logf("serial %v, parallel %v on %d cores (%.1fx)", serial, parallel, cores,
-		float64(serial)/float64(parallel))
-	if parallel > serial/2 {
-		t.Errorf("parallel sweep %v not >= 2x faster than serial %v on %d cores",
-			parallel, serial, cores)
-	}
-}
-
-func BenchmarkComparePoliciesSerial(b *testing.B)   { benchCompare(b, 1) }
-func BenchmarkComparePoliciesParallel(b *testing.B) { benchCompare(b, 0) }
-
-func benchCompare(b *testing.B, workers int) {
-	grid := LoadGrid(0.3, 4)
-	for i := 0; i < b.N; i++ {
-		s := quickScenario()
-		s.Workers = workers
-		if _, err := ComparePolicies(context.Background(), s, grid, AllPolicies(), goldenCal()); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

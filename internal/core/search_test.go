@@ -158,7 +158,7 @@ func TestSearchIgnoresControllerFields(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		base := quickScenario()
 		base.Seed = seed
-		want, err := FindSaturation(context.Background(), base)
+		want, _, err := FindSaturation(context.Background(), base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func TestSearchIgnoresControllerFields(t *testing.T) {
 		pi.Transient = true
 		pi.ControlPeriod = dvfs.ControlPeriodNodeCycles
 		pi.KI, pi.KP, pi.FreqLevels = 0.05, 0.025, 4
-		got, err := FindSaturation(context.Background(), pi)
+		got, _, err := FindSaturation(context.Background(), pi)
 		if err != nil {
 			t.Fatal(err)
 		}

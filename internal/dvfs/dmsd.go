@@ -33,17 +33,11 @@ const (
 // clock cycles at the highest frequency (i.e. node clock cycles).
 const ControlPeriodNodeCycles = 10000
 
-// NewDMSD builds the policy with the paper's gains. targetNs is the delay
-// setpoint in nanoseconds. The controller starts at FMax (U=1): the
-// network boots at full speed and the loop slows it down until the delay
-// rises to the target.
-func NewDMSD(targetNs float64, rng Range) (*DMSD, error) {
-	return NewDMSDGains(targetNs, rng, DefaultKI, DefaultKP)
-}
-
-// NewDMSDGains builds the policy with explicit PI gains, supporting the
-// gain-sensitivity ablation.
-func NewDMSDGains(targetNs float64, rng Range, ki, kp float64) (*DMSD, error) {
+// NewDMSD builds the policy. targetNs is the delay setpoint in
+// nanoseconds; ki and kp are the PI gains (DefaultKI and DefaultKP are the
+// paper's). The controller starts at FMax (U=1): the network boots at full
+// speed and the loop slows it down until the delay rises to the target.
+func NewDMSD(targetNs float64, rng Range, ki, kp float64) (*DMSD, error) {
 	if err := rng.Validate(); err != nil {
 		return nil, err
 	}

@@ -7,7 +7,7 @@ import (
 
 func newTestDMSD(t *testing.T) *DMSD {
 	t.Helper()
-	p, err := NewDMSD(150, DefaultRange())
+	p, err := NewDMSD(150, DefaultRange(), DefaultKI, DefaultKP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,19 +28,19 @@ func TestDMSDBasics(t *testing.T) {
 }
 
 func TestDMSDValidation(t *testing.T) {
-	if _, err := NewDMSD(0, DefaultRange()); err == nil {
+	if _, err := NewDMSD(0, DefaultRange(), DefaultKI, DefaultKP); err == nil {
 		t.Error("accepted zero target")
 	}
-	if _, err := NewDMSD(-10, DefaultRange()); err == nil {
+	if _, err := NewDMSD(-10, DefaultRange(), DefaultKI, DefaultKP); err == nil {
 		t.Error("accepted negative target")
 	}
-	if _, err := NewDMSDGains(150, DefaultRange(), 0, 0.01); err == nil {
+	if _, err := NewDMSD(150, DefaultRange(), 0, 0.01); err == nil {
 		t.Error("accepted zero KI")
 	}
-	if _, err := NewDMSDGains(150, DefaultRange(), 0.025, -1); err == nil {
+	if _, err := NewDMSD(150, DefaultRange(), 0.025, -1); err == nil {
 		t.Error("accepted negative KP")
 	}
-	if _, err := NewDMSD(150, Range{FMin: 5, FMax: 1}); err == nil {
+	if _, err := NewDMSD(150, Range{FMin: 5, FMax: 1}, DefaultKI, DefaultKP); err == nil {
 		t.Error("accepted bad range")
 	}
 }
@@ -135,7 +135,7 @@ func TestDMSDGainAblation(t *testing.T) {
 	// Higher KI converges faster on a step; verify ordering of settling
 	// behaviour rather than absolute values.
 	settle := func(ki float64) int {
-		p, err := NewDMSDGains(150, DefaultRange(), ki, ki/2)
+		p, err := NewDMSD(150, DefaultRange(), ki, ki/2)
 		if err != nil {
 			t.Fatal(err)
 		}

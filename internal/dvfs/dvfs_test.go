@@ -86,6 +86,12 @@ func newTestRMSD(t *testing.T) *RMSD {
 	return p
 }
 
+// freqAt feeds the controller one window whose node rate is lambdaNode
+// (to a millionth) and returns the frequency Eq. (2) commands for it.
+func freqAt(p *RMSD, lambdaNode float64) float64 {
+	return p.Next(Measurement{NodeCycles: 1e6, Nodes: 1, OfferedFlits: int64(math.Round(lambdaNode * 1e6))})
+}
+
 func TestRMSDFrequencyLaw(t *testing.T) {
 	// Eq. (2): Fnoc = Fnode * lambdaNode / lambdaMax within range.
 	p := newTestRMSD(t)
@@ -113,19 +119,17 @@ func TestRMSDClipping(t *testing.T) {
 }
 
 func TestRMSDLambdaMin(t *testing.T) {
+	// Below λmin = λmax·FMin/Fnode (Sec. III) the frequency clips at FMin:
+	// at exactly λmin the law lands on FMin, at λmax on FMax.
 	p := newTestRMSD(t)
-	want := 0.378 * 333e6 / 1e9
-	if got := p.LambdaMin(); math.Abs(got-want) > 1e-12 {
-		t.Errorf("LambdaMin = %g, want %g", got, want)
-	}
-	if p.LambdaMax() != 0.378 {
-		t.Errorf("LambdaMax = %g", p.LambdaMax())
-	}
-	// At exactly λmin the law lands exactly on FMin; at λmax on FMax.
-	if got := p.FreqForRate(p.LambdaMin()); math.Abs(got-333e6) > 1 {
+	lambdaMin := 0.378 * 333e6 / 1e9
+	if got := freqAt(p, lambdaMin); math.Abs(got-333e6) > 1 {
 		t.Errorf("F(λmin) = %g, want FMin", got)
 	}
-	if got := p.FreqForRate(p.LambdaMax()); math.Abs(got-1e9) > 1 {
+	if got := freqAt(p, 0.9*lambdaMin); got != 333e6 {
+		t.Errorf("F(0.9 λmin) = %g, want FMin", got)
+	}
+	if got := freqAt(p, 0.378); math.Abs(got-1e9) > 1 {
 		t.Errorf("F(λmax) = %g, want FMax", got)
 	}
 }
@@ -138,7 +142,7 @@ func TestRMSDFreqMonotoneInRateQuick(t *testing.T) {
 		if r1 > r2 {
 			r1, r2 = r2, r1
 		}
-		return p.FreqForRate(r1) <= p.FreqForRate(r2)+1e-9
+		return freqAt(p, r1) <= freqAt(p, r2)+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -172,23 +176,6 @@ func TestRMSDResetAndInitialFreq(t *testing.T) {
 	p.Reset()
 	if p.Freq() != 1e9 {
 		t.Error("Reset did not restore FMax")
-	}
-}
-
-func TestRMSDSmoothing(t *testing.T) {
-	p := newTestRMSD(t)
-	p.SetSmoothing(0.5)
-	m := Measurement{NodeCycles: 1000, Nodes: 25}
-	m.OfferedFlits = int64(0.3 * 1000 * 25)
-	f1 := p.Next(m)
-	m.OfferedFlits = 0 // rate drops to zero; EWMA keeps 0.15
-	f2 := p.Next(m)
-	if f2 >= f1 {
-		t.Errorf("smoothed frequency did not fall: %g -> %g", f1, f2)
-	}
-	want := 1e9 * 0.15 / 0.378
-	if math.Abs(f2-want)/want > 1e-9 {
-		t.Errorf("EWMA frequency = %g, want %g", f2, want)
 	}
 }
 

@@ -15,22 +15,22 @@ func ExampleRMSD() {
 		panic(err)
 	}
 	for _, rate := range []float64{0.05, 0.2, 0.378, 0.5} {
-		fmt.Printf("λnode=%.3f -> %.0f MHz\n", rate, rmsd.FreqForRate(rate)/1e6)
+		// One control window of 10 000 cycles on a 25-node mesh.
+		m := dvfs.Measurement{NodeCycles: 10000, Nodes: 25, OfferedFlits: int64(rate * 10000 * 25)}
+		fmt.Printf("λnode=%.3f -> %.0f MHz\n", rate, rmsd.Next(m)/1e6)
 	}
-	fmt.Printf("λmin=%.3f\n", rmsd.LambdaMin())
 	// Output:
 	// λnode=0.050 -> 333 MHz
 	// λnode=0.200 -> 529 MHz
 	// λnode=0.378 -> 1000 MHz
 	// λnode=0.500 -> 1000 MHz
-	// λmin=0.126
 }
 
 // ExampleDMSD drives the closed-loop controller against a toy plant whose
 // delay falls as the clock rises; the loop settles with the delay at the
 // 150 ns target.
 func ExampleDMSD() {
-	dmsd, err := dvfs.NewDMSD(150, dvfs.DefaultRange())
+	dmsd, err := dvfs.NewDMSD(150, dvfs.DefaultRange(), dvfs.DefaultKI, dvfs.DefaultKP)
 	if err != nil {
 		panic(err)
 	}

@@ -38,9 +38,6 @@ func (p *PI) Update(err float64) float64 {
 	return p.u
 }
 
-// Output returns the current controller output.
-func (p *PI) Output() float64 { return p.u }
-
 // Reset restores the controller to output u0 with no error history.
 func (p *PI) Reset(u0 float64) {
 	p.u = Clip(u0, p.UMin, p.UMax)

@@ -57,7 +57,7 @@ func TestPIConvergesOnFirstOrderPlant(t *testing.T) {
 	pi := NewPI(0.05, 0.025, 0, 1, 1)
 	target := 150.0
 	plant := func(u float64) float64 { return 400 - 300*u } // delay in "ns"
-	u := pi.Output()
+	u := pi.u
 	for i := 0; i < 2000; i++ {
 		meas := plant(u)
 		e := (meas - target) / target
@@ -74,7 +74,7 @@ func TestPIStableWithPaperGains(t *testing.T) {
 	pi := NewPI(DefaultKI, DefaultKP, 0, 1, 1)
 	target := 150.0
 	plant := func(u float64) float64 { return 50 + 400*math.Exp(-3*u) }
-	u := pi.Output()
+	u := pi.u
 	var early, late float64
 	for i := 0; i < 3000; i++ {
 		meas := plant(u)
@@ -96,8 +96,8 @@ func TestPIReset(t *testing.T) {
 	pi := NewPI(0.1, 0.1, 0, 1, 0.3)
 	pi.Update(5)
 	pi.Reset(0.7)
-	if pi.Output() != 0.7 {
-		t.Errorf("Reset output = %g, want 0.7", pi.Output())
+	if pi.u != 0.7 {
+		t.Errorf("Reset output = %g, want 0.7", pi.u)
 	}
 	// After reset the derivative term must not see the stale error.
 	got := pi.Update(1)
@@ -109,7 +109,7 @@ func TestPIReset(t *testing.T) {
 
 func TestPIInitialOutputClamped(t *testing.T) {
 	pi := NewPI(0.1, 0.1, 0, 1, 5)
-	if pi.Output() != 1 {
-		t.Errorf("initial output = %g, want clamped to 1", pi.Output())
+	if pi.u != 1 {
+		t.Errorf("initial output = %g, want clamped to 1", pi.u)
 	}
 }

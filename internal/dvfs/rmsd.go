@@ -13,13 +13,10 @@ import "fmt"
 // network always operates just below saturation at the minimum frequency
 // able to sustain the offered load.
 type RMSD struct {
-	fnode  float64
-	lmax   float64
-	rng    Range
-	f      float64
-	smooth float64 // EWMA coefficient on the measured rate, 0 = off
-	ewma   float64
-	seeded bool
+	fnode float64
+	lmax  float64
+	rng   Range
+	f     float64
 }
 
 // NewRMSD builds the policy. fnode is the node clock (Hz), lambdaMax the
@@ -39,35 +36,12 @@ func NewRMSD(fnode, lambdaMax float64, rng Range) (*RMSD, error) {
 	return &RMSD{fnode: fnode, lmax: lambdaMax, rng: rng, f: rng.FMax}, nil
 }
 
-// SetSmoothing enables exponential smoothing of the measured rate with
-// coefficient alpha in (0,1]; alpha=1 (or 0) disables smoothing. Smoothing
-// is an extension for bursty traffic; the paper's experiments use the raw
-// window average.
-func (p *RMSD) SetSmoothing(alpha float64) { p.smooth = alpha }
-
-// LambdaMax returns the configured target network injection rate.
-func (p *RMSD) LambdaMax() float64 { return p.lmax }
-
-// LambdaMin returns the node injection rate below which the frequency
-// clips at FMin: λmin = λmax·FMin/Fnode (Sec. III).
-func (p *RMSD) LambdaMin() float64 { return p.lmax * p.rng.FMin / p.fnode }
-
 // Name implements Policy.
 func (*RMSD) Name() string { return "rmsd" }
 
 // Next implements Policy: the frequency-scaling law of Eq. (2).
 func (p *RMSD) Next(m Measurement) float64 {
-	rate := m.NodeRate()
-	if p.smooth > 0 && p.smooth < 1 {
-		if !p.seeded {
-			p.ewma = rate
-			p.seeded = true
-		} else {
-			p.ewma += p.smooth * (rate - p.ewma)
-		}
-		rate = p.ewma
-	}
-	p.f = p.rng.apply(p.fnode * rate / p.lmax)
+	p.f = p.rng.apply(p.fnode * m.NodeRate() / p.lmax)
 	return p.f
 }
 
@@ -75,15 +49,4 @@ func (p *RMSD) Next(m Measurement) float64 {
 func (p *RMSD) Freq() float64 { return p.f }
 
 // Reset implements Policy.
-func (p *RMSD) Reset() {
-	p.f = p.rng.FMax
-	p.ewma = 0
-	p.seeded = false
-}
-
-// FreqForRate returns the steady-state frequency Eq. (2) commands at node
-// rate λnode, without mutating the controller; useful for analysis and the
-// Fig. 4(a) curves.
-func (p *RMSD) FreqForRate(lambdaNode float64) float64 {
-	return p.rng.apply(p.fnode * lambdaNode / p.lmax)
-}
+func (p *RMSD) Reset() { p.f = p.rng.FMax }

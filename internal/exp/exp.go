@@ -112,8 +112,7 @@ func (e *PointError) Unwrap() error { return e.Err }
 // SplitMix64 finalizer so neighbouring indices map to statistically
 // independent streams. The derivation is pure: the same (root, index)
 // always yields the same seed, which is what keeps parallel execution
-// byte-identical to serial execution. The core sweeps
-// (core.ComparePolicies) and the public nocsim.Grid derive their
+// byte-identical to serial execution. The public nocsim.Grid derives its
 // per-point streams here, so replications and variance analysis across
 // points see uncorrelated samples; any new grid should do the same.
 func Seed(root int64, index int) int64 {

@@ -97,15 +97,13 @@ func portTowards(cfg *Config, from, to NodeID) Port {
 // sender's output half is cleared (node = -1, like a mesh edge) and the
 // receiver's facing input half forgets its upstream feeder, so any flit
 // or credit that would cross the dead wire panics instead of silently
-// traversing it. The sender's neighbour pointer for that direction is
-// cleared too.
+// traversing it.
 func (n *Network) maskFaults(faults []Link) {
 	for _, f := range faults {
 		p := portTowards(&n.cfg, f.From, f.To)
 		out := &n.links[int(f.From)*NumPorts+int(p)]
 		out.node = -1
 		out.port = 0
-		n.routers[f.From].neighbor[p] = nil
 		in := &n.links[int(f.To)*NumPorts+int(p.Opposite())]
 		in.upNode = -1
 		in.target = 0
@@ -200,9 +198,4 @@ func (n *Network) routePort(cur NodeID, p *Packet) Port {
 		return Port(n.routeTable[int(cur)*len(n.routers)+int(p.Dst)])
 	}
 	return RoutePort(&n.cfg, cur, p)
-}
-
-// Faults returns a copy of the faulted links the network was built with.
-func (n *Network) Faults() []Link {
-	return append([]Link(nil), n.faults...)
 }

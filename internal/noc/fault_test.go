@@ -166,9 +166,6 @@ func TestFaultedTrafficDrains(t *testing.T) {
 		t.Fatal("faulted traffic did not drain")
 	}
 	net.CheckInvariants()
-	if got := net.Faults(); len(got) != 3 {
-		t.Errorf("Faults() returned %d links, want 3", len(got))
-	}
 }
 
 // TestFaultedMatchesAcrossEngines locks the determinism contract for the

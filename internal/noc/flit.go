@@ -48,13 +48,8 @@ type Packet struct {
 // state in flat contiguous arrays with no free lists.
 type Flit struct {
 	Packet *Packet
-	Seq    int32 // index of this flit within the packet, 0-based
-	// VC is the virtual channel the flit occupies in the input buffer it
-	// is currently stored in (or is in flight towards). Config.Validate
-	// caps VCs at 12, so int8 always holds it.
-	VC   int8
-	Head bool // first flit of the packet
-	Tail bool // last flit of the packet
+	Head   bool // first flit of the packet
+	Tail   bool // last flit of the packet
 }
 
 // linkEvent records one link (or injection) traversal staged during cycle

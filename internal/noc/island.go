@@ -22,6 +22,19 @@ func (i Island) Contains(x, y int) bool {
 	return x >= i.X0 && x <= i.X1 && y >= i.Y0 && y <= i.Y1
 }
 
+// islandAt returns the index of the island node id of cfg's mesh runs
+// in, -1 for none; later islands win where rectangles overlap.
+func islandAt(cfg *Config, islands []Island, id NodeID) int {
+	x, y := cfg.Coord(id)
+	k := -1
+	for i, isl := range islands {
+		if isl.Contains(x, y) {
+			k = i
+		}
+	}
+	return k
+}
+
 // ValidateIslands checks every rectangle lies inside cfg's mesh with a
 // usable speed.
 func ValidateIslands(cfg Config, islands []Island) error {
@@ -61,22 +74,11 @@ func (n *Network) SetIslands(islands []Island) error {
 	n.islands = append([]Island(nil), islands...)
 	n.islandOf = make([]int16, len(n.routers))
 	for id := range n.islandOf {
-		n.islandOf[id] = -1
-		x, y := n.cfg.Coord(NodeID(id))
-		for k, isl := range islands {
-			if isl.Contains(x, y) {
-				n.islandOf[id] = int16(k)
-			}
-		}
+		n.islandOf[id] = int16(islandAt(&n.cfg, islands, NodeID(id)))
 	}
 	n.islandAcc = make([]float64, len(islands))
 	n.islandRun = make([]bool, len(islands))
 	return nil
-}
-
-// Islands returns a copy of the installed island set.
-func (n *Network) Islands() []Island {
-	return append([]Island(nil), n.islands...)
 }
 
 // advanceIslands ticks every island's fractional clock accumulator by

@@ -74,8 +74,8 @@ func TestIslandOverlapLaterWins(t *testing.T) {
 	if got := net.islandOf[0]; got != 0 {
 		t.Errorf("corner node assigned to island %d, want 0", got)
 	}
-	if got := net.Islands(); len(got) != 2 {
-		t.Errorf("Islands() returned %d, want 2", len(got))
+	if got := net.islands; len(got) != 2 {
+		t.Errorf("%d islands installed, want 2", len(got))
 	}
 }
 
@@ -108,7 +108,7 @@ func TestIslandsMatchAcrossEngines(t *testing.T) {
 		}
 		net.CheckInvariants()
 		q, a, i, e := net.Stats()
-		return arr, [4]int64{q, a, i, e}, net.RouterActivities()
+		return arr, [4]int64{q, a, i, e}, routerActivities(net)
 	}
 	refArr, refStats, refAct := run(true)
 	arr, stats, act := run(false)

@@ -43,10 +43,9 @@ type linkInfo struct {
 type Network struct {
 	cfg Config
 	// routers holds the mesh's routers contiguously (never reallocated
-	// after construction, so interior pointers — neighbor links, source
-	// backrefs — stay valid). Contiguity keeps the per-router allocator
-	// state of adjacent routers on neighbouring cache lines for the
-	// stage sweeps.
+	// after construction, so the sources' router pointers stay valid).
+	// Contiguity keeps the per-router allocator state of adjacent routers
+	// on neighbouring cache lines for the stage sweeps.
 	routers []Router
 	// sources[id] points into one contiguous slab of sources (see
 	// newSources), so walking it in id order walks memory forward.
@@ -69,11 +68,9 @@ type Network struct {
 	// traversal path pays one load instead of four scattered ones.
 	links []linkInfo
 
-	// faults lists the directed channels masked out of the link table, and
 	// routeTable (nodes×nodes next-hop ports, non-nil only with faults)
 	// replaces algorithmic route computation on faulted meshes. See
 	// fault.go.
-	faults     []Link
 	routeTable []int8
 
 	// Per-region V/F island state (see island.go): islandOf maps node id
@@ -194,7 +191,6 @@ func NewNetworkWithFaults(cfg Config, faults []Link) (*Network, error) {
 
 	n.links = make([]linkInfo, nodes*NumPorts)
 	for id := 0; id < nodes; id++ {
-		r := &n.routers[id]
 		x, y := cfg.Coord(NodeID(id))
 		li := id * NumPorts
 		n.links[li+int(PortLocal)] = linkInfo{node: -1, target: -int32(id) - 1, upNode: int32(id)}
@@ -204,22 +200,20 @@ func NewNetworkWithFaults(cfg Config, faults []Link) (*Network, error) {
 				n.links[li+int(p)] = linkInfo{node: -1, upNode: -1}
 				continue
 			}
-			nb := &n.routers[cfg.Node(x+dx, y+dy)]
-			r.neighbor[p] = nb
-			// A slot freed in r's input port p returns a credit to nb's
-			// output port facing r.
+			nb := cfg.Node(x+dx, y+dy)
+			// A slot freed in this router's input port p returns a credit
+			// to nb's output port facing it.
 			n.links[li+int(p)] = linkInfo{
-				node:   int32(nb.id),
+				node:   int32(nb),
 				port:   int8(p.Opposite()),
-				target: int32(int(nb.id)*NumPorts + int(p.Opposite())),
-				upNode: int32(nb.id),
+				target: int32(int(nb)*NumPorts + int(p.Opposite())),
+				upNode: int32(nb),
 			}
 		}
 	}
 
 	if len(faults) > 0 {
-		n.faults = append([]Link(nil), faults...)
-		n.maskFaults(n.faults)
+		n.maskFaults(faults)
 		if err := n.buildRouteTable(); err != nil {
 			return nil, err
 		}
@@ -279,14 +273,8 @@ func (n *Network) Reset() {
 	n.packetsQueued, n.packetsArrived, n.flitsInjected, n.flitsEjected = 0, 0, 0, 0
 }
 
-// Config returns the network configuration.
-func (n *Network) Config() Config { return n.cfg }
-
 // Cycle returns the current network clock cycle.
 func (n *Network) Cycle() int64 { return n.cycle }
-
-// Router returns the router at node id.
-func (n *Network) Router(id NodeID) *Router { return &n.routers[id] }
 
 // SetSkipAhead enables or disables the quiescent fast path, the active
 // sets, and the stage-major order (all on by default). With skip-ahead
@@ -586,16 +574,6 @@ func (n *Network) Activity() NetworkActivity {
 	}
 	agg.Cycles = n.cycle
 	return agg
-}
-
-// RouterActivities returns a snapshot of each router's activity counters,
-// indexed by node id.
-func (n *Network) RouterActivities() []RouterActivity {
-	out := make([]RouterActivity, len(n.routers))
-	for i := range n.routers {
-		out[i] = n.routers[i].Activity
-	}
-	return out
 }
 
 // CheckInvariants panics if any router's credit or VC state, or the

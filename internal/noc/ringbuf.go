@@ -18,14 +18,6 @@ func (q *packetQueue) Len() int { return len(q.items) - q.head }
 // Push appends a packet.
 func (q *packetQueue) Push(p *Packet) { q.items = append(q.items, p) }
 
-// Front returns the oldest packet, or nil if the queue is empty.
-func (q *packetQueue) Front() *Packet {
-	if q.Len() == 0 {
-		return nil
-	}
-	return q.items[q.head]
-}
-
 // Pop removes and returns the oldest packet; nil if empty.
 func (q *packetQueue) Pop() *Packet {
 	if q.Len() == 0 {

@@ -86,11 +86,6 @@ type Router struct {
 	// link table (Network.links).
 	linkBase int
 
-	// neighbor[port] is the adjacent router reached through port, or nil
-	// at mesh edges and for PortLocal. (The hot path uses the link tables
-	// instead; this stays for construction and tests.)
-	neighbor [NumPorts]*Router
-
 	// Round-robin priority pointers for the allocators.
 	vaPri    [NumPorts]int // per output port, rotates over flat input VC index
 	saInPri  [NumPorts]int // per input port, rotates over its VCs
@@ -136,24 +131,21 @@ type Router struct {
 }
 
 // reset returns the router to its as-built state, keeping what
-// construction wired: identity, the views into the network's flat
-// arrays, and the neighbour pointers. Every other field is zeroed by
-// omission, so a field added later is reset unless it is listed here.
+// construction wired: identity and the views into the network's flat
+// arrays. Every other field is zeroed by omission, so a field added later
+// is reset unless it is listed here.
 // vcBits has one bit set per VC: every output VC starts with credits.
 func (r *Router) reset(vcBits uint64) {
 	*r = Router{
 		id: r.id, x: r.x, y: r.y, net: r.net,
 		vcs: r.vcs, depth: r.depth,
 		vc: r.vc, bufs: r.bufs, outState: r.outState,
-		linkBase: r.linkBase, neighbor: r.neighbor,
+		linkBase: r.linkBase,
 	}
 	for p := range r.creditMask {
 		r.creditMask[p] = vcBits
 	}
 }
-
-// ID returns the router's node id.
-func (r *Router) ID() NodeID { return r.id }
 
 // setStageBit / clearStageBit keep one of the network's per-stage word
 // sets (rcWords/vaWords/saWords) in sync with this router's stage counter
@@ -447,7 +439,6 @@ func (r *Router) stageSA(cycle int64) {
 
 		outVC := int(st.outVC)
 		o := op*vcs + outVC
-		flit.VC = int8(outVC)
 
 		// The freed buffer slot returns upstream as a credit, riding the
 		// same staged event as the flit (or the eject).

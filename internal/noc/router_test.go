@@ -175,7 +175,7 @@ func TestBackpressurePropagatesToSource(t *testing.T) {
 		t.Errorf("hotspot backlog %d, expected heavy queueing", backlog)
 	}
 	// The ejection port delivered at most one flit per cycle.
-	act := net.Router(12).Activity
+	act := net.routers[12].Activity
 	if act.EjectFlits > net.Cycle() {
 		t.Errorf("node 12 ejected %d flits in %d cycles", act.EjectFlits, net.Cycle())
 	}
@@ -194,7 +194,7 @@ func TestVCAllocationReleasedOnTail(t *testing.T) {
 		t.Fatal("drain failed")
 	}
 	for id := 0; id < cfg.Nodes(); id++ {
-		r := net.Router(NodeID(id))
+		r := &net.routers[id]
 		for p := 0; p < NumPorts; p++ {
 			for v := 0; v < cfg.VCs; v++ {
 				o := r.outState[p*cfg.VCs+v]

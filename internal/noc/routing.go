@@ -46,26 +46,3 @@ func RoutePort(cfg *Config, cur NodeID, p *Packet) Port {
 		return routeDOR(cfg, cur, p.Dst, false)
 	}
 }
-
-// PathLength returns the number of router-to-router hops a packet travels
-// between src and dst under any minimal dimension-ordered route (both XY
-// and YX are minimal on a mesh, so the length is the Manhattan distance).
-func PathLength(cfg *Config, src, dst NodeID) int {
-	return cfg.Distance(src, dst)
-}
-
-// RouteTrace returns the ordered list of nodes visited by a packet from src
-// to dst under the given dimension order (yFirst selects YX). The trace
-// includes both endpoints. It is primarily a testing and analysis aid.
-func RouteTrace(cfg *Config, src, dst NodeID, yFirst bool) []NodeID {
-	trace := []NodeID{src}
-	cur := src
-	for cur != dst {
-		p := routeDOR(cfg, cur, dst, yFirst)
-		dx, dy := p.delta()
-		x, y := cfg.Coord(cur)
-		cur = cfg.Node(x+dx, y+dy)
-		trace = append(trace, cur)
-	}
-	return trace
-}

@@ -5,6 +5,19 @@ import (
 	"testing/quick"
 )
 
+// routeTrace returns the nodes a packet from src to dst visits under the
+// given dimension order (yFirst selects YX), both endpoints included.
+func routeTrace(cfg *Config, src, dst NodeID, yFirst bool) []NodeID {
+	trace := []NodeID{src}
+	for cur := src; cur != dst; {
+		dx, dy := routeDOR(cfg, cur, dst, yFirst).delta()
+		x, y := cfg.Coord(cur)
+		cur = cfg.Node(x+dx, y+dy)
+		trace = append(trace, cur)
+	}
+	return trace
+}
+
 func TestRouteDORXY(t *testing.T) {
 	cfg := Config{Width: 5, Height: 5}
 	tests := []struct {
@@ -76,7 +89,7 @@ func TestRouteTraceLengthIsDistance(t *testing.T) {
 	for src := 0; src < cfg.Nodes(); src++ {
 		for dst := 0; dst < cfg.Nodes(); dst++ {
 			for _, yFirst := range []bool{false, true} {
-				trace := RouteTrace(&cfg, NodeID(src), NodeID(dst), yFirst)
+				trace := routeTrace(&cfg, NodeID(src), NodeID(dst), yFirst)
 				wantLen := cfg.Distance(NodeID(src), NodeID(dst)) + 1
 				if len(trace) != wantLen {
 					t.Fatalf("trace %d->%d yFirst=%v: len=%d want %d",
@@ -97,7 +110,7 @@ func TestRouteTraceMonotoneProgress(t *testing.T) {
 	f := func(a, b uint16, yFirst bool) bool {
 		src := NodeID(int(a) % cfg.Nodes())
 		dst := NodeID(int(b) % cfg.Nodes())
-		trace := RouteTrace(&cfg, src, dst, yFirst)
+		trace := routeTrace(&cfg, src, dst, yFirst)
 		for i := 1; i < len(trace); i++ {
 			if cfg.Distance(trace[i], dst) != cfg.Distance(trace[i-1], dst)-1 {
 				return false
@@ -117,7 +130,7 @@ func TestXYTraceTurnsAtMostOnce(t *testing.T) {
 	cfg := Config{Width: 7, Height: 7}
 	for src := 0; src < cfg.Nodes(); src += 3 {
 		for dst := 0; dst < cfg.Nodes(); dst += 2 {
-			trace := RouteTrace(&cfg, NodeID(src), NodeID(dst), false)
+			trace := routeTrace(&cfg, NodeID(src), NodeID(dst), false)
 			vertical := false
 			for i := 1; i < len(trace); i++ {
 				x0, _ := cfg.Coord(trace[i-1])
@@ -131,15 +144,5 @@ func TestXYTraceTurnsAtMostOnce(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestPathLength(t *testing.T) {
-	cfg := Config{Width: 5, Height: 5}
-	if got := PathLength(&cfg, 0, 24); got != 8 {
-		t.Errorf("PathLength(0,24) = %d, want 8", got)
-	}
-	if got := PathLength(&cfg, 7, 7); got != 0 {
-		t.Errorf("PathLength(7,7) = %d, want 0", got)
 	}
 }

@@ -120,10 +120,8 @@ func (s *source) step(cycle int64, cfg *Config) {
 	p := s.cur
 	f := Flit{
 		Packet: p,
-		Seq:    int32(s.curSeq),
 		Head:   s.curSeq == 0,
 		Tail:   s.curSeq == p.Size-1,
-		VC:     int8(s.curVC),
 	}
 	s.credits[s.curVC]--
 	s.outstanding[s.curVC]++

@@ -6,6 +6,16 @@ import (
 	"testing"
 )
 
+// routerActivities returns a copy of each router's activity counters,
+// indexed by node id.
+func routerActivities(n *Network) []RouterActivity {
+	out := make([]RouterActivity, len(n.routers))
+	for i := range n.routers {
+		out[i] = n.routers[i].Activity
+	}
+	return out
+}
+
 // stepTraffic drives a deterministic packet mix through the network: one
 // packet every injectEvery cycles, cycling over a fixed set of flows that
 // span the mesh corner to corner (on the default 5x5: 0->24, 24->0, 4->20,
@@ -126,7 +136,7 @@ func TestSkipAheadMatchesNaiveLoop(t *testing.T) {
 				}
 				net.CheckInvariants()
 				q, a, i, e := net.Stats()
-				return arrivals, [4]int64{q, a, i, e}, net.RouterActivities()
+				return arrivals, [4]int64{q, a, i, e}, routerActivities(net)
 			}
 			fastArr, fastStats, fastAct := run(true)
 			naiveArr, naiveStats, naiveAct := run(false)

@@ -186,54 +186,8 @@ func (i *Integrator) Components() (switchJ, clockJ, leakJ float64) {
 	return i.switchJ, i.clockJ, i.leakJ
 }
 
-// BreakdownW returns the time-averaged per-component power in watts.
-func (i *Integrator) BreakdownW() Breakdown {
-	if i.timeS == 0 {
-		return Breakdown{}
-	}
-	return Breakdown{
-		SwitchingW: i.switchJ / i.timeS,
-		ClockW:     i.clockJ / i.timeS,
-		LeakageW:   i.leakJ / i.timeS,
-	}
-}
-
 // EnergyJ returns the total accumulated energy in joules.
 func (i *Integrator) EnergyJ() float64 { return i.energyJ }
 
 // TimeS returns the total accounted time in seconds.
 func (i *Integrator) TimeS() float64 { return i.timeS }
-
-// AvgPowerW returns the average power in watts (0 before any Slice).
-func (i *Integrator) AvgPowerW() float64 {
-	if i.timeS == 0 {
-		return 0
-	}
-	return i.energyJ / i.timeS
-}
-
-// Breakdown decomposes the power of a single steady-state operating point
-// into its components, in watts; a reporting aid for the ablation benches.
-type Breakdown struct {
-	SwitchingW float64
-	ClockW     float64
-	LeakageW   float64
-}
-
-// Total returns the summed power in watts.
-func (b Breakdown) Total() float64 { return b.SwitchingW + b.ClockW + b.LeakageW }
-
-// SteadyState computes the power breakdown of a steady operating point:
-// activity a accumulated over cycles network cycles at frequency f (Hz)
-// and voltage v.
-func (m Model) SteadyState(a noc.RouterActivity, routers int, cycles int64, f, v float64) Breakdown {
-	if cycles == 0 || f == 0 {
-		return Breakdown{LeakageW: m.LeakagePower(routers, v)}
-	}
-	seconds := float64(cycles) / f
-	return Breakdown{
-		SwitchingW: m.ActivityEnergy(a, v) / seconds,
-		ClockW:     m.ClockEnergy(routers, cycles, v) / seconds,
-		LeakageW:   m.LeakagePower(routers, v),
-	}
-}

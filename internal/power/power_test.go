@@ -90,12 +90,29 @@ func TestLeakageScaling(t *testing.T) {
 	}
 }
 
+// sliceMW prices one constant-(f, v) segment, activity a over cycles
+// network cycles on routers routers, through the integrator as the
+// engine does each control period, and returns its average switching,
+// clock and leakage power in milliwatts.
+func sliceMW(t *testing.T, m Model, a noc.RouterActivity, routers int, cycles int64, f, v float64) (sw, ck, lk float64) {
+	t.Helper()
+	in, err := NewIntegrator(m, routers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seconds := float64(cycles) / f
+	in.Slice(a, cycles, v, seconds)
+	s, c, l := in.Components()
+	return s / seconds * 1e3, c / seconds * 1e3, l / seconds * 1e3
+}
+
+func totalMW(sw, ck, lk float64) float64 { return sw + ck + lk }
+
 func TestCalibrationIdlePower(t *testing.T) {
 	// At zero load the 5x5 network burns only clock + leakage. The paper's
 	// Fig. 6 No-DVFS curve starts around 50 mW.
 	m := Default28nm()
-	b := m.SteadyState(noc.RouterActivity{}, 25, 1_000_000, 1e9, 0.9)
-	idleMW := b.Total() * 1e3
+	idleMW := totalMW(sliceMW(t, m, noc.RouterActivity{}, 25, 1_000_000, 1e9, 0.9))
 	if idleMW < 35 || idleMW > 65 {
 		t.Errorf("idle power = %.1f mW, want ~50 mW", idleMW)
 	}
@@ -120,10 +137,8 @@ func TestCalibrationLoadedPower(t *testing.T) {
 		InjectFlits:    flits,
 		EjectFlits:     flits,
 	}
-	b := m.SteadyState(a, 25, cycles, 1e9, 0.9)
-	totalMW := b.Total() * 1e3
-	if totalMW < 180 || totalMW > 280 {
-		t.Errorf("0.4-load power = %.1f mW, want ~230 mW (Fig. 6 envelope)", totalMW)
+	if mw := totalMW(sliceMW(t, m, a, 25, cycles, 1e9, 0.9)); mw < 180 || mw > 280 {
+		t.Errorf("0.4-load power = %.1f mW, want ~230 mW (Fig. 6 envelope)", mw)
 	}
 }
 
@@ -145,25 +160,27 @@ func TestDVFSPowerRatioMatchesPaper(t *testing.T) {
 			EjectFlits:     int64(float64(flits) * scale),
 		}
 	}
-	full := m.SteadyState(mk(1), 25, cycles, 1e9, 0.9)
+	full := totalMW(sliceMW(t, m, mk(1), 25, cycles, 1e9, 0.9))
 	// RMSD at the same wall time: fewer cycles at 529 MHz, same flits.
 	fR := 529e6
 	cyclesR := int64(float64(cycles) * fR / 1e9)
-	rmsd := m.SteadyState(mk(1), 25, cyclesR, fR, 0.66)
-	ratio := full.Total() / rmsd.Total()
-	if ratio < 1.7 || ratio > 2.8 {
+	rmsd := totalMW(sliceMW(t, m, mk(1), 25, cyclesR, fR, 0.66))
+	if ratio := full / rmsd; ratio < 1.7 || ratio > 2.8 {
 		t.Errorf("No-DVFS/RMSD power ratio = %.2f, paper reports ~2.2", ratio)
 	}
 }
 
 func TestSteadyStateZeroCycles(t *testing.T) {
-	m := Default28nm()
-	b := m.SteadyState(noc.RouterActivity{}, 25, 0, 1e9, 0.9)
-	if b.SwitchingW != 0 || b.ClockW != 0 {
-		t.Error("zero-cycle steady state has dynamic power")
+	// A segment of no cycles and no time adds nothing: the engine closes
+	// one at every frequency change, however short.
+	in, err := NewIntegrator(Default28nm(), 25)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if b.LeakageW == 0 {
-		t.Error("leakage should remain")
+	in.Slice(noc.RouterActivity{}, 0, 0.9, 0)
+	sw, ck, lk := in.Components()
+	if in.EnergyJ() != 0 || in.TimeS() != 0 || sw != 0 || ck != 0 || lk != 0 {
+		t.Errorf("zero-cycle slice added energy %g J over %g s", in.EnergyJ(), in.TimeS())
 	}
 }
 
@@ -173,8 +190,8 @@ func TestIntegrator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in.AvgPowerW() != 0 {
-		t.Error("fresh integrator has nonzero power")
+	if in.EnergyJ() != 0 || in.TimeS() != 0 {
+		t.Error("fresh integrator has accounted energy")
 	}
 	a := noc.RouterActivity{BufWrites: 1000, BufReads: 1000, XbarTraversals: 1000}
 	in.Slice(a, 10000, 0.9, 10e-6)
@@ -187,8 +204,9 @@ func TestIntegrator(t *testing.T) {
 	if math.Abs(in.EnergyJ()-wantE)/wantE > 1e-12 {
 		t.Errorf("EnergyJ = %g, want %g", in.EnergyJ(), wantE)
 	}
-	if got := in.AvgPowerW(); math.Abs(got-wantE/40e-6)/got > 1e-12 {
-		t.Errorf("AvgPowerW = %g", got)
+	sw, ck, lk := in.Components()
+	if got := sw + ck + lk; math.Abs(got-wantE)/wantE > 1e-12 {
+		t.Errorf("components sum to %g J, want %g", got, wantE)
 	}
 }
 
@@ -200,13 +218,6 @@ func TestNewIntegratorValidation(t *testing.T) {
 	bad.VNom = -1
 	if _, err := NewIntegrator(bad, 25); err == nil {
 		t.Error("accepted invalid model")
-	}
-}
-
-func TestBreakdownTotal(t *testing.T) {
-	b := Breakdown{SwitchingW: 1, ClockW: 2, LeakageW: 3}
-	if b.Total() != 6 {
-		t.Errorf("Total = %g", b.Total())
 	}
 }
 

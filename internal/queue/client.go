@@ -90,17 +90,6 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// Manifests lists the manifest names the coordinator serves.
-func (c *Client) Manifests(ctx context.Context) ([]string, error) {
-	var out struct {
-		Names []string `json:"names"`
-	}
-	if err := c.do(ctx, http.MethodGet, "/v1/manifests", nil, &out); err != nil {
-		return nil, err
-	}
-	return out.Names, nil
-}
-
 // Manifest fetches one manifest by name.
 func (c *Client) Manifest(ctx context.Context, name string) (*manifest.Manifest, error) {
 	var m manifest.Manifest
@@ -241,11 +230,4 @@ func (c *Client) Metrics(ctx context.Context) ([]byte, error) {
 		return nil, fmt.Errorf("queue: GET /metrics: %s", resp.Status)
 	}
 	return io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-}
-
-// Status fetches one manifest's progress.
-func (c *Client) Status(ctx context.Context, name string) (Status, error) {
-	var st Status
-	err := c.do(ctx, http.MethodGet, "/v1/status/"+name, nil, &st)
-	return st, err
 }

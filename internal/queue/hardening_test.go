@@ -107,7 +107,7 @@ func TestClientTokenRoundTrip(t *testing.T) {
 			t.Fatalf("authed post: %v", err)
 		}
 	}
-	st, err := client.Status(ctx, "x")
+	st, err := fetchStatus(ctx, client, "x")
 	if err != nil || !st.Complete {
 		t.Fatalf("authed status = (%+v, %v), want complete", st, err)
 	}

@@ -2,6 +2,7 @@ package queue
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"runtime"
@@ -13,6 +14,14 @@ import (
 	"repro/nocsim"
 	"repro/nocsim/manifest"
 )
+
+// fetchStatus reads one manifest's progress through the coordinator's
+// GET /v1/status endpoint.
+func fetchStatus(ctx context.Context, c *Client, name string) (Status, error) {
+	var st Status
+	err := c.do(ctx, http.MethodGet, "/v1/status/"+name, nil, &st)
+	return st, err
+}
 
 // testManifest builds a small manifest whose points never need real
 // simulation in these tests: the coordinator only hands out indices and
@@ -137,7 +146,7 @@ func TestLeaseExpiryReissueExactlyOnce(t *testing.T) {
 	if ls5, err := client.Lease(ctx, LeaseRequest{Worker: "live"}); err != nil || ls5.Status != StatusDone {
 		t.Fatalf("lease after completion = (%+v, %v), want done", ls5, err)
 	}
-	st2, err := client.Status(ctx, "x")
+	st2, err := fetchStatus(ctx, client, "x")
 	if err != nil || !st2.Complete || st2.Done != 2 {
 		t.Fatalf("status = (%+v, %v), want complete 2/2", st2, err)
 	}

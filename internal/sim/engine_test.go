@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/dvfs"
@@ -26,14 +27,8 @@ func TestSetDefaults(t *testing.T) {
 	if p.Measure != 60000 {
 		t.Errorf("Measure default = %d, want 60000", p.Measure)
 	}
-	if p.SatLatencyCycles != 1000 {
-		t.Errorf("SatLatencyCycles default = %g, want 1000", p.SatLatencyCycles)
-	}
-	if p.SatBacklogPerNode != 25 {
-		t.Errorf("SatBacklogPerNode default = %g, want 25", p.SatBacklogPerNode)
-	}
-	if p.SettlePeriods != 5 {
-		t.Errorf("SettlePeriods default = %d, want 5", p.SettlePeriods)
+	if p.backlogPerNode != satBacklogPerNode {
+		t.Errorf("backlog cap default = %g, want satBacklogPerNode", p.backlogPerNode)
 	}
 	if p.MaxWarmup != 1_000_000 {
 		t.Errorf("MaxWarmup default = %d, want 1000000 (as documented)", p.MaxWarmup)
@@ -113,7 +108,7 @@ func TestMeasurementWindowExactAtEqualClocks(t *testing.T) {
 // exactly 5000 ns.
 func TestP99ExtendsBeyondInitialRange(t *testing.T) {
 	p := testParams(t, 0.8, dvfs.NewNoDVFS(1e9))
-	p.SatBacklogPerNode = 1e9 // keep the run alive: no early abort
+	p.backlogPerNode = 1e9 // keep the run alive: no early abort
 	p.Warmup = 20000
 	p.Measure = 30000
 	res, err := Run(p)
@@ -137,7 +132,7 @@ func TestP99ExtendsBeyondInitialRange(t *testing.T) {
 // log. The load is low enough that many cycles are genuinely quiescent, so
 // the fast path actually exercises its skip.
 func TestSkipAheadGoldenEquivalence(t *testing.T) {
-	run := func(disable bool) (Result, []trace.Record) {
+	run := func(disable bool) (Result, string) {
 		rmsd, err := dvfs.NewRMSD(1e9, 0.378, dvfs.DefaultRange())
 		if err != nil {
 			t.Fatal(err)
@@ -150,15 +145,19 @@ func TestSkipAheadGoldenEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, p.PacketLog.Records()
+		var log strings.Builder
+		if err := p.PacketLog.WriteCSV(&log); err != nil {
+			t.Fatal(err)
+		}
+		return res, log.String()
 	}
 	fast, fastLog := run(false)
 	naive, naiveLog := run(true)
 	if !reflect.DeepEqual(fast, naive) {
 		t.Errorf("Results differ between skip-ahead and naive stepping:\nfast:  %+v\nnaive: %+v", fast, naive)
 	}
-	if !reflect.DeepEqual(fastLog, naiveLog) {
-		t.Errorf("packet logs differ: %d vs %d records", len(fastLog), len(naiveLog))
+	if fastLog != naiveLog {
+		t.Errorf("packet logs differ: %d vs %d bytes", len(fastLog), len(naiveLog))
 	}
 	if fast.Packets == 0 {
 		t.Error("degenerate run: no packets measured")

@@ -61,7 +61,7 @@ func (spec runSpec) run(cfg noc.Config, faults []noc.Link) (Result, error) {
 	case "rmsd":
 		pol, err = dvfs.NewRMSD(1e9, 0.3, dvfs.DefaultRange())
 	case "dmsd":
-		pol, err = dvfs.NewDMSD(80, dvfs.DefaultRange())
+		pol, err = dvfs.NewDMSD(80, dvfs.DefaultRange(), dvfs.DefaultKI, dvfs.DefaultKP)
 	}
 	if err != nil {
 		return Result{}, err
@@ -78,7 +78,7 @@ func (spec runSpec) run(cfg noc.Config, faults []noc.Link) (Result, error) {
 	case "cancel":
 		p.Policy = &cutShort{Policy: pol, cut: cancel}
 	case "abort":
-		p.SatBacklogPerNode = 1
+		p.backlogPerNode = 1
 	case "panic":
 		p.Policy = &cutShort{Policy: pol, cut: func() { panic("policy blew up") }}
 	}

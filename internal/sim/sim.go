@@ -67,23 +67,12 @@ type Params struct {
 	Measure int64
 	// AdaptiveWarmup delays measurement until the commanded frequency has
 	// been stable (relative change below 0.3%, stabilityRelTol) for
-	// SettlePeriods consecutive control periods, capped at MaxWarmup node
+	// settlePeriods consecutive control periods, capped at MaxWarmup node
 	// cycles. Closed-loop policies (DMSD) need it; open-loop policies
 	// settle within a period or two anyway.
 	AdaptiveWarmup bool
-	// SettlePeriods is the stability run length required by
-	// AdaptiveWarmup (default 5).
-	SettlePeriods int
 	// MaxWarmup caps adaptive warmup (default 1 000 000 node cycles).
 	MaxWarmup int64
-
-	// SatLatencyCycles marks the run saturated when the measured average
-	// latency exceeds this many network cycles (default 1 000).
-	SatLatencyCycles float64
-	// SatBacklogPerNode marks the run saturated when the average source
-	// backlog exceeds this many packets per node (default 25); at twice
-	// the cap the run aborts early.
-	SatBacklogPerNode float64
 
 	// TraceFreq, when true, records one Sample per control period.
 	TraceFreq bool
@@ -95,7 +84,24 @@ type Params struct {
 	// through the full step path. Only tests set it, to prove the
 	// skip-ahead and active-list fast paths are exact.
 	disableSkipAhead bool
+	// backlogPerNode replaces satBacklogPerNode when set. Only tests set
+	// it, to force or forbid the early abort.
+	backlogPerNode float64
 }
+
+// The saturation guards and the adaptive-warmup settling length.
+const (
+	// satLatencyCycles marks a run saturated when its measured average
+	// latency exceeds this many network cycles.
+	satLatencyCycles = 1000
+	// satBacklogPerNode marks a run saturated when the average source
+	// backlog exceeds this many packets per node; at twice it the run
+	// aborts early.
+	satBacklogPerNode = 25
+	// settlePeriods is the number of consecutive stable control periods
+	// AdaptiveWarmup waits for.
+	settlePeriods = 5
+)
 
 // Sample is one point of the frequency/voltage trace.
 type Sample struct {
@@ -157,14 +163,8 @@ func (p *Params) setDefaults() {
 	if p.Measure == 0 {
 		p.Measure = 60000
 	}
-	if p.SatLatencyCycles == 0 {
-		p.SatLatencyCycles = 1000
-	}
-	if p.SatBacklogPerNode == 0 {
-		p.SatBacklogPerNode = 25
-	}
-	if p.SettlePeriods == 0 {
-		p.SettlePeriods = 5
+	if p.backlogPerNode == 0 {
+		p.backlogPerNode = satBacklogPerNode
 	}
 	if p.MaxWarmup == 0 {
 		p.MaxWarmup = 1_000_000
@@ -383,10 +383,10 @@ func (e *engine) run(ctx context.Context) error {
 	}
 	e.closeSegment()
 	// Final saturation assessment on the measured latency.
-	if e.latency.N() > 0 && e.latency.Mean() > p.SatLatencyCycles {
+	if e.latency.N() > 0 && e.latency.Mean() > satLatencyCycles {
 		e.saturated = true
 	}
-	if float64(e.net.SourceBacklog()) > p.SatBacklogPerNode*float64(p.Noc.Nodes()) {
+	if float64(e.net.SourceBacklog()) > p.backlogPerNode*float64(p.Noc.Nodes()) {
 		e.saturated = true
 	}
 	return nil
@@ -402,7 +402,7 @@ func (e *engine) warmupDone() bool {
 	if !p.AdaptiveWarmup {
 		return true
 	}
-	return e.stableRuns >= p.SettlePeriods || e.nodeCycles >= p.MaxWarmup
+	return e.stableRuns >= settlePeriods || e.nodeCycles >= p.MaxWarmup
 }
 
 func (e *engine) beginMeasurement() {
@@ -451,7 +451,7 @@ func (e *engine) controlUpdate() {
 	// Saturation abort: runaway backlog means the offered load cannot be
 	// delivered at any frequency in range; finishing the run would only
 	// waste time.
-	if float64(e.net.SourceBacklog()) > 2*p.SatBacklogPerNode*float64(p.Noc.Nodes()) {
+	if float64(e.net.SourceBacklog()) > 2*p.backlogPerNode*float64(p.Noc.Nodes()) {
 		e.saturated = true
 		e.aborted = true
 	}
@@ -507,25 +507,25 @@ func (e *engine) closeSegment() {
 
 func (e *engine) result() Result {
 	p := &e.p
-	_, _, _, ejected := e.net.Stats()
-	measured := ejected + e.measFlits
 	// The exact window end in run() makes this p.Measure for completed
 	// runs; aborted runs measured fewer node cycles, and the throughput
-	// denominator must match what was actually measured.
+	// denominator must match what was actually measured. A run aborted
+	// before its window opened measured nothing, throughput included.
 	measCycles := int64(0)
 	if e.measuring {
 		measCycles = e.nodeCycles - e.measStartNode
 	}
-	measNode := float64(measCycles)
-	if measNode <= 0 {
-		measNode = 1
+	throughput := 0.0
+	if measCycles > 0 {
+		_, _, _, ejected := e.net.Stats()
+		throughput = float64(ejected+e.measFlits) / float64(measCycles) / float64(p.Noc.Nodes())
 	}
 	res := Result{
 		AvgLatencyCycles:   e.latency.Mean(),
 		AvgDelayNs:         e.delay.Mean(),
 		P99DelayNs:         e.delayH.Quantile(0.99),
 		Packets:            e.latency.N(),
-		Throughput:         float64(measured) / measNode / float64(p.Noc.Nodes()),
+		Throughput:         throughput,
 		OfferedRate:        p.Injector.MeanRate(),
 		MeasuredNodeCycles: measCycles,
 		Saturated:          e.saturated,

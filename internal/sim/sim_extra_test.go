@@ -19,22 +19,19 @@ func TestPacketLogCollectsMeasuredPackets(t *testing.T) {
 	if int64(plog.Len()) != res.Packets {
 		t.Errorf("log has %d records, result reports %d packets", plog.Len(), res.Packets)
 	}
-	// Log-derived mean delay must match the engine's.
-	var sum float64
-	for _, r := range plog.Records() {
-		sum += r.DelayNs
-	}
-	mean := sum / float64(plog.Len())
-	if math.Abs(mean-res.AvgDelayNs) > 0.5 {
-		t.Errorf("log mean delay %.2f vs result %.2f", mean, res.AvgDelayNs)
-	}
-	// Flow aggregation must cover every record.
+	// Flow aggregation must cover every record, and the log-derived mean
+	// delay must match the engine's.
 	var pkts int64
+	var sum float64
 	for _, f := range plog.Flows() {
 		pkts += f.Packets
+		sum += f.MeanDelayNs * float64(f.Packets)
 	}
 	if pkts != int64(plog.Len()) {
 		t.Errorf("flows cover %d packets of %d", pkts, plog.Len())
+	}
+	if mean := sum / float64(pkts); math.Abs(mean-res.AvgDelayNs) > 0.5 {
+		t.Errorf("log mean delay %.2f vs result %.2f", mean, res.AvgDelayNs)
 	}
 }
 

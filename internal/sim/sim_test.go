@@ -172,7 +172,7 @@ func TestRMSDNonMonotonicDelay(t *testing.T) {
 
 func newDMSD(t *testing.T, target float64) *dvfs.DMSD {
 	t.Helper()
-	p, err := dvfs.NewDMSD(target, dvfs.DefaultRange())
+	p, err := dvfs.NewDMSD(target, dvfs.DefaultRange(), dvfs.DefaultKI, dvfs.DefaultKP)
 	if err != nil {
 		t.Fatal(err)
 	}

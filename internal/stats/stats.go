@@ -1,39 +1,24 @@
 // Package stats provides the streaming statistics used by the simulator:
-// Welford accumulators, fixed-bin histograms for latency distributions,
-// and windowed accumulators for the DVFS control loop.
+// running means, fixed-bin histograms for latency distributions, and
+// windowed accumulators for the DVFS control loop.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
-// Stream accumulates count, mean, variance, min and max of a sequence of
-// observations in a single pass (Welford's algorithm). The zero value is
-// ready to use.
+// Stream accumulates the count and mean of a sequence of observations in
+// a single pass (Welford's update). The zero value is ready to use.
 type Stream struct {
-	n        int64
-	mean, m2 float64
-	min, max float64
+	n    int64
+	mean float64
 }
 
 // Add records one observation.
 func (s *Stream) Add(x float64) {
 	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
+	s.mean += (x - s.mean) / float64(s.n)
 }
 
 // N returns the number of observations.
@@ -42,54 +27,11 @@ func (s *Stream) N() int64 { return s.n }
 // Mean returns the sample mean, or 0 with no observations.
 func (s *Stream) Mean() float64 { return s.mean }
 
-// Variance returns the unbiased sample variance (0 for fewer than two
-// observations).
-func (s *Stream) Variance() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (s *Stream) StdDev() float64 { return math.Sqrt(s.Variance()) }
-
-// Min returns the smallest observation (0 with none).
-func (s *Stream) Min() float64 { return s.min }
-
-// Max returns the largest observation (0 with none).
-func (s *Stream) Max() float64 { return s.max }
-
 // Reset discards all observations.
 func (s *Stream) Reset() { *s = Stream{} }
 
-// Merge combines another stream into s (parallel Welford merge).
-func (s *Stream) Merge(o Stream) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = o
-		return
-	}
-	n := s.n + o.n
-	d := o.mean - s.mean
-	s.m2 += o.m2 + d*d*float64(s.n)*float64(o.n)/float64(n)
-	s.mean += d * float64(o.n) / float64(n)
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	s.n = n
-}
-
 // String summarizes the stream.
-func (s *Stream) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g",
-		s.n, s.Mean(), s.StdDev(), s.min, s.max)
-}
+func (s *Stream) String() string { return fmt.Sprintf("n=%d mean=%.4g", s.n, s.mean) }
 
 // Histogram is a fixed-width-bin histogram over [lo, hi) with overflow and
 // underflow bins, supporting approximate quantiles. A histogram built with
@@ -105,7 +47,6 @@ type Histogram struct {
 	under int64
 	over  int64
 	n     int64
-	sum   float64
 }
 
 // NewHistogram creates a histogram with nbins bins spanning [lo, hi).
@@ -140,7 +81,6 @@ func NewExtendingHistogram(lo, hi float64, nbins int, maxHi float64) (*Histogram
 // Add records one observation.
 func (h *Histogram) Add(x float64) {
 	h.n++
-	h.sum += x
 	if x < h.lo {
 		h.under++
 		return
@@ -172,21 +112,6 @@ func (h *Histogram) extend() {
 	h.hi = h.lo + 2*(h.hi-h.lo)
 }
 
-// Bounds returns the current [lo, hi) range; hi grows when an extending
-// histogram widens.
-func (h *Histogram) Bounds() (lo, hi float64) { return h.lo, h.hi }
-
-// N returns the number of observations.
-func (h *Histogram) N() int64 { return h.n }
-
-// Mean returns the exact mean of all observations.
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / float64(h.n)
-}
-
 // Quantile returns an approximation of the q-quantile (0 <= q <= 1) using
 // bin midpoints; underflow maps to lo and overflow to hi.
 func (h *Histogram) Quantile(q float64) float64 {
@@ -211,14 +136,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.hi
 }
 
-// Counts returns copies of the bin counts plus the underflow and overflow
-// counts.
-func (h *Histogram) Counts() (bins []int64, under, over int64) {
-	out := make([]int64, len(h.bins))
-	copy(out, h.bins)
-	return out, h.under, h.over
-}
-
 // Window accumulates a sum and count that the caller periodically drains;
 // it backs the DVFS controllers' per-control-period measurements.
 type Window struct {
@@ -229,51 +146,9 @@ type Window struct {
 // Add records one observation.
 func (w *Window) Add(x float64) { w.sum += x; w.count++ }
 
-// AddN records a pre-aggregated quantity (e.g. "this cycle injected k
-// flits").
-func (w *Window) AddN(sum float64, count int64) { w.sum += sum; w.count += count }
-
-// Count returns the number of observations in the current window.
-func (w *Window) Count() int64 { return w.count }
-
-// Sum returns the observation sum in the current window.
-func (w *Window) Sum() float64 { return w.sum }
-
-// Mean returns the mean of the current window, or fallback when empty.
-func (w *Window) Mean(fallback float64) float64 {
-	if w.count == 0 {
-		return fallback
-	}
-	return w.sum / float64(w.count)
-}
-
 // Drain returns the window's sum and count and resets it.
 func (w *Window) Drain() (sum float64, count int64) {
 	sum, count = w.sum, w.count
 	w.sum, w.count = 0, 0
 	return sum, count
-}
-
-// Percentile returns the p-th percentile (0-100) of xs by sorting a copy;
-// it is a convenience for offline analysis of small samples.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	sort.Float64s(cp)
-	if p <= 0 {
-		return cp[0]
-	}
-	if p >= 100 {
-		return cp[len(cp)-1]
-	}
-	rank := p / 100 * float64(len(cp)-1)
-	lo := int(math.Floor(rank))
-	frac := rank - float64(lo)
-	if lo+1 >= len(cp) {
-		return cp[len(cp)-1]
-	}
-	return cp[lo]*(1-frac) + cp[lo+1]*frac
 }

@@ -12,7 +12,7 @@ func TestAblationControlPeriod(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	tables, err := Tables(context.Background(), "period", ablOpts())
+	tables, err := inMemory(context.Background(), "period", ablOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestAblationGains(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	tables, err := Tables(context.Background(), "gains", ablOpts())
+	tables, err := inMemory(context.Background(), "gains", ablOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestAblationDiscreteLevels(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	tables, err := Tables(context.Background(), "levels", ablOpts())
+	tables, err := inMemory(context.Background(), "levels", ablOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestAblationRouting(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	tables, err := Tables(context.Background(), "routing", ablOpts())
+	tables, err := inMemory(context.Background(), "routing", ablOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestPowerBreakdown(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	tables, err := Tables(context.Background(), "breakdown", ablOpts())
+	tables, err := inMemory(context.Background(), "breakdown", ablOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -222,7 +222,7 @@ func TestAdaptiveRemoteReleasesTheFleet(t *testing.T) {
 		t.Skip("runs real simulations")
 	}
 	o := Options{Quick: true, Seed: 1}
-	want, err := Tables(context.Background(), "pi", o)
+	want, err := inMemory(context.Background(), "pi", o)
 	if err != nil {
 		t.Fatal(err)
 	}

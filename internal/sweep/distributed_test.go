@@ -28,7 +28,7 @@ func TestCoordinatorMatchesInProcess(t *testing.T) {
 	o := Options{Quick: true, Points: 2, Workers: 2}
 
 	// Reference: the plain in-process path (plan + manifest.Run + render).
-	direct, err := Tables(ctx, "period", o)
+	direct, err := inMemory(ctx, "period", o)
 	if err != nil {
 		t.Fatalf("in-process run: %v", err)
 	}

@@ -195,13 +195,6 @@ func Render(m *manifest.Manifest, results []nocsim.Result) ([]Table, error) {
 	}
 }
 
-// Tables plans, runs and renders one figure in memory: Generate on the
-// zero Executor, nothing persisted.
-func Tables(ctx context.Context, fig string, o Options) ([]Table, error) {
-	tables, _, err := Generate(ctx, fig, o, Executor{}, 0)
-	return tables, err
-}
-
 // resolveComparison resolves one three-policy grid: calibrate the base
 // scenario, pin the calibration, and lay the load axis as the given
 // fraction ladder of the measured saturation rate. The planning worker
@@ -335,46 +328,6 @@ func (o *Options) planPI(ctx context.Context) ([]manifest.Panel, error) {
 	return []manifest.Panel{{Label: "pi", Grid: g}}, nil
 }
 
-// Bundle is the shared baseline study behind Figs. 2, 4 and 6: the same
-// scenario measured under all three policies over one rate grid, in
-// manifest form.
-type Bundle struct {
-	Manifest *manifest.Manifest
-	Results  []nocsim.Result
-	Options  Options
-}
-
-// BaselineBundle computes (once) the three-policy sweep on the baseline
-// scenario that Figs. 2, 4 and 6 all present views of.
-func BaselineBundle(ctx context.Context, o Options) (*Bundle, error) {
-	o.setDefaults()
-	m, err := Plan(ctx, "baseline", o)
-	if err != nil {
-		return nil, err
-	}
-	results, _, err := manifest.Run(ctx, m, o.Workers, nil, nil, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &Bundle{Manifest: m, Results: results, Options: o}, nil
-}
-
-// Grid returns the bundle's single comparison grid (calibration pinned,
-// policies outer × loads inner).
-func (b *Bundle) Grid() nocsim.Grid { return b.Manifest.Panels[0].Grid }
-
-// Curve returns the bundle's measured results for one policy, in load
-// order.
-func (b *Bundle) Curve(k nocsim.PolicyKind) []nocsim.Result {
-	g := b.Grid()
-	for i, p := range g.Policies {
-		if p == k {
-			return curves(g, b.Results)[i]
-		}
-	}
-	return nil
-}
-
 // curves splits a comparison grid's results into one slice per policy,
 // in the grid's policy order (policies are the outer grid dimension).
 func curves(g nocsim.Grid, results []nocsim.Result) [][]nocsim.Result {
@@ -400,10 +353,9 @@ func kneeNote(loads, delays []float64) string {
 	return fmt.Sprintf("saturation knee: rate %.4f (first load with nodvfs delay >= 2x the lowest-load delay)", load)
 }
 
-// Fig2 renders Fig. 2: No-DVFS vs RMSD latency in cycles (a) and delay in
-// ns (b) against injection rate, exposing the non-monotonic RMSD delay.
-func Fig2(b *Bundle) []Table { return renderFig2(b.Manifest, b.Results) }
-
+// renderFig2 renders Fig. 2: No-DVFS vs RMSD latency in cycles (a) and
+// delay in ns (b) against injection rate, exposing the non-monotonic RMSD
+// delay.
 func renderFig2(m *manifest.Manifest, results []nocsim.Result) []Table {
 	g := m.Panels[0].Grid
 	cal := *g.Base.Calibration
@@ -432,10 +384,8 @@ func renderFig2(m *manifest.Manifest, results []nocsim.Result) []Table {
 	return []Table{lat, del}
 }
 
-// Fig4 renders Fig. 4: network clock frequency (a) and delay (b) for all
-// three policies.
-func Fig4(b *Bundle) []Table { return renderFig4(b.Manifest, b.Results) }
-
+// renderFig4 renders Fig. 4: network clock frequency (a) and delay (b)
+// for all three policies.
 func renderFig4(m *manifest.Manifest, results []nocsim.Result) []Table {
 	g := m.Panels[0].Grid
 	cal := *g.Base.Calibration
@@ -481,10 +431,8 @@ func Fig5(o Options) []Table {
 	return []Table{t}
 }
 
-// Fig6 renders total network power vs injection rate for the three
+// renderFig6 renders total network power vs injection rate for the three
 // policies, with the paper's annotated ratios recomputed at 0.2.
-func Fig6(b *Bundle) []Table { return renderFig6(b.Manifest, b.Results) }
-
 func renderFig6(m *manifest.Manifest, results []nocsim.Result) []Table {
 	g := m.Panels[0].Grid
 	cal := *g.Base.Calibration
@@ -508,12 +456,9 @@ func renderFig6(m *manifest.Manifest, results []nocsim.Result) []Table {
 	return []Table{t}
 }
 
-// Summary recomputes the paper's headline numbers (Sec. I/VII): the power
-// saving of each policy vs No-DVFS, the extra power of DMSD vs RMSD, and
-// the delay ratio RMSD/DMSD, at a set of reference loads on the baseline
-// scenario.
-func Summary(b *Bundle) []Table { return renderSummary(b.Manifest, b.Results) }
-
+// renderSummary recomputes the paper's headline numbers (Sec. I/VII): the
+// power saving of each policy vs No-DVFS, the extra power of DMSD vs
+// RMSD, and the delay ratio RMSD/DMSD, at the baseline grid's loads.
 func renderSummary(m *manifest.Manifest, results []nocsim.Result) []Table {
 	g := m.Panels[0].Grid
 	t := Table{

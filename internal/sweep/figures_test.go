@@ -3,25 +3,60 @@ package sweep
 import (
 	"context"
 	"testing"
+
+	"repro/nocsim"
+	"repro/nocsim/manifest"
 )
 
-// bundle is computed once and shared by the figure tests (Figs. 2/4/6 are
+// baseline is the three-policy baseline manifest and its results, run
+// once and shared by the figure tests (Figs. 2/4/6 and the summary are
 // views of the same sweep, as in the paper).
-var sharedBundle *Bundle
+var baseline struct {
+	m       *manifest.Manifest
+	results []nocsim.Result
+}
 
-func getBundle(t *testing.T) *Bundle {
+func getBaseline(t *testing.T) (*manifest.Manifest, []nocsim.Result) {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	if sharedBundle == nil {
-		b, err := BaselineBundle(context.Background(), Options{Quick: true, Points: 3})
+	if baseline.m == nil {
+		m, err := Plan(context.Background(), "baseline", Options{Quick: true, Points: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sharedBundle = b
+		results, _, err := manifest.Run(context.Background(), m, 0, nil, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		baseline.m, baseline.results = m, results
 	}
-	return sharedBundle
+	return baseline.m, baseline.results
+}
+
+// baselineTable renders the baseline figure and returns its table id.
+func baselineTable(t *testing.T, id string) Table {
+	t.Helper()
+	tables, err := Render(getBaseline(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tab := range tables {
+		if tab.ID == id {
+			checkTables(t, []Table{tab}, id)
+			return tab
+		}
+	}
+	t.Fatalf("baseline rendered no table %s", id)
+	return Table{}
+}
+
+// inMemory plans, runs and renders one figure in this process with
+// nothing persisted: Generate on the zero Executor.
+func inMemory(ctx context.Context, fig string, o Options) ([]Table, error) {
+	tables, _, err := Generate(ctx, fig, o, Executor{}, 0)
+	return tables, err
 }
 
 func checkTables(t *testing.T, tables []Table, wantIDs ...string) {
@@ -46,12 +81,9 @@ func checkTables(t *testing.T, tables []Table, wantIDs ...string) {
 }
 
 func TestFig2Tables(t *testing.T) {
-	b := getBundle(t)
-	tables := Fig2(b)
-	checkTables(t, tables, "fig2a", "fig2b")
+	baselineTable(t, "fig2a")
 	// RMSD delay must be at or above the No-DVFS delay at every rate.
-	del := tables[1]
-	for _, row := range del.Rows {
+	for _, row := range baselineTable(t, "fig2b").Rows {
 		if row[2] < row[1]*0.9 {
 			t.Errorf("RMSD delay %.1f below No-DVFS %.1f at rate %.2f", row[2], row[1], row[0])
 		}
@@ -59,12 +91,9 @@ func TestFig2Tables(t *testing.T) {
 }
 
 func TestFig4Tables(t *testing.T) {
-	b := getBundle(t)
-	tables := Fig4(b)
-	checkTables(t, tables, "fig4a", "fig4b")
+	baselineTable(t, "fig4b")
 	// RMSD frequency ≤ DMSD frequency at every rate (paper Fig. 4a).
-	freq := tables[0]
-	for _, row := range freq.Rows {
+	for _, row := range baselineTable(t, "fig4a").Rows {
 		if row[2] > row[3]+0.02 {
 			t.Errorf("RMSD freq %.3f above DMSD %.3f at rate %.2f", row[2], row[3], row[0])
 		}
@@ -87,12 +116,9 @@ func TestFig5Table(t *testing.T) {
 }
 
 func TestFig6Table(t *testing.T) {
-	b := getBundle(t)
-	tables := Fig6(b)
-	checkTables(t, tables, "fig6")
 	// Power ordering at every rate: RMSD ≤ DMSD ≤ No-DVFS (tolerances for
 	// sampling noise).
-	for _, row := range tables[0].Rows {
+	for _, row := range baselineTable(t, "fig6").Rows {
 		rate, pn, pr, pd := row[0], row[1], row[2], row[3]
 		if pr > pd*1.05 || pd > pn*1.05 {
 			t.Errorf("power ordering violated at rate %.2f: %g/%g/%g", rate, pn, pr, pd)
@@ -101,10 +127,7 @@ func TestFig6Table(t *testing.T) {
 }
 
 func TestSummaryTable(t *testing.T) {
-	b := getBundle(t)
-	tables := Summary(b)
-	checkTables(t, tables, "summary")
-	for _, row := range tables[0].Rows {
+	for _, row := range baselineTable(t, "summary").Rows {
 		rmsdSave, dmsdSave := row[1], row[2]
 		if rmsdSave < dmsdSave-2 {
 			t.Errorf("RMSD saving %.1f%% below DMSD %.1f%% at rate %.2f", rmsdSave, dmsdSave, row[0])
@@ -113,8 +136,8 @@ func TestSummaryTable(t *testing.T) {
 }
 
 func TestComparisonTablesHelper(t *testing.T) {
-	b := getBundle(t)
-	tabs := comparisonTables("figX", "lbl", b.Grid(), b.Results)
+	m, results := getBaseline(t)
+	tabs := comparisonTables("figX", "lbl", m.Panels[0].Grid, results)
 	checkTables(t, tabs, "figX_lbl_delay", "figX_lbl_power")
 }
 
@@ -122,7 +145,7 @@ func TestPIStepTransient(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	tables, err := Tables(context.Background(), "pi", Options{Quick: true, Points: 2})
+	tables, err := inMemory(context.Background(), "pi", Options{Quick: true, Points: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,15 +15,16 @@ import (
 
 // TestGenerateStoreMatchesInMemory pins the migration contract of the
 // manifest machinery: a persisted, store-backed figure run renders
-// byte-identical tables to the plain in-memory path (Tables), which is
-// itself the migrated form of the pre-refactor per-figure generators.
+// byte-identical tables to the plain in-memory path (the zero Executor),
+// which is itself the migrated form of the pre-refactor per-figure
+// generators.
 func TestGenerateStoreMatchesInMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	ctx := context.Background()
 	o := Options{Quick: true, Points: 2, Workers: 2}
-	direct, err := Tables(ctx, "period", o)
+	direct, err := inMemory(ctx, "period", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,17 +61,17 @@ func TestGenerateStoreMatchesInMemory(t *testing.T) {
 // equilibrium warm start; this equivalence is the invariant that now
 // pins them.)
 func TestBundleMatchesNocsimSweep(t *testing.T) {
-	b := getBundle(t)
-	direct, err := nocsim.Sweep(context.Background(), b.Grid())
+	m, results := getBaseline(t)
+	direct, err := nocsim.Sweep(context.Background(), m.Panels[0].Grid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(direct) != len(b.Results) {
-		t.Fatalf("nocsim.Sweep returned %d results, manifest run %d", len(direct), len(b.Results))
+	if len(direct) != len(results) {
+		t.Fatalf("nocsim.Sweep returned %d results, manifest run %d", len(direct), len(results))
 	}
 	for i := range direct {
-		if direct[i].Metrics != b.Results[i].Metrics {
-			t.Errorf("point %d metrics diverge:\n manifest %+v\n sweep    %+v", i, b.Results[i].Metrics, direct[i].Metrics)
+		if direct[i].Metrics != results[i].Metrics {
+			t.Errorf("point %d metrics diverge:\n manifest %+v\n sweep    %+v", i, results[i].Metrics, direct[i].Metrics)
 		}
 	}
 }
@@ -174,7 +175,7 @@ func TestGenerateLimitAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
-	direct, err := Tables(ctx, "period", o)
+	direct, err := inMemory(ctx, "period", o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,29 +78,6 @@ func AsciiPlot(title string, width, height int, series ...Series) string {
 	return b.String()
 }
 
-// PlotTable renders selected columns of a table against its first column.
-func PlotTable(t Table, width, height int, cols ...string) (string, error) {
-	markers := []byte{'*', 'o', '+', 'x', '#'}
-	xs, ok := t.Column(t.Columns[0])
-	if !ok {
-		return "", fmt.Errorf("sweep: table %s has no columns", t.ID)
-	}
-	var series []Series
-	for i, name := range cols {
-		ys, ok := t.Column(name)
-		if !ok {
-			return "", fmt.Errorf("sweep: table %s has no column %q", t.ID, name)
-		}
-		series = append(series, Series{
-			Name:   name,
-			Marker: markers[i%len(markers)],
-			X:      xs,
-			Y:      ys,
-		})
-	}
-	return AsciiPlot(t.Title, width, height, series...), nil
-}
-
 func maxInt(a, b int) int {
 	if a > b {
 		return a

@@ -55,26 +55,3 @@ func TestAsciiPlotMinimumDimensions(t *testing.T) {
 		t.Error("plot smaller than clamped minimum")
 	}
 }
-
-func TestPlotTable(t *testing.T) {
-	tab := Table{
-		ID: "x", Title: "test", Columns: []string{"rate", "a", "b"},
-	}
-	tab.AddRow(0.1, 10, 20)
-	tab.AddRow(0.2, 15, 25)
-	out, err := PlotTable(tab, 24, 8, "a", "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "*=a") || !strings.Contains(out, "o=b") {
-		t.Errorf("legend missing:\n%s", out)
-	}
-}
-
-func TestPlotTableUnknownColumn(t *testing.T) {
-	tab := Table{ID: "x", Title: "t", Columns: []string{"rate", "a"}}
-	tab.AddRow(1, 2)
-	if _, err := PlotTable(tab, 24, 8, "nope"); err == nil {
-		t.Error("accepted unknown column")
-	}
-}

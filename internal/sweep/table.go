@@ -38,20 +38,6 @@ func (t *Table) AddRow(vals ...float64) {
 	t.Rows = append(t.Rows, vals)
 }
 
-// Column returns the values of the named column.
-func (t *Table) Column(name string) ([]float64, bool) {
-	for i, c := range t.Columns {
-		if c == name {
-			out := make([]float64, len(t.Rows))
-			for r, row := range t.Rows {
-				out[r] = row[i]
-			}
-			return out, true
-		}
-	}
-	return nil, false
-}
-
 // Format writes the table as aligned text.
 func (t *Table) Format(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "== %s: %s ==\n", t.ID, t.Title); err != nil {

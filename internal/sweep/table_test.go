@@ -28,17 +28,6 @@ func TestAddRowPanicsOnMismatch(t *testing.T) {
 	tab.AddRow(1, 2, 3)
 }
 
-func TestColumn(t *testing.T) {
-	tab := sampleTable()
-	ys, ok := tab.Column("y")
-	if !ok || len(ys) != 2 || ys[0] != 150 || ys[1] != 300.25 {
-		t.Errorf("Column(y) = %v, %v", ys, ok)
-	}
-	if _, ok := tab.Column("z"); ok {
-		t.Error("Column found nonexistent column")
-	}
-}
-
 func TestFormat(t *testing.T) {
 	tab := sampleTable()
 	var sb strings.Builder

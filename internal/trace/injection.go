@@ -87,8 +87,8 @@ func (t *Injection) MeanRate() float64 {
 }
 
 // Matrix returns the packet-count traffic matrix of the trace, indexed
-// by mesh node id. Replay injectors use it to expose the same
-// NormalizedMatrix capacity estimates a synthetic pattern would.
+// by mesh node id: the destination mix of a replay injector and the
+// matrix of a trace scenario's capacity bound.
 func (t *Injection) Matrix() [][]float64 {
 	n := t.Width * t.Height
 	m := make([][]float64, n)

@@ -80,10 +80,6 @@ func (l *Log) Len() int { return len(l.records) }
 // Dropped returns the number of records discarded after the log filled.
 func (l *Log) Dropped() int64 { return l.dropped }
 
-// Records returns the stored records (shared slice; callers must not
-// mutate).
-func (l *Log) Records() []Record { return l.records }
-
 // WriteCSV dumps the log with a header row.
 func (l *Log) WriteCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "id,src,dst,hops,create_cycle,inject_cycle,arrive_cycle,latency_cycles,queue_cycles,delay_ns"); err != nil {

@@ -49,7 +49,7 @@ func TestAddPacket(t *testing.T) {
 	l := NewLog(10)
 	p := &noc.Packet{ID: 7, Src: 2, Dst: 9, Hops: 4, CreateCycle: 5, InjectCycle: 6, ArriveCycle: 50}
 	l.AddPacket(p, 45.5)
-	r := l.Records()[0]
+	r := l.records[0]
 	if r.ID != 7 || r.Src != 2 || r.Dst != 9 || r.Hops != 4 || r.DelayNs != 45.5 {
 		t.Errorf("record %+v", r)
 	}

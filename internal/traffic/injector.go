@@ -33,8 +33,8 @@ import (
 //     order as before;
 //   - an on-off source's state toggles are events on the same schedule,
 //     each handled at its own cycle, so the sojourn draw still precedes
-//     the trial of the toggle cycle and OnFraction is exact at every
-//     cycle;
+//     the trial of the toggle cycle and every node's ON state is exact
+//     at every cycle;
 //   - the nodes due in one cycle emit in ascending id, which fixes the
 //     packet ids the network hands out;
 //   - the schedule is primed by the first NodeCycle, after SetSource has
@@ -205,9 +205,6 @@ func (inj *Injector) Release() {
 	inj.nodes = nil
 }
 
-// Pattern returns the injector's destination pattern.
-func (inj *Injector) Pattern() Pattern { return inj.pattern }
-
 // MeanRate returns the average offered rate across nodes (flits per node
 // per node cycle).
 func (inj *Injector) MeanRate() float64 { return MeanRate(inj.rates) }
@@ -334,25 +331,3 @@ func (inj *Injector) WindowFlits() int64 { return inj.generatedFlits }
 
 // WindowReset clears the offered-flit window counter.
 func (inj *Injector) WindowReset() { inj.generatedFlits = 0 }
-
-// NormalizedMatrix returns the traffic matrix weighted by the per-node
-// rates, scaled so rows of active nodes keep their destination mix; it is
-// used for theoretical capacity estimates. Entry [s][d] carries
-// rate_s · frac_{s→d} / meanRate, so a uniform-rate injector reduces to
-// the plain pattern matrix.
-func (inj *Injector) NormalizedMatrix() [][]float64 {
-	base := Matrix(inj.pattern, inj.cfg)
-	mean := inj.MeanRate()
-	if mean == 0 {
-		return base
-	}
-	n := inj.cfg.Nodes()
-	m := make([][]float64, n)
-	for s := 0; s < n; s++ {
-		m[s] = make([]float64, n)
-		for d := 0; d < n; d++ {
-			m[s][d] = base[s][d] * inj.rates[s] / mean
-		}
-	}
-	return m
-}

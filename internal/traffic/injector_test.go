@@ -111,23 +111,6 @@ func TestInjectorPerNodeRates(t *testing.T) {
 	}
 }
 
-func TestNormalizedMatrixUniformRates(t *testing.T) {
-	cfg := cfg5()
-	inj, err := NewInjector(cfg, NewNeighbor(cfg), 0.2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := inj.NormalizedMatrix()
-	base := Matrix(NewNeighbor(cfg), cfg)
-	for s := range m {
-		for d := range m[s] {
-			if math.Abs(m[s][d]-base[s][d]) > 1e-12 {
-				t.Fatalf("uniform-rate normalized matrix differs at [%d][%d]", s, d)
-			}
-		}
-	}
-}
-
 func TestMatrixPatternDistribution(t *testing.T) {
 	cfg := cfg5()
 	w := make([][]float64, 25)

@@ -1,7 +1,7 @@
 // Package traffic generates the workloads of the paper: Bernoulli
 // injection processes in the node clock domain, the synthetic destination
 // patterns of Sec. V (uniform, tornado, bit-complement, transpose,
-// neighbor, plus bit-reverse, shuffle and hotspot as extensions), and
+// neighbor, plus bit-reverse and shuffle as extensions), and
 // arbitrary traffic matrices for the multimedia applications of Sec. VI.
 package traffic
 
@@ -162,38 +162,6 @@ func NewShuffle(cfg noc.Config) (Pattern, error) {
 	return p, nil
 }
 
-// Hotspot sends a fraction of traffic to a designated hotspot node and the
-// remainder uniformly; an extension beyond the paper's patterns.
-type Hotspot struct {
-	cfg      noc.Config
-	hot      noc.NodeID
-	fraction float64
-	uni      Uniform
-}
-
-// NewHotspot returns a hotspot pattern directing fraction of each node's
-// packets at node hot.
-func NewHotspot(cfg noc.Config, hot noc.NodeID, fraction float64) (Pattern, error) {
-	if fraction < 0 || fraction > 1 {
-		return nil, fmt.Errorf("traffic: hotspot fraction %g outside [0,1]", fraction)
-	}
-	if int(hot) < 0 || int(hot) >= cfg.Nodes() {
-		return nil, fmt.Errorf("traffic: hotspot node %d outside mesh", hot)
-	}
-	return Hotspot{cfg: cfg, hot: hot, fraction: fraction, uni: NewUniform(cfg)}, nil
-}
-
-// Name implements Pattern.
-func (Hotspot) Name() string { return "hotspot" }
-
-// Dest implements Pattern.
-func (h Hotspot) Dest(src noc.NodeID, rng *rand.Rand) noc.NodeID {
-	if src != h.hot && rng.Float64() < h.fraction {
-		return h.hot
-	}
-	return h.uni.Dest(src, rng)
-}
-
 // ByName constructs one of the paper's named patterns for cfg. Recognized
 // names: uniform, tornado, bitcomp, transpose, neighbor, bitrev, shuffle.
 func ByName(name string, cfg noc.Config) (Pattern, error) {
@@ -223,9 +191,10 @@ func PaperPatterns() []string {
 }
 
 // Matrix returns the normalized traffic matrix induced by the pattern:
-// m[s][d] is the fraction of s's packets destined to d. Random patterns
-// are expanded analytically (uniform rows); deterministic permutations get
-// a single 1 per row (or a uniform row for fixed points).
+// m[s][d] is the fraction of s's packets destined to d. Uniform rows are
+// expanded analytically; deterministic permutations get a single 1 per
+// row (or a uniform row for fixed points); a matrix pattern expands its
+// own distribution. The switch covers every pattern type of the package.
 func Matrix(p Pattern, cfg noc.Config) [][]float64 {
 	n := cfg.Nodes()
 	m := make([][]float64, n)
@@ -249,33 +218,14 @@ func Matrix(p Pattern, cfg noc.Config) [][]float64 {
 				m[s][d] = 1
 			}
 		case *MatrixPattern:
-			// Expand the stored cumulative distribution exactly; silent
-			// sources keep an all-zero row (they inject at rate 0).
+			// Silent sources keep an all-zero row (they inject at rate 0).
 			prev := 0.0
 			for i, c := range pt.cum[s] {
 				m[s][pt.dst[s][i]] = c - prev
 				prev = c
 			}
-		case Hotspot:
-			if noc.NodeID(s) != pt.hot {
-				m[s][pt.hot] += pt.fraction
-			}
-			rem := 1 - m[s][pt.hot]
-			for d := 0; d < n; d++ {
-				if d != s {
-					m[s][d] += rem / float64(n-1)
-				}
-			}
-			// Remove the uniform share that would land on s itself: the
-			// uniform fallback never targets src, so the row already sums
-			// to 1 by construction above.
 		default:
-			// Generic fallback: estimate by sampling.
-			rng := rand.New(rand.NewSource(1))
-			const samples = 4096
-			for i := 0; i < samples; i++ {
-				m[s][p.Dest(noc.NodeID(s), rng)] += 1.0 / samples
-			}
+			panic(fmt.Sprintf("traffic: no matrix for pattern type %T", p))
 		}
 	}
 	return m

@@ -197,38 +197,6 @@ func TestShuffleRejectsNonPowerOfTwo(t *testing.T) {
 	}
 }
 
-func TestHotspot(t *testing.T) {
-	cfg := cfg5()
-	p, err := NewHotspot(cfg, 12, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	hits := 0
-	const trials = 10000
-	for i := 0; i < trials; i++ {
-		if p.Dest(0, rng) == 12 {
-			hits++
-		}
-	}
-	// Expect fraction + (1-fraction)/24 ≈ 0.52.
-	want := 0.5 + 0.5/24
-	got := float64(hits) / trials
-	if math.Abs(got-want) > 0.03 {
-		t.Errorf("hotspot hit rate %.3f, want ~%.3f", got, want)
-	}
-}
-
-func TestHotspotValidation(t *testing.T) {
-	cfg := cfg5()
-	if _, err := NewHotspot(cfg, 12, 1.5); err == nil {
-		t.Error("accepted fraction > 1")
-	}
-	if _, err := NewHotspot(cfg, 99, 0.5); err == nil {
-		t.Error("accepted node outside mesh")
-	}
-}
-
 func TestByName(t *testing.T) {
 	cfg := cfg5()
 	for _, name := range []string{"uniform", "tornado", "bitcomp", "transpose", "neighbor"} {
@@ -265,8 +233,7 @@ func TestPaperPatterns(t *testing.T) {
 func TestMatrixRowsSumToOne(t *testing.T) {
 	cfg := cfg5()
 	transpose, _ := NewTranspose(cfg)
-	hot, _ := NewHotspot(cfg, 7, 0.3)
-	for _, p := range []Pattern{NewUniform(cfg), NewTornado(cfg), transpose, NewNeighbor(cfg), hot} {
+	for _, p := range []Pattern{NewUniform(cfg), NewTornado(cfg), transpose, NewNeighbor(cfg)} {
 		m := Matrix(p, cfg)
 		for s, row := range m {
 			sum := 0.0

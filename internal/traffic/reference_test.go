@@ -110,8 +110,8 @@ func (r *refInjector) onFraction() float64 {
 
 // TestScheduleMatchesPerCycleReference: for every kind of source and
 // destination draw, the event-driven injector emits the reference model's
-// (cycle, src, dst, dim) stream and shows the same WindowFlits and
-// OnFraction after every single cycle — 25 nodes over at least 10 000
+// (cycle, src, dst, dim) stream and shows the same WindowFlits and ON
+// fraction after every single cycle — 25 nodes over at least 10 000
 // cycles per case, several million node cycles in all.
 func TestScheduleMatchesPerCycleReference(t *testing.T) {
 	cfg := cfg5()
@@ -121,7 +121,20 @@ func TestScheduleMatchesPerCycleReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hotspot, err := NewHotspot(cfg, 12, 0.3)
+	// Every node sends 30 % of its packets to node 12, the rest uniformly.
+	hot := make([][]float64, cfg.Nodes())
+	for s := range hot {
+		hot[s] = make([]float64, cfg.Nodes())
+		for d := range hot[s] {
+			if d != s {
+				hot[s][d] = 0.7 / float64(cfg.Nodes()-1)
+			}
+		}
+		if s != 12 {
+			hot[s][12] += 0.3
+		}
+	}
+	hotspot, err := NewMatrixPattern("hotspot", cfg, hot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,8 +212,8 @@ func TestScheduleMatchesPerCycleReference(t *testing.T) {
 					if inj.WindowFlits() != ref.flits {
 						t.Fatalf("after cycle %d: WindowFlits %d, reference %d", cyc, inj.WindowFlits(), ref.flits)
 					}
-					if g, w := inj.OnFraction(), ref.onFraction(); g != w {
-						t.Fatalf("after cycle %d: OnFraction %g, reference %g", cyc, g, w)
+					if g, w := onFraction(inj), ref.onFraction(); g != w {
+						t.Fatalf("after cycle %d: ON fraction %g, reference %g", cyc, g, w)
 					}
 				}
 				if len(ref.events) == 0 {
@@ -266,7 +279,7 @@ func TestSetSourceAfterFirstCycleFails(t *testing.T) {
 			t.Errorf("SetSource(%+v) after a node cycle succeeded", src)
 		}
 	}
-	if inj.Source() != mmpp {
-		t.Errorf("a rejected SetSource changed the source to %+v", inj.Source())
+	if src := sourceOf(inj); src != mmpp {
+		t.Errorf("a rejected SetSource changed the source to %+v", src)
 	}
 }

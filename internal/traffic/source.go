@@ -135,37 +135,6 @@ func (inj *Injector) SetSource(src SourceConfig) error {
 	return nil
 }
 
-// Source returns the injector's source configuration (zero value for
-// plain Bernoulli sources).
-func (inj *Injector) Source() SourceConfig {
-	if inj.burst == nil {
-		return SourceConfig{}
-	}
-	return *inj.burst
-}
-
-// OnFraction returns the fraction of active nodes currently in the ON
-// state (1 for Bernoulli sources); exposed for tests.
-func (inj *Injector) OnFraction() float64 {
-	if inj.burst == nil {
-		return 1
-	}
-	active, on := 0, 0
-	for s := range inj.probs {
-		if inj.probs[s] == 0 {
-			continue
-		}
-		active++
-		if inj.nodes[s].on {
-			on++
-		}
-	}
-	if active == 0 {
-		return 1
-	}
-	return float64(on) / float64(active)
-}
-
 // StartCapture attaches an injection-trace sink: every generated packet
 // is recorded as a trace event, and the trace header is stamped with the
 // injector's mesh shape and packet size. The same sink must not be
@@ -229,6 +198,3 @@ func ReplayRates(cfg noc.Config, tr *trace.Injection) ([]float64, error) {
 	}
 	return rates, nil
 }
-
-// Replaying reports whether the injector replays a recorded trace.
-func (inj *Injector) Replaying() bool { return inj.replay != nil }

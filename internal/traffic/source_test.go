@@ -68,13 +68,13 @@ func TestSetSourceRejects(t *testing.T) {
 	if err := inj.SetSource(SourceConfig{Kind: SourceMMPP, BurstRatio: 4, BurstLen: 10}); err != nil {
 		t.Errorf("rejected a feasible source: %v", err)
 	}
-	if inj.Source().Kind != SourceMMPP {
-		t.Errorf("Source() = %+v", inj.Source())
+	if src := sourceOf(inj); src.Kind != SourceMMPP {
+		t.Errorf("source = %+v", src)
 	}
 	if err := inj.SetSource(SourceConfig{}); err != nil {
 		t.Errorf("clearing the source failed: %v", err)
 	}
-	if inj.Source().Kind != "" {
+	if sourceOf(inj).Kind != "" {
 		t.Error("zero-value source did not restore Bernoulli")
 	}
 }
@@ -106,7 +106,7 @@ func TestMMPPOnFraction(t *testing.T) {
 	const cycles = 100_000
 	for c := 0; c < cycles; c++ {
 		inj.NodeCycle(net, 0)
-		sum += inj.OnFraction()
+		sum += onFraction(inj)
 	}
 	got := sum / cycles
 	if math.Abs(got-0.25) > 0.04 {
@@ -224,8 +224,8 @@ func TestReplayInjectorReproducesCapture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rinj.Replaying() {
-		t.Error("Replaying() = false")
+	if rinj.replay == nil {
+		t.Error("replay injector has no replay state")
 	}
 	for c := 0; c < cycles; c++ {
 		rinj.NodeCycle(rnet, 0)

@@ -75,7 +75,7 @@ func FindSaturation(ctx context.Context, s Scenario) (float64, error) {
 func findSaturation(ctx context.Context, s Scenario, cs core.Scenario) (float64, error) {
 	search := func(ctx context.Context) (float64, error) {
 		calStats.searches.Add(1)
-		rate, st, err := core.FindSaturationStats(ctx, cs)
+		rate, st, err := core.FindSaturation(ctx, cs)
 		calStats.probesCancelled.Add(int64(st.Cancelled))
 		return rate, err
 	}

@@ -82,15 +82,21 @@ func (u FabricUse) String() string {
 
 // TheoreticalCapacity returns the scenario's theoretical channel-load
 // capacity in flits per node per node cycle: the injection rate at which
-// the busiest channel reaches unit load under the scenario's traffic
-// matrix. It is the analytic upper bound the measured saturation rate is
-// compared against.
+// the busiest channel reaches what its router can send under the
+// scenario's traffic matrix. Traffic takes the routes the simulator
+// takes, around faulty links included, and a channel driven by a router
+// in a slower island carries proportionally less. It is the analytic
+// upper bound the measured saturation rate is compared against.
 func TheoreticalCapacity(s Scenario) (float64, error) {
 	s = s.normalized()
 	if err := s.Validate(); err != nil {
 		return 0, err
 	}
 	cfg, err := s.Mesh.toNoc()
+	if err != nil {
+		return 0, err
+	}
+	faults, err := parseFaults(s.FaultyLinks)
 	if err != nil {
 		return 0, err
 	}
@@ -119,5 +125,5 @@ func TheoreticalCapacity(s Scenario) (float64, error) {
 		}
 		m = traffic.Matrix(p, cfg)
 	}
-	return noc.TheoreticalCapacity(cfg, m), nil
+	return noc.TheoreticalCapacity(cfg, faults, s.nocIslands(), m)
 }

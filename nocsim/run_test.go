@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -243,5 +244,63 @@ func TestRunPacketLog(t *testing.T) {
 	}
 	if int64(plog.Len()) != res.Packets {
 		t.Errorf("log has %d records, result measured %d packets", plog.Len(), res.Packets)
+	}
+}
+
+// TestThroughputIsAPerNodeRate: a run reports at most one accepted flit
+// per node per node cycle at every load, and nothing at all when it
+// aborted before its measurement window opened, as the overloaded ones
+// here do during warm-up.
+func TestThroughputIsAPerNodeRate(t *testing.T) {
+	for i := 1; i <= 20; i++ {
+		load := 0.05 * float64(i)
+		r, err := Run(context.Background(), quickBase(t, WithLoad(load), WithPolicy(NoDVFS)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := r.Metrics
+		if m.Throughput < 0 || m.Throughput > 1 {
+			t.Errorf("load %.2f: throughput %g flits/node/cycle (saturated %v, %d packets)", load, m.Throughput, m.Saturated, m.Packets)
+		}
+		if m.Packets == 0 && m.Throughput != 0 {
+			t.Errorf("load %.2f: nothing measured, throughput %g", load, m.Throughput)
+		}
+	}
+}
+
+// TestTheoreticalCapacityBoundsSaturation: the channel-load bound takes
+// the simulator's routes around a cut and the speed of slower islands —
+// 0.80 on the healthy 5x5 uniform mesh, 0.50 with the 6–7 wire cut both
+// ways, 0.40 with columns 0–1 at half speed — and the measured saturation
+// rate stays at or under it on each.
+func TestTheoreticalCapacityBoundsSaturation(t *testing.T) {
+	cases := []struct {
+		name string
+		opts []Option
+		want float64
+	}{
+		{"healthy", nil, 0.80},
+		{"cut 6-7", []Option{WithFaultyLinks("6>7", "7>6")}, 0.50},
+		{"columns 0-1 at half speed", []Option{WithIslands(Island{X0: 0, Y0: 0, X1: 1, Y1: 4, Speed: 0.5})}, 0.40},
+	}
+	for _, tc := range cases {
+		s := MustNew(append([]Option{WithPattern("uniform"), WithQuick()}, tc.opts...)...)
+		bound, err := TheoreticalCapacity(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(bound-tc.want) > 1e-9 {
+			t.Errorf("%s: capacity %.4f, want %.2f", tc.name, bound, tc.want)
+		}
+		if testing.Short() {
+			continue
+		}
+		sat, err := FindSaturation(context.Background(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sat > bound {
+			t.Errorf("%s: measured saturation %.4f above the bound %.4f", tc.name, sat, bound)
+		}
 	}
 }
