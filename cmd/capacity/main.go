@@ -41,23 +41,26 @@ func main() {
 	ctx, stop := cli.SignalContext()
 	defer stop()
 
-	opts := []nocsim.Option{
-		nocsim.WithMesh(*width, *height),
-		nocsim.WithVCs(*vcs),
-		nocsim.WithBuffers(*bufs),
-		nocsim.WithPacketSize(*pkt),
-		nocsim.WithRouting(nocsim.Routing(*routing)),
-		nocsim.WithPattern(*pattern),
-		nocsim.WithSeed(*seed),
-		nocsim.WithWorkers(*workers),
-	}
-	if *quick {
-		opts = append(opts, nocsim.WithQuick())
-	}
-	s, err := nocsim.New(opts...)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// A zero field means "the default" to Normalized, so a zero typed on
+	// the command line would be silently replaced; refuse it.
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "width", "height", "vcs", "buffers", "packet", "seed":
+			if f.Value.String() == "0" {
+				log.Fatalf("-%s must be non-zero", f.Name)
+			}
+		}
+	})
+	s := nocsim.Scenario{
+		Mesh: nocsim.Mesh{
+			Width: *width, Height: *height, VCs: *vcs, BufDepth: *bufs,
+			PacketSize: *pkt, Routing: nocsim.Routing(*routing),
+		},
+		Pattern: *pattern,
+		Seed:    *seed,
+		Quick:   *quick,
+		Workers: *workers,
+	}.Normalized()
 
 	theo, err := nocsim.TheoreticalCapacity(s)
 	if err != nil {

@@ -1,8 +1,9 @@
 // Command nocsim runs a single NoC simulation at one operating point and
 // prints the measured latency, delay, throughput, frequency and power.
 // It is a thin flag-to-Scenario translation over the public nocsim
-// package: every flag maps onto one option, and -scenario accepts the
-// same JSON wire form that nocsim.Scenario marshals to.
+// package: every flag sets one Scenario field, and -scenario decodes the
+// same struct from the JSON wire form it marshals to. Either way the
+// scenario is normalized and validated once, then run.
 //
 // Examples:
 //
@@ -108,7 +109,6 @@ func main() {
 	defer stop()
 
 	var s nocsim.Scenario
-	var err error
 	if *scenarioPath != "" {
 		// The file is the whole scenario; warn about shaping flags that
 		// would otherwise be silently ignored.
@@ -132,84 +132,87 @@ func main() {
 		if err := json.Unmarshal(data, &s); err != nil {
 			log.Fatalf("parsing %s: %v", *scenarioPath, err)
 		}
-		// Partial wire scenarios are legal: fill the documented defaults
-		// before validating, exactly as Run would.
-		s = s.Normalized()
-		if err := s.Validate(); err != nil {
-			log.Fatal(err)
-		}
 	} else {
-		opts := []nocsim.Option{
-			nocsim.WithMesh(*width, *height),
-			nocsim.WithVCs(*vcs),
-			nocsim.WithBuffers(*bufs),
-			nocsim.WithPacketSize(*pkt),
-			nocsim.WithRouting(nocsim.Routing(*routing)),
-			nocsim.WithPolicy(nocsim.PolicyKind(*policy)),
-			nocsim.WithSeed(*seed),
+		// A zero field means "the default" to Normalized, so a zero typed
+		// on the command line would be silently replaced; refuse it.
+		given := map[string]bool{}
+		flag.Visit(func(f *flag.Flag) {
+			given[f.Name] = true
+			switch f.Name {
+			case "width", "height", "vcs", "buffers", "packet", "rate", "speed", "seed":
+				if f.Value.String() == "0" {
+					log.Fatalf("-%s must be non-zero", f.Name)
+				}
+			}
+		})
+		s = nocsim.Scenario{
+			Mesh:   nocsim.Mesh{VCs: *vcs, BufDepth: *bufs, PacketSize: *pkt, Routing: nocsim.Routing(*routing)},
+			Policy: nocsim.PolicyKind(*policy),
+			Seed:   *seed,
+			Quick:  *quick,
+		}
+		// An app brings its mesh: the dimension flags apply when given or
+		// without -app, so "-app h264" runs on the graph's 4x4 mapping.
+		if *appName == "" || given["width"] || given["height"] {
+			s.Mesh.Width, s.Mesh.Height = *width, *height
 		}
 		switch {
 		case *traceRef != "":
-			opts = append(opts, nocsim.WithTrace(*traceRef))
+			s.TraceRef = *traceRef
 		case *appName != "":
-			opts = append(opts, nocsim.WithApp(*appName), nocsim.WithLoad(*speed))
+			s.App, s.Load = *appName, *speed
 		default:
-			opts = append(opts, nocsim.WithPattern(*pattern), nocsim.WithLoad(*rate))
+			s.Pattern, s.Load = *pattern, *rate
 		}
 		switch *source {
 		case "":
-		case "mmpp":
-			opts = append(opts, nocsim.WithMMPP(*burstRatio, *burstLen))
-		case "pareto":
-			opts = append(opts, nocsim.WithParetoOnOff(*burstRatio, *burstLen, *paretoAlpha))
+		case nocsim.SourceMMPP, nocsim.SourcePareto:
+			s.Source = &nocsim.SourceSpec{Kind: *source, BurstRatio: *burstRatio, BurstLen: *burstLen}
+			if *source == nocsim.SourcePareto {
+				s.Source.ParetoAlpha = *paretoAlpha
+			}
 		default:
 			log.Fatalf("unknown -source %q (want mmpp or pareto)", *source)
 		}
 		if *faultyLinks != "" {
-			links := strings.Split(*faultyLinks, ",")
-			for i := range links {
-				links[i] = strings.TrimSpace(links[i])
+			s.FaultyLinks = strings.Split(*faultyLinks, ",")
+			for i := range s.FaultyLinks {
+				s.FaultyLinks[i] = strings.TrimSpace(s.FaultyLinks[i])
 			}
-			opts = append(opts, nocsim.WithFaultyLinks(links...))
 		}
 		if *islands != "" {
-			isl, err := parseIslands(*islands)
-			if err != nil {
+			var err error
+			if s.Islands, err = parseIslands(*islands); err != nil {
 				log.Fatal(err)
 			}
-			opts = append(opts, nocsim.WithIslands(isl...))
-		}
-		if *quick {
-			opts = append(opts, nocsim.WithQuick())
 		}
 		if *lambdaMax > 0 || *target > 0 {
 			// Partial manual calibration: fill what the user gave, guess
 			// the rest conservatively. Validation rejects a policy whose
 			// own operating point is missing.
-			opts = append(opts, nocsim.WithCalibration(nocsim.Calibration{
+			s.Calibration = &nocsim.Calibration{
 				SaturationRate: *lambdaMax / 0.9,
 				LambdaMax:      *lambdaMax,
 				TargetDelayNs:  *target,
-			}))
+			}
 		}
-		if s, err = nocsim.New(opts...); err != nil {
-			log.Fatal(err)
-		}
+	}
+	// Partial scenarios are legal: fill the documented defaults before
+	// validating, exactly as Run would.
+	s = s.Normalized()
+	if err := s.Validate(); err != nil {
+		log.Fatal(err)
 	}
 
 	var plog *nocsim.PacketLog
 	if *packetLog != "" || *flowLog != "" {
 		plog = nocsim.NewPacketLog(0)
-		if s, err = s.With(nocsim.WithPacketLog(plog)); err != nil {
-			log.Fatal(err)
-		}
+		s.PacketLog = plog
 	}
 	var sink *nocsim.Trace
 	if *captureTrace != "" {
 		sink = nocsim.NewTrace()
-		if s, err = s.With(nocsim.WithTraceCapture(sink)); err != nil {
-			log.Fatal(err)
-		}
+		s.TraceCapture = sink
 	}
 
 	if *dumpScenario {

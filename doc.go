@@ -8,12 +8,12 @@
 // # Public API
 //
 // The module's exported face is the nocsim package: a context-aware,
-// JSON-serializable Scenario/Run/Sweep API. Build a scenario with
-// functional options, run it under a cancellable context, or cross it
-// with loads × policies into a Grid whose points are self-contained
-// jobs:
+// JSON-serializable Scenario/Run/Sweep API. Write a scenario as a struct
+// literal (zero fields take the paper's baseline), run it under a
+// cancellable context, or cross it with loads × policies into a Grid
+// whose points are self-contained jobs:
 //
-//	s, _ := nocsim.New(nocsim.WithPattern("uniform"), nocsim.WithLoad(0.2))
+//	s := nocsim.Scenario{Pattern: "uniform", Load: 0.2}
 //	res, err := nocsim.Run(ctx, s)
 //
 // See the nocsim package documentation and README.md for the quickstart.

@@ -45,10 +45,7 @@ func main() {
 		qm.LambdaMin(rho)/qm.MaxArrivalRate(), qm.RMSDPeakRatio(rho))
 
 	// --- cycle-accurate simulation --------------------------------------
-	s, err := nocsim.New(nocsim.WithPattern("uniform"), nocsim.WithQuick())
-	if err != nil {
-		log.Fatal(err)
-	}
+	s := nocsim.Scenario{Pattern: "uniform", Quick: true}
 	cal, err := nocsim.Calibrate(ctx, s)
 	if err != nil {
 		log.Fatal(err)
@@ -57,11 +54,12 @@ func main() {
 	for i := 1; i <= 8; i++ {
 		loads = append(loads, 0.9*cal.SaturationRate*float64(i)/8)
 	}
+	s.Calibration = &cal
 	results, err := nocsim.Sweep(ctx, nocsim.Grid{
 		Base:     s,
 		Loads:    loads,
 		Policies: []nocsim.PolicyKind{nocsim.NoDVFS, nocsim.RMSD},
-	}, nocsim.WithCalibration(cal))
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

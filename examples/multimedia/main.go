@@ -18,13 +18,8 @@ func main() {
 	ctx := context.Background()
 
 	for _, app := range nocsim.Apps() {
-		s, err := nocsim.New(
-			nocsim.WithApp(app.Name),
-			nocsim.WithQuick(),
-		)
-		if err != nil {
-			log.Fatal(err)
-		}
+		// The mesh is left zero: it defaults to the app's mapping.
+		s := nocsim.Scenario{App: app.Name, Quick: true}
 		cal, err := nocsim.Calibrate(ctx, s)
 		if err != nil {
 			log.Fatal(err)
@@ -33,11 +28,12 @@ func main() {
 			app.Name, app.Width, app.Height, app.Blocks, app.Edges, app.PacketsPerFrame)
 
 		speeds := []float64{0.25, 0.5, 0.75, 1.0} // 1.0 ≡ 75 frames/s
+		s.Calibration = &cal
 		results, err := nocsim.Sweep(ctx, nocsim.Grid{
 			Base:     s,
 			Loads:    speeds,
 			Policies: nocsim.AllPolicies(),
-		}, nocsim.WithCalibration(cal))
+		})
 		if err != nil {
 			log.Fatal(err)
 		}

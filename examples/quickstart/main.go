@@ -4,8 +4,8 @@
 // result: RMSD saves the most power but pays for it with a large delay;
 // DMSD holds the delay at its target for a modest extra power cost.
 //
-// The whole example uses only the public nocsim API: build a Scenario
-// with options, Calibrate once, Sweep the three policies.
+// The whole example uses only the public nocsim API: write a Scenario as
+// a struct literal, Calibrate once, Sweep the three policies.
 package main
 
 import (
@@ -20,13 +20,10 @@ func main() {
 	log.SetFlags(0)
 	ctx := context.Background()
 
-	scenario, err := nocsim.New(
-		nocsim.WithPattern("uniform"), // the paper's baseline traffic
-		nocsim.WithLoad(0.2),          // flits per node per node cycle
-		nocsim.WithQuick(),            // short windows so the example runs in seconds
-	)
-	if err != nil {
-		log.Fatal(err)
+	scenario := nocsim.Scenario{
+		Pattern: "uniform", // the paper's baseline traffic
+		Load:    0.2,       // flits per node per node cycle
+		Quick:   true,      // short windows so the example runs in seconds
 	}
 
 	// Calibrate once: find the saturation rate, set the RMSD target rate
@@ -41,10 +38,11 @@ func main() {
 
 	fmt.Printf("uniform traffic at %.2f flits/node/cycle:\n\n", scenario.Load)
 	fmt.Printf("%-8s  %12s  %12s  %10s\n", "policy", "delay (ns)", "power (mW)", "freq (MHz)")
+	scenario.Calibration = &cal
 	results, err := nocsim.Sweep(ctx, nocsim.Grid{
 		Base:     scenario,
 		Policies: nocsim.AllPolicies(),
-	}, nocsim.WithCalibration(cal))
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

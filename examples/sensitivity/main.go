@@ -2,8 +2,9 @@
 // at a time — virtual channels, buffers per VC, packet size, mesh size —
 // and verify that the DMSD-over-RMSD trade-off conclusion survives every
 // variation: RMSD always saves more power, DMSD always has (much) lower
-// delay. Each variant is one option applied on top of the baseline
-// scenario of the public nocsim API.
+// delay. Each variant is the baseline scenario of the public nocsim API
+// with one mesh field changed; the fields left zero keep the paper's
+// values.
 package main
 
 import (
@@ -20,37 +21,31 @@ func main() {
 
 	type variant struct {
 		label string
-		opt   nocsim.Option
+		mesh  nocsim.Mesh
 	}
 	variants := []variant{
-		{"baseline (8 VC, 4 buf, 20 flits, 5x5)", nocsim.WithVCs(8)},
-		{"2 VCs", nocsim.WithVCs(2)},
-		{"4 VCs", nocsim.WithVCs(4)},
-		{"8 buffers/VC", nocsim.WithBuffers(8)},
-		{"10-flit packets", nocsim.WithPacketSize(10)},
-		{"4x4 mesh", nocsim.WithMesh(4, 4)},
+		{"baseline (8 VC, 4 buf, 20 flits, 5x5)", nocsim.Mesh{VCs: 8}},
+		{"2 VCs", nocsim.Mesh{VCs: 2}},
+		{"4 VCs", nocsim.Mesh{VCs: 4}},
+		{"8 buffers/VC", nocsim.Mesh{BufDepth: 8}},
+		{"10-flit packets", nocsim.Mesh{PacketSize: 10}},
+		{"4x4 mesh", nocsim.Mesh{Width: 4, Height: 4}},
 	}
 
 	fmt.Println("variant                                  sat    RMSD-vs-DMSD: power  delay")
 	ok := true
 	for _, v := range variants {
-		s, err := nocsim.New(
-			nocsim.WithPattern("uniform"),
-			nocsim.WithQuick(),
-			v.opt,
-		)
-		if err != nil {
-			log.Fatal(err)
-		}
+		s := nocsim.Scenario{Mesh: v.mesh, Pattern: "uniform", Quick: true}
 		cal, err := nocsim.Calibrate(ctx, s)
 		if err != nil {
 			log.Fatal(err)
 		}
+		s.Calibration = &cal
 		results, err := nocsim.Sweep(ctx, nocsim.Grid{
 			Base:     s,
 			Loads:    []float64{0.5 * cal.SaturationRate},
 			Policies: []nocsim.PolicyKind{nocsim.RMSD, nocsim.DMSD},
-		}, nocsim.WithCalibration(cal))
+		})
 		if err != nil {
 			log.Fatal(err)
 		}

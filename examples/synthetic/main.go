@@ -20,22 +20,17 @@ func main() {
 	fmt.Println("pattern      sat     No-DVFS          RMSD             DMSD")
 	fmt.Println("                     mW     ns        mW     ns        mW     ns")
 	for _, pattern := range nocsim.PaperPatterns() {
-		s, err := nocsim.New(
-			nocsim.WithPattern(pattern),
-			nocsim.WithQuick(),
-		)
-		if err != nil {
-			log.Fatal(err)
-		}
+		s := nocsim.Scenario{Pattern: pattern, Quick: true}
 		cal, err := nocsim.Calibrate(ctx, s)
 		if err != nil {
 			log.Fatal(err)
 		}
+		s.Calibration = &cal
 		results, err := nocsim.Sweep(ctx, nocsim.Grid{
 			Base:     s,
 			Loads:    []float64{0.5 * cal.SaturationRate},
 			Policies: nocsim.AllPolicies(),
-		}, nocsim.WithCalibration(cal))
+		})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -33,11 +33,10 @@ const (
 	DMSD   PolicyKind = "dmsd"
 )
 
-// AllPolicies returns the paper's comparison set in presentation order.
-func AllPolicies() []PolicyKind { return []PolicyKind{NoDVFS, RMSD, DMSD} }
-
 // Scenario describes one experimental setting: fabric, traffic and the
-// frequency plant. Exactly one of Pattern or App must be set.
+// frequency plant. Exactly one of Pattern, App and Trace is set. core
+// trusts its caller to pass a consistent scenario: nocsim.Validate is the
+// one check, made before a scenario reaches this package.
 type Scenario struct {
 	// Noc is the fabric configuration.
 	Noc noc.Config
@@ -148,46 +147,6 @@ func (s *Scenario) setDefaults() {
 	if s.Seed == 0 {
 		s.Seed = 1
 	}
-}
-
-func (s *Scenario) validate() error {
-	if s.Trace != nil {
-		if s.Pattern != "" || s.App != nil {
-			return errors.New("core: trace replay excludes patterns and apps")
-		}
-		if s.Source.Kind != "" {
-			return errors.New("core: trace replay excludes bursty sources (the trace already fixes every injection)")
-		}
-	} else {
-		if s.Pattern == "" && s.App == nil {
-			return errors.New("core: scenario needs a pattern, an app, or a trace")
-		}
-		if s.Pattern != "" && s.App != nil {
-			return errors.New("core: scenario has both a pattern and an app")
-		}
-	}
-	if s.Source.Kind != "" && s.App != nil {
-		return errors.New("core: bursty sources combine with synthetic patterns only, not apps")
-	}
-	if err := s.Source.Validate(); err != nil {
-		return err
-	}
-	if err := noc.ValidateIslands(s.Noc, s.Islands); err != nil {
-		return err
-	}
-	if err := noc.ValidateFaults(s.Noc, s.Faults); err != nil {
-		return err
-	}
-	if s.ControlPeriod < 0 {
-		return fmt.Errorf("core: control period %d", s.ControlPeriod)
-	}
-	if s.FreqLevels < 0 || s.FreqLevels == 1 {
-		return fmt.Errorf("core: %d frequency levels (want 0 for continuous or >= 2)", s.FreqLevels)
-	}
-	if s.KI < 0 || s.KP < 0 {
-		return fmt.Errorf("core: negative PI gains KI=%g KP=%g", s.KI, s.KP)
-	}
-	return s.Noc.Validate()
 }
 
 // injector builds the scenario's traffic source at the given load and
@@ -372,9 +331,6 @@ type SearchStats struct {
 // same search and return the same rate.
 func FindSaturation(ctx context.Context, s Scenario) (float64, SearchStats, error) {
 	s.setDefaults()
-	if err := s.validate(); err != nil {
-		return 0, SearchStats{}, err
-	}
 	if s.Trace != nil {
 		return 0, SearchStats{}, errors.New("core: saturation search needs load to vary; trace scenarios must carry a pinned calibration")
 	}
@@ -580,9 +536,6 @@ func Calibrate(ctx context.Context, s Scenario) (Calibration, error) {
 // reference run keeps the scenario's own windows and control period.
 func CalibrateAt(ctx context.Context, s Scenario, satLoad float64) (Calibration, error) {
 	s.setDefaults()
-	if err := s.validate(); err != nil {
-		return Calibration{}, err
-	}
 	loadStar := 0.9 * satLoad
 	// λmax is a *network rate* (flits per node per cycle): for synthetic
 	// patterns it equals the load; for apps it is the mean per-node rate
@@ -653,19 +606,10 @@ func buildPolicy(kind PolicyKind, s *Scenario, cal Calibration, load float64) (d
 // warm-started at the load's equilibrium guess (unless
 // Scenario.Transient captures the cold start), so every point is an
 // independent job and a grid point re-run standalone reproduces the
-// grid's number.
+// grid's number. RMSD and DMSD read their operating points from cal,
+// which the caller resolves (nocsim.Run through its calibration memo).
 func RunOne(ctx context.Context, s Scenario, kind PolicyKind, load float64, cal Calibration) (sim.Result, error) {
 	s.setDefaults()
-	if err := s.validate(); err != nil {
-		return sim.Result{}, err
-	}
-	if cal == (Calibration{}) && kind != NoDVFS {
-		var err error
-		cal, err = Calibrate(ctx, s)
-		if err != nil {
-			return sim.Result{}, err
-		}
-	}
 	pol, err := buildPolicy(kind, &s, cal, load)
 	if err != nil {
 		return sim.Result{}, err

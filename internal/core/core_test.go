@@ -20,25 +20,6 @@ func quickScenario() Scenario {
 	}
 }
 
-func TestScenarioValidation(t *testing.T) {
-	s := Scenario{Noc: noc.DefaultConfig()}
-	s.setDefaults()
-	if err := s.validate(); err == nil {
-		t.Error("accepted scenario without traffic")
-	}
-	app := apps.H264()
-	s = Scenario{Noc: noc.DefaultConfig(), Pattern: "uniform", App: &app}
-	s.setDefaults()
-	if err := s.validate(); err == nil {
-		t.Error("accepted scenario with both pattern and app")
-	}
-	s = Scenario{Noc: noc.Config{}, Pattern: "uniform"}
-	s.setDefaults()
-	if err := s.validate(); err == nil {
-		t.Error("accepted invalid noc config")
-	}
-}
-
 func TestLoadGrid(t *testing.T) {
 	g := LoadGrid(0.4, 4)
 	want := []float64{0.1, 0.2, 0.3, 0.4}
@@ -144,7 +125,7 @@ func TestComparePoliciesOrderings(t *testing.T) {
 	// One moderate-load point, all three policies, fixed calibration to
 	// keep the test fast and deterministic. Verifies the paper's headline
 	// orderings: P(RMSD) < P(DMSD) < P(NoDVFS); D(RMSD) > D(DMSD).
-	res := runPoints(t, quickScenario(), 0.2, AllPolicies(), goldenCal())
+	res := runPoints(t, quickScenario(), 0.2, []PolicyKind{NoDVFS, RMSD, DMSD}, goldenCal())
 	pN, pR, pD := res[NoDVFS], res[RMSD], res[DMSD]
 	if !(pR.AvgPowerMW < pD.AvgPowerMW && pD.AvgPowerMW < pN.AvgPowerMW) {
 		t.Errorf("power ordering: rmsd %.1f, dmsd %.1f, nodvfs %.1f mW",
@@ -170,13 +151,6 @@ func TestComparePoliciesAppScenario(t *testing.T) {
 	}
 	if res[RMSD].AvgPowerMW >= res[NoDVFS].AvgPowerMW {
 		t.Error("RMSD power not below No-DVFS on app traffic")
-	}
-}
-
-func TestAllPolicies(t *testing.T) {
-	ps := AllPolicies()
-	if len(ps) != 3 || ps[0] != NoDVFS || ps[1] != RMSD || ps[2] != DMSD {
-		t.Errorf("AllPolicies() = %v", ps)
 	}
 }
 

@@ -27,7 +27,7 @@ func TestGoldenParallelMatchesSerial(t *testing.T) {
 		loads = LoadGrid(0.3, 2)
 		workerSet = []int{4}
 	}
-	kinds := AllPolicies()
+	kinds := []PolicyKind{NoDVFS, RMSD, DMSD}
 	run := func(workers int) []sim.Result {
 		res, err := exp.Map(context.Background(), workers, len(kinds)*len(loads),
 			func(ctx context.Context, i int) (sim.Result, error) {

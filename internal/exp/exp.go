@@ -23,7 +23,7 @@
 //
 // # Leaf budget
 //
-// Worker pools bound goroutines per Run call, not work per process:
+// Worker pools bound goroutines per Map call, not work per process:
 // nested grids (a panel point that fans out its own sub-grid) stack
 // pools multiplicatively. The process-wide leaf budget (SetLeafBudget,
 // AcquireLeaf) is the depth-aware bound: only the innermost unit of
@@ -34,7 +34,7 @@
 //
 // # Cancellation and failure
 //
-// Run derives a child context and cancels it on the first point error (or
+// Map derives a child context and cancels it on the first point error (or
 // panic). No new points start, and in-flight points that observe the
 // context (sim.RunContext does, inside the engine loop) abort promptly.
 // Errors are reported as *PointError values, joined in index order; a
@@ -51,43 +51,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
-
-// Progress is one snapshot of a running grid, delivered to
-// Runner.OnProgress after each point completes.
-type Progress struct {
-	// Done and Total count points of this Run call.
-	Done, Total int
-	// Elapsed is the wall time since the Run started.
-	Elapsed time.Duration
-	// Remaining estimates the time to completion by linear extrapolation
-	// of the observed per-point rate (an ETA, not a promise).
-	Remaining time.Duration
-}
-
-// Runner configures one grid execution.
-type Runner struct {
-	// Workers bounds the number of concurrently running points. Zero or
-	// negative means GOMAXPROCS. Workers=1 selects the serial reference
-	// path: points run on the calling goroutine in index order.
-	Workers int
-	// OnProgress, when non-nil, is invoked after every completed point.
-	// Calls are serialized; keep the callback fast.
-	OnProgress func(Progress)
-	// Counters, when non-nil, additionally receives this run's
-	// scheduled/done increments, scoping progress to one Runner. The
-	// package-level Stats view stays the process-wide aggregate, which
-	// over-counts any single grid when nested grids run concurrently.
-	Counters *Counters
-}
-
-func (r Runner) workers() int {
-	if r.Workers > 0 {
-		return r.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // PointError carries the failure of one grid point.
 type PointError struct {
@@ -125,22 +89,7 @@ func Seed(root int64, index int) int64 {
 	return int64(z)
 }
 
-// Counters accumulates scheduled/done point counts for the Run calls
-// that share it (attach one via Runner.Counters). Unlike the package
-// aggregate it is scoped: a figure generator can give each of its grids —
-// or all of them — one Counters value and read progress that is not
-// inflated by unrelated grids running concurrently in the same process.
-type Counters struct {
-	scheduled, done atomic.Int64
-}
-
-// Stats returns the cumulative points scheduled and completed by the Run
-// calls this Counters was attached to.
-func (c *Counters) Stats() (scheduled, done int64) {
-	return c.scheduled.Load(), c.done.Load()
-}
-
-// Package-wide cumulative point counters: the aggregate of every Run
+// Package-wide cumulative point counters: the aggregate of every Map
 // call in the process, for coarse progress reporting across nested grids
 // (cmd/figures polls them).
 var (
@@ -149,14 +98,13 @@ var (
 )
 
 // Stats returns the cumulative number of points scheduled and completed
-// by every Run call in the process, across all (possibly nested) grids.
-// For progress scoped to one grid, attach a Counters to its Runner.
+// by every Map call in the process, across all (possibly nested) grids.
 func Stats() (scheduled, done int64) {
 	return statScheduled.Load(), statDone.Load()
 }
 
 // Leaf budget: one process-wide cap on concurrently held *leaf* slots.
-// Worker pools bound goroutines per Run call, so nested grids (a figure
+// Worker pools bound goroutines per Map call, so nested grids (a figure
 // panel whose points each fan out their own sub-grid) multiply pools up
 // to W² goroutines; the budget is what bounds the actual work. Only leaf
 // work — a single simulation, wrapped in AcquireLeaf by the layer that
@@ -282,55 +230,41 @@ func ResetLeafPeak() {
 	leafPeakN = leafInUse
 }
 
-// Run executes fn(ctx, i) for every i in [0, n) across the runner's
-// worker pool and returns the results in index order. The returned error
-// is nil only if every point succeeded; otherwise it joins the collected
-// *PointError values in index order. On the first failure the derived
-// context is cancelled and unstarted points are abandoned (their result
-// slots keep the zero value).
+// Map executes fn(ctx, i) for every i in [0, n) on at most workers
+// goroutines (<= 0 means GOMAXPROCS; 1 selects the serial reference path:
+// points run on the calling goroutine in index order) and returns the
+// results in index order. The returned error is nil only if every point
+// succeeded; otherwise it joins the collected *PointError values in index
+// order. On the first failure the derived context is cancelled and
+// unstarted points are abandoned (their result slots keep the zero
+// value).
 //
-// Nested Run calls are safe: a point may itself fan out a sub-grid. Each
+// Nested Map calls are safe: a point may itself fan out a sub-grid. Each
 // call bounds only its own pool, so deep nesting can oversubscribe the
 // CPU, which costs some cache locality but never deadlocks.
-func Run[T any](ctx context.Context, r Runner, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
+func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	results := make([]T, n)
 	if n == 0 {
 		return results, ctx.Err()
 	}
 	statScheduled.Add(int64(n))
-	if r.Counters != nil {
-		r.Counters.scheduled.Add(int64(n))
-	}
-	start := time.Now()
 	errs := make([]error, n)
 
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	var mu sync.Mutex
-	done := 0
 	finish := func(i int, err error) {
 		statDone.Add(1)
-		if r.Counters != nil {
-			r.Counters.done.Add(1)
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		done++
 		errs[i] = err
 		if err != nil {
 			cancel()
 		}
-		if r.OnProgress != nil {
-			p := Progress{Done: done, Total: n, Elapsed: time.Since(start)}
-			if done < n {
-				p.Remaining = p.Elapsed / time.Duration(done) * time.Duration(n-done)
-			}
-			r.OnProgress(p)
-		}
 	}
 
-	if w := min(r.workers(), n); w == 1 {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if w := min(workers, n); w == 1 {
 		// Serial reference path: index order on the calling goroutine.
 		for i := 0; i < n && cctx.Err() == nil; i++ {
 			finish(i, runPoint(cctx, i, fn, &results[i]))
@@ -401,10 +335,4 @@ func runPoint[T any](ctx context.Context, i int, fn func(context.Context, int) (
 	}
 	*out = v
 	return nil
-}
-
-// Map is Run without progress reporting: fn over [0, n) with the given
-// worker bound (<=0 means GOMAXPROCS), results in index order.
-func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	return Run(ctx, Runner{Workers: workers}, n, fn)
 }

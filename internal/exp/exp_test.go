@@ -166,36 +166,6 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 }
 
-func TestRunProgressAndETA(t *testing.T) {
-	var snaps []Progress
-	r := Runner{Workers: 3, OnProgress: func(p Progress) { snaps = append(snaps, p) }}
-	_, err := Run(context.Background(), r, 20, func(_ context.Context, i int) (int, error) {
-		return i, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) != 20 {
-		t.Fatalf("got %d progress callbacks, want 20", len(snaps))
-	}
-	prev := 0
-	for _, p := range snaps {
-		if p.Total != 20 {
-			t.Fatalf("Total = %d", p.Total)
-		}
-		if p.Done != prev+1 {
-			t.Fatalf("Done jumped from %d to %d", prev, p.Done)
-		}
-		prev = p.Done
-		if p.Done < p.Total && p.Elapsed > 0 && p.Remaining < 0 {
-			t.Fatalf("negative ETA %v", p.Remaining)
-		}
-	}
-	if last := snaps[len(snaps)-1]; last.Remaining != 0 {
-		t.Errorf("final Remaining = %v, want 0", last.Remaining)
-	}
-}
-
 func TestStatsAccumulate(t *testing.T) {
 	s0, d0 := Stats()
 	if _, err := Map(context.Background(), 4, 25, func(_ context.Context, i int) (int, error) {
@@ -206,31 +176,6 @@ func TestStatsAccumulate(t *testing.T) {
 	s1, d1 := Stats()
 	if s1-s0 != 25 || d1-d0 != 25 {
 		t.Errorf("Stats moved by (%d, %d), want (25, 25)", s1-s0, d1-d0)
-	}
-}
-
-func TestRunnerCountersScopedPerRunner(t *testing.T) {
-	var mine, other Counters
-	run := func(c *Counters, n int) {
-		t.Helper()
-		if _, err := Run(context.Background(), Runner{Workers: 4, Counters: c}, n,
-			func(_ context.Context, i int) (int, error) { return i, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s0, d0 := Stats()
-	run(&mine, 7)
-	run(&other, 5) // concurrent unrelated grid: must not leak into mine
-	run(&mine, 3)
-	if s, d := mine.Stats(); s != 10 || d != 10 {
-		t.Errorf("mine = (%d, %d), want (10, 10)", s, d)
-	}
-	if s, d := other.Stats(); s != 5 || d != 5 {
-		t.Errorf("other = (%d, %d), want (5, 5)", s, d)
-	}
-	// The package-level view stays the process-wide aggregate.
-	if s1, d1 := Stats(); s1-s0 != 15 || d1-d0 != 15 {
-		t.Errorf("aggregate moved by (%d, %d), want (15, 15)", s1-s0, d1-d0)
 	}
 }
 

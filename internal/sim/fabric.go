@@ -75,10 +75,6 @@ func releaseFabric(key fabricKey, net *noc.Network) {
 	}
 }
 
-// flushFabrics empties the free list, so the next run of every fabric
-// builds its network: the cold path tests compare the warm one against.
-func flushFabrics() { fabrics.Flush() }
-
 // FabricStats returns the process's cumulative fabric counters: networks
 // built, runs served by resetting a network an earlier run built, and
 // networks dropped to keep the free list inside its bounds.

@@ -17,6 +17,10 @@ import (
 	"repro/internal/volt"
 )
 
+// flushFabrics empties the free list, so the next run of every fabric
+// builds its network: the cold path the tests compare the warm one against.
+func flushFabrics() { fabrics.Flush() }
+
 // runSpec is everything about a run that does not name its fabric: two
 // runs with different specs on one (config, faults) pair share networks.
 type runSpec struct {

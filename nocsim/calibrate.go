@@ -28,6 +28,11 @@ func Calibrate(ctx context.Context, s Scenario) (Calibration, error) {
 	if err := s.Validate(); err != nil {
 		return Calibration{}, err
 	}
+	return calibrate(ctx, s)
+}
+
+// calibrate is Calibrate on a normalized, valid scenario.
+func calibrate(ctx context.Context, s Scenario) (Calibration, error) {
 	cs, err := s.toCore()
 	if err != nil {
 		return Calibration{}, err
@@ -96,7 +101,7 @@ func findSaturation(ctx context.Context, s Scenario, cs core.Scenario) (float64,
 // observed reports whether a packet log or trace sink is attached: the
 // scenario's calibration runs then write into it, so they have to happen
 // and a stored result cannot stand in for them.
-func (s Scenario) observed() bool { return s.packetLog != nil || s.traceCapture != nil }
+func (s Scenario) observed() bool { return s.PacketLog != nil || s.TraceCapture != nil }
 
 // calibrationKey identifies the calibration (or, with search set, just
 // the saturation search) of a normalized scenario: the sha256 of its JSON

@@ -69,7 +69,7 @@ func TestCalibrationKeyCoversEveryField(t *testing.T) {
 		rt := reflect.TypeOf(full)
 		for i := 0; i < rt.NumField(); i++ {
 			f := rt.Field(i)
-			if !f.IsExported() {
+			if f.Tag.Get("json") == "-" {
 				continue // runtime attachments bypass the memo: Scenario.observed
 			}
 			if reflect.ValueOf(full).Field(i).IsZero() {
@@ -191,21 +191,21 @@ func referenceCalibration(t *testing.T, s Scenario) Calibration {
 // core.Calibrate's numbers bit for bit — computed, and again reused —
 // across the fabric and traffic families, with quick and full windows.
 func TestCalibrateMatchesReference(t *testing.T) {
-	cases := map[string][]Option{
-		"h264": {WithApp("h264")},
+	cases := map[string]Scenario{
+		"h264": {App: "h264"},
 	}
 	if !testing.Short() {
-		cases["5x5 uniform"] = nil
-		cases["4x4 transpose"] = []Option{WithMesh(4, 4), WithPattern("transpose")}
-		cases["vce"] = []Option{WithApp("vce")}
-		cases["faulty links"] = []Option{WithFaultyLinks("6>7", "7>6", "16>17")}
-		cases["island"] = []Option{WithIslands(Island{X0: 0, Y0: 0, X1: 2, Y1: 2, Speed: 0.5})}
-		cases["mmpp"] = []Option{WithMMPP(4, 64)}
+		cases["5x5 uniform"] = Scenario{}
+		cases["4x4 transpose"] = Scenario{Mesh: Mesh{Width: 4, Height: 4}, Pattern: "transpose"}
+		cases["vce"] = Scenario{App: "vce"}
+		cases["faulty links"] = Scenario{FaultyLinks: []string{"6>7", "7>6", "16>17"}}
+		cases["island"] = Scenario{Islands: []Island{{X0: 0, Y0: 0, X1: 2, Y1: 2, Speed: 0.5}}}
+		cases["mmpp"] = Scenario{Source: &SourceSpec{Kind: SourceMMPP, BurstRatio: 4, BurstLen: 64}}
 	}
-	for name, opts := range cases {
+	for name, c := range cases {
 		for _, quick := range []bool{true, false} {
-			s := MustNew(append([]Option{WithSeed(3)}, opts...)...)
-			s.Quick = quick
+			s := c
+			s.Seed, s.Quick = 3, quick
 			want := referenceCalibration(t, s)
 			for _, pass := range []string{"first call", "repeat"} {
 				got, err := Calibrate(context.Background(), s)
@@ -242,9 +242,9 @@ var freshSeed atomic.Int64
 // cheapFabric is a small mesh whose calibration takes a fraction of a
 // second, with a seed nothing else in the process has used, so its keys
 // start out unknown to the memo.
-func cheapFabric(opts ...Option) Scenario {
+func cheapFabric() Scenario {
 	seed := 9000 + freshSeed.Add(1)
-	return MustNew(append([]Option{WithMesh(3, 3), WithVCs(2), WithQuick(), WithSeed(seed)}, opts...)...)
+	return Scenario{Mesh: Mesh{Width: 3, Height: 3, VCs: 2}, Quick: true, Seed: seed}.Normalized()
 }
 
 // TestCalibrateSingleFlight: many goroutines calibrating one scenario at
@@ -302,10 +302,8 @@ func TestSearchSharedAcrossControllerFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := base.With(WithTransient(), WithControlPeriod(10000), WithPolicy(DMSD))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pi := base
+	pi.Transient, pi.ControlPeriod, pi.Policy = true, 10000, DMSD
 	piCal, err := Calibrate(context.Background(), pi)
 	if err != nil {
 		t.Fatal(err)
@@ -332,7 +330,8 @@ func TestObservedScenariosBypassMemo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: runs two saturation searches")
 	}
-	s := cheapFabric(WithPacketLog(NewPacketLog(1 << 10)))
+	s := cheapFabric()
+	s.PacketLog = NewPacketLog(1 << 10)
 	delta := calStatsDelta()
 	for range 2 {
 		if _, err := Calibrate(context.Background(), s); err != nil {

@@ -11,13 +11,10 @@ import (
 
 // captureQuickTrace runs a quick Bernoulli scenario with a trace sink
 // attached and returns the sink plus the capture run's result.
-func captureQuickTrace(t *testing.T, opts ...Option) (*Trace, Result) {
+func captureQuickTrace(t *testing.T, s Scenario) (*Trace, Result) {
 	t.Helper()
 	sink := NewTrace()
-	s, err := New(append(append([]Option(nil), opts...), WithTraceCapture(sink))...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s.TraceCapture = sink
 	res, err := Run(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
@@ -30,21 +27,17 @@ func captureQuickTrace(t *testing.T, opts ...Option) (*Trace, Result) {
 
 // TestTraceCaptureReplayBitIdentical is the tentpole's round-trip
 // contract: a captured trace, saved to its golden-file form and replayed
-// through WithTrace, reproduces the capture run's network evolution bit
+// through TraceRef, reproduces the capture run's network evolution bit
 // for bit. Only OfferedRate legitimately differs: the capture reports the
 // nominal Bernoulli rate, the replay the trace's realized rate.
 func TestTraceCaptureReplayBitIdentical(t *testing.T) {
-	sink, capRes := captureQuickTrace(t,
-		WithPattern("uniform"), WithLoad(0.15), WithQuick(), WithSeed(7))
+	sink, capRes := captureQuickTrace(t, Scenario{Pattern: "uniform", Load: 0.15, Quick: true, Seed: 7})
 
 	path := filepath.Join(t.TempDir(), "trace.json")
 	if err := sink.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	replay, err := New(WithTrace(path), WithQuick(), WithSeed(7))
-	if err != nil {
-		t.Fatal(err)
-	}
+	replay := Scenario{TraceRef: path, Quick: true, Seed: 7}
 	repRes, err := Run(context.Background(), replay)
 	if err != nil {
 		t.Fatal(err)
@@ -65,8 +58,9 @@ func TestTraceCaptureReplayBitIdentical(t *testing.T) {
 // capture on a 3x3 mesh must reproduce testdata/trace.golden.json byte
 // for byte — capture determinism and file format in one check.
 func TestTraceGoldenCapture(t *testing.T) {
-	sink, _ := captureQuickTrace(t,
-		WithPattern("uniform"), WithMesh(3, 3), WithLoad(0.05), WithQuick(), WithSeed(7))
+	sink, _ := captureQuickTrace(t, Scenario{
+		Pattern: "uniform", Mesh: Mesh{Width: 3, Height: 3}, Load: 0.05, Quick: true, Seed: 7,
+	})
 	var buf strings.Builder
 	if err := sink.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -94,10 +88,7 @@ func TestTraceGoldenReplayRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(WithTrace(golden), WithMesh(3, 3), WithQuick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := Scenario{TraceRef: golden, Mesh: Mesh{Width: 3, Height: 3}, Quick: true}
 	res, err := Run(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
@@ -115,16 +106,14 @@ func TestTraceGoldenReplayRuns(t *testing.T) {
 // otherwise idle past the end of the recorded events and measure an
 // empty network (a regression this test pins).
 func TestTraceReplayUnderDMSD(t *testing.T) {
-	sink, _ := captureQuickTrace(t,
-		WithPattern("uniform"), WithLoad(0.15), WithQuick(), WithSeed(7))
+	sink, _ := captureQuickTrace(t, Scenario{Pattern: "uniform", Load: 0.15, Quick: true, Seed: 7})
 	path := filepath.Join(t.TempDir(), "trace.json")
 	if err := sink.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(WithTrace(path), WithQuick(), WithPolicy(DMSD),
-		WithCalibration(Calibration{SaturationRate: 0.46, LambdaMax: 0.41, TargetDelayNs: 186}))
-	if err != nil {
-		t.Fatal(err)
+	s := Scenario{
+		TraceRef: path, Quick: true, Policy: DMSD,
+		Calibration: &Calibration{SaturationRate: 0.46, LambdaMax: 0.41, TargetDelayNs: 186},
 	}
 	res, err := Run(context.Background(), s)
 	if err != nil {
@@ -144,8 +133,10 @@ func TestTraceReplayUnderDMSD(t *testing.T) {
 // arrivals cost latency.
 func TestBurstSourceChangesDynamicsNotLoad(t *testing.T) {
 	ctx := context.Background()
-	base := quickBase(t, WithSeed(21))
-	mmpp := quickBase(t, WithSeed(21), WithMMPP(6, 80))
+	base := quickBase()
+	base.Seed = 21
+	mmpp := base
+	mmpp.Source = &SourceSpec{Kind: SourceMMPP, BurstRatio: 6, BurstLen: 80}
 	pres, err := Run(ctx, base)
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +161,9 @@ func TestBurstSourceChangesDynamicsNotLoad(t *testing.T) {
 // TestParetoSourceRuns: the self-similar source completes and preserves
 // throughput like the MMPP one.
 func TestParetoSourceRuns(t *testing.T) {
-	s := quickBase(t, WithSeed(5), WithParetoOnOff(4, 60, 1.4))
+	s := quickBase()
+	s.Seed = 5
+	s.Source = &SourceSpec{Kind: SourcePareto, BurstRatio: 4, BurstLen: 60, ParetoAlpha: 1.4}
 	res, err := Run(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +177,8 @@ func TestParetoSourceRuns(t *testing.T) {
 // panics if anything crosses one), and a disconnecting fault set fails
 // with a clear error instead of hanging.
 func TestFaultyLinksRun(t *testing.T) {
-	s := quickBase(t, WithFaultyLinks("6>7", "7>6", "16>17"))
+	s := quickBase()
+	s.FaultyLinks = []string{"6>7", "7>6", "16>17"}
 	res, err := Run(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +187,7 @@ func TestFaultyLinksRun(t *testing.T) {
 		t.Error("faulted mesh delivered nothing")
 	}
 
-	dead := quickBase(t)
+	dead := quickBase()
 	dead.FaultyLinks = []string{"0>1", "0>5"}
 	if _, err := Run(context.Background(), dead); err == nil || !strings.Contains(err.Error(), "disconnect") {
 		t.Errorf("disconnecting fault set: err = %v", err)
@@ -204,8 +198,10 @@ func TestFaultyLinksRun(t *testing.T) {
 // measured latency of the identical traffic script.
 func TestIslandsSlowTheMesh(t *testing.T) {
 	ctx := context.Background()
-	base := quickBase(t, WithSeed(3))
-	slowed := quickBase(t, WithSeed(3), WithIslands(Island{X0: 0, Y0: 0, X1: 4, Y1: 4, Speed: 0.5}))
+	base := quickBase()
+	base.Seed = 3
+	slowed := base
+	slowed.Islands = []Island{{X0: 0, Y0: 0, X1: 4, Y1: 4, Speed: 0.5}}
 	bres, err := Run(ctx, base)
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +220,9 @@ func TestIslandsSlowTheMesh(t *testing.T) {
 // traffic and reproduce their metrics bit for bit like square ones.
 func TestNonSquareMeshDeterministic(t *testing.T) {
 	ctx := context.Background()
-	s := quickBase(t, WithMesh(6, 3), WithSeed(9))
+	s := quickBase()
+	s.Mesh.Width, s.Mesh.Height = 6, 3
+	s.Seed = 9
 	first, err := Run(ctx, s)
 	if err != nil {
 		t.Fatal(err)

@@ -6,8 +6,10 @@
 // The API is three ideas:
 //
 //   - A Scenario is one self-contained simulation job — fabric, traffic,
-//     load, policy, seed — built with functional options, validated
-//     eagerly, and JSON-round-trippable, so it doubles as a wire format.
+//     load, policy, seed — written as a struct literal whose zero fields
+//     take the paper's baseline, normalized and validated once where it
+//     enters Run, Sweep or Calibrate, and JSON-round-trippable, so it
+//     doubles as a wire format.
 //   - Run executes one scenario under a context.Context that is observed
 //     all the way inside the engine loop, so runs can be cancelled
 //     promptly.
@@ -18,14 +20,11 @@
 //
 // # Quickstart
 //
-//	s, err := nocsim.New(
-//		nocsim.WithPattern("uniform"),
-//		nocsim.WithLoad(0.2),
-//		nocsim.WithPolicy(nocsim.DMSD),
-//		nocsim.WithQuick(),
-//	)
-//	if err != nil {
-//		log.Fatal(err)
+//	s := nocsim.Scenario{
+//		Pattern: "uniform",
+//		Load:    0.2,
+//		Policy:  nocsim.DMSD,
+//		Quick:   true,
 //	}
 //	res, err := nocsim.Run(ctx, s)
 //	if err != nil {
@@ -59,7 +58,7 @@
 // The RMSD and DMSD controllers need operating points (λmax, the delay
 // setpoint). Run and Sweep derive them automatically with the paper's
 // recipe when no Calibration is attached, and record the resolved values
-// in their results; pin them with WithCalibration to skip the search —
+// in their results; pin them in Scenario.Calibration to skip the search —
 // in particular before shipping Grid points to remote workers.
 //
 // A calibration is a pure function of the scenario, and the process
@@ -102,18 +101,19 @@
 // (the README's scenario cookbook walks through each with runnable
 // commands):
 //
-//   - Trace replay: WithTraceCapture records every injection of a run
-//     into a Trace; Trace.Save writes it as JSON, and WithTrace replays
-//     the file bit-identically — replay consumes no randomness, so the
-//     network evolution reproduces the capture run exactly.
-//   - Bursty sources: WithMMPP and WithParetoOnOff layer an on-off
-//     modulation under any synthetic pattern. The long-run mean rate
-//     stays exactly the scenario's Load; burstiness only redistributes
-//     the same traffic in time.
-//   - Heterogeneous meshes: non-square dimensions (WithMesh accepts any
+//   - Trace replay: a Trace sink in TraceCapture records every injection
+//     of a run; Trace.Save writes it as JSON, and a scenario naming the
+//     file in TraceRef replays it bit-identically — replay consumes no
+//     randomness, so the network evolution reproduces the capture run
+//     exactly.
+//   - Bursty sources: a SourceSpec of kind SourceMMPP or SourcePareto
+//     layers an on-off modulation under any synthetic pattern. The
+//     long-run mean rate stays exactly the scenario's Load; burstiness
+//     only redistributes the same traffic in time.
+//   - Heterogeneous meshes: non-square dimensions (Mesh takes any
 //     width × height ≥ 2), masked faulty channels routed around by a
-//     fault-aware minimal table (WithFaultyLinks), and rectangular V/F
-//     islands running at a fraction of the network clock (WithIslands).
+//     fault-aware minimal table (FaultyLinks), and rectangular V/F
+//     islands running at a fraction of the network clock (Islands).
 //
 // # JSON wire form
 //
@@ -130,7 +130,8 @@
 //	                                  on). Naming only one of the two is
 //	                                  rejected; both must be ≥ 2. Any
 //	                                  rectangle is legal — meshes need not be
-//	                                  square. Flags -width, -height.
+//	                                  square. Flags -width, -height
+//	                                  (beside -app, only when given).
 //	mesh.vcs                  int     virtual channels per input port;
 //	                                  default 8, 1 to 12. Flag -vcs.
 //	mesh.buf_depth            int     flit slots per VC buffer; default 4,
@@ -155,7 +156,7 @@
 //	peak_rate     float    busiest-node injection rate at app speed 1.0;
 //	                       default 0.40, must be ≥ 0. Flag —.
 //	trace         string   path of a recorded injection trace to replay
-//	                       (captured with WithTraceCapture / the
+//	                       (captured through TraceCapture / the
 //	                       -capture-trace flag and saved with Trace.Save).
 //	                       Excludes pattern, app and source; RMSD/DMSD
 //	                       trace scenarios must pin a calibration (the
@@ -245,9 +246,10 @@
 //
 // A step_workers key (scenario or result meta) is ignored since PR 15.
 //
-// Runtime attachments (a PacketLog from WithPacketLog, a Trace sink from
-// WithTraceCapture) are deliberately not part of the wire form: they do
-// not survive JSON marshalling, and they force sweeps to run serially.
+// The runtime attachments PacketLog and TraceCapture are Scenario fields
+// tagged json:"-": deliberately not part of the wire form, they do not
+// survive JSON marshalling, they force sweeps to run serially, and they
+// make every calibration run afresh.
 //
 // The nocsim/manifest subpackage builds on Grid: a Manifest bundles
 // resolved grids into one globally indexed list of points with a

@@ -11,7 +11,7 @@ import (
 // AppInfo describes one of the built-in multimedia workloads (the
 // paper's Fig. 9 communication graphs).
 type AppInfo struct {
-	// Name is the identifier WithApp accepts.
+	// Name is the identifier Scenario.App accepts.
 	Name string `json:"name"`
 	// Width and Height are the mesh the application is mapped on.
 	Width  int `json:"width"`
@@ -46,8 +46,8 @@ func Apps() []AppInfo {
 func PaperPatterns() []string { return traffic.PaperPatterns() }
 
 // PacketLog records the lifecycle of every packet delivered during a
-// run's measurement window. Attach one to a scenario with WithPacketLog;
-// it is a runtime object, not part of the scenario's wire form.
+// run's measurement window. Attach one as Scenario.PacketLog; it is a
+// runtime object, not part of the scenario's wire form.
 type PacketLog struct {
 	log *trace.Log
 }
@@ -74,15 +74,15 @@ func (l *PacketLog) WriteFlowsCSV(w io.Writer) error { return l.log.WriteFlowsCS
 
 // Trace is a recorded injection trace: every packet a run generated,
 // with its injection cycle, source, destination and (under o1turn
-// routing) the dimension order it drew. Capture one with
-// WithTraceCapture, persist it with Save or WriteJSON, and replay it
-// bit-identically with WithTrace. Like PacketLog it is a runtime
-// object, not part of the scenario wire form.
+// routing) the dimension order it drew. Capture one through
+// Scenario.TraceCapture, persist it with Save or WriteJSON, and replay it
+// bit-identically by naming the file in Scenario.TraceRef. Like PacketLog
+// it is a runtime object, not part of the scenario wire form.
 type Trace struct {
 	inj trace.Injection
 }
 
-// NewTrace returns an empty trace sink for WithTraceCapture.
+// NewTrace returns an empty trace sink for Scenario.TraceCapture.
 func NewTrace() *Trace { return &Trace{} }
 
 // Len returns the number of recorded injection events (packets).
@@ -98,7 +98,7 @@ func (t *Trace) MeanRate() float64 { return t.inj.MeanRate() }
 // WriteJSON writes the trace wire form.
 func (t *Trace) WriteJSON(w io.Writer) error { return t.inj.WriteJSON(w) }
 
-// Save writes the trace to path — the file WithTrace replays.
+// Save writes the trace to path — the file Scenario.TraceRef replays.
 func (t *Trace) Save(path string) error { return trace.SaveInjection(path, &t.inj) }
 
 // LoadTrace reads a trace file saved with Save, for inspection; Run

@@ -22,13 +22,18 @@ import (
 // records the resolved calibration in the returned Result's Scenario, so
 // repeating or distributing the run skips the search.
 func Run(ctx context.Context, s Scenario) (Result, error) {
-	start := time.Now()
 	s = s.normalized()
 	if err := s.Validate(); err != nil {
 		return Result{}, err
 	}
+	return run(ctx, s)
+}
+
+// run is Run on a normalized, valid scenario.
+func run(ctx context.Context, s Scenario) (Result, error) {
+	start := time.Now()
 	if s.Calibration == nil && s.Policy != NoDVFS {
-		cal, err := Calibrate(ctx, s)
+		cal, err := calibrate(ctx, s)
 		if err != nil {
 			return Result{}, err
 		}

@@ -12,19 +12,13 @@ import (
 
 // quickBase returns a small fast scenario with a pinned calibration, so
 // tests exercise single runs rather than the saturation search.
-func quickBase(t *testing.T, opts ...Option) Scenario {
-	t.Helper()
-	base := []Option{
-		WithPattern("uniform"),
-		WithLoad(0.15),
-		WithQuick(),
-		WithCalibration(Calibration{SaturationRate: 0.42, LambdaMax: 0.378, TargetDelayNs: 150}),
-	}
-	s, err := New(append(base, opts...)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+func quickBase() Scenario {
+	return Scenario{
+		Pattern:     "uniform",
+		Load:        0.15,
+		Quick:       true,
+		Calibration: &Calibration{SaturationRate: 0.42, LambdaMax: 0.378, TargetDelayNs: 150},
+	}.Normalized()
 }
 
 // metricsJSON renders the measured part of a result for byte-exact
@@ -44,7 +38,7 @@ func TestRunAlreadyCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err := Run(ctx, quickBase(t))
+	_, err := Run(ctx, quickBase())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -58,21 +52,14 @@ func TestRunAlreadyCancelled(t *testing.T) {
 func TestRunMidRunCancel(t *testing.T) {
 	// Full (non-quick) windows on a loaded 8x8 mesh: several seconds of
 	// serial work, so a 100 ms cancel lands mid-run with a wide margin.
-	s, err := New(
-		WithPattern("uniform"),
-		WithMesh(8, 8),
-		WithLoad(0.3),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := Scenario{Pattern: "uniform", Mesh: Mesh{Width: 8, Height: 8}, Load: 0.3}
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	time.AfterFunc(100*time.Millisecond, cancel)
 
 	start := time.Now()
-	_, err = Run(ctx, s)
+	_, err := Run(ctx, s)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -86,15 +73,12 @@ func TestRunMidRunCancel(t *testing.T) {
 // TestSweepMidRunCancel: cancelling a Sweep aborts its worker pool and
 // every in-flight point, returns ctx.Err(), and leaks no goroutines.
 func TestSweepMidRunCancel(t *testing.T) {
-	s, err := New(
-		WithPattern("uniform"),
-		WithMesh(8, 8),
-		WithLoad(0.3),
-		WithWorkers(4),
-		WithCalibration(Calibration{SaturationRate: 0.42, LambdaMax: 0.378, TargetDelayNs: 150}),
-	)
-	if err != nil {
-		t.Fatal(err)
+	s := Scenario{
+		Pattern:     "uniform",
+		Mesh:        Mesh{Width: 8, Height: 8},
+		Load:        0.3,
+		Workers:     4,
+		Calibration: &Calibration{SaturationRate: 0.42, LambdaMax: 0.378, TargetDelayNs: 150},
 	}
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -102,7 +86,7 @@ func TestSweepMidRunCancel(t *testing.T) {
 	time.AfterFunc(100*time.Millisecond, cancel)
 
 	start := time.Now()
-	_, err = Sweep(ctx, Grid{
+	_, err := Sweep(ctx, Grid{
 		Base:     s,
 		Loads:    []float64{0.1, 0.2, 0.3, 0.35},
 		Policies: []PolicyKind{NoDVFS, RMSD},
@@ -142,7 +126,7 @@ func waitForGoroutines(t *testing.T, baseline int) {
 // second run simulates on the first one's network and generator slab,
 // which FabricStats shows.
 func TestRunReproducible(t *testing.T) {
-	s := quickBase(t)
+	s := quickBase()
 	before := FabricStats()
 	a, err := Run(context.Background(), s)
 	if err != nil {
@@ -168,17 +152,16 @@ func TestRunReproducible(t *testing.T) {
 // contract end to end: a scenario that crosses the wire must Run to
 // byte-identical metrics on the other side.
 func TestJSONRoundTripRunByteIdentical(t *testing.T) {
-	scenarios := []Scenario{
-		quickBase(t),
-		quickBase(t, WithPolicy(RMSD)),
-	}
+	rmsd, dmsd, neighbor := quickBase(), quickBase(), quickBase()
+	rmsd.Policy = RMSD
+	dmsd.Policy = DMSD
+	neighbor.Pattern, neighbor.Load = "neighbor", 0.3
+	scenarios := []Scenario{quickBase(), rmsd}
 	if !testing.Short() {
-		scenarios = append(scenarios,
-			quickBase(t, WithPolicy(DMSD)),
-			quickBase(t, WithPattern("neighbor"), WithLoad(0.3)),
-			MustNew(WithApp("h264"), WithLoad(0.5), WithQuick(),
-				WithCalibration(Calibration{SaturationRate: 0.9, LambdaMax: 0.3, TargetDelayNs: 120})),
-		)
+		scenarios = append(scenarios, dmsd, neighbor, Scenario{
+			App: "h264", Load: 0.5, Quick: true,
+			Calibration: &Calibration{SaturationRate: 0.9, LambdaMax: 0.3, TargetDelayNs: 120},
+		}.Normalized())
 	}
 	for _, s := range scenarios {
 		direct, err := Run(context.Background(), s)
@@ -210,7 +193,7 @@ func TestRunRecordsResolvedCalibration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: runs a saturation search")
 	}
-	s := MustNew(WithPattern("uniform"), WithLoad(0.15), WithPolicy(RMSD), WithQuick())
+	s := Scenario{Pattern: "uniform", Load: 0.15, Policy: RMSD, Quick: true}
 	res, err := Run(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
@@ -234,10 +217,8 @@ func TestRunRecordsResolvedCalibration(t *testing.T) {
 // the measured packets.
 func TestRunPacketLog(t *testing.T) {
 	plog := NewPacketLog(1 << 16)
-	s, err := quickBase(t).With(WithPacketLog(plog))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := quickBase()
+	s.PacketLog = plog
 	res, err := Run(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +235,9 @@ func TestRunPacketLog(t *testing.T) {
 func TestThroughputIsAPerNodeRate(t *testing.T) {
 	for i := 1; i <= 20; i++ {
 		load := 0.05 * float64(i)
-		r, err := Run(context.Background(), quickBase(t, WithLoad(load), WithPolicy(NoDVFS)))
+		s := quickBase()
+		s.Load = load
+		r, err := Run(context.Background(), s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,15 +259,16 @@ func TestThroughputIsAPerNodeRate(t *testing.T) {
 func TestTheoreticalCapacityBoundsSaturation(t *testing.T) {
 	cases := []struct {
 		name string
-		opts []Option
+		s    Scenario
 		want float64
 	}{
-		{"healthy", nil, 0.80},
-		{"cut 6-7", []Option{WithFaultyLinks("6>7", "7>6")}, 0.50},
-		{"columns 0-1 at half speed", []Option{WithIslands(Island{X0: 0, Y0: 0, X1: 1, Y1: 4, Speed: 0.5})}, 0.40},
+		{"healthy", Scenario{}, 0.80},
+		{"cut 6-7", Scenario{FaultyLinks: []string{"6>7", "7>6"}}, 0.50},
+		{"columns 0-1 at half speed", Scenario{Islands: []Island{{X0: 0, Y0: 0, X1: 1, Y1: 4, Speed: 0.5}}}, 0.40},
 	}
 	for _, tc := range cases {
-		s := MustNew(append([]Option{WithPattern("uniform"), WithQuick()}, tc.opts...)...)
+		s := tc.s
+		s.Pattern, s.Quick = "uniform", true
 		bound, err := TheoreticalCapacity(s)
 		if err != nil {
 			t.Fatal(err)

@@ -177,10 +177,14 @@ func (c Calibration) toCore() core.Calibration {
 }
 
 // Scenario is one self-contained simulation job: fabric, traffic, load,
-// policy and seed. Build one with New and the With... options; the zero
-// value is not usable. A Scenario marshals to and from JSON losslessly,
-// so it doubles as the wire form for distributing work: ship the bytes,
-// Unmarshal, Run.
+// policy and seed. Build one as a struct literal that states only what
+// differs from the paper's baseline: every zero field takes its
+// documented default (see Normalized), so the zero Scenario is the 5x5
+// uniform No-DVFS job at rate 0.2. Run, Sweep, Calibrate and Grid.Point
+// normalize and validate it; call Normalized and Validate directly to
+// check or display one before running. A Scenario marshals to and from
+// JSON losslessly, so it doubles as the wire form for distributing work:
+// ship the bytes, Unmarshal, Run.
 type Scenario struct {
 	// Mesh is the network fabric.
 	Mesh Mesh `json:"mesh"`
@@ -194,8 +198,8 @@ type Scenario struct {
 	// PeakRate is the busiest-node injection rate at App speed 1.0
 	// (default 0.40 flits/node/cycle, the apps' calibrated peak).
 	PeakRate float64 `json:"peak_rate,omitempty"`
-	// TraceRef names a recorded injection-trace file (captured with
-	// WithTraceCapture and saved with Trace.Save) to replay instead of
+	// TraceRef names a recorded injection-trace file (captured through
+	// TraceCapture and saved with Trace.Save) to replay instead of
 	// generating traffic. Replay is bit-identical to the capture run.
 	// Pattern, App and Source must be empty, and RMSD/DMSD need a pinned
 	// Calibration — the calibration search varies load, which a fixed
@@ -263,21 +267,26 @@ type Scenario struct {
 	// Results are byte-identical for every value.
 	Workers int `json:"workers,omitempty"`
 
-	// packetLog, when attached with WithPacketLog, records every
-	// measured packet's lifecycle. It is a runtime attachment, not part
-	// of the wire form, and forces sweeps to run serially.
-	packetLog *PacketLog
-	// traceCapture, when attached with WithTraceCapture, records every
-	// generated packet as an injection-trace event. Like packetLog it is
-	// a runtime attachment that forces sweeps to run serially.
-	traceCapture *Trace
+	// PacketLog, when set, records every measured packet's lifecycle. It
+	// is a runtime attachment, not part of the wire form; it forces
+	// sweeps to run serially so records do not interleave, and it makes
+	// every calibration run afresh, since the calibration runs write into
+	// it too.
+	PacketLog *PacketLog `json:"-"`
+	// TraceCapture, when set, records every packet the run generates as
+	// an injection-trace event; save it with Trace.Save and replay it
+	// through TraceRef. Like PacketLog it is a runtime attachment that
+	// forces sweeps and calibration probes to run serially; the sink then
+	// holds the events of the last run that used it (the main
+	// measurement run, for Run with auto-calibration).
+	TraceCapture *Trace `json:"-"`
 }
 
 // Normalized returns the scenario with every unset field replaced by
-// the documented default, so a partial hand-written JSON scenario
-// behaves like one built with New. Run, Sweep, Calibrate and
-// FindSaturation normalize internally; call it directly when a wire
-// scenario must be validated or displayed before running.
+// the documented default, so a partial struct literal or hand-written
+// JSON document names a complete job. Run, Sweep, Calibrate and
+// FindSaturation normalize internally; call it directly when a scenario
+// must be validated or displayed before running.
 func (s Scenario) Normalized() Scenario { return s.normalized() }
 
 // normalized implements Normalized. Router parameters (VCs, buffers,
@@ -290,8 +299,8 @@ func (s Scenario) normalized() Scenario {
 	if s.Mesh.Width == 0 && s.Mesh.Height == 0 {
 		s.Mesh.Width, s.Mesh.Height = d.Width, d.Height
 		// An app scenario defaults to the mesh its graph is mapped on
-		// (4x4 for h264, 5x5 for vce), exactly as WithApp would set it;
-		// an unknown app name is left for Validate to report.
+		// (4x4 for h264, 5x5 for vce); an unknown app name is left for
+		// Validate to report.
 		if s.App != "" {
 			if app, err := appByName(s.App); err == nil {
 				s.Mesh.Width, s.Mesh.Height = app.Width, app.Height
@@ -340,9 +349,10 @@ func (s Scenario) normalized() Scenario {
 	return s
 }
 
-// Validate reports whether the scenario is internally consistent. New and
-// With validate eagerly; Run validates again so scenarios arriving over
-// the wire get the same checks.
+// Validate reports whether a normalized scenario is internally
+// consistent. It is the one check a scenario passes: every entry point of
+// this package (Run, Sweep, Calibrate, Grid.Point, ...) makes it after
+// normalizing, and the layers below trust its verdict.
 func (s Scenario) Validate() error {
 	var errs []error
 	cfg, err := s.Mesh.toNoc()
@@ -495,11 +505,11 @@ func (s Scenario) toCore() (core.Scenario, error) {
 		}
 		cs.Trace = tr
 	}
-	if s.packetLog != nil {
-		cs.PacketLog = s.packetLog.log
+	if s.PacketLog != nil {
+		cs.PacketLog = s.PacketLog.log
 	}
-	if s.traceCapture != nil {
-		cs.TraceCapture = &s.traceCapture.inj
+	if s.TraceCapture != nil {
+		cs.TraceCapture = &s.TraceCapture.inj
 	}
 	return cs, nil
 }
@@ -537,9 +547,6 @@ func (s Scenario) coreCal() core.Calibration {
 	}
 	return s.Calibration.toCore()
 }
-
-// defaultPeakRate is the apps' calibrated busiest-node rate at speed 1.0.
-func defaultPeakRate() float64 { return apps.DefaultPeakRate }
 
 // appByName resolves a multimedia workload by its name.
 func appByName(name string) (apps.App, error) {

@@ -12,43 +12,39 @@ import (
 // exampleScenarios mirrors every scenario shape the examples and the
 // sweep harness construct: the baseline, each synthetic pattern, each
 // sensitivity variant, and both multimedia workloads.
-func exampleScenarios(t *testing.T) map[string]Scenario {
-	t.Helper()
-	cal := Calibration{SaturationRate: 0.42, LambdaMax: 0.378, TargetDelayNs: 150}
-	set := map[string][]Option{
-		"baseline":     {WithPattern("uniform"), WithLoad(0.2), WithQuick()},
-		"rmsd":         {WithPattern("uniform"), WithLoad(0.2), WithPolicy(RMSD), WithCalibration(cal), WithQuick()},
-		"dmsd":         {WithPattern("uniform"), WithLoad(0.2), WithPolicy(DMSD), WithCalibration(cal), WithQuick()},
-		"tornado":      {WithPattern("tornado"), WithLoad(0.15), WithQuick()},
-		"bitcomp":      {WithPattern("bitcomp"), WithLoad(0.15), WithQuick()},
-		"transpose":    {WithPattern("transpose"), WithLoad(0.1), WithQuick()},
-		"neighbor":     {WithPattern("neighbor"), WithLoad(0.3), WithQuick()},
-		"vc2":          {WithPattern("uniform"), WithVCs(2), WithLoad(0.15), WithQuick()},
-		"buf8":         {WithPattern("uniform"), WithBuffers(8), WithLoad(0.2), WithQuick()},
-		"pkt10":        {WithPattern("uniform"), WithPacketSize(10), WithLoad(0.2), WithQuick()},
-		"mesh4x4":      {WithPattern("uniform"), WithMesh(4, 4), WithLoad(0.2), WithQuick()},
-		"mesh8x8":      {WithPattern("uniform"), WithMesh(8, 8), WithLoad(0.2), WithQuick()},
-		"yx":           {WithPattern("uniform"), WithRouting(RoutingYX), WithLoad(0.2), WithQuick()},
-		"o1turn":       {WithPattern("uniform"), WithRouting(RoutingO1Turn), WithLoad(0.2), WithQuick()},
-		"h264":         {WithApp("h264"), WithLoad(0.5), WithQuick()},
-		"vce":          {WithApp("vce"), WithLoad(0.75), WithQuick()},
-		"seeded":       {WithPattern("uniform"), WithLoad(0.2), WithSeed(77), WithWorkers(3), WithQuick()},
-		"slow-clock":   {WithPattern("uniform"), WithLoad(0.2), WithNodeClock(8e8), WithQuick()},
-		"narrow-range": {WithPattern("uniform"), WithLoad(0.2), WithFreqRange(5e8, 1e9), WithQuick()},
-		"mmpp":         {WithPattern("uniform"), WithLoad(0.2), WithMMPP(4, 64), WithQuick()},
-		"pareto":       {WithPattern("uniform"), WithLoad(0.15), WithParetoOnOff(3, 32, 1.5), WithQuick()},
-		"trace":        {WithTrace("testdata/trace.golden.json"), WithMesh(3, 3), WithQuick()},
-		"faulty":       {WithPattern("uniform"), WithLoad(0.1), WithFaultyLinks("6>7", "7>6"), WithQuick()},
-		"islands":      {WithPattern("uniform"), WithLoad(0.1), WithIslands(Island{X0: 0, Y0: 0, X1: 1, Y1: 1, Speed: 0.5}), WithQuick()},
-		"mesh6x3":      {WithPattern("uniform"), WithMesh(6, 3), WithLoad(0.2), WithQuick()},
+func exampleScenarios() map[string]Scenario {
+	cal := &Calibration{SaturationRate: 0.42, LambdaMax: 0.378, TargetDelayNs: 150}
+	set := map[string]Scenario{
+		"baseline":     {Pattern: "uniform", Load: 0.2},
+		"rmsd":         {Pattern: "uniform", Load: 0.2, Policy: RMSD, Calibration: cal},
+		"dmsd":         {Pattern: "uniform", Load: 0.2, Policy: DMSD, Calibration: cal},
+		"tornado":      {Pattern: "tornado", Load: 0.15},
+		"bitcomp":      {Pattern: "bitcomp", Load: 0.15},
+		"transpose":    {Pattern: "transpose", Load: 0.1},
+		"neighbor":     {Pattern: "neighbor", Load: 0.3},
+		"vc2":          {Pattern: "uniform", Mesh: Mesh{VCs: 2}, Load: 0.15},
+		"buf8":         {Pattern: "uniform", Mesh: Mesh{BufDepth: 8}, Load: 0.2},
+		"pkt10":        {Pattern: "uniform", Mesh: Mesh{PacketSize: 10}, Load: 0.2},
+		"mesh4x4":      {Pattern: "uniform", Mesh: Mesh{Width: 4, Height: 4}, Load: 0.2},
+		"mesh8x8":      {Pattern: "uniform", Mesh: Mesh{Width: 8, Height: 8}, Load: 0.2},
+		"yx":           {Pattern: "uniform", Mesh: Mesh{Routing: RoutingYX}, Load: 0.2},
+		"o1turn":       {Pattern: "uniform", Mesh: Mesh{Routing: RoutingO1Turn}, Load: 0.2},
+		"h264":         {App: "h264", Load: 0.5},
+		"vce":          {App: "vce", Load: 0.75},
+		"seeded":       {Pattern: "uniform", Load: 0.2, Seed: 77, Workers: 3},
+		"slow-clock":   {Pattern: "uniform", Load: 0.2, FNodeHz: 8e8},
+		"narrow-range": {Pattern: "uniform", Load: 0.2, FMinHz: 5e8, FMaxHz: 1e9},
+		"mmpp":         {Pattern: "uniform", Load: 0.2, Source: &SourceSpec{Kind: SourceMMPP, BurstRatio: 4, BurstLen: 64}},
+		"pareto":       {Pattern: "uniform", Load: 0.15, Source: &SourceSpec{Kind: SourcePareto, BurstRatio: 3, BurstLen: 32, ParetoAlpha: 1.5}},
+		"trace":        {TraceRef: "testdata/trace.golden.json", Mesh: Mesh{Width: 3, Height: 3}},
+		"faulty":       {Pattern: "uniform", Load: 0.1, FaultyLinks: []string{"6>7", "7>6"}},
+		"islands":      {Pattern: "uniform", Load: 0.1, Islands: []Island{{X0: 0, Y0: 0, X1: 1, Y1: 1, Speed: 0.5}}},
+		"mesh6x3":      {Pattern: "uniform", Mesh: Mesh{Width: 6, Height: 3}, Load: 0.2},
 	}
 	out := make(map[string]Scenario, len(set))
-	for name, opts := range set {
-		s, err := New(opts...)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		out[name] = s
+	for name, s := range set {
+		s.Quick = true
+		out[name] = s.Normalized()
 	}
 	return out
 }
@@ -57,7 +53,7 @@ func exampleScenarios(t *testing.T) map[string]Scenario {
 // the examples and sweeps construct survives Marshal → Unmarshal exactly,
 // and re-marshalling the recovered value reproduces the same bytes.
 func TestScenarioJSONRoundTrip(t *testing.T) {
-	for name, s := range exampleScenarios(t) {
+	for name, s := range exampleScenarios() {
 		data, err := json.Marshal(s)
 		if err != nil {
 			t.Fatalf("%s: marshal: %v", name, err)
@@ -86,14 +82,14 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 // renamed, tag touched, default moved) must show up as a golden diff, not
 // as a silent incompatibility between fleet members.
 func TestScenarioGoldenJSON(t *testing.T) {
-	s := MustNew(
-		WithPattern("uniform"),
-		WithLoad(0.2),
-		WithPolicy(DMSD),
-		WithCalibration(Calibration{SaturationRate: 0.42, LambdaMax: 0.378, TargetDelayNs: 150}),
-		WithSeed(7),
-		WithQuick(),
-	)
+	s := Scenario{
+		Pattern:     "uniform",
+		Load:        0.2,
+		Policy:      DMSD,
+		Calibration: &Calibration{SaturationRate: 0.42, LambdaMax: 0.378, TargetDelayNs: 150},
+		Seed:        7,
+		Quick:       true,
+	}.Normalized()
 	got, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -119,15 +115,15 @@ func TestScenarioGoldenJSON(t *testing.T) {
 // diversity fields (source, faulty links, islands, trace references) the
 // same way the baseline golden pins the original fields.
 func TestScenarioDiversityGoldenJSON(t *testing.T) {
-	s := MustNew(
-		WithPattern("uniform"),
-		WithLoad(0.2),
-		WithMMPP(4, 64),
-		WithFaultyLinks("6>7", "7>6"),
-		WithIslands(Island{X0: 0, Y0: 0, X1: 1, Y1: 4, Speed: 0.5}),
-		WithSeed(7),
-		WithQuick(),
-	)
+	s := Scenario{
+		Pattern:     "uniform",
+		Load:        0.2,
+		Source:      &SourceSpec{Kind: SourceMMPP, BurstRatio: 4, BurstLen: 64},
+		FaultyLinks: []string{"6>7", "7>6"},
+		Islands:     []Island{{X0: 0, Y0: 0, X1: 1, Y1: 4, Speed: 0.5}},
+		Seed:        7,
+		Quick:       true,
+	}.Normalized()
 	got, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +205,7 @@ func TestOldManifestStillDecodes(t *testing.T) {
 // must survive the wire exactly like a Scenario.
 func TestGridJSONRoundTrip(t *testing.T) {
 	g := Grid{
-		Base:     MustNew(WithPattern("tornado"), WithQuick(), WithSeed(3)),
+		Base:     Scenario{Pattern: "tornado", Quick: true, Seed: 3}.Normalized(),
 		Loads:    []float64{0.05, 0.1, 0.15},
 		Policies: AllPolicies(),
 	}
@@ -229,49 +225,57 @@ func TestGridJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNewValidatesEagerly: every inconsistent scenario a struct literal
+// can state is rejected by Normalized+Validate, the one check a scenario
+// passes before it reaches the engine — while the zero Scenario, the
+// paper's baseline, is accepted.
 func TestNewValidatesEagerly(t *testing.T) {
-	cases := map[string][]Option{
-		"unknown pattern":   {WithPattern("zipf")},
-		"unknown app":       {WithApp("doom")},
-		"unknown policy":    {WithPolicy(PolicyKind("magic"))},
-		"negative load":     {WithLoad(-0.1)},
-		"zero seed":         {WithSeed(0)},
-		"bad mesh":          {WithMesh(0, 5)},
-		"bad range":         {WithFreqRange(1e9, 333e6)},
-		"rmsd no lambda":    {WithPolicy(RMSD), WithCalibration(Calibration{TargetDelayNs: 100})},
-		"dmsd no target":    {WithPolicy(DMSD), WithCalibration(Calibration{LambdaMax: 0.3})},
-		"negative workers":  {WithWorkers(-1)},
-		"bad routing":       {WithRouting(Routing("zigzag"))},
-		"app mesh mismatch": {WithApp("h264"), WithMesh(5, 5)},
-		"transpose non-sq":  {WithPattern("transpose"), WithMesh(4, 5)},
-		"empty trace ref":   {WithTrace("")},
-		"trace + pattern":   {WithTrace("t.json"), WithPattern("uniform")},
-		"trace + dvfs":      {WithTrace("t.json"), WithPolicy(RMSD)},
-		"trace + source":    {WithPattern("uniform"), WithMMPP(4, 64), WithTrace("t.json"), WithMMPP(4, 64)},
-		"source + app":      {WithApp("h264"), WithMMPP(4, 64)},
-		"low burst ratio":   {WithPattern("uniform"), WithMMPP(0.5, 64)},
-		"short burst":       {WithPattern("uniform"), WithMMPP(4, 0.25)},
-		"bad pareto alpha":  {WithPattern("uniform"), WithParetoOnOff(4, 64, 3)},
-		"bad fault form":    {WithFaultyLinks("1-2")},
-		"fault non-adj":     {WithFaultyLinks("0>7")},
-		"fault o1turn":      {WithRouting(RoutingO1Turn), WithFaultyLinks("0>1")},
-		"island outside":    {WithIslands(Island{X0: 0, Y0: 0, X1: 9, Y1: 9, Speed: 0.5})},
-		"island zero speed": {WithIslands(Island{X1: 1, Y1: 1})},
+	if err := (Scenario{}).Normalized().Validate(); err != nil {
+		t.Fatalf("the zero scenario is invalid after normalization: %v", err)
 	}
-	for name, opts := range cases {
-		if _, err := New(opts...); err == nil {
-			t.Errorf("%s: New accepted an invalid scenario", name)
+	mmpp := func(ratio, length float64) *SourceSpec {
+		return &SourceSpec{Kind: SourceMMPP, BurstRatio: ratio, BurstLen: length}
+	}
+	cases := map[string]Scenario{
+		"unknown pattern":     {Pattern: "zipf"},
+		"unknown app":         {App: "doom"},
+		"unknown policy":      {Policy: PolicyKind("magic")},
+		"negative load":       {Load: -0.1},
+		"one mesh dimension":  {Mesh: Mesh{Width: 6}},
+		"bad mesh":            {Mesh: Mesh{Width: -1, Height: 5}},
+		"too many VCs":        {Mesh: Mesh{VCs: 13}},
+		"bad routing":         {Mesh: Mesh{Routing: Routing("zigzag")}},
+		"bad range":           {FMinHz: 1e9, FMaxHz: 333e6},
+		"bad node clock":      {FNodeHz: -1},
+		"rmsd no lambda":      {Policy: RMSD, Calibration: &Calibration{TargetDelayNs: 100}},
+		"dmsd no target":      {Policy: DMSD, Calibration: &Calibration{LambdaMax: 0.3}},
+		"negative workers":    {Workers: -1},
+		"negative period":     {ControlPeriod: -1},
+		"one freq level":      {FreqLevels: 1},
+		"negative gain":       {KI: -0.1},
+		"negative peak rate":  {App: "h264", PeakRate: -1},
+		"app mesh mismatch":   {App: "h264", Mesh: Mesh{Width: 5, Height: 5}},
+		"pattern + app":       {Pattern: "uniform", App: "h264"},
+		"transpose non-sq":    {Pattern: "transpose", Mesh: Mesh{Width: 4, Height: 5}},
+		"trace + pattern":     {TraceRef: "t.json", Pattern: "uniform"},
+		"trace + app":         {TraceRef: "t.json", App: "h264"},
+		"trace + dvfs":        {TraceRef: "t.json", Policy: RMSD},
+		"trace + source":      {TraceRef: "t.json", Source: mmpp(4, 64)},
+		"source + app":        {App: "h264", Source: mmpp(4, 64)},
+		"source without kind": {Source: &SourceSpec{BurstRatio: 4}},
+		"low burst ratio":     {Source: mmpp(0.5, 64)},
+		"short burst":         {Source: mmpp(4, 0.25)},
+		"bad pareto alpha":    {Source: &SourceSpec{Kind: SourcePareto, ParetoAlpha: 3}},
+		"bad fault form":      {FaultyLinks: []string{"1-2"}},
+		"fault non-adj":       {FaultyLinks: []string{"0>7"}},
+		"fault o1turn":        {Mesh: Mesh{Routing: RoutingO1Turn}, FaultyLinks: []string{"0>1"}},
+		"island outside":      {Islands: []Island{{X0: 0, Y0: 0, X1: 9, Y1: 9, Speed: 0.5}}},
+		"island zero speed":   {Islands: []Island{{X1: 1, Y1: 1}}},
+	}
+	for name, s := range cases {
+		if err := s.Normalized().Validate(); err == nil {
+			t.Errorf("%s: Validate accepted an invalid scenario", name)
 		}
-	}
-}
-
-func TestWithDoesNotMutateReceiver(t *testing.T) {
-	s := MustNew(WithPattern("uniform"), WithLoad(0.2))
-	if _, err := s.With(WithLoad(0.4), WithPolicy(RMSD), WithCalibration(Calibration{LambdaMax: 0.3})); err != nil {
-		t.Fatal(err)
-	}
-	if s.Load != 0.2 || s.Policy != NoDVFS || s.Calibration != nil {
-		t.Errorf("With mutated its receiver: %+v", s)
 	}
 }
 
@@ -306,9 +310,9 @@ func TestNormalizedFillsDefaults(t *testing.T) {
 		t.Errorf("partial-mesh scenario invalid after normalization: %v", err)
 	}
 
-	// An app-only wire scenario defaults its mesh to the app's mapping,
-	// matching WithApp — the distribution story must not require the
-	// sender to spell out the mesh.
+	// An app-only wire scenario defaults its mesh to the app's mapping —
+	// the distribution story must not require the sender to spell out
+	// the mesh.
 	var a Scenario
 	if err := json.Unmarshal([]byte(`{"app": "h264", "load": 0.5}`), &a); err != nil {
 		t.Fatal(err)

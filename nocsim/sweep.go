@@ -73,7 +73,7 @@ func (g Grid) Resolve(ctx context.Context) (Grid, error) {
 		}
 	}
 	if needsCal && g.Base.Calibration == nil {
-		cal, err := Calibrate(ctx, g.Base)
+		cal, err := calibrate(ctx, g.Base)
 		if err != nil {
 			return Grid{}, err
 		}
@@ -89,25 +89,19 @@ func LoadGrid(max float64, n int) []float64 {
 	return core.LoadGrid(max, n)
 }
 
-// Sweep resolves the grid (applying any options to its base scenario
-// first) and runs every point, fanning them across the experiment
-// engine's worker pool under Base.Workers. Results arrive in point
-// order and are byte-identical for every worker count: each point is the
-// self-contained scenario Grid.Point returns, with its own derived RNG
-// stream. Cancelling ctx aborts in-flight points promptly and returns
+// Sweep resolves the grid and runs every point, fanning them across the
+// experiment engine's worker pool under Base.Workers. Results arrive in
+// point order and are byte-identical for every worker count: each point
+// is the self-contained scenario Grid.Point returns, with its own derived
+// RNG stream. Cancelling ctx aborts in-flight points promptly and returns
 // ctx.Err().
-func Sweep(ctx context.Context, g Grid, opts ...Option) ([]Result, error) {
-	var err error
-	if len(opts) > 0 {
-		if g.Base, err = g.Base.normalized().With(opts...); err != nil {
-			return nil, err
-		}
-	}
-	if g, err = g.Resolve(ctx); err != nil {
+func Sweep(ctx context.Context, g Grid) ([]Result, error) {
+	g, err := g.Resolve(ctx)
+	if err != nil {
 		return nil, err
 	}
 	workers := g.Base.Workers
-	if g.Base.packetLog != nil || g.Base.traceCapture != nil {
+	if g.Base.observed() {
 		// A shared packet log or trace sink would interleave records
 		// across concurrent points; keep the capture coherent by running
 		// serially.
@@ -119,7 +113,7 @@ func Sweep(ctx context.Context, g Grid, opts ...Option) ([]Result, error) {
 			if err != nil {
 				return Result{}, err
 			}
-			r, err := Run(ctx, p)
+			r, err := run(ctx, p)
 			if err != nil {
 				return Result{}, err
 			}

@@ -8,7 +8,7 @@ import (
 func testGrid(t *testing.T) Grid {
 	t.Helper()
 	return Grid{
-		Base:     quickBase(t),
+		Base:     quickBase(),
 		Loads:    []float64{0.1, 0.2},
 		Policies: []PolicyKind{NoDVFS, RMSD},
 	}
@@ -114,7 +114,7 @@ func TestGridPointRange(t *testing.T) {
 // scenario itself.
 func TestSweepDefaultsToBasePoint(t *testing.T) {
 	ctx := context.Background()
-	results, err := Sweep(ctx, Grid{Base: quickBase(t)})
+	results, err := Sweep(ctx, Grid{Base: quickBase()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestResolveCalibratesOnce(t *testing.T) {
 		t.Skip("short mode: runs a saturation search")
 	}
 	g := Grid{
-		Base:     MustNew(WithPattern("uniform"), WithQuick()),
+		Base:     Scenario{Pattern: "uniform", Quick: true},
 		Loads:    []float64{0.1},
 		Policies: []PolicyKind{NoDVFS, DMSD},
 	}
