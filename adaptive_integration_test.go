@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/report"
 	"repro/internal/sweep"
+	"repro/nocsim/manifest"
 )
 
 // kneeFromTables extracts the saturation knee of the No-DVFS delay curve
@@ -18,7 +19,7 @@ func kneeFromTables(t *testing.T, tables []sweep.Table) (knee, maxLoad float64) 
 			continue
 		}
 		loads := column(t, tables[i], "rate")
-		knee, _ := sweep.Knee(loads, column(t, tables[i], "nodvfs_delay_ns"))
+		knee, _ := manifest.Knee(loads, column(t, tables[i], "nodvfs_delay_ns"))
 		return knee, loads[len(loads)-1]
 	}
 	t.Fatal("no fig2b table rendered")
@@ -37,15 +38,15 @@ func TestAdaptiveSweepMatchesFixedGridWithFewerPoints(t *testing.T) {
 	ctx := context.Background()
 
 	fixedOpts := sweep.Options{Quick: true, Points: 18, Seed: 1}
-	fixed, _, err := sweep.Generate(ctx, "baseline", fixedOpts, sweep.Executor{}, 0)
+	fixed, _, err := sweep.Generate(ctx, "baseline", fixedOpts, sweep.Executor{})
 	if err != nil {
 		t.Fatalf("fixed-grid run: %v", err)
 	}
 	fixedSims := fixedOpts.Points * 3 // three policies per load
 
-	adaptOpts := sweep.Options{Quick: true, Points: 4, Seed: 1}
 	const budget = 6
-	adaptive, stats, err := sweep.Generate(ctx, "baseline", adaptOpts, sweep.Executor{}, budget)
+	adaptOpts := sweep.Options{Quick: true, Points: 4, Seed: 1, RefineBudget: budget}
+	adaptive, stats, err := sweep.Generate(ctx, "baseline", adaptOpts, sweep.Executor{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,8 +30,8 @@
 // curves bend and around the saturation knee, at most -refine-budget
 // points), and the tables merge both passes onto one load axis. Works
 // with -manifest (the refinement is journaled and resumable like any
-// figure) and with -coordinator (the refinement is posted to the live
-// coordinator and drained by the same fleet, no restart).
+// figure) and with -coordinator, whose nocsimd runs with the same
+// -adaptive -refine-budget and derives and serves the refinement itself.
 //
 //	figures -fig 2 -adaptive -refine-budget 12 -manifest runs/fig2
 package main
@@ -174,7 +174,7 @@ func main() {
 	incomplete := 0
 	for _, fig := range run {
 		log.Printf("running %s%s...", fig, how)
-		ts, stats, err := sweep.Generate(ctx, fig, o, ex, sf.RefineBudget())
+		ts, stats, err := sweep.Generate(ctx, fig, o, ex)
 		if errors.Is(err, sweep.ErrIncomplete) {
 			incomplete++
 			log.Printf("%s: stopped after -max-points %d new points; finish it with -resume", fig, *sf.MaxPoints)

@@ -19,6 +19,11 @@
 // tables reassembled from a distributed run match a single-process run
 // byte for byte (cmd/figures -coordinator does the reassembly).
 //
+// With -adaptive the coordinator derives each figure's refinement (at
+// most -refine-budget extra points where the curves bend) the moment its
+// coarse pass completes and serves it to the same fleet; no client needs
+// to stay attached. figures -coordinator passes the same two flags.
+//
 // For real fleets: -auth-token SECRET (or NOCSIM_TOKEN in the
 // environment, which keeps the secret out of process listings) makes the
 // coordinator reject every request that doesn't carry the token as
@@ -58,7 +63,7 @@ func main() {
 		resultsDB = flag.String("results", "", "serve: also mirror every plan and accepted point into this results-store file (what cmd/resultsd serves)")
 		leaseTTL  = flag.Duration("lease-ttl", 60*time.Second, "serve: fallback lease time before an unanswered point is re-issued (adapts to observed point latencies once warmed up)")
 		maxLeases = flag.Int("max-leases", 1024, "serve: cap on outstanding leases across all manifests")
-		exitDone  = flag.Bool("exit-when-done", false, "serve: exit once every served manifest is complete")
+		exitDone  = flag.Bool("exit-when-done", false, "serve: exit once every served manifest (adaptive refinements included) is complete")
 		poll      = flag.Duration("poll", 500*time.Millisecond, "worker: back-off between lease attempts while no point is available")
 		authToken = cli.AuthTokenFlag(flag.CommandLine, "shared bearer token: serve mode requires it of every request, worker mode attaches it; empty disables auth")
 	)
@@ -230,6 +235,7 @@ func serve(ctx context.Context, cfg serveConfig) error {
 
 	ticker := time.NewTicker(time.Second)
 	defer ticker.Stop()
+	completeTicks := 0
 	for {
 		select {
 		case <-ctx.Done():
@@ -238,9 +244,13 @@ func serve(ctx context.Context, cfg serveConfig) error {
 		case err := <-serveErr:
 			return err
 		case <-ticker.C:
+			// Exit on the second complete tick, so workers polling in
+			// between hear "done" rather than find the listener gone.
 			if cfg.exitDone && coord.Complete() {
-				log.Print("all manifests complete; exiting")
-				return shutdown()
+				if completeTicks++; completeTicks == 2 {
+					log.Print("all manifests complete; exiting")
+					return shutdown()
+				}
 			}
 		}
 	}

@@ -71,7 +71,7 @@ func main() {
 		log.Fatal(err)
 	}
 	generate := func(fig string) []sweep.Table {
-		tables, stats, err := sweep.Generate(ctx, fig, o, ex, sf.RefineBudget())
+		tables, stats, err := sweep.Generate(ctx, fig, o, ex)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -102,24 +102,25 @@
 // the claims live at the saturation knee and the policy crossovers.
 // With -adaptive, cmd/figures and cmd/report run each figure as a
 // two-phase plan (internal/sweep): the planned grid is the coarse
-// pass; sweep.Refine scores every load interval by delay gradient,
+// pass; manifest.Refine scores every load interval by delay gradient,
 // curvature and proximity to the measured knee and emits the winning
 // midpoints — bounded by -refine-budget — as a child manifest whose
 // name derives from the parent plan's fingerprint
 // ("<fig>-refine-<sum>"). Because the child is an ordinary
 // resolved-grid manifest, the journal, the coordinator, the workers
-// and the results store execute it unchanged, and sweep.MergeRefined
+// and the results store execute it unchanged, and manifest.MergeRefined
 // renders both passes as one monotone load axis. Refinement is
 // deterministic: identical coarse results yield a byte-identical child
-// manifest (golden-tested), so resumed runs reuse its journal and a
-// re-posted refinement converges instead of conflicting.
+// manifest (golden-tested), so resumed runs reuse its journal.
 //
-// Distributed, the adaptive client registers the refinement name
-// before the coarse pass completes (POST /v1/expect/<name>): a
-// coordinator running -exit-when-done and its unscoped workers then
-// stay attached through the gap between the coarse pass draining and
-// the follow-on manifest arriving (POST /v1/manifest), and a
-// refinement that finds nothing withdraws the expectation. The
+// The budget is part of the plan (Manifest.RefineBudget, in the plan's
+// fingerprint), so cmd/nocsimd takes -adaptive -refine-budget too and
+// derives the child itself: the post that completes a coarse pass
+// registers its refinement before the pass reads complete, and a
+// coordinator restarted with -resume derives the same child from its
+// journal. No client has to stay attached; one that does runs the
+// coarse pass as a scoped worker, fetches the child by name (404: none
+// was worth running), runs it and merges, exactly as a local run. The
 // acceptance test reproduces the Fig. 2 sweep inside the paper's claim
 // bands from a third of the fixed grid's simulated points.
 //

@@ -23,7 +23,7 @@ func TestEndToEndPipelineQuick(t *testing.T) {
 		t.Skip("short mode")
 	}
 	o := sweep.Options{Quick: true, Points: 6, Seed: 1}
-	tables, _, err := sweep.Generate(context.Background(), "baseline", o, sweep.Executor{}, 0)
+	tables, _, err := sweep.Generate(context.Background(), "baseline", o, sweep.Executor{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,9 +49,10 @@ func wasSet(fs *flag.FlagSet, name string) bool {
 
 // CheckRefine rejects meaningless adaptive flag combinations with the
 // shared wording. persistent says whether the run has somewhere durable
-// to put the coarse pass and its refinement (-manifest or -coordinator);
-// without one the refinement manifest would be computed and thrown away,
-// unresumable and invisible to the results store.
+// to put the coarse pass and its refinement (-manifest, -coordinator, or
+// being the coordinator); without one the refinement manifest would be
+// computed and thrown away, unresumable and invisible to the results
+// store.
 func CheckRefine(adaptive bool, budget int, budgetSet, persistent bool) error {
 	if !adaptive {
 		if budgetSet {

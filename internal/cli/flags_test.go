@@ -88,6 +88,9 @@ func TestSweepFlagsCheck(t *testing.T) {
 		{"resume without manifest", figures, "-resume", "-resume needs -manifest"},
 		{"nocsimd: resume without manifest", nocsimd, "-resume", "-resume needs -manifest"},
 		{"nocsimd: resume with manifest", nocsimd, "-resume -manifest d -quick -points 2 -seed 3", ""},
+		{"nocsimd: adaptive without manifest", nocsimd, "-adaptive -refine-budget 6", ""},
+		{"nocsimd: budget without adaptive", nocsimd, "-refine-budget 6", "-refine-budget needs -adaptive"},
+		{"nocsimd: zero budget", nocsimd, "-adaptive -refine-budget 0", "must be positive"},
 		{"negative limit", figures, "-manifest d -max-points -1", "-max-points must be >= 0"},
 		{"limit without manifest", figures, "-max-points 2", "-max-points needs -manifest"},
 		{"adaptive with limit", figures, "-adaptive -manifest d -max-points 2", "-adaptive is exclusive with -max-points"},
@@ -117,8 +120,8 @@ func TestSweepFlagsCheck(t *testing.T) {
 }
 
 // TestSweepFlagsAccessors: the parsed values come out in the sweep
-// package's terms — options, executor, and a budget that is zero unless
-// -adaptive asked for refinement.
+// package's terms — options, with a refinement budget that is zero
+// unless -adaptive asked for refinement, and executor.
 func TestSweepFlagsAccessors(t *testing.T) {
 	parse := func(args string) *SweepFlags {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -141,8 +144,8 @@ func TestSweepFlagsAccessors(t *testing.T) {
 	if ex.Store == nil || !ex.Resume || ex.Limit != 2 || ex.Client != nil {
 		t.Errorf("Executor() = %+v, want a resuming, limited local executor over the -manifest store", ex)
 	}
-	if f.RefineBudget() != 0 {
-		t.Errorf("RefineBudget() = %d without -adaptive, want 0", f.RefineBudget())
+	if got := parse("-refine-budget 5").Options().RefineBudget; got != 0 {
+		t.Errorf("Options().RefineBudget = %d without -adaptive, want 0", got)
 	}
 
 	t.Setenv("NOCSIM_TOKEN", "from-env")
@@ -154,8 +157,8 @@ func TestSweepFlagsAccessors(t *testing.T) {
 	if ex.Client == nil || ex.Client.Base != "http://h:1" || ex.Client.Token != "from-env" {
 		t.Errorf("Executor() = %+v, want a client of http://h:1 carrying $NOCSIM_TOKEN", ex)
 	}
-	if f.RefineBudget() != 5 {
-		t.Errorf("RefineBudget() = %d, want 5", f.RefineBudget())
+	if got := f.Options().RefineBudget; got != 5 {
+		t.Errorf("Options().RefineBudget = %d, want 5", got)
 	}
 	if ex, _ := parse("").Executor(); ex != (sweep.Executor{}) {
 		t.Errorf("Executor() with no flags = %+v, want the zero Executor", ex)

@@ -14,8 +14,8 @@ import (
 
 // SweepFlags is the flag block of the commands that plan or produce
 // figures. PlanFlags registers the planning subset cmd/nocsimd serves
-// from; RunFlags adds what figures and report need to choose where the
-// points are computed and whether to refine; MaxPointsFlag is figures'
+// from, refinement included; RunFlags adds what figures and report need
+// to choose where the points are computed; MaxPointsFlag is figures'
 // own. A flag a command does not register reads as its zero value. After
 // Parse, Check validates every cross-flag rule and the accessors turn the
 // values into the sweep package's terms.
@@ -36,9 +36,10 @@ type SweepFlags struct {
 	MaxPoints    *int
 }
 
-// PlanFlags registers -quick -points -seed -workers -manifest -resume on
-// fs. points is the -points default; scope prefixes each usage line for
-// a command in which the block applies to one mode only ("serve: ").
+// PlanFlags registers -quick -points -seed -workers -manifest -resume
+// -adaptive -refine-budget on fs. points is the -points default; scope
+// prefixes each usage line for a command in which the block applies to
+// one mode only ("serve: ").
 func PlanFlags(fs *flag.FlagSet, points int, scope, workersUsage string) *SweepFlags {
 	return &SweepFlags{
 		fs:       fs,
@@ -49,19 +50,19 @@ func PlanFlags(fs *flag.FlagSet, points int, scope, workersUsage string) *SweepF
 		Manifest: fs.String("manifest", "", scope+"persist resolved-grid manifests and completed points under this directory"),
 		Resume:   fs.Bool("resume", false, scope+"with -manifest: reuse stored manifests and completed points, running only the missing ones"),
 
-		Coordinator: new(string), authToken: new(string),
-		Adaptive: new(bool), refineBudget: new(int), MaxPoints: new(int),
+		Adaptive:     fs.Bool("adaptive", false, scope+"two-phase adaptive sweep: coarse pass, then refine where the curves bend"),
+		refineBudget: fs.Int("refine-budget", 16, scope+"with -adaptive: max extra simulation points the refinement pass may add"),
+
+		Coordinator: new(string), authToken: new(string), MaxPoints: new(int),
 	}
 }
 
-// RunFlags registers the planning subset plus -coordinator -auth-token
-// -adaptive -refine-budget: the block shared by figures and report.
+// RunFlags registers the planning subset plus -coordinator -auth-token:
+// the block shared by figures and report.
 func RunFlags(fs *flag.FlagSet, points int) *SweepFlags {
 	f := PlanFlags(fs, points, "", "concurrent simulation points (default GOMAXPROCS, 1 = serial); results are identical either way")
 	f.Coordinator = fs.String("coordinator", "", "compute through this nocsimd coordinator URL and reassemble tables from its journal")
 	f.authToken = AuthTokenFlag(fs, "bearer token for a -coordinator that runs with -auth-token")
-	f.Adaptive = fs.Bool("adaptive", false, "two-phase adaptive sweep: coarse pass, then refine where the curves bend")
-	f.refineBudget = fs.Int("refine-budget", 16, "with -adaptive: max extra simulation points the refinement pass may add")
 	return f
 }
 
@@ -91,13 +92,19 @@ func (f *SweepFlags) Check() error {
 	if *f.Adaptive && *f.MaxPoints > 0 {
 		return errors.New("-adaptive is exclusive with -max-points: refinement needs the whole coarse pass (interrupt and -resume instead)")
 	}
+	// nocsimd registers no -coordinator: it holds the points itself.
 	return CheckRefine(*f.Adaptive, *f.refineBudget, wasSet(f.fs, "refine-budget"),
-		*f.Manifest != "" || *f.Coordinator != "")
+		*f.Manifest != "" || *f.Coordinator != "" || f.fs.Lookup("coordinator") == nil)
 }
 
-// Options returns the planning options the flags select.
+// Options returns the planning options the flags select: a refinement
+// budget only with -adaptive.
 func (f *SweepFlags) Options() sweep.Options {
-	return sweep.Options{Quick: *f.Quick, Points: *f.Points, Seed: *f.Seed, Workers: *f.Workers}
+	o := sweep.Options{Quick: *f.Quick, Points: *f.Points, Seed: *f.Seed, Workers: *f.Workers}
+	if *f.Adaptive {
+		o.RefineBudget = *f.refineBudget
+	}
+	return o
 }
 
 // Executor returns where the flags say the points are computed and
@@ -115,15 +122,6 @@ func (f *SweepFlags) Executor() (ex sweep.Executor, err error) {
 		ex.Store, err = manifest.NewDirStore(*f.Manifest)
 	}
 	return ex, err
-}
-
-// RefineBudget returns what sweep.Generate takes as its budget: the
-// -refine-budget value with -adaptive, zero (no refinement) without.
-func (f *SweepFlags) RefineBudget() int {
-	if !*f.Adaptive {
-		return 0
-	}
-	return *f.refineBudget
 }
 
 // SetupSummary renders the process's cumulative calibration and set-up

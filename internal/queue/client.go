@@ -133,26 +133,6 @@ func (c *Client) WaitManifest(ctx context.Context, name string, timeout time.Dur
 	}
 }
 
-// AddManifest posts a follow-on manifest to the coordinator
-// (Coordinator.AddFollowOn): the adaptive client's way to append its
-// refinement pass to a live plan. Idempotent for a byte-identical plan;
-// a name collision under a different plan fingerprint is an error.
-func (c *Client) AddManifest(ctx context.Context, m *manifest.Manifest) error {
-	return c.do(ctx, http.MethodPost, "/v1/manifest", m, nil)
-}
-
-// Expect registers the promise of a follow-on manifest
-// (Coordinator.Expect), keeping unscoped workers attached until it is
-// posted or withdrawn.
-func (c *Client) Expect(ctx context.Context, name string) error {
-	return c.do(ctx, http.MethodPost, "/v1/expect/"+name, nil, nil)
-}
-
-// Unexpect withdraws an Expect — the "no refinement after all" path.
-func (c *Client) Unexpect(ctx context.Context, name string) error {
-	return c.do(ctx, http.MethodDelete, "/v1/expect/"+name, nil, nil)
-}
-
 // Lease asks the coordinator for one point to compute.
 func (c *Client) Lease(ctx context.Context, req LeaseRequest) (LeaseResponse, error) {
 	var resp LeaseResponse

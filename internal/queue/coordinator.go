@@ -66,7 +66,6 @@ type Coordinator struct {
 	jobs     map[string]*job // keyed by manifest name
 	sealed   bool            // no more Adds coming (see Seal)
 	quiesced bool            // draining for shutdown: no new leases (see Quiesce)
-	expected map[string]bool // follow-on manifests promised but not yet added (see Expect)
 	met      metricsState
 }
 
@@ -75,7 +74,7 @@ type job struct {
 	sum     string // plan fingerprint, echoed in leases and checked on post
 	total   int
 	done    map[int]nocsim.Result
-	pending map[int]bool // being journaled right now (c.mu released for the fsync)
+	pending map[int]nocsim.Result // being journaled right now (c.mu released for the fsync)
 	leases  map[int]lease
 	expired map[int]bool // lease expired; the next grant is a re-issue
 	// firstGrant remembers when each in-flight point was FIRST leased,
@@ -124,9 +123,8 @@ func New(cfg Config) *Coordinator {
 		cfg.Clock = time.Now
 	}
 	return &Coordinator{
-		cfg:      cfg,
-		jobs:     map[string]*job{},
-		expected: map[string]bool{},
+		cfg:  cfg,
+		jobs: map[string]*job{},
 		met: metricsState{
 			rate:    rateWindow{window: rateWindowSize},
 			workers: map[string]*workerStats{},
@@ -139,25 +137,73 @@ func New(cfg Config) *Coordinator {
 // journal for the manifest is opened for appends — persist the manifest
 // itself (DirStore.SaveManifest or sweep.Executor.Open) before calling
 // Add, since saving later would truncate the very journal the
-// coordinator writes.
+// coordinator writes. An adaptive manifest complete on arrival has its
+// refinement derived here.
 func (c *Coordinator) Add(m *manifest.Manifest, have map[int]nocsim.Result) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.jobs[m.Name]; ok {
 		return fmt.Errorf("queue: manifest %q already registered", m.Name)
 	}
-	sum, err := manifest.Sum(m)
+	j, err := c.registerLocked(m, have)
+	if err != nil || len(j.done) < j.total {
+		return err
+	}
+	return c.refineLocked(j, j.resultsLocked())
+}
+
+// refineLocked registers the follow-on of an adaptive job (RefineBudget
+// > 0): the child manifest.Refine derives from the plan, all of its
+// results and the budget, resumed from the store's journal when that
+// holds the identical plan. It runs before the job can read complete, so
+// a job is never complete with its follow-on undecided. Callers hold c.mu.
+func (c *Coordinator) refineLocked(j *job, results []nocsim.Result) error {
+	if j.m.RefineBudget <= 0 {
+		return nil
+	}
+	child, err := manifest.Refine(j.m, results, j.m.RefineBudget)
+	if err != nil || child == nil {
+		return err
+	}
+	if _, ok := c.jobs[child.Name]; ok {
+		return nil // derived by an earlier post of this point that failed to journal
+	}
+	var have map[int]nocsim.Result
+	if c.cfg.Store != nil {
+		if have, err = c.cfg.Store.SaveOrResume(child); err != nil {
+			return err
+		}
+	}
+	cj, err := c.registerLocked(child, have)
 	if err != nil {
 		return err
 	}
-	return c.registerLocked(m, sum, have)
+	cj.lat = j.lat // the parent's kind of point: start from its lease TTL, not the cold fallback
+	c.met.followOnTotal++
+	return nil
+}
+
+// resultsLocked returns j's done and being-journaled results in point
+// order, the zero Result for any other point. Callers hold c.mu.
+func (j *job) resultsLocked() []nocsim.Result {
+	results := make([]nocsim.Result, j.total)
+	for _, set := range []map[int]nocsim.Result{j.done, j.pending} {
+		for i, r := range set {
+			results[i] = r
+		}
+	}
+	return results
 }
 
 // registerLocked is the shared registration body behind Add and
-// AddFollowOn: mirror the plan (and any resumed points) into the results
-// store, build the job, and open its journal. Callers hold c.mu and have
-// already verified the name is free.
-func (c *Coordinator) registerLocked(m *manifest.Manifest, sum string, have map[int]nocsim.Result) error {
+// refineLocked: mirror the plan (and any resumed points) into the
+// results store, build the job, and open its journal. Callers hold c.mu
+// and have already verified the name is free.
+func (c *Coordinator) registerLocked(m *manifest.Manifest, have map[int]nocsim.Result) (*job, error) {
+	sum, err := manifest.Sum(m)
+	if err != nil {
+		return nil, err
+	}
 	if c.cfg.Results != nil {
 		// Register the plan and backfill the resumed points, so the store
 		// is complete even when it was attached after the journal already
@@ -165,7 +211,7 @@ func (c *Coordinator) registerLocked(m *manifest.Manifest, sum string, have map[
 		// failing it loudly here beats serving a store that silently
 		// cannot accept this plan's points.
 		if _, _, err := c.cfg.Results.ImportJournal(m, have); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	j := &job{
@@ -173,7 +219,7 @@ func (c *Coordinator) registerLocked(m *manifest.Manifest, sum string, have map[
 		sum:        sum,
 		total:      m.NumPoints(),
 		done:       map[int]nocsim.Result{},
-		pending:    map[int]bool{},
+		pending:    map[int]nocsim.Result{},
 		leases:     map[int]lease{},
 		expired:    map[int]bool{},
 		firstGrant: map[int]time.Time{},
@@ -186,85 +232,13 @@ func (c *Coordinator) registerLocked(m *manifest.Manifest, sum string, have map[
 	if c.cfg.Store != nil {
 		journal, err := c.cfg.Store.Journal(m.Name)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		j.journal = journal
 	}
 	c.jobs[m.Name] = j
 	c.names = append(c.names, m.Name)
-	return nil
-}
-
-// Expect promises that a follow-on manifest with the given name will be
-// added later — typically an adaptive client registering its refinement
-// pass before the coarse results that determine it exist. While any
-// expectation is outstanding, unscoped workers are told to wait instead
-// of "done" (even after Seal) and Complete reports false, so a fleet
-// never drains away between a coarse pass finishing and its refinement
-// arriving. The expectation is cleared by AddFollowOn of that name, or
-// by Unexpect when the refinement turns out to be empty.
-func (c *Coordinator) Expect(name string) error {
-	if name == "" {
-		return fmt.Errorf("queue: expectation needs a manifest name")
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.jobs[name]; ok {
-		return nil // already registered: nothing left to expect
-	}
-	c.expected[name] = true
-	return nil
-}
-
-// Unexpect withdraws an expectation registered with Expect — the
-// adaptive client's way of saying "no refinement after all". Unknown
-// names are a no-op so error-path cleanup can call it unconditionally.
-func (c *Coordinator) Unexpect(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.expected, name)
-}
-
-// AddFollowOn registers a manifest appended to a live (possibly sealed)
-// plan — the refinement pass of an adaptive sweep. Unlike Add it is
-// idempotent: re-adding a manifest already registered under the same
-// plan fingerprint succeeds silently (two adaptive clients refining the
-// same coarse results compute byte-identical children), while the same
-// name under a different fingerprint is refused — that can only be a
-// stale child derived from an earlier parent plan. With a store
-// configured the manifest is persisted (or, when an identical plan is
-// already on disk, its journaled points resumed) before registration,
-// exactly like the serve path does for its initial manifests. Any
-// expectation registered for the name is cleared.
-func (c *Coordinator) AddFollowOn(m *manifest.Manifest) error {
-	sum, err := manifest.Sum(m)
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if j, ok := c.jobs[m.Name]; ok {
-		if j.sum != sum {
-			return fmt.Errorf("queue: follow-on manifest %q already registered with plan %s (got %s): stale refinement of an earlier parent", m.Name, j.sum, sum)
-		}
-		delete(c.expected, m.Name)
-		return nil
-	}
-	var have map[int]nocsim.Result
-	if c.cfg.Store != nil {
-		// When the same refinement was journaled by an earlier run (a
-		// restarted coordinator, a previous adaptive client), resume its
-		// completed points instead of recomputing them.
-		if have, err = c.cfg.Store.SaveOrResume(m); err != nil {
-			return err
-		}
-	}
-	if err := c.registerLocked(m, sum, have); err != nil {
-		return err
-	}
-	delete(c.expected, m.Name)
-	c.met.followOnTotal++
-	return nil
+	return j, nil
 }
 
 // Seal declares registration finished: no more Adds are coming. Until a
@@ -331,7 +305,7 @@ func (j *job) freeLocked() int {
 		if _, ok := j.done[i]; ok {
 			continue
 		}
-		if j.pending[i] {
+		if _, ok := j.pending[i]; ok {
 			continue
 		}
 		if _, ok := j.leases[i]; ok {
@@ -377,12 +351,10 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 	}
 	if complete {
 		// An unscoped "done" is only trustworthy once registration is
-		// sealed AND no follow-on manifest is still expected: while the
-		// serve loop is planning later manifests, or an adaptive client
-		// has promised a refinement pass it hasn't posted yet,
+		// sealed: while the serve loop is planning later manifests,
 		// "everything registered so far is complete" must read as "wait
 		// for more work", or attached workers drain away early.
-		if req.Name == "" && (!c.sealed || len(c.expected) > 0) {
+		if req.Name == "" && !c.sealed {
 			return LeaseResponse{Status: StatusWait}, nil
 		}
 		return LeaseResponse{Status: StatusDone}, nil
@@ -419,6 +391,8 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 // its own lock — so lease grants and status polls from other workers
 // never queue behind per-line disk syncs; the pending set is what keeps
 // a concurrent duplicate from writing a second line meanwhile.
+// The post that hands in an adaptive manifest's last point registers
+// its follow-on first; if that fails, nothing is recorded.
 func (c *Coordinator) PostResult(req ResultRequest) error {
 	c.mu.Lock()
 	now := c.cfg.Clock()
@@ -440,11 +414,20 @@ func (c *Coordinator) PostResult(req ResultRequest) error {
 		c.mu.Unlock()
 		return fmt.Errorf("queue: %s result computed against plan %s, serving %s; re-lease", req.Name, req.Sum, j.sum)
 	}
-	if _, done := j.done[req.Index]; done || j.pending[req.Index] {
+	_, done := j.done[req.Index]
+	if _, pending := j.pending[req.Index]; done || pending {
 		c.mu.Unlock()
 		return nil // duplicate: first result won (or is being journaled)
 	}
-	j.pending[req.Index] = true
+	if j.m.RefineBudget > 0 && len(j.done)+len(j.pending) == j.total-1 {
+		results := j.resultsLocked() // every other point is in or being journaled
+		results[req.Index] = req.Result
+		if err := c.refineLocked(j, results); err != nil {
+			c.mu.Unlock()
+			return fmt.Errorf("queue: refining %s: %w", req.Name, err)
+		}
+	}
+	j.pending[req.Index] = req.Result
 	journal := j.journal
 	sum := j.sum
 	c.mu.Unlock()
@@ -544,15 +527,10 @@ func (c *Coordinator) Status(name string) (Status, bool) {
 }
 
 // Complete reports whether every registered manifest is fully computed
-// and no promised follow-on manifest is still outstanding — so a serve
-// loop's -exit-when-done cannot fire between a coarse pass finishing and
-// its refinement arriving.
+// (a follow-on registers before its parent completes).
 func (c *Coordinator) Complete() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.expected) > 0 {
-		return false
-	}
 	for _, j := range c.jobs {
 		if len(j.done) < j.total {
 			return false
@@ -564,10 +542,7 @@ func (c *Coordinator) Complete() bool {
 // Handler returns the coordinator's HTTP API:
 //
 //	GET  /v1/manifests           -> {"names": [...]}
-//	GET  /v1/manifest/{name}     -> the manifest JSON
-//	POST /v1/manifest            -> manifest JSON -> 204 (AddFollowOn)
-//	POST /v1/expect/{name}       -> 204 (Expect a follow-on manifest)
-//	DELETE /v1/expect/{name}     -> 204 (Unexpect)
+//	GET  /v1/manifest/{name}     -> the manifest JSON (refinements: <name>-refine-<sum>)
 //	POST /v1/lease               -> LeaseRequest -> LeaseResponse
 //	POST /v1/result              -> ResultRequest -> 204
 //	GET  /v1/points/{name}       -> sorted [{index, result}, ...]
@@ -591,40 +566,9 @@ func (c *Coordinator) Handler() http.Handler {
 		}
 		writeJSON(w, m)
 	})
-	mux.HandleFunc("POST /v1/manifest", func(w http.ResponseWriter, r *http.Request) {
-		var m manifest.Manifest
-		// A manifest is small (panels of grids); 16 MiB is far beyond any
-		// real plan and keeps a hostile peer from streaming gigabytes.
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20)).Decode(&m); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if m.Name == "" {
-			http.Error(w, "manifest without a name", http.StatusBadRequest)
-			return
-		}
-		if err := c.AddFollowOn(&m); err != nil {
-			// The only registration-time refusal is a name collision under
-			// a different plan fingerprint: a conflict, not a server fault.
-			http.Error(w, err.Error(), http.StatusConflict)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	})
-	mux.HandleFunc("POST /v1/expect/{name}", func(w http.ResponseWriter, r *http.Request) {
-		if err := c.Expect(r.PathValue("name")); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	})
-	mux.HandleFunc("DELETE /v1/expect/{name}", func(w http.ResponseWriter, r *http.Request) {
-		c.Unexpect(r.PathValue("name"))
-		w.WriteHeader(http.StatusNoContent)
-	})
 	mux.HandleFunc("POST /v1/lease", func(w http.ResponseWriter, r *http.Request) {
 		var req LeaseRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -637,7 +581,7 @@ func (c *Coordinator) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/result", func(w http.ResponseWriter, r *http.Request) {
 		var req ResultRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -693,6 +637,10 @@ func requireToken(token string, next http.Handler) http.Handler {
 		next.ServeHTTP(w, r)
 	})
 }
+
+// maxBody caps a request body: 16 MiB is far beyond any lease or result
+// and keeps a hostile peer from streaming gigabytes into the decoder.
+const maxBody = 16 << 20
 
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")

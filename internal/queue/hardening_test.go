@@ -43,9 +43,6 @@ func TestAuthRejectsEveryRoute(t *testing.T) {
 	}{
 		{http.MethodGet, "/v1/manifests", ""},
 		{http.MethodGet, "/v1/manifest/x", ""},
-		{http.MethodPost, "/v1/manifest", `{"name":"y","points":1,"seed":1,"panels":[]}`},
-		{http.MethodPost, "/v1/expect/y", ""},
-		{http.MethodDelete, "/v1/expect/y", ""},
 		{http.MethodPost, "/v1/lease", `{"worker":"w"}`},
 		{http.MethodPost, "/v1/result", `{"worker":"w","name":"x","index":0,"result":{}}`},
 		{http.MethodGet, "/v1/points/x", ""},
@@ -87,6 +84,31 @@ func TestAuthRejectsEveryRoute(t *testing.T) {
 				t.Errorf("%s %s with %s: got 401, want authorized", rt.method, rt.path, tc.label)
 			}
 		}
+	}
+}
+
+// TestOversizedBodiesRefused: a lease request or a result posted with a
+// body over the cap is refused with a 4xx before it is decoded, and
+// leaves no lease and no point behind.
+func TestOversizedBodiesRefused(t *testing.T) {
+	c := New(Config{})
+	if err := c.Add(testManifest(t, "x", 2), nil); err != nil {
+		t.Fatal(err)
+	}
+	c.Seal()
+	pad := strings.Repeat("a", maxBody)
+	for _, rt := range []struct{ path, body string }{
+		{"/v1/lease", `{"worker":"` + pad + `"}`},
+		{"/v1/result", `{"name":"x","index":0,"result":{},"worker":"` + pad + `"}`},
+	} {
+		rec := httptest.NewRecorder()
+		c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, rt.path, strings.NewReader(rt.body)))
+		if rec.Code < 400 || rec.Code >= 500 {
+			t.Errorf("POST %s with a %d-byte body: status %d, want 4xx", rt.path, len(rt.body), rec.Code)
+		}
+	}
+	if st, _ := c.Status("x"); st.Leased != 0 || st.Done != 0 {
+		t.Fatalf("status after oversized requests = %+v, want no lease and no point", st)
 	}
 }
 

@@ -69,7 +69,7 @@ type metricsState struct {
 	reissuedTotal      int64 // points re-leased after their lease expired
 	staleRejected      int64 // posts refused for a plan-fingerprint mismatch
 	resultsStoreErrors int64 // accepted points the results store failed to mirror
-	followOnTotal      int64 // manifests appended to the live plan (AddFollowOn)
+	followOnTotal      int64 // refinement manifests derived and registered (refineLocked)
 	rate               rateWindow
 	workers            map[string]*workerStats
 }
@@ -144,7 +144,7 @@ func (c *Coordinator) renderMetrics(w *bytes.Buffer) {
 	fmt.Fprintf(w, "# TYPE nocsim_results_store_errors_total counter\n")
 	fmt.Fprintf(w, "nocsim_results_store_errors_total %d\n", c.met.resultsStoreErrors)
 
-	fmt.Fprintf(w, "# HELP nocsim_followon_manifests_total Manifests appended to the live plan after registration (adaptive refinement passes).\n")
+	fmt.Fprintf(w, "# HELP nocsim_followon_manifests_total Refinement manifests derived from completed adaptive manifests and registered for leasing.\n")
 	fmt.Fprintf(w, "# TYPE nocsim_followon_manifests_total counter\n")
 	fmt.Fprintf(w, "nocsim_followon_manifests_total %d\n", c.met.followOnTotal)
 

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -40,10 +42,10 @@ func TestGenerateAdaptiveLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := Options{Quick: true, Points: 3, Seed: 1}
+	o := Options{Quick: true, Points: 3, Seed: 1, RefineBudget: 6}
 	ctx := context.Background()
 
-	tables, stats, err := Generate(ctx, "baseline", o, Executor{Store: st}, 6)
+	tables, stats, err := Generate(ctx, "baseline", o, Executor{Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +64,7 @@ func TestGenerateAdaptiveLocal(t *testing.T) {
 		}
 	}
 
-	again, stats2, err := Generate(ctx, "baseline", o, Executor{Store: st, Resume: true}, 6)
+	again, stats2, err := Generate(ctx, "baseline", o, Executor{Store: st, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,16 +76,51 @@ func TestGenerateAdaptiveLocal(t *testing.T) {
 	}
 }
 
+// childPlan is a resolved refinement-shaped manifest over the given
+// loads; nothing runs it.
+func childPlan(loads []float64) *manifest.Manifest {
+	base := nocsim.Scenario{Mesh: nocsim.DefaultMesh(), Pattern: "uniform", Seed: 1}
+	base.Calibration = &nocsim.Calibration{SaturationRate: 0.40, LambdaMax: 0.36, TargetDelayNs: 120}
+	return &manifest.Manifest{
+		Name: "baseline-refine-test", Points: 2, Seed: 1,
+		Panels: []manifest.Panel{{
+			Label: "uniform",
+			Grid:  nocsim.Grid{Base: base, Loads: loads, Policies: nocsim.AllPolicies()},
+		}},
+	}
+}
+
+// TestResumeRefusesOtherBudget: the refinement budget is part of the
+// plan. A manifest stored without one (a fixed grid, or an adaptive run
+// from before the budget was recorded) decodes as budget 0, and resuming
+// it as an adaptive run is refused with both budgets named — its points
+// would otherwise join a plan they were not computed for.
+func TestResumeRefusesOtherBudget(t *testing.T) {
+	st, err := manifest.NewDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := `{"name":"baseline","quick":true,"points":3,"seed":1,"panels":[]}`
+	if err := os.WriteFile(st.ManifestPath("baseline"), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := st.LoadManifest("baseline"); err != nil || m.RefineBudget != 0 {
+		t.Fatalf("manifest without refine_budget decoded as (%+v, %v), want budget 0", m, err)
+	}
+	o := Options{Quick: true, Points: 3, Seed: 1, RefineBudget: 6}
+	_, _, err = Generate(context.Background(), "baseline", o, Executor{Store: st, Resume: true})
+	if err == nil || !strings.Contains(err.Error(), "refine-budget=0") || !strings.Contains(err.Error(), "refine-budget=6") {
+		t.Fatalf("resuming a budget-0 manifest with budget 6: %v, want a refusal naming both budgets", err)
+	}
+}
+
 // TestSubmitReusesOnlyTheSamePlan pins which journaled child points a
 // local run may pick up: those of the identical plan, and only when
 // resuming. A stored child of the same name refined from other coarse
 // results is stale — its journal is truncated, not merged.
 func TestSubmitReusesOnlyTheSamePlan(t *testing.T) {
-	ctx := context.Background()
-	child := refineParent([]float64{0.10, 0.20})
-	child.Name = "baseline-refine-test"
-	stale := refineParent([]float64{0.15, 0.25})
-	stale.Name = child.Name
+	child := childPlan([]float64{0.10, 0.20})
+	stale := childPlan([]float64{0.15, 0.25})
 
 	journaled := func(t *testing.T, m *manifest.Manifest) *manifest.DirStore {
 		t.Helper()
@@ -118,7 +155,7 @@ func TestSubmitReusesOnlyTheSamePlan(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := journaled(t, tc.stored)
-			have, err := Executor{Store: st, Resume: tc.resume}.submit(ctx, child)
+			have, err := Executor{Store: st, Resume: tc.resume}.submit(child)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,9 +180,19 @@ func TestSubmitReusesOnlyTheSamePlan(t *testing.T) {
 			}
 		})
 	}
-	if have, err := (Executor{}).submit(ctx, child); err != nil || have != nil {
+	if have, err := (Executor{}).submit(child); err != nil || have != nil {
 		t.Errorf("Submit without a store = (%v, %v), want nothing", have, err)
 	}
+}
+
+// handlerTransport serves a client's requests straight from a handler,
+// in memory: no sockets.
+type handlerTransport struct{ h http.Handler }
+
+func (t handlerTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	rec := httptest.NewRecorder()
+	t.h.ServeHTTP(rec, r)
+	return rec.Result(), nil
 }
 
 // serveFigure plans fig in-process and serves it from a sealed in-memory
@@ -163,74 +210,121 @@ func serveFigure(t *testing.T, fig string, o Options, dropLease func() bool) (*q
 	}
 	coord.Seal()
 	handler := coord.Handler()
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	serve := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if dropLease != nil && r.URL.Path == "/v1/lease" && dropLease() {
 			http.Error(w, "lease dropped by the test", http.StatusServiceUnavailable)
 			return
 		}
 		handler.ServeHTTP(w, r)
-	}))
-	t.Cleanup(srv.Close)
-	return coord, &queue.Client{Base: srv.URL}
+	})
+	return coord, &queue.Client{Base: "http://coordinator", HTTP: &http.Client{Transport: handlerTransport{serve}}}
+}
+
+// drain runs one unscoped worker, as cmd/nocsimd -worker attaches, until
+// the coordinator reports all work done.
+func drain(t *testing.T, client *queue.Client) {
+	t.Helper()
+	ctx, stop := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer stop()
+	w := &queue.Worker{Client: client, Workers: 2, Poll: 10 * time.Millisecond}
+	if err := w.Run(ctx); err != nil {
+		t.Fatalf("unscoped worker: %v", err)
+	}
 }
 
 // TestAdaptiveRemoteFollowOn proves the remote flow matches the local
-// one byte for byte: the client registers the refinement expectation,
-// drains the coarse pass, posts the follow-on manifest to the live
-// coordinator, drains it, and renders exactly what the same Generate
-// renders in-process.
+// one byte for byte, whoever computes the points. With no client ever
+// attached, one unscoped worker drains the coarse pass and the
+// refinement the coordinator derives from it, and the coordinator
+// completes; a client arriving afterwards renders from the journal. A
+// client alone drains both passes as a scoped worker. Both render
+// exactly what the same Generate renders in-process.
 func TestAdaptiveRemoteFollowOn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")
 	}
-	o := Options{Quick: true, Points: 2, Seed: 1}
+	o := Options{Quick: true, Points: 2, Seed: 1, RefineBudget: 6}
 	ctx := context.Background()
 
-	local, localStats, err := Generate(ctx, "baseline", o, Executor{}, 6)
+	local, localStats, err := Generate(ctx, "baseline", o, Executor{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if localStats.ChildName == "" {
+		t.Fatal("the local run refined nothing: no follow-on to exercise")
 	}
 
-	coord, client := serveFigure(t, "baseline", o, nil)
-	remote, remoteStats, err := Generate(ctx, "baseline", o, Executor{Client: client}, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if remoteStats.ChildName != localStats.ChildName || remoteStats.Total() != localStats.Total() {
-		t.Fatalf("remote stats %+v differ from local %+v", remoteStats, localStats)
-	}
-	if !bytes.Equal(formatAll(t, local), formatAll(t, remote)) {
-		t.Fatal("remote adaptive tables differ from local")
-	}
-	// No expectation may be left behind: a fleet running -exit-when-done
-	// must see the run as complete.
-	if !coord.Complete() {
-		t.Fatal("coordinator not complete after the adaptive run")
-	}
+	t.Run("worker alone, then a client", func(t *testing.T) {
+		coord, client := serveFigure(t, "baseline", o, nil)
+		drain(t, client)
+		if !coord.Complete() {
+			t.Fatal("coordinator not complete after the worker drained it")
+		}
+		if names := coord.Names(); len(names) != 2 || names[1] != localStats.ChildName {
+			t.Fatalf("coordinator serves %v, want [baseline %s]", names, localStats.ChildName)
+		}
+		remote, remoteStats, err := Generate(ctx, "baseline", o, Executor{Client: client})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *remoteStats != *localStats {
+			t.Fatalf("remote stats %+v differ from local %+v", remoteStats, localStats)
+		}
+		if !bytes.Equal(formatAll(t, local), formatAll(t, remote)) {
+			t.Fatal("remote adaptive tables differ from local")
+		}
+	})
+
+	t.Run("client alone", func(t *testing.T) {
+		coord, client := serveFigure(t, "baseline", o, nil)
+		remote, remoteStats, err := Generate(ctx, "baseline", o, Executor{Client: client})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *remoteStats != *localStats {
+			t.Fatalf("remote stats %+v differ from local %+v", remoteStats, localStats)
+		}
+		if !bytes.Equal(formatAll(t, local), formatAll(t, remote)) {
+			t.Fatal("remote adaptive tables differ from local")
+		}
+		if !coord.Complete() {
+			t.Fatal("coordinator not complete after the adaptive run")
+		}
+	})
+
+	t.Run("client without the coordinator's budget", func(t *testing.T) {
+		_, client := serveFigure(t, "baseline", o, nil)
+		fixed := o
+		fixed.RefineBudget = 0
+		if _, _, err := Generate(ctx, "baseline", fixed, Executor{Client: client}); err == nil || !strings.Contains(err.Error(), "refine-budget=6") {
+			t.Fatalf("fixed-grid client of an adaptive coordinator: %v, want a refusal naming its budget", err)
+		}
+	})
 }
 
 // TestAdaptiveRemoteReleasesTheFleet covers the two ways a remote
-// adaptive run ends without posting a refinement — it is interrupted
+// adaptive run ends without a refinement — the client is interrupted
 // during the coarse pass, or refinement finds nothing to add. Either
-// way the expectation it registered must be withdrawn, or a coordinator
-// running with -exit-when-done, and every unscoped worker attached to
-// it, would wait forever for a manifest nobody will send. The PI
-// transient is the figure: one point, and a single-load panel has no
-// axis to refine.
+// way nothing is left for the fleet to wait on: a coordinator running
+// with -exit-when-done, and every unscoped worker attached to it, sees
+// the run complete. The PI transient is the figure: one point, and a
+// single-load panel has no axis to refine.
 func TestAdaptiveRemoteReleasesTheFleet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")
 	}
-	o := Options{Quick: true, Seed: 1}
-	want, err := inMemory(context.Background(), "pi", o)
+	o := Options{Quick: true, Seed: 1, RefineBudget: 6}
+	plain := o
+	plain.RefineBudget = 0
+	want, err := inMemory(context.Background(), "pi", plain)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	t.Run("cancelled during the coarse pass", func(t *testing.T) {
-		// Cancelled as its first lease request arrives: after the
-		// expectation is registered, before a point is leased (one lease
-		// loop, so no second request is in flight to be granted).
+		// Cancelled as its first lease request arrives, before a point is
+		// leased (one lease loop, so no second request is in flight to be
+		// granted).
 		o := o
 		o.Workers = 1
 		ctx, cancel := context.WithCancel(context.Background())
@@ -240,28 +334,22 @@ func TestAdaptiveRemoteReleasesTheFleet(t *testing.T) {
 			first.Do(func() { cancel(); drop = true })
 			return drop
 		})
-		_, _, err := Generate(ctx, "pi", o, Executor{Client: client}, 6)
+		_, _, err := Generate(ctx, "pi", o, Executor{Client: client})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelled run: %v, want context.Canceled", err)
 		}
 		if coord.Complete() {
 			t.Fatal("the cancelled run computed the coarse pass anyway")
 		}
-		// An unscoped worker is told "done" only once nothing is expected.
-		wctx, stop := context.WithTimeout(context.Background(), time.Minute)
-		defer stop()
-		w := &queue.Worker{Client: client, Workers: 1, Poll: 10 * time.Millisecond}
-		if err := w.Run(wctx); err != nil {
-			t.Fatalf("worker after the cancelled run: %v", err)
-		}
-		if !coord.Complete() {
-			t.Fatal("an expectation outlived the cancelled run")
+		drain(t, client)
+		if !coord.Complete() || len(coord.Names()) != 1 {
+			t.Fatalf("after the worker: complete=%v serving %v, want complete with no refinement", coord.Complete(), coord.Names())
 		}
 	})
 
 	t.Run("refinement finds nothing", func(t *testing.T) {
 		coord, client := serveFigure(t, "pi", o, nil)
-		tables, stats, err := Generate(context.Background(), "pi", o, Executor{Client: client}, 6)
+		tables, stats, err := Generate(context.Background(), "pi", o, Executor{Client: client})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,8 +359,8 @@ func TestAdaptiveRemoteReleasesTheFleet(t *testing.T) {
 		if !bytes.Equal(formatAll(t, tables), formatAll(t, want)) {
 			t.Fatal("an adaptive run that refined nothing differs from a plain run")
 		}
-		if !coord.Complete() {
-			t.Fatal("an expectation outlived a run that refined nothing")
+		if !coord.Complete() || len(coord.Names()) != 1 {
+			t.Fatalf("complete=%v serving %v, want complete with no refinement registered", coord.Complete(), coord.Names())
 		}
 	})
 }

@@ -80,7 +80,7 @@ func TestCoordinatorMatchesInProcess(t *testing.T) {
 	}
 	// ...plus this process joining through the same path cmd/figures
 	// -coordinator uses, which also reassembles the tables.
-	remote, _, err := Generate(ctx, "period", o, Executor{Client: client}, 0)
+	remote, _, err := Generate(ctx, "period", o, Executor{Client: client})
 	if err != nil {
 		t.Fatalf("Generate through the coordinator: %v", err)
 	}

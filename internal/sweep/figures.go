@@ -29,6 +29,9 @@ type Options struct {
 	// panels never multiply the bound. The tables are byte-identical for
 	// every value; see package exp.
 	Workers int
+	// RefineBudget > 0 plans an adaptive sweep: at most this many extra
+	// points refine the grid where its curves bend (manifest.Refine).
+	RefineBudget int
 }
 
 func (o *Options) setDefaults() {
@@ -157,7 +160,7 @@ func Plan(ctx context.Context, fig string, o Options) (*manifest.Manifest, error
 	if err != nil {
 		return nil, err
 	}
-	return &manifest.Manifest{Name: fig, Quick: o.Quick, Points: o.Points, Seed: o.Seed, Panels: panels}, nil
+	return &manifest.Manifest{Name: fig, Quick: o.Quick, Points: o.Points, Seed: o.Seed, RefineBudget: o.RefineBudget, Panels: panels}, nil
 }
 
 // Render assembles a completed manifest's results (in point order) into
@@ -345,11 +348,11 @@ func calNote(cal nocsim.Calibration) string {
 }
 
 // kneeNote annotates a delay table with the measured saturation knee of
-// its No-DVFS curve (see Knee). The fixed %.4f formatting is load-bearing:
-// CI's adaptive smoke extracts the value from a fixed-grid run and an
-// adaptive run and asserts they agree within one coarse grid step.
+// its No-DVFS curve (manifest.Knee). The fixed %.4f formatting is
+// load-bearing: CI's adaptive smoke extracts it from a fixed-grid run and
+// an adaptive run and asserts they agree within one coarse grid step.
 func kneeNote(loads, delays []float64) string {
-	load, _ := Knee(loads, delays)
+	load, _ := manifest.Knee(loads, delays)
 	return fmt.Sprintf("saturation knee: rate %.4f (first load with nodvfs delay >= 2x the lowest-load delay)", load)
 }
 

@@ -55,7 +55,7 @@ func baselineTable(t *testing.T, id string) Table {
 // inMemory plans, runs and renders one figure in this process with
 // nothing persisted: Generate on the zero Executor.
 func inMemory(ctx context.Context, fig string, o Options) ([]Table, error) {
-	tables, _, err := Generate(ctx, fig, o, Executor{}, 0)
+	tables, _, err := Generate(ctx, fig, o, Executor{})
 	return tables, err
 }
 

@@ -16,9 +16,10 @@ import (
 // computed in memory. With a Store the manifest and every completed
 // point are persisted as the run proceeds — each journal line is flushed
 // and synced before the point counts as saved. With a Client the work
-// goes through a queue coordinator instead: the coordinator plans and
-// journals, its fleet computes, this process joins as one more worker,
-// and the other fields are not used.
+// goes through a queue coordinator instead: the coordinator plans,
+// journals and derives an adaptive figure's refinement, its fleet
+// computes, this process joins as one more worker, and the other fields
+// are not used.
 type Executor struct {
 	Store *manifest.DirStore
 	// Resume reuses a stored manifest (skipping calibration) and its
@@ -42,9 +43,9 @@ const remoteWait = 15 * time.Minute
 // rather than mixing its points with this run's.
 func checkOptions(m *manifest.Manifest, o Options, whose, otherwise string) error {
 	o.setDefaults()
-	if m.Quick != o.Quick || m.Points != o.Points || m.Seed != o.Seed {
-		return fmt.Errorf("sweep: %s %s manifest was planned with quick=%v points=%d seed=%d; re-run with those options%s",
-			whose, m.Name, m.Quick, m.Points, m.Seed, otherwise)
+	if m.Quick != o.Quick || m.Points != o.Points || m.Seed != o.Seed || m.RefineBudget != o.RefineBudget {
+		return fmt.Errorf("sweep: %s %s manifest was planned with quick=%v points=%d seed=%d refine-budget=%d, not quick=%v points=%d seed=%d refine-budget=%d; re-run with those options%s",
+			whose, m.Name, m.Quick, m.Points, m.Seed, m.RefineBudget, o.Quick, o.Points, o.Seed, o.RefineBudget, otherwise)
 	}
 	return nil
 }
@@ -138,17 +139,40 @@ func (e Executor) run(ctx context.Context, m *manifest.Manifest, have map[int]no
 	return results, nil
 }
 
-// submit puts a refinement manifest on record and returns the points
-// already on record for that same plan. A live coordinator takes it as a
-// follow-on, which clears the expectation server-side; a repost of the
-// identical plan (say, after a client restart) is a no-op. A store
+// refinement returns the child manifest of an adaptive plan m and the
+// points on record for it, or nil when there is none. A coordinator has
+// derived it before m reads complete, so its answer is final once run
+// has returned; locally it is derived here and submitted.
+func (e Executor) refinement(ctx context.Context, m *manifest.Manifest, results []nocsim.Result) (*manifest.Manifest, map[int]nocsim.Result, error) {
+	if m.RefineBudget <= 0 {
+		return nil, nil, nil
+	}
+	if e.Client != nil {
+		name, err := manifest.RefineName(m)
+		if err != nil {
+			return nil, nil, err
+		}
+		child, err := e.Client.Manifest(ctx, name)
+		if errors.Is(err, queue.ErrUnknownManifest) {
+			return nil, nil, nil
+		}
+		return child, nil, err
+	}
+	child, err := manifest.Refine(m, results, m.RefineBudget)
+	if err != nil || child == nil {
+		return nil, nil, err
+	}
+	have, err := e.submit(child)
+	return child, have, err
+}
+
+// submit puts a locally derived refinement manifest on record and
+// returns the points already on record for that same plan. A store
 // persists it like any figure's, and a resumed run picks up a stored
 // child's journal only when it carries the identical plan — anything
 // else is a stale refinement whose points must not leak into this run.
-func (e Executor) submit(ctx context.Context, child *manifest.Manifest) (map[int]nocsim.Result, error) {
+func (e Executor) submit(child *manifest.Manifest) (map[int]nocsim.Result, error) {
 	switch {
-	case e.Client != nil:
-		return nil, e.Client.AddManifest(ctx, child)
 	case e.Store == nil:
 		return nil, nil
 	case e.Resume:
@@ -181,81 +205,41 @@ func (s *AdaptiveStats) Total() int { return s.CoarsePoints + s.RefinedPoints }
 // matter how the points were spread across workers — including points
 // whose first lease died and was re-issued.
 //
-// With refineBudget > 0 the figure runs as a two-phase adaptive sweep:
-// the planned grid is the coarse pass, Refine estimates from its results
-// where the curves bend, the resulting child manifest — at most
-// refineBudget extra points — is submitted to and run on the same
-// executor, and the tables render the merged load axis. When the coarse
-// pass is already smooth enough that nothing clears the refinement
-// threshold, the output is byte-identical to a run without refinement.
-//
-// The child's name derives from the parent plan alone, so a coordinator
-// is told to expect it before the coarse pass starts: one running with
-// -exit-when-done then keeps its fleet attached through the gap between
-// the coarse pass draining and the refinement being posted.
-func Generate(ctx context.Context, fig string, o Options, ex Executor, refineBudget int) (tables []Table, stats *AdaptiveStats, err error) {
+// With o.RefineBudget > 0 the figure runs as a two-phase adaptive
+// sweep: the planned grid is the coarse pass, its refinement — the child
+// manifest manifest.Refine derives from the coarse results, at most
+// RefineBudget extra points — runs on the same executor, and the tables
+// render the merged load axis. When the coarse pass is already smooth
+// enough that nothing clears the refinement threshold, the output is
+// byte-identical to a run without refinement.
+func Generate(ctx context.Context, fig string, o Options, ex Executor) ([]Table, *AdaptiveStats, error) {
 	m, have, err := ex.Open(ctx, fig, o)
 	if err != nil {
 		return nil, nil, err
 	}
-	childName := ""
-	if refineBudget > 0 && ex.Client != nil {
-		if childName, err = RefineName(m); err != nil {
-			return nil, nil, err
-		}
-		defer func() {
-			if err == nil {
-				return
-			}
-			// Withdraw the expectation (a no-op if it never registered, or
-			// once the child has been submitted). Best effort, on a fresh
-			// context: the surrounding ctx may be the very cancellation
-			// that aborted us, and a stranded expectation would hold an
-			// -exit-when-done fleet open forever.
-			cctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			_ = ex.Client.Unexpect(cctx, childName)
-		}()
-		if err = ex.Client.Expect(ctx, childName); err != nil {
-			return nil, nil, err
-		}
-	}
-
 	results, err := ex.run(ctx, m, have, o.Workers)
 	if err != nil {
 		return nil, nil, err
 	}
-	stats = &AdaptiveStats{CoarsePoints: m.NumPoints()}
-	var child *manifest.Manifest
-	if refineBudget > 0 {
-		if child, err = Refine(m, results, refineBudget); err != nil {
-			return nil, nil, err
-		}
+	stats := &AdaptiveStats{CoarsePoints: m.NumPoints()}
+	child, childHave, err := ex.refinement(ctx, m, results)
+	if err != nil {
+		return nil, nil, err
 	}
 	if child == nil {
-		if childName != "" { // expected, and not coming
-			if err = ex.Client.Unexpect(ctx, childName); err != nil {
-				return nil, nil, err
-			}
-		}
-		tables, err = Render(m, results)
+		tables, err := Render(m, results)
 		return tables, stats, err
 	}
 	stats.ChildName = child.Name
 	stats.RefinedPoints = child.NumPoints()
-
-	childHave, err := ex.submit(ctx, child)
-	if err != nil {
-		return nil, nil, err
-	}
 	childResults, err := ex.run(ctx, child, childHave, o.Workers)
 	if err != nil {
 		return nil, nil, err
 	}
-	merged, mergedResults, err := MergeRefined(m, results, child, childResults)
+	merged, mergedResults, err := manifest.MergeRefined(m, results, child, childResults)
 	if err != nil {
 		return nil, nil, err
 	}
-	tables, err = Render(merged, mergedResults)
+	tables, err := Render(merged, mergedResults)
 	return tables, stats, err
 }

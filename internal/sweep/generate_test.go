@@ -32,7 +32,7 @@ func TestGenerateStoreMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored, _, err := Generate(ctx, "period", o, Executor{Store: st}, 0)
+	stored, _, err := Generate(ctx, "period", o, Executor{Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestResumeFillsOnlyGaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, _, err := Generate(ctx, "baseline", o, Executor{Store: st}, 0)
+	full, _, err := Generate(ctx, "baseline", o, Executor{Store: st})
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
@@ -116,7 +116,7 @@ func TestResumeFillsOnlyGaps(t *testing.T) {
 
 	// The resumed run must execute only the gaps: afterwards the points
 	// file holds the kept lines plus exactly one appended line per gap.
-	resumed, _, err := Generate(ctx, "baseline", o, Executor{Store: st, Resume: true}, 0)
+	resumed, _, err := Generate(ctx, "baseline", o, Executor{Store: st, Resume: true})
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}
@@ -142,7 +142,7 @@ func TestResumeFillsOnlyGaps(t *testing.T) {
 	// incompatible points.
 	bad := o
 	bad.Seed = 99
-	if _, _, err := Generate(ctx, "baseline", bad, Executor{Store: st, Resume: true}, 0); err == nil || !strings.Contains(err.Error(), "was planned with") {
+	if _, _, err := Generate(ctx, "baseline", bad, Executor{Store: st, Resume: true}); err == nil || !strings.Contains(err.Error(), "was planned with") {
 		t.Errorf("resume with mismatched options: %v, want the planned-with refusal", err)
 	}
 }
@@ -160,7 +160,7 @@ func TestGenerateLimitAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables, _, err := Generate(ctx, "period", o, Executor{Store: st, Limit: 1}, 0)
+	tables, _, err := Generate(ctx, "period", o, Executor{Store: st, Limit: 1})
 	if !errors.Is(err, ErrIncomplete) || tables != nil {
 		t.Fatalf("limited run: err=%v tables=%v, want ErrIncomplete and none", err, tables)
 	}
@@ -171,7 +171,7 @@ func TestGenerateLimitAndResume(t *testing.T) {
 	if len(have) != 1 {
 		t.Fatalf("limited run recorded %d points, want 1", len(have))
 	}
-	resumed, _, err := Generate(ctx, "period", o, Executor{Store: st, Resume: true}, 0)
+	resumed, _, err := Generate(ctx, "period", o, Executor{Store: st, Resume: true})
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
@@ -188,7 +188,7 @@ func TestGenerateLimitAndResume(t *testing.T) {
 // would compute them and throw them away, so it is refused before
 // anything is planned.
 func TestLimitNeedsAStore(t *testing.T) {
-	_, _, err := Generate(context.Background(), "period", Options{Quick: true}, Executor{Limit: 1}, 0)
+	_, _, err := Generate(context.Background(), "period", Options{Quick: true}, Executor{Limit: 1})
 	if err == nil || !strings.Contains(err.Error(), "-max-points needs -manifest") {
 		t.Fatalf("limit without a store: %v, want a refusal", err)
 	}

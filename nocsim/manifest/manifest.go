@@ -7,7 +7,7 @@
 // a remote worker leasing points from a coordinator — and reproduce its
 // number bit for bit.
 //
-// The package owns the three pieces every executor shares:
+// The package owns the four pieces every executor shares:
 //
 //   - Manifest and Point(i): global index → self-contained Scenario;
 //   - Run: the in-process executor (fan missing points across the exp
@@ -15,7 +15,9 @@
 //   - DirStore and Journal: the on-disk form — <name>.manifest.json for
 //     the plan, <name>.points.jsonl as the crash-safe (index, result)
 //     journal that resumed runs and the queue coordinator both reassemble
-//     from.
+//     from;
+//   - Refine and MergeRefined: an adaptive plan's refinement, a pure
+//     function of the plan and its results wherever it is derived.
 //
 // internal/sweep plans manifests and renders their results into tables;
 // internal/queue serves their points as expiring leases over HTTP. Both
@@ -45,6 +47,10 @@ type Manifest struct {
 	Quick  bool  `json:"quick,omitempty"`
 	Points int   `json:"points"`
 	Seed   int64 `json:"seed"`
+	// RefineBudget > 0 makes the plan adaptive: Refine derives a child of
+	// at most this many extra points from its results. Omitted when zero,
+	// so fixed-grid sums do not change; a child has none (one level).
+	RefineBudget int `json:"refine_budget,omitempty"`
 	// Panels are the study's sub-grids in presentation order.
 	Panels []Panel `json:"panels"`
 }

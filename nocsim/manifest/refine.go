@@ -1,4 +1,4 @@
-package sweep
+package manifest
 
 import (
 	"fmt"
@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/nocsim"
-	"repro/nocsim/manifest"
 )
 
 // Adaptive refinement: a fixed load grid burns most of its budget on
@@ -21,9 +20,9 @@ import (
 // parent manifest and its results (no clocks, no randomness, stable
 // tie-breaks), and its name embeds the parent's plan fingerprint — so
 // two machines refining the same coarse pass emit byte-identical child
-// manifests, the coordinator can treat the child as just another plan,
-// and stale children from an earlier parent plan can never be confused
-// with fresh ones.
+// manifests, the coordinator can derive the child itself and treat it as
+// just another plan, and stale children from an earlier parent plan can
+// never be confused with fresh ones.
 
 const (
 	// refineTag joins a parent manifest's name and fingerprint into its
@@ -44,11 +43,10 @@ const (
 
 // RefineName returns the deterministic name of the refinement manifest
 // derived from a parent plan: the parent's name joined with its plan
-// fingerprint. Knowing the name before the refinement is computed is
-// what lets a remote client register the expectation with a coordinator
-// while the coarse pass is still running.
-func RefineName(parent *manifest.Manifest) (string, error) {
-	sum, err := manifest.Sum(parent)
+// fingerprint. A coordinator registers the child it derives under this
+// name, so a client that ran the parent asks for its refinement by it.
+func RefineName(parent *Manifest) (string, error) {
+	sum, err := Sum(parent)
 	if err != nil {
 		return "", err
 	}
@@ -113,12 +111,12 @@ func perLoadSims(g nocsim.Grid) int {
 //
 // Refine is deterministic: the same parent manifest and results produce
 // a byte-identical child manifest (golden-tested), on any machine.
-func Refine(parent *manifest.Manifest, results []nocsim.Result, budget int) (*manifest.Manifest, error) {
+func Refine(parent *Manifest, results []nocsim.Result, budget int) (*Manifest, error) {
 	if budget <= 0 {
-		return nil, fmt.Errorf("sweep: refine budget must be positive (got %d)", budget)
+		return nil, fmt.Errorf("manifest: refine budget must be positive (got %d)", budget)
 	}
 	if n := parent.NumPoints(); len(results) != n {
-		return nil, fmt.Errorf("sweep: refining %s: %d results for %d points", parent.Name, len(results), n)
+		return nil, fmt.Errorf("manifest: refining %s: %d results for %d points", parent.Name, len(results), n)
 	}
 	off := parent.Offsets()
 	var cands []candidate
@@ -130,11 +128,12 @@ func Refine(parent *manifest.Manifest, results []nocsim.Result, budget int) (*ma
 		}
 		for i := 1; i < nl; i++ {
 			if g.Loads[i] <= g.Loads[i-1] {
-				return nil, fmt.Errorf("sweep: refining %s: panel %s loads not strictly increasing", parent.Name, panel.Label)
+				return nil, fmt.Errorf("manifest: refining %s: panel %s loads not strictly increasing", parent.Name, panel.Label)
 			}
 		}
 		scores := make([]float64, nl-1)
-		for _, curve := range curves(g, results[off[pi]:off[pi+1]]) {
+		for pol := 0; pol < perLoadSims(g); pol++ { // one delay curve per policy, policies outer
+			curve := results[off[pi]+pol*nl : off[pi]+(pol+1)*nl]
 			delays := make([]float64, nl)
 			saturated := make([]bool, nl)
 			for li, r := range curve {
@@ -205,7 +204,7 @@ func Refine(parent *manifest.Manifest, results []nocsim.Result, budget int) (*ma
 	if err != nil {
 		return nil, err
 	}
-	child := &manifest.Manifest{Name: name, Quick: parent.Quick, Points: parent.Points, Seed: parent.Seed}
+	child := &Manifest{Name: name, Quick: parent.Quick, Points: parent.Points, Seed: parent.Seed}
 	for pi, panel := range parent.Panels {
 		loads := added[pi]
 		if len(loads) == 0 {
@@ -215,7 +214,7 @@ func Refine(parent *manifest.Manifest, results []nocsim.Result, budget int) (*ma
 		}
 		sort.Float64s(loads)
 		g := panel.Grid
-		child.Panels = append(child.Panels, manifest.Panel{
+		child.Panels = append(child.Panels, Panel{
 			Label: panel.Label,
 			Grid:  nocsim.Grid{Base: g.Base, Loads: loads, Policies: g.Policies},
 		})
@@ -234,25 +233,25 @@ func Refine(parent *manifest.Manifest, results []nocsim.Result, budget int) (*ma
 // A nil or empty child returns the parent and its results untouched, so
 // a run whose refinement found nothing renders byte-identically to a
 // plain run of the coarse grid.
-func MergeRefined(parent *manifest.Manifest, parentResults []nocsim.Result, child *manifest.Manifest, childResults []nocsim.Result) (*manifest.Manifest, []nocsim.Result, error) {
+func MergeRefined(parent *Manifest, parentResults []nocsim.Result, child *Manifest, childResults []nocsim.Result) (*Manifest, []nocsim.Result, error) {
 	if child == nil || child.NumPoints() == 0 {
 		return parent, parentResults, nil
 	}
 	if n := parent.NumPoints(); len(parentResults) != n {
-		return nil, nil, fmt.Errorf("sweep: merging %s: %d parent results for %d points", parent.Name, len(parentResults), n)
+		return nil, nil, fmt.Errorf("manifest: merging %s: %d parent results for %d points", parent.Name, len(parentResults), n)
 	}
 	if n := child.NumPoints(); len(childResults) != n {
-		return nil, nil, fmt.Errorf("sweep: merging %s: %d child results for %d points", child.Name, len(childResults), n)
+		return nil, nil, fmt.Errorf("manifest: merging %s: %d child results for %d points", child.Name, len(childResults), n)
 	}
 	poff, coff := parent.Offsets(), child.Offsets()
 	childPanel := map[string]int{}
 	for i, p := range child.Panels {
 		if _, dup := childPanel[p.Label]; dup {
-			return nil, nil, fmt.Errorf("sweep: merging %s: duplicate child panel %q", child.Name, p.Label)
+			return nil, nil, fmt.Errorf("manifest: merging %s: duplicate child panel %q", child.Name, p.Label)
 		}
 		childPanel[p.Label] = i
 	}
-	merged := &manifest.Manifest{Name: parent.Name, Quick: parent.Quick, Points: parent.Points, Seed: parent.Seed}
+	merged := &Manifest{Name: parent.Name, Quick: parent.Quick, Points: parent.Points, Seed: parent.Seed}
 	var results []nocsim.Result
 	matched := 0
 	for pi, panel := range parent.Panels {
@@ -266,11 +265,11 @@ func MergeRefined(parent *manifest.Manifest, parentResults []nocsim.Result, chil
 		matched++
 		cg := child.Panels[ci].Grid
 		if len(cg.Policies) != len(g.Policies) {
-			return nil, nil, fmt.Errorf("sweep: merging %s panel %q: child sweeps %d policies, parent %d", parent.Name, panel.Label, len(cg.Policies), len(g.Policies))
+			return nil, nil, fmt.Errorf("manifest: merging %s panel %q: child sweeps %d policies, parent %d", parent.Name, panel.Label, len(cg.Policies), len(g.Policies))
 		}
 		for i := range g.Policies {
 			if cg.Policies[i] != g.Policies[i] {
-				return nil, nil, fmt.Errorf("sweep: merging %s panel %q: child policy %d is %s, parent %s", parent.Name, panel.Label, i, cg.Policies[i], g.Policies[i])
+				return nil, nil, fmt.Errorf("manifest: merging %s panel %q: child policy %d is %s, parent %s", parent.Name, panel.Label, i, cg.Policies[i], g.Policies[i])
 			}
 		}
 		// Merge the two sorted load axes; on an exact tie the parent's
@@ -298,7 +297,7 @@ func MergeRefined(parent *manifest.Manifest, parentResults []nocsim.Result, chil
 		}
 		for k := 1; k < len(loads); k++ {
 			if loads[k] <= loads[k-1] {
-				return nil, nil, fmt.Errorf("sweep: merging %s panel %q: merged loads not strictly increasing (are both axes sorted?)", parent.Name, panel.Label)
+				return nil, nil, fmt.Errorf("manifest: merging %s panel %q: merged loads not strictly increasing (are both axes sorted?)", parent.Name, panel.Label)
 			}
 		}
 		pnl, cnl := len(g.Loads), len(cg.Loads)
@@ -311,13 +310,13 @@ func MergeRefined(parent *manifest.Manifest, parentResults []nocsim.Result, chil
 				}
 			}
 		}
-		merged.Panels = append(merged.Panels, manifest.Panel{
+		merged.Panels = append(merged.Panels, Panel{
 			Label: panel.Label,
 			Grid:  nocsim.Grid{Base: g.Base, Loads: loads, Policies: g.Policies},
 		})
 	}
 	if matched != len(child.Panels) {
-		return nil, nil, fmt.Errorf("sweep: merging %s: child %s has panels the parent lacks", parent.Name, child.Name)
+		return nil, nil, fmt.Errorf("manifest: merging %s: child %s has panels the parent lacks", parent.Name, child.Name)
 	}
 	return merged, results, nil
 }

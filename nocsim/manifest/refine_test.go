@@ -1,4 +1,4 @@
-package sweep
+package manifest
 
 import (
 	"bytes"
@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/nocsim"
-	"repro/nocsim/manifest"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -17,7 +16,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // refineParent builds a synthetic but fully resolved coarse manifest:
 // one baseline-shaped panel with a pinned calibration, three policies
 // and the given loads — everything Refine reads, nothing it doesn't.
-func refineParent(loads []float64) *manifest.Manifest {
+func refineParent(loads []float64) *Manifest {
 	base := nocsim.Scenario{
 		Mesh:    nocsim.DefaultMesh(),
 		Pattern: "uniform",
@@ -26,9 +25,9 @@ func refineParent(loads []float64) *manifest.Manifest {
 			SaturationRate: 0.40, LambdaMax: 0.36, TargetDelayNs: 120,
 		},
 	}
-	return &manifest.Manifest{
+	return &Manifest{
 		Name: "baseline", Points: len(loads), Seed: 1,
-		Panels: []manifest.Panel{{
+		Panels: []Panel{{
 			Label: "uniform",
 			Grid:  nocsim.Grid{Base: base, Loads: loads, Policies: nocsim.AllPolicies()},
 		}},
@@ -38,7 +37,7 @@ func refineParent(loads []float64) *manifest.Manifest {
 // refineResults fabricates one result per manifest point with the given
 // per-load No-DVFS delay curve; the other policies reuse the same shape
 // scaled down so every curve agrees on where the signal is.
-func refineResults(m *manifest.Manifest, delays []float64, saturated []bool) []nocsim.Result {
+func refineResults(m *Manifest, delays []float64, saturated []bool) []nocsim.Result {
 	g := m.Panels[0].Grid
 	var out []nocsim.Result
 	for pol := range g.Policies {
@@ -197,35 +196,34 @@ func TestRefineBracketsKnee(t *testing.T) {
 	}
 }
 
+// TestMergeRefinedEmptyChildIsByteIdentical: a nil or point-free child
+// hands back the parent's own manifest and results, so a run whose
+// refinement found nothing renders exactly what a plain run renders.
 func TestMergeRefinedEmptyChildIsByteIdentical(t *testing.T) {
 	parent := refineParent([]float64{0.09, 0.18, 0.27, 0.36})
 	results := refineResults(parent, kneeDelays(4), nil)
-
-	plain, err := Render(parent, results)
+	want, err := json.Marshal(struct {
+		M *Manifest
+		R []nocsim.Result
+	}{parent, results})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, r2, err := MergeRefined(parent, results, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged, err := Render(m2, r2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, b bytes.Buffer
-	for i := range plain {
-		if err := plain[i].Format(&a); err != nil {
+	for _, child := range []*Manifest{nil, {Name: "baseline-refine-empty"}} {
+		m2, r2, err := MergeRefined(parent, results, child, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	for i := range merged {
-		if err := merged[i].Format(&b); err != nil {
+		got, err := json.Marshal(struct {
+			M *Manifest
+			R []nocsim.Result
+		}{m2, r2})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("rendering after an empty merge is not byte-identical to the plain render")
+		if m2 != parent || !bytes.Equal(got, want) {
+			t.Errorf("merging child %+v changed the parent's plan or results", child)
+		}
 	}
 }
 
