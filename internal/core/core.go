@@ -260,6 +260,10 @@ func (s *Scenario) simParams(load float64, pol dvfs.Policy, adaptive bool, seed 
 // exceed exp.SetLeafBudget's cap. Every sim.RunContext call in this
 // package goes through here.
 //
+// The run is offered the budget's spare slots (exp.SpareLeaves): a
+// saturated run steps half its mesh on a second core while no other
+// simulation wants one.
+//
 // The run consumes p.Injector: simParams built it for this one run and
 // nothing else holds it, so once the engine returns — completed, aborted
 // or cancelled, but not panicking — its generator slab goes back to the
@@ -270,6 +274,7 @@ func runSim(ctx context.Context, p sim.Params) (sim.Result, error) {
 		return sim.Result{}, err
 	}
 	defer release()
+	p.Spare = exp.SpareLeaves{}
 	res, err := sim.RunContext(ctx, p)
 	p.Injector.Release()
 	return res, err

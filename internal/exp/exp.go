@@ -27,10 +27,14 @@
 // nested grids (a panel point that fans out its own sub-grid) stack
 // pools multiplicatively. The process-wide leaf budget (SetLeafBudget,
 // AcquireLeaf) is the depth-aware bound: only the innermost unit of
-// work — one simulation, which runs on one goroutine — holds a budget
-// slot while it executes, so total in-flight simulations never exceed
-// the budget no matter how deeply grids nest, and since panel jobs never
-// hold slots the scheme cannot deadlock.
+// work — one simulation — holds a budget slot while it executes, so
+// total in-flight simulations never exceed the budget no matter how
+// deeply grids nest, and since panel jobs never hold slots the scheme
+// cannot deadlock. A simulation steps on one goroutine, except that a
+// saturated one may borrow a slot nobody else wants (SpareLeaves) and
+// step half its mesh on a second goroutine; it hands the slot back
+// within one network cycle of an AcquireLeaf caller starting to wait, so
+// borrowing never delays another simulation.
 //
 // # Cancellation and failure
 //
@@ -120,6 +124,8 @@ var (
 	leafInUse   int
 	leafPeakN   int
 	leafWaiters []chan struct{} // closed on grant
+	// leafWaiting mirrors len(leafWaiters) for lock-free readers.
+	leafWaiting atomic.Int32
 )
 
 // leafCapLocked returns the budget, defaulting to GOMAXPROCS on first
@@ -149,6 +155,7 @@ func leafGrantLocked() {
 		leafWaiters[0] = nil
 		leafWaiters = leafWaiters[1:]
 	}
+	leafWaiting.Store(int32(len(leafWaiters)))
 }
 
 // SetLeafBudget caps the number of concurrently held leaf slots
@@ -179,6 +186,7 @@ func AcquireLeaf(ctx context.Context) (release func(), err error) {
 	}
 	ready := make(chan struct{})
 	leafWaiters = append(leafWaiters, ready)
+	leafWaiting.Store(int32(len(leafWaiters)))
 	leafMu.Unlock()
 	select {
 	case <-ready:
@@ -189,6 +197,7 @@ func AcquireLeaf(ctx context.Context) (release func(), err error) {
 		for i, q := range leafWaiters {
 			if q == ready {
 				leafWaiters = append(leafWaiters[:i], leafWaiters[i+1:]...)
+				leafWaiting.Store(int32(len(leafWaiters)))
 				return nil, ctx.Err()
 			}
 		}
@@ -211,6 +220,36 @@ func leafRelease() func() {
 			leafMu.Unlock()
 		})
 	}
+}
+
+// SpareLeaves lends the leaf budget's free slots to running simulations:
+// it is the noc.Spare through which a saturated run borrows a second core
+// (core.runSim offers it to every simulation). A slot counts as spare
+// while it is free, nobody waits in AcquireLeaf, and the slots in use
+// stay below GOMAXPROCS too, so a budget above the core count (-workers
+// larger than the machine) lends nothing it has no core for.
+type SpareLeaves struct{}
+
+// TryBorrow takes a spare slot without blocking.
+func (SpareLeaves) TryBorrow() bool {
+	leafMu.Lock()
+	defer leafMu.Unlock()
+	if len(leafWaiters) > 0 || leafInUse >= leafCapLocked() || leafInUse >= runtime.GOMAXPROCS(0) {
+		return false
+	}
+	leafTakeLocked()
+	return true
+}
+
+// Wanted reports, without locking, whether an AcquireLeaf caller waits.
+func (SpareLeaves) Wanted() bool { return leafWaiting.Load() > 0 }
+
+// Return gives a borrowed slot back, to the first waiter if there is one.
+func (SpareLeaves) Return() {
+	leafMu.Lock()
+	defer leafMu.Unlock()
+	leafInUse--
+	leafGrantLocked()
 }
 
 // LeafStats reports the number of leaf slots held right now and the

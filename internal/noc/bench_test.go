@@ -5,13 +5,19 @@ import (
 	"testing"
 )
 
-// benchStep measures Network.Step cost at a given packet-generation
-// probability per node per cycle. naive disables the skip-ahead and
-// active-list fast paths, so the *Naive variants quantify their win.
+// benchStep measures Network.Step cost on the default 5x5 at a given
+// packet-generation probability per node per cycle. naive disables the
+// skip-ahead and active-list fast paths, so the *Naive variants quantify
+// their win.
 func benchStep(b *testing.B, pktProb float64, naive bool) {
-	cfg := DefaultConfig()
-	n, _ := NewNetwork(cfg)
+	n, _ := NewNetwork(DefaultConfig())
 	n.SetSkipAhead(!naive)
+	benchSteps(b, n, pktProb)
+}
+
+// benchSteps drives n for b.N cycles of uniform random traffic.
+func benchSteps(b *testing.B, n *Network, pktProb float64) {
+	cfg := n.cfg
 	rng := rand.New(rand.NewSource(1))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -38,3 +44,23 @@ func BenchmarkNetworkStepHeavy(b *testing.B)    { benchStep(b, 0.02, false) }  /
 // quiescent skip. The Idle pair is the headline skip-ahead comparison.
 func BenchmarkNetworkStepIdleNaive(b *testing.B)     { benchStep(b, 0, true) }
 func BenchmarkNetworkStepModerateNaive(b *testing.B) { benchStep(b, 0.01, true) }
+
+// The 8x8 at 0.3 flits/node/cycle, 0.85 of its uniform saturation, as the
+// bench's noc.step_ns_heavy_8x8 probe and its engine_saturated workload
+// drive it. The plain variant steps both row shards on the caller, as any
+// network without a Spare does; the Sharded twin lends it a second core
+// that is always free, so heavy cycles fork onto the helper. Compare them
+// with -cpu 2 (the twin needs a second P to gain anything).
+func BenchmarkNetworkStepHeavy8x8(b *testing.B) { benchStep8x8(b, nil) }
+func BenchmarkNetworkStepHeavy8x8Sharded(b *testing.B) {
+	benchStep8x8(b, freeSpare{})
+}
+
+func benchStep8x8(b *testing.B, spare Spare) {
+	cfg := DefaultConfig()
+	cfg.Width, cfg.Height = 8, 8
+	n, _ := NewNetwork(cfg)
+	n.SetSpare(spare)
+	defer n.SetSpare(nil)
+	benchSteps(b, n, 0.015)
+}

@@ -69,6 +69,11 @@ type Flit struct {
 // lands at outState[credTarget*VCs+credVC]) while credTarget < 0 means
 // the upstream feeder is the injection source of node -credTarget-1.
 //
+// An event whose arrival and credit belong to different row shards is
+// staged twice: with no credit (credNode < 0, see arrivalOnly) for the
+// arrival's shard, and whole on the credit's shard's list of credits,
+// where only its credit half is read.
+//
 // The six fields are packed into one word: staging and draining these
 // events is the hottest memory traffic in the engine (one per flit-hop
 // per cycle), and a single 8-byte store halves it against the naive
@@ -109,13 +114,5 @@ func (e linkEvent) credVC() int8      { return int8(e >> levCredVCShift & 63) }
 func (e linkEvent) credNode() int32   { return int32(e>>levCredNodeShift&(1<<15-1)) - 1 }
 func (e linkEvent) credTarget() int32 { return int32(e>>levCredTargetShift&(1<<18-1)) - levCredBias }
 
-// ejectEvent is a flit leaving the network at a local ejection port,
-// carrying the upstream credit for its freed slot. The eject phase needs
-// no flit payload — only packet completion on the tail — so the event
-// carries the packet pointer (nil for body flits) instead of a 16-byte
-// flit copy.
-type ejectEvent struct {
-	packet     *Packet
-	credTarget int32
-	credVC     int8
-}
+// arrivalOnly returns e without its credit (credNode -1).
+func (e linkEvent) arrivalOnly() linkEvent { return e &^ ((1<<15 - 1) << levCredNodeShift) }

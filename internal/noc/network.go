@@ -10,11 +10,14 @@ import (
 // output port (node < 0 where the mesh ends), and target/upNode name the
 // credit destination for slots this *input* port frees (the linkEvent
 // credTarget encoding; upNode < 0 where there is no upstream router).
+// Both halves face the same neighbour, whose row shard is shard (the
+// router's own for the local port, -1 where the mesh ends).
 type linkInfo struct {
 	node   int32
 	target int32
 	upNode int32
 	port   int8
+	shard  int8
 }
 
 // Network is the complete mesh fabric: routers, links, and per-node
@@ -27,15 +30,22 @@ type linkInfo struct {
 // struct-of-arrays state (vc/bufs/outState) owned by the network, and link
 // traversal resolves targets through flat link tables instead of chasing
 // per-router neighbour pointers. Routers interact only through events
-// staged for the next cycle, so each Step is eject -> deliver -> compute
-// on the calling goroutine. A quiescent network (nothing buffered, staged,
-// or queued) advances the clock in O(1) — the skip-ahead fast path.
+// staged for the next cycle, so each Step is (deliver -> compute) per row
+// shard, then eject. The mesh is cut into a fixed number of row shards
+// (see shard): one up to 32 routers, two beyond. They run one after the
+// other on the calling goroutine, or — on a heavy cycle of a run that has
+// borrowed a second core through SetSpare — the second on a helper
+// goroutine at the same time, with one fork–join per cycle. Either way
+// every simulated bit is the same. A quiescent network (nothing buffered,
+// staged, or queued) advances the clock in O(1) — the skip-ahead fast
+// path.
 // SetSkipAhead(false) selects the naive router-major iterate-everything
 // loop, kept as the reference implementation that equivalence tests
 // compare against.
 //
-// A Network is used by one goroutine at a time and by one run at a time.
-// Reset makes it as good as new for the next run on the same fabric;
+// A Network is used by one goroutine at a time and by one run at a time;
+// its helper, when it has one, touches it only inside Step. Reset makes it
+// as good as new for the next run on the same fabric;
 // package sim pools networks that way, and a network in its pool belongs
 // to the pool — a run touches a network only between acquiring it and
 // handing it back. NewNetwork itself never pools: what it returns is the
@@ -50,8 +60,6 @@ type Network struct {
 	// sources[id] points into one contiguous slab of sources (see
 	// newSources), so walking it in id order walks memory forward.
 	sources []*source
-
-	cycle int64
 
 	// Flat per-VC state of the whole mesh, router-major. vc[g] and
 	// outState[g] are the input/output records of global flat VC
@@ -81,32 +89,17 @@ type Network struct {
 	islandAcc []float64
 	islandRun []bool
 
-	// Active-set bitmasks over node ids: bit k of word w set means node
-	// w*64+k holds work. Iterating set bits in word order visits nodes in
-	// ascending id, matching the event order of the naive router-major
-	// loop. The counters make the quiescence check O(1).
-	routerWords    []uint64
-	sourceWords    []uint64
-	nActiveRouters int
-	nActiveSources int
+	// shards are the mesh's row shards, in ascending node id order. They
+	// hold the active and per-stage bitmasks over node ids (bit set: the
+	// node holds work; a router has RC, VA or SA work), whose counters make
+	// the quiescence check O(1) — iterating set bits in word order visits
+	// nodes in ascending id, the event order of the naive loop — and the
+	// staged events: those produced during cycle t are applied during
+	// cycle t+1, modelling one-cycle link and credit delays.
+	shards []shard
 
-	// Per-stage router bitmasks: bit k of rcWords/vaWords/saWords is set
-	// exactly while router w*64+k has a nonzero nRouting/nWaitVC/nActive
-	// counter. Each stage pass sweeps only its own mask, so a router
-	// streaming a packet body (SA work every cycle, RC/VA work once per
-	// packet) costs the RC and VA passes nothing. The stage functions keep
-	// the bits in sync at counter 0<->nonzero transitions.
-	rcWords []uint64
-	vaWords []uint64
-	saWords []uint64
-
-	// Two-phase event staging: events produced during cycle t are applied
-	// at the start of cycle t+1, modelling one-cycle link and credit
-	// delays.
-	stagedLinks   []linkEvent
-	pendingLinks  []linkEvent
-	stagedEjects  []ejectEvent
-	pendingEjects []ejectEvent
+	// lend is the second-core protocol (see SetSpare).
+	lend lender
 
 	// fullStep disables the skip-ahead fast path, the active sets, and
 	// the stage-major order, selecting the naive router-major loop.
@@ -125,11 +118,15 @@ type Network struct {
 
 	nextPacketID int64
 
-	// Counters for conservation checks and throughput statistics.
-	// flitsInjected counts source->router flit deliveries staged.
+	// cycle is the network clock. It and the fields around it are written
+	// by the serial part of every Step, so they sit apart from what the
+	// helper reads (see lender).
+	cycle int64
+
+	// Counters for conservation checks and throughput statistics (the
+	// shards count the injected flits).
 	packetsQueued  int64
 	packetsArrived int64
-	flitsInjected  int64
 	flitsEjected   int64
 }
 
@@ -156,15 +153,8 @@ func NewNetworkWithFaults(cfg Config, faults []Link) (*Network, error) {
 		return nil, err
 	}
 	nodes := cfg.Nodes()
-	words := (nodes + 63) / 64
-	n := &Network{
-		cfg:         cfg,
-		routerWords: make([]uint64, words),
-		sourceWords: make([]uint64, words),
-		rcWords:     make([]uint64, words),
-		vaWords:     make([]uint64, words),
-		saWords:     make([]uint64, words),
-	}
+	n := &Network{cfg: cfg}
+	n.shards = newShards(n)
 	total := NumPorts * cfg.VCs
 	depth := cfg.BufDepth
 
@@ -184,7 +174,9 @@ func NewNetworkWithFaults(cfg Config, faults []Link) (*Network, error) {
 			bufs:     n.bufs[id*total*depth : (id+1)*total*depth],
 			outState: n.outState[id*total : (id+1)*total],
 			linkBase: id * NumPorts,
+			sh:       &n.shards[n.shardOf(id)],
 		}
+		r.lid = id - r.sh.lo
 		r.x, r.y = cfg.Coord(NodeID(id))
 	}
 	n.sources = newSources(n.routers, cfg.VCs)
@@ -193,11 +185,11 @@ func NewNetworkWithFaults(cfg Config, faults []Link) (*Network, error) {
 	for id := 0; id < nodes; id++ {
 		x, y := cfg.Coord(NodeID(id))
 		li := id * NumPorts
-		n.links[li+int(PortLocal)] = linkInfo{node: -1, target: -int32(id) - 1, upNode: int32(id)}
+		n.links[li+int(PortLocal)] = linkInfo{node: -1, target: -int32(id) - 1, upNode: int32(id), shard: int8(n.shardOf(id))}
 		for p := PortNorth; p <= PortWest; p++ {
 			dx, dy := p.delta()
 			if !cfg.InMesh(x+dx, y+dy) {
-				n.links[li+int(p)] = linkInfo{node: -1, upNode: -1}
+				n.links[li+int(p)] = linkInfo{node: -1, upNode: -1, shard: -1}
 				continue
 			}
 			nb := cfg.Node(x+dx, y+dy)
@@ -208,6 +200,7 @@ func NewNetworkWithFaults(cfg Config, faults []Link) (*Network, error) {
 				port:   int8(p.Opposite()),
 				target: int32(int(nb)*NumPorts + int(p.Opposite())),
 				upNode: int32(nb),
+				shard:  int8(n.shardOf(int(nb))),
 			}
 		}
 	}
@@ -226,7 +219,8 @@ func NewNetworkWithFaults(cfg Config, faults []Link) (*Network, error) {
 // Reset returns the network to exactly the state its constructor leaves
 // it in: cycle 0, every buffer, credit, allocator pointer, counter and
 // activity record as built, nothing staged or queued, no islands, no
-// OnArrive, skip-ahead on. It may be called in any state, including on a
+// OnArrive, skip-ahead on, no Spare (a borrowed slot is given back and
+// the helper let go first). It may be called in any state, including on a
 // run abandoned mid-flight, whose flits and packets are dropped. What a
 // run cannot change stays: the flat arrays themselves, the link and route
 // tables (and so the fault set), and the capacity the event buffers, the
@@ -234,6 +228,8 @@ func NewNetworkWithFaults(cfg Config, faults []Link) (*Network, error) {
 // makes a reset network cheaper than a new one and otherwise
 // indistinguishable from it.
 func (n *Network) Reset() {
+	n.SetSpare(nil)
+	n.resetLend()
 	depth := n.cfg.BufDepth
 	n.cycle = 0
 	for i := range n.vc {
@@ -253,24 +249,14 @@ func (n *Network) Reset() {
 
 	n.islands, n.islandOf, n.islandAcc, n.islandRun = nil, nil, nil, nil
 
-	clear(n.routerWords)
-	clear(n.sourceWords)
-	clear(n.rcWords)
-	clear(n.vaWords)
-	clear(n.saWords)
-	n.nActiveRouters, n.nActiveSources = 0, 0
-
-	n.stagedLinks = n.stagedLinks[:0]
-	n.pendingLinks = n.pendingLinks[:0]
-	clear(n.stagedEjects[:cap(n.stagedEjects)])
-	clear(n.pendingEjects[:cap(n.pendingEjects)])
-	n.stagedEjects = n.stagedEjects[:0]
-	n.pendingEjects = n.pendingEjects[:0]
+	for i := range n.shards {
+		n.shards[i].reset()
+	}
 
 	n.fullStep = false
 	n.OnArrive = nil
 	n.nextPacketID = 0
-	n.packetsQueued, n.packetsArrived, n.flitsInjected, n.flitsEjected = 0, 0, 0, 0
+	n.packetsQueued, n.packetsArrived, n.flitsEjected = 0, 0, 0
 }
 
 // Cycle returns the current network clock cycle.
@@ -288,24 +274,13 @@ func (n *Network) SetSkipAhead(on bool) { n.fullStep = !on }
 // buffered or in flight, no staged credits, and no source with queued or
 // partially sent packets. A quiescent Step only advances the clock.
 func (n *Network) Quiescent() bool {
-	return n.nActiveRouters == 0 && n.nActiveSources == 0 &&
-		len(n.stagedLinks) == 0 && len(n.stagedEjects) == 0
-}
-
-// activateRouter sets r's bit in the active-router mask. Callers must
-// check r.active first.
-func (n *Network) activateRouter(r *Router) {
-	r.active = true
-	n.routerWords[r.id>>6] |= 1 << uint(r.id&63)
-	n.nActiveRouters++
-}
-
-// activateSource sets s's bit in the active-source mask. Callers must
-// check s.active first.
-func (n *Network) activateSource(s *source) {
-	s.active = true
-	n.sourceWords[s.node>>6] |= 1 << uint(s.node&63)
-	n.nActiveSources++
+	p := n.cycle & 1
+	for i := range n.shards {
+		if !n.shards[i].idle(p) {
+			return false
+		}
+	}
+	return true
 }
 
 // getPacket returns a recycled Packet or a fresh one.
@@ -344,61 +319,43 @@ func (n *Network) NewPacket(src, dst NodeID, nowNs float64, dimOrder uint8) *Pac
 	s := n.sources[src]
 	s.queue.Push(p)
 	if !s.active {
-		n.activateSource(s)
+		s.router.sh.activateSource(s)
 	}
 	n.packetsQueued++
 	return p
 }
 
-// Step advances the network by one clock cycle: it completes last cycle's
-// ejections, delivers staged flits and credits, runs the router pipelines
-// stage-major over the active sets, and lets every source with pending
-// packets inject at most one flit. When the network is quiescent the whole
-// call is the skip-ahead fast path: the clock advances and nothing else
-// runs.
+// Step advances the network by one clock cycle: every row shard delivers
+// the flits and credits staged for it and runs its router pipelines
+// stage-major over its active sets, letting every source with pending
+// packets inject at most one flit, and last cycle's ejections complete.
+// When the network is quiescent the whole call is the skip-ahead fast
+// path: the clock advances and nothing else runs.
 func (n *Network) Step() {
+	quiet := !n.fullStep && n.Quiescent()
 	n.cycle++
 	if n.islandRun != nil {
 		n.advanceIslands()
 	}
-	if !n.fullStep && n.Quiescent() {
+	if quiet {
+		if n.lend.held {
+			n.lendCycle()
+		}
 		return
 	}
 	cycle := n.cycle
 
-	// Swap staging buffers: everything staged during cycle-1 is delivered
-	// now; new events are staged for cycle+1.
-	n.pendingLinks, n.stagedLinks = n.stagedLinks, n.pendingLinks[:0]
-	n.pendingEjects, n.stagedEjects = n.stagedEjects, n.pendingEjects[:0]
-
-	// Ejection: the SA sweep staged the ejects in ascending router id
-	// order, which is exactly the OnArrive order of the naive loop. The
-	// piggybacked upstream credits commute with the credits delivery
-	// applies next (distinct (output port, vc) slots or plain increments).
-	for i := range n.pendingEjects {
-		ev := &n.pendingEjects[i]
-		n.flitsEjected++
-		if ev.credTarget < 0 {
-			n.sources[-ev.credTarget-1].acceptCredit(int(ev.credVC))
-		} else {
-			n.returnCredit(ev.credTarget, ev.credVC)
-		}
-		if p := ev.packet; p != nil {
-			p.ArriveCycle = cycle
-			n.packetsArrived++
-			if n.OnArrive != nil {
-				n.OnArrive(p, cycle)
-			}
-			n.packetFree = append(n.packetFree, p)
-		}
-	}
-
-	n.deliver(cycle)
-
+	// Last cycle's ejections complete at the end of this one (eject):
+	// they touch no router, only their packets, so where in the cycle
+	// they run changes nothing, and a forked cycle runs them while the
+	// helper is still stepping.
 	if n.fullStep {
 		// Naive reference loop: router-major over everything. Island
 		// gating mirrors compute exactly: stalled nodes still receive
 		// deliveries but run no pipeline stage or injection.
+		for i := range n.shards {
+			n.shards[i].deliver(cycle)
+		}
 		gated := n.islandOf != nil
 		for id := range n.routers {
 			if gated && n.nodeStalled(id) {
@@ -412,26 +369,39 @@ func (n *Network) Step() {
 			}
 			s.step(cycle, &n.cfg)
 		}
+		n.eject(cycle)
 		return
 	}
-	n.compute(cycle)
+	if n.lend.spare != nil && n.lendCycle() {
+		n.fork(cycle)
+		return
+	}
+	for i := range n.shards {
+		n.shards[i].step(cycle)
+	}
+	n.eject(cycle)
 }
 
-// deliver applies last cycle's link events: arrival commits for flits
-// already sitting in their destination ring slots, and upstream credits.
-// At most one flit per (router, input port) and one credit per (router,
-// output port, vc) exist per cycle, so delivery order across sibling
-// events is commutative.
-func (n *Network) deliver(cycle int64) {
-	for _, ev := range n.pendingLinks {
-		n.routers[ev.node()].commitArrival(Port(ev.port()), int(ev.vc()), cycle)
-		if ev.credNode() >= 0 {
-			if ct := ev.credTarget(); ct < 0 {
-				n.sources[-ct-1].acceptCredit(int(ev.credVC()))
-			} else {
-				n.returnCredit(ct, ev.credVC())
+// eject completes last cycle's ejections: it counts the flits and hands
+// every packet whose tail left to OnArrive, then recycles it. The SA
+// sweeps staged each shard's tails in ascending router id, and the shards
+// hold ascending id ranges, so this is exactly the OnArrive order of the
+// naive loop.
+func (n *Network) eject(cycle int64) {
+	p := (cycle - 1) & 1
+	for i := range n.shards {
+		s := &n.shards[i]
+		n.flitsEjected += s.ejected[p]
+		s.ejected[p] = 0
+		for _, pk := range s.tails[p] {
+			pk.ArriveCycle = cycle
+			n.packetsArrived++
+			if n.OnArrive != nil {
+				n.OnArrive(pk, cycle)
 			}
+			n.packetFree = append(n.packetFree, pk)
 		}
+		s.tails[p] = s.tails[p][:0]
 	}
 }
 
@@ -454,76 +424,19 @@ func (n *Network) returnCredit(credTarget int32, credVC int8) {
 	}
 }
 
-// compute runs one stage-major cycle: each pipeline stage sweeps its
-// router bitmask once, in ascending id order, over the contiguous per-VC
-// state, before the next stage starts; then the active sources inject.
-// Routers that end the cycle with no work are pruned from the active set,
-// as are drained sources.
-func (n *Network) compute(cycle int64) {
-	routers := n.routers
-	// gated is false on homogeneous meshes, keeping the island check out
-	// of the hot path; stalled nodes skip every stage (and injection) but
-	// stay in the active sets until they run again.
-	gated := n.islandOf != nil
-	for w, word := range n.rcWords {
-		for base := w * 64; word != 0; word &= word - 1 {
-			id := base + bits.TrailingZeros64(word)
-			if gated && n.nodeStalled(id) {
-				continue
-			}
-			routers[id].stageRC(cycle)
-		}
-	}
-	for w, word := range n.vaWords {
-		for base := w * 64; word != 0; word &= word - 1 {
-			id := base + bits.TrailingZeros64(word)
-			if gated && n.nodeStalled(id) {
-				continue
-			}
-			routers[id].stageVA(cycle)
-		}
-	}
-	// A router can only run out of work during its SA pass (flits leave
-	// nowhere else), so pruning the active set here catches every router
-	// the moment it goes idle.
-	for w, word := range n.saWords {
-		for base := w * 64; word != 0; word &= word - 1 {
-			k := bits.TrailingZeros64(word)
-			if gated && n.nodeStalled(base+k) {
-				continue
-			}
-			r := &routers[base+k]
-			r.stageSA(cycle)
-			if !r.hasWork() {
-				r.active = false
-				n.routerWords[w] &^= 1 << uint(k)
-				n.nActiveRouters--
-			}
-		}
-	}
-	sources := n.sources
-	for w, word := range n.sourceWords {
-		for base := w * 64; word != 0; word &= word - 1 {
-			k := bits.TrailingZeros64(word)
-			if gated && n.nodeStalled(base+k) {
-				continue
-			}
-			s := sources[base+k]
-			s.step(cycle, &n.cfg)
-			if !s.hasWork() {
-				s.active = false
-				n.sourceWords[w] &^= 1 << uint(k)
-				n.nActiveSources--
-			}
-		}
-	}
-}
-
 // InFlight returns the number of flits currently inside the network:
 // buffered in routers or in flight on links (including flits owed by the
 // sources' partially sent packets and queued packets).
 func (n *Network) InFlight() int64 {
-	total := int64(len(n.stagedLinks)) + int64(len(n.stagedEjects))
+	var total int64
+	p := n.cycle & 1
+	for i := range n.shards {
+		s := &n.shards[i]
+		total += s.ejected[p]
+		for _, o := range s.out[p] {
+			total += int64(len(o.links) + len(o.carried))
+		}
+	}
 	if n.fullStep {
 		// The active sets are stale supersets in naive mode; walk everything.
 		for id := range n.routers {
@@ -534,14 +447,17 @@ func (n *Network) InFlight() int64 {
 		}
 		return total
 	}
-	for w, word := range n.routerWords {
-		for base := w * 64; word != 0; word &= word - 1 {
-			total += int64(n.routers[base+bits.TrailingZeros64(word)].occupancy())
+	for i := range n.shards {
+		s := &n.shards[i]
+		for w, word := range s.routerWords {
+			for base := s.lo + w*64; word != 0; word &= word - 1 {
+				total += int64(n.routers[base+bits.TrailingZeros64(word)].occupancy())
+			}
 		}
-	}
-	for w, word := range n.sourceWords {
-		for base := w * 64; word != 0; word &= word - 1 {
-			total += n.sources[base+bits.TrailingZeros64(word)].pendingFlits(&n.cfg)
+		for w, word := range s.sourceWords {
+			for base := s.lo + w*64; word != 0; word &= word - 1 {
+				total += n.sources[base+bits.TrailingZeros64(word)].pendingFlits(&n.cfg)
+			}
 		}
 	}
 	return total
@@ -562,7 +478,10 @@ func (n *Network) SourceBacklog() int64 {
 // Stats returns cumulative packet and flit counters: packets queued,
 // packets arrived, flits injected into routers, flits ejected.
 func (n *Network) Stats() (queued, arrived, injected, ejected int64) {
-	return n.packetsQueued, n.packetsArrived, n.flitsInjected, n.flitsEjected
+	for i := range n.shards {
+		injected += n.shards[i].flitsInjected
+	}
+	return n.packetsQueued, n.packetsArrived, injected, n.flitsEjected
 }
 
 // Activity returns the aggregate activity of all routers plus the elapsed
@@ -577,51 +496,14 @@ func (n *Network) Activity() NetworkActivity {
 }
 
 // CheckInvariants panics if any router's credit or VC state, or the
-// active-set bookkeeping, is inconsistent. Tests call it liberally;
-// production code does not need to.
+// shards' active-set bookkeeping, is inconsistent. Tests call it
+// liberally; production code does not need to.
 func (n *Network) CheckInvariants() {
 	for id := range n.routers {
 		n.routers[id].checkInvariants()
 	}
-	nr, ns := 0, 0
-	for w, word := range n.routerWords {
-		for base := w * 64; word != 0; word &= word - 1 {
-			id := base + bits.TrailingZeros64(word)
-			if id >= len(n.routers) {
-				panic("noc: active router bit outside the mesh")
-			}
-			if !n.routers[id].active {
-				panic("noc: active router bit set for inactive router")
-			}
-			nr++
-		}
-	}
-	for w, word := range n.sourceWords {
-		for base := w * 64; word != 0; word &= word - 1 {
-			id := base + bits.TrailingZeros64(word)
-			if id >= len(n.sources) {
-				panic("noc: active source bit outside the mesh")
-			}
-			if !n.sources[id].active {
-				panic("noc: active source bit set for inactive source")
-			}
-			ns++
-		}
-	}
-	if nr != n.nActiveRouters || ns != n.nActiveSources {
-		panic("noc: active counts out of sync")
-	}
-	for id := range n.routers {
-		r := &n.routers[id]
-		bit := uint64(1) << uint(id&63)
-		if (n.rcWords[id>>6]&bit != 0) != (r.nRouting > 0) ||
-			(n.vaWords[id>>6]&bit != 0) != (r.nWaitVC > 0) ||
-			(n.saWords[id>>6]&bit != 0) != (r.nActive > 0) {
-			panic("noc: per-stage words out of sync with stage counters")
-		}
-		if r.active && n.routerWords[id>>6]&bit == 0 {
-			panic("noc: active router missing from the active mask")
-		}
+	for i := range n.shards {
+		n.shards[i].checkInvariants()
 	}
 }
 

@@ -35,8 +35,20 @@
 // directly into the destination ring slot (exactly one flit per router
 // and input port can arrive per cycle, so the slot has a single writer)
 // and stages one packed 8-byte link event carrying the arrival notice and
-// the piggybacked upstream credit, applied at the start of cycle t+1. A
-// Step is therefore eject -> deliver -> compute, all on the calling
-// goroutine; callers get parallelism by running independent simulations
-// side by side (see exp.AcquireLeaf).
+// the piggybacked upstream credit, applied at the start of cycle t+1.
+//
+// # Row shards and a second core
+//
+// Meshes of more than heavySARouters routers are cut into two bands of
+// rows, each owning its routers' bookkeeping and staged events, and a
+// Step is (deliver -> compute) per shard, then eject. A flit bound for the
+// other band travels inside its notice instead of being written into the
+// other band's ring, so no shard writes another's routers, and the two
+// shards of a cycle can run at once. They do when the network has
+// borrowed a second core (see Spare, which sim.Params carries and
+// core.runSim fills from exp's leaf budget) and the cycle is heavy: the
+// caller steps one shard while a helper goroutine, spinning for the
+// duration, steps the other — one fork–join per cycle. Otherwise the
+// caller steps both. Results are bit-identical either way, and identical
+// to the naive router-major loop.
 package noc

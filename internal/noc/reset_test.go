@@ -17,11 +17,20 @@ func asBuilt(t *testing.T, n *Network) *Network {
 			t.Fatalf("%s holds %d entries after Reset", name, length)
 		}
 	}
-	empty("stagedLinks", len(n.stagedLinks))
-	empty("pendingLinks", len(n.pendingLinks))
-	empty("stagedEjects", len(n.stagedEjects))
-	empty("pendingEjects", len(n.pendingEjects))
-	n.stagedLinks, n.pendingLinks, n.stagedEjects, n.pendingEjects = nil, nil, nil, nil
+	for i := range n.shards {
+		s := &n.shards[i]
+		for p := range s.out {
+			for d := range s.out[p] {
+				o := &s.out[p][d]
+				empty("staged links", len(o.links))
+				empty("staged credits", len(o.credits))
+				empty("carried flits", len(o.carried))
+				*o = outbox{}
+			}
+			empty("ejected tails", len(s.tails[p]))
+			s.tails[p] = nil
+		}
+	}
 	for _, s := range n.sources {
 		empty("source queue", len(s.queue.items))
 		s.queue.items = nil

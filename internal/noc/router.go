@@ -45,7 +45,9 @@ type vcState struct {
 	// VC's owner commits bufLen (and never touches wrHead) the next cycle.
 	// Credit flow guarantees at most one uncommitted arrival per input
 	// port per cycle, so the split-cursor ring is single-writer,
-	// single-reader with no overlapping field access.
+	// single-reader with no overlapping field access. A flit from another
+	// row shard is stored by the owner's shard itself, at delivery (see
+	// shard).
 	wrHead uint8
 }
 
@@ -85,6 +87,11 @@ type Router struct {
 	// linkBase is id*NumPorts, the router's row in the network's flat
 	// link table (Network.links).
 	linkBase int
+
+	// sh is the row shard the router belongs to and lid its index there
+	// (id - sh.lo), its bit in the shard's bitsets.
+	sh  *shard
+	lid int
 
 	// Round-robin priority pointers for the allocators.
 	vaPri    [NumPorts]int // per output port, rotates over flat input VC index
@@ -141,21 +148,22 @@ func (r *Router) reset(vcBits uint64) {
 		vcs: r.vcs, depth: r.depth,
 		vc: r.vc, bufs: r.bufs, outState: r.outState,
 		linkBase: r.linkBase,
+		sh:       r.sh, lid: r.lid,
 	}
 	for p := range r.creditMask {
 		r.creditMask[p] = vcBits
 	}
 }
 
-// setStageBit / clearStageBit keep one of the network's per-stage word
+// setStageBit / clearStageBit keep one of its shard's per-stage word
 // sets (rcWords/vaWords/saWords) in sync with this router's stage counter
 // at a 0<->nonzero transition.
 func (r *Router) setStageBit(words []uint64) {
-	words[r.id>>6] |= 1 << uint(r.id&63)
+	words[r.lid>>6] |= 1 << uint(r.lid&63)
 }
 
 func (r *Router) clearStageBit(words []uint64) {
-	words[r.id>>6] &^= 1 << uint(r.id&63)
+	words[r.lid>>6] &^= 1 << uint(r.lid&63)
 }
 
 // hasWork reports whether the router holds any flits or any input VC in a
@@ -194,14 +202,14 @@ func (r *Router) commitArrival(p Port, vc int, cycle int64) {
 			r.nRouting++
 			r.routingMask[p] |= 1 << uint(vc)
 			if r.nRouting == 1 {
-				r.setStageBit(r.net.rcWords)
+				r.setStageBit(r.sh.rcWords)
 			}
 		} else if st.stage == vcActive && r.creditMask[st.port]&(1<<uint(st.outVC)) != 0 {
 			r.saEligMask[p] |= 1 << uint(vc)
 		}
 	}
 	if !r.active {
-		r.net.activateRouter(r)
+		r.sh.activateRouter(r)
 	}
 }
 
@@ -232,10 +240,10 @@ func (r *Router) stageRC(cycle int64) {
 		}
 	}
 	if r.nRouting == 0 {
-		r.clearStageBit(r.net.rcWords)
+		r.clearStageBit(r.sh.rcWords)
 	}
 	if r.nWaitVC > 0 {
-		r.setStageBit(r.net.vaWords)
+		r.setStageBit(r.sh.vaWords)
 	}
 }
 
@@ -322,10 +330,10 @@ func (r *Router) stageVA(cycle int64) {
 		}
 	}
 	if r.nWaitVC == 0 {
-		r.clearStageBit(r.net.vaWords)
+		r.clearStageBit(r.sh.vaWords)
 	}
 	if r.nActive > 0 {
-		r.setStageBit(r.net.saWords)
+		r.setStageBit(r.sh.saWords)
 	}
 }
 
@@ -392,8 +400,10 @@ func (r *Router) stageSA(cycle int64) {
 		return
 	}
 	net := r.net
-	links := net.stagedLinks
-	ejects := net.stagedEjects
+	sh := r.sh
+	own := int8(sh.index)
+	out := &sh.out[cycle&1]
+	links := out[own].links
 	// Output phase + traversal, in ascending output-port order. Each
 	// requested port grants the first requesting input port at or after
 	// its round-robin pointer: rotating the request mask right by the
@@ -450,13 +460,15 @@ func (r *Router) stageSA(cycle int64) {
 		// Send the flit: ejection to the local PE, otherwise on the link.
 		if Port(op) == PortLocal {
 			r.Activity.EjectFlits++
-			var done *Packet
+			sh.ejected[cycle&1]++
 			if flit.Tail {
-				done = flit.Packet
+				sh.tails[cycle&1] = append(sh.tails[cycle&1], flit.Packet)
 			}
-			ejects = append(ejects, ejectEvent{packet: done, credTarget: up.target, credVC: int8(v)})
-			// Ejection consumes at link rate: the credit is restored
-			// immediately, so local output VCs never block on credits.
+			// Ejection consumes at link rate, so local output VCs never
+			// block on credits; the freed input slot's credit travels
+			// alone.
+			cr := &out[up.shard].credits
+			*cr = append(*cr, makeLinkEvent(0, 0, 0, up.upNode, up.target, int8(v)))
 		} else {
 			r.Activity.LinkFlits++
 			os := &r.outState[o]
@@ -469,19 +481,32 @@ func (r *Router) stageSA(cycle int64) {
 			if dest < 0 {
 				panic(fmt.Sprintf("noc: router %d sent a flit off-mesh through port %s", r.id, Port(op)))
 			}
-			// Store the flit directly into the destination VC's ring slot
-			// (this stage is the slot's only writer this cycle; the owner
-			// commits it next cycle) and stage the arrival+credit notice.
+			// Within the shard, store the flit directly into the
+			// destination VC's ring slot (this stage is the slot's only
+			// writer this cycle; the owner commits it next cycle) and stage
+			// the arrival+credit notice; across shards, the notice carries
+			// the flit.
 			dp := int(lk.port)
-			g := (int(dest)*NumPorts+dp)*vcs + outVC
-			dst := &net.vc[g]
-			slot := int(dst.wrHead)
-			net.bufs[g*depth+slot] = flit
-			if slot++; slot == depth {
-				slot = 0
+			ev := makeLinkEvent(dest, int8(dp), int8(outVC), up.upNode, up.target, int8(v))
+			if lk.shard == own {
+				g := (int(dest)*NumPorts+dp)*vcs + outVC
+				dst := &net.vc[g]
+				slot := int(dst.wrHead)
+				net.bufs[g*depth+slot] = flit
+				if slot++; slot == depth {
+					slot = 0
+				}
+				dst.wrHead = uint8(slot)
+				if up.shard == own {
+					links = append(links, ev)
+				} else {
+					links = append(links, ev.arrivalOnly())
+					cr := &out[up.shard].credits
+					*cr = append(*cr, ev)
+				}
+			} else {
+				sh.carry(cycle, lk.shard, up.shard, flit, ev)
 			}
-			dst.wrHead = uint8(slot)
-			links = append(links, makeLinkEvent(dest, int8(dp), int8(outVC), up.upNode, up.target, int8(v)))
 			if flit.Head {
 				flit.Packet.Hops++
 			}
@@ -513,13 +538,12 @@ func (r *Router) stageSA(cycle int64) {
 			r.saEligMask[ip] &^= 1 << uint(v)
 		}
 	}
-	net.stagedLinks = links
-	net.stagedEjects = ejects
+	out[own].links = links
 	if r.nActive == 0 {
-		r.clearStageBit(net.saWords)
+		r.clearStageBit(sh.saWords)
 	}
 	if r.nRouting > 0 {
-		r.setStageBit(net.rcWords)
+		r.setStageBit(sh.rcWords)
 	}
 }
 

@@ -135,8 +135,10 @@ func (s *source) step(cycle int64, cfg *Config) {
 		slot = 0
 	}
 	dst.wrHead = uint8(slot)
-	net.stagedLinks = append(net.stagedLinks, makeLinkEvent(int32(s.node), int8(PortLocal), int8(s.curVC), -1, 0, 0))
-	net.flitsInjected++
+	sh := r.sh
+	o := &sh.out[cycle&1][sh.index]
+	o.links = append(o.links, makeLinkEvent(int32(s.node), int8(PortLocal), int8(s.curVC), -1, 0, 0))
+	sh.flitsInjected++
 	if f.Head {
 		p.InjectCycle = cycle
 	}

@@ -3,6 +3,7 @@ package noc
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -62,32 +63,72 @@ func randomTraffic(net *Network, rng *rand.Rand, cycles int, prob float64) {
 
 // TestStepZeroAllocsSteadyState asserts the tentpole's zero-alloc claim:
 // once the free lists, staging buffers and work lists are warm, a steady
-// state of injection + stepping never touches the heap.
+// state of injection + stepping never touches the heap — on the caller's
+// goroutine, and with the row shards split across the helper.
 func TestStepZeroAllocsSteadyState(t *testing.T) {
-	net, err := NewNetwork(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm-up: grow every pool, queue and staging buffer to steady-state
-	// capacity, then drain so the free lists are fully stocked.
-	stepTraffic(net, 4000, 8)
-	if !net.Drain(10_000) {
-		t.Fatal("warm-up traffic did not drain")
-	}
-
-	c := 0
-	flows := [][2]NodeID{{0, 24}, {24, 0}, {4, 20}, {12, 7}}
-	allocs := testing.AllocsPerRun(4000, func() {
-		if c%8 == 0 {
-			f := flows[(c/8)%len(flows)]
-			net.NewPacket(f[0], f[1], float64(net.Cycle()), 0)
+	t.Run("inline", func(t *testing.T) {
+		net, err := NewNetwork(DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
 		}
-		net.Step()
-		c++
+		// Warm-up: grow every pool, queue and staging buffer to
+		// steady-state capacity, then drain so the free lists are fully
+		// stocked.
+		stepTraffic(net, 4000, 8)
+		if !net.Drain(10_000) {
+			t.Fatal("warm-up traffic did not drain")
+		}
+		c := 0
+		flows := [][2]NodeID{{0, 24}, {24, 0}, {4, 20}, {12, 7}}
+		allocs := testing.AllocsPerRun(4000, func() {
+			if c%8 == 0 {
+				f := flows[(c/8)%len(flows)]
+				net.NewPacket(f[0], f[1], float64(net.Cycle()), 0)
+			}
+			net.Step()
+			c++
+		})
+		if allocs != 0 {
+			t.Errorf("steady-state Step allocates %.2f objects/cycle, want 0", allocs)
+		}
 	})
-	if allocs != 0 {
-		t.Errorf("steady-state Step allocates %.2f objects/cycle, want 0", allocs)
-	}
+	t.Run("sharded", func(t *testing.T) {
+		cfg := DefaultConfig()
+		cfg.Width, cfg.Height = 8, 8
+		net, err := NewNetwork(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forceSharded(net)
+		defer net.SetSpare(nil)
+		rng := rand.New(rand.NewSource(3))
+		randomTraffic(net, rng, 50, 0.01)
+		awaitHelper(t, net)
+		randomTraffic(net, rng, 3000, 0.01)
+		if !net.Drain(10_000) {
+			t.Fatal("warm-up traffic did not drain")
+		}
+		// AllocsPerRun would pin GOMAXPROCS to 1, where the helper cannot
+		// run beside the caller; count the heap objects by hand instead.
+		_, split := net.SpareUse()
+		flows := [][2]NodeID{{0, 63}, {63, 0}, {7, 56}, {35, 12}, {9, 54}}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for c := 0; c < 4000; c++ {
+			if c%8 == 0 {
+				f := flows[(c/8)%len(flows)]
+				net.NewPacket(f[0], f[1], float64(net.Cycle()), 0)
+			}
+			net.Step()
+		}
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Errorf("4000 steady-state sharded Steps allocate %d objects, want 0", n)
+		}
+		if _, now := net.SpareUse(); now == split {
+			t.Error("no cycle was stepped split")
+		}
+	})
 }
 
 // TestQuiescentStepZeroAllocs covers the skip-ahead fast path: stepping an

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/freelist"
 	"repro/internal/noc"
@@ -79,3 +80,20 @@ func releaseFabric(key fabricKey, net *noc.Network) {
 // built, runs served by resetting a network an earlier run built, and
 // networks dropped to keep the free list inside its bounds.
 func FabricStats() (built, reused, evicted int64) { return fabrics.Stats() }
+
+// Process-wide second-core counters: runs that borrowed a spare core and
+// the cycles they stepped split across it (see noc.Spare).
+var spareRuns, shardedCycles atomic.Int64
+
+func countSpareUse(net *noc.Network) {
+	borrowed, cycles := net.SpareUse()
+	if borrowed {
+		spareRuns.Add(1)
+	}
+	shardedCycles.Add(cycles)
+}
+
+// SpareStats returns the process's cumulative second-core counters: runs
+// that borrowed a spare core, and network cycles stepped on two
+// goroutines.
+func SpareStats() (runs, cycles int64) { return spareRuns.Load(), shardedCycles.Load() }

@@ -80,6 +80,12 @@ type Params struct {
 	// delivered during the measurement window.
 	PacketLog *trace.Log
 
+	// Spare, when non-nil, is where the run may borrow a second core for
+	// its heavy cycles (see noc.Spare); core.runSim offers the leaf
+	// budget's free slots. It never changes a result, only how fast the
+	// run steps.
+	Spare noc.Spare
+
 	// disableSkipAhead forces the network to tick every quiescent cycle
 	// through the full step path. Only tests set it, to prove the
 	// skip-ahead and active-list fast paths are exact.
@@ -201,10 +207,13 @@ func Run(p Params) (Result, error) {
 }
 
 // ctxCheckCycles is how many network cycles elapse between context
-// checks inside the engine loop. At the slowest network clock (333 MHz)
-// 1024 cycles are ~3 µs of simulated time and far less wall time, so
-// cancellation latency stays well under a millisecond while the check
-// cost is amortized to noise.
+// checks inside the engine loop, which amortizes the check to noise. The
+// wall time between checks is 1024 steps: about 0.2 ms on an idle mesh
+// and 7 ms on a saturated 5x5, but 20 ms on a saturated 8x8 (19.8 µs a
+// step on a two-vCPU host; 10–13 µs split across a borrowed core), which
+// bounds how late a cancelled run stops.
+// A borrowed core is not on this tick: the network checks Spare.Wanted
+// every cycle.
 const ctxCheckCycles = 1024
 
 // RunContext executes one simulation under ctx and returns its measured
@@ -237,12 +246,28 @@ func RunContext(ctx context.Context, p Params) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	res, err := runOn(ctx, p, net, integ)
+	// Reached when the run completed or was cancelled, not when it
+	// panicked: a fabric whose run blew up is not offered to another.
+	releaseFabric(key, net)
+	return res, err
+}
+
+// runOn runs the engine on an acquired network. Whatever way the run
+// ends, panics included, the network gives back a core it borrowed and
+// has no helper left touching it by the time runOn returns.
+func runOn(ctx context.Context, p Params, net *noc.Network, integ *power.Integrator) (Result, error) {
 	if err := net.SetIslands(p.Islands); err != nil {
 		return Result{}, err
 	}
 	if p.disableSkipAhead {
 		net.SetSkipAhead(false)
 	}
+	net.SetSpare(p.Spare)
+	defer func() {
+		net.SetSpare(nil)
+		countSpareUse(net)
+	}()
 	p.Policy.Reset()
 
 	eng := &engine{
@@ -252,14 +277,10 @@ func RunContext(ctx context.Context, p Params) (Result, error) {
 		f:     p.Policy.Freq(),
 	}
 	eng.v = p.VF.VoltageFor(eng.f)
-	var res Result
-	if err = eng.run(ctx); err == nil {
-		res = eng.result()
+	if err := eng.run(ctx); err != nil {
+		return Result{}, err
 	}
-	// Reached when the run completed or was cancelled, not when it
-	// panicked: a fabric whose run blew up is not offered to another.
-	releaseFabric(key, net)
-	return res, err
+	return eng.result(), nil
 }
 
 // engine holds the mutable state of one run.

@@ -49,9 +49,13 @@
 // replication and variance analysis across points see uncorrelated
 // samples.
 //
-// Each simulation runs on one goroutine and holds one slot of the
-// process-wide leaf budget while it does, so sweep-level Workers is the
-// only concurrency there is to size.
+// Each simulation holds one slot of the process-wide leaf budget while it
+// runs, so sweep-level Workers is the only concurrency there is to size.
+// A simulation steps on one goroutine, except that a saturated run on a
+// mesh of more than 32 routers borrows a slot nobody else wants, when
+// there is one, and steps half its rows on a second goroutine; it hands
+// the slot back within one network cycle of another simulation asking for
+// one. The split never changes a result.
 //
 // # Calibration
 //
@@ -93,7 +97,9 @@
 // may touch it. The lists are bounded — at most 16 objects under each of
 // the 8 most recently used keys, nothing for a key the last 32 runs did
 // not use, and nothing above about 2 MB a network or 5 MB a slab — and
-// FabricStats counts builds, reuses and evictions.
+// FabricStats counts builds, reuses and evictions, and the runs that
+// borrowed a second core (see Determinism) with the cycles they stepped
+// on it.
 //
 // # Beyond-paper workloads
 //

@@ -69,6 +69,10 @@ type FabricUse struct {
 	FabricsBuilt, FabricsReused, FabricsEvicted int64
 	// SlabsBuilt and SlabsReused do the same for injectors.
 	SlabsBuilt, SlabsReused int64
+	// SpareRuns counts the runs that borrowed a spare core, and
+	// ShardedCycles the network cycles they stepped on two goroutines
+	// (see the package doc's "Determinism" section).
+	SpareRuns, ShardedCycles int64
 }
 
 // FabricStats returns the process's cumulative set-up counters.
@@ -76,13 +80,14 @@ func FabricStats() FabricUse {
 	var u FabricUse
 	u.FabricsBuilt, u.FabricsReused, u.FabricsEvicted = sim.FabricStats()
 	u.SlabsBuilt, u.SlabsReused = traffic.SlabStats()
+	u.SpareRuns, u.ShardedCycles = sim.SpareStats()
 	return u
 }
 
 // String renders the counters as the CLIs log them.
 func (u FabricUse) String() string {
-	return fmt.Sprintf("%d fabrics built, %d reused, %d evicted; %d injector slabs built, %d reused",
-		u.FabricsBuilt, u.FabricsReused, u.FabricsEvicted, u.SlabsBuilt, u.SlabsReused)
+	return fmt.Sprintf("%d fabrics built, %d reused, %d evicted; %d injector slabs built, %d reused; %d runs borrowed a spare core, %d cycles stepped sharded",
+		u.FabricsBuilt, u.FabricsReused, u.FabricsEvicted, u.SlabsBuilt, u.SlabsReused, u.SpareRuns, u.ShardedCycles)
 }
 
 // TheoreticalCapacity returns the scenario's theoretical channel-load
