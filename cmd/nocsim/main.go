@@ -236,8 +236,15 @@ func main() {
 	fmt.Printf("throughput:  %.4f flits/node/cycle (offered %.4f)\n", res.Throughput, res.OfferedRate)
 	fmt.Printf("frequency:   %.1f MHz (avg), voltage %.3f V\n", res.AvgFreqHz/1e6, res.AvgVolts)
 	fmt.Printf("power:       %.1f mW\n", res.AvgPowerMW)
+	// How the run used the host goes in the wall field, which the
+	// metrics do not depend on: a run that borrowed a spare core says how
+	// many cycles it stepped split.
+	wall := res.Meta.WallTime.Round(time.Millisecond).String()
+	if u := nocsim.FabricStats(); u.ShardedCycles > 0 {
+		wall += fmt.Sprintf(", %d cycles stepped sharded", u.ShardedCycles)
+	}
 	fmt.Printf("packets:     %d measured over %.1f µs (wall %s)\n",
-		res.Packets, res.ElapsedNs/1e3, res.Meta.WallTime.Round(time.Millisecond))
+		res.Packets, res.ElapsedNs/1e3, wall)
 	if plog != nil {
 		if err := dumpLogs(plog, *packetLog, *flowLog); err != nil {
 			log.Fatal(err)

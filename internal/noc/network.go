@@ -177,7 +177,6 @@ func NewNetworkWithFaults(cfg Config, faults []Link) (*Network, error) {
 			sh:       &n.shards[n.shardOf(id)],
 		}
 		r.lid = id - r.sh.lo
-		r.x, r.y = cfg.Coord(NodeID(id))
 	}
 	n.sources = newSources(n.routers, cfg.VCs)
 

@@ -67,9 +67,8 @@ type outVCState struct {
 // round-robin pointers and the per-stage occupancy bitmasks that drive the
 // stage-major engine.
 type Router struct {
-	id   NodeID
-	x, y int
-	net  *Network
+	id  NodeID
+	net *Network
 
 	vcs   int // cached Config.VCs
 	depth int // cached Config.BufDepth
@@ -144,7 +143,7 @@ type Router struct {
 // vcBits has one bit set per VC: every output VC starts with credits.
 func (r *Router) reset(vcBits uint64) {
 	*r = Router{
-		id: r.id, x: r.x, y: r.y, net: r.net,
+		id: r.id, net: r.net,
 		vcs: r.vcs, depth: r.depth,
 		vc: r.vc, bufs: r.bufs, outState: r.outState,
 		linkBase: r.linkBase,
@@ -401,9 +400,8 @@ func (r *Router) stageSA(cycle int64) {
 	}
 	net := r.net
 	sh := r.sh
-	own := int8(sh.index)
-	out := &sh.out[cycle&1]
-	links := out[own].links
+	own := &sh.out[cycle&1][sh.index]
+	links := own.links
 	// Output phase + traversal, in ascending output-port order. Each
 	// requested port grants the first requesting input port at or after
 	// its round-robin pointer: rotating the request mask right by the
@@ -460,15 +458,7 @@ func (r *Router) stageSA(cycle int64) {
 		// Send the flit: ejection to the local PE, otherwise on the link.
 		if Port(op) == PortLocal {
 			r.Activity.EjectFlits++
-			sh.ejected[cycle&1]++
-			if flit.Tail {
-				sh.tails[cycle&1] = append(sh.tails[cycle&1], flit.Packet)
-			}
-			// Ejection consumes at link rate, so local output VCs never
-			// block on credits; the freed input slot's credit travels
-			// alone.
-			cr := &out[up.shard].credits
-			*cr = append(*cr, makeLinkEvent(0, 0, 0, up.upNode, up.target, int8(v)))
+			sh.eject(cycle, flit, up, v)
 		} else {
 			r.Activity.LinkFlits++
 			os := &r.outState[o]
@@ -484,11 +474,12 @@ func (r *Router) stageSA(cycle int64) {
 			// Within the shard, store the flit directly into the
 			// destination VC's ring slot (this stage is the slot's only
 			// writer this cycle; the owner commits it next cycle) and stage
-			// the arrival+credit notice; across shards, the notice carries
-			// the flit.
+			// the arrival+credit notice. Anything crossing into the other
+			// shard takes the out-of-line path (see shard.cross), which
+			// keeps this loop as small as a one-shard mesh needs.
 			dp := int(lk.port)
 			ev := makeLinkEvent(dest, int8(dp), int8(outVC), up.upNode, up.target, int8(v))
-			if lk.shard == own {
+			if lk.shard == up.shard && int(lk.shard) == sh.index {
 				g := (int(dest)*NumPorts+dp)*vcs + outVC
 				dst := &net.vc[g]
 				slot := int(dst.wrHead)
@@ -497,15 +488,9 @@ func (r *Router) stageSA(cycle int64) {
 					slot = 0
 				}
 				dst.wrHead = uint8(slot)
-				if up.shard == own {
-					links = append(links, ev)
-				} else {
-					links = append(links, ev.arrivalOnly())
-					cr := &out[up.shard].credits
-					*cr = append(*cr, ev)
-				}
-			} else {
-				sh.carry(cycle, lk.shard, up.shard, flit, ev)
+				links = append(links, ev)
+			} else if sh.cross(cycle, lk, up, flit, ev) {
+				links = append(links, ev.arrivalOnly())
 			}
 			if flit.Head {
 				flit.Packet.Hops++
@@ -538,7 +523,7 @@ func (r *Router) stageSA(cycle int64) {
 			r.saEligMask[ip] &^= 1 << uint(v)
 		}
 	}
-	out[own].links = links
+	own.links = links
 	if r.nActive == 0 {
 		r.clearStageBit(sh.saWords)
 	}

@@ -194,23 +194,63 @@ func (s *shard) activateSource(src *source) {
 	s.nActiveSources++
 }
 
-// carryFlit is the arrival half of a link event bound for another
-// shard's router, with the flit itself (see shard).
+// eject stages, during cycle, flit f's ejection from an input port whose
+// upstream is up: the eject phase of the next cycle completes it, and the
+// freed slot's credit travels alone, to be applied by up's shard. Like
+// cross, it is a call of its own to keep stageSA's loop small.
+func (s *shard) eject(cycle int64, f Flit, up *linkInfo, v int) {
+	p := cycle & 1
+	s.ejected[p]++
+	if f.Tail {
+		s.tails[p] = append(s.tails[p], f.Packet)
+	}
+	// Ejection consumes at link rate, so local output VCs never block on
+	// credits.
+	cr := &s.out[p][up.shard].credits
+	*cr = append(*cr, makeLinkEvent(0, 0, 0, up.upNode, up.target, int8(v)))
+}
+
+// carriedFlit is a link event bound for another shard's router, with
+// the flit itself (see shard).
 type carriedFlit struct {
 	flit Flit
 	ev   linkEvent
 }
 
-// carry stages, during cycle, flit f's traversal to a router of shard to
-// with its notice e, whose credit belongs to shard credTo.
-func (s *shard) carry(cycle int64, to, credTo int8, f Flit, e linkEvent) {
+// cross stages, during cycle, flit f's traversal with its notice e when
+// its destination lk or the credit's upstream up lies outside the shard.
+// It reports whether the caller is to stage e's arrival half on the
+// shard's own list: the flit stays in the shard, stored here into its
+// ring, and only the credit crosses. Otherwise the flit is carried, with
+// the credit when both go to the same shard.
+//
+//go:noinline
+func (s *shard) cross(cycle int64, lk, up *linkInfo, f Flit, e linkEvent) bool {
 	out := &s.out[cycle&1]
-	if credTo == to {
-		out[to].carried = append(out[to].carried, carriedFlit{f, e})
-		return
+	if lk.shard == up.shard {
+		out[lk.shard].carried = append(out[lk.shard].carried, carriedFlit{f, e})
+		return false
 	}
-	out[to].carried = append(out[to].carried, carriedFlit{f, e.arrivalOnly()})
-	out[credTo].credits = append(out[credTo].credits, e)
+	out[up.shard].credits = append(out[up.shard].credits, e)
+	if lk.shard == int8(s.index) {
+		s.net.store(e, f)
+		return true
+	}
+	out[lk.shard].carried = append(out[lk.shard].carried, carriedFlit{f, e.arrivalOnly()})
+	return false
+}
+
+// store writes f into the ring slot at the write head of e's arrival VC.
+func (n *Network) store(e linkEvent, f Flit) {
+	depth := n.cfg.BufDepth
+	g := (int(e.node())*NumPorts+int(e.port()))*n.cfg.VCs + int(e.vc())
+	st := &n.vc[g]
+	slot := int(st.wrHead)
+	n.bufs[g*depth+slot] = f
+	if slot++; slot == depth {
+		slot = 0
+	}
+	st.wrHead = uint8(slot)
 }
 
 // step runs one stage-major cycle of the shard.
@@ -253,20 +293,11 @@ func (s *shard) deliver(cycle int64) {
 			o.credits = o.credits[:0]
 		}
 		if len(o.carried) > 0 {
-			depth := n.cfg.BufDepth
 			for i := range o.carried {
 				c := &o.carried[i]
-				ev := c.ev
-				g := (int(ev.node())*NumPorts+int(ev.port()))*n.cfg.VCs + int(ev.vc())
-				st := &n.vc[g]
-				slot := int(st.wrHead)
-				n.bufs[g*depth+slot] = c.flit
-				if slot++; slot == depth {
-					slot = 0
-				}
-				st.wrHead = uint8(slot)
-				n.routers[ev.node()].commitArrival(Port(ev.port()), int(ev.vc()), cycle)
-				n.credit(ev)
+				n.store(c.ev, c.flit)
+				n.routers[c.ev.node()].commitArrival(Port(c.ev.port()), int(c.ev.vc()), cycle)
+				n.credit(c.ev)
 			}
 			o.carried = o.carried[:0]
 		}

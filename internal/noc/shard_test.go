@@ -3,6 +3,7 @@ package noc
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -42,7 +43,8 @@ func forceSharded(n *Network) {
 }
 
 // awaitHelper waits until n's helper is spinning, so that every later
-// cycle with SA work is stepped split.
+// cycle with SA work forks: the helper steps the second shard unless the
+// caller claims it first.
 func awaitHelper(t *testing.T, n *Network) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -284,6 +286,44 @@ func TestHelperPanicReachesCaller(t *testing.T) {
 	}
 }
 
+// TestLateHelperLeavesShardToCaller: on one P a hired helper runs only
+// when the caller yields, which a forked cycle no longer does while the
+// second shard is unclaimed: the caller claims it and steps it itself.
+// The run ends as an inline twin does, and most of its forked cycles
+// were never split.
+func TestLateHelperLeavesShardToCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg := DefaultConfig()
+	cfg.Width, cfg.Height = 8, 8
+	late, err := NewNetwork(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inline, err := NewNetwork(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forceSharded(late)
+	defer late.SetSpare(nil)
+	const cycles = 3000
+	randomTraffic(late, rand.New(rand.NewSource(12)), cycles, 0.02)
+	randomTraffic(inline, rand.New(rand.NewSource(12)), cycles, 0.02)
+	if !late.lend.held {
+		t.Fatal("the network did not borrow")
+	}
+	if _, split := late.SpareUse(); split > cycles/2 {
+		t.Fatalf("%d of %d cycles stepped split on one P; want the caller to claim most", split, cycles)
+	}
+	q1, a1, i1, e1 := late.Stats()
+	q2, a2, i2, e2 := inline.Stats()
+	if q1 != q2 || a1 != a2 || i1 != i2 || e1 != e2 {
+		t.Fatalf("late helper stats %d/%d/%d/%d, inline %d/%d/%d/%d", q1, a1, i1, e1, q2, a2, i2, e2)
+	}
+	if !reflect.DeepEqual(routerActivities(late), routerActivities(inline)) {
+		t.Fatal("per-router activity differs from the inline twin")
+	}
+}
+
 // TestSpareGivenBackWhenWanted: a held slot goes back on the first cycle
 // that finds a waiter, quiescent cycles included, and is borrowed again
 // only once the waiter is gone and the retry interval has passed.
@@ -356,29 +396,4 @@ func TestSpareGivenBackWhenLight(t *testing.T) {
 	if net.lend.state.Load() != helperIdle {
 		t.Fatal("the helper did not let go")
 	}
-}
-
-// TestSpareGivenBackWhenContended: on one P the helper can only run when
-// the caller yields, so every join waits past spinFor; after slowJoins of
-// them in a window the network gives its slot back and steps on alone.
-func TestSpareGivenBackWhenContended(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	cfg := DefaultConfig()
-	cfg.Width, cfg.Height = 8, 8
-	net, err := NewNetwork(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spare := &countingSpare{}
-	net.SetSpare(spare)
-	rng := rand.New(rand.NewSource(11))
-	for c := 0; c < 20_000 && spare.returned.Load() == 0; c++ {
-		randomTraffic(net, rng, 1, 0.02)
-	}
-	_, split := net.SpareUse()
-	if spare.lent.Load() != 1 || spare.returned.Load() != 1 || net.lend.held || split < slowJoins {
-		t.Fatalf("lent %d, returned %d, held %v after %d split cycles; want the slot back after %d slow joins",
-			spare.lent.Load(), spare.returned.Load(), net.lend.held, split, slowJoins)
-	}
-	net.SetSpare(nil)
 }

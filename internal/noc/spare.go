@@ -42,23 +42,14 @@ const (
 	// cycles in a row, so a run that has left saturation stops a helper
 	// spinning on its behalf.
 	lightReturnCycles = 4096
-	// slowJoins gives a held slot back once this many of the fork–joins
-	// in a window of joinWindow have waited past spinFor for the helper:
-	// its core is not free after all — another process runs there — and
-	// spinning against it slows both. One join in a thousand waits that
-	// long anyway (the garbage collector's mark worker, the OS). The next
-	// attempt waits contendedRetryCycles (a quarter second on a
-	// saturated 8x8).
-	slowJoins            = 32
-	joinWindow           = 256
-	contendedRetryCycles = 1 << 14
 	// spinFor is how long a waiting side of the fork–join spins before
 	// it yields the processor on every further turn. A heavy cycle's
-	// wait — the helper's shard, or the caller's serial phase between
-	// two cycles — takes a few to a few tens of µs; one that takes longer
-	// means the two sides share a P (GOMAXPROCS=1, or more spinners than
-	// cores) or the run has gone light, and then spinning only delays the
-	// other side.
+	// wait — for the shard the helper claimed, or the helper's for the
+	// caller's serial phase between two cycles — takes a few to a few
+	// tens of µs; one that takes longer means the two sides share a P or
+	// the run has gone light, and then spinning only delays the other
+	// side. A helper that is not running when the caller is done does not
+	// make it wait at all (see fork).
 	spinFor = 50 * time.Microsecond
 )
 
@@ -84,13 +75,11 @@ type lender struct {
 	// line of the Network fields the helper reads.
 	_     cacheLinePad
 	spare Spare
-	// forced is the tests' hook: every cycle with SA work is heavy, and
-	// slow joins never give the slot back.
+	// forced is the tests' hook: every cycle with SA work is heavy.
 	forced  bool
 	held    bool
 	retryAt int64
 	light   int
-	slow    int
 	// borrowed and sharded are this run's counters (SpareUse).
 	borrowed bool
 	sharded  int64
@@ -99,14 +88,15 @@ type lender struct {
 	panicked any
 
 	// The caller posts each cycle to split in start (cycles only grow
-	// within a run, and Reset zeroes both); the helper steps shard 1 and
-	// echoes the cycle in done.
+	// within a run, and Reset zeroes both). The shards after the first
+	// go to whichever side claims them first in turn: it reads 2c while
+	// the helper steps those of cycle c, and 2c+1 once they are done.
 	_     cacheLinePad
 	state atomic.Int32
 	_     cacheLinePad
 	start atomic.Int64
 	_     cacheLinePad
-	done  atomic.Int64
+	turn  atomic.Int64
 	_     cacheLinePad
 }
 
@@ -142,17 +132,16 @@ func (n *Network) resetLend() {
 	l := &n.lend
 	l.spare = nil
 	l.forced = false
-	l.held, l.retryAt, l.light, l.slow = false, 0, 0, 0
+	l.held, l.retryAt, l.light = false, 0, 0
 	l.borrowed, l.sharded, l.panicked = false, 0, nil
 	l.start.Store(0)
-	l.done.Store(0)
+	l.turn.Store(0)
 }
 
 // lendCycle runs the Spare protocol for one cycle and reports whether the
 // cycle is to be split across the helper: it is heavy, a slot is held and
 // the helper is spinning. A held slot is given back here, within the
-// cycle, once anyone waits for it, the run has stayed light too long, or
-// the helper keeps arriving late.
+// cycle, once anyone waits for it or the run has stayed light too long.
 func (n *Network) lendCycle() bool {
 	l := &n.lend
 	if !l.held {
@@ -161,7 +150,7 @@ func (n *Network) lendCycle() bool {
 		}
 		l.retryAt = n.cycle + borrowRetryCycles
 		if l.state.Load() == helperIdle && l.spare.TryBorrow() {
-			l.held, l.borrowed, l.light, l.slow = true, true, 0, 0
+			l.held, l.borrowed, l.light = true, true, 0
 			n.hire()
 		}
 		return false
@@ -169,14 +158,6 @@ func (n *Network) lendCycle() bool {
 	if l.spare.Wanted() {
 		n.giveBack()
 		return false
-	}
-	if l.slow >= slowJoins && !l.forced {
-		n.giveBack()
-		l.retryAt = n.cycle + contendedRetryCycles
-		return false
-	}
-	if l.sharded%joinWindow == 0 {
-		l.slow = 0
 	}
 	if !n.heavy() {
 		if l.light++; l.light >= lightReturnCycles {
@@ -241,9 +222,10 @@ func helper(n *Network) {
 }
 
 // serve is the helper's side of the fork–join: it spins on start, steps
-// shard 1 for every cycle the caller posts, and lets go of the
-// network when the caller asks. A caller that gave the slot back before
-// the helper arrived finds it letting go at once.
+// the shards after the first for every cycle the caller posts and it
+// claims before the caller does, and lets go of the network when the
+// caller asks. A caller that gave the slot back before the helper arrived
+// finds it letting go at once.
 func (n *Network) serve() {
 	l := &n.lend
 	seen := l.start.Load() // before going live: the caller posts only after
@@ -254,8 +236,10 @@ func (n *Network) serve() {
 	for sp := (spinner{}); ; sp.wait() {
 		if c := l.start.Load(); c != seen {
 			seen = c
-			n.helperStep(c)
-			l.done.Store(c)
+			if t := l.turn.Load(); t < 2*c && l.turn.CompareAndSwap(t, 2*c) {
+				n.helperStep(c)
+				l.turn.Store(2*c + 1)
+			}
 			sp = spinner{}
 			continue
 		}
@@ -280,7 +264,10 @@ func (n *Network) helperStep(cycle int64) {
 }
 
 // fork steps one cycle on two goroutines: the caller steps shard 0, and
-// completes last cycle's ejections, while the helper steps the rest; the
+// completes last cycle's ejections, while the helper steps the rest. A
+// helper that has not claimed them by then — its core is busy after all,
+// with another process or the garbage collector — leaves them to the
+// caller, so a late helper costs a cycle nothing but its inline time. The
 // caller returns once both are done, re-raising a panic of the helper's
 // shard.
 func (n *Network) fork(cycle int64) {
@@ -288,12 +275,15 @@ func (n *Network) fork(cycle int64) {
 	l.start.Store(cycle)
 	n.shards[0].step(cycle)
 	n.eject(cycle)
-	sp := spinner{}
-	for l.done.Load() != cycle {
-		sp.wait()
+	if t := l.turn.Load(); t < 2*cycle && l.turn.CompareAndSwap(t, 2*cycle+1) {
+		for i := 1; i < len(n.shards); i++ {
+			n.shards[i].step(cycle)
+		}
+		return
 	}
-	if sp.yield {
-		l.slow++
+	sp := spinner{}
+	for l.turn.Load() != 2*cycle+1 {
+		sp.wait()
 	}
 	l.sharded++
 	if p := l.panicked; p != nil {

@@ -207,17 +207,19 @@ func Run(p Params) (Result, error) {
 }
 
 // ctxCheckCycles is how many network cycles elapse between context
-// checks inside the engine loop, which amortizes the check to noise. The
-// wall time between checks is 1024 steps: about 0.2 ms on an idle mesh
-// and 7 ms on a saturated 5x5, but 20 ms on a saturated 8x8 (19.8 µs a
-// step on a two-vCPU host; 10–13 µs split across a borrowed core), which
-// bounds how late a cancelled run stops.
+// checks inside the engine loop; the check is a non-blocking receive, so
+// even this interval keeps it below a thousandth of a light step. The
+// wall time between checks is 256 steps: about 0.05 ms on an idle mesh,
+// 1.8 ms on a saturated 5x5 and 5 ms on a saturated 8x8 (19.8 µs a step
+// on a two-vCPU host; 10–13 µs split across a borrowed core), which
+// bounds how late a cancelled run stops on an idle host. A host whose
+// cores are busy with other work stretches every step alike.
 // A borrowed core is not on this tick: the network checks Spare.Wanted
 // every cycle.
-const ctxCheckCycles = 1024
+const ctxCheckCycles = 256
 
 // RunContext executes one simulation under ctx and returns its measured
-// Result. The engine polls the context every few thousand network cycles:
+// Result. The engine polls the context every ctxCheckCycles network cycles:
 // when ctx is cancelled mid-run the simulation stops promptly, discards
 // its partial measurement, and returns ctx.Err(). A context that is
 // already cancelled on entry returns before the network is even built.
