@@ -105,6 +105,12 @@ type Network struct {
 	// the stage-major order, selecting the naive router-major loop.
 	fullStep bool
 
+	// quiet is Quiescent() as of the end of the last Step, kept so that a
+	// quiescent Step reads one flag: a quiescent Step changes nothing it
+	// depends on, and NewPacket, the only other way work arrives, clears
+	// it.
+	quiet bool
+
 	// packetFree recycles Packet objects on tail ejection, keeping the
 	// steady-state hot path allocation-free. Flits are plain values and
 	// need no pooling.
@@ -253,6 +259,7 @@ func (n *Network) Reset() {
 	}
 
 	n.fullStep = false
+	n.quiet = true
 	n.OnArrive = nil
 	n.nextPacketID = 0
 	n.packetsQueued, n.packetsArrived, n.flitsEjected = 0, 0, 0
@@ -317,6 +324,7 @@ func (n *Network) NewPacket(src, dst NodeID, nowNs float64, dimOrder uint8) *Pac
 	}
 	s := n.sources[src]
 	s.queue.Push(p)
+	n.quiet = false
 	if !s.active {
 		s.router.sh.activateSource(s)
 	}
@@ -331,12 +339,11 @@ func (n *Network) NewPacket(src, dst NodeID, nowNs float64, dimOrder uint8) *Pac
 // When the network is quiescent the whole call is the skip-ahead fast
 // path: the clock advances and nothing else runs.
 func (n *Network) Step() {
-	quiet := !n.fullStep && n.Quiescent()
 	n.cycle++
 	if n.islandRun != nil {
 		n.advanceIslands()
 	}
-	if quiet {
+	if n.quiet && !n.fullStep {
 		if n.lend.held {
 			n.lendCycle()
 		}
@@ -348,7 +355,8 @@ func (n *Network) Step() {
 	// they touch no router, only their packets, so where in the cycle
 	// they run changes nothing, and a forked cycle runs them while the
 	// helper is still stepping.
-	if n.fullStep {
+	switch {
+	case n.fullStep:
 		// Naive reference loop: router-major over everything. Island
 		// gating mirrors compute exactly: stalled nodes still receive
 		// deliveries but run no pipeline stage or injection.
@@ -369,16 +377,17 @@ func (n *Network) Step() {
 			s.step(cycle, &n.cfg)
 		}
 		n.eject(cycle)
-		return
-	}
-	if n.lend.spare != nil && n.lendCycle() {
+	case n.lend.spare != nil && n.lendCycle():
 		n.fork(cycle)
-		return
+	default:
+		for i := range n.shards {
+			s := &n.shards[i]
+			s.deliver(cycle)
+			s.compute(cycle)
+		}
+		n.eject(cycle)
 	}
-	for i := range n.shards {
-		n.shards[i].step(cycle)
-	}
-	n.eject(cycle)
+	n.quiet = n.Quiescent()
 }
 
 // eject completes last cycle's ejections: it counts the flits and hands
@@ -498,6 +507,9 @@ func (n *Network) Activity() NetworkActivity {
 // shards' active-set bookkeeping, is inconsistent. Tests call it
 // liberally; production code does not need to.
 func (n *Network) CheckInvariants() {
+	if n.quiet && !n.Quiescent() {
+		panic("noc: network marked quiet holds work")
+	}
 	for id := range n.routers {
 		n.routers[id].checkInvariants()
 	}

@@ -134,6 +134,10 @@ func TestShardedMatchesInlineAndNaive(t *testing.T) {
 		id    int64
 		cycle int64
 	}
+	// A forked cycle's second shard goes to whichever side claims it
+	// first, so one short case may see the helper win no claim; all of
+	// them together must.
+	var split int64
 	for _, dim := range [][2]int{{2, 1}, {5, 5}, {8, 8}, {9, 9}, {13, 5}} {
 		for seed := int64(0); seed < int64(seeds); seed++ {
 			rng := rand.New(rand.NewSource(seed*131 + int64(dim[0]*dim[1])))
@@ -216,15 +220,16 @@ func TestShardedMatchesInlineAndNaive(t *testing.T) {
 				if _, arrived, _, _ := sharded.Stats(); arrived == 0 {
 					t.Fatal("no packet arrived")
 				}
-				_, split := sharded.SpareUse()
-				if twoShards && split == 0 {
-					t.Fatal("no cycle was stepped split")
+				_, n := sharded.SpareUse()
+				if !twoShards && n != 0 {
+					t.Fatalf("a one-shard mesh stepped %d cycles split", n)
 				}
-				if !twoShards && split != 0 {
-					t.Fatalf("a one-shard mesh stepped %d cycles split", split)
-				}
+				split += n
 			})
 		}
+	}
+	if split == 0 {
+		t.Fatal("the helper stepped no cycle of any two-shard mesh")
 	}
 }
 
