@@ -159,9 +159,7 @@
 // performance claim is made. Beside it, micro-benchmarks
 // (bench_*_test.go in internal/noc, internal/traffic and internal/sim)
 // time one layer while working on it — router pipeline stages,
-// ring-buffer primitives, injector draws, engine loop — and paired
-// "Naive" variants re-run the same load with quiescent skip-ahead
-// disabled so the fast-path win is measured rather than assumed.
+// ring-buffer primitives, injector draws, engine loop.
 // Steady-state Network.Step is allocation-free, asserted by
 // testing.AllocsPerRun in internal/noc.
 package repro

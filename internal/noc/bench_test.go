@@ -6,12 +6,9 @@ import (
 )
 
 // benchStep measures Network.Step cost on the default 5x5 at a given
-// packet-generation probability per node per cycle. naive disables the
-// skip-ahead and active-list fast paths, so the *Naive variants quantify
-// their win.
-func benchStep(b *testing.B, pktProb float64, naive bool) {
+// packet-generation probability per node per cycle.
+func benchStep(b *testing.B, pktProb float64) {
 	n, _ := NewNetwork(DefaultConfig())
-	n.SetSkipAhead(!naive)
 	benchSteps(b, n, pktProb)
 }
 
@@ -35,15 +32,10 @@ func benchSteps(b *testing.B, n *Network, pktProb float64) {
 	}
 }
 
-func BenchmarkNetworkStepIdle(b *testing.B)     { benchStep(b, 0, false) }
-func BenchmarkNetworkStepLight(b *testing.B)    { benchStep(b, 0.002, false) } // ~0.04 flits/node/cycle
-func BenchmarkNetworkStepModerate(b *testing.B) { benchStep(b, 0.01, false) }  // ~0.2 flits/node/cycle
-func BenchmarkNetworkStepHeavy(b *testing.B)    { benchStep(b, 0.02, false) }  // ~0.4 flits/node/cycle
-
-// Naive variants: every router and source stepped every cycle, no
-// quiescent skip. The Idle pair is the headline skip-ahead comparison.
-func BenchmarkNetworkStepIdleNaive(b *testing.B)     { benchStep(b, 0, true) }
-func BenchmarkNetworkStepModerateNaive(b *testing.B) { benchStep(b, 0.01, true) }
+func BenchmarkNetworkStepIdle(b *testing.B)     { benchStep(b, 0) }
+func BenchmarkNetworkStepLight(b *testing.B)    { benchStep(b, 0.002) } // ~0.04 flits/node/cycle
+func BenchmarkNetworkStepModerate(b *testing.B) { benchStep(b, 0.01) }  // ~0.2 flits/node/cycle
+func BenchmarkNetworkStepHeavy(b *testing.B)    { benchStep(b, 0.02) }  // ~0.4 flits/node/cycle
 
 // The 8x8 at 0.3 flits/node/cycle, 0.85 of its uniform saturation, as the
 // bench's noc.step_ns_heavy_8x8 probe and its engine_saturated workload

@@ -167,42 +167,3 @@ func TestFaultedTrafficDrains(t *testing.T) {
 	}
 	net.CheckInvariants()
 }
-
-// TestFaultedMatchesAcrossEngines locks the determinism contract for the
-// heterogeneous extensions: the faulted route table produces identical
-// arrivals under the naive loop and the stage-major fast path.
-func TestFaultedMatchesAcrossEngines(t *testing.T) {
-	cfg := DefaultConfig()
-	faults := []Link{{From: 6, To: 7}, {From: 11, To: 12}}
-	run := func(skip bool) ([][2]int64, [4]int64) {
-		net, err := NewNetworkWithFaults(cfg, faults)
-		if err != nil {
-			t.Fatal(err)
-		}
-		net.SetSkipAhead(skip)
-		var arr [][2]int64
-		net.OnArrive = func(p *Packet, cycle int64) {
-			arr = append(arr, [2]int64{p.ID, cycle})
-		}
-		stepTraffic(net, 600, 3)
-		if !net.Drain(20_000) {
-			t.Fatal("traffic did not drain")
-		}
-		net.CheckInvariants()
-		q, a, i, e := net.Stats()
-		return arr, [4]int64{q, a, i, e}
-	}
-	refArr, refStats := run(true)
-	arr, stats := run(false)
-	if stats != refStats {
-		t.Errorf("naive: counters diverge: %v vs %v", stats, refStats)
-	}
-	if len(arr) != len(refArr) {
-		t.Fatalf("naive: arrival counts diverge: %d vs %d", len(arr), len(refArr))
-	}
-	for i := range arr {
-		if arr[i] != refArr[i] {
-			t.Fatalf("naive: arrival %d diverges: %v vs %v", i, arr[i], refArr[i])
-		}
-	}
-}

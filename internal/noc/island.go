@@ -84,8 +84,8 @@ func (n *Network) SetIslands(islands []Island) error {
 // advanceIslands ticks every island's fractional clock accumulator by
 // its speed and decides whether the island's routers run this cycle. It
 // runs unconditionally at the top of Step — before the quiescent fast
-// path returns — so the stall phase is identical between the skip-ahead
-// and naive engines.
+// path returns — so the stall phase does not depend on whether a cycle
+// was skipped.
 func (n *Network) advanceIslands() {
 	for k := range n.islandAcc {
 		n.islandAcc[k] += n.islands[k].Speed

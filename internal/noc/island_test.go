@@ -78,54 +78,3 @@ func TestIslandOverlapLaterWins(t *testing.T) {
 		t.Errorf("%d islands installed, want 2", len(got))
 	}
 }
-
-// TestIslandsMatchAcrossEngines locks determinism for clock-gated
-// regions: the naive loop and the stage-major fast path must agree bit
-// for bit when part of the mesh is stalled.
-func TestIslandsMatchAcrossEngines(t *testing.T) {
-	islands := []Island{
-		{X0: 0, Y0: 0, X1: 1, Y1: 4, Speed: 0.5},
-		{X0: 3, Y0: 0, X1: 4, Y1: 2, Speed: 0.3},
-	}
-	run := func(skip bool) ([][2]int64, [4]int64, []RouterActivity) {
-		net, err := NewNetwork(DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := net.SetIslands(islands); err != nil {
-			t.Fatal(err)
-		}
-		net.SetSkipAhead(skip)
-		var arr [][2]int64
-		net.OnArrive = func(p *Packet, cycle int64) {
-			arr = append(arr, [2]int64{p.ID, cycle})
-		}
-		stepTraffic(net, 600, 3)
-		stepTraffic(net, 300, 0)
-		stepTraffic(net, 400, 5)
-		if !net.Drain(50_000) {
-			t.Fatal("traffic did not drain")
-		}
-		net.CheckInvariants()
-		q, a, i, e := net.Stats()
-		return arr, [4]int64{q, a, i, e}, routerActivities(net)
-	}
-	refArr, refStats, refAct := run(true)
-	arr, stats, act := run(false)
-	if stats != refStats {
-		t.Errorf("naive: counters diverge: %v vs %v", stats, refStats)
-	}
-	if len(arr) != len(refArr) {
-		t.Fatalf("naive: arrival counts diverge: %d vs %d", len(arr), len(refArr))
-	}
-	for i := range arr {
-		if arr[i] != refArr[i] {
-			t.Fatalf("naive: arrival %d diverges: %v vs %v", i, arr[i], refArr[i])
-		}
-	}
-	for id := range act {
-		if act[id] != refAct[id] {
-			t.Errorf("naive: router %d activity diverges", id)
-		}
-	}
-}

@@ -38,10 +38,8 @@ type linkInfo struct {
 // goroutine at the same time, with one fork–join per cycle. Either way
 // every simulated bit is the same. A quiescent network (nothing buffered,
 // staged, or queued) advances the clock in O(1) — the skip-ahead fast
-// path.
-// SetSkipAhead(false) selects the naive router-major iterate-everything
-// loop, kept as the reference implementation that equivalence tests
-// compare against.
+// path. The reference model in spec_test.go checks all of it flit for
+// flit.
 //
 // A Network is used by one goroutine at a time and by one run at a time;
 // its helper, when it has one, touches it only inside Step. Reset makes it
@@ -93,17 +91,13 @@ type Network struct {
 	// hold the active and per-stage bitmasks over node ids (bit set: the
 	// node holds work; a router has RC, VA or SA work), whose counters make
 	// the quiescence check O(1) — iterating set bits in word order visits
-	// nodes in ascending id, the event order of the naive loop — and the
-	// staged events: those produced during cycle t are applied during
-	// cycle t+1, modelling one-cycle link and credit delays.
+	// nodes in ascending id — and the staged events: those produced
+	// during cycle t are applied during cycle t+1, modelling one-cycle
+	// link and credit delays.
 	shards []shard
 
 	// lend is the second-core protocol (see SetSpare).
 	lend lender
-
-	// fullStep disables the skip-ahead fast path, the active sets, and
-	// the stage-major order, selecting the naive router-major loop.
-	fullStep bool
 
 	// quiet is Quiescent() as of the end of the last Step, kept so that a
 	// quiescent Step reads one flag: a quiescent Step changes nothing it
@@ -224,8 +218,8 @@ func NewNetworkWithFaults(cfg Config, faults []Link) (*Network, error) {
 // Reset returns the network to exactly the state its constructor leaves
 // it in: cycle 0, every buffer, credit, allocator pointer, counter and
 // activity record as built, nothing staged or queued, no islands, no
-// OnArrive, skip-ahead on, no Spare (a borrowed slot is given back and
-// the helper let go first). It may be called in any state, including on a
+// OnArrive, no Spare (a borrowed slot is given back and the helper let
+// go first). It may be called in any state, including on a
 // run abandoned mid-flight, whose flits and packets are dropped. What a
 // run cannot change stays: the flat arrays themselves, the link and route
 // tables (and so the fault set), and the capacity the event buffers, the
@@ -258,7 +252,6 @@ func (n *Network) Reset() {
 		n.shards[i].reset()
 	}
 
-	n.fullStep = false
 	n.quiet = true
 	n.OnArrive = nil
 	n.nextPacketID = 0
@@ -267,14 +260,6 @@ func (n *Network) Reset() {
 
 // Cycle returns the current network clock cycle.
 func (n *Network) Cycle() int64 { return n.cycle }
-
-// SetSkipAhead enables or disables the quiescent fast path, the active
-// sets, and the stage-major order (all on by default). With skip-ahead
-// disabled, Step iterates every router and source every cycle in
-// router-major order — the naive reference loop. Results are bit-identical
-// either way; the knob exists so tests can assert that and benchmarks can
-// measure the difference.
-func (n *Network) SetSkipAhead(on bool) { n.fullStep = !on }
 
 // Quiescent reports whether the network holds no work at all: no flits
 // buffered or in flight, no staged credits, and no source with queued or
@@ -343,7 +328,7 @@ func (n *Network) Step() {
 	if n.islandRun != nil {
 		n.advanceIslands()
 	}
-	if n.quiet && !n.fullStep {
+	if n.quiet {
 		if n.lend.held {
 			n.lendCycle()
 		}
@@ -355,35 +340,11 @@ func (n *Network) Step() {
 	// they touch no router, only their packets, so where in the cycle
 	// they run changes nothing, and a forked cycle runs them while the
 	// helper is still stepping.
-	switch {
-	case n.fullStep:
-		// Naive reference loop: router-major over everything. Island
-		// gating mirrors compute exactly: stalled nodes still receive
-		// deliveries but run no pipeline stage or injection.
-		for i := range n.shards {
-			n.shards[i].deliver(cycle)
-		}
-		gated := n.islandOf != nil
-		for id := range n.routers {
-			if gated && n.nodeStalled(id) {
-				continue
-			}
-			n.routers[id].step(cycle)
-		}
-		for id, s := range n.sources {
-			if gated && n.nodeStalled(id) {
-				continue
-			}
-			s.step(cycle, &n.cfg)
-		}
-		n.eject(cycle)
-	case n.lend.spare != nil && n.lendCycle():
+	if n.lend.spare != nil && n.lendCycle() {
 		n.fork(cycle)
-	default:
+	} else {
 		for i := range n.shards {
-			s := &n.shards[i]
-			s.deliver(cycle)
-			s.compute(cycle)
+			n.shards[i].step(cycle)
 		}
 		n.eject(cycle)
 	}
@@ -393,8 +354,7 @@ func (n *Network) Step() {
 // eject completes last cycle's ejections: it counts the flits and hands
 // every packet whose tail left to OnArrive, then recycles it. The SA
 // sweeps staged each shard's tails in ascending router id, and the shards
-// hold ascending id ranges, so this is exactly the OnArrive order of the
-// naive loop.
+// hold ascending id ranges, so packets arrive in ascending router id.
 func (n *Network) eject(cycle int64) {
 	p := (cycle - 1) & 1
 	for i := range n.shards {
@@ -444,16 +404,6 @@ func (n *Network) InFlight() int64 {
 		for _, o := range s.out[p] {
 			total += int64(len(o.links) + len(o.carried))
 		}
-	}
-	if n.fullStep {
-		// The active sets are stale supersets in naive mode; walk everything.
-		for id := range n.routers {
-			total += int64(n.routers[id].occupancy())
-		}
-		for _, s := range n.sources {
-			total += s.pendingFlits(&n.cfg)
-		}
-		return total
 	}
 	for i := range n.shards {
 		s := &n.shards[i]

@@ -50,5 +50,6 @@
 // caller steps one shard while a helper goroutine, spinning for the
 // duration, steps the other — one fork–join per cycle. Otherwise the
 // caller steps both. Results are bit-identical either way, and identical
-// to the naive router-major loop.
+// to the reference model in spec_test.go, a plain textbook router that
+// the engine is stepped against in lockstep.
 package noc

@@ -78,10 +78,6 @@ func TestResetEqualsNew(t *testing.T) {
 				t.Fatal("nothing in flight to abandon")
 			}
 		}},
-		{"naive engine", small, nil, func(n *Network) {
-			n.SetSkipAhead(false)
-			randomTraffic(n, rand.New(rand.NewSource(5)), 400, 0.02)
-		}},
 		{"12 VCs", wide, nil, func(n *Network) {
 			randomTraffic(n, rand.New(rand.NewSource(11)), 300, 0.05)
 			if n.Quiescent() {

@@ -532,23 +532,6 @@ func (r *Router) stageSA(cycle int64) {
 	}
 }
 
-// step runs one router-major cycle (RC, VA, SA in sequence), skipping empty
-// stages via the population counters. The stage-major engine instead calls
-// the stage functions directly, batched across the active routers; this
-// router-major order is kept as the naive-mode reference path
-// (SetSkipAhead(false)) that the golden equivalence tests compare against.
-func (r *Router) step(cycle int64) {
-	if r.nRouting > 0 {
-		r.stageRC(cycle)
-	}
-	if r.nWaitVC > 0 {
-		r.stageVA(cycle)
-	}
-	if r.nActive > 0 {
-		r.stageSA(cycle)
-	}
-}
-
 // occupancy returns the total number of flits buffered in the router.
 func (r *Router) occupancy() int { return r.buffered }
 

@@ -38,9 +38,9 @@ func shardCount(cfg *Config) int {
 // notice and stored by the receiver when it delivers it; the credit for
 // the slot the flit left travels on its own when it belongs to yet
 // another shard. Shards therefore step in any order or at once, and the
-// state a cycle leaves is the one the naive router-major loop leaves:
-// deliveries commute (see deliver) and the ejected tails, staged per shard
-// in ascending router id, are completed in shard order.
+// state a cycle leaves is the same either way: deliveries commute (see
+// deliver) and the ejected tails, staged per shard in ascending router id,
+// are completed in shard order.
 //
 // When two goroutines step the shards, a cache line written by one and
 // read by the other moves between their cores, which costs a sizeable

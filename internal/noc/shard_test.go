@@ -116,121 +116,193 @@ func genShardCase(rng *rand.Rand, w, h int) shardCase {
 	return c
 }
 
-// TestShardedMatchesInlineAndNaive steps three copies of each generated
-// network in lockstep — row shards split across the helper on every cycle
-// with SA work (the forceSharded hook), the same shards stepped one after
-// the other on the caller, and the naive router-major loop — under the
-// same random traffic, with idle stretches, and requires after every
-// cycle identical packet and flit counters, per-router activity, arrival
-// order, and engine invariants. The meshes cover one shard (2x1, 5x5),
-// two (8x8), and bitsets of two words (9x9) and of two words with one
-// node in the second (13x5).
-func TestShardedMatchesInlineAndNaive(t *testing.T) {
-	seeds := 4
+// TestEngineMatchesSpec steps three copies of each generated network in
+// lockstep — row shards split across the helper on every cycle with SA
+// work (the forceSharded hook), the same shards stepped one after the
+// other on the caller, and the reference model of spec_test.go — under
+// the same random traffic, with idle stretches the skip-ahead path
+// jumps, and requires after every cycle that both engines hold what the
+// spec holds: the flits of every input VC in order, the credits of every
+// output VC and source, per-router and network activity, the packet and
+// flit counters, flits in flight, the source backlog, the cycle and the
+// arrivals with their cycles. Most networks are generated meshes of 5x5
+// or smaller; the rest cover two shards (6x6 to 8x8), and bitsets of two
+// words (9x9) and of two words with one node in the second (13x5).
+func TestEngineMatchesSpec(t *testing.T) {
+	fixed, generated := 4, 1000
 	if testing.Short() {
-		seeds = 2
+		fixed, generated = 2, 300
 	}
-	type arrival struct {
-		id    int64
-		cycle int64
+	type specCase struct {
+		name string
+		c    shardCase
+		rng  *rand.Rand // the case's traffic continues its draws
 	}
+	var cases []specCase
+	for _, dim := range [][2]int{{2, 1}, {5, 5}, {8, 8}, {9, 9}, {13, 5}} {
+		for seed := int64(0); seed < int64(fixed); seed++ {
+			rng := rand.New(rand.NewSource(seed*131 + int64(dim[0]*dim[1])))
+			c := genShardCase(rng, dim[0], dim[1])
+			cases = append(cases, specCase{c.String(), c, rng})
+		}
+	}
+	twoShards := [][2]int{{6, 6}, {7, 5}, {8, 8}, {9, 9}, {13, 5}}
+	for seed := int64(0); seed < int64(generated); seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		w, h := 1+rng.Intn(5), 1+rng.Intn(5)
+		if seed%20 == 19 {
+			d := twoShards[rng.Intn(len(twoShards))]
+			w, h = d[0], d[1]
+		} else if w*h < 2 {
+			w = 2
+		}
+		c := genShardCase(rng, w, h)
+		cases = append(cases, specCase{fmt.Sprintf("seed%d/%s", seed, c), c, rng})
+	}
+
 	// A forked cycle's second shard goes to whichever side claims it
 	// first, so one short case may see the helper win no claim; all of
 	// them together must.
 	var split int64
-	for _, dim := range [][2]int{{2, 1}, {5, 5}, {8, 8}, {9, 9}, {13, 5}} {
-		for seed := int64(0); seed < int64(seeds); seed++ {
-			rng := rand.New(rand.NewSource(seed*131 + int64(dim[0]*dim[1])))
-			c := genShardCase(rng, dim[0], dim[1])
-			t.Run(c.String(), func(t *testing.T) {
-				nets := make([]*Network, 3) // sharded, inline, naive
-				arrivals := make([][]arrival, 3)
-				for k := range nets {
-					n, err := NewNetworkWithFaults(c.cfg, c.faults)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := n.SetIslands(c.islands); err != nil {
-						t.Fatal(err)
-					}
-					n.OnArrive = func(p *Packet, cycle int64) {
-						arrivals[k] = append(arrivals[k], arrival{p.ID, cycle})
-					}
-					nets[k] = n
+	for _, sc := range cases {
+		c, rng := sc.c, sc.rng
+		t.Run(sc.name, func(t *testing.T) {
+			// The spec takes only the routing decision from a network of its
+			// own, which is never stepped.
+			router, err := NewNetworkWithFaults(c.cfg, c.faults)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := newSpec(c.cfg, c.faults, c.islands, router.routePort)
+			nets := make([]*Network, 2) // sharded, inline
+			arrivals := make([][][2]int64, 2)
+			for k := range nets {
+				n, err := NewNetworkWithFaults(c.cfg, c.faults)
+				if err != nil {
+					t.Fatal(err)
 				}
-				sharded, naive := nets[0], nets[2]
-				forceSharded(sharded)
-				defer sharded.SetSpare(nil)
-				naive.SetSkipAhead(false)
-				twoShards := len(sharded.shards) == 2
-				awaited := false
-				compared := 0
+				if err := n.SetIslands(c.islands); err != nil {
+					t.Fatal(err)
+				}
+				n.OnArrive = func(p *Packet, cycle int64) {
+					arrivals[k] = append(arrivals[k], [2]int64{p.ID, cycle})
+				}
+				nets[k] = n
+			}
+			sharded := nets[0]
+			forceSharded(sharded)
+			defer sharded.SetSpare(nil)
+			twoShards := len(sharded.shards) == 2
+			awaited := false
+			compared := 0
 
-				nodes := c.cfg.Nodes()
-				for cycle := 0; cycle < 700; cycle++ {
-					if cycle < 300 || cycle >= 450 && cycle < 600 { // idle in between
-						for s := 0; s < nodes; s++ {
-							if rng.Float64() >= c.rate {
-								continue
-							}
-							d := rng.Intn(nodes - 1)
-							if d >= s {
-								d++
-							}
-							dim := uint8(rng.Intn(2))
-							for _, n := range nets {
-								n.NewPacket(NodeID(s), NodeID(d), float64(n.Cycle()), dim)
-							}
+			nodes := c.cfg.Nodes()
+			for cycle := 0; cycle < 700; cycle++ {
+				if cycle < 300 || cycle >= 450 && cycle < 600 { // idle in between
+					for s := 0; s < nodes; s++ {
+						if rng.Float64() >= c.rate {
+							continue
 						}
+						d := rng.Intn(nodes - 1)
+						if d >= s {
+							d++
+						}
+						dim := uint8(rng.Intn(2))
+						for _, n := range nets {
+							n.NewPacket(NodeID(s), NodeID(d), float64(n.Cycle()), dim)
+						}
+						ref.newPacket(NodeID(s), NodeID(d), dim)
 					}
-					for _, n := range nets {
-						n.Step()
-						n.CheckInvariants()
-					}
-					if twoShards && !awaited && sharded.lend.held {
-						awaitHelper(t, sharded)
-						awaited = true
-					}
-					for k := 1; k < 3; k++ {
-						a, b := nets[0], nets[k]
-						qa, ra, ia, ea := a.Stats()
-						qb, rb, ib, eb := b.Stats()
-						if [4]int64{qa, ra, ia, ea} != [4]int64{qb, rb, ib, eb} {
-							t.Fatalf("cycle %d: counters of path %d diverge: %v vs %v", cycle, k, [4]int64{qa, ra, ia, ea}, [4]int64{qb, rb, ib, eb})
-						}
-						if len(arrivals[0]) != len(arrivals[k]) {
-							t.Fatalf("cycle %d: path %d has %d arrivals, the sharded one %d", cycle, k, len(arrivals[k]), len(arrivals[0]))
-						}
-						for i := compared; i < len(arrivals[0]); i++ {
-							if arrivals[0][i] != arrivals[k][i] {
-								t.Fatalf("cycle %d: arrival %d of path %d diverges: %v vs %v", cycle, i, k, arrivals[k][i], arrivals[0][i])
-							}
-						}
-						for id := range a.routers {
-							if a.routers[id].Activity != b.routers[id].Activity {
-								t.Fatalf("cycle %d: activity of router %d on path %d diverges", cycle, id, k)
-							}
-						}
-						if a.InFlight() != b.InFlight() {
-							t.Fatalf("cycle %d: in-flight flits of path %d diverge: %d vs %d", cycle, k, a.InFlight(), b.InFlight())
-						}
-					}
-					compared = len(arrivals[0])
 				}
-				if _, arrived, _, _ := sharded.Stats(); arrived == 0 {
-					t.Fatal("no packet arrived")
+				ref.step()
+				for k, n := range nets {
+					n.Step()
+					n.CheckInvariants()
+					if d := diffSpec(n, ref); d != "" {
+						t.Fatalf("cycle %d, %s engine: %s", n.Cycle(), [2]string{"sharded", "inline"}[k], d)
+					}
+					if len(arrivals[k]) != len(ref.arrivals) {
+						t.Fatalf("cycle %d: %d arrivals, spec %d", n.Cycle(), len(arrivals[k]), len(ref.arrivals))
+					}
+					for i := compared; i < len(ref.arrivals); i++ {
+						if arrivals[k][i] != ref.arrivals[i] {
+							t.Fatalf("cycle %d: arrival %d is packet/cycle %v, spec %v", n.Cycle(), i, arrivals[k][i], ref.arrivals[i])
+						}
+					}
 				}
-				_, n := sharded.SpareUse()
-				if !twoShards && n != 0 {
-					t.Fatalf("a one-shard mesh stepped %d cycles split", n)
+				compared = len(ref.arrivals)
+				if twoShards && !awaited && sharded.lend.held {
+					awaitHelper(t, sharded)
+					awaited = true
 				}
-				split += n
-			})
-		}
+			}
+			if ref.arrived == 0 {
+				t.Fatal("no packet arrived")
+			}
+			_, n := sharded.SpareUse()
+			if !twoShards && n != 0 {
+				t.Fatalf("a one-shard mesh stepped %d cycles split", n)
+			}
+			split += n
+		})
 	}
 	if split == 0 {
 		t.Fatal("the helper stepped no cycle of any two-shard mesh")
 	}
+}
+
+// diffSpec describes the first way n's state differs from s's, or returns
+// "" when it does not. It is the only code that reads engine state.
+func diffSpec(n *Network, s *spec) string {
+	if n.Cycle() != s.cycle {
+		return fmt.Sprintf("cycle %d, spec %d", n.Cycle(), s.cycle)
+	}
+	q, a, i, e := n.Stats()
+	if got, want := [4]int64{q, a, i, e}, [4]int64{s.queued, s.arrived, s.injected, s.ejectedFlits}; got != want {
+		return fmt.Sprintf("queued/arrived/injected/ejected %v, spec %v", got, want)
+	}
+	if got, want := n.InFlight(), s.inFlight(); got != want {
+		return fmt.Sprintf("%d flits in flight, spec %d", got, want)
+	}
+	if got, want := n.SourceBacklog(), s.backlog(); got != want {
+		return fmt.Sprintf("source backlog %d, spec %d", got, want)
+	}
+	vcs, depth := n.cfg.VCs, n.cfg.BufDepth
+	var sum RouterActivity
+	for id := range s.routers {
+		r := &s.routers[id]
+		sum.Add(r.act)
+		if got := n.routers[id].Activity; got != r.act {
+			return fmt.Sprintf("router %d activity %+v, spec %+v", id, got, r.act)
+		}
+		for k := range r.in {
+			g := id*NumPorts*vcs + k
+			st := &n.vc[g]
+			flits := r.in[k].flits
+			if int(st.bufLen) != len(flits) {
+				return fmt.Sprintf("router %d input %s VC %d holds %d flits, spec %d", id, Port(k/vcs), k%vcs, st.bufLen, len(flits))
+			}
+			for j, f := range flits {
+				got := n.bufs[g*depth+(int(st.bufHead)+j)%depth]
+				if got.Packet.ID != f.pkt.id || got.Head != f.head() || got.Tail != f.tail() {
+					return fmt.Sprintf("router %d input %s VC %d flit %d is packet %d head=%v tail=%v, spec packet %d flit %d of %d",
+						id, Port(k/vcs), k%vcs, j, got.Packet.ID, got.Head, got.Tail, f.pkt.id, f.seq, f.pkt.size)
+				}
+			}
+			if got, want := int(n.outState[g].credits), r.out[k].credits; got != want {
+				return fmt.Sprintf("router %d output %s VC %d has %d credits, spec %d", id, Port(k/vcs), k%vcs, got, want)
+			}
+		}
+		for v, want := range s.sources[id].credits {
+			if got := n.sources[id].credits[v]; got != want {
+				return fmt.Sprintf("source %d VC %d has %d credits, spec %d", id, v, got, want)
+			}
+		}
+	}
+	if got, want := n.Activity(), (NetworkActivity{RouterActivity: sum, Cycles: s.cycle}); got != want {
+		return fmt.Sprintf("network activity %+v, spec %+v", got, want)
+	}
+	return ""
 }
 
 // TestShardLayout: two row shards exactly when the mesh has more routers

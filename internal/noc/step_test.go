@@ -1,7 +1,6 @@
 package noc
 
 import (
-	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -140,64 +139,6 @@ func TestQuiescentStepZeroAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(1000, net.Step); allocs != 0 {
 		t.Errorf("quiescent Step allocates %.2f objects/cycle, want 0", allocs)
-	}
-}
-
-// TestSkipAheadMatchesNaiveLoop runs the identical traffic script with the
-// fast paths on and off and requires identical cycle-by-cycle observable
-// state: packet/flit counters, per-router activity, and arrival order. The
-// 9x9 and 13x5 meshes have more than 64 nodes, so their bitmasks span two
-// words (13x5 with a single node in the second).
-func TestSkipAheadMatchesNaiveLoop(t *testing.T) {
-	type arrival struct {
-		id    int64
-		cycle int64
-	}
-	for _, dim := range [][2]int{{5, 5}, {9, 9}, {13, 5}} {
-		t.Run(fmt.Sprintf("%dx%d", dim[0], dim[1]), func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.Width, cfg.Height = dim[0], dim[1]
-			run := func(skip bool) ([]arrival, [4]int64, []RouterActivity) {
-				net, err := NewNetwork(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				net.SetSkipAhead(skip)
-				var arrivals []arrival
-				net.OnArrive = func(p *Packet, cycle int64) {
-					arrivals = append(arrivals, arrival{id: p.ID, cycle: cycle})
-				}
-				// Bursts separated by long idle gaps, so skip-ahead actually skips.
-				stepTraffic(net, 300, 3)
-				stepTraffic(net, 500, 0) // idle: quiescent fast path
-				stepTraffic(net, 300, 5)
-				randomTraffic(net, rand.New(rand.NewSource(1)), 400, 0.01)
-				if !net.Drain(10_000) {
-					t.Fatal("traffic did not drain")
-				}
-				net.CheckInvariants()
-				q, a, i, e := net.Stats()
-				return arrivals, [4]int64{q, a, i, e}, routerActivities(net)
-			}
-			fastArr, fastStats, fastAct := run(true)
-			naiveArr, naiveStats, naiveAct := run(false)
-			if fastStats != naiveStats {
-				t.Errorf("counters diverge: fast %v naive %v", fastStats, naiveStats)
-			}
-			if len(fastArr) != len(naiveArr) {
-				t.Fatalf("arrival counts diverge: %d vs %d", len(fastArr), len(naiveArr))
-			}
-			for i := range fastArr {
-				if fastArr[i] != naiveArr[i] {
-					t.Fatalf("arrival %d diverges: fast %+v naive %+v", i, fastArr[i], naiveArr[i])
-				}
-			}
-			for id := range fastAct {
-				if fastAct[id] != naiveAct[id] {
-					t.Errorf("router %d activity diverges:\nfast:  %+v\nnaive: %+v", id, fastAct[id], naiveAct[id])
-				}
-			}
-		})
 	}
 }
 

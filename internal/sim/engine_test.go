@@ -1,12 +1,9 @@
 package sim
 
 import (
-	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/dvfs"
-	"repro/internal/trace"
 )
 
 // TestSetDefaults pins every documented Params default so doc and code
@@ -123,43 +120,5 @@ func TestP99ExtendsBeyondInitialRange(t *testing.T) {
 	}
 	if res.P99DelayNs < res.AvgDelayNs {
 		t.Errorf("P99 %.0f ns below mean %.0f ns", res.P99DelayNs, res.AvgDelayNs)
-	}
-}
-
-// TestSkipAheadGoldenEquivalence runs the same simulation with the
-// skip-ahead/active-list fast paths enabled and disabled and requires
-// bit-identical Results — including the frequency trace and the per-packet
-// log. The load is low enough that many cycles are genuinely quiescent, so
-// the fast path actually exercises its skip.
-func TestSkipAheadGoldenEquivalence(t *testing.T) {
-	run := func(disable bool) (Result, string) {
-		rmsd, err := dvfs.NewRMSD(1e9, 0.378, dvfs.DefaultRange())
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := testParams(t, 0.02, rmsd)
-		p.TraceFreq = true
-		p.PacketLog = trace.NewLog(0)
-		p.disableSkipAhead = disable
-		res, err := Run(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var log strings.Builder
-		if err := p.PacketLog.WriteCSV(&log); err != nil {
-			t.Fatal(err)
-		}
-		return res, log.String()
-	}
-	fast, fastLog := run(false)
-	naive, naiveLog := run(true)
-	if !reflect.DeepEqual(fast, naive) {
-		t.Errorf("Results differ between skip-ahead and naive stepping:\nfast:  %+v\nnaive: %+v", fast, naive)
-	}
-	if fastLog != naiveLog {
-		t.Errorf("packet logs differ: %d vs %d bytes", len(fastLog), len(naiveLog))
-	}
-	if fast.Packets == 0 {
-		t.Error("degenerate run: no packets measured")
 	}
 }

@@ -86,10 +86,6 @@ type Params struct {
 	// run steps.
 	Spare noc.Spare
 
-	// disableSkipAhead forces the network to tick every quiescent cycle
-	// through the full step path. Only tests set it, to prove the
-	// skip-ahead and active-list fast paths are exact.
-	disableSkipAhead bool
 	// backlogPerNode replaces satBacklogPerNode when set. Only tests set
 	// it, to force or forbid the early abort.
 	backlogPerNode float64
@@ -261,9 +257,6 @@ func RunContext(ctx context.Context, p Params) (Result, error) {
 func runOn(ctx context.Context, p Params, net *noc.Network, integ *power.Integrator) (Result, error) {
 	if err := net.SetIslands(p.Islands); err != nil {
 		return Result{}, err
-	}
-	if p.disableSkipAhead {
-		net.SetSkipAhead(false)
 	}
 	net.SetSpare(p.Spare)
 	defer func() {

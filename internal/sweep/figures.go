@@ -58,13 +58,50 @@ func (o *Options) baseScenario() nocsim.Scenario {
 	}.Normalized()
 }
 
+// figure is one manifest-backed figure: how Plan lays out its panels and
+// how Render turns their results into tables.
+type figure struct {
+	name   string
+	plan   func(o *Options, ctx context.Context) ([]manifest.Panel, error)
+	render func(m *manifest.Manifest, results []nocsim.Result) []Table
+}
+
+// figures are the manifest-backed figures, in presentation order. Fig. 5
+// is analytic (no simulations) and stays outside the manifest machinery;
+// "baseline" is the shared three-policy sweep that Figs. 2, 4, 6 and the
+// summary table all present views of.
+var figures = []figure{
+	{"baseline", (*Options).planBaseline, renderBaseline},
+	{"fig7", (*Options).planFig7, renderComparison},
+	{"fig8", (*Options).planFig8, renderComparison},
+	{"fig10", (*Options).planFig10, renderComparison},
+	{"pi", (*Options).planPI, renderPI},
+	{"period", (*Options).planPeriod, renderPeriod},
+	{"gains", (*Options).planGains, renderGains},
+	{"levels", (*Options).planLevels, renderLevels},
+	{"routing", (*Options).planRouting, renderRouting},
+	{"breakdown", (*Options).planBreakdown, renderBreakdown},
+	{"burst", (*Options).planBurst, renderBurst},
+}
+
 // Figures lists the manifest-backed figure identifiers Plan accepts, in
-// presentation order. Fig. 5 is analytic (no simulations) and stays
-// outside the manifest machinery; "baseline" is the shared three-policy
-// sweep that Figs. 2, 4, 6 and the summary table all present views of.
+// presentation order.
 func Figures() []string {
-	return []string{"baseline", "fig7", "fig8", "fig10", "pi",
-		"period", "gains", "levels", "routing", "breakdown", "burst"}
+	names := make([]string, len(figures))
+	for i, f := range figures {
+		names[i] = f.name
+	}
+	return names
+}
+
+// lookupFigure returns the figure called name.
+func lookupFigure(name string) (figure, bool) {
+	for _, f := range figures {
+		if f.name == name {
+			return f, true
+		}
+	}
+	return figure{}, false
 }
 
 // ResolveFigures expands a comma-separated -fig list into manifest
@@ -88,15 +125,11 @@ func ResolveFigures(list string) (figs []string, fig5 bool, err error) {
 		"ablation": {"period", "gains", "levels", "routing", "breakdown"},
 		"5":        nil, // analytic: no manifest behind it
 	}
-	known := map[string]bool{}
-	for _, f := range Figures() {
-		known[f] = true
-	}
 	selected := map[string]bool{}
 	for tok := range want {
-		switch {
+		switch _, known := lookupFigure(tok); {
 		case tok == "all":
-		case known[tok]:
+		case known:
 			selected[tok] = true
 		default:
 			expansion, ok := alias[tok]
@@ -108,9 +141,9 @@ func ResolveFigures(list string) (figs []string, fig5 bool, err error) {
 			}
 		}
 	}
-	for _, f := range Figures() {
-		if all || selected[f] {
-			figs = append(figs, f)
+	for _, f := range figures {
+		if all || selected[f.name] {
+			figs = append(figs, f.name)
 		}
 	}
 	return figs, all || want["5"], nil
@@ -129,34 +162,11 @@ func ResolveFigures(list string) (figs []string, fig5 bool, err error) {
 // study — pay for its search once between them.
 func Plan(ctx context.Context, fig string, o Options) (*manifest.Manifest, error) {
 	o.setDefaults()
-	var panels []manifest.Panel
-	var err error
-	switch fig {
-	case "baseline":
-		panels, err = o.planBaseline(ctx)
-	case "fig7":
-		panels, err = o.planFig7(ctx)
-	case "fig8":
-		panels, err = o.planFig8(ctx)
-	case "fig10":
-		panels, err = o.planFig10(ctx)
-	case "pi":
-		panels, err = o.planPI(ctx)
-	case "period":
-		panels, err = o.planPeriod(ctx)
-	case "gains":
-		panels, err = o.planGains(ctx)
-	case "levels":
-		panels, err = o.planLevels(ctx)
-	case "routing":
-		panels, err = o.planRouting(ctx)
-	case "breakdown":
-		panels, err = o.planBreakdown(ctx)
-	case "burst":
-		panels, err = o.planBurst(ctx)
-	default:
+	f, ok := lookupFigure(fig)
+	if !ok {
 		return nil, fmt.Errorf("sweep: unknown figure %q (want one of %v)", fig, Figures())
 	}
+	panels, err := f.plan(&o, ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -169,33 +179,21 @@ func Render(m *manifest.Manifest, results []nocsim.Result) ([]Table, error) {
 	if n := m.NumPoints(); len(results) != n {
 		return nil, fmt.Errorf("sweep: rendering %s: %d results for %d points", m.Name, len(results), n)
 	}
-	switch m.Name {
-	case "baseline":
-		var tables []Table
-		tables = append(tables, renderFig2(m, results)...)
-		tables = append(tables, renderFig4(m, results)...)
-		tables = append(tables, renderFig6(m, results)...)
-		tables = append(tables, renderSummary(m, results)...)
-		return tables, nil
-	case "fig7", "fig8", "fig10":
-		return renderComparison(m, results), nil
-	case "pi":
-		return renderPI(m, results), nil
-	case "period":
-		return renderPeriod(m, results), nil
-	case "gains":
-		return renderGains(m, results), nil
-	case "levels":
-		return renderLevels(m, results), nil
-	case "routing":
-		return renderRouting(m, results), nil
-	case "breakdown":
-		return renderBreakdown(m, results), nil
-	case "burst":
-		return renderBurst(m, results), nil
-	default:
+	f, ok := lookupFigure(m.Name)
+	if !ok {
 		return nil, fmt.Errorf("sweep: unknown figure %q", m.Name)
 	}
+	return f.render(m, results), nil
+}
+
+// renderBaseline renders the views of the baseline sweep: Figs. 2, 4 and
+// 6 and the summary table.
+func renderBaseline(m *manifest.Manifest, results []nocsim.Result) []Table {
+	var tables []Table
+	tables = append(tables, renderFig2(m, results)...)
+	tables = append(tables, renderFig4(m, results)...)
+	tables = append(tables, renderFig6(m, results)...)
+	return append(tables, renderSummary(m, results)...)
 }
 
 // resolveComparison resolves one three-policy grid: calibrate the base
