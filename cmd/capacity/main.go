@@ -20,18 +20,9 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("capacity: ")
 
-	var (
-		width   = flag.Int("width", 5, "mesh width")
-		height  = flag.Int("height", 5, "mesh height")
-		vcs     = flag.Int("vcs", 8, "virtual channels per port")
-		bufs    = flag.Int("buffers", 4, "flit buffers per VC")
-		pkt     = flag.Int("packet", 20, "packet size in flits")
-		routing = flag.String("routing", "xy", "routing algorithm")
-		pattern = flag.String("pattern", "uniform", "traffic pattern")
-		seed    = flag.Int64("seed", 1, "random seed")
-		quick   = flag.Bool("quick", false, "shorter simulations")
-		workers = cli.WorkersFlag(flag.CommandLine, "concurrent saturation probes (default GOMAXPROCS, 1 = serial); the measured rate is identical either way")
-	)
+	mesh := cli.NewMeshFlags(flag.CommandLine)
+	pattern := flag.String("pattern", "uniform", "traffic pattern")
+	workers := cli.WorkersFlag(flag.CommandLine, "concurrent saturation probes (default GOMAXPROCS, 1 = serial); the measured rate is identical either way")
 	flag.Parse()
 
 	if err := cli.CheckWorkers(*workers); err != nil {
@@ -41,26 +32,12 @@ func main() {
 	ctx, stop := cli.SignalContext()
 	defer stop()
 
-	// A zero field means "the default" to Normalized, so a zero typed on
-	// the command line would be silently replaced; refuse it.
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "width", "height", "vcs", "buffers", "packet", "seed":
-			if f.Value.String() == "0" {
-				log.Fatalf("-%s must be non-zero", f.Name)
-			}
-		}
-	})
-	s := nocsim.Scenario{
-		Mesh: nocsim.Mesh{
-			Width: *width, Height: *height, VCs: *vcs, BufDepth: *bufs,
-			PacketSize: *pkt, Routing: nocsim.Routing(*routing),
-		},
-		Pattern: *pattern,
-		Seed:    *seed,
-		Quick:   *quick,
-		Workers: *workers,
-	}.Normalized()
+	s, err := mesh.Scenario(false)
+	if err != nil {
+		log.Fatal(err)
+	}
+	s.Pattern, s.Workers = *pattern, *workers
+	s = s.Normalized()
 
 	theo, err := nocsim.TheoreticalCapacity(s)
 	if err != nil {

@@ -68,14 +68,8 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("nocsim: ")
 
+	mesh := cli.NewMeshFlags(flag.CommandLine)
 	var (
-		width   = flag.Int("width", 5, "mesh width")
-		height  = flag.Int("height", 5, "mesh height")
-		vcs     = flag.Int("vcs", 8, "virtual channels per port")
-		bufs    = flag.Int("buffers", 4, "flit buffers per VC")
-		pkt     = flag.Int("packet", 20, "packet size in flits")
-		routing = flag.String("routing", "xy", "routing algorithm: xy, yx, o1turn")
-
 		pattern = flag.String("pattern", "uniform", "synthetic pattern (uniform, tornado, bitcomp, transpose, neighbor, bitrev, shuffle)")
 		rate    = flag.Float64("rate", 0.2, "injection rate, flits per node per node cycle")
 		appName = flag.String("app", "", "multimedia app instead of a pattern: h264 or vce")
@@ -93,9 +87,6 @@ func main() {
 		paretoAlpha  = flag.Float64("pareto-alpha", 0, "sojourn tail index for -source pareto (0 = default 1.5)")
 		faultyLinks  = flag.String("faulty-links", "", `comma-separated directed channels to mask, each "from>to"`)
 		islands      = flag.String("islands", "", `V/F islands as "x0,y0,x1,y1@speed" items separated by ';'`)
-
-		seed  = flag.Int64("seed", 1, "random seed")
-		quick = flag.Bool("quick", false, "shorter warmup/measurement windows")
 
 		scenarioPath = flag.String("scenario", "", "run a JSON scenario file instead of building one from flags")
 		dumpScenario = flag.Bool("dump-scenario", false, "print the scenario's JSON wire form and exit without running")
@@ -133,29 +124,13 @@ func main() {
 			log.Fatalf("parsing %s: %v", *scenarioPath, err)
 		}
 	} else {
-		// A zero field means "the default" to Normalized, so a zero typed
-		// on the command line would be silently replaced; refuse it.
-		given := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) {
-			given[f.Name] = true
-			switch f.Name {
-			case "width", "height", "vcs", "buffers", "packet", "rate", "speed", "seed":
-				if f.Value.String() == "0" {
-					log.Fatalf("-%s must be non-zero", f.Name)
-				}
-			}
-		})
-		s = nocsim.Scenario{
-			Mesh:   nocsim.Mesh{VCs: *vcs, BufDepth: *bufs, PacketSize: *pkt, Routing: nocsim.Routing(*routing)},
-			Policy: nocsim.PolicyKind(*policy),
-			Seed:   *seed,
-			Quick:  *quick,
+		// An app brings its mesh, so "-app h264" runs on the graph's 4x4
+		// mapping unless a dimension flag says otherwise.
+		var err error
+		if s, err = mesh.Scenario(*appName != "", "rate", "speed"); err != nil {
+			log.Fatal(err)
 		}
-		// An app brings its mesh: the dimension flags apply when given or
-		// without -app, so "-app h264" runs on the graph's 4x4 mapping.
-		if *appName == "" || given["width"] || given["height"] {
-			s.Mesh.Width, s.Mesh.Height = *width, *height
-		}
+		s.Policy = nocsim.PolicyKind(*policy)
 		switch {
 		case *traceRef != "":
 			s.TraceRef = *traceRef
@@ -181,7 +156,6 @@ func main() {
 			}
 		}
 		if *islands != "" {
-			var err error
 			if s.Islands, err = parseIslands(*islands); err != nil {
 				log.Fatal(err)
 			}

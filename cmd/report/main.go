@@ -104,7 +104,7 @@ func main() {
 	fmt.Fprintf(w, "on the authors' router RTL or 28-nm library (see README.md § What was substituted); the\n")
 	fmt.Fprintf(w, "*orderings and shapes* are the reproduced claims.\n\n")
 	fmt.Fprintf(w, "DMSD points are measured independently, each warm-started at its\n")
-	fmt.Fprintf(w, "load's equilibrium guess (`core.EquilibriumFreq`) — the same model a\n")
+	fmt.Fprintf(w, "load's equilibrium guess (10%% above the RMSD frequency law) — the same model a\n")
 	fmt.Fprintf(w, "standalone `nocsim` grid point uses. This re-rolled the DMSD numbers\n")
 	fmt.Fprintf(w, "once (vs the earlier sequential warm-start chain) by a few percent;\n")
 	fmt.Fprintf(w, "all claims stayed within band.\n\n")
@@ -163,8 +163,8 @@ func main() {
 	fmt.Fprintf(w, "add `-manifest DIR` for a restartable run (see README).\n")
 	fmt.Fprintf(w, "The Fig. 8 sensitivity panels and the ablations (control period, PI\n")
 	fmt.Fprintf(w, "gains, discrete levels, routing, power breakdown) are regenerated with\n")
-	fmt.Fprintf(w, "`-fig 8` and `-fig ablation` and asserted by the test suite\n")
-	fmt.Fprintf(w, "(`internal/sweep/ablation_test.go`).\n")
+	fmt.Fprintf(w, "`-fig 8` and `-fig ablation`. The test suite asserts the ablations\n")
+	fmt.Fprintf(w, "(`internal/sweep/ablation_test.go`); the Fig. 8 panels carry no claims.\n")
 	log.Printf("done (%s)", cli.SetupSummary())
 }
 

@@ -32,7 +32,7 @@
 //	internal/sim      the two-clock-domain simulation engine (context-aware)
 //	internal/exp      parallel deterministic experiment runner (worker pool)
 //	internal/freelist keyed, bounded free list (reused networks and injector slabs)
-//	internal/core     experiments: calibration, saturation search, sweeps
+//	internal/core     an adapter over nocsim kept only for bench/'s probes
 //	internal/sweep    figure/table planners and renderers for the evaluation
 //	internal/queue    HTTP work-queue: lease coordinator, client, worker loop
 //	internal/resultsrv  results-service HTTP API: queries, cached renders, dashboard

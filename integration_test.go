@@ -1,18 +1,20 @@
 package repro_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/csv"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/noc"
 	"repro/internal/queueing"
 	"repro/internal/report"
 	"repro/internal/sweep"
-	"repro/internal/trace"
 	"repro/internal/volt"
+	"repro/nocsim"
 )
 
 // TestEndToEndPipelineQuick exercises the whole stack once: calibration,
@@ -103,14 +105,16 @@ func TestSimulatorAgreesWithQueueingModelOnShape(t *testing.T) {
 	}
 
 	// Simulation: delays at ~0.5 λmin, λmin, and 2 λmin.
-	s := core.Scenario{Noc: noc.DefaultConfig(), Pattern: "uniform", Quick: true}
-	cal, err := core.Calibrate(context.Background(), s)
+	s := nocsim.Scenario{Pattern: "uniform", Quick: true}
+	cal, err := nocsim.Calibrate(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lmin := cal.LambdaMax / 3
 	delay := func(rate float64) float64 {
-		res, err := core.RunOne(context.Background(), s, core.RMSD, rate, cal)
+		p := s
+		p.Policy, p.Load, p.Calibration = nocsim.RMSD, rate, &cal
+		res, err := nocsim.Run(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,14 +132,9 @@ func TestSimulatorAgreesWithQueueingModelOnShape(t *testing.T) {
 // TestPacketLogThroughCoreScenario verifies the trace plumbing end to end
 // through the public experiment API.
 func TestPacketLogThroughCoreScenario(t *testing.T) {
-	plog := trace.NewLog(1 << 16)
-	s := core.Scenario{
-		Noc:       noc.DefaultConfig(),
-		Pattern:   "neighbor",
-		Quick:     true,
-		PacketLog: plog,
-	}
-	res, err := core.RunOne(context.Background(), s, core.NoDVFS, 0.2, core.Calibration{SaturationRate: 0.9, LambdaMax: 0.8, TargetDelayNs: 100})
+	plog := nocsim.NewPacketLog(1 << 16)
+	s := nocsim.Scenario{Pattern: "neighbor", Load: 0.2, Quick: true, PacketLog: plog}
+	res, err := nocsim.Run(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +144,27 @@ func TestPacketLogThroughCoreScenario(t *testing.T) {
 	// Neighbor traffic: every flow is a single-hop (x+1) pair except the
 	// wraparound column, which crosses the row. Check hops per flow match
 	// the pattern definition.
-	cfg := s.Noc
-	for _, f := range plog.Flows() {
-		want := cfg.Distance(f.Src, f.Dst)
-		if f.Hops != want {
-			t.Fatalf("flow %d->%d hops %d, want %d", f.Src, f.Dst, f.Hops, want)
+	var buf bytes.Buffer
+	if err := plog.WriteFlowsCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) < 2 {
+		t.Fatal("the log holds no flows")
+	}
+	cfg := noc.DefaultConfig()
+	for _, row := range rows[1:] { // src,dst,hops,...
+		var f [3]int
+		for i := range f {
+			if f[i], err = strconv.Atoi(row[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want := cfg.Distance(noc.NodeID(f[0]), noc.NodeID(f[1])); f[2] != want {
+			t.Fatalf("flow %d->%d hops %d, want %d", f[0], f[1], f[2], want)
 		}
 	}
 }

@@ -164,3 +164,54 @@ func TestSweepFlagsAccessors(t *testing.T) {
 		t.Errorf("Executor() with no flags = %+v, want the zero Executor", ex)
 	}
 }
+
+// TestMeshFlags parses argument lists through the single-run commands'
+// block: defaults, an app's own mesh, and the refused typed zeros.
+func TestMeshFlags(t *testing.T) {
+	cases := []struct {
+		name        string
+		args        []string
+		appMesh     bool
+		width, vcs  int
+		seed        int64
+		quick       bool
+		wantErr     string
+		nonZeroFlag string
+	}{
+		{name: "defaults", width: 5, vcs: 8, seed: 1},
+		{name: "set", args: []string{"-width", "8", "-height", "8", "-vcs", "2", "-seed", "7", "-quick"}, width: 8, vcs: 2, seed: 7, quick: true},
+		{name: "app brings its mesh", appMesh: true, width: 0, vcs: 8, seed: 1},
+		{name: "app with a width", args: []string{"-width", "6"}, appMesh: true, width: 6, vcs: 8, seed: 1},
+		{name: "zero vcs", args: []string{"-vcs", "0"}, wantErr: "-vcs must be non-zero"},
+		{name: "zero seed", args: []string{"-seed", "0"}, wantErr: "-seed must be non-zero"},
+		{name: "caller's flag", args: []string{"-rate", "0"}, nonZeroFlag: "rate", wantErr: "-rate must be non-zero"},
+		{name: "caller's flag unchecked", args: []string{"-rate", "0"}, width: 5, vcs: 8, seed: 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := flag.NewFlagSet("test", flag.ContinueOnError)
+			m := NewMeshFlags(fs)
+			fs.Float64("rate", 0.2, "")
+			if err := fs.Parse(tc.args); err != nil {
+				t.Fatal(err)
+			}
+			var nonZero []string
+			if tc.nonZeroFlag != "" {
+				nonZero = append(nonZero, tc.nonZeroFlag)
+			}
+			s, err := m.Scenario(tc.appMesh, nonZero...)
+			if tc.wantErr != "" {
+				if err == nil || err.Error() != tc.wantErr {
+					t.Fatalf("error = %v, want %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Mesh.Width != tc.width || s.Mesh.VCs != tc.vcs || s.Seed != tc.seed || s.Quick != tc.quick {
+				t.Errorf("scenario %+v", s)
+			}
+		})
+	}
+}

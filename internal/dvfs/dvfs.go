@@ -83,9 +83,6 @@ type Range struct {
 	Levels *volt.Levels
 }
 
-// DefaultRange returns the paper's range: 333 MHz to 1 GHz, continuous.
-func DefaultRange() Range { return Range{FMin: volt.FMin, FMax: volt.FMax} }
-
 // Validate checks the range.
 func (r Range) Validate() error {
 	if r.FMin <= 0 || r.FMin >= r.FMax {

@@ -8,6 +8,9 @@ import (
 	"repro/internal/volt"
 )
 
+// DefaultRange returns the paper's range: 333 MHz to 1 GHz, continuous.
+func DefaultRange() Range { return Range{FMin: volt.FMin, FMax: volt.FMax} }
+
 func TestClip(t *testing.T) {
 	tests := []struct{ f, lo, hi, want float64 }{
 		{5, 0, 10, 5},

@@ -4,13 +4,14 @@ import (
 	"fmt"
 
 	"repro/internal/dvfs"
+	"repro/internal/volt"
 )
 
 // ExampleRMSD shows the open-loop frequency law of the paper's Eq. (2):
 // the controller scales the clock linearly with the measured injection
 // rate, clipping at the range limits.
 func ExampleRMSD() {
-	rmsd, err := dvfs.NewRMSD(1e9, 0.378, dvfs.DefaultRange())
+	rmsd, err := dvfs.NewRMSD(1e9, 0.378, dvfs.Range{FMin: volt.FMin, FMax: volt.FMax})
 	if err != nil {
 		panic(err)
 	}
@@ -30,7 +31,7 @@ func ExampleRMSD() {
 // delay falls as the clock rises; the loop settles with the delay at the
 // 150 ns target.
 func ExampleDMSD() {
-	dmsd, err := dvfs.NewDMSD(150, dvfs.DefaultRange(), dvfs.DefaultKI, dvfs.DefaultKP)
+	dmsd, err := dvfs.NewDMSD(150, dvfs.Range{FMin: volt.FMin, FMax: volt.FMax}, dvfs.DefaultKI, dvfs.DefaultKP)
 	if err != nil {
 		panic(err)
 	}

@@ -224,7 +224,7 @@ func leafRelease() func() {
 
 // SpareLeaves lends the leaf budget's free slots to running simulations:
 // it is the noc.Spare through which a saturated run borrows a second core
-// (core.runSim offers it to every simulation). A slot counts as spare
+// (nocsim.runSim offers it to every simulation). A slot counts as spare
 // while it is free, nobody waits in AcquireLeaf, and the slots in use
 // stay below GOMAXPROCS too, so a budget above the core count (-workers
 // larger than the machine) lends nothing it has no core for.

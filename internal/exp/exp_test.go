@@ -401,7 +401,7 @@ func TestNestedRuns(t *testing.T) {
 
 // TestWorkerPoolSpeedup demonstrates the engine's wall-clock win on
 // CPU-bound points. It needs real parallel hardware, so it skips below 4
-// cores (the sim-level speedup test in internal/core has the same gate).
+// cores.
 func TestWorkerPoolSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

@@ -46,7 +46,7 @@
 // other band's ring, so no shard writes another's routers, and the two
 // shards of a cycle can run at once. They do when the network has
 // borrowed a second core (see Spare, which sim.Params carries and
-// core.runSim fills from exp's leaf budget) and the cycle is heavy: the
+// nocsim.runSim fills from exp's leaf budget) and the cycle is heavy: the
 // caller steps one shard while a helper goroutine, spinning for the
 // duration, steps the other — one fork–join per cycle. Otherwise the
 // caller steps both. Results are bit-identical either way, and identical

@@ -8,7 +8,7 @@ import (
 
 // Spare lends a network a second core for its heavy cycles. It stands for
 // a slot of whatever budget bounds the process's concurrent simulations
-// (package exp's leaf budget, which core.runSim hands down through
+// (package exp's leaf budget, which nocsim.runSim hands down through
 // sim.Params): a network borrows one without blocking when a cycle is
 // heavy, steps its second row shard on a helper goroutine while it holds
 // it, and gives it back within one cycle of Wanted turning true.

@@ -44,7 +44,7 @@ func BenchmarkEngineRunNoDVFS(b *testing.B) {
 
 func BenchmarkEngineRunRMSD(b *testing.B) {
 	benchRun(b, 0.1, func() dvfs.Policy {
-		p, err := dvfs.NewRMSD(1e9, 0.378, dvfs.DefaultRange())
+		p, err := dvfs.NewRMSD(1e9, 0.378, dvfs.Range{FMin: volt.FMin, FMax: volt.FMax})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -63,9 +63,9 @@ func (spec runSpec) run(cfg noc.Config, faults []noc.Link) (Result, error) {
 	case "nodvfs":
 		pol = dvfs.NewNoDVFS(1e9)
 	case "rmsd":
-		pol, err = dvfs.NewRMSD(1e9, 0.3, dvfs.DefaultRange())
+		pol, err = dvfs.NewRMSD(1e9, 0.3, dvfs.Range{FMin: volt.FMin, FMax: volt.FMax})
 	case "dmsd":
-		pol, err = dvfs.NewDMSD(80, dvfs.DefaultRange(), dvfs.DefaultKI, dvfs.DefaultKP)
+		pol, err = dvfs.NewDMSD(80, dvfs.Range{FMin: volt.FMin, FMax: volt.FMax}, dvfs.DefaultKI, dvfs.DefaultKP)
 	}
 	if err != nil {
 		return Result{}, err

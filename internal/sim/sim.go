@@ -81,7 +81,7 @@ type Params struct {
 	PacketLog *trace.Log
 
 	// Spare, when non-nil, is where the run may borrow a second core for
-	// its heavy cycles (see noc.Spare); core.runSim offers the leaf
+	// its heavy cycles (see noc.Spare); nocsim.runSim offers the leaf
 	// budget's free slots. It never changes a result, only how fast the
 	// run steps.
 	Spare noc.Spare
@@ -125,8 +125,10 @@ type Result struct {
 	P99DelayNs float64
 	// Packets is the number of packets measured.
 	Packets int64
-	// OfferedRate is the measured offered load in flits per node per node
-	// cycle.
+	// OfferedRate is the nominal offered load in flits per node per node
+	// cycle: the mean of the injector's configured per-node rates
+	// (Injector.MeanRate), not the flits the sources generated in the
+	// measurement window.
 	OfferedRate float64
 	// Throughput is the accepted rate in flits per node per node cycle.
 	Throughput float64

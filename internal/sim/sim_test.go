@@ -93,7 +93,7 @@ func TestThroughputMatchesOffered(t *testing.T) {
 
 func newRMSD(t *testing.T) *dvfs.RMSD {
 	t.Helper()
-	p, err := dvfs.NewRMSD(1e9, 0.378, dvfs.DefaultRange())
+	p, err := dvfs.NewRMSD(1e9, 0.378, dvfs.Range{FMin: volt.FMin, FMax: volt.FMax})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestRMSDNonMonotonicDelay(t *testing.T) {
 
 func newDMSD(t *testing.T, target float64) *dvfs.DMSD {
 	t.Helper()
-	p, err := dvfs.NewDMSD(target, dvfs.DefaultRange(), dvfs.DefaultKI, dvfs.DefaultKP)
+	p, err := dvfs.NewDMSD(target, dvfs.Range{FMin: volt.FMin, FMax: volt.FMax}, dvfs.DefaultKI, dvfs.DefaultKP)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/core"
 )
 
 // Calibrate runs the paper's calibration recipe for the scenario:
@@ -33,17 +31,16 @@ func Calibrate(ctx context.Context, s Scenario) (Calibration, error) {
 
 // calibrate is Calibrate on a normalized, valid scenario.
 func calibrate(ctx context.Context, s Scenario) (Calibration, error) {
-	cs, err := s.toCore()
+	r, err := s.resolve()
 	if err != nil {
 		return Calibration{}, err
 	}
 	calibrate := func(ctx context.Context) (Calibration, error) {
-		rate, err := findSaturation(ctx, s, cs)
+		rate, err := findSaturation(ctx, &r)
 		if err != nil {
 			return Calibration{}, err
 		}
-		cal, err := core.CalibrateAt(ctx, cs, rate)
-		return Calibration(cal), err
+		return r.calibrateAt(ctx, rate)
 	}
 	if s.observed() {
 		return calibrate(ctx)
@@ -68,26 +65,25 @@ func FindSaturation(ctx context.Context, s Scenario) (float64, error) {
 	if err := s.Validate(); err != nil {
 		return 0, err
 	}
-	cs, err := s.toCore()
+	r, err := s.resolve()
 	if err != nil {
 		return 0, err
 	}
-	return findSaturation(ctx, s, cs)
+	return findSaturation(ctx, &r)
 }
 
-// findSaturation is the search level of the calibration memo; cs is s in
-// core form.
-func findSaturation(ctx context.Context, s Scenario, cs core.Scenario) (float64, error) {
+// findSaturation is the search level of the calibration memo.
+func findSaturation(ctx context.Context, r *resolved) (float64, error) {
 	search := func(ctx context.Context) (float64, error) {
 		calStats.searches.Add(1)
-		rate, st, err := core.FindSaturation(ctx, cs)
-		calStats.probesCancelled.Add(int64(st.Cancelled))
+		rate, st, err := r.search(ctx)
+		calStats.probesCancelled.Add(int64(st.cancelled))
 		return rate, err
 	}
-	if s.observed() {
+	if r.observed() {
 		return search(ctx)
 	}
-	key, err := calibrationKey(s, true)
+	key, err := calibrationKey(r.Scenario, true)
 	if err != nil {
 		return 0, err
 	}
@@ -116,7 +112,7 @@ func calibrationKey(s Scenario, search bool) ([sha256.Size]byte, error) {
 	s.Load, s.Policy, s.Calibration, s.Workers = 0, "", nil, 0
 	if search {
 		// The search's probes set their own windows and never actuate
-		// (core.FindSaturation clears both before it builds them); the
+		// (resolved.search clears both before it builds them); the
 		// reference run of the full calibration keeps the scenario's own.
 		s.ControlPeriod, s.Transient = 0, false
 	}

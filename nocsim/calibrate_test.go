@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/exp"
 )
 
@@ -25,8 +24,8 @@ var (
 		"Workers":     "the determinism contract: results are identical for every worker count",
 	}
 	searchKeyDeny = map[string]string{
-		"ControlPeriod": "core.FindSaturation clears it: probes set their own windows and No-DVFS never actuates",
-		"Transient":     "core.FindSaturation clears it: probes set their own windows and read no trace",
+		"ControlPeriod": "the search clears it: probes set their own windows and No-DVFS never actuates",
+		"Transient":     "the search clears it: probes set their own windows and read no trace",
 	}
 )
 
@@ -172,23 +171,24 @@ func deepCopy(s Scenario) Scenario {
 	return s
 }
 
-// referenceCalibration is core.Calibrate — the unmemoized reference —
-// on the scenario's core form.
+// referenceCalibration is the unmemoized reference: the recipe's search
+// and calibration run called directly, past the memo.
 func referenceCalibration(t *testing.T, s Scenario) Calibration {
 	t.Helper()
-	cs, err := s.normalized().toCore()
+	r := mustResolve(t, s)
+	rate, _, err := r.search(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cal, err := core.Calibrate(context.Background(), cs)
+	cal, err := r.calibrateAt(context.Background(), rate)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Calibration(cal)
+	return cal
 }
 
-// TestCalibrateMatchesReference: the memoized Calibrate returns
-// core.Calibrate's numbers bit for bit — computed, and again reused —
+// TestCalibrateMatchesReference: the memoized Calibrate returns the
+// unmemoized recipe's numbers bit for bit — computed, and again reused —
 // across the fabric and traffic families, with quick and full windows.
 func TestCalibrateMatchesReference(t *testing.T) {
 	cases := map[string]Scenario{
@@ -213,7 +213,7 @@ func TestCalibrateMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				if got != want {
-					t.Errorf("%s quick=%v, %s: %+v, core.Calibrate gives %+v", name, quick, pass, got, want)
+					t.Errorf("%s quick=%v, %s: %+v, the reference gives %+v", name, quick, pass, got, want)
 				}
 			}
 		}
@@ -317,7 +317,7 @@ func TestSearchSharedAcrossControllerFields(t *testing.T) {
 			piCal.SaturationRate, rate, cal.SaturationRate)
 	}
 	if want := referenceCalibration(t, pi); piCal != want {
-		t.Errorf("transient calibration %+v, core.Calibrate gives %+v", piCal, want)
+		t.Errorf("transient calibration %+v, the reference gives %+v", piCal, want)
 	}
 	if d := delta(); d[0] != 1 || d[1] != 2 || d[2] != 0 {
 		t.Errorf("stats moved by %v, want 1 search run, 2 searches reused, 0 calibrations reused", d)

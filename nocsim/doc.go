@@ -65,6 +65,12 @@
 // in their results; pin them in Scenario.Calibration to skip the search —
 // in particular before shipping Grid points to remote workers.
 //
+// The recipe is this package's own, below the door where a scenario is
+// normalized and validated: the saturation rate is searched with
+// No-DVFS probes at full speed, λmax is 0.9 × that rate, and DMSD's
+// target is the full-speed delay at λmax. Every run, probe and
+// calibration builds its engine parameters straight from the Scenario.
+//
 // A calibration is a pure function of the scenario, and the process
 // computes each distinct one once: Calibrate, FindSaturation,
 // Grid.Resolve and Run's auto-calibration share a memo, concurrent

@@ -20,7 +20,9 @@ type Metrics struct {
 	P99DelayNs float64 `json:"p99_delay_ns"`
 	// Packets is the number of packets measured.
 	Packets int64 `json:"packets"`
-	// OfferedRate is the offered load in flits per node per node cycle.
+	// OfferedRate is the nominal offered load in flits per node per node
+	// cycle: the mean of the configured per-node rates, not the flits the
+	// sources generated in the measurement window.
 	OfferedRate float64 `json:"offered_rate"`
 	// Throughput is the accepted rate in flits per node per node cycle.
 	Throughput float64 `json:"throughput"`

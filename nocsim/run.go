@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/noc"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
@@ -39,11 +37,11 @@ func run(ctx context.Context, s Scenario) (Result, error) {
 		}
 		s.Calibration = &cal
 	}
-	cs, err := s.toCore()
+	r, err := s.resolve()
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := core.RunOne(ctx, cs, core.PolicyKind(s.Policy), s.Load, s.coreCal())
+	res, err := r.runOne(ctx)
 	if err != nil {
 		return Result{}, err
 	}
@@ -102,38 +100,27 @@ func TheoreticalCapacity(s Scenario) (float64, error) {
 	if err := s.Validate(); err != nil {
 		return 0, err
 	}
-	cfg, err := s.Mesh.toNoc()
-	if err != nil {
-		return 0, err
-	}
-	faults, err := parseFaults(s.FaultyLinks)
+	r, err := s.resolve()
 	if err != nil {
 		return 0, err
 	}
 	var m [][]float64
-	if s.TraceRef != "" {
-		tr, err := trace.LoadInjection(s.TraceRef)
+	switch {
+	case r.trace != nil:
+		if err := r.trace.Validate(r.cfg); err != nil {
+			return 0, err
+		}
+		m = r.trace.Matrix()
+	case s.App != "":
+		if m, err = r.app.Matrix(); err != nil {
+			return 0, err
+		}
+	default:
+		p, err := traffic.ByName(s.Pattern, r.cfg)
 		if err != nil {
 			return 0, err
 		}
-		if err := tr.Validate(cfg); err != nil {
-			return 0, err
-		}
-		m = tr.Matrix()
-	} else if s.App != "" {
-		app, err := appByName(s.App)
-		if err != nil {
-			return 0, err
-		}
-		if m, err = app.Matrix(); err != nil {
-			return 0, err
-		}
-	} else {
-		p, err := traffic.ByName(s.Pattern, cfg)
-		if err != nil {
-			return 0, err
-		}
-		m = traffic.Matrix(p, cfg)
+		m = traffic.Matrix(p, r.cfg)
 	}
-	return noc.TheoreticalCapacity(cfg, faults, s.nocIslands(), m)
+	return noc.TheoreticalCapacity(r.cfg, r.faults, r.islands, m)
 }

@@ -5,10 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/apps"
-	"repro/internal/core"
-	"repro/internal/dvfs"
 	"repro/internal/noc"
-	"repro/internal/trace"
 	"repro/internal/traffic"
 	"repro/internal/volt"
 )
@@ -170,10 +167,6 @@ type Calibration struct {
 	LambdaMax float64 `json:"lambda_max"`
 	// TargetDelayNs is the DMSD setpoint.
 	TargetDelayNs float64 `json:"target_delay_ns"`
-}
-
-func (c Calibration) toCore() core.Calibration {
-	return core.Calibration{SaturationRate: c.SaturationRate, LambdaMax: c.LambdaMax, TargetDelayNs: c.TargetDelayNs}
 }
 
 // Scenario is one self-contained simulation job: fabric, traffic, load,
@@ -460,60 +453,6 @@ func (s Scenario) Validate() error {
 	return errors.Join(errs...)
 }
 
-// toCore converts the scenario to the internal experiment representation.
-// The scenario must be normalized and valid.
-func (s Scenario) toCore() (core.Scenario, error) {
-	cfg, err := s.Mesh.toNoc()
-	if err != nil {
-		return core.Scenario{}, err
-	}
-	cs := core.Scenario{
-		Noc:           cfg,
-		Pattern:       s.Pattern,
-		PeakRate:      s.PeakRate,
-		Source:        s.Source.toTraffic(),
-		Islands:       s.nocIslands(),
-		FNode:         s.FNodeHz,
-		Range:         dvfs.Range{FMin: s.FMinHz, FMax: s.FMaxHz},
-		Seed:          s.Seed,
-		Quick:         s.Quick,
-		Workers:       s.Workers,
-		ControlPeriod: s.ControlPeriod,
-		KI:            s.KI,
-		KP:            s.KP,
-		FreqLevels:    s.FreqLevels,
-		Transient:     s.Transient,
-	}
-	if s.App != "" {
-		app, err := appByName(s.App)
-		if err != nil {
-			return core.Scenario{}, err
-		}
-		cs.App = &app
-	}
-	if len(s.FaultyLinks) > 0 {
-		faults, err := parseFaults(s.FaultyLinks)
-		if err != nil {
-			return core.Scenario{}, err
-		}
-		cs.Faults = faults
-	}
-	if s.TraceRef != "" {
-		tr, err := trace.LoadInjection(s.TraceRef)
-		if err != nil {
-			return core.Scenario{}, fmt.Errorf("nocsim: loading trace: %w", err)
-		}
-		cs.Trace = tr
-	}
-	if s.PacketLog != nil {
-		cs.PacketLog = s.PacketLog.log
-	}
-	if s.TraceCapture != nil {
-		cs.TraceCapture = &s.TraceCapture.inj
-	}
-	return cs, nil
-}
-
 // parseFaults converts the "from>to" wire form of the fault list.
 func parseFaults(refs []string) ([]noc.Link, error) {
 	links := make([]noc.Link, 0, len(refs))
@@ -537,15 +476,6 @@ func (s Scenario) nocIslands() []noc.Island {
 		out[i] = isl.toNoc()
 	}
 	return out
-}
-
-// coreCal returns the scenario's calibration in internal form, zero when
-// none is attached.
-func (s Scenario) coreCal() core.Calibration {
-	if s.Calibration == nil {
-		return core.Calibration{}
-	}
-	return s.Calibration.toCore()
 }
 
 // appByName resolves a multimedia workload by its name.

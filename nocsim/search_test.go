@@ -1,4 +1,4 @@
-package core
+package nocsim
 
 import (
 	"context"
@@ -100,10 +100,10 @@ func TestSearchMatchesSequential(t *testing.T) {
 			}
 			// A probe that never started was not called; one stopped in
 			// flight was. Serially nothing is in flight when a probe reports.
-			if n := int(calls.Load()); n > st.Probes || n < st.Probes-st.Cancelled {
+			if n := int(calls.Load()); n > st.probes || n < st.probes-st.cancelled {
 				t.Errorf("%s, workers %d: %d probe calls for stats %+v", tc.name, workers, n, st)
-			} else if workers == 1 && n != st.Probes-st.Cancelled {
-				t.Errorf("%s, serial: %d probe calls, stats %+v say %d ran", tc.name, n, st, st.Probes-st.Cancelled)
+			} else if workers == 1 && n != st.probes-st.cancelled {
+				t.Errorf("%s, serial: %d probe calls, stats %+v say %d ran", tc.name, n, st, st.probes-st.cancelled)
 			}
 		}
 	}
@@ -129,12 +129,12 @@ func TestProbeRoundStopsProbesAboveTheFirstSaturated(t *testing.T) {
 		<-ctx.Done()
 		return false, ctx.Err()
 	}
-	var st SearchStats
+	var st searchStats
 	first, err := probeRound(context.Background(), len(loads), loads, probe, &st)
 	if err != nil || first != 0 {
 		t.Fatalf("first = %d, err = %v; want 0, nil", first, err)
 	}
-	if st.Probes != 3 || st.Cancelled != 2 {
+	if st.probes != 3 || st.cancelled != 2 {
 		t.Errorf("stats %+v, want 3 probes of which 2 cancelled", st)
 	}
 
@@ -158,7 +158,7 @@ func TestSearchIgnoresControllerFields(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		base := quickScenario()
 		base.Seed = seed
-		want, _, err := FindSaturation(context.Background(), base)
+		want, _, err := mustResolve(t, base).search(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func TestSearchIgnoresControllerFields(t *testing.T) {
 		pi.Transient = true
 		pi.ControlPeriod = dvfs.ControlPeriodNodeCycles
 		pi.KI, pi.KP, pi.FreqLevels = 0.05, 0.025, 4
-		got, _, err := FindSaturation(context.Background(), pi)
+		got, _, err := mustResolve(t, pi).search(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/exp"
 )
 
@@ -83,10 +82,16 @@ func (g Grid) Resolve(ctx context.Context) (Grid, error) {
 }
 
 // LoadGrid returns n evenly spaced loads in (0, max], excluding zero —
-// the standard load axis for comparison grids (core's helper, re-exported
-// so grid planners never drift from the internal convention).
+// the standard load axis for comparison grids.
 func LoadGrid(max float64, n int) []float64 {
-	return core.LoadGrid(max, n)
+	if n < 1 {
+		return nil
+	}
+	grid := make([]float64, n)
+	for i := range grid {
+		grid[i] = max * float64(i+1) / float64(n)
+	}
+	return grid
 }
 
 // Sweep resolves the grid and runs every point, fanning them across the
