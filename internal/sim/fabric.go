@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/freelist"
 	"repro/internal/noc"
+	"repro/internal/stats"
 )
 
 // fabricKey identifies networks that are interchangeable once Reset: the
@@ -47,32 +48,45 @@ func newFabricKey(cfg noc.Config, faults []noc.Link) fabricKey {
 // concurrent run for each mesh used in the last freelist.IdleOps/2 runs.
 const maxPooledSlots = 1 << 16
 
-// fabrics holds the networks of finished runs for the next run on the
-// same fabric. A sweep simulates hundreds of points on one mesh, and
-// resetting a network costs a fraction of building one.
-var fabrics freelist.List[fabricKey, *noc.Network]
-
-// acquireFabric returns a network for key in as-built state: one from the
-// free list, Reset here — whatever its last run left in it, a cancelled or
-// aborted run's in-flight traffic included, is gone before this run sees
-// it — or a new one. The caller owns it until releaseFabric.
-func acquireFabric(key fabricKey, faults []noc.Link) (*noc.Network, error) {
-	if net, ok := fabrics.Get(key); ok {
-		net.Reset()
-		return net, nil
-	}
-	return noc.NewNetworkWithFaults(key.cfg, faults)
+// A fabric is a network and the delay histogram a run on it fills: the
+// two things a run needs that the next run on the same key can reuse.
+type fabric struct {
+	net    *noc.Network
+	delayH *stats.Histogram
 }
 
-// releaseFabric offers a network whose run is over to later runs. The
-// caller must not touch it afterwards.
-func releaseFabric(key fabricKey, net *noc.Network) {
+// fabrics holds the fabrics of finished runs for the next run on the
+// same key. A sweep simulates hundreds of points on one mesh, and
+// resetting a network costs a fraction of building one.
+var fabrics freelist.List[fabricKey, *fabric]
+
+// acquireFabric returns a fabric for key in as-built state: one from the
+// free list, Reset here — whatever its last run left in it, a cancelled or
+// aborted run's in-flight traffic and an extended histogram range
+// included, is gone before this run sees it — or a new one. The caller
+// owns it until releaseFabric.
+func acquireFabric(key fabricKey, faults []noc.Link) (*fabric, error) {
+	if fb, ok := fabrics.Get(key); ok {
+		fb.net.Reset()
+		fb.delayH.Reset()
+		return fb, nil
+	}
+	net, err := noc.NewNetworkWithFaults(key.cfg, faults)
+	if err != nil {
+		return nil, err
+	}
+	return &fabric{net: net, delayH: newDelayHistogram()}, nil
+}
+
+// releaseFabric offers a fabric whose run is over, its result read, to
+// later runs. The caller must not touch it afterwards.
+func releaseFabric(key fabricKey, fb *fabric) {
 	// The arrival callback closes over the finished run's engine, and the
 	// list should not keep that alive until the next acquisition.
-	net.OnArrive = nil
+	fb.net.OnArrive = nil
 	c := key.cfg
 	if c.Nodes()*noc.NumPorts*c.VCs*c.BufDepth <= maxPooledSlots {
-		fabrics.Put(key, net)
+		fabrics.Put(key, fb)
 	}
 }
 

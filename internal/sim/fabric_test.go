@@ -283,12 +283,12 @@ func TestPanickedRunsFabricIsDropped(t *testing.T) {
 func TestFabricListIsBounded(t *testing.T) {
 	flushFabrics()
 	cfg := noc.Config{Width: 2, Height: 1, VCs: 1, BufDepth: 1, PacketSize: 1}
-	net := func() *noc.Network {
+	net := func() *fabric {
 		n, err := noc.NewNetwork(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return n
+		return &fabric{net: n, delayH: newDelayHistogram()}
 	}
 	key := newFabricKey(cfg, nil)
 	for i := 0; i < freelist.MaxPerKey+5; i++ {
@@ -314,9 +314,10 @@ func TestFabricListIsBounded(t *testing.T) {
 	flushFabrics()
 }
 
-// TestSecondRunAllocations: with the network reused, a run's set-up is a
-// few small objects — the engine, its histogram, the power integrator —
-// whatever the mesh size. The injector is the caller's and built outside.
+// TestSecondRunAllocations: with the fabric reused — the network and the
+// delay histogram — a run's set-up is four small objects (the engine and
+// the power integrator among them) whatever the mesh size. The injector
+// is the caller's and built outside.
 func TestSecondRunAllocations(t *testing.T) {
 	cfg := noc.DefaultConfig()
 	pm := power.Default28nm()
@@ -339,8 +340,8 @@ func TestSecondRunAllocations(t *testing.T) {
 	}
 	flushFabrics()
 	oneCycle() // builds the network
-	if allocs := testing.AllocsPerRun(runs, oneCycle); allocs > 25 {
-		t.Errorf("a one-cycle run on a reused network allocates %.0f objects, want at most 25", allocs)
+	if allocs := testing.AllocsPerRun(runs, oneCycle); allocs > 4 {
+		t.Errorf("a one-cycle run on a reused network allocates %.0f objects, want at most 4", allocs)
 	} else {
 		t.Logf("a one-cycle run on a reused network allocates %.0f objects", allocs)
 	}

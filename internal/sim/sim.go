@@ -242,21 +242,22 @@ func RunContext(ctx context.Context, p Params) (Result, error) {
 		}
 	}
 	key := newFabricKey(p.Noc, p.Faults)
-	net, err := acquireFabric(key, p.Faults)
+	fb, err := acquireFabric(key, p.Faults)
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := runOn(ctx, p, net, integ)
+	res, err := runOn(ctx, p, fb, integ)
 	// Reached when the run completed or was cancelled, not when it
 	// panicked: a fabric whose run blew up is not offered to another.
-	releaseFabric(key, net)
+	releaseFabric(key, fb)
 	return res, err
 }
 
-// runOn runs the engine on an acquired network. Whatever way the run
+// runOn runs the engine on an acquired fabric. Whatever way the run
 // ends, panics included, the network gives back a core it borrowed and
 // has no helper left touching it by the time runOn returns.
-func runOn(ctx context.Context, p Params, net *noc.Network, integ *power.Integrator) (Result, error) {
+func runOn(ctx context.Context, p Params, fb *fabric, integ *power.Integrator) (Result, error) {
+	net := fb.net
 	if err := net.SetIslands(p.Islands); err != nil {
 		return Result{}, err
 	}
@@ -268,10 +269,11 @@ func runOn(ctx context.Context, p Params, net *noc.Network, integ *power.Integra
 	p.Policy.Reset()
 
 	eng := &engine{
-		p:     p,
-		net:   net,
-		integ: integ,
-		f:     p.Policy.Freq(),
+		p:      p,
+		net:    net,
+		integ:  integ,
+		delayH: fb.delayH,
+		f:      p.Policy.Freq(),
 	}
 	eng.v = p.VF.VoltageFor(eng.f)
 	if err := eng.run(ctx); err != nil {
@@ -330,11 +332,16 @@ type engine struct {
 // magnitude, not sub-microsecond ones.
 const p99HistMaxNs = 5_120_000
 
+// newDelayHistogram builds a run's packet-delay histogram. Its range
+// extends on demand so P99 is never clamped at the initial upper bound
+// when the network saturates.
+func newDelayHistogram() *stats.Histogram {
+	h, _ := stats.NewExtendingHistogram(0, 5000, 1000, p99HistMaxNs) // a valid spec: no error
+	return h
+}
+
 func (e *engine) run(ctx context.Context) error {
 	p := &e.p
-	// The range extends on demand so P99 is never clamped at the initial
-	// upper bound when the network saturates.
-	e.delayH, _ = stats.NewExtendingHistogram(0, 5000, 1000, p99HistMaxNs)
 	e.net.OnArrive = func(pk *noc.Packet, cycle int64) {
 		d := e.nowNs - pk.CreateTime
 		e.ctrlDelay.Add(d)

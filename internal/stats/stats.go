@@ -33,6 +33,7 @@ func (s *Stream) Mean() float64 { return s.mean }
 // resolution for coverage) so quantiles are never silently clamped at hi.
 type Histogram struct {
 	lo, hi float64
+	hi0    float64 // the hi it was built with, which Reset restores
 	// maxHi > hi enables range extension: when a sample lands at or above
 	// hi, the range doubles in place (adjacent bin pairs merge) until the
 	// sample fits or maxHi is reached. 0 disables extension.
@@ -50,7 +51,7 @@ func NewHistogram(lo, hi float64, nbins int) (*Histogram, error) {
 	if !(lo < hi) || nbins < 1 {
 		return nil, fmt.Errorf("stats: bad histogram spec [%g,%g)/%d", lo, hi, nbins)
 	}
-	return &Histogram{lo: lo, hi: hi, bins: make([]int64, nbins)}, nil
+	return &Histogram{lo: lo, hi: hi, hi0: hi, bins: make([]int64, nbins)}, nil
 }
 
 // NewExtendingHistogram creates a histogram spanning [lo, hi) that doubles
@@ -91,6 +92,14 @@ func (h *Histogram) Add(x float64) {
 		i--
 	}
 	h.bins[i]++
+}
+
+// Reset empties the histogram and restores the range it was built with,
+// keeping its bins: reset, it reads exactly as a new one does.
+func (h *Histogram) Reset() {
+	h.hi = h.hi0
+	clear(h.bins)
+	h.under, h.over, h.n = 0, 0, 0
 }
 
 // extend doubles the histogram range in place: adjacent bin pairs merge

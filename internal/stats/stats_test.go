@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -251,5 +252,35 @@ func TestFixedHistogramNeverExtends(t *testing.T) {
 	}
 	if over := h.over; over != 1 {
 		t.Errorf("overflow = %d, want 1", over)
+	}
+}
+
+// TestHistogramResetReadsAsNew: a histogram that extended its range and
+// counted under- and overflow reads, once Reset, exactly as a new one.
+func TestHistogramResetReadsAsNew(t *testing.T) {
+	h, err := NewExtendingHistogram(0, 100, 10, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []float64{-1, 5, 150, 390, 1e6} {
+		h.Add(x)
+	}
+	if h.hi == 100 || h.under == 0 || h.over == 0 {
+		t.Fatalf("the set-up did not extend the range and fill both outer bins: %+v", h)
+	}
+	h.Reset()
+	fresh, err := NewExtendingHistogram(0, 100, 10, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(h, fresh) {
+		t.Fatalf("reset histogram %+v, new one %+v", h, fresh)
+	}
+	for _, x := range []float64{12, 95, 250} {
+		h.Add(x)
+		fresh.Add(x)
+	}
+	if !reflect.DeepEqual(h, fresh) || h.Quantile(0.5) != fresh.Quantile(0.5) {
+		t.Fatalf("after the same samples: reset %+v, new %+v", h, fresh)
 	}
 }

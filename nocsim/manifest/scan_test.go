@@ -228,3 +228,85 @@ func TestScanRecordsResumesAndKeepsLines(t *testing.T) {
 		t.Fatalf("scan stopped by its callback = (%d, %v), want offset %d", off, err, want)
 	}
 }
+
+// TestLoadPointsReadsEveryForm: lines json.Marshal did not write — keys
+// out of order, spaces, a key this program does not know, one a reader
+// matches case-insensitively, a trace of samples — decline the fast path
+// after it filled part of the record, and load exactly as json.Unmarshal
+// reads them, next to canonical lines.
+func TestLoadPointsReadsEveryForm(t *testing.T) {
+	r := nocsim.Result{Scenario: testBase(t)}
+	r.AvgDelayNs = 12.5
+	r.Trace = []nocsim.TraceSample{{TimeNs: 1, FreqHz: 2, Volts: 3, DelayNs: 4}}
+	canonical, err := json.Marshal(Record{Index: 0, Result: r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forms := [][]byte{
+		canonical,
+		bytes.Replace(canonical, []byte(`{"index":0,`), []byte(`{"index":1, `), 1),
+		bytes.Replace(canonical, []byte(`"meta":{`), []byte(`"step_workers":4,"meta":{`), 1),
+		bytes.Replace(canonical, []byte(`"avg_delay_ns":12.5`), []byte(`"AVG_DELAY_NS":99`), 1),
+		append(bytes.Replace(canonical[:len(canonical)-1], []byte(`{"index":0,"result":`), []byte(`{"result":`), 1), `,"index":0}`...),
+	}
+	var file []byte
+	want := map[int]nocsim.Result{}
+	for i, line := range forms {
+		line = bytes.Replace(line, []byte(`"index":0`), []byte(fmt.Sprintf(`"index":%d`, i)), 1)
+		var rec Record
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("form %d: %v", i, err)
+		}
+		want[rec.Index] = rec.Result
+		file = append(append(file, line...), '\n')
+	}
+	st, err := NewDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(st.PointsPath("x"), file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := st.LoadPoints("x")
+	if err != nil || len(got) != len(forms) {
+		t.Fatalf("LoadPoints = %d points (%v), want %d", len(got), err, len(forms))
+	}
+	for i := range forms {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("form %d loads as\n%+v\nwant json.Unmarshal's\n%+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestTruncatePartialTailLongTails cuts torn tails that the backward
+// search has to cross block edges for: one longer than a block, newlines
+// on either side of a block edge, and files with no newline at all,
+// which are cut to nothing.
+func TestTruncatePartialTailLongTails(t *testing.T) {
+	line := journalLines(t, 1)[0]
+	torn := func(n int) []byte { return bytes.Repeat([]byte("x"), n) }
+	for _, c := range []struct {
+		name       string
+		keep, tail []byte
+	}{
+		{"tail longer than a block", line, torn(2*tailBlock + 17)},
+		{"newline first in the first block read", line, torn(tailBlock)},
+		{"newline last in the second block read", line, torn(tailBlock + 1)},
+		{"newline one byte into the file", []byte("\n"), torn(3 * tailBlock)},
+		{"no newline, longer than a block", nil, torn(tailBlock + 1)},
+		{"no newline, one byte", nil, torn(1)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := t.TempDir() + "/x.points.jsonl"
+			if err := os.WriteFile(path, append(bytes.Clone(c.keep), c.tail...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := TruncatePartialTail(path); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, c.keep) {
+				t.Fatalf("left %d bytes (%v), want the %d before the tail", len(got), err, len(c.keep))
+			}
+		})
+	}
+}

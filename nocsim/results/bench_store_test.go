@@ -1,6 +1,7 @@
 package results_test
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -164,5 +165,25 @@ func BenchmarkImportJournal(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
+	}
+}
+
+// BenchmarkExportJournal writes the 3,000 points of a freshly opened store
+// back out as a points journal: the store's way back out.
+func BenchmarkExportJournal(b *testing.B) {
+	fx := newStoreFixture(b)
+	s, err := results.OpenReadOnly(fx.storePath)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sum := s.Plans()[0].Sum
+	var out bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out.Reset()
+		if err := s.ExportJournal(&out, sum); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -12,11 +12,16 @@
 // complete at its newline and anything after the last newline is no
 // record yet), with one flush and fsync per AddManifest and AddPoint and
 // one per imported plan, and an in-memory index (by plan, by name, by
-// point) rebuilt on open. The index keeps each point's stored line beside
-// its decoded result, so Compact copies lines instead of re-encoding. The
-// query contract, not the storage engine, is the interface: filter
-// points by manifest/panel/policy/pattern/app/mesh/load, fetch a plan's
-// complete result set for rendering, and export a plan back out as a
+// point) rebuilt on open. A point line in the form json.Marshal writes is
+// decoded without reflection (internal/jsonline); any other line goes to
+// json.Unmarshal. The index keeps every record's stored line beside its
+// decoded value, and the way out copies stored bytes instead of encoding
+// again: Compact writes the manifest and point lines as they are, and
+// ExportJournal writes the journal Record sliced out of each point line,
+// encoding only a point whose line is in another form. The query
+// contract, not the storage engine, is the interface: filter points by
+// manifest/panel/policy/pattern/app/mesh/load, fetch a plan's complete
+// result set for rendering, and export a plan back out as a
 // byte-identical points journal.
 //
 // Concurrency model: exactly one writer may have the file open
@@ -37,6 +42,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/jsonline"
 	"repro/nocsim"
 	"repro/nocsim/manifest"
 )
@@ -57,6 +63,24 @@ type record struct {
 	Point *manifest.Record `json:"point,omitempty"`
 }
 
+// DecodeLine decodes a point record's line (without its newline) in the
+// form json.Marshal writes, without reflection, and reports false for any
+// other line — a manifest record among them — leaving it to
+// json.Unmarshal (see manifest.ScanRecords).
+func (rec *record) DecodeLine(line []byte) bool {
+	d := jsonline.New(line)
+	d.Open()
+	d.Need("kind")
+	rec.Kind = d.Str()
+	d.Need("sum")
+	rec.Sum = d.Str()
+	d.Need("point")
+	rec.Point = new(manifest.Record)
+	d.Record(&rec.Point.Index, &rec.Point.Result)
+	d.Close()
+	return d.Done()
+}
+
 const (
 	kindManifest = "manifest"
 	kindPoint    = "point"
@@ -66,12 +90,14 @@ const (
 type plan struct {
 	sum    string
 	m      *manifest.Manifest
-	offs   []int // panel offsets, for point → panel label resolution
+	line   []byte // the manifest record's file line, which Compact writes back
+	offs   []int  // panel offsets, for point → panel label resolution
 	points map[int]point
 }
 
 // point is one stored point: its result and the file line (newline
-// included) that holds it, which is what Compact writes back.
+// included) that holds it, which is what Compact writes back and what
+// ExportJournal copies the Record out of.
 type point struct {
 	r    nocsim.Result
 	line []byte
@@ -184,6 +210,7 @@ func (s *Store) indexLocked(line []byte, rec *record) error {
 		p := &plan{
 			sum:    rec.Sum,
 			m:      rec.Manifest,
+			line:   line,
 			offs:   rec.Manifest.Offsets(),
 			points: map[int]point{},
 		}
@@ -382,7 +409,9 @@ func (s *Store) Complete(sum string) (m *manifest.Manifest, done, total int, ok 
 // ExportJournal writes the plan's points, sorted by index, in exactly
 // the manifest journal's line format — the byte-identical way back out
 // of the store: exporting a plan that was imported from a (serially
-// written) journal reproduces that journal byte for byte.
+// written) journal reproduces that journal byte for byte. Each line is
+// the Record copied out of the point's stored line; only a stored line
+// not in the form json.Marshal writes has its Record encoded again.
 func (s *Store) ExportJournal(w io.Writer, sum string) error {
 	s.mu.Lock()
 	p, ok := s.plans[sum]
@@ -390,28 +419,72 @@ func (s *Store) ExportJournal(w io.Writer, sum string) error {
 		s.mu.Unlock()
 		return fmt.Errorf("results: unknown plan %s", sum)
 	}
-	recs := make([]manifest.Record, 0, len(p.points))
+	recs := make([][]byte, 0, len(p.points))
 	for _, i := range p.indexes() {
-		recs = append(recs, manifest.Record{Index: i, Result: p.points[i].r})
+		pt := p.points[i]
+		rec := recordIn(pt.line, sum)
+		if rec == nil {
+			var err error
+			if rec, err = json.Marshal(manifest.Record{Index: i, Result: pt.r}); err != nil {
+				s.mu.Unlock()
+				return err
+			}
+		}
+		recs = append(recs, rec)
 	}
 	s.mu.Unlock()
 	bw := bufio.NewWriter(w)
-	for i := range recs {
-		data, err := json.Marshal(&recs[i])
-		if err != nil {
+	for _, rec := range recs {
+		if _, err := bw.Write(rec); err != nil {
 			return err
 		}
-		if _, err := bw.Write(append(data, '\n')); err != nil {
+		if err := bw.WriteByte('\n'); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
+// recordIn returns the Record within a stored point line of plan sum when
+// the line's envelope is the one json.Marshal writes,
+// {"kind":"point","sum":"<sum>","point":<Record>}, and nil otherwise (a
+// sum Marshal had to escape, another key order, a key after the point).
+// The line decoded, so it is one valid JSON object: the Record is the
+// object after the prefix, found by matching brackets outside strings.
+func recordIn(line []byte, sum string) []byte {
+	const head, mid = `{"kind":"point","sum":"`, `","point":`
+	n := len(head) + len(sum) + len(mid)
+	if len(line) < n+3 || string(line[:len(head)]) != head || string(line[len(head):len(head)+len(sum)]) != sum ||
+		string(line[len(head)+len(sum):n]) != mid || line[n] != '{' || string(line[len(line)-2:]) != "}\n" {
+		return nil
+	}
+	depth := 0
+	for i := n; i < len(line); i++ {
+		switch line[i] {
+		case '"':
+			for i++; i < len(line) && line[i] != '"'; i++ {
+				if line[i] == '\\' {
+					i++
+				}
+			}
+		case '{', '[':
+			depth++
+		case '}', ']':
+			if depth--; depth == 0 {
+				if i+1 != len(line)-2 {
+					return nil
+				}
+				return line[n : i+1]
+			}
+		}
+	}
+	return nil
+}
+
 // Compact rewrites the store file down to its live contents: for every
 // manifest name only the most recently ingested plan survives (older
 // same-name plans are superseded — Resolve already ignores them), and
-// every surviving plan is written as one manifest record followed by its
+// every surviving plan is written as its manifest record followed by its
 // points in index order — each the line the file already holds, copied
 // rather than re-encoded — which drops duplicate point lines the index
 // collapsed on ingest. Queries and ExportJournal answer identically
@@ -460,11 +533,7 @@ func (s *Store) Compact() (droppedPlans, droppedPoints int, err error) {
 			continue
 		}
 		p := s.plans[sum]
-		data, err := json.Marshal(&record{Kind: kindManifest, Sum: sum, Manifest: p.m})
-		if err != nil {
-			return 0, 0, err
-		}
-		n, err := bw.Write(append(data, '\n'))
+		n, err := bw.Write(p.line)
 		written += int64(n)
 		if err != nil {
 			return 0, 0, err

@@ -1,6 +1,7 @@
 package nocsim
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -351,4 +352,62 @@ func TestNormalizedFillsDefaults(t *testing.T) {
 	if err := bn.Validate(); err != nil {
 		t.Errorf("defaulted source scenario invalid: %v", err)
 	}
+}
+
+// FuzzScenarioJSON feeds the scenario decoder arbitrary bytes. Decode →
+// Validate → Normalized → encode never panics, and it is idempotent: the
+// encoding decodes to a scenario that normalizes to itself, encodes to
+// the same bytes and gets the same verdict from Validate.
+func FuzzScenarioJSON(f *testing.F) {
+	files, err := filepath.Glob(filepath.Join("testdata", "*.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, file := range files {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, s := range exampleScenarios() {
+		data, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	errText := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s Scenario
+		if json.Unmarshal(data, &s) != nil {
+			return
+		}
+		_ = s.Validate() // not normalized: any verdict, but no panic
+		n := s.Normalized()
+		verdict := errText(n.Validate())
+		enc, err := json.Marshal(n)
+		if err != nil {
+			t.Fatalf("a decoded scenario does not encode: %v", err)
+		}
+		var back Scenario
+		if err := json.Unmarshal(enc, &back); err != nil {
+			t.Fatalf("the encoding %s does not decode: %v", enc, err)
+		}
+		if !reflect.DeepEqual(back.Normalized(), back) {
+			t.Fatalf("%s decodes to a scenario that is not normalized:\n%+v\n%+v", enc, back, back.Normalized())
+		}
+		again, err := json.Marshal(back)
+		if err != nil || !bytes.Equal(again, enc) {
+			t.Fatalf("encoding is not a fixed point (%v):\n%s\n%s", err, enc, again)
+		}
+		if v := errText(back.Validate()); v != verdict {
+			t.Fatalf("Validate changed its verdict over an encoding round trip:\n%q\n%q", verdict, v)
+		}
+	})
 }
