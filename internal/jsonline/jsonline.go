@@ -11,9 +11,18 @@
 // exactly the value json.Unmarshal would, float bits included: the tests
 // and FuzzRecordDecode that hold it to that live in nocsim/results, which
 // writes both line forms.
+//
+// A number is converted in the scan that checks its grammar: the scan
+// builds its decimal mantissa and power of ten, and Float converts those
+// the way strconv.ParseFloat does first — exact float64 arithmetic, then
+// the Eisel–Lemire algorithm (eisel_lemire.go, strconv's own). A number
+// neither method converts exactly, and an integer of more than 18
+// digits, goes to strconv itself, which is also the oracle FuzzNumber
+// holds the conversion to, bit for bit.
 package jsonline
 
 import (
+	"encoding/binary"
 	"strconv"
 	"time"
 	"unicode/utf16"
@@ -39,6 +48,10 @@ func New(b []byte) Decoder { return Decoder{b: b} }
 // Done reports whether everything read so far was in the expected form
 // and the input is used up.
 func (d *Decoder) Done() bool { return !d.bad && d.i == len(d.b) }
+
+// Offset returns how many bytes of the input have been read: where the
+// next value starts.
+func (d *Decoder) Offset() int { return d.i }
 
 func (d *Decoder) fail() { d.bad = true }
 
@@ -122,63 +135,194 @@ func (d *Decoder) Next() bool {
 	return false
 }
 
+// decimal is a JSON number as number reads it: ±man × 10^exp10, where man
+// holds the first 19 significant digits. It is the number exactly unless
+// trunc: a nonzero digit came after those 19.
+type decimal struct {
+	man     uint64
+	exp10   int
+	nd      int  // significant digits, leading zeros not counted
+	neg     bool // a minus sign
+	trunc   bool
+	integer bool // neither a fraction nor an exponent
+}
+
+// maxMantDigits is how many decimal digits a uint64 always holds.
+const maxMantDigits = 19
+
 // number consumes a JSON number, -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?,
-// and returns its bytes and whether it has neither a fraction nor an
-// exponent.
-func (d *Decoder) number() (num []byte, integer bool) {
+// and returns the decimal it spells, built in the same pass and by the
+// same rules as strconv's readFloat: the digits fill the mantissa, the
+// point and the exponent move the power of ten, and an exponent past 10000
+// stops growing (no float64 lies near it either way).
+func (d *Decoder) number() (n decimal) {
 	if d.bad {
-		return nil, false
+		return n
 	}
 	b, i := d.b, d.i
 	if i < len(b) && b[i] == '-' {
+		n.neg = true
 		i++
 	}
+	var man uint64
+	nd := 0 // significant digits so far
+	trunc := false
 	switch {
 	case i < len(b) && b[i] == '0':
 		i++
 	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		for i++; i < len(b) && isDigit(b[i]); i++ {
-		}
+		i, man, nd, trunc = digits(b, i, man, nd, trunc)
 	default:
 		d.fail()
-		return nil, false
+		return n
 	}
-	integer = true
+	dp := nd // digits before the point
+	n.integer = true
 	if i < len(b) && b[i] == '.' {
-		integer = false
+		n.integer = false
 		if i++; i >= len(b) || !isDigit(b[i]) {
 			d.fail()
-			return nil, false
+			return n
 		}
-		for ; i < len(b) && isDigit(b[i]); i++ {
+		if nd == 0 {
+			for ; i < len(b) && b[i] == '0'; i++ {
+				dp-- // a zero before the first significant digit
+			}
 		}
+		i, man, nd, trunc = digits(b, i, man, nd, trunc)
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		integer = false
+		n.integer = false
+		esign := 1
 		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
+			if b[i] == '-' {
+				esign = -1
+			}
 			i++
 		}
 		if i >= len(b) || !isDigit(b[i]) {
 			d.fail()
-			return nil, false
+			return n
 		}
+		e := 0
 		for ; i < len(b) && isDigit(b[i]); i++ {
+			if e < 10000 {
+				e = e*10 + int(b[i]-'0')
+			}
 		}
+		dp += e * esign
 	}
-	num, d.i = b[d.i:i], i
-	return num, integer
+	n.man, n.nd, n.trunc = man, nd, trunc
+	if man != 0 {
+		n.exp10 = dp - min(nd, maxMantDigits)
+	}
+	d.i = i
+	return n
+}
+
+// digits reads the run of digits at b[i:] into a mantissa that holds nd
+// significant digits so far: the first maxMantDigits of them go into man,
+// and a nonzero one after those sets trunc. It returns where the run ends
+// and the new mantissa.
+func digits(b []byte, i int, man uint64, nd int, trunc bool) (int, uint64, int, bool) {
+	for nd+8 <= maxMantDigits && i+8 <= len(b) {
+		v, ok := eightDigits(binary.LittleEndian.Uint64(b[i:]))
+		if !ok {
+			break
+		}
+		man = man*1e8 + v
+		nd += 8
+		i += 8
+	}
+	for ; i < len(b); i++ {
+		c := b[i] - '0'
+		if c > 9 {
+			break
+		}
+		if nd < maxMantDigits {
+			man = man*10 + uint64(c)
+		} else if c != 0 {
+			trunc = true
+		}
+		nd++
+	}
+	return i, man, nd, trunc
+}
+
+// eightDigits reads eight bytes, first byte lowest, as decimal digits in
+// one go (Lemire's SWAR method): it reports whether all eight are digits
+// and, if so, the number they spell.
+func eightDigits(v uint64) (uint64, bool) {
+	if ((v+0x4646464646464646)|(v-0x3030303030303030))&0x8080808080808080 != 0 {
+		return 0, false
+	}
+	v -= 0x3030303030303030
+	v = v*10 + v>>8 // each 16-bit lane: its two digits as one number
+	v = ((v&0x000000FF000000FF)*(100+1000000<<32) + (v>>16&0x000000FF000000FF)*(1+10000<<32)) >> 32
+	return v, true
 }
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
+// float64pow10 holds the powers of ten a float64 represents exactly.
+var float64pow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
+	1e20, 1e21, 1e22,
+}
+
+// exact64 is strconv's atof64exact: when man and the power of ten are
+// both exact float64s, one IEEE multiplication or division rounds their
+// product or quotient correctly. It reports false otherwise.
+func exact64(man uint64, exp10 int, neg bool) (f float64, ok bool) {
+	if man>>52 != 0 {
+		return 0, false
+	}
+	f = float64(man)
+	if neg {
+		f = -f
+	}
+	switch {
+	case exp10 == 0:
+		return f, true
+	case exp10 > 0 && exp10 <= 15+22: // an integer times 10^k
+		// A long exponent on few digits moves zeros into the integer.
+		if exp10 > 22 {
+			f *= float64pow10[exp10-22]
+			exp10 = 22
+		}
+		if f > 1e15 || f < -1e15 {
+			return 0, false // the exponent was too long after all
+		}
+		return f * float64pow10[exp10], true
+	case exp10 < 0 && exp10 >= -22: // an integer over 10^k
+		return f / float64pow10[-exp10], true
+	}
+	return 0, false
+}
+
 // Float consumes a number as json.Unmarshal reads one into a float64:
-// strconv.ParseFloat of its text. One out of range fails.
+// the value strconv.ParseFloat gives its text, and a failure when that is
+// out of range. The decimal number built is converted by strconv's own
+// two fast methods in strconv's order — exact float64 arithmetic, then
+// Eisel–Lemire — and a number either declines (more than 19 significant
+// digits, a subnormal or infinite result, a halfway case) goes to
+// strconv.ParseFloat itself. Either way the bits are strconv's.
 func (d *Decoder) Float() float64 {
-	num, _ := d.number()
+	start := d.i
+	n := d.number()
 	if d.bad {
 		return 0
 	}
-	f, err := strconv.ParseFloat(string(num), 64)
+	if !n.trunc {
+		if f, ok := exact64(n.man, n.exp10, n.neg); ok {
+			return f
+		}
+		if f, ok := eiselLemire64(n.man, n.exp10, n.neg); ok {
+			return f
+		}
+	}
+	f, err := strconv.ParseFloat(string(d.b[start:d.i]), 64)
 	if err != nil {
 		d.fail()
 		return 0
@@ -187,19 +331,28 @@ func (d *Decoder) Float() float64 {
 }
 
 // Int64 consumes an integer as json.Unmarshal reads one into an int64.
-// A fraction, an exponent or a value out of range fails.
+// A fraction, an exponent or a value out of range fails. Up to 18 digits
+// always fit, and are the mantissa number built; a longer integer goes to
+// strconv.ParseInt.
 func (d *Decoder) Int64() int64 {
-	num, integer := d.number()
-	if d.bad || !integer {
+	start := d.i
+	n := d.number()
+	if d.bad || !n.integer {
 		d.fail()
 		return 0
 	}
-	n, err := strconv.ParseInt(string(num), 10, 64)
+	if n.nd <= 18 {
+		if n.neg {
+			return -int64(n.man)
+		}
+		return int64(n.man)
+	}
+	v, err := strconv.ParseInt(string(d.b[start:d.i]), 10, 64)
 	if err != nil {
 		d.fail()
 		return 0
 	}
-	return n
+	return v
 }
 
 // Int consumes an integer that must fit an int.

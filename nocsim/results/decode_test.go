@@ -3,6 +3,7 @@ package results
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -54,9 +55,9 @@ func decodeJournalLine(line []byte) (manifest.Record, bool) {
 
 // decodeStoreLine runs the store line's fast path alone.
 func decodeStoreLine(line []byte) (record, bool) {
-	var rec record
-	ok := rec.DecodeLine(line)
-	return rec, ok
+	var s scanned
+	ok := s.DecodeLine(line)
+	return s.record, ok
 }
 
 // everyFieldResult is a Result with every field the JSON form carries
@@ -339,14 +340,20 @@ func FuzzRecordDecode(f *testing.F) {
 }
 
 // checkStore runs the store line's fast path over b, and recordIn when
-// json.Unmarshal reads b as a point record.
+// json.Unmarshal reads b as a point record. Where the fast path accepts,
+// the Record it located is the line's point.
 func checkStore(t *testing.T, b []byte) {
 	t.Helper()
 	var want record
 	err := json.Unmarshal(b, &want)
-	if got, ok := decodeStoreLine(b); ok {
-		if err != nil || !same(got, want) {
-			t.Fatalf("store fast path accepted %q: json.Unmarshal error %v, same value %v\nfast %+v\nwant %+v", b, err, same(got, want), got, want)
+	var got scanned
+	if got.DecodeLine(b) {
+		if err != nil || !same(got.record, want) {
+			t.Fatalf("store fast path accepted %q: json.Unmarshal error %v, same value %v\nfast %+v\nwant %+v", b, err, same(got.record, want), got.record, want)
+		}
+		var back manifest.Record
+		if err := json.Unmarshal(b[got.at:len(b)-1], &back); err != nil || !same(back, *want.Point) {
+			t.Fatalf("ExportJournal would slice %q out of %q at %d: error %v, or not the line's point", b[got.at:len(b)-1], b, got.at, err)
 		}
 	}
 	if err != nil || want.Point == nil || bytes.IndexByte(b, '\n') >= 0 {
@@ -377,7 +384,7 @@ func BenchmarkDecodeLine(b *testing.B) {
 		b.SetBytes(int64(len(line)))
 		b.ReportAllocs()
 		for b.Loop() {
-			var rec record
+			var rec scanned
 			if !rec.DecodeLine(line) {
 				b.Fatal("declined")
 			}
@@ -393,4 +400,29 @@ func BenchmarkDecodeLine(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestDeclinedLinesFailAsRecords: a line the fast path declines is read
+// into the scan's wrapper exactly as json.Unmarshal reads it into a
+// record — the same value, or the same error text.
+func TestDeclinedLinesFailAsRecords(t *testing.T) {
+	_, store := testdataLines(t)
+	for _, b := range [][]byte{
+		store[0],
+		[]byte(`{"kind":"point","sum":5}`),
+		[]byte(`{"kind":"point","point":{"index":"3"}}`),
+		[]byte(`{"kind":"manifest","sum":"x","manifest":[1]}`),
+		[]byte(`[{"kind":"point"}]`),
+		[]byte(`{"kind":"point","sum":"x","point":{"index":1,"result":{"avg_delay_ns":1e999}}}`),
+		[]byte(`{"kind":"point","sum":`),
+		[]byte(`null`),
+	} {
+		var want record
+		wantErr := json.Unmarshal(b, &want)
+		var got scanned
+		err := json.Unmarshal(b, &got)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || (err == nil && !same(got.record, want)) {
+			t.Errorf("%s: error %v, want %v (or the values differ)", b, err, wantErr)
+		}
+	}
 }

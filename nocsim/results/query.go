@@ -3,6 +3,7 @@ package results
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/nocsim"
@@ -59,13 +60,17 @@ func (s *Store) Select(q Query) ([]Point, error) {
 		}
 		scope = []string{sum}
 	}
+	mesh, ok := parseMesh(q.Mesh)
+	if !ok {
+		return nil, nil // no scenario prints its mesh that way
+	}
 	var out []Point
 	for _, sum := range scope {
 		p := s.plans[sum]
 		for _, i := range p.indexes() {
 			r := p.points[i].r
 			label := p.label(i)
-			if !q.matches(label, &r) {
+			if !q.matches(label, mesh, &r) {
 				continue
 			}
 			out = append(out, Point{Name: p.m.Name, Sum: sum, Panel: label, Index: i, Result: r})
@@ -86,7 +91,30 @@ func (p *plan) label(i int) string {
 	return p.m.Panels[pi].Label
 }
 
-func (q *Query) matches(panel string, r *nocsim.Result) bool {
+// meshDims is a parsed Query.Mesh; the zero value matches any mesh.
+type meshDims struct {
+	set           bool
+	width, height int
+}
+
+// parseMesh parses a Query.Mesh once per Select. A mesh matches a
+// scenario when it reads exactly as fmt's "%dx%d" prints the scenario's
+// width and height, so a text that is not such a print ("5X5", "05x5",
+// "5x5x5") matches none, and parseMesh reports false.
+func parseMesh(s string) (meshDims, bool) {
+	if s == "" {
+		return meshDims{}, true
+	}
+	ws, hs, _ := strings.Cut(s, "x")
+	w, errW := strconv.Atoi(ws)
+	h, errH := strconv.Atoi(hs)
+	if errW != nil || errH != nil || strconv.Itoa(w) != ws || strconv.Itoa(h) != hs {
+		return meshDims{}, false
+	}
+	return meshDims{true, w, h}, true
+}
+
+func (q *Query) matches(panel string, mesh meshDims, r *nocsim.Result) bool {
 	sc := &r.Scenario
 	switch {
 	case q.Panel != "" && panel != q.Panel:
@@ -97,7 +125,7 @@ func (q *Query) matches(panel string, r *nocsim.Result) bool {
 		return false
 	case q.App != "" && sc.App != q.App:
 		return false
-	case q.Mesh != "" && fmt.Sprintf("%dx%d", sc.Mesh.Width, sc.Mesh.Height) != q.Mesh:
+	case mesh.set && (sc.Mesh.Width != mesh.width || sc.Mesh.Height != mesh.height):
 		return false
 	case sc.Load < q.MinLoad:
 		return false

@@ -78,7 +78,7 @@ func TestReplaySameOnEveryCoreCount(t *testing.T) {
 					}
 					var rec record
 					if wantErr = json.Unmarshal(line, &rec); wantErr == nil {
-						wantErr = want.indexLocked(line, &rec)
+						wantErr = want.indexLocked(line, &rec, pointPrefix(line, rec.Sum))
 					}
 					if wantErr == nil {
 						want.off += int64(len(line))

@@ -2,6 +2,7 @@ package results
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -359,5 +360,22 @@ func TestParseQuery(t *testing.T) {
 	}
 	if _, err := ParseQuery(map[string]string{"min_load": "abc"}); err == nil {
 		t.Fatal("bad min_load accepted")
+	}
+}
+
+// TestMeshFilterIsItsPrint: a parsed mesh filter matches a scenario's
+// mesh exactly when the filter reads as fmt prints that mesh, "%dx%d".
+func TestMeshFilterIsItsPrint(t *testing.T) {
+	filters := []string{"5x5", "8x8", "5x8", "-1x5", "05x5", "+5x5", "5X5", "5x5x5", "x5", "5x", "5", " 5x5", "5 x5", "-0x5", "0x0", "99999999999999999999x5"}
+	for _, f := range filters {
+		mesh, ok := parseMesh(f)
+		for _, wh := range [][2]int{{5, 5}, {5, 8}, {8, 8}, {-1, 5}, {0, 0}} {
+			var r nocsim.Result
+			r.Scenario.Mesh.Width, r.Scenario.Mesh.Height = wh[0], wh[1]
+			want := fmt.Sprintf("%dx%d", wh[0], wh[1]) == f
+			if got := ok && (&Query{}).matches("", mesh, &r); got != want {
+				t.Errorf("filter %q on a %dx%d mesh: match %v, want %v", f, wh[0], wh[1], got, want)
+			}
+		}
 	}
 }

@@ -17,10 +17,12 @@
 // json.Unmarshal. The index keeps every record's stored line beside its
 // decoded value, and the way out copies stored bytes instead of encoding
 // again: Compact writes the manifest and point lines as they are, and
-// ExportJournal writes the journal Record sliced out of each point line,
-// encoding only a point whose line is in another form. The query
-// contract, not the storage engine, is the interface: filter points by
-// manifest/panel/policy/pattern/app/mesh/load, fetch a plan's complete
+// ExportJournal writes the journal Record sliced out of each point line
+// at the offset recorded when the line was decoded or appended — a line
+// the fast path declined has its Record found by matching brackets, and
+// only a point whose envelope is in another form is encoded again. The
+// query contract, not the storage engine, is the interface: filter points
+// by manifest/panel/policy/pattern/app/mesh/load, fetch a plan's complete
 // result set for rendering, and export a plan back out as a
 // byte-identical points journal.
 //
@@ -63,22 +65,39 @@ type record struct {
 	Point *manifest.Record `json:"point,omitempty"`
 }
 
+// scanned is what the store's scan decodes a line to: the record, and
+// where the point's Record starts in the line when the fast path read it
+// (0 otherwise). The offset stays out of record, the value the line means.
+type scanned struct {
+	record
+	at    int
+	point manifest.Record // what Point points to when the fast path read the line
+}
+
 // DecodeLine decodes a point record's line (without its newline) in the
 // form json.Marshal writes, without reflection, and reports false for any
 // other line — a manifest record among them — leaving it to
-// json.Unmarshal (see manifest.ScanRecords).
-func (rec *record) DecodeLine(line []byte) bool {
+// json.Unmarshal (see manifest.ScanRecords). A line it accepts ends with
+// the Record, right before the envelope's closing brace.
+func (s *scanned) DecodeLine(line []byte) bool {
 	d := jsonline.New(line)
 	d.Open()
 	d.Need("kind")
-	rec.Kind = d.Str()
+	s.Kind = d.Str()
 	d.Need("sum")
-	rec.Sum = d.Str()
+	s.Sum = d.Str()
 	d.Need("point")
-	rec.Point = new(manifest.Record)
-	d.Record(&rec.Point.Index, &rec.Point.Result)
+	s.at = d.Offset()
+	s.Point = &s.point
+	d.Record(&s.point.Index, &s.point.Result)
 	d.Close()
 	return d.Done()
+}
+
+// UnmarshalJSON decodes a line the fast path declined exactly as a
+// record, error texts included.
+func (s *scanned) UnmarshalJSON(b []byte) error {
+	return json.Unmarshal(b, &s.record)
 }
 
 const (
@@ -97,10 +116,12 @@ type plan struct {
 
 // point is one stored point: its result and the file line (newline
 // included) that holds it, which is what Compact writes back and what
-// ExportJournal copies the Record out of.
+// ExportJournal copies the Record out of — from byte at to the line's
+// closing brace, or wherever recordIn finds it when at is 0.
 type point struct {
 	r    nocsim.Result
 	line []byte
+	at   int
 }
 
 // indexes returns the stored point indexes in ascending order.
@@ -189,16 +210,19 @@ func newStore(path string, readOnly bool) *Store {
 // next call. Callers hold s.mu (or own the store exclusively, during
 // open).
 func (s *Store) replay() (err error) {
-	s.off, err = manifest.ScanRecords(s.path, s.off, s.indexLocked)
+	s.off, err = manifest.ScanRecords(s.path, s.off, func(line []byte, rec *scanned) error {
+		return s.indexLocked(line, &rec.record, rec.at)
+	})
 	if err != nil {
 		return fmt.Errorf("results: %w", err)
 	}
 	return nil
 }
 
-// indexLocked folds one record of the file, and the line that holds it,
-// into the in-memory index. Callers hold s.mu.
-func (s *Store) indexLocked(line []byte, rec *record) error {
+// indexLocked folds one record of the file, the line that holds it and
+// the offset of a point's Record in that line (0: unknown) into the
+// in-memory index. Callers hold s.mu.
+func (s *Store) indexLocked(line []byte, rec *record, at int) error {
 	switch rec.Kind {
 	case kindManifest:
 		if rec.Manifest == nil || rec.Sum == "" {
@@ -234,7 +258,7 @@ func (s *Store) indexLocked(line []byte, rec *record) error {
 		if _, ok := p.points[i]; ok {
 			return nil // duplicate: first result wins, like the journal
 		}
-		p.points[i] = point{rec.Point.Result, line}
+		p.points[i] = point{rec.Point.Result, line, at}
 		return nil
 	default:
 		return fmt.Errorf("unknown record kind %q", rec.Kind)
@@ -266,7 +290,7 @@ func (s *Store) appendLocked(rec *record, sync bool) error {
 		}
 	}
 	s.off += int64(len(line))
-	return s.indexLocked(line, rec)
+	return s.indexLocked(line, rec, pointPrefix(line, rec.Sum))
 }
 
 // syncLocked flushes and fsyncs the file. Callers hold s.mu and have
@@ -410,8 +434,10 @@ func (s *Store) Complete(sum string) (m *manifest.Manifest, done, total int, ok 
 // the manifest journal's line format — the byte-identical way back out
 // of the store: exporting a plan that was imported from a (serially
 // written) journal reproduces that journal byte for byte. Each line is
-// the Record copied out of the point's stored line; only a stored line
-// not in the form json.Marshal writes has its Record encoded again.
+// the Record copied out of the point's stored line: sliced at the offset
+// its decode (or its append) recorded, or found by recordIn in a line the
+// fast path declined. Only a stored line whose envelope is not the one
+// json.Marshal writes has its Record encoded again.
 func (s *Store) ExportJournal(w io.Writer, sum string) error {
 	s.mu.Lock()
 	p, ok := s.plans[sum]
@@ -422,7 +448,12 @@ func (s *Store) ExportJournal(w io.Writer, sum string) error {
 	recs := make([][]byte, 0, len(p.points))
 	for _, i := range p.indexes() {
 		pt := p.points[i]
-		rec := recordIn(pt.line, sum)
+		var rec []byte
+		if pt.at > 0 {
+			rec = pt.line[pt.at : len(pt.line)-2]
+		} else {
+			rec = recordIn(pt.line, sum)
+		}
 		if rec == nil {
 			var err error
 			if rec, err = json.Marshal(manifest.Record{Index: i, Result: pt.r}); err != nil {
@@ -452,10 +483,8 @@ func (s *Store) ExportJournal(w io.Writer, sum string) error {
 // The line decoded, so it is one valid JSON object: the Record is the
 // object after the prefix, found by matching brackets outside strings.
 func recordIn(line []byte, sum string) []byte {
-	const head, mid = `{"kind":"point","sum":"`, `","point":`
-	n := len(head) + len(sum) + len(mid)
-	if len(line) < n+3 || string(line[:len(head)]) != head || string(line[len(head):len(head)+len(sum)]) != sum ||
-		string(line[len(head)+len(sum):n]) != mid || line[n] != '{' || string(line[len(line)-2:]) != "}\n" {
+	n := pointPrefix(line, sum)
+	if n == 0 {
 		return nil
 	}
 	depth := 0
@@ -479,6 +508,20 @@ func recordIn(line []byte, sum string) []byte {
 		}
 	}
 	return nil
+}
+
+// pointPrefix returns the length of the envelope json.Marshal writes
+// before the Record of a point line of plan sum,
+// {"kind":"point","sum":"<sum>","point":, when line starts with it and
+// ends in a closing brace and newline, and 0 otherwise.
+func pointPrefix(line []byte, sum string) int {
+	const head, mid = `{"kind":"point","sum":"`, `","point":`
+	n := len(head) + len(sum) + len(mid)
+	if len(line) < n+3 || string(line[:len(head)]) != head || string(line[len(head):len(head)+len(sum)]) != sum ||
+		string(line[len(head)+len(sum):n]) != mid || line[n] != '{' || string(line[len(line)-2:]) != "}\n" {
+		return 0
+	}
+	return n
 }
 
 // Compact rewrites the store file down to its live contents: for every
