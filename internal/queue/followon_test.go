@@ -194,8 +194,8 @@ func TestFollowOnJournalAndResume(t *testing.T) {
 	if got := len(journalLines(t, st, child.Name)); got != 1 {
 		t.Fatalf("%d journal lines for the follow-on, want 1", got)
 	}
-	if pts, ok := rs.PointsOf(childSum); !ok || len(pts) != 1 {
-		t.Fatalf("results store holds %d follow-on points (ok=%v), want 1", len(pts), ok)
+	if pts, err := rs.Select(results.Query{Plan: childSum}); err != nil || len(pts) != 1 {
+		t.Fatalf("results store holds %d follow-on points (%v), want 1", len(pts), err)
 	}
 
 	// "Restart": a fresh coordinator over the same store, handed the

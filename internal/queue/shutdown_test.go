@@ -104,7 +104,7 @@ func TestCoordinatorMirrorsToResultsStore(t *testing.T) {
 	if err := client.PostResult(ctx, ResultRequest{Worker: "w", Name: ls.Name, Index: ls.Index, Result: fakeResult(ls.Index)}); err != nil {
 		t.Fatal(err)
 	}
-	if pts, _ := rs.PointsOf(sum); len(pts) != 1 {
+	if pts, _ := rs.Select(results.Query{Plan: sum}); len(pts) != 1 {
 		t.Fatalf("results store holds %d points after post, want 1", len(pts))
 	}
 

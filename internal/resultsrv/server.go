@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/queue"
 	"repro/internal/sweep"
-	"repro/nocsim"
 	"repro/nocsim/results"
 )
 
@@ -100,17 +99,12 @@ func (s *Server) Tables(ref string) ([]sweep.Table, bool, error) {
 	}
 	s.mu.Unlock()
 
-	m, done, total, ok := s.Store.Complete(sum)
+	m, flat, done, ok := s.Store.Complete(sum)
 	if !ok {
 		return nil, false, fmt.Errorf("resultsrv: unknown plan %q", ref)
 	}
-	if done < total {
-		return nil, false, &IncompleteError{Sum: sum, Name: m.Name, Done: done, Total: total}
-	}
-	have, _ := s.Store.PointsOf(sum)
-	flat := make([]nocsim.Result, total)
-	for i := 0; i < total; i++ {
-		flat[i] = have[i]
+	if flat == nil {
+		return nil, false, &IncompleteError{Sum: sum, Name: m.Name, Done: done, Total: m.NumPoints()}
 	}
 	tables, err := sweep.Render(m, flat)
 	if err != nil {

@@ -11,7 +11,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table is one reproduced figure panel (or table) as columns of numbers.
@@ -38,48 +40,62 @@ func (t *Table) AddRow(vals ...float64) {
 	t.Rows = append(t.Rows, vals)
 }
 
-// Format writes the table as aligned text.
+// Format writes the table as aligned text: each column right-aligned to
+// its widest cell, padded as fmt's %*s pads (by runes).
 func (t *Table) Format(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "== %s: %s ==\n", t.ID, t.Title); err != nil {
-		return err
-	}
 	widths := make([]int, len(t.Columns))
-	cells := make([][]string, len(t.Rows))
 	for i, c := range t.Columns {
 		widths[i] = len(c)
 	}
-	for r, row := range t.Rows {
-		cells[r] = make([]string, len(row))
+	ends := make([]int, 0, len(t.Rows)*len(t.Columns))
+	text := make([]byte, 0, 8*cap(ends)) // every cell's text, row after row
+	for _, row := range t.Rows {
 		for i, v := range row {
-			cells[r][i] = formatCell(v)
-			if len(cells[r][i]) > widths[i] {
-				widths[i] = len(cells[r][i])
-			}
+			start := len(text)
+			text = appendCell(text, v)
+			ends = append(ends, len(text))
+			widths[i] = max(widths[i], len(text)-start)
 		}
 	}
-	var b strings.Builder
+	line := 0 // bytes of one row's line, unless a cell is wider in bytes than in runes
+	for _, n := range widths {
+		line += n + 2
+	}
+	b := make([]byte, 0, len(t.ID)+len(t.Title)+(len(t.Rows)+2)*line+64*len(t.Notes))
+	b = append(append(append(append(append(b, "== "...), t.ID...), ": "...), t.Title...), " ==\n"...)
 	for i, c := range t.Columns {
-		if i > 0 {
-			b.WriteString("  ")
-		}
-		fmt.Fprintf(&b, "%*s", widths[i], c)
+		b = appendPadded(b, i, widths[i]-utf8.RuneCountInString(c))
+		b = append(b, c...)
 	}
-	b.WriteByte('\n')
-	for r := range cells {
-		for i, cell := range cells[r] {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%*s", widths[i], cell)
+	b = append(b, '\n')
+	start := 0
+	for _, row := range t.Rows {
+		for i := range row {
+			cell := text[start:ends[0]]
+			start, ends = ends[0], ends[1:]
+			b = appendPadded(b, i, widths[i]-utf8.RuneCount(cell))
+			b = append(b, cell...)
 		}
-		b.WriteByte('\n')
+		b = append(b, '\n')
 	}
 	for _, n := range t.Notes {
-		fmt.Fprintf(&b, "# %s\n", n)
+		b = append(append(append(b, "# "...), n...), '\n')
 	}
-	b.WriteByte('\n')
-	_, err := io.WriteString(w, b.String())
+	b = append(b, '\n')
+	_, err := w.Write(b)
 	return err
+}
+
+// appendPadded appends what goes before column i's cell: two spaces after
+// the column before it, then pad spaces.
+func appendPadded(b []byte, i, pad int) []byte {
+	if i > 0 {
+		b = append(b, "  "...)
+	}
+	for ; pad > 0; pad-- {
+		b = append(b, ' ')
+	}
+	return b
 }
 
 // CSV writes the table as comma-separated values with a header row.
@@ -102,16 +118,22 @@ func (t *Table) CSV(w io.Writer) error {
 // formatCell renders a value compactly: integers without decimals, small
 // magnitudes with enough precision, NaN as empty.
 func formatCell(v float64) string {
+	return string(appendCell(nil, v))
+}
+
+// appendCell appends formatCell's text for v, which for each branch is
+// what fmt's %.Nf prints.
+func appendCell(b []byte, v float64) []byte {
 	switch {
 	case math.IsNaN(v):
-		return ""
+		return b
 	case v == math.Trunc(v) && math.Abs(v) < 1e15:
-		return fmt.Sprintf("%.0f", v)
+		return strconv.AppendFloat(b, v, 'f', 0, 64)
 	case math.Abs(v) >= 100:
-		return fmt.Sprintf("%.1f", v)
+		return strconv.AppendFloat(b, v, 'f', 1, 64)
 	case math.Abs(v) >= 1:
-		return fmt.Sprintf("%.2f", v)
+		return strconv.AppendFloat(b, v, 'f', 2, 64)
 	default:
-		return fmt.Sprintf("%.4f", v)
+		return strconv.AppendFloat(b, v, 'f', 4, 64)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/resultsrv"
 	"repro/nocsim"
 	"repro/nocsim/manifest"
 	"repro/nocsim/results"
@@ -183,6 +184,63 @@ func BenchmarkExportJournal(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		out.Reset()
 		if err := s.ExportJournal(&out, sum); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSelect runs the store_replay workload's three queries against
+// a freshly opened store: one plan by name and policy, one pattern and
+// load band across plans, one capped mesh and panel filter.
+func BenchmarkSelect(b *testing.B) {
+	fx := newStoreFixture(b)
+	s, err := results.OpenReadOnly(fx.storePath)
+	if err != nil {
+		b.Fatal(err)
+	}
+	queries := []struct {
+		q    results.Query
+		hits int
+	}{
+		{results.Query{Plan: "fig7", Policy: string(nocsim.DMSD)}, 1000},
+		{results.Query{Pattern: "tornado", MinLoad: 0.1, MaxLoad: 0.25}, 0},
+		{results.Query{Mesh: "5x5", Panel: "uniform", Limit: 200}, 200},
+	}
+	for i, q := range queries[1:] {
+		pts, err := s.Select(q.q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		queries[i+1].hits = len(pts) // the load band's count follows the grid
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, q := range queries {
+			if pts, err := s.Select(q.q); err != nil || len(pts) != q.hits {
+				b.Fatalf("Select(%+v) = (%d, %v), want %d", q.q, len(pts), err, q.hits)
+			}
+		}
+	}
+}
+
+// BenchmarkTables renders the 3,000-point plan of a freshly opened store
+// through a new results server, cold every time, and formats the tables
+// as the service's text reply.
+func BenchmarkTables(b *testing.B) {
+	fx := newStoreFixture(b)
+	s, err := results.OpenReadOnly(fx.storePath)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tables, hit, err := (&resultsrv.Server{Store: s}).Tables(fx.m.Name)
+		if err != nil || hit {
+			b.Fatalf("Tables = (hit %v, %v), want a cold render", hit, err)
+		}
+		if _, err := resultsrv.FormatTables(tables); err != nil {
 			b.Fatal(err)
 		}
 	}

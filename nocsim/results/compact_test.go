@@ -11,7 +11,7 @@ import (
 
 // TestCompactRoundTrip pins the compaction contract: superseded plans
 // and duplicate point lines leave the file, the file shrinks, and every
-// query surface — Plans, Resolve, PointsOf, ExportJournal — answers
+// query surface — Plans, Resolve, the stored points, ExportJournal — answers
 // byte-identically before and after, across a reopen.
 func TestCompactRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "results.jsonl")
@@ -164,7 +164,7 @@ func TestCompactRoundTrip(t *testing.T) {
 	s2 := openStore(t, path)
 	defer s2.Close()
 	check(s2, "reopened store", 3)
-	if pts, ok := s2.PointsOf(extraSum); !ok || len(pts) != 1 {
+	if pts, ok := pointsOf(s2, extraSum); !ok || len(pts) != 1 {
 		t.Fatalf("post-compaction append lost: (%d, %v)", len(pts), ok)
 	}
 }

@@ -51,6 +51,7 @@ func FuzzReplay(f *testing.F) {
 	f.Add([]byte("{\"index\":1,\"result\":{\"avg_del\n"), uint16(0xffff))                 // terminated garbage
 	f.Add([]byte("{\"index\":0,\"result\":{}}\n{\"index\":77,\"res"), uint16(0xffff))     // valid duplicate, then torn
 	f.Add(append(bytes.Clone(store[bytes.IndexByte(store, '\n')+1:]), 0), uint16(0xffff)) // every point line again
+	f.Add(overclaim(f), uint16(0xffff))                                                   // a plan of a million points, two of them stored
 
 	f.Fuzz(func(t *testing.T, tail []byte, cut uint16) {
 		dir := t.TempDir()
@@ -99,8 +100,8 @@ func FuzzReplay(f *testing.F) {
 
 		data, end, lines, tailLine = damaged(store)
 		points := max(lines-1, 0) // the first line is the plan
-		pointsOf := func(s *Store) map[int]nocsim.Result {
-			pts, _ := s.PointsOf(sum)
+		stored := func(s *Store) map[int]nocsim.Result {
+			pts, _ := pointsOf(s, sum)
 			if pts == nil {
 				pts = map[int]nocsim.Result{}
 			}
@@ -120,7 +121,7 @@ func FuzzReplay(f *testing.F) {
 				t.Fatal(err)
 			}
 			err := ro.Refresh()
-			check("Refresh", pointsOf(ro), err, points, tailLine, true)
+			check("Refresh", stored(ro), err, points, tailLine, true)
 		}
 
 		path = filepath.Join(dir, "results.jsonl")
@@ -131,7 +132,7 @@ func FuzzReplay(f *testing.F) {
 		if err != nil {
 			check("Open", nil, err, 0, tailLine, true)
 		} else {
-			check("Open", pointsOf(s), nil, points, tailLine, true)
+			check("Open", stored(s), nil, points, tailLine, true)
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}

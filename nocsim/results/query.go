@@ -2,6 +2,7 @@ package results
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -64,22 +65,38 @@ func (s *Store) Select(q Query) ([]Point, error) {
 	if !ok {
 		return nil, nil // no scenario prints its mesh that way
 	}
-	var out []Point
+	// Count the hits, then copy them into an output of exactly that size.
+	n := 0
+	s.each(scope, &q, mesh, func(*plan, *point, string) { n++ })
+	if n == 0 {
+		return nil, nil
+	}
+	out := make([]Point, 0, n)
+	s.each(scope, &q, mesh, func(p *plan, pt *point, label string) {
+		out = append(out, Point{Name: p.m.Name, Sum: p.sum, Panel: label, Index: pt.index, Result: pt.r})
+	})
+	return out, nil
+}
+
+// each calls fn with the points of the plans in scope that q matches, in
+// scope order then index order, up to q.Limit of them. Callers hold s.mu.
+func (s *Store) each(scope []string, q *Query, mesh meshDims, fn func(p *plan, pt *point, label string)) {
+	n := 0
 	for _, sum := range scope {
 		p := s.plans[sum]
-		for _, i := range p.indexes() {
-			r := p.points[i].r
-			label := p.label(i)
-			if !q.matches(label, mesh, &r) {
+		pts := p.inOrder()
+		for k := range pts {
+			pt := &pts[k]
+			label := p.label(pt.index)
+			if !q.matches(label, mesh, &pt.r) {
 				continue
 			}
-			out = append(out, Point{Name: p.m.Name, Sum: sum, Panel: label, Index: i, Result: r})
-			if q.Limit > 0 && len(out) >= q.Limit {
-				return out, nil
+			fn(p, pt, label)
+			if n++; n == q.Limit {
+				return
 			}
 		}
 	}
-	return out, nil
 }
 
 // label returns the panel label of global point index i.
@@ -137,7 +154,9 @@ func (q *Query) matches(panel string, mesh meshDims, r *nocsim.Result) bool {
 
 // ParseQuery builds a Query from URL-style key=value parameters — the
 // shared vocabulary of the HTTP API and tests. Unknown keys error, so a
-// typoed filter cannot silently select everything.
+// typoed filter cannot silently select everything, and so does a value
+// that is not wholly a number: a finite one for the load bounds, one
+// that is not negative for the limit.
 func ParseQuery(params map[string]string) (Query, error) {
 	var q Query
 	for k, v := range params {
@@ -154,18 +173,22 @@ func ParseQuery(params map[string]string) (Query, error) {
 			q.App = v
 		case "mesh":
 			q.Mesh = v
-		case "min_load":
-			if _, err := fmt.Sscanf(v, "%g", &q.MinLoad); err != nil {
-				return Query{}, fmt.Errorf("results: bad min_load %q", v)
+		case "min_load", "max_load":
+			x, err := strconv.ParseFloat(v, 64)
+			if err != nil || math.IsNaN(x) || math.IsInf(x, 0) {
+				return Query{}, fmt.Errorf("results: bad %s %q", k, v)
 			}
-		case "max_load":
-			if _, err := fmt.Sscanf(v, "%g", &q.MaxLoad); err != nil {
-				return Query{}, fmt.Errorf("results: bad max_load %q", v)
+			if k == "min_load" {
+				q.MinLoad = x
+			} else {
+				q.MaxLoad = x
 			}
 		case "limit":
-			if _, err := fmt.Sscanf(v, "%d", &q.Limit); err != nil {
+			n, err := strconv.Atoi(v)
+			if err != nil || n < 0 {
 				return Query{}, fmt.Errorf("results: bad limit %q", v)
 			}
+			q.Limit = n
 		default:
 			return Query{}, fmt.Errorf("results: unknown query parameter %q (want plan/panel/policy/pattern/app/mesh/min_load/max_load/limit)", k)
 		}

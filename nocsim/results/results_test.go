@@ -2,9 +2,12 @@ package results
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/nocsim"
@@ -47,6 +50,22 @@ func openStore(t *testing.T, path string) *Store {
 	return s
 }
 
+// pointsOf returns the plan's stored results by point index, as the
+// store's index holds them.
+func pointsOf(s *Store, sum string) (map[int]nocsim.Result, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p, ok := s.plans[sum]
+	if !ok {
+		return nil, false
+	}
+	out := make(map[int]nocsim.Result, len(p.points))
+	for _, pt := range p.points {
+		out[pt.index] = pt.r
+	}
+	return out, true
+}
+
 // TestStorePersistsAcrossReopen pins the single-file contract: plans and
 // points ingested by one store are fully indexed by a fresh open over
 // the same file, and duplicates are never stored twice.
@@ -82,7 +101,7 @@ func TestStorePersistsAcrossReopen(t *testing.T) {
 	if len(plans) != 1 || plans[0].Sum != sum || !plans[0].Complete || plans[0].Done != m.NumPoints() {
 		t.Fatalf("reopened plans = %+v, want one complete plan %s", plans, sum)
 	}
-	pts, ok := s2.PointsOf(sum)
+	pts, ok := pointsOf(s2, sum)
 	if !ok || len(pts) != m.NumPoints() {
 		t.Fatalf("reopened points = (%d, %v), want %d", len(pts), ok, m.NumPoints())
 	}
@@ -119,7 +138,7 @@ func TestStoreTornTailRecovery(t *testing.T) {
 
 	s2 := openStore(t, path)
 	defer s2.Close()
-	if pts, _ := s2.PointsOf(sum); len(pts) != 1 {
+	if pts, _ := pointsOf(s2, sum); len(pts) != 1 {
 		t.Fatalf("recovered store holds %d points, want 1", len(pts))
 	}
 	// And the torn bytes are really gone: appending works and a reopen
@@ -132,7 +151,7 @@ func TestStoreTornTailRecovery(t *testing.T) {
 	}
 	s3 := openStore(t, path)
 	defer s3.Close()
-	if pts, _ := s3.PointsOf(sum); len(pts) != 2 {
+	if pts, _ := pointsOf(s3, sum); len(pts) != 2 {
 		t.Fatalf("store after torn-tail append holds %d points, want 2", len(pts))
 	}
 }
@@ -157,7 +176,7 @@ func TestReadOnlyFollowerRefresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pts, _ := ro.PointsOf(sum); len(pts) != 1 {
+	if pts, _ := pointsOf(ro, sum); len(pts) != 1 {
 		t.Fatalf("follower sees %d points, want 1", len(pts))
 	}
 	// Writer appends more (all but the last point); the follower only
@@ -167,13 +186,13 @@ func TestReadOnlyFollowerRefresh(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if pts, _ := ro.PointsOf(sum); len(pts) != 1 {
+	if pts, _ := pointsOf(ro, sum); len(pts) != 1 {
 		t.Fatalf("follower saw appends without Refresh: %d points", len(pts))
 	}
 	if err := ro.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	if pts, _ := ro.PointsOf(sum); len(pts) != m.NumPoints()-1 {
+	if pts, _ := pointsOf(ro, sum); len(pts) != m.NumPoints()-1 {
 		t.Fatalf("follower after Refresh sees %d points, want %d", len(pts), m.NumPoints()-1)
 	}
 	// A point the store does not hold yet cannot be appended read-only
@@ -273,8 +292,8 @@ func TestImportJournalSameBytesOneSync(t *testing.T) {
 		}
 		s := openStore(t, path)
 		stored := 0 // points whose whole line is before the cut
-		if p := s.plans[sum]; p != nil {
-			stored = len(p.points)
+		for _, p := range s.Plans() {
+			stored += p.Done
 		}
 		if _, added, err := s.ImportJournal(m, have); err != nil || added != m.NumPoints()-stored {
 			t.Fatalf("cut %d: import = (%d added, %v), want %d", cut, added, err, m.NumPoints()-stored)
@@ -361,6 +380,21 @@ func TestParseQuery(t *testing.T) {
 	if _, err := ParseQuery(map[string]string{"min_load": "abc"}); err == nil {
 		t.Fatal("bad min_load accepted")
 	}
+	// A value must be a number as a whole, a finite one for the load
+	// bounds, and a limit must not be negative.
+	for _, bad := range []struct{ key, val string }{
+		{"min_load", "0.2junk"}, {"max_load", "0.3 "}, {"max_load", "NaN"}, {"min_load", "-Inf"}, {"max_load", "+Inf"},
+		{"limit", "5x"}, {"limit", "0x10"}, {"limit", "-3"}, {"limit", "2.5"}, {"limit", ""},
+	} {
+		q, err := ParseQuery(map[string]string{bad.key: bad.val})
+		if want := fmt.Sprintf("results: bad %s %q", bad.key, bad.val); err == nil || err.Error() != want {
+			t.Errorf("ParseQuery(%s=%q) = (%+v, %v), want error %q", bad.key, bad.val, q, err, want)
+		}
+	}
+	q, err = ParseQuery(map[string]string{"min_load": "1e-1", "max_load": "0.25", "limit": "0"})
+	if err != nil || q.MinLoad != 0.1 || q.MaxLoad != 0.25 || q.Limit != 0 {
+		t.Fatalf("parsed = (%+v, %v)", q, err)
+	}
 }
 
 // TestMeshFilterIsItsPrint: a parsed mesh filter matches a scenario's
@@ -378,4 +412,141 @@ func TestMeshFilterIsItsPrint(t *testing.T) {
 			}
 		}
 	}
+}
+
+// overclaim returns store lines for a plan whose manifest line, about
+// 11 KB, claims a million points — a thousand policies at a thousand
+// loads — followed by two of them.
+func overclaim(t testing.TB) []byte {
+	t.Helper()
+	m := testManifest(t, "overclaim")
+	g := &m.Panels[0].Grid
+	g.Loads, g.Policies = nil, nil
+	for i := 0; i < 1000; i++ {
+		g.Loads = append(g.Loads, float64(i%9+1)/10)
+		g.Policies = append(g.Policies, nocsim.RMSD)
+	}
+	sum, err := manifest.Sum(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := recordLine(t, &record{Kind: kindManifest, Sum: sum, Manifest: m})
+	for _, i := range []int{0, 999_999} {
+		lines = append(lines, recordLine(t, &record{Kind: kindPoint, Sum: sum, Point: &manifest.Record{Index: i, Result: fakeResult(t, m, i)}})...)
+	}
+	return lines
+}
+
+// TestMemoryFollowsStoredPoints: what opening a store costs follows the
+// points its file holds, not the points its manifest lines claim.
+func TestMemoryFollowsStoredPoints(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results.jsonl")
+	if err := os.WriteFile(path, overclaim(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := OpenReadOnly(path)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plans := s.Plans(); len(plans) != 1 || plans[0].Total != 1_000_000 || plans[0].Done != 2 {
+		t.Fatalf("plans = %+v, want one plan of a million points, two of them stored", plans)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 2<<20 {
+		t.Errorf("opening a 2-point store allocated %d bytes", grew)
+	}
+}
+
+// TestOutOfOrderPoints: points a live coordinator stores out of index
+// order read back in index order everywhere — Select, Complete's flat
+// results, ExportJournal, Compact's file — before and after a reopen, and
+// a duplicate of any of them is still acknowledged without a line after
+// the index has been sorted.
+func TestOutOfOrderPoints(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results.jsonl")
+	m := testManifest(t, "fig7", 0.1, 0.2, 0.3, 0.4) // 12 points
+	s := openStore(t, path)
+	sum, err := s.AddManifest(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var journal, compacted bytes.Buffer
+	compacted.Write(recordLine(t, &record{Kind: kindManifest, Sum: sum, Manifest: m}))
+	for i := 0; i < m.NumPoints(); i++ {
+		rec := manifest.Record{Index: i, Result: fakeResult(t, m, i)}
+		line, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		journal.Write(append(line, '\n'))
+		compacted.Write(recordLine(t, &record{Kind: kindPoint, Sum: sum, Point: &rec}))
+	}
+	for _, i := range []int{5, 0, 11, 3, 7, 1, 10, 2, 9, 4, 8} { // all but 6
+		if err := s.AddPoint(sum, i, fakeResult(t, m, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(s *Store, when string) {
+		t.Helper()
+		pts, err := s.Select(Query{Plan: sum})
+		if err != nil || len(pts) != 11 {
+			t.Fatalf("%s: Select = (%d points, %v), want 11", when, len(pts), err)
+		}
+		for k, p := range pts {
+			if want := k + k/6; p.Index != want || p.Meta.PointIndex != want { // 6 is missing
+				t.Fatalf("%s: hit %d is point %d (result of %d), want %d", when, k, p.Index, p.Meta.PointIndex, want)
+			}
+		}
+		var out bytes.Buffer
+		if err := s.ExportJournal(&out, sum); err != nil {
+			t.Fatal(err)
+		}
+		want := bytes.Join(slices.Delete(bytes.SplitAfter(journal.Bytes(), []byte("\n")), 6, 7), nil)
+		if !bytes.Equal(out.Bytes(), want) {
+			t.Fatalf("%s: export is not the journal in index order:\n%s", when, out.Bytes())
+		}
+		size := fileSize(t, path)
+		if err := s.AddPoint(sum, 5, fakeResult(t, m, 0)); err != nil || fileSize(t, path) != size {
+			t.Fatalf("%s: a duplicate after the sort = %v, file %d → %d bytes", when, err, size, fileSize(t, path))
+		}
+	}
+	check(s, "after the appends")
+	if err := s.AddPoint(sum, 6, fakeResult(t, m, 6)); err != nil {
+		t.Fatal(err)
+	}
+	_, flat, done, ok := s.Complete(sum)
+	if !ok || done != m.NumPoints() || len(flat) != done {
+		t.Fatalf("Complete = (%d results, %d done, %v)", len(flat), done, ok)
+	}
+	for i, r := range flat {
+		if r.Meta.PointIndex != i {
+			t.Fatalf("flat result %d is point %d's", i, r.Meta.PointIndex)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s = openStore(t, path)
+	defer s.Close()
+	if err := s.AddPoint(sum, 6, fakeResult(t, m, 0)); err != nil { // reopened unsorted: a duplicate before the sort
+		t.Fatal(err)
+	}
+	if plans, points, err := s.Compact(); err != nil || plans != 0 || points != 0 {
+		t.Fatalf("Compact = (%d, %d, %v), want nothing dropped", plans, points, err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, compacted.Bytes()) {
+		t.Fatalf("compacted file (%v) is not the points in index order:\n%s", err, got)
+	}
+}
+
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info.Size()
 }

@@ -14,9 +14,13 @@
 // one per imported plan, and an in-memory index (by plan, by name, by
 // point) rebuilt on open. A point line in the form json.Marshal writes is
 // decoded without reflection (internal/jsonline); any other line goes to
-// json.Unmarshal. The index keeps every record's stored line beside its
-// decoded value, and the way out copies stored bytes instead of encoding
-// again: Compact writes the manifest and point lines as they are, and
+// json.Unmarshal. A plan holds its points once each, in one slice in the
+// order they were stored — index order for any file a serial run, an
+// import or a Compact wrote, sorted once otherwise — so nothing sorts or
+// copies a result per query beyond what the query returns. The index keeps
+// every record's stored line beside its decoded value, and the way out
+// copies stored bytes instead of encoding again: Compact writes the
+// manifest and point lines as they are, and
 // ExportJournal writes the journal Record sliced out of each point line
 // at the offset recorded when the line was decoded or appended — a line
 // the fast path declined has its Record found by matching brackets, and
@@ -36,6 +40,7 @@ package results
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -105,33 +110,73 @@ const (
 	kindPoint    = "point"
 )
 
-// plan is the in-memory index of one ingested manifest.
+// plan is the in-memory index of one ingested manifest. Each stored point
+// is one slot of points, in the order the points were stored; stored holds
+// the stored point indexes, and sorted says that store order is index
+// order. A point stored out of order clears sorted, and the next reader
+// that needs index order sorts the slots once (inOrder).
 type plan struct {
 	sum    string
 	m      *manifest.Manifest
 	line   []byte // the manifest record's file line, which Compact writes back
 	offs   []int  // panel offsets, for point → panel label resolution
-	points map[int]point
+	points []point
+	stored map[int]struct{}
+	sorted bool
 }
 
-// point is one stored point: its result and the file line (newline
-// included) that holds it, which is what Compact writes back and what
-// ExportJournal copies the Record out of — from byte at to the line's
+// point is one stored point: its index, its result and the file line
+// (newline included) that holds it, which is what Compact writes back and
+// what ExportJournal copies the Record out of — from byte at to the line's
 // closing brace, or wherever recordIn finds it when at is 0.
 type point struct {
-	r    nocsim.Result
-	line []byte
-	at   int
+	index int
+	line  []byte
+	at    int
+	r     nocsim.Result
 }
 
-// indexes returns the stored point indexes in ascending order.
-func (p *plan) indexes() []int {
-	idx := make([]int, 0, len(p.points))
-	for i := range p.points {
-		idx = append(idx, i)
+// minPointLine is fewer bytes than any point line this program writes:
+// the envelope, the sum and the Record's keys alone take more. A plan read
+// from a file presizes its slots for the points its manifest claims, but
+// never for more than the rest of the file could hold at this size — a
+// manifest line can claim a million points over a file that holds two.
+// Points past the presize are appended.
+const minPointLine = 64
+
+// newPlan indexes a manifest record followed by rest more bytes of file.
+func newPlan(sum string, m *manifest.Manifest, line []byte, rest int64) *plan {
+	p := &plan{sum: sum, m: m, line: line, offs: m.Offsets(), sorted: true}
+	room := int(min(int64(p.total()), max(rest, 0)/minPointLine))
+	p.points = make([]point, 0, room)
+	p.stored = make(map[int]struct{}, room)
+	return p
+}
+
+// total returns how many points the plan has: m.NumPoints().
+func (p *plan) total() int { return p.offs[len(p.offs)-1] }
+
+// add stores point i unless the plan holds it already: the first result
+// for an index wins, like the journal.
+func (p *plan) add(i int, r *nocsim.Result, line []byte, at int) {
+	if _, ok := p.stored[i]; ok {
+		return
 	}
-	slices.Sort(idx)
-	return idx
+	if n := len(p.points); n > 0 && p.points[n-1].index > i {
+		p.sorted = false
+	}
+	p.stored[i] = struct{}{}
+	p.points = append(p.points, point{index: i, line: line, at: at, r: *r})
+}
+
+// inOrder returns the plan's points in index order, sorting them first
+// if they were stored out of order. Callers hold s.mu.
+func (p *plan) inOrder() []point {
+	if !p.sorted {
+		slices.SortFunc(p.points, func(a, b point) int { return cmp.Compare(a.index, b.index) })
+		p.sorted = true
+	}
+	return p.points
 }
 
 // PlanInfo summarizes one stored plan for listings and the dashboard.
@@ -210,8 +255,14 @@ func newStore(path string, readOnly bool) *Store {
 // next call. Callers hold s.mu (or own the store exclusively, during
 // open).
 func (s *Store) replay() (err error) {
+	var size int64 // what the file held when the scan began: room for points
+	if info, err := os.Stat(s.path); err == nil {
+		size = info.Size()
+	}
+	end := s.off // where the line being indexed ends
 	s.off, err = manifest.ScanRecords(s.path, s.off, func(line []byte, rec *scanned) error {
-		return s.indexLocked(line, &rec.record, rec.at)
+		end += int64(len(line))
+		return s.indexLocked(line, &rec.record, rec.at, size-end)
 	})
 	if err != nil {
 		return fmt.Errorf("results: %w", err)
@@ -221,8 +272,9 @@ func (s *Store) replay() (err error) {
 
 // indexLocked folds one record of the file, the line that holds it and
 // the offset of a point's Record in that line (0: unknown) into the
-// in-memory index. Callers hold s.mu.
-func (s *Store) indexLocked(line []byte, rec *record, at int) error {
+// in-memory index. A new plan presizes its slots for the points rest more
+// bytes of file can hold (see minPointLine). Callers hold s.mu.
+func (s *Store) indexLocked(line []byte, rec *record, at int, rest int64) error {
 	switch rec.Kind {
 	case kindManifest:
 		if rec.Manifest == nil || rec.Sum == "" {
@@ -231,13 +283,7 @@ func (s *Store) indexLocked(line []byte, rec *record, at int) error {
 		if _, ok := s.plans[rec.Sum]; ok {
 			return nil // re-ingested plan: first registration stands
 		}
-		p := &plan{
-			sum:    rec.Sum,
-			m:      rec.Manifest,
-			line:   line,
-			offs:   rec.Manifest.Offsets(),
-			points: map[int]point{},
-		}
+		p := newPlan(rec.Sum, rec.Manifest, line, rest)
 		s.plans[rec.Sum] = p
 		s.order = append(s.order, rec.Sum)
 		s.names[p.m.Name] = append(s.names[p.m.Name], rec.Sum)
@@ -251,14 +297,11 @@ func (s *Store) indexLocked(line []byte, rec *record, at int) error {
 			return fmt.Errorf("point for unregistered plan %s", rec.Sum)
 		}
 		i := rec.Point.Index
-		if i < 0 || i >= p.m.NumPoints() {
-			return fmt.Errorf("plan %s point %d out of range [0, %d)", rec.Sum, i, p.m.NumPoints())
+		if i < 0 || i >= p.total() {
+			return fmt.Errorf("plan %s point %d out of range [0, %d)", rec.Sum, i, p.total())
 		}
 		s.lines++
-		if _, ok := p.points[i]; ok {
-			return nil // duplicate: first result wins, like the journal
-		}
-		p.points[i] = point{rec.Point.Result, line, at}
+		p.add(i, &rec.Point.Result, line, at)
 		return nil
 	default:
 		return fmt.Errorf("unknown record kind %q", rec.Kind)
@@ -290,7 +333,7 @@ func (s *Store) appendLocked(rec *record, sync bool) error {
 		}
 	}
 	s.off += int64(len(line))
-	return s.indexLocked(line, rec, pointPrefix(line, rec.Sum))
+	return s.indexLocked(line, rec, pointPrefix(line, rec.Sum), 0)
 }
 
 // syncLocked flushes and fsyncs the file. Callers hold s.mu and have
@@ -334,10 +377,10 @@ func (s *Store) addPointLocked(sum string, index int, r nocsim.Result, sync bool
 	if !ok {
 		return fmt.Errorf("results: point for unregistered plan %s", sum)
 	}
-	if index < 0 || index >= p.m.NumPoints() {
-		return fmt.Errorf("results: plan %s point %d out of range [0, %d)", sum, index, p.m.NumPoints())
+	if index < 0 || index >= p.total() {
+		return fmt.Errorf("results: plan %s point %d out of range [0, %d)", sum, index, p.total())
 	}
-	if _, ok := p.points[index]; ok {
+	if _, ok := p.stored[index]; ok {
 		return nil
 	}
 	return s.appendLocked(&record{Kind: kindPoint, Sum: sum, Point: &manifest.Record{Index: index, Result: r}}, sync)
@@ -367,7 +410,7 @@ func (s *Store) Plans() []PlanInfo {
 }
 
 func (p *plan) info() PlanInfo {
-	total := p.m.NumPoints()
+	total := p.total()
 	return PlanInfo{
 		Sum: p.sum, Name: p.m.Name, Quick: p.m.Quick, Points: p.m.Points, Seed: p.m.Seed,
 		Total: total, Done: len(p.points), Complete: len(p.points) == total,
@@ -402,35 +445,30 @@ func (s *Store) Resolve(ref string) (string, bool) {
 	return sums[len(sums)-1], true
 }
 
-// PointsOf returns a copy of the plan's stored results keyed by point
-// index.
-func (s *Store) PointsOf(sum string) (map[int]nocsim.Result, bool) {
+// Complete returns the plan's manifest and how many of its points are
+// stored, and — once every one of them is — a copy of their results in
+// point order, the flat list sweep.Render takes. Rendering a plan's
+// tables starts here.
+func (s *Store) Complete(sum string) (m *manifest.Manifest, flat []nocsim.Result, done int, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	p, ok := s.plans[sum]
 	if !ok {
-		return nil, false
+		return nil, nil, 0, false
 	}
-	out := make(map[int]nocsim.Result, len(p.points))
-	for i, pt := range p.points {
-		out[i] = pt.r
+	done = len(p.points)
+	if done < p.total() {
+		return p.m, nil, done, true
 	}
-	return out, true
+	flat = make([]nocsim.Result, done)
+	pts := p.inOrder()
+	for k := range pts {
+		flat[k] = pts[k].r
+	}
+	return p.m, flat, done, true
 }
 
-// Complete reports whether every point of the plan is stored, and the
-// plan's manifest. Rendering a plan's tables starts here.
-func (s *Store) Complete(sum string) (m *manifest.Manifest, done, total int, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, ok := s.plans[sum]
-	if !ok {
-		return nil, 0, 0, false
-	}
-	return p.m, len(p.points), p.m.NumPoints(), true
-}
-
-// ExportJournal writes the plan's points, sorted by index, in exactly
+// ExportJournal writes the plan's points, in index order, in exactly
 // the manifest journal's line format — the byte-identical way back out
 // of the store: exporting a plan that was imported from a (serially
 // written) journal reproduces that journal byte for byte. Each line is
@@ -445,26 +483,25 @@ func (s *Store) ExportJournal(w io.Writer, sum string) error {
 		s.mu.Unlock()
 		return fmt.Errorf("results: unknown plan %s", sum)
 	}
-	recs := make([][]byte, 0, len(p.points))
-	for _, i := range p.indexes() {
-		pt := p.points[i]
-		var rec []byte
+	pts := p.inOrder()
+	recs := make([][]byte, len(pts))
+	for k := range pts {
+		pt := &pts[k]
 		if pt.at > 0 {
-			rec = pt.line[pt.at : len(pt.line)-2]
+			recs[k] = pt.line[pt.at : len(pt.line)-2]
 		} else {
-			rec = recordIn(pt.line, sum)
+			recs[k] = recordIn(pt.line, sum)
 		}
-		if rec == nil {
+		if recs[k] == nil {
 			var err error
-			if rec, err = json.Marshal(manifest.Record{Index: i, Result: pt.r}); err != nil {
+			if recs[k], err = json.Marshal(manifest.Record{Index: pt.index, Result: pt.r}); err != nil {
 				s.mu.Unlock()
 				return err
 			}
 		}
-		recs = append(recs, rec)
 	}
 	s.mu.Unlock()
-	bw := bufio.NewWriter(w)
+	bw := bufio.NewWriterSize(w, outBuffer)
 	for _, rec := range recs {
 		if _, err := bw.Write(rec); err != nil {
 			return err
@@ -524,6 +561,11 @@ func pointPrefix(line []byte, sum string) int {
 	return n
 }
 
+// outBuffer is the write buffer of the store's two bulk writers, Compact
+// and ExportJournal: a 3,000-point plan is about 3 MB, 750 writes through
+// bufio's default 4 KiB and 48 through this.
+const outBuffer = 64 << 10
+
 // Compact rewrites the store file down to its live contents: for every
 // manifest name only the most recently ingested plan survives (older
 // same-name plans are superseded — Resolve already ignores them), and
@@ -568,7 +610,7 @@ func (s *Store) Compact() (droppedPlans, droppedPoints int, err error) {
 			os.Remove(tmp)
 		}
 	}()
-	bw := bufio.NewWriter(tf)
+	bw := bufio.NewWriterSize(tf, outBuffer)
 	var written int64
 	keptPoints := 0
 	for _, sum := range s.order {
@@ -581,8 +623,9 @@ func (s *Store) Compact() (droppedPlans, droppedPoints int, err error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		for _, i := range p.indexes() {
-			n, err := bw.Write(p.points[i].line)
+		pts := p.inOrder()
+		for k := range pts {
+			n, err := bw.Write(pts[k].line)
 			written += int64(n)
 			if err != nil {
 				return 0, 0, err
