@@ -310,97 +310,3 @@ func TestTruncatePartialTailLongTails(t *testing.T) {
 		})
 	}
 }
-
-// TestLoadPointsOutlivesItsBuffers: LoadPoints reads a journal into
-// buffers it reads into again once every line in them has been seen, so
-// nothing it returns may point into them. A journal of several batches and
-// many buffers, every result carrying a string no decoder interns, loads
-// as json.Unmarshal reads it — a result from an early batch would read a
-// later line's bytes if it aliased its buffer — and still reads so after a
-// second load has read other bytes.
-func TestLoadPointsOutlivesItsBuffers(t *testing.T) {
-	st, err := NewDirStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	journal := func(app string) ([]byte, map[int]nocsim.Result) {
-		var file []byte
-		want := map[int]nocsim.Result{}
-		r := nocsim.Result{Scenario: testBase(t)}
-		for i := 0; i < 3*scanBatch+5; i++ {
-			r.Scenario.App = fmt.Sprintf("%s-%d", app, i)
-			r.AvgDelayNs = float64(i) + 0.5
-			line, err := json.Marshal(Record{Index: i, Result: r})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var rec Record
-			if err := json.Unmarshal(line, &rec); err != nil {
-				t.Fatal(err)
-			}
-			want[i] = rec.Result
-			file = append(append(file, line...), '\n')
-		}
-		return file, want
-	}
-	load := func(file []byte) map[int]nocsim.Result {
-		t.Helper()
-		if err := os.WriteFile(st.PointsPath("x"), file, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		have, err := st.LoadPoints("x")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return have
-	}
-	file, want := journal("first")
-	if len(file) < 8*scanChunk {
-		t.Fatalf("a %d-byte journal fills too few buffers", len(file))
-	}
-	first := load(file)
-	if !reflect.DeepEqual(first, want) {
-		t.Fatal("LoadPoints does not return what json.Unmarshal reads")
-	}
-	other, wantOther := journal("second")
-	if second := load(other); !reflect.DeepEqual(second, wantOther) {
-		t.Fatal("the second load does not return what json.Unmarshal reads")
-	}
-	if !reflect.DeepEqual(first, want) {
-		t.Fatal("the first load's results changed under the second load")
-	}
-}
-
-// TestLineReaderReadsIntoReleasedBuffers: with reuse, the reader reads
-// into the buffers it moved on from once they are released, so a file of
-// many buffers' worth passes through two or three of them, and the lines
-// it returns are still the file's bytes.
-func TestLineReaderReadsIntoReleasedBuffers(t *testing.T) {
-	file := bytes.Join(journalLines(t, 3*scanBatch), nil)
-	for _, reuse := range []bool{false, true} {
-		rd := lineReader{r: bytes.NewReader(file), left: int64(len(file)), reuse: reuse}
-		var got []byte
-		bufs := map[*byte]bool{}
-		for n := 1; ; n++ {
-			line, err := rd.line()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if line == nil {
-				break
-			}
-			got = append(got, line...)
-			bufs[&rd.buf[:1][0]] = true
-			if n%20 == 0 {
-				rd.release()
-			}
-		}
-		if !bytes.Equal(got, file) {
-			t.Fatalf("reuse %v: the lines are not the file's bytes", reuse)
-		}
-		chunks := len(file) / scanChunk
-		if reuse && len(bufs) > 3 || !reuse && len(bufs) < chunks {
-			t.Errorf("reuse %v: %d buffers for a file of %d chunks", reuse, len(bufs), chunks)
-		}
-	}
-}

@@ -144,11 +144,10 @@ type Record struct {
 }
 
 // LoadPoints reads a manifest's completed points: every record of the
-// journal, under ScanRecords' one rule for what a record is. It keeps no
-// line, so its scan reads into the same few buffers over and over.
+// journal, under ScanRecords' one rule for what a record is.
 func (st *DirStore) LoadPoints(name string) (map[int]nocsim.Result, error) {
 	have := make(map[int]nocsim.Result)
-	_, err := scanRecords(st.PointsPath(name), 0, true, func(_ []byte, rec *Record) error {
+	_, err := ScanRecords(st.PointsPath(name), 0, func(_ []byte, rec *Record) error {
 		have[rec.Index] = rec.Result
 		return nil
 	})
@@ -308,18 +307,10 @@ type decoded[T any] struct {
 //
 // The file is read into buffers of about scanChunk bytes that are never
 // reused, and the lines are slices of them: a kept line costs no copy,
-// and keeps the rest of its buffer alive. (LoadPoints, which keeps no
-// line, scans through a few buffers it reads into again.) Each batch of
-// scanBatch lines is decoded on up to GOMAXPROCS goroutines: a file is
-// read back at the speed of every core.
+// and keeps the rest of its buffer alive. Each batch of scanBatch lines
+// is decoded on up to GOMAXPROCS goroutines: a file is read back at the
+// speed of every core.
 func ScanRecords[T any](path string, off int64, fn func(line []byte, rec *T) error) (int64, error) {
-	return scanRecords(path, off, false, fn)
-}
-
-// scanRecords is ScanRecords, with fn's line valid during the call only
-// when reuse is set: a buffer whose every line fn has seen is then read
-// into again instead of a new one being allocated (and zeroed).
-func scanRecords[T any](path string, off int64, reuse bool, fn func(line []byte, rec *T) error) (int64, error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return off, nil
@@ -335,7 +326,7 @@ func scanRecords[T any](path string, off int64, reuse bool, fn func(line []byte,
 	if _, err := f.Seek(off, io.SeekStart); err != nil {
 		return off, err
 	}
-	rd := lineReader{r: f, left: info.Size() - off, reuse: reuse}
+	rd := lineReader{r: f, left: info.Size() - off}
 	var lines [][]byte
 	var out []decoded[T]
 	for {
@@ -366,25 +357,19 @@ func scanRecords[T any](path string, off int64, reuse bool, fn func(line []byte,
 			}
 			off += int64(len(line))
 		}
-		rd.release()
 	}
 }
 
 // lineReader splits what r holds into newline-terminated lines without
-// copying them one by one. Without reuse it reads into buffers it never
-// reuses, so a line it returns stays intact for good. With reuse, a
-// buffer it has moved on from is read into again after the next release:
-// a line stays intact until then.
+// copying them one by one: it reads into buffers it never reuses, so a
+// line it returns stays intact for good.
 type lineReader struct {
-	r     io.Reader
-	left  int64  // bytes r held when the scan began and has not yet given
-	buf   []byte // the current buffer: buf[next:] is read and not yet returned
-	next  int
-	seen  int // buf[next:seen] holds no newline
-	eof   bool
-	reuse bool
-	spent [][]byte // buffers moved on from since the last release
-	free  [][]byte // buffers to read into again
+	r    io.Reader
+	left int64  // bytes r held when the scan began and has not yet given
+	buf  []byte // the current buffer: buf[next:] is read and not yet returned
+	next int
+	seen int // buf[next:seen] holds no newline
+	eof  bool
 }
 
 // line returns the next line, newline included, or nil once r holds no
@@ -413,10 +398,8 @@ func (lr *lineReader) line() ([]byte, error) {
 func (lr *lineReader) fill() error {
 	if len(lr.buf) == cap(lr.buf) {
 		rest := lr.buf[lr.next:]
-		buf := append(lr.take(max(2*len(rest)+512, int(min(lr.left+512, scanChunk)))), rest...)
-		if lr.reuse && lr.buf != nil {
-			lr.spent = append(lr.spent, lr.buf)
-		}
+		buf := make([]byte, len(rest), max(2*len(rest)+512, int(min(lr.left+512, scanChunk))))
+		copy(buf, rest)
 		lr.buf, lr.next, lr.seen = buf, 0, len(rest)
 	}
 	n, err := lr.r.Read(lr.buf[len(lr.buf):cap(lr.buf)])
@@ -427,25 +410,6 @@ func (lr *lineReader) fill() error {
 		return nil
 	}
 	return err
-}
-
-// take returns an empty buffer of at least size bytes: a free one if one
-// is large enough, else a new one.
-func (lr *lineReader) take(size int) []byte {
-	for k, b := range lr.free {
-		if cap(b) >= size {
-			lr.free = slices.Delete(lr.free, k, k+1)
-			return b[:0]
-		}
-	}
-	return make([]byte, 0, size)
-}
-
-// release marks every line returned so far as seen: the buffers moved on
-// from may be read into again. Without reuse it does nothing.
-func (lr *lineReader) release() {
-	lr.free = append(lr.free, lr.spent...)
-	lr.spent = lr.spent[:0]
 }
 
 // decodeLines decodes lines[i] into out[i]. The caller decodes too,

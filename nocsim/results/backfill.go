@@ -28,9 +28,6 @@ func (s *Store) ImportJournal(m *manifest.Manifest, points map[int]nocsim.Result
 	slices.Sort(idx)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if p := s.plans[sum]; p != nil { // room for the points not yet stored, if points holds every stored one
-		p.points = slices.Grow(p.points, max(len(points)-len(p.points), 0))
-	}
 	before := s.lines // a point line is written only for a point not yet stored
 	for _, i := range idx {
 		if err = s.addPointLocked(sum, i, points[i], false); err != nil {

@@ -78,9 +78,9 @@ func TestExportEveryLineKind(t *testing.T) {
 	}
 	check := func(s *Store, when string) {
 		t.Helper()
-		pts := s.plans[sum].inOrder()
+		p := s.plans[sum]
 		for i, k := range kinds {
-			if at := pts[i].at; (at > 0) != k.sliced {
+			if at := p.points[i].at; (at > 0) != k.sliced {
 				t.Errorf("%s: %s: Record offset %d, want one: %v", when, k.name, at, k.sliced)
 			}
 		}

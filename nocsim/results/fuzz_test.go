@@ -51,7 +51,7 @@ func FuzzReplay(f *testing.F) {
 	f.Add([]byte("{\"index\":1,\"result\":{\"avg_del\n"), uint16(0xffff))                 // terminated garbage
 	f.Add([]byte("{\"index\":0,\"result\":{}}\n{\"index\":77,\"res"), uint16(0xffff))     // valid duplicate, then torn
 	f.Add(append(bytes.Clone(store[bytes.IndexByte(store, '\n')+1:]), 0), uint16(0xffff)) // every point line again
-	f.Add(overclaim(f), uint16(0xffff))                                                   // a plan of a million points, two of them stored
+	f.Add(overclaim(f, 1), uint16(0xffff))                                                // a plan of a million points, two of them stored
 
 	f.Fuzz(func(t *testing.T, tail []byte, cut uint16) {
 		dir := t.TempDir()

@@ -65,38 +65,37 @@ func (s *Store) Select(q Query) ([]Point, error) {
 	if !ok {
 		return nil, nil // no scenario prints its mesh that way
 	}
-	// Count the hits, then copy them into an output of exactly that size.
-	n := 0
-	s.each(scope, &q, mesh, func(*plan, *point, string) { n++ })
-	if n == 0 {
-		return nil, nil
+	// Collect the hits, then copy their results into an output of exactly
+	// that size: a Result is too large to copy again as out grows.
+	type hit struct {
+		p     *plan
+		pt    *point
+		label string
 	}
-	out := make([]Point, 0, n)
-	s.each(scope, &q, mesh, func(p *plan, pt *point, label string) {
-		out = append(out, Point{Name: p.m.Name, Sum: p.sum, Panel: label, Index: pt.index, Result: pt.r})
-	})
-	return out, nil
-}
-
-// each calls fn with the points of the plans in scope that q matches, in
-// scope order then index order, up to q.Limit of them. Callers hold s.mu.
-func (s *Store) each(scope []string, q *Query, mesh meshDims, fn func(p *plan, pt *point, label string)) {
-	n := 0
+	var hits []hit
+scan:
 	for _, sum := range scope {
 		p := s.plans[sum]
-		pts := p.inOrder()
-		for k := range pts {
-			pt := &pts[k]
+		for k := range p.points {
+			pt := &p.points[k]
 			label := p.label(pt.index)
 			if !q.matches(label, mesh, &pt.r) {
 				continue
 			}
-			fn(p, pt, label)
-			if n++; n == q.Limit {
-				return
+			hits = append(hits, hit{p, pt, label})
+			if q.Limit > 0 && len(hits) >= q.Limit {
+				break scan
 			}
 		}
 	}
+	if len(hits) == 0 {
+		return nil, nil
+	}
+	out := make([]Point, len(hits))
+	for k, h := range hits {
+		out[k] = Point{Name: h.p.m.Name, Sum: h.p.sum, Panel: h.label, Index: h.pt.index, Result: h.pt.r}
+	}
+	return out, nil
 }
 
 // label returns the panel label of global point index i.

@@ -364,6 +364,33 @@ func TestSelectFilters(t *testing.T) {
 	}
 }
 
+// TestSelectLimitSpansPlans: a limit counts the hits of every plan in
+// scope together, in ingest order.
+func TestSelectLimitSpansPlans(t *testing.T) {
+	s := openStore(t, filepath.Join(t.TempDir(), "results.jsonl"))
+	defer s.Close()
+	for _, name := range []string{"fig7", "fig8", "fig9"} {
+		m := testManifest(t, name, 0.1, 0.2) // 6 points
+		sum, err := s.AddManifest(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < m.NumPoints(); i++ {
+			if err := s.AddPoint(sum, i, fakeResult(t, m, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pts, err := s.Select(Query{Limit: 8})
+	if err != nil || len(pts) != 8 {
+		t.Fatalf("Select = (%d points, %v), want 8", len(pts), err)
+	}
+	if pts[5].Name != "fig7" || pts[6].Name != "fig8" || pts[7].Index != 1 {
+		t.Errorf("hits 5–7 are %s/%d, %s/%d, %s/%d; want fig7/5, fig8/0, fig8/1",
+			pts[5].Name, pts[5].Index, pts[6].Name, pts[6].Index, pts[7].Name, pts[7].Index)
+	}
+}
+
 // TestParseQuery pins the HTTP parameter vocabulary, including the
 // rejection of unknown keys.
 func TestParseQuery(t *testing.T) {
@@ -414,23 +441,28 @@ func TestMeshFilterIsItsPrint(t *testing.T) {
 	}
 }
 
-// overclaim returns store lines for a plan whose manifest line, about
-// 11 KB, claims a million points — a thousand policies at a thousand
-// loads — followed by two of them.
-func overclaim(t testing.TB) []byte {
+// overclaim returns store lines for plans plans whose manifest lines,
+// about 11 KB each, claim a million points each — a thousand policies at
+// a thousand loads — followed by two points of the last one.
+func overclaim(t testing.TB, plans int) []byte {
 	t.Helper()
-	m := testManifest(t, "overclaim")
-	g := &m.Panels[0].Grid
-	g.Loads, g.Policies = nil, nil
-	for i := 0; i < 1000; i++ {
-		g.Loads = append(g.Loads, float64(i%9+1)/10)
-		g.Policies = append(g.Policies, nocsim.RMSD)
+	var lines []byte
+	var m *manifest.Manifest
+	var sum string
+	for k := 0; k < plans; k++ {
+		m = testManifest(t, fmt.Sprintf("overclaim-%d", k))
+		g := &m.Panels[0].Grid
+		g.Loads, g.Policies = nil, nil
+		for i := 0; i < 1000; i++ {
+			g.Loads = append(g.Loads, float64(i%9+1)/10)
+			g.Policies = append(g.Policies, nocsim.RMSD)
+		}
+		var err error
+		if sum, err = manifest.Sum(m); err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, recordLine(t, &record{Kind: kindManifest, Sum: sum, Manifest: m})...)
 	}
-	sum, err := manifest.Sum(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := recordLine(t, &record{Kind: kindManifest, Sum: sum, Manifest: m})
 	for _, i := range []int{0, 999_999} {
 		lines = append(lines, recordLine(t, &record{Kind: kindPoint, Sum: sum, Point: &manifest.Record{Index: i, Result: fakeResult(t, m, i)}})...)
 	}
@@ -438,32 +470,38 @@ func overclaim(t testing.TB) []byte {
 }
 
 // TestMemoryFollowsStoredPoints: what opening a store costs follows the
-// points its file holds, not the points its manifest lines claim.
+// points its file holds, not the points its manifest lines claim: it
+// stays within a small multiple of the file's size, for one such line and
+// for many, whose presizes draw on one budget.
 func TestMemoryFollowsStoredPoints(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "results.jsonl")
-	if err := os.WriteFile(path, overclaim(t), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	s, err := OpenReadOnly(path)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plans := s.Plans(); len(plans) != 1 || plans[0].Total != 1_000_000 || plans[0].Done != 2 {
-		t.Fatalf("plans = %+v, want one plan of a million points, two of them stored", plans)
-	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 2<<20 {
-		t.Errorf("opening a 2-point store allocated %d bytes", grew)
+	for _, plans := range []int{1, 100} {
+		path := filepath.Join(t.TempDir(), "results.jsonl")
+		file := overclaim(t, plans)
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := OpenReadOnly(path)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := s.Plans()
+		if len(got) != plans || got[plans-1].Total != 1_000_000 || got[plans-1].Done != 2 {
+			t.Fatalf("%d plans = %+v, want %[1]d plans of a million points, two of the last stored", plans, got)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 2<<20+16*uint64(len(file)) {
+			t.Errorf("opening a 2-point store of %d plans, %d bytes, allocated %d bytes", plans, len(file), grew)
+		}
 	}
 }
 
 // TestOutOfOrderPoints: points a live coordinator stores out of index
 // order read back in index order everywhere — Select, Complete's flat
 // results, ExportJournal, Compact's file — before and after a reopen, and
-// a duplicate of any of them is still acknowledged without a line after
-// the index has been sorted.
+// a duplicate of the first, a middle or the last of them is acknowledged
+// without a line.
 func TestOutOfOrderPoints(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "results.jsonl")
 	m := testManifest(t, "fig7", 0.1, 0.2, 0.3, 0.4) // 12 points
@@ -508,8 +546,10 @@ func TestOutOfOrderPoints(t *testing.T) {
 			t.Fatalf("%s: export is not the journal in index order:\n%s", when, out.Bytes())
 		}
 		size := fileSize(t, path)
-		if err := s.AddPoint(sum, 5, fakeResult(t, m, 0)); err != nil || fileSize(t, path) != size {
-			t.Fatalf("%s: a duplicate after the sort = %v, file %d → %d bytes", when, err, size, fileSize(t, path))
+		for _, i := range []int{0, 5, 11} {
+			if err := s.AddPoint(sum, i, fakeResult(t, m, 0)); err != nil || fileSize(t, path) != size {
+				t.Fatalf("%s: a duplicate of %d = %v, file %d → %d bytes", when, i, err, size, fileSize(t, path))
+			}
 		}
 	}
 	check(s, "after the appends")
@@ -531,7 +571,7 @@ func TestOutOfOrderPoints(t *testing.T) {
 
 	s = openStore(t, path)
 	defer s.Close()
-	if err := s.AddPoint(sum, 6, fakeResult(t, m, 0)); err != nil { // reopened unsorted: a duplicate before the sort
+	if err := s.AddPoint(sum, 6, fakeResult(t, m, 0)); err != nil { // reopened from the out-of-order file
 		t.Fatal(err)
 	}
 	if plans, points, err := s.Compact(); err != nil || plans != 0 || points != 0 {

@@ -14,13 +14,13 @@
 // one per imported plan, and an in-memory index (by plan, by name, by
 // point) rebuilt on open. A point line in the form json.Marshal writes is
 // decoded without reflection (internal/jsonline); any other line goes to
-// json.Unmarshal. A plan holds its points once each, in one slice in the
-// order they were stored — index order for any file a serial run, an
-// import or a Compact wrote, sorted once otherwise — so nothing sorts or
-// copies a result per query beyond what the query returns. The index keeps
-// every record's stored line beside its decoded value, and the way out
-// copies stored bytes instead of encoding again: Compact writes the
-// manifest and point lines as they are, and
+// json.Unmarshal. A plan holds its points once each, in one slice kept in
+// index order: a point after the last one is appended, as every point of
+// a file a serial run, an import or a Compact wrote is, and any other is
+// inserted. Nothing sorts or copies a result per query beyond what the
+// query returns. The index keeps every record's stored line beside its
+// decoded value, and the way out copies stored bytes instead of encoding
+// again: Compact writes the manifest and point lines as they are, and
 // ExportJournal writes the journal Record sliced out of each point line
 // at the offset recorded when the line was decoded or appended — a line
 // the fast path declined has its Record found by matching brackets, and
@@ -40,13 +40,13 @@ package results
 
 import (
 	"bufio"
-	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"slices"
+	"sort"
 	"sync"
 
 	"repro/internal/jsonline"
@@ -111,18 +111,13 @@ const (
 )
 
 // plan is the in-memory index of one ingested manifest. Each stored point
-// is one slot of points, in the order the points were stored; stored holds
-// the stored point indexes, and sorted says that store order is index
-// order. A point stored out of order clears sorted, and the next reader
-// that needs index order sorts the slots once (inOrder).
+// is one slot of points, which are in index order.
 type plan struct {
 	sum    string
 	m      *manifest.Manifest
 	line   []byte // the manifest record's file line, which Compact writes back
 	offs   []int  // panel offsets, for point → panel label resolution
 	points []point
-	stored map[int]struct{}
-	sorted bool
 }
 
 // point is one stored point: its index, its result and the file line
@@ -137,46 +132,54 @@ type point struct {
 }
 
 // minPointLine is fewer bytes than any point line this program writes:
-// the envelope, the sum and the Record's keys alone take more. A plan read
-// from a file presizes its slots for the points its manifest claims, but
-// never for more than the rest of the file could hold at this size — a
-// manifest line can claim a million points over a file that holds two.
-// Points past the presize are appended.
-const minPointLine = 64
+// the envelope and the Result's keys alone take more. A plan read from a
+// file presizes its slots for the points its manifest claims, but all the
+// plans one read meets together never presize more slots than the file's
+// unread bytes could hold at this size — a manifest line can claim a
+// million points over a file that holds two. Points past the presize are
+// appended.
+const minPointLine = 512
 
-// newPlan indexes a manifest record followed by rest more bytes of file.
-func newPlan(sum string, m *manifest.Manifest, line []byte, rest int64) *plan {
-	p := &plan{sum: sum, m: m, line: line, offs: m.Offsets(), sorted: true}
-	room := int(min(int64(p.total()), max(rest, 0)/minPointLine))
-	p.points = make([]point, 0, room)
-	p.stored = make(map[int]struct{}, room)
+// newPlan indexes a manifest record, presizing its slots for the points
+// it claims out of the room (in slots) left, which it reduces by as many.
+func newPlan(sum string, m *manifest.Manifest, line []byte, room *int) *plan {
+	p := &plan{sum: sum, m: m, line: line, offs: m.Offsets()}
+	n := min(p.total(), *room)
+	*room -= n
+	p.points = make([]point, 0, n)
 	return p
 }
 
 // total returns how many points the plan has: m.NumPoints().
 func (p *plan) total() int { return p.offs[len(p.offs)-1] }
 
-// add stores point i unless the plan holds it already: the first result
-// for an index wins, like the journal.
-func (p *plan) add(i int, r *nocsim.Result, line []byte, at int) {
-	if _, ok := p.stored[i]; ok {
-		return
+// find returns where point i is in points, or where it would go, and
+// whether it is there. A point past the last one needs no search.
+func (p *plan) find(i int) (int, bool) {
+	n := len(p.points)
+	if n == 0 || p.points[n-1].index < i {
+		return n, false
 	}
-	if n := len(p.points); n > 0 && p.points[n-1].index > i {
-		p.sorted = false
-	}
-	p.stored[i] = struct{}{}
-	p.points = append(p.points, point{index: i, line: line, at: at, r: *r})
+	k := sort.Search(n, func(k int) bool { return p.points[k].index >= i })
+	return k, p.points[k].index == i
 }
 
-// inOrder returns the plan's points in index order, sorting them first
-// if they were stored out of order. Callers hold s.mu.
-func (p *plan) inOrder() []point {
-	if !p.sorted {
-		slices.SortFunc(p.points, func(a, b point) int { return cmp.Compare(a.index, b.index) })
-		p.sorted = true
+// add stores point i unless the plan holds it already: the first result
+// for an index wins, like the journal. A point before the last one is
+// inserted, moving every slot after it; a coordinator leases the lowest
+// free index first, so a late point is behind only those leased while it
+// ran.
+func (p *plan) add(i int, r *nocsim.Result, line []byte, at int) {
+	k, ok := p.find(i)
+	if ok {
+		return
 	}
-	return p.points
+	pt := point{index: i, line: line, at: at, r: *r}
+	if k == len(p.points) {
+		p.points = append(p.points, pt)
+	} else {
+		p.points = slices.Insert(p.points, k, pt)
+	}
 }
 
 // PlanInfo summarizes one stored plan for listings and the dashboard.
@@ -255,14 +258,12 @@ func newStore(path string, readOnly bool) *Store {
 // next call. Callers hold s.mu (or own the store exclusively, during
 // open).
 func (s *Store) replay() (err error) {
-	var size int64 // what the file held when the scan began: room for points
+	room := 0 // slots the plans this scan meets may presize, together
 	if info, err := os.Stat(s.path); err == nil {
-		size = info.Size()
+		room = int(max(info.Size()-s.off, 0) / minPointLine)
 	}
-	end := s.off // where the line being indexed ends
 	s.off, err = manifest.ScanRecords(s.path, s.off, func(line []byte, rec *scanned) error {
-		end += int64(len(line))
-		return s.indexLocked(line, &rec.record, rec.at, size-end)
+		return s.indexLocked(line, &rec.record, rec.at, &room)
 	})
 	if err != nil {
 		return fmt.Errorf("results: %w", err)
@@ -272,9 +273,9 @@ func (s *Store) replay() (err error) {
 
 // indexLocked folds one record of the file, the line that holds it and
 // the offset of a point's Record in that line (0: unknown) into the
-// in-memory index. A new plan presizes its slots for the points rest more
-// bytes of file can hold (see minPointLine). Callers hold s.mu.
-func (s *Store) indexLocked(line []byte, rec *record, at int, rest int64) error {
+// in-memory index. A new plan presizes its slots out of room (see
+// newPlan). Callers hold s.mu.
+func (s *Store) indexLocked(line []byte, rec *record, at int, room *int) error {
 	switch rec.Kind {
 	case kindManifest:
 		if rec.Manifest == nil || rec.Sum == "" {
@@ -283,7 +284,7 @@ func (s *Store) indexLocked(line []byte, rec *record, at int, rest int64) error 
 		if _, ok := s.plans[rec.Sum]; ok {
 			return nil // re-ingested plan: first registration stands
 		}
-		p := newPlan(rec.Sum, rec.Manifest, line, rest)
+		p := newPlan(rec.Sum, rec.Manifest, line, room)
 		s.plans[rec.Sum] = p
 		s.order = append(s.order, rec.Sum)
 		s.names[p.m.Name] = append(s.names[p.m.Name], rec.Sum)
@@ -333,7 +334,7 @@ func (s *Store) appendLocked(rec *record, sync bool) error {
 		}
 	}
 	s.off += int64(len(line))
-	return s.indexLocked(line, rec, pointPrefix(line, rec.Sum), 0)
+	return s.indexLocked(line, rec, pointPrefix(line, rec.Sum), new(int))
 }
 
 // syncLocked flushes and fsyncs the file. Callers hold s.mu and have
@@ -380,7 +381,7 @@ func (s *Store) addPointLocked(sum string, index int, r nocsim.Result, sync bool
 	if index < 0 || index >= p.total() {
 		return fmt.Errorf("results: plan %s point %d out of range [0, %d)", sum, index, p.total())
 	}
-	if _, ok := p.stored[index]; ok {
+	if _, ok := p.find(index); ok {
 		return nil
 	}
 	return s.appendLocked(&record{Kind: kindPoint, Sum: sum, Point: &manifest.Record{Index: index, Result: r}}, sync)
@@ -461,9 +462,8 @@ func (s *Store) Complete(sum string) (m *manifest.Manifest, flat []nocsim.Result
 		return p.m, nil, done, true
 	}
 	flat = make([]nocsim.Result, done)
-	pts := p.inOrder()
-	for k := range pts {
-		flat[k] = pts[k].r
+	for k := range p.points {
+		flat[k] = p.points[k].r
 	}
 	return p.m, flat, done, true
 }
@@ -483,7 +483,7 @@ func (s *Store) ExportJournal(w io.Writer, sum string) error {
 		s.mu.Unlock()
 		return fmt.Errorf("results: unknown plan %s", sum)
 	}
-	pts := p.inOrder()
+	pts := p.points
 	recs := make([][]byte, len(pts))
 	for k := range pts {
 		pt := &pts[k]
@@ -623,9 +623,8 @@ func (s *Store) Compact() (droppedPlans, droppedPoints int, err error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		pts := p.inOrder()
-		for k := range pts {
-			n, err := bw.Write(pts[k].line)
+		for k := range p.points {
+			n, err := bw.Write(p.points[k].line)
 			written += int64(n)
 			if err != nil {
 				return 0, 0, err
