@@ -45,9 +45,20 @@ func (c *Client) http() *http.Client {
 	return &http.Client{Timeout: 30 * time.Second}
 }
 
+// statusError is a non-2xx reply; its code tells postRetry whether
+// another attempt can succeed.
+type statusError struct {
+	code int
+	err  error
+}
+
+func (e *statusError) Error() string { return e.err.Error() }
+func (e *statusError) Unwrap() error { return e.err }
+
 // do performs one request and decodes the JSON response into out (when
-// non-nil). A 404 maps to ErrUnknownManifest so pollers can tell "not
-// planned yet" from transport failures.
+// non-nil and the reply is not 204 No Content). A 404 maps to
+// ErrUnknownManifest so pollers can tell "not planned yet" from
+// transport failures.
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
 	var rd io.Reader
 	if body != nil {
@@ -72,19 +83,20 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusUnauthorized {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("%w (%s %s: %s)", ErrUnauthorized, method, path, bytes.TrimSpace(msg))
-	}
-	if resp.StatusCode == http.StatusNotFound {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("%w (%s %s: %s)", ErrUnknownManifest, method, path, bytes.TrimSpace(msg))
-	}
 	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("queue: %s %s: %s: %s", method, path, resp.Status, bytes.TrimSpace(msg))
+		msg = bytes.TrimSpace(msg)
+		switch resp.StatusCode {
+		case http.StatusUnauthorized:
+			err = fmt.Errorf("%w (%s %s: %s)", ErrUnauthorized, method, path, msg)
+		case http.StatusNotFound:
+			err = fmt.Errorf("%w (%s %s: %s)", ErrUnknownManifest, method, path, msg)
+		default:
+			err = fmt.Errorf("queue: %s %s: %s: %s", method, path, resp.Status, msg)
+		}
+		return &statusError{resp.StatusCode, err}
 	}
-	if out == nil {
+	if out == nil || resp.StatusCode == http.StatusNoContent {
 		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
@@ -149,6 +161,17 @@ func (c *Client) PostResult(ctx context.Context, req ResultRequest) error {
 // drop on a transient network error, so the post is retried with
 // exponential backoff (attempts tries total) before giving up.
 func (c *Client) PostResultRetry(ctx context.Context, req ResultRequest, attempts int) error {
+	_, err := c.postRetry(ctx, req, attempts)
+	return err
+}
+
+// postRetry is PostResultRetry, returning the lease the reply carries
+// (the zero LeaseResponse for a 204). Only a transport error or a 5xx
+// is retried: a 4xx (wrong credentials, an unknown manifest, a stale
+// plan, an index out of range) would be refused again, and returns at
+// once. A retry of a post the coordinator applied but whose reply was
+// lost is acknowledged as a duplicate and handed the same lease.
+func (c *Client) postRetry(ctx context.Context, req ResultRequest, attempts int) (LeaseResponse, error) {
 	if attempts <= 0 {
 		attempts = 5
 	}
@@ -159,18 +182,20 @@ func (c *Client) PostResultRetry(ctx context.Context, req ResultRequest, attempt
 			select {
 			case <-time.After(backoff):
 			case <-ctx.Done():
-				return ctx.Err()
+				return LeaseResponse{}, ctx.Err()
 			}
 			backoff *= 2
 		}
-		if err = c.PostResult(ctx, req); err == nil {
-			return nil
+		var next LeaseResponse
+		if err = c.do(ctx, http.MethodPost, "/v1/result", req, &next); err == nil {
+			return next, nil
 		}
-		if ctx.Err() != nil || errors.Is(err, ErrUnauthorized) {
-			return err
+		var se *statusError
+		if ctx.Err() != nil || errors.As(err, &se) && se.code < 500 {
+			return LeaseResponse{}, err
 		}
 	}
-	return fmt.Errorf("queue: posting %s point %d failed after %d attempts: %w",
+	return LeaseResponse{}, fmt.Errorf("queue: posting %s point %d failed after %d attempts: %w",
 		req.Name, req.Index, attempts, err)
 }
 

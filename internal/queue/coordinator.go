@@ -3,6 +3,7 @@ package queue
 import (
 	"crypto/subtle"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -100,7 +101,24 @@ func (j *job) ttlLocked(cfg Config) time.Duration {
 type lease struct {
 	worker   string
 	deadline time.Time
+	// carrier is the post whose reply carried this grant (zero for a
+	// grant from Lease): a retry of that post, whose first reply was
+	// lost, is handed this lease again instead of a second one.
+	carrier postRef
 }
+
+// postRef names one posted point.
+type postRef struct {
+	name  string
+	index int
+}
+
+// Post rejections that no retry can mend; the HTTP route answers them
+// with 4xx (see postStatus) so a Client gives up after one attempt.
+var (
+	errStalePlan  = errors.New("queue: result from a stale plan")
+	errIndexRange = errors.New("queue: result index out of range")
+)
 
 // New returns an empty coordinator.
 func New(cfg Config) *Coordinator {
@@ -320,7 +338,12 @@ func (j *job) freeLocked() int {
 func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.cfg.Clock()
+	return c.leaseLocked(req, c.cfg.Clock(), postRef{})
+}
+
+// leaseLocked is Lease under c.mu; a grant remembers the post whose
+// reply carries it (carrier, zero for Lease itself).
+func (c *Coordinator) leaseLocked(req LeaseRequest, now time.Time, carrier postRef) (LeaseResponse, error) {
 	c.met.touchWorkerLocked(req.Worker, now) // every lease request is a heartbeat
 	if c.quiesced {
 		// Draining for shutdown: grant nothing new, and don't claim
@@ -373,7 +396,7 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 				j.firstGrant[i] = now
 			}
 			deadline := now.Add(j.ttlLocked(c.cfg))
-			j.leases[i] = lease{worker: req.Worker, deadline: deadline}
+			j.leases[i] = lease{worker: req.Worker, deadline: deadline, carrier: carrier}
 			return LeaseResponse{Status: StatusLease, Name: name, Index: i, Sum: j.sum, Deadline: deadline}, nil
 		}
 	}
@@ -393,18 +416,36 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 // a concurrent duplicate from writing a second line meanwhile.
 // The post that hands in an adaptive manifest's last point registers
 // its follow-on first; if that fails, nothing is recorded.
+//
+// A rejection no retry can mend wraps ErrUnknownManifest, a stale plan
+// sum or an index out of range; any other error is a journaling
+// failure. req.Next is ignored: only the HTTP route grants a carried
+// lease.
 func (c *Coordinator) PostResult(req ResultRequest) error {
+	req.Next = nil
+	_, err := c.post(req)
+	return err
+}
+
+// post is PostResult, and then, when req.Next is set and the point is
+// recorded (or was already), the poster's next lease, granted under the
+// same lock that records the point. A lease error leaves the reply
+// empty: the post still stands, and the worker asks for its lease
+// alone. A retried post whose first reply was lost is handed the lease
+// that first reply carried, while it stands.
+func (c *Coordinator) post(req ResultRequest) (LeaseResponse, error) {
+	var next LeaseResponse
 	c.mu.Lock()
 	now := c.cfg.Clock()
 	c.met.touchWorkerLocked(req.Worker, now)
 	j, ok := c.jobs[req.Name]
 	if !ok {
 		c.mu.Unlock()
-		return fmt.Errorf("queue: unknown manifest %q", req.Name)
+		return next, fmt.Errorf("%w: %q", ErrUnknownManifest, req.Name)
 	}
 	if req.Index < 0 || req.Index >= j.total {
 		c.mu.Unlock()
-		return fmt.Errorf("queue: %s result index %d out of range [0, %d)", req.Name, req.Index, j.total)
+		return next, fmt.Errorf("%w: %s index %d, want [0, %d)", errIndexRange, req.Name, req.Index, j.total)
 	}
 	if req.Sum != "" && req.Sum != j.sum {
 		// The worker computed against a different plan (a coordinator
@@ -412,19 +453,27 @@ func (c *Coordinator) PostResult(req ResultRequest) error {
 		// journaling it would silently corrupt the tables.
 		c.met.staleRejected++
 		c.mu.Unlock()
-		return fmt.Errorf("queue: %s result computed against plan %s, serving %s; re-lease", req.Name, req.Sum, j.sum)
+		return next, fmt.Errorf("%w: %s result computed against plan %s, serving %s; re-lease", errStalePlan, req.Name, req.Sum, j.sum)
 	}
+	at := postRef{req.Name, req.Index}
 	_, done := j.done[req.Index]
 	if _, pending := j.pending[req.Index]; done || pending {
+		// Duplicate: first result won (or is being journaled).
+		if req.Next != nil {
+			next = c.regrantLocked(req.Worker, at, now)
+			if next.Status == "" {
+				next, _ = c.leaseLocked(*req.Next, now, at)
+			}
+		}
 		c.mu.Unlock()
-		return nil // duplicate: first result won (or is being journaled)
+		return next, nil
 	}
 	if j.m.RefineBudget > 0 && len(j.done)+len(j.pending) == j.total-1 {
 		results := j.resultsLocked() // every other point is in or being journaled
 		results[req.Index] = req.Result
 		if err := c.refineLocked(j, results); err != nil {
 			c.mu.Unlock()
-			return fmt.Errorf("queue: refining %s: %w", req.Name, err)
+			return next, fmt.Errorf("queue: refining %s: %w", req.Name, err)
 		}
 	}
 	j.pending[req.Index] = req.Result
@@ -446,33 +495,50 @@ func (c *Coordinator) PostResult(req ResultRequest) error {
 	}
 
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	delete(j.pending, req.Index)
 	if storeErr != nil {
 		c.met.resultsStoreErrors++
 	}
-	if err == nil {
-		j.done[req.Index] = req.Result
-		delete(j.leases, req.Index)
-		delete(j.expired, req.Index)
-		if t0, ok := j.firstGrant[req.Index]; ok {
-			// First grant to first accepted post: the latency sample that
-			// feeds the adaptive TTL (see the firstGrant field comment).
-			j.lat.observe(now.Sub(t0))
-			delete(j.firstGrant, req.Index)
-		}
-		c.met.completedTotal++
-		c.met.rate.observe(now)
-		if ws := c.met.touchWorkerLocked(req.Worker, now); ws != nil {
-			ws.points++
-		}
-	}
-	c.mu.Unlock()
 	if err != nil {
-		// Not recorded: the lease stands (or expires) and the point will
-		// be posted again.
-		return fmt.Errorf("queue: journaling %s point %d: %w", req.Name, req.Index, err)
+		// Not recorded, and no lease granted: the lease stands (or
+		// expires) and the point will be posted again.
+		return next, fmt.Errorf("queue: journaling %s point %d: %w", req.Name, req.Index, err)
 	}
-	return nil
+	j.done[req.Index] = req.Result
+	delete(j.leases, req.Index)
+	delete(j.expired, req.Index)
+	if t0, ok := j.firstGrant[req.Index]; ok {
+		// First grant to first accepted post: the latency sample that
+		// feeds the adaptive TTL (see the firstGrant field comment).
+		j.lat.observe(now.Sub(t0))
+		delete(j.firstGrant, req.Index)
+	}
+	c.met.completedTotal++
+	c.met.rate.observe(now)
+	if ws := c.met.touchWorkerLocked(req.Worker, now); ws != nil {
+		ws.points++
+	}
+	if req.Next != nil {
+		next, _ = c.leaseLocked(*req.Next, c.cfg.Clock(), at)
+	}
+	return next, nil
+}
+
+// regrantLocked finds the standing lease that the reply to worker's
+// post at carried, the zero LeaseResponse when there is none. Callers
+// hold c.mu.
+func (c *Coordinator) regrantLocked(worker string, at postRef, now time.Time) LeaseResponse {
+	c.pruneLocked(now)
+	for _, name := range c.names {
+		j := c.jobs[name]
+		for i, l := range j.leases {
+			if l.carrier == at && l.worker == worker {
+				return LeaseResponse{Status: StatusLease, Name: name, Index: i, Sum: j.sum, Deadline: l.deadline}
+			}
+		}
+	}
+	return LeaseResponse{}
 }
 
 // Manifest returns a registered manifest by name.
@@ -544,7 +610,7 @@ func (c *Coordinator) Complete() bool {
 //	GET  /v1/manifests           -> {"names": [...]}
 //	GET  /v1/manifest/{name}     -> the manifest JSON (refinements: <name>-refine-<sum>)
 //	POST /v1/lease               -> LeaseRequest -> LeaseResponse
-//	POST /v1/result              -> ResultRequest -> 204
+//	POST /v1/result              -> ResultRequest -> 204 | LeaseResponse (to ResultRequest.Next)
 //	GET  /v1/points/{name}       -> sorted [{index, result}, ...]
 //	GET  /v1/status/{name}       -> Status
 //	GET  /metrics                -> Prometheus text format (see metrics.go)
@@ -585,11 +651,16 @@ func (c *Coordinator) Handler() http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		if err := c.PostResult(req); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
+		next, err := c.post(req)
+		if err != nil {
+			http.Error(w, err.Error(), postStatus(err))
 			return
 		}
-		w.WriteHeader(http.StatusNoContent)
+		if next.Status == "" {
+			w.WriteHeader(http.StatusNoContent)
+			return
+		}
+		writeJSON(w, next)
 	})
 	mux.HandleFunc("GET /v1/points/{name}", func(w http.ResponseWriter, r *http.Request) {
 		have, ok := c.Points(r.PathValue("name"))
@@ -636,6 +707,20 @@ func requireToken(token string, next http.Handler) http.Handler {
 		}
 		next.ServeHTTP(w, r)
 	})
+}
+
+// postStatus is the HTTP status of a rejected post: 4xx for what no
+// retry can mend, 500 for a journaling failure worth retrying.
+func postStatus(err error) int {
+	switch {
+	case errors.Is(err, ErrUnknownManifest):
+		return http.StatusNotFound
+	case errors.Is(err, errStalePlan):
+		return http.StatusConflict
+	case errors.Is(err, errIndexRange):
+		return http.StatusBadRequest
+	}
+	return http.StatusInternalServerError
 }
 
 // maxBody caps a request body: 16 MiB is far beyond any lease or result

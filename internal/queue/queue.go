@@ -13,11 +13,29 @@
 // would, and the final journal is what cmd/figures reassembles tables
 // from.
 //
+// Protocol: a worker asks for its first point with POST /v1/lease and
+// posts each result to POST /v1/result, asking in the same body for its
+// next lease (ResultRequest.Next). The coordinator journals the point,
+// then answers with that LeaseResponse — lease, wait or done — so a
+// steady worker pays one HTTP exchange per point. It goes back to
+// /v1/lease only when a reply carried nothing: after a wait, after a
+// failure, or against a coordinator that predates Next and answers 204.
+// A rejection no retry can mend is a 4xx (404 unknown manifest, 409
+// stale plan, 400 index out of range) and the worker gives up on that
+// post at once; only transport errors and 5xx (a journaling failure)
+// are retried. A post that fails grants no lease.
+//
 // Fault model: a worker that leases a point and dies simply lets the
 // lease expire; the next Lease call re-issues the point. A worker that
 // was only slow and posts after expiry is harmless — the first result
 // for a point wins and duplicates are acknowledged without a second
-// journal line, so every point appears exactly once in the journal. The
+// journal line, so every point appears exactly once in the journal. A
+// post whose reply is lost after the coordinator applied it is retried
+// and acknowledged as a duplicate; the retry is handed the lease the
+// lost reply carried, while that lease stands, so the point it names
+// is neither orphaned until its TTL nor leased twice. (A retry that
+// arrives while the first attempt is still journaling gets a fresh
+// lease, and the first attempt's grant expires unused.) The
 // coordinator caps only the number of outstanding leases; simulation
 // concurrency stays bounded per worker process by its own leaf budget
 // (exp.SetLeafBudget).
@@ -97,6 +115,12 @@ type ResultRequest struct {
 	// (trusted in-process callers).
 	Sum    string        `json:"sum,omitempty"`
 	Result nocsim.Result `json:"result"`
+	// Next, when set, asks for the poster's next lease in the same
+	// exchange: the coordinator answers an accepted post with the
+	// LeaseResponse to Next (200) instead of 204, and answers 204 when
+	// the lease request fails or the coordinator predates the field
+	// (it ignores unknown fields). A rejected post grants nothing.
+	Next *LeaseRequest `json:"next,omitempty"`
 }
 
 // Status reports one manifest's progress.

@@ -127,7 +127,11 @@ func (w *Worker) Run(ctx context.Context) error {
 	return err
 }
 
-// loop is one lease loop: lease, compute, post, repeat.
+// loop is one lease loop: lease, compute, post, repeat. Each post asks
+// for the next lease (ResultRequest.Next), so a drained point costs one
+// HTTP exchange; loop calls /v1/lease only when the reply carried none —
+// for the first point, after a wait or a failure, and against a
+// coordinator that answers the post with 204.
 func (w *Worker) loop(ctx context.Context) error {
 	id := w.id()
 	// consecutive counts coordinator failures of any kind — lease,
@@ -156,16 +160,22 @@ func (w *Worker) loop(ctx context.Context) error {
 		}
 		return false, nil
 	}
+	ask := LeaseRequest{Worker: id, Name: w.Name}
+	var carried LeaseResponse // the lease the last post's reply carried
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		ls, err := w.Client.Lease(ctx, LeaseRequest{Worker: id, Name: w.Name})
-		if err != nil {
-			if stop, err := fail(err); stop {
-				return err
+		ls := carried
+		carried = LeaseResponse{}
+		if ls.Status == "" {
+			var err error
+			if ls, err = w.Client.Lease(ctx, ask); err != nil {
+				if stop, err := fail(err); stop {
+					return err
+				}
+				continue
 			}
-			continue
 		}
 		switch ls.Status {
 		case StatusDone:
@@ -194,9 +204,10 @@ func (w *Worker) loop(ctx context.Context) error {
 				return fmt.Errorf("queue: worker %s: %s point %d: %w", id, ls.Name, ls.Index, err)
 			}
 			r.Meta.PointIndex = ls.Index
-			if err := w.Client.PostResultRetry(ctx, ResultRequest{
-				Worker: id, Name: ls.Name, Index: ls.Index, Sum: ls.Sum, Result: r,
-			}, 0); err != nil {
+			carried, err = w.Client.postRetry(ctx, ResultRequest{
+				Worker: id, Name: ls.Name, Index: ls.Index, Sum: ls.Sum, Result: r, Next: &ask,
+			}, 0)
+			if err != nil {
 				if stop, err := fail(err); stop {
 					return err
 				}
