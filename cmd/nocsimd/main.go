@@ -14,7 +14,10 @@
 //
 //	nocsimd -worker http://127.0.0.1:9090 -workers 8
 //
-// Workers are stateless: kill one mid-run and its leases expire and are
+// A worker renews each lease every third of -lease-ttl while it computes
+// the point, so a lease expires only when its worker stops renewing,
+// however long the point runs. Workers are stateless: kill or freeze one
+// mid-run and its leases expire one TTL after their last renewal and are
 // re-issued; results are bit-identical wherever a point executes, so the
 // tables reassembled from a distributed run match a single-process run
 // byte for byte (cmd/figures -coordinator does the reassembly).
@@ -30,9 +33,7 @@
 // "Authorization: Bearer SECRET" — pass the same flag/env to workers and
 // to figures/report -coordinator. GET /metrics serves Prometheus-format
 // counters (leases outstanding, points/s, re-issued leases, per-worker
-// attribution). Lease deadlines adapt to each manifest's observed point
-// latencies once enough have been seen; -lease-ttl is the fallback until
-// then.
+// attribution).
 package main
 
 import (
@@ -61,7 +62,7 @@ func main() {
 		addr      = flag.String("addr", "127.0.0.1:9090", "serve: listen address")
 		figs      = flag.String("fig", "all", "serve: comma-separated figures to plan and serve — same tokens as cmd/figures -fig (paper numbers or manifest names) or 'all'")
 		resultsDB = flag.String("results", "", "serve: also mirror every plan and accepted point into this results-store file (what cmd/resultsd serves)")
-		leaseTTL  = flag.Duration("lease-ttl", 60*time.Second, "serve: fallback lease time before an unanswered point is re-issued (adapts to observed point latencies once warmed up)")
+		leaseTTL  = flag.Duration("lease-ttl", queue.DefaultLeaseTTL, "serve: how long a lease lives after its grant or last renewal; workers renew every third of it while they compute, so only a worker that stops renewing loses its point")
 		maxLeases = flag.Int("max-leases", 1024, "serve: cap on outstanding leases across all manifests")
 		exitDone  = flag.Bool("exit-when-done", false, "serve: exit once every served manifest (adaptive refinements included) is complete")
 		poll      = flag.Duration("poll", 500*time.Millisecond, "worker: back-off between lease attempts while no point is available")
@@ -230,8 +231,8 @@ func serve(ctx context.Context, cfg serveConfig) error {
 	// really means done — before this, it would mean "planning not
 	// finished, wait for more work".
 	coord.Seal()
-	log.Printf("all %d manifest(s) planned; fallback lease TTL %s (adapts to observed latencies), max %d outstanding leases",
-		len(figs), cfg.leaseTTL, cfg.maxLeases)
+	log.Printf("all %d manifest(s) planned; lease TTL %s (workers renew every %s), max %d outstanding leases",
+		len(figs), cfg.leaseTTL, (cfg.leaseTTL / 3).Round(time.Millisecond), cfg.maxLeases)
 
 	ticker := time.NewTicker(time.Second)
 	defer ticker.Stop()

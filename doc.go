@@ -84,16 +84,17 @@
 //
 //	curl -H "Authorization: Bearer $NOCSIM_TOKEN" http://HOST:9090/metrics
 //
-// Lease deadlines adapt per manifest from observed point latencies
-// (decayed mean + variance, ~3×p95 clamped to [2s, 10m]); the static
-// -lease-ttl only serves until the estimate warms up.
+// A lease lives -lease-ttl (default 10s) and a worker renews it every
+// third of that while it computes the point, so a lease expires only
+// when its worker stops renewing, however long the point runs.
 //
 // Since every point carries its own derived RNG stream, tables
 // reassembled from any mix of local, resumed and remote execution are
 // byte-identical — cmd/figures -coordinator URL and cmd/report
 // -coordinator URL join the computation as one more worker and render
-// from the journal; CI smoke-tests the equivalence with a worker killed
-// mid-run and an unauthenticated worker rejected. See README.md for the
+// from the journal; CI smoke-tests the equivalence with a worker frozen
+// mid-run until its lease is re-issued and an unauthenticated worker
+// rejected. See README.md for the
 // quickstart.
 //
 // # Adaptive sweeps

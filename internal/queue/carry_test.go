@@ -169,39 +169,61 @@ func TestFailedJournalGrantsNoLease(t *testing.T) {
 	}
 }
 
-// stripNext answers like a coordinator that predates ResultRequest.Next:
-// it drops the field from every post before c sees it. It also counts
-// the lease and result requests it passes on.
-type stripNext struct {
-	next          http.Handler
-	mu            sync.Mutex
-	leases, posts int
-	strip         bool
+// stripJSON drops the named top-level fields from a JSON object; other
+// bytes come back unchanged.
+func stripJSON(data []byte, fields ...string) []byte {
+	var obj map[string]json.RawMessage
+	if json.Unmarshal(data, &obj) != nil {
+		return data
+	}
+	for _, f := range fields {
+		delete(obj, f)
+	}
+	out, _ := json.Marshal(obj)
+	return out
 }
 
-func (s *stripNext) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch r.URL.Path {
-	case "/v1/lease":
-		s.mu.Lock()
-		s.leases++
-		s.mu.Unlock()
-	case "/v1/result":
-		s.mu.Lock()
-		s.posts++
-		s.mu.Unlock()
-		if s.strip {
-			var body map[string]json.RawMessage
-			if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			delete(body, "next")
-			data, _ := json.Marshal(body)
-			r.Body = io.NopCloser(bytes.NewReader(data))
-			r.ContentLength = int64(len(data))
-		}
+// oldCoordinator answers like a coordinator that predates both
+// ResultRequest.Next and renewal (when strip is set): it drops next from
+// every post before c sees it and ttl_ns from every lease it hands out.
+// It also counts the requests it passes on, by path.
+type oldCoordinator struct {
+	next  http.Handler
+	strip bool
+	mu    sync.Mutex
+	calls map[string]int
+}
+
+func (s *oldCoordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	s.mu.Lock()
+	s.calls[r.URL.Path]++
+	s.mu.Unlock()
+	if !s.strip {
+		s.next.ServeHTTP(w, r)
+		return
 	}
-	s.next.ServeHTTP(w, r)
+	if r.URL.Path == "/v1/result" {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		data := stripJSON(body, "next")
+		r.Body = io.NopCloser(bytes.NewReader(data))
+		r.ContentLength = int64(len(data))
+	}
+	rec := httptest.NewRecorder()
+	s.next.ServeHTTP(rec, r)
+	relay(w, rec, stripJSON(rec.Body.Bytes(), "ttl_ns"))
+}
+
+// relay writes a recorded reply to w, with body in place of its own.
+func relay(w http.ResponseWriter, rec *httptest.ResponseRecorder, body []byte) {
+	for k, v := range rec.Header() {
+		w.Header()[k] = v
+	}
+	w.WriteHeader(rec.Code)
+	w.Write(body)
 }
 
 // TestWorkerDrainsOldCoordinator: a Worker drains a coordinator that
@@ -209,13 +231,15 @@ func (s *stripNext) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // own, and writes the same journal as against one that carries the
 // lease in the post's reply — which needs one /v1/lease request for the
 // whole drain. Either way each point is posted once: a 204 is an
-// answer, not a reply to retry.
+// answer, not a reply to retry. Its leases carry no TTL, so the worker
+// sends no renewal, while against the current coordinator it renews
+// points that outlast a third of the TTL.
 func TestWorkerDrainsOldCoordinator(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	const points = 3
-	drain := func(strip bool) (journal map[int]nocsim.Result, leases, posts int) {
+	drain := func(strip bool) (journal map[int]nocsim.Result, leases, posts, renewals int) {
 		st, err := manifest.NewDirStore(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
@@ -224,12 +248,14 @@ func TestWorkerDrainsOldCoordinator(t *testing.T) {
 		if err := st.SaveManifest(m); err != nil {
 			t.Fatal(err)
 		}
-		c := New(Config{Store: st})
+		// Each point computes for tens of milliseconds: many renewal
+		// intervals. Nothing else leases, so a late renewal costs nothing.
+		c := New(Config{LeaseTTL: 3 * time.Millisecond, Store: st})
 		if err := c.Add(m, nil); err != nil {
 			t.Fatal(err)
 		}
 		c.Seal()
-		h := &stripNext{next: c.Handler(), strip: strip}
+		h := &oldCoordinator{next: c.Handler(), strip: strip, calls: map[string]int{}}
 		srv := httptest.NewServer(h)
 		defer srv.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -252,10 +278,10 @@ func TestWorkerDrainsOldCoordinator(t *testing.T) {
 			r.Meta.WallTime = 0 // the host's timing, not the point
 			have[i] = r
 		}
-		return have, h.leases, h.posts
+		return have, h.calls["/v1/lease"], h.calls["/v1/result"], h.calls["/v1/renew"]
 	}
-	newJournal, newLeases, newPosts := drain(false)
-	oldJournal, oldLeases, oldPosts := drain(true)
+	newJournal, newLeases, newPosts, newRenewals := drain(false)
+	oldJournal, oldLeases, oldPosts, oldRenewals := drain(true)
 	if newPosts != points || oldPosts != points {
 		t.Errorf("%d and %d result posts (carried lease, old coordinator), want %d each", newPosts, oldPosts, points)
 	}
@@ -267,6 +293,9 @@ func TestWorkerDrainsOldCoordinator(t *testing.T) {
 	}
 	if oldLeases != points+1 {
 		t.Errorf("%d /v1/lease requests against the old coordinator, want %d (one a point, then done)", oldLeases, points+1)
+	}
+	if newRenewals == 0 || oldRenewals != 0 {
+		t.Errorf("%d and %d renewals (current, old coordinator), want some and none", newRenewals, oldRenewals)
 	}
 }
 
@@ -297,17 +326,18 @@ func TestAdaptiveLastPostCarriesChildLease(t *testing.T) {
 	}
 }
 
-// dropFirstResultReply delivers the first /v1/result request and then
-// loses its reply, as a connection cut after the coordinator applied
-// the post would.
-type dropFirstResultReply struct {
+// dropFirstReply delivers the first request to path and then loses its
+// reply, as a connection cut after the coordinator applied the request
+// would.
+type dropFirstReply struct {
+	path    string
 	mu      sync.Mutex
 	dropped bool
 }
 
-func (d *dropFirstResultReply) RoundTrip(r *http.Request) (*http.Response, error) {
+func (d *dropFirstReply) RoundTrip(r *http.Request) (*http.Response, error) {
 	resp, err := http.DefaultTransport.RoundTrip(r)
-	if err != nil || r.URL.Path != "/v1/result" {
+	if err != nil || r.URL.Path != d.path {
 		return resp, err
 	}
 	d.mu.Lock()
@@ -347,7 +377,7 @@ func TestLostReplyRegrantsSameLease(t *testing.T) {
 	if err != nil || ls.Status != StatusLease || ls.Index != 0 {
 		t.Fatalf("first lease = (%+v, %v), want point 0", ls, err)
 	}
-	lossy := &Client{Base: srv.URL, HTTP: &http.Client{Transport: &dropFirstResultReply{}}}
+	lossy := &Client{Base: srv.URL, HTTP: &http.Client{Transport: &dropFirstReply{path: "/v1/result"}}}
 	next, err := lossy.postRetry(ctx, ResultRequest{
 		Worker: "w", Name: "x", Index: 0, Sum: ls.Sum, Result: fakeResult(0), Next: &LeaseRequest{Worker: "w"},
 	}, 0)

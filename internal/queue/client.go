@@ -152,6 +152,12 @@ func (c *Client) Lease(ctx context.Context, req LeaseRequest) (LeaseResponse, er
 	return resp, err
 }
 
+// Renew extends a lease this worker holds (Coordinator.Renew). A lost
+// lease is a *statusError with code 409.
+func (c *Client) Renew(ctx context.Context, req RenewRequest) error {
+	return c.do(ctx, http.MethodPost, "/v1/renew", req, nil)
+}
+
 // PostResult posts one computed point back.
 func (c *Client) PostResult(ctx context.Context, req ResultRequest) error {
 	return c.do(ctx, http.MethodPost, "/v1/result", req, nil)

@@ -18,11 +18,9 @@ import (
 
 // Config tunes a Coordinator.
 type Config struct {
-	// LeaseTTL is how long a worker holds a leased point before it may be
-	// re-issued — but only until the coordinator has observed enough of a
-	// manifest's point latencies to estimate its own TTL (see TTLFloor).
-	// Zero means 60 seconds — generous against full-window simulation
-	// points that take tens of seconds.
+	// LeaseTTL is how long a lease lives after its grant or its last
+	// renewal (Renew); a Worker renews every LeaseTTL/3 while it computes
+	// the point. Zero means DefaultLeaseTTL.
 	LeaseTTL time.Duration
 	// MaxLeases caps the number of outstanding leases across all
 	// manifests; further requests get StatusWait until a lease resolves
@@ -30,12 +28,9 @@ type Config struct {
 	// concurrency knob: how many sims actually run at once is each worker
 	// process's own leaf budget.
 	MaxLeases int
-	// TTLFloor and TTLCeil clamp the adaptive lease TTL the coordinator
-	// derives from observed point latencies (per manifest, decayed
-	// mean + variance; LeaseTTL is the fallback until warmed up). Zero
-	// means 2 seconds and 10 minutes.
-	TTLFloor time.Duration
-	TTLCeil  time.Duration
+	// Deprecated: TTLFloor and TTLCeil are ignored. They bounded the
+	// lease TTL that renewal replaced.
+	TTLFloor, TTLCeil time.Duration
 	// AuthToken, when non-empty, requires every HTTP request — lease,
 	// post, status, metrics, all of them — to carry it as
 	// "Authorization: Bearer <token>"; anything else is answered 401.
@@ -78,24 +73,11 @@ type job struct {
 	pending map[int]nocsim.Result // being journaled right now (c.mu released for the fsync)
 	leases  map[int]lease
 	expired map[int]bool // lease expired; the next grant is a re-issue
-	// firstGrant remembers when each in-flight point was FIRST leased,
-	// surviving expiry and re-issue, so the latency fed to the adaptive
-	// TTL is first-grant to first-accepted-post. Measuring only live
-	// leases would be fatal: a too-short TTL estimate would expire every
-	// slow point's lease before its post, the slow latency would never be
-	// sampled, and the estimate could never recover. Across a re-issue
-	// this overestimates (it includes the dead worker's silence), which
-	// errs toward longer TTLs — the safe direction.
-	firstGrant map[int]time.Time
-	lat        ttlEstimator      // observed point latencies of this manifest
-	journal    *manifest.Journal // nil without a store
-}
-
-// ttlLocked is the TTL a lease granted now would get: adaptive once the
-// manifest's latency estimate has warmed up, the configured fallback
-// before. Callers hold c.mu.
-func (j *job) ttlLocked(cfg Config) time.Duration {
-	return j.lat.ttl(cfg.LeaseTTL, cfg.TTLFloor, cfg.TTLCeil)
+	// next is the lowest index that may be free: every point below it is
+	// done, being journaled or leased. freeLocked advances it; an expired
+	// lease or a failed journal append moves it back.
+	next    int
+	journal *manifest.Journal // nil without a store
 }
 
 type lease struct {
@@ -113,29 +95,21 @@ type postRef struct {
 	index int
 }
 
-// Post rejections that no retry can mend; the HTTP route answers them
-// with 4xx (see postStatus) so a Client gives up after one attempt.
+// Rejections that no retry can mend; the HTTP routes answer them with
+// 4xx (see rejectStatus) so a Client gives up after one attempt.
 var (
 	errStalePlan  = errors.New("queue: result from a stale plan")
-	errIndexRange = errors.New("queue: result index out of range")
+	errIndexRange = errors.New("queue: point index out of range")
+	errLeaseLost  = errors.New("queue: lease lost")
 )
 
 // New returns an empty coordinator.
 func New(cfg Config) *Coordinator {
 	if cfg.LeaseTTL <= 0 {
-		cfg.LeaseTTL = 60 * time.Second
+		cfg.LeaseTTL = DefaultLeaseTTL
 	}
 	if cfg.MaxLeases <= 0 {
 		cfg.MaxLeases = 1024
-	}
-	if cfg.TTLFloor <= 0 {
-		cfg.TTLFloor = 2 * time.Second
-	}
-	if cfg.TTLCeil <= 0 {
-		cfg.TTLCeil = 10 * time.Minute
-	}
-	if cfg.TTLCeil < cfg.TTLFloor {
-		cfg.TTLCeil = cfg.TTLFloor
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
@@ -192,11 +166,9 @@ func (c *Coordinator) refineLocked(j *job, results []nocsim.Result) error {
 			return err
 		}
 	}
-	cj, err := c.registerLocked(child, have)
-	if err != nil {
+	if _, err := c.registerLocked(child, have); err != nil {
 		return err
 	}
-	cj.lat = j.lat // the parent's kind of point: start from its lease TTL, not the cold fallback
 	c.met.followOnTotal++
 	return nil
 }
@@ -233,14 +205,13 @@ func (c *Coordinator) registerLocked(m *manifest.Manifest, have map[int]nocsim.R
 		}
 	}
 	j := &job{
-		m:          m,
-		sum:        sum,
-		total:      m.NumPoints(),
-		done:       map[int]nocsim.Result{},
-		pending:    map[int]nocsim.Result{},
-		leases:     map[int]lease{},
-		expired:    map[int]bool{},
-		firstGrant: map[int]time.Time{},
+		m:       m,
+		sum:     sum,
+		total:   m.NumPoints(),
+		done:    map[int]nocsim.Result{},
+		pending: map[int]nocsim.Result{},
+		leases:  map[int]lease{},
+		expired: map[int]bool{},
 	}
 	for i, r := range have {
 		if i >= 0 && i < j.total {
@@ -309,6 +280,7 @@ func (c *Coordinator) pruneLocked(now time.Time) int {
 			if !l.deadline.After(now) {
 				delete(j.leases, i)
 				j.expired[i] = true
+				j.next = min(j.next, i)
 			}
 		}
 		outstanding += len(j.leases)
@@ -317,9 +289,10 @@ func (c *Coordinator) pruneLocked(now time.Time) int {
 }
 
 // freeLocked returns the lowest free (not done, not being journaled,
-// not leased) index of j, or -1 when none.
+// not leased) index of j, or -1 when none, scanning from j.next.
 func (j *job) freeLocked() int {
-	for i := 0; i < j.total; i++ {
+	for ; j.next < j.total; j.next++ {
+		i := j.next
 		if _, ok := j.done[i]; ok {
 			continue
 		}
@@ -392,12 +365,8 @@ func (c *Coordinator) leaseLocked(req LeaseRequest, now time.Time, carrier postR
 				c.met.reissuedTotal++
 				delete(j.expired, i)
 			}
-			if _, ok := j.firstGrant[i]; !ok {
-				j.firstGrant[i] = now
-			}
-			deadline := now.Add(j.ttlLocked(c.cfg))
-			j.leases[i] = lease{worker: req.Worker, deadline: deadline, carrier: carrier}
-			return LeaseResponse{Status: StatusLease, Name: name, Index: i, Sum: j.sum, Deadline: deadline}, nil
+			j.leases[i] = lease{worker: req.Worker, deadline: now.Add(c.cfg.LeaseTTL), carrier: carrier}
+			return LeaseResponse{Status: StatusLease, Name: name, Index: i, Sum: j.sum, TTL: c.cfg.LeaseTTL}, nil
 		}
 	}
 	// Everything incomplete is leased out; the caller should poll again
@@ -502,18 +471,14 @@ func (c *Coordinator) post(req ResultRequest) (LeaseResponse, error) {
 	}
 	if err != nil {
 		// Not recorded, and no lease granted: the lease stands (or
-		// expires) and the point will be posted again.
+		// expires) and the point will be posted again. Had it expired
+		// already, the point is free from now on.
+		j.next = min(j.next, req.Index)
 		return next, fmt.Errorf("queue: journaling %s point %d: %w", req.Name, req.Index, err)
 	}
 	j.done[req.Index] = req.Result
 	delete(j.leases, req.Index)
 	delete(j.expired, req.Index)
-	if t0, ok := j.firstGrant[req.Index]; ok {
-		// First grant to first accepted post: the latency sample that
-		// feeds the adaptive TTL (see the firstGrant field comment).
-		j.lat.observe(now.Sub(t0))
-		delete(j.firstGrant, req.Index)
-	}
 	c.met.completedTotal++
 	c.met.rate.observe(now)
 	if ws := c.met.touchWorkerLocked(req.Worker, now); ws != nil {
@@ -534,11 +499,37 @@ func (c *Coordinator) regrantLocked(worker string, at postRef, now time.Time) Le
 		j := c.jobs[name]
 		for i, l := range j.leases {
 			if l.carrier == at && l.worker == worker {
-				return LeaseResponse{Status: StatusLease, Name: name, Index: i, Sum: j.sum, Deadline: l.deadline}
+				return LeaseResponse{Status: StatusLease, Name: name, Index: i, Sum: j.sum, TTL: c.cfg.LeaseTTL}
 			}
 		}
 	}
 	return LeaseResponse{}
+}
+
+// Renew extends req.Worker's lease on a point to Config.LeaseTTL from
+// now. Once the worker no longer holds it — it expired, went to another
+// worker, or the point was posted — it fails with errLeaseLost. Unlike
+// Lease it works while quiesced: it grants nothing new.
+func (c *Coordinator) Renew(req RenewRequest) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	now := c.cfg.Clock()
+	c.met.touchWorkerLocked(req.Worker, now)
+	j, ok := c.jobs[req.Name]
+	if !ok {
+		return fmt.Errorf("%w: %q", ErrUnknownManifest, req.Name)
+	}
+	if req.Index < 0 || req.Index >= j.total {
+		return fmt.Errorf("%w: %s index %d, want [0, %d)", errIndexRange, req.Name, req.Index, j.total)
+	}
+	c.pruneLocked(now) // an expired lease is lost, not revived
+	l, ok := j.leases[req.Index]
+	if !ok || l.worker != req.Worker {
+		return fmt.Errorf("%w: %s point %d is not leased to %q", errLeaseLost, req.Name, req.Index, req.Worker)
+	}
+	l.deadline = now.Add(c.cfg.LeaseTTL)
+	j.leases[req.Index] = l
+	return nil
 }
 
 // Manifest returns a registered manifest by name.
@@ -588,7 +579,7 @@ func (c *Coordinator) Status(name string) (Status, bool) {
 		Done:       len(j.done),
 		Leased:     len(j.leases),
 		Complete:   len(j.done) == j.total,
-		TTLSeconds: j.ttlLocked(c.cfg).Seconds(),
+		TTLSeconds: c.cfg.LeaseTTL.Seconds(),
 	}, true
 }
 
@@ -611,6 +602,7 @@ func (c *Coordinator) Complete() bool {
 //	GET  /v1/manifest/{name}     -> the manifest JSON (refinements: <name>-refine-<sum>)
 //	POST /v1/lease               -> LeaseRequest -> LeaseResponse
 //	POST /v1/result              -> ResultRequest -> 204 | LeaseResponse (to ResultRequest.Next)
+//	POST /v1/renew               -> RenewRequest -> 204 | 409 (lease lost)
 //	GET  /v1/points/{name}       -> sorted [{index, result}, ...]
 //	GET  /v1/status/{name}       -> Status
 //	GET  /metrics                -> Prometheus text format (see metrics.go)
@@ -653,7 +645,7 @@ func (c *Coordinator) Handler() http.Handler {
 		}
 		next, err := c.post(req)
 		if err != nil {
-			http.Error(w, err.Error(), postStatus(err))
+			http.Error(w, err.Error(), rejectStatus(err))
 			return
 		}
 		if next.Status == "" {
@@ -661,6 +653,18 @@ func (c *Coordinator) Handler() http.Handler {
 			return
 		}
 		writeJSON(w, next)
+	})
+	mux.HandleFunc("POST /v1/renew", func(w http.ResponseWriter, r *http.Request) {
+		var req RenewRequest
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if err := c.Renew(req); err != nil {
+			http.Error(w, err.Error(), rejectStatus(err))
+			return
+		}
+		w.WriteHeader(http.StatusNoContent)
 	})
 	mux.HandleFunc("GET /v1/points/{name}", func(w http.ResponseWriter, r *http.Request) {
 		have, ok := c.Points(r.PathValue("name"))
@@ -709,13 +713,13 @@ func requireToken(token string, next http.Handler) http.Handler {
 	})
 }
 
-// postStatus is the HTTP status of a rejected post: 4xx for what no
-// retry can mend, 500 for a journaling failure worth retrying.
-func postStatus(err error) int {
+// rejectStatus is the HTTP status of a rejected post or renewal: 4xx for
+// what no retry can mend, 500 for a journaling failure worth retrying.
+func rejectStatus(err error) int {
 	switch {
 	case errors.Is(err, ErrUnknownManifest):
 		return http.StatusNotFound
-	case errors.Is(err, errStalePlan):
+	case errors.Is(err, errStalePlan), errors.Is(err, errLeaseLost):
 		return http.StatusConflict
 	case errors.Is(err, errIndexRange):
 		return http.StatusBadRequest

@@ -31,9 +31,9 @@ func authedCoordinator(t *testing.T, token string) (*Coordinator, *httptest.Serv
 }
 
 // TestAuthRejectsEveryRoute pins the 401 contract: with a token
-// configured, every route — leases, posts, status, manifests, points and
-// /metrics alike — refuses requests with a missing or wrong token and
-// serves requests with the right one.
+// configured, every route — leases, posts, renewals, status, manifests,
+// points and /metrics alike — refuses requests with a missing or wrong
+// token and serves requests with the right one.
 func TestAuthRejectsEveryRoute(t *testing.T) {
 	const token = "s3cret"
 	_, srv := authedCoordinator(t, token)
@@ -45,6 +45,7 @@ func TestAuthRejectsEveryRoute(t *testing.T) {
 		{http.MethodGet, "/v1/manifest/x", ""},
 		{http.MethodPost, "/v1/lease", `{"worker":"w"}`},
 		{http.MethodPost, "/v1/result", `{"worker":"w","name":"x","index":0,"result":{}}`},
+		{http.MethodPost, "/v1/renew", `{"worker":"w","name":"x","index":0}`},
 		{http.MethodGet, "/v1/points/x", ""},
 		{http.MethodGet, "/v1/status/x", ""},
 		{http.MethodGet, "/metrics", ""},
@@ -87,9 +88,9 @@ func TestAuthRejectsEveryRoute(t *testing.T) {
 	}
 }
 
-// TestOversizedBodiesRefused: a lease request or a result posted with a
-// body over the cap is refused with a 4xx before it is decoded, and
-// leaves no lease and no point behind.
+// TestOversizedBodiesRefused: a lease request, a renewal or a result
+// posted with a body over the cap is refused with a 4xx before it is
+// decoded, and leaves no lease and no point behind.
 func TestOversizedBodiesRefused(t *testing.T) {
 	c := New(Config{})
 	if err := c.Add(testManifest(t, "x", 2), nil); err != nil {
@@ -100,6 +101,7 @@ func TestOversizedBodiesRefused(t *testing.T) {
 	for _, rt := range []struct{ path, body string }{
 		{"/v1/lease", `{"worker":"` + pad + `"}`},
 		{"/v1/result", `{"name":"x","index":0,"result":{},"worker":"` + pad + `"}`},
+		{"/v1/renew", `{"name":"x","index":0,"worker":"` + pad + `"}`},
 	} {
 		rec := httptest.NewRecorder()
 		c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, rt.path, strings.NewReader(rt.body)))
@@ -169,184 +171,6 @@ func TestUnauthorizedIsFatal(t *testing.T) {
 
 	if _, err := (&Client{Base: srv.URL}).WaitManifest(ctx, "x", time.Hour); !errors.Is(err, ErrUnauthorized) {
 		t.Fatalf("WaitManifest without token returned %v, want ErrUnauthorized", err)
-	}
-}
-
-// --- adaptive lease TTLs ---
-
-// TestTTLEstimator feeds the estimator deterministic latency streams and
-// checks the granted TTLs: the configured fallback before warmup, then
-// safety × (mean + 2σ) of the observed latencies, clamped at the floor
-// and ceiling.
-func TestTTLEstimator(t *testing.T) {
-	const (
-		fallback = 60 * time.Second
-		floor    = 2 * time.Second
-		ceil     = 10 * time.Minute
-	)
-	t.Run("fallback before warmup", func(t *testing.T) {
-		var e ttlEstimator
-		for i := 0; i < ttlWarmup; i++ {
-			if got := e.ttl(fallback, floor, ceil); got != fallback {
-				t.Fatalf("ttl after %d samples = %s, want fallback %s", i, got, fallback)
-			}
-			e.observe(time.Second)
-		}
-		if got := e.ttl(fallback, floor, ceil); got == fallback {
-			t.Fatalf("ttl after %d samples still the fallback, want adapted", ttlWarmup)
-		}
-	})
-	t.Run("constant latency", func(t *testing.T) {
-		// Constant 1 s latencies: mean 1, variance 0, so the TTL is
-		// exactly safety × 1 s — way below the 60 s static flag.
-		var e ttlEstimator
-		for i := 0; i < ttlWarmup; i++ {
-			e.observe(time.Second)
-		}
-		want := time.Duration(ttlSafety * float64(time.Second))
-		if got := e.ttl(fallback, floor, ceil); got != want {
-			t.Fatalf("ttl for constant 1s latency = %s, want %s", got, want)
-		}
-	})
-	t.Run("clamp at floor", func(t *testing.T) {
-		var e ttlEstimator
-		for i := 0; i < ttlWarmup; i++ {
-			e.observe(100 * time.Millisecond) // 3×0.1s = 0.3s, below the floor
-		}
-		if got := e.ttl(fallback, floor, ceil); got != floor {
-			t.Fatalf("ttl for 100ms latency = %s, want floor %s", got, floor)
-		}
-	})
-	t.Run("clamp at ceiling", func(t *testing.T) {
-		var e ttlEstimator
-		for i := 0; i < ttlWarmup; i++ {
-			e.observe(400 * time.Second) // 3×400s = 1200s, above the ceiling
-		}
-		if got := e.ttl(fallback, floor, ceil); got != ceil {
-			t.Fatalf("ttl for 400s latency = %s, want ceiling %s", got, ceil)
-		}
-	})
-	t.Run("worst latency bounds a mixed manifest", func(t *testing.T) {
-		// Quick warmup, one heavy point, then a long run of quick points:
-		// the EWMA drifts back toward the quick majority, but the TTL must
-		// stay above the (slowly decaying) 30 s witness — the next heavy
-		// point's lease may not expire mid-compute.
-		var e ttlEstimator
-		for i := 0; i < ttlWarmup; i++ {
-			e.observe(time.Second)
-		}
-		e.observe(30 * time.Second)
-		for i := 0; i < 30; i++ {
-			e.observe(time.Second)
-		}
-		got := e.ttl(fallback, floor, ceil)
-		if got < 10*time.Second {
-			t.Fatalf("ttl after quick run-out = %s, want >= 10s (bounded by the 30s witness)", got)
-		}
-		if got >= 30*time.Second {
-			t.Fatalf("ttl after quick run-out = %s, want the witness decayed below 30s", got)
-		}
-	})
-	t.Run("variance widens the ttl", func(t *testing.T) {
-		jittery, steady := ttlEstimator{}, ttlEstimator{}
-		for i := 0; i < 4*ttlWarmup; i++ {
-			steady.observe(10 * time.Second)
-			if i%2 == 0 {
-				jittery.observe(5 * time.Second)
-			} else {
-				jittery.observe(15 * time.Second)
-			}
-		}
-		// Same mean, but the jittery stream must get more headroom.
-		if j, s := jittery.ttl(fallback, floor, ceil), steady.ttl(fallback, floor, ceil); j <= s {
-			t.Fatalf("jittery ttl %s <= steady ttl %s, want wider", j, s)
-		}
-	})
-}
-
-// TestAdaptiveLeaseDeadlines is the coordinator-level acceptance test:
-// lease deadlines start at the static fallback and, once enough point
-// latencies are observed, track safety × observed latency instead of the
-// flag — so a 60 s -lease-ttl turns into ~6 s deadlines on a manifest
-// whose points take 2 s.
-func TestAdaptiveLeaseDeadlines(t *testing.T) {
-	const fallback = 60 * time.Second
-	clock := &fakeClock{now: time.Unix(1000, 0)}
-	c := New(Config{LeaseTTL: fallback, Clock: clock.Now})
-	if err := c.Add(testManifest(t, "x", ttlWarmup+2), nil); err != nil {
-		t.Fatal(err)
-	}
-	c.Seal()
-
-	// Warmup: every point takes exactly 2 s from lease to post.
-	for i := 0; i < ttlWarmup; i++ {
-		ls, err := c.Lease(LeaseRequest{Worker: "w"})
-		if err != nil || ls.Status != StatusLease {
-			t.Fatalf("lease %d = (%+v, %v), want granted", i, ls, err)
-		}
-		if got := ls.Deadline.Sub(clock.Now()); got != fallback {
-			t.Fatalf("pre-warmup lease %d deadline = now+%s, want the static fallback %s", i, got, fallback)
-		}
-		clock.Advance(2 * time.Second)
-		if err := c.PostResult(ResultRequest{Worker: "w", Name: "x", Index: ls.Index, Result: fakeResult(ls.Index)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Post-warmup the deadline must track the observed 2 s latency
-	// (safety × 2 s), not the 60 s flag.
-	want := time.Duration(ttlSafety * 2 * float64(time.Second))
-	ls, err := c.Lease(LeaseRequest{Worker: "w"})
-	if err != nil || ls.Status != StatusLease {
-		t.Fatalf("post-warmup lease = (%+v, %v), want granted", ls, err)
-	}
-	if got := ls.Deadline.Sub(clock.Now()); got != want {
-		t.Fatalf("post-warmup deadline = now+%s, want adapted %s (not the %s flag)", got, want, fallback)
-	}
-	if st, _ := c.Status("x"); st.TTLSeconds != want.Seconds() {
-		t.Fatalf("status ttl_seconds = %g, want %g", st.TTLSeconds, want.Seconds())
-	}
-}
-
-// TestSlowPointStillFeedsEstimator pins the recovery property: a point
-// whose lease expires (and is even re-issued to another worker) before
-// its first post lands still contributes its full first-grant-to-post
-// latency to the estimator. If only live leases were measured, a
-// too-short TTL estimate would expire every slow point's lease before
-// the post, never sample the slow latency, and lock in forever —
-// double-computing exactly the heavy points adaptive TTLs exist to
-// protect.
-func TestSlowPointStillFeedsEstimator(t *testing.T) {
-	clock := &fakeClock{now: time.Unix(1000, 0)}
-	c := New(Config{LeaseTTL: time.Second, Clock: clock.Now}) // far below the real 10 s latency
-	if err := c.Add(testManifest(t, "x", ttlWarmup+1), nil); err != nil {
-		t.Fatal(err)
-	}
-	c.Seal()
-	for i := 0; i < ttlWarmup; i++ {
-		ls, err := c.Lease(LeaseRequest{Worker: "slow"})
-		if err != nil || ls.Status != StatusLease {
-			t.Fatalf("lease %d = (%+v, %v), want granted", i, ls, err)
-		}
-		clock.Advance(2 * time.Second) // the 1 s lease expires mid-compute
-		re, err := c.Lease(LeaseRequest{Worker: "fast"})
-		if err != nil || re.Status != StatusLease || re.Index != ls.Index {
-			t.Fatalf("re-issue %d = (%+v, %v), want point %d again", i, re, err, ls.Index)
-		}
-		clock.Advance(8 * time.Second) // the slow worker finally posts, 10 s after its grant
-		if err := c.PostResult(ResultRequest{Worker: "slow", Name: "x", Index: ls.Index, Result: fakeResult(ls.Index)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Every sample was 10 s first-grant-to-post, so the adapted TTL must
-	// be safety × 10 s — it climbed far above the hopeless 1 s flag.
-	want := time.Duration(ttlSafety * 10 * float64(time.Second))
-	ls, err := c.Lease(LeaseRequest{Worker: "w"})
-	if err != nil || ls.Status != StatusLease {
-		t.Fatalf("post-warmup lease = (%+v, %v), want granted", ls, err)
-	}
-	if got := ls.Deadline.Sub(clock.Now()); got != want {
-		t.Fatalf("post-warmup deadline = now+%s, want %s (learned from expired leases)", got, want)
 	}
 }
 
@@ -437,7 +261,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"nocsim_posts_rejected_stale_total":                      1,
 		`nocsim_manifest_points_total{manifest="x"}`:             3,
 		`nocsim_manifest_points_done{manifest="x"}`:              2,
-		`nocsim_lease_ttl_seconds{manifest="x"}`:                 1, // pre-warmup: the configured fallback
+		`nocsim_lease_ttl_seconds{manifest="x"}`:                 1, // Config.LeaseTTL
 		`nocsim_worker_points_completed_total{worker="w1"}`:      2,
 		`nocsim_worker_points_completed_total{worker="w2"}`:      0,
 		`nocsim_worker_last_seen_timestamp_seconds{worker="w2"}`: 1000, // leased at t0, never seen again

@@ -158,10 +158,10 @@ func (c *Coordinator) renderMetrics(w *bytes.Buffer) {
 	for _, name := range c.names {
 		fmt.Fprintf(w, "nocsim_manifest_points_done{manifest=%s} %d\n", quoteLabel(name), len(c.jobs[name].done))
 	}
-	fmt.Fprintf(w, "# HELP nocsim_lease_ttl_seconds TTL a lease granted now would get: adaptive once warmed up, the configured fallback before.\n")
+	fmt.Fprintf(w, "# HELP nocsim_lease_ttl_seconds How long a lease of the manifest lives after its grant or last renewal; workers renew every third of it.\n")
 	fmt.Fprintf(w, "# TYPE nocsim_lease_ttl_seconds gauge\n")
 	for _, name := range c.names {
-		fmt.Fprintf(w, "nocsim_lease_ttl_seconds{manifest=%s} %g\n", quoteLabel(name), c.jobs[name].ttlLocked(c.cfg).Seconds())
+		fmt.Fprintf(w, "nocsim_lease_ttl_seconds{manifest=%s} %g\n", quoteLabel(name), c.cfg.LeaseTTL.Seconds())
 	}
 
 	ids := make([]string, 0, len(c.met.workers))

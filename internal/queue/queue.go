@@ -25,20 +25,30 @@
 // post at once; only transport errors and 5xx (a journaling failure)
 // are retried. A post that fails grants no lease.
 //
-// Fault model: a worker that leases a point and dies simply lets the
-// lease expire; the next Lease call re-issues the point. A worker that
-// was only slow and posts after expiry is harmless — the first result
-// for a point wins and duplicates are acknowledged without a second
-// journal line, so every point appears exactly once in the journal. A
-// post whose reply is lost after the coordinator applied it is retried
-// and acknowledged as a duplicate; the retry is handed the lease the
-// lost reply carried, while that lease stands, so the point it names
-// is neither orphaned until its TTL nor leased twice. (A retry that
-// arrives while the first attempt is still journaling gets a fresh
-// lease, and the first attempt's grant expires unused.) The
-// coordinator caps only the number of outstanding leases; simulation
-// concurrency stays bounded per worker process by its own leaf budget
-// (exp.SetLeafBudget).
+// Renewal: every grant carries the lease's TTL (Config.LeaseTTL). While
+// nocsim.Run computes the point, the worker renews the lease every TTL/3
+// on its own clock with POST /v1/renew. The coordinator extends a lease
+// only for the worker that holds it and otherwise answers 409 (lease
+// lost), and the worker stops renewing. A grant without a TTL comes from
+// a coordinator that predates renewal, and is not renewed.
+//
+// Fault model: a lease expires one TTL after its last renewal. A point
+// is re-issued only when its worker stops renewing (it died, hung or
+// lost the coordinator), never for running long: every run is bounded
+// by its warm-up cap and measurement window, and the worker renews
+// while it runs. A worker that was only stalled and posts after expiry
+// is harmless — the first result for a point wins and duplicates are
+// acknowledged without a second journal line, so every point appears
+// exactly once in the journal. A post whose reply is lost after the
+// coordinator applied it is retried and acknowledged as a duplicate;
+// the retry is handed the lease the lost reply carried, while that
+// lease stands, so the point it names is neither orphaned until its TTL
+// nor leased twice. (A retry that arrives while the first attempt is
+// still journaling gets a fresh lease, and the first attempt's grant
+// expires unused.) A lost renewal reply is harmless: the next renewal
+// extends the lease again. The coordinator caps only the number of
+// outstanding leases; simulation concurrency stays bounded per worker
+// process by its own leaf budget (exp.SetLeafBudget).
 //
 // The coordinator runs no background goroutines: expired leases are
 // pruned lazily inside each Lease call, so shutting the HTTP server down
@@ -50,12 +60,7 @@
 // /metrics exposes Prometheus-text counters: leases outstanding,
 // completed points and a windowed points/s, re-issued leases, rejected
 // stale posts, and per-worker attribution keyed by the worker id already
-// carried in every lease and post. Lease TTLs adapt per manifest: the
-// coordinator folds each observed lease-to-post latency into a decayed
-// mean/variance and grants deadlines of roughly 3·p95, clamped to
-// [Config.TTLFloor, Config.TTLCeil], so quick points re-issue in seconds
-// while heavy full-window points aren't double-computed; the configured
-// LeaseTTL only serves until the estimate warms up.
+// carried in every lease, renewal and post.
 package queue
 
 import (
@@ -63,6 +68,9 @@ import (
 
 	"repro/nocsim"
 )
+
+// DefaultLeaseTTL is the lease TTL of a Config that sets none.
+const DefaultLeaseTTL = 10 * time.Second
 
 // Lease statuses returned by the coordinator.
 const (
@@ -99,9 +107,17 @@ type LeaseResponse struct {
 	// computing — a coordinator restarted with different options would
 	// otherwise be handed results from a stale plan.
 	Sum string `json:"sum,omitempty"`
-	// Deadline is when the lease expires; a result posted later is still
-	// accepted (first result wins), but the point may be re-issued.
-	Deadline time.Time `json:"deadline,omitzero"`
+	// TTL is how long the lease lives unless renewed (RenewRequest);
+	// zero from a coordinator that predates renewal.
+	TTL time.Duration `json:"ttl_ns,omitempty"`
+}
+
+// RenewRequest extends the requester's lease on one point by the lease
+// TTL. The coordinator answers 204, or 409 once the lease is lost.
+type RenewRequest struct {
+	Worker string `json:"worker"`
+	Name   string `json:"name"`
+	Index  int    `json:"index"`
 }
 
 // ResultRequest posts one computed point back to the coordinator.
@@ -130,8 +146,7 @@ type Status struct {
 	Done     int    `json:"done"`
 	Leased   int    `json:"leased"`
 	Complete bool   `json:"complete"`
-	// TTLSeconds is the lease TTL a point of this manifest would be
-	// granted right now: the adaptive estimate once the coordinator has
-	// observed enough point latencies, the configured fallback before.
+	// TTLSeconds is how long a lease of this manifest lives after its
+	// grant or its last renewal (Config.LeaseTTL).
 	TTLSeconds float64 `json:"ttl_seconds"`
 }

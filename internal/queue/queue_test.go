@@ -26,7 +26,7 @@ func fetchStatus(ctx context.Context, c *Client, name string) (Status, error) {
 // testManifest builds a small manifest whose points never need real
 // simulation in these tests: the coordinator only hands out indices and
 // records whatever results are posted.
-func testManifest(t *testing.T, name string, loads int) *manifest.Manifest {
+func testManifest(t testing.TB, name string, loads int) *manifest.Manifest {
 	t.Helper()
 	base := nocsim.Scenario{Mesh: nocsim.DefaultMesh(), Pattern: "uniform", Quick: true, Seed: 1}.Normalized()
 	base.Calibration = &nocsim.Calibration{SaturationRate: 0.6, LambdaMax: 0.54, TargetDelayNs: 100}
@@ -400,4 +400,51 @@ func TestStalePlanResultRejected(t *testing.T) {
 	if err := c.PostResult(ResultRequest{Worker: "w", Name: "x", Index: ls.Index, Sum: ls.Sum, Result: fakeResult(0)}); err != nil {
 		t.Fatalf("matching-plan result rejected: %v", err)
 	}
+}
+
+// BenchmarkCarriedPosts drains a 20,000-point manifest in process, each
+// post carrying the poster's next lease, and reports the mean cost of a
+// post over the first and the last 5,000 points and their ratio. A
+// grant that scanned the manifest from index 0 made the ratio grow with
+// the manifest; one that resumes from the job's cursor keeps it near 1.
+func BenchmarkCarriedPosts(b *testing.B) {
+	const points, quarter = 20000, 5000
+	m := testManifest(b, "x", points)
+	var first, last time.Duration
+	runs := 0
+	for b.Loop() {
+		c := New(Config{})
+		if err := c.Add(m, nil); err != nil {
+			b.Fatal(err)
+		}
+		c.Seal()
+		ls, err := c.Lease(LeaseRequest{Worker: "w"})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var start time.Time
+		for i := 0; i < points; i++ {
+			if i == 0 || i == points-quarter {
+				start = time.Now()
+			}
+			if ls, err = c.post(ResultRequest{Worker: "w", Name: "x", Index: ls.Index, Sum: ls.Sum,
+				Result: fakeResult(ls.Index), Next: &LeaseRequest{Worker: "w"}}); err != nil {
+				b.Fatal(err)
+			}
+			switch i {
+			case quarter - 1:
+				first += time.Since(start)
+			case points - 1:
+				last += time.Since(start)
+			}
+		}
+		if ls.Status != StatusDone {
+			b.Fatalf("reply to the last post = %+v, want done", ls)
+		}
+		runs++
+	}
+	posts := float64(runs * quarter)
+	b.ReportMetric(float64(first.Nanoseconds())/posts, "first-ns/post")
+	b.ReportMetric(float64(last.Nanoseconds())/posts, "last-ns/post")
+	b.ReportMetric(float64(last)/float64(first), "last/first")
 }

@@ -16,8 +16,9 @@ import (
 
 // TestQuiesceDrainsLeasesButAcceptsPosts pins the graceful-shutdown
 // contract: after Quiesce no new leases are granted (workers are told to
-// wait), but results for already-leased points are still accepted and
-// journaled — nothing a worker paid for is lost to the shutdown.
+// wait), but leases already out are still renewed and their results
+// accepted and journaled — nothing a worker paid for is lost to the
+// shutdown.
 func TestQuiesceDrainsLeasesButAcceptsPosts(t *testing.T) {
 	st, err := manifest.NewDirStore(t.TempDir())
 	if err != nil {
@@ -48,7 +49,11 @@ func TestQuiesceDrainsLeasesButAcceptsPosts(t *testing.T) {
 	if ls2, err := client.Lease(ctx, LeaseRequest{Worker: "w2"}); err != nil || ls2.Status != StatusWait {
 		t.Fatalf("post-quiesce lease = (%+v, %v), want wait", ls2, err)
 	}
-	// The in-flight point still lands, durably.
+	// The in-flight point's lease is still renewed...
+	if err := client.Renew(ctx, RenewRequest{Worker: "w", Name: ls.Name, Index: ls.Index}); err != nil {
+		t.Fatalf("post-quiesce renewal rejected: %v", err)
+	}
+	// ...and the point still lands, durably.
 	if err := client.PostResult(ctx, ResultRequest{Worker: "w", Name: ls.Name, Index: ls.Index, Result: fakeResult(ls.Index)}); err != nil {
 		t.Fatalf("post-quiesce post rejected: %v", err)
 	}

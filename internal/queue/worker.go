@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"sync"
@@ -114,8 +115,8 @@ func (w *Worker) manifest(ctx context.Context, name, sum string) (*manifest.Mani
 
 // Run leases and computes points until the coordinator reports the scope
 // done (returning nil), the context is cancelled, or a point fails.
-// Cancelling ctx mid-point simply abandons the lease — it expires and is
-// re-issued elsewhere, which is the crash story too.
+// Cancelling ctx mid-point simply abandons the lease — renewals stop, it
+// expires and is re-issued elsewhere, which is the crash story too.
 func (w *Worker) Run(ctx context.Context) error {
 	n := w.Workers
 	if n <= 0 {
@@ -134,6 +135,9 @@ func (w *Worker) Run(ctx context.Context) error {
 // coordinator that answers the post with 204.
 func (w *Worker) loop(ctx context.Context) error {
 	id := w.id()
+	keep := &renewer{client: w.Client, ctx: ctx}
+	keep.t = time.AfterFunc(math.MaxInt64, keep.renew) // armed by start
+	defer keep.stop()
 	// consecutive counts coordinator failures of any kind — lease,
 	// manifest fetch, post — and only a fully delivered point resets it,
 	// so a coordinator that answers leases but can never serve the
@@ -196,7 +200,9 @@ func (w *Worker) loop(ctx context.Context) error {
 			if err != nil {
 				return fmt.Errorf("queue: worker %s: %w", id, err)
 			}
+			keep.start(RenewRequest{Worker: id, Name: ls.Name, Index: ls.Index}, ls.TTL)
 			r, err := nocsim.Run(ctx, sc)
+			keep.stop()
 			if err != nil {
 				// A failed simulation is not a coordinator hiccup: the same
 				// point would fail on every worker, so surface it rather
@@ -222,6 +228,52 @@ func (w *Worker) loop(ctx context.Context) error {
 				return err
 			}
 		}
+	}
+}
+
+// renewer renews a lease loop's current lease every TTL/3 from start
+// until stop, or until the coordinator answers that it is lost (any
+// 4xx); after a transport error or a 5xx it tries again next tick. Its
+// one timer is re-armed for each point: renewal allocates nothing per
+// point.
+type renewer struct {
+	client *Client
+	ctx    context.Context
+	t      *time.Timer
+
+	mu    sync.Mutex // held across a renewal, so stop waits for one in flight
+	req   RenewRequest
+	every time.Duration // zero: not renewing
+}
+
+// start renews req every ttl/3 until stop. A zero ttl, from a
+// coordinator that predates renewal, renews nothing.
+func (r *renewer) start(req RenewRequest, ttl time.Duration) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.req, r.every = req, ttl/3; r.every > 0 {
+		r.t.Reset(r.every)
+	}
+}
+
+// stop ends the renewals: once it returns, none is in flight and none
+// follows.
+func (r *renewer) stop() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.every = 0
+	r.t.Stop()
+}
+
+func (r *renewer) renew() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.every == 0 {
+		return // stopped while this tick waited for the lock
+	}
+	var se *statusError
+	if err := r.client.Renew(r.ctx, r.req); !errors.As(err, &se) || se.code >= 500 {
+		r.t.Reset(r.every) // renewed, or worth another try; a lost lease is left to the post
 	}
 }
 
