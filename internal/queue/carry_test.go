@@ -416,3 +416,43 @@ func TestLostReplyRegrantsSameLease(t *testing.T) {
 		t.Fatalf("journal holds %d lines, want one a point: %v", len(lines), lines)
 	}
 }
+
+// TestRegrantedLeaseGetsAFullTTL: a retry late in postRetry's backoff is
+// handed the lease its lost reply carried with a deadline a full TTL from
+// the retry, not from the lost reply: the worker first renews it a third
+// of a TTL after it learns of it, and a lease that expired before then
+// would be computed twice.
+func TestRegrantedLeaseGetsAFullTTL(t *testing.T) {
+	const ttl = 10 * time.Second
+	m := testManifest(t, "x", 4)
+	clock := &fakeClock{now: time.Unix(1000, 0)}
+	c := New(Config{LeaseTTL: ttl, Clock: clock.Now})
+	if err := c.Add(m, nil); err != nil {
+		t.Fatal(err)
+	}
+	c.Seal()
+	srv, client := serve(t, c)
+	ctx := context.Background()
+
+	ls, err := client.Lease(ctx, LeaseRequest{Worker: "w"})
+	if err != nil || ls.Status != StatusLease || ls.Index != 0 {
+		t.Fatalf("first lease = (%+v, %v), want point 0", ls, err)
+	}
+	post := ResultRequest{Worker: "w", Name: "x", Index: 0, Sum: ls.Sum, Result: fakeResult(0), Next: &LeaseRequest{Worker: "w"}}
+	lossy := &Client{Base: srv.URL, HTTP: &http.Client{Transport: &dropFirstReply{path: "/v1/result"}}}
+	if _, err := lossy.postRetry(ctx, post, 1); err == nil {
+		t.Fatal("the post's reply was not lost")
+	}
+	clock.Advance(ttl * 9 / 10)
+	next, err := client.postRetry(ctx, post, 1)
+	if err != nil || next.Status != StatusLease || next.Index != 1 || next.TTL != ttl {
+		t.Fatalf("retried post carried (%+v, %v), want the lost reply's lease on point 1 for %v", next, err, ttl)
+	}
+	clock.Advance(ttl * 2 / 10)
+	if other, err := client.Lease(ctx, LeaseRequest{Worker: "v"}); err != nil || other.Status != StatusLease || other.Index != 2 {
+		t.Fatalf("another worker's lease = (%+v, %v), want point 2: w's regranted lease on point 1 expired", other, err)
+	}
+	if got := scrapeMetrics(t, srv.URL)["nocsim_leases_reissued_total"]; got != 0 {
+		t.Errorf("nocsim_leases_reissued_total = %g, want 0", got)
+	}
+}

@@ -491,14 +491,18 @@ func (c *Coordinator) post(req ResultRequest) (LeaseResponse, error) {
 }
 
 // regrantLocked finds the standing lease that the reply to worker's
-// post at carried, the zero LeaseResponse when there is none. Callers
-// hold c.mu.
+// post at carried, the zero LeaseResponse when there is none, and gives
+// it a full TTL from now, as a fresh grant has: the worker learns of it
+// only now and first renews it a third of a TTL from now. Callers hold
+// c.mu.
 func (c *Coordinator) regrantLocked(worker string, at postRef, now time.Time) LeaseResponse {
 	c.pruneLocked(now)
 	for _, name := range c.names {
 		j := c.jobs[name]
 		for i, l := range j.leases {
 			if l.carrier == at && l.worker == worker {
+				l.deadline = now.Add(c.cfg.LeaseTTL)
+				j.leases[i] = l
 				return LeaseResponse{Status: StatusLease, Name: name, Index: i, Sum: j.sum, TTL: c.cfg.LeaseTTL}
 			}
 		}

@@ -29,27 +29,16 @@ func Calibrate(ctx context.Context, s Scenario) (Calibration, error) {
 	return calibrate(ctx, s)
 }
 
-// calibrate is Calibrate on a normalized, valid scenario.
+// calibrate is Calibrate on a normalized, valid scenario: the reference
+// run's stage on top of the search's.
 func calibrate(ctx context.Context, s Scenario) (Calibration, error) {
-	r, err := s.resolve()
-	if err != nil {
-		return Calibration{}, err
-	}
-	calibrate := func(ctx context.Context) (Calibration, error) {
-		rate, err := findSaturation(ctx, &r)
+	cal, reused, err := runStage(ctx, &calibrations, s, referenceStage(s), func(ctx context.Context, r *resolved) (Calibration, error) {
+		rate, err := findSaturation(ctx, s)
 		if err != nil {
 			return Calibration{}, err
 		}
 		return r.calibrateAt(ctx, rate)
-	}
-	if s.observed() {
-		return calibrate(ctx)
-	}
-	key, err := calibrationKey(s, false)
-	if err != nil {
-		return Calibration{}, err
-	}
-	cal, reused, err := calibrations.do(ctx, key, calibrate)
+	})
 	if reused {
 		calStats.calibrationsReused.Add(1)
 	}
@@ -65,63 +54,76 @@ func FindSaturation(ctx context.Context, s Scenario) (float64, error) {
 	if err := s.Validate(); err != nil {
 		return 0, err
 	}
-	r, err := s.resolve()
-	if err != nil {
-		return 0, err
-	}
-	return findSaturation(ctx, &r)
+	return findSaturation(ctx, s)
 }
 
-// findSaturation is the search level of the calibration memo.
-func findSaturation(ctx context.Context, r *resolved) (float64, error) {
-	search := func(ctx context.Context) (float64, error) {
-		calStats.searches.Add(1)
-		rate, st, err := r.search(ctx)
-		calStats.probesCancelled.Add(int64(st.cancelled))
-		return rate, err
-	}
-	if r.observed() {
-		return search(ctx)
-	}
-	key, err := calibrationKey(r.Scenario, true)
-	if err != nil {
-		return 0, err
-	}
-	rate, reused, err := saturations.do(ctx, key, search)
+// findSaturation is FindSaturation on a normalized, valid scenario: the
+// search's stage.
+func findSaturation(ctx context.Context, s Scenario) (float64, error) {
+	rate, reused, err := runStage(ctx, &saturations, s, searchStage(s), saturationSearch)
 	if reused {
 		calStats.searchesReused.Add(1)
 	}
 	return rate, err
 }
 
+// saturationSearch is the search's stage run; the package's tests swap
+// in a stub that counts its calls.
+var saturationSearch = func(ctx context.Context, r *resolved) (float64, error) {
+	calStats.searches.Add(1)
+	rate, st, err := r.search(ctx)
+	calStats.probesCancelled.Add(int64(st.cancelled))
+	return rate, err
+}
+
+// referenceStage is the reference run's reduction: calibration runs pick
+// their own loads and always run No-DVFS, and a pinned calibration is
+// what the call replaces.
+func referenceStage(s Scenario) Scenario {
+	s.Load, s.Policy, s.Calibration = 0, "", nil
+	s.Workers, s.PacketLog, s.TraceCapture = 0, nil, nil
+	return s
+}
+
+// searchStage is the search's reduction: the reference run's, and the
+// probes set their own windows and never actuate.
+func searchStage(s Scenario) Scenario {
+	s = referenceStage(s)
+	s.ControlPeriod, s.Transient = 0, false
+	return s
+}
+
+// runStage computes one stage of s's calibration: fn on red, the stage's
+// reduction of s (the fields that cannot reach its runs zeroed), resolved
+// and given s's Workers, PacketLog and TraceCapture, which say how it runs
+// but not what it computes. Memo m is keyed by red's JSON form, so key and
+// run cannot disagree, and a field not zeroed, one added later included,
+// is in both: an oversight repeats a search, never reuses a wrong
+// calibration. Observed runs bypass m.
+func runStage[V any](ctx context.Context, m *memo[V], s, red Scenario, fn func(context.Context, *resolved) (V, error)) (V, bool, error) {
+	run := func(ctx context.Context) (V, error) {
+		r, err := red.resolve()
+		if err != nil {
+			return *new(V), err
+		}
+		r.Workers, r.PacketLog, r.TraceCapture = s.Workers, s.PacketLog, s.TraceCapture
+		return fn(ctx, &r)
+	}
+	if s.observed() {
+		val, err := run(ctx)
+		return val, false, err
+	}
+	data, err := json.Marshal(red)
+	if err != nil { // a NaN that slipped past Validate
+		return *new(V), false, fmt.Errorf("nocsim: calibration key: %w", err)
+	}
+	return m.do(ctx, sha256.Sum256(data), run)
+}
+
 // observed reports whether a packet log or trace sink is attached: the
 // scenario's calibration runs then write into it, so they have to happen
 // and a stored result cannot stand in for them.
 func (s Scenario) observed() bool { return s.PacketLog != nil || s.TraceCapture != nil }
-
-// calibrationKey identifies the calibration (or, with search set, just
-// the saturation search) of a normalized scenario: the sha256 of its JSON
-// form with the fields that cannot reach a calibration run zeroed. The
-// list of zeroed fields is deliberately short and everything else — any
-// field added later included — stays in the key, so the failure mode of
-// an oversight is a search repeated, never a wrong calibration reused.
-func calibrationKey(s Scenario, search bool) ([sha256.Size]byte, error) {
-	// Calibration runs pick their own loads and always run No-DVFS; a
-	// pinned calibration is what the call replaces; the worker count never
-	// changes a result.
-	s.Load, s.Policy, s.Calibration, s.Workers = 0, "", nil, 0
-	if search {
-		// The search's probes set their own windows and never actuate
-		// (resolved.search clears both before it builds them); the
-		// reference run of the full calibration keeps the scenario's own.
-		s.ControlPeriod, s.Transient = 0, false
-	}
-	data, err := json.Marshal(s)
-	if err != nil { // a NaN that slipped past Validate
-		return [sha256.Size]byte{}, fmt.Errorf("nocsim: calibration key: %w", err)
-	}
-	return sha256.Sum256(data), nil
-}
 
 // memoEntries bounds each level of the calibration memo. An entry is a
 // key and at most three floats, so the bound only matters to a process

@@ -2,6 +2,7 @@ package nocsim
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -13,28 +14,38 @@ import (
 	"repro/internal/exp"
 )
 
-// Fields of Scenario zeroed out of the calibration key, each with the
-// reason it cannot reach a calibration run. The second list applies to
-// the search key only.
+// The calibration's two stages: each zeroes the Scenario fields on its
+// deny-list, given with the reason the field cannot reach the stage's
+// runs, and keeps every other field in the scenario it runs and hashes.
 var (
-	calKeyDeny = map[string]string{
+	referenceDeny = map[string]string{
 		"Load":        "calibration runs choose their own loads: the search's probes and 0.9 x saturation for the reference run",
 		"Policy":      "every calibration run is No-DVFS at the node clock",
 		"Calibration": "it is the output: Calibrate ignores an attached one and computes afresh",
-		"Workers":     "the determinism contract: results are identical for every worker count",
+		"Workers":     "it says how a stage runs, not what it computes: results are identical for every worker count",
 	}
-	searchKeyDeny = map[string]string{
-		"ControlPeriod": "the search clears it: probes set their own windows and No-DVFS never actuates",
-		"Transient":     "the search clears it: probes set their own windows and read no trace",
+	searchDeny = map[string]string{
+		"ControlPeriod": "probes set their own windows and No-DVFS never actuates",
+		"Transient":     "probes set their own windows and read no trace",
+	}
+	stages = []struct {
+		name   string
+		reduce func(Scenario) Scenario
+		deny   []map[string]string
+	}{
+		{"reference", referenceStage, []map[string]string{referenceDeny}},
+		{"search", searchStage, []map[string]string{referenceDeny, searchDeny}},
 	}
 )
 
 // TestCalibrationKeyCoversEveryField walks Scenario's exported fields by
 // reflection. Starting from a scenario with every field set, zeroing a
-// field, or changing any leaf value under it, must change the key —
-// unless the field is on the deny-list above, in which case it must not.
-// A field added to Scenario later therefore lands in the key unless
-// someone adds it here with an argument for why it cannot matter.
+// field, or changing any leaf value under it, must change the JSON form
+// of each stage's reduction — the scenario the stage runs and the bytes
+// its memo key hashes — unless the field is on the stage's deny-list
+// above, in which case it must not. A field added to Scenario later
+// therefore lands in both unless someone adds it here with an argument
+// for why it cannot matter.
 func TestCalibrationKeyCoversEveryField(t *testing.T) {
 	full := Scenario{
 		Mesh:          Mesh{Width: 6, Height: 7, VCs: 3, BufDepth: 5, PacketSize: 9, Routing: RoutingYX},
@@ -60,11 +71,15 @@ func TestCalibrationKeyCoversEveryField(t *testing.T) {
 		Quick:         true,
 		Workers:       3,
 	}
-	for _, search := range []bool{false, true} {
-		base, err := calibrationKey(full, search)
+	key := func(reduce func(Scenario) Scenario, s Scenario) string {
+		data, err := json.Marshal(reduce(s))
 		if err != nil {
 			t.Fatal(err)
 		}
+		return string(data)
+	}
+	for _, st := range stages {
+		base := key(st.reduce, full)
 		rt := reflect.TypeOf(full)
 		for i := 0; i < rt.NumField(); i++ {
 			f := rt.Field(i)
@@ -75,18 +90,15 @@ func TestCalibrationKeyCoversEveryField(t *testing.T) {
 				t.Errorf("%s: the test's scenario leaves it zero, so it is not covered; set it", f.Name)
 				continue
 			}
-			_, denied := calKeyDeny[f.Name]
-			if _, d := searchKeyDeny[f.Name]; d && search {
-				denied = true
+			denied := false
+			for _, d := range st.deny {
+				_, in := d[f.Name]
+				denied = denied || in
 			}
 			for _, m := range mutations(full, i) {
-				key, err := calibrationKey(m.s, search)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if changed := key != base; changed == denied {
-					t.Errorf("search=%v: %s (%s): key changed = %v, want %v — a field either reaches a calibration run and is in the key, or is on the deny-list with a reason",
-						search, f.Name, m.what, changed, !denied)
+				if changed := key(st.reduce, m.s) != base; changed == denied {
+					t.Errorf("%s stage: %s (%s): key changed = %v, want %v — a field either reaches a calibration run and is in the key, or is on the deny-list with a reason",
+						st.name, f.Name, m.what, changed, !denied)
 				}
 			}
 		}
@@ -172,15 +184,18 @@ func deepCopy(s Scenario) Scenario {
 }
 
 // referenceCalibration is the unmemoized reference: the recipe's search
-// and calibration run called directly, past the memo.
+// and reference run called directly, past the memo, on the scenario as it
+// is — the search with the controller fields cleared, which is the
+// recipe's rule — so it does not lean on the stages' reductions.
 func referenceCalibration(t *testing.T, s Scenario) Calibration {
 	t.Helper()
-	r := mustResolve(t, s)
-	rate, _, err := r.search(context.Background())
+	probe := s
+	probe.ControlPeriod, probe.Transient = 0, false
+	rate, _, err := mustResolve(t, probe).search(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cal, err := r.calibrateAt(context.Background(), rate)
+	cal, err := mustResolve(t, s).calibrateAt(context.Background(), rate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,34 +204,140 @@ func referenceCalibration(t *testing.T, s Scenario) Calibration {
 
 // TestCalibrateMatchesReference: the memoized Calibrate returns the
 // unmemoized recipe's numbers bit for bit — computed, and again reused —
-// across the fabric and traffic families, with quick and full windows.
+// on one fabric of each kind with quick windows. What the memo does with
+// the other fabrics and with full windows, TestMemoKeepsFabricsApart and
+// TestCalibrateRunsTheReferenceStage check through a stub search.
 func TestCalibrateMatchesReference(t *testing.T) {
 	cases := map[string]Scenario{
 		"h264": {App: "h264"},
 	}
 	if !testing.Short() {
 		cases["5x5 uniform"] = Scenario{}
-		cases["4x4 transpose"] = Scenario{Mesh: Mesh{Width: 4, Height: 4}, Pattern: "transpose"}
-		cases["vce"] = Scenario{App: "vce"}
 		cases["faulty links"] = Scenario{FaultyLinks: []string{"6>7", "7>6", "16>17"}}
 		cases["island"] = Scenario{Islands: []Island{{X0: 0, Y0: 0, X1: 2, Y1: 2, Speed: 0.5}}}
 		cases["mmpp"] = Scenario{Source: &SourceSpec{Kind: SourceMMPP, BurstRatio: 4, BurstLen: 64}}
 	}
-	for name, c := range cases {
-		for _, quick := range []bool{true, false} {
-			s := c
-			s.Seed, s.Quick = 3, quick
-			want := referenceCalibration(t, s)
-			for _, pass := range []string{"first call", "repeat"} {
-				got, err := Calibrate(context.Background(), s)
+	// The cases share no memo entry, and each fills the cores the others'
+	// searches leave idle between rounds. The group waits for them, so
+	// the test's own time is theirs.
+	t.Run("kinds", func(t *testing.T) {
+		for name, c := range cases {
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				s := c
+				s.Seed, s.Quick = 3, true
+				want := referenceCalibration(t, s)
+				for _, pass := range []string{"first call", "repeat"} {
+					got, err := Calibrate(context.Background(), s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Errorf("%s: %+v, the reference gives %+v", pass, got, want)
+					}
+				}
+			})
+		}
+	})
+}
+
+// TestMemoKeepsFabricsApart: through a stub search, every fabric and
+// traffic family, with quick and with full windows, is searched once, is
+// handed exactly its search stage's scenario with the caller's worker
+// count beside it, and is then answered from the memo. Two fabrics that
+// differ in the mesh alone are searched apart.
+func TestMemoKeepsFabricsApart(t *testing.T) {
+	fabrics := map[string]Scenario{
+		"5x5 uniform":   {},
+		"4x4 uniform":   {Mesh: Mesh{Width: 4, Height: 4}},
+		"4x4 transpose": {Mesh: Mesh{Width: 4, Height: 4}, Pattern: "transpose"},
+		"h264":          {App: "h264"},
+		"vce":           {App: "vce"},
+		"faulty links":  {FaultyLinks: []string{"6>7", "7>6", "16>17"}},
+		"island":        {Islands: []Island{{X0: 0, Y0: 0, X1: 2, Y1: 2, Speed: 0.5}}},
+		"mmpp":          {Source: &SourceSpec{Kind: SourceMMPP, BurstRatio: 4, BurstLen: 64}},
+	}
+	var given []resolved
+	stubSearch(t, func(r *resolved) float64 {
+		given = append(given, *r)
+		return 0.1 * float64(len(given))
+	})
+	delta := calStatsDelta()
+	rates := map[string]float64{}
+	for _, pass := range []string{"first call", "repeat"} {
+		for name, c := range fabrics {
+			for _, quick := range []bool{true, false} {
+				s := c
+				s.Seed, s.Quick, s.Workers = 3, quick, 2
+				s = s.Normalized()
+				n := len(given)
+				rate, err := FindSaturation(context.Background(), s)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got != want {
-					t.Errorf("%s quick=%v, %s: %+v, the reference gives %+v", name, quick, pass, got, want)
+				id := fmt.Sprintf("%s quick=%v", name, quick)
+				if pass == "repeat" {
+					if len(given) != n || rate != rates[id] {
+						t.Errorf("%s, repeat: %d searches, rate %v; want none, %v from the memo", id, len(given)-n, rate, rates[id])
+					}
+					continue
+				}
+				if len(given) != n+1 {
+					t.Fatalf("%s: %d searches, want 1 of its own", id, len(given)-n)
+				}
+				rates[id] = rate
+				got := given[n].Scenario
+				if got.Workers != s.Workers {
+					t.Errorf("%s: the search ran with %d workers, the caller asked for %d", id, got.Workers, s.Workers)
+				}
+				got.Workers = 0
+				if want := searchStage(s); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: the search was handed\n%+v\nits stage's scenario is\n%+v", id, got, want)
 				}
 			}
 		}
+	}
+	n := int64(2 * len(fabrics))
+	if d := delta(); d[0] != n || d[1] != n || d[2] != 0 {
+		t.Errorf("stats moved by %v, want %d searches run and %d reused", d, n, n)
+	}
+}
+
+// TestCalibrateRunsTheReferenceStage: through a stub search on a cheap
+// fabric, Calibrate returns the reference run on the reference stage's
+// scenario at the searched rate — for quick and for full windows, which
+// are calibrated apart — and a repeat returns it from the memo.
+func TestCalibrateRunsTheReferenceStage(t *testing.T) {
+	stubSearch(t, func(*resolved) float64 { return 0.2 })
+	delta := calStatsDelta()
+	cals := map[bool]Calibration{}
+	for _, quick := range []bool{true, false} {
+		s := cheapFabric()
+		s.Quick, s.Policy, s.Load = quick, DMSD, 0.1
+		r, err := referenceStage(s).resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := r.calibrateAt(context.Background(), 0.2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pass := range []string{"first call", "repeat"} {
+			got, err := Calibrate(context.Background(), s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("quick=%v, %s: %+v, the reference run at the stub's rate gives %+v", quick, pass, got, want)
+			}
+		}
+		cals[quick] = want
+	}
+	if cals[true] == cals[false] {
+		t.Errorf("quick and full windows calibrate alike (%+v): the reference run ignored the windows", cals[true])
+	}
+	if d := delta(); d[0] != 2 || d[1] != 0 || d[2] != 2 {
+		t.Errorf("stats moved by %v, want 2 searches run, 0 reused, 2 calibrations reused", d)
 	}
 }
 
@@ -291,11 +412,13 @@ func TestCalibrateSingleFlight(t *testing.T) {
 	}
 }
 
-// TestSearchSharedAcrossControllerFields: a scenario that differs from a
-// calibrated one only in controller fields runs its own reference point
-// but not its own search, and FindSaturation is answered from the same
-// entry.
+// TestSearchSharedAcrossControllerFields: through a stub search, a
+// scenario that differs from a calibrated one only in controller fields
+// runs its own reference point — the reference run on its own transient
+// windows — but not its own search, and FindSaturation is answered from
+// the same entry.
 func TestSearchSharedAcrossControllerFields(t *testing.T) {
+	stubSearch(t, func(*resolved) float64 { return 0.3 })
 	base := cheapFabric()
 	delta := calStatsDelta()
 	cal, err := Calibrate(context.Background(), base)
@@ -308,16 +431,11 @@ func TestSearchSharedAcrossControllerFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rate, err := FindSaturation(context.Background(), pi)
-	if err != nil {
+	if _, err := FindSaturation(context.Background(), pi); err != nil {
 		t.Fatal(err)
 	}
-	if piCal.SaturationRate != cal.SaturationRate || rate != cal.SaturationRate {
-		t.Errorf("saturation %v (calibrate) / %v (search) with controller fields set, %v without",
-			piCal.SaturationRate, rate, cal.SaturationRate)
-	}
-	if want := referenceCalibration(t, pi); piCal != want {
-		t.Errorf("transient calibration %+v, the reference gives %+v", piCal, want)
+	if want, err := mustResolve(t, pi).calibrateAt(context.Background(), 0.3); err != nil || piCal != want || piCal == cal {
+		t.Errorf("transient calibration %+v, the reference run gives (%+v, %v); want it, and not the baseline's %+v", piCal, want, err, cal)
 	}
 	if d := delta(); d[0] != 1 || d[1] != 2 || d[2] != 0 {
 		t.Errorf("stats moved by %v, want 1 search run, 2 searches reused, 0 calibrations reused", d)
@@ -325,17 +443,22 @@ func TestSearchSharedAcrossControllerFields(t *testing.T) {
 }
 
 // TestObservedScenariosBypassMemo: with a packet log attached the
-// calibration runs write into it, so every call has to run them.
+// calibration runs write into it, so every call has to run them — the
+// stub search and the reference run alike.
 func TestObservedScenariosBypassMemo(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode: runs two saturation searches")
-	}
+	stubSearch(t, func(*resolved) float64 { return 0.3 })
 	s := cheapFabric()
-	s.PacketLog = NewPacketLog(1 << 10)
+	s.PacketLog = NewPacketLog(1 << 16)
 	delta := calStatsDelta()
+	logged := 0
 	for range 2 {
 		if _, err := Calibrate(context.Background(), s); err != nil {
 			t.Fatal(err)
+		}
+		if n := s.PacketLog.Len(); n <= logged {
+			t.Errorf("the packet log holds %d records after a call, %d before: the reference run did not write into it", n, logged)
+		} else {
+			logged = n
 		}
 	}
 	if d := delta(); d[0] != 2 || d[1] != 0 || d[2] != 0 {

@@ -76,10 +76,12 @@
 // Grid.Resolve and Run's auto-calibration share a memo, concurrent
 // callers of one key wait for a single search, and only successes are
 // kept (CalibrationStats counts the reuse). What identifies a calibration
-// is the whole normalized scenario minus Load, Policy, Calibration and
-// Workers; the saturation search alone also ignores ControlPeriod and
-// Transient, so a controller study reuses its fabric's search and runs
-// only its own reference point. Scenarios with a packet log or trace sink
+// is defined once per stage, by the scenario the stage runs and hashes
+// (referenceStage and searchStage in calibrate.go): the whole normalized
+// scenario minus Load, Policy, Calibration and Workers for the reference
+// run, and minus ControlPeriod and Transient as well for the saturation
+// search, so a controller study reuses its fabric's search and runs only
+// its own reference point. Scenarios with a packet log or trace sink
 // attached always run their calibration, since it writes into them.
 //
 // # Set-up

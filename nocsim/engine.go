@@ -245,17 +245,12 @@ type searchStats struct {
 // the same fixed layout. Cancelling ctx aborts the in-flight simulations
 // promptly.
 //
-// The search belongs to the fabric and its traffic, not to the
-// controller: the probes are built with ControlPeriod and Transient
-// cleared (they set their own windows, and a fixed-frequency policy never
-// actuates), so scenarios that differ only in controller fields run the
-// same search and return the same rate.
+// The probes are built from r as it is: the search stage (searchStage in
+// calibrate.go) hands it a scenario with the controller fields cleared.
 func (r *resolved) search(ctx context.Context) (float64, searchStats, error) {
 	if r.trace != nil {
 		return 0, searchStats{}, errors.New("nocsim: saturation search needs load to vary; trace scenarios must carry a pinned calibration")
 	}
-	probe := *r
-	probe.ControlPeriod, probe.Transient = 0, false
 	// maxLoad is the physical injection ceiling: one flit per cycle per
 	// node for synthetic rates; for apps, the speed at which the busiest
 	// node reaches one flit per cycle.
@@ -273,7 +268,7 @@ func (r *resolved) search(ctx context.Context) (float64, searchStats, error) {
 		}
 	}
 	saturatedAt := func(ctx context.Context, rate float64) (bool, error) {
-		p, err := probe.simParams(rate, dvfs.NewNoDVFS(probe.FNodeHz), false, probe.Seed)
+		p, err := r.simParams(rate, dvfs.NewNoDVFS(r.FNodeHz), false, r.Seed)
 		if err != nil {
 			return false, err
 		}

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -27,6 +28,19 @@ func quickScenario() Scenario {
 func goldenCal() Calibration {
 	return Calibration{SaturationRate: 0.42, LambdaMax: 0.378, TargetDelayNs: 150}
 }
+
+// baselineSearch is the unmemoized, serial search of quickScenario(): one
+// run shared by the tests that read that number.
+var baselineSearch = sync.OnceValues(func() (float64, error) {
+	s := quickScenario()
+	s.Workers = 1
+	r, err := s.resolve()
+	if err != nil {
+		return 0, err
+	}
+	rate, _, err := r.search(context.Background())
+	return rate, err
+})
 
 // mustResolve normalizes, validates and resolves the scenario.
 func mustResolve(t *testing.T, s Scenario) *resolved {
@@ -80,7 +94,7 @@ func TestFindSaturationBaseline(t *testing.T) {
 	// The paper reports saturation ≈0.42 for the baseline configuration
 	// (Sec. III). Accept a band around it: exact value depends on
 	// allocator details.
-	sat, _, err := mustResolve(t, quickScenario()).search(context.Background())
+	sat, err := baselineSearch()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +107,11 @@ func TestFindSaturationFewerVCsIsLower(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: saturation search runs tens of simulations")
 	}
-	s := quickScenario()
-	sat8, _, err := mustResolve(t, s).search(context.Background())
+	sat8, err := baselineSearch()
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := quickScenario()
 	s.Mesh.VCs = 2
 	sat2, _, err := mustResolve(t, s).search(context.Background())
 	if err != nil {
@@ -231,12 +245,11 @@ func TestGoldenFindSaturationParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	s := quickScenario()
-	s.Workers = 1
-	serial, _, err := mustResolve(t, s).search(context.Background())
+	serial, err := baselineSearch()
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := quickScenario()
 	s.Workers = 8
 	parallel, _, err := mustResolve(t, s).search(context.Background())
 	if err != nil {

@@ -1,9 +1,14 @@
-package sweep
+package nocsim_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/json"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/sweep"
 	"repro/nocsim"
 )
 
@@ -14,13 +19,22 @@ import (
 // fig8's twelve panels are the default fabric again (vc8, buf4, pkt20,
 // mesh5x5) — so the three plans cost nine searches, not fourteen. The
 // reused calibrations must be the ones a plan would have measured itself.
+//
+// The search is a stub that gives every fabric a rate of its own, so only
+// the reference runs simulate.
 func TestPlansShareCalibrations(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode: plans fig8")
-	}
-	// A seed of its own: the memo is process-wide and other tests plan the
-	// default fabric under the default seed.
-	o := Options{Quick: true, Points: 2, Seed: 8128}
+	var searches atomic.Int64
+	nocsim.StubSearch(t, func(s nocsim.Scenario) float64 {
+		searches.Add(1)
+		s.Workers = 0 // beside the search's scenario, not part of it
+		data, err := json.Marshal(s)
+		if err != nil {
+			t.Error(err)
+		}
+		h := sha256.Sum256(data)
+		return 0.1 + 0.05*float64(binary.BigEndian.Uint16(h[:]))/(1<<16)
+	})
+	o := sweep.Options{Quick: true, Points: 2}
 	counters := func() [3]int64 {
 		searches, searchesReused, calsReused, _ := nocsim.CalibrationStats()
 		return [3]int64{searches, searchesReused, calsReused}
@@ -35,26 +49,29 @@ func TestPlansShareCalibrations(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	baseline, err := Plan(ctx, "baseline", o)
+	baseline, err := sweep.Plan(ctx, "baseline", o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := moved(), [3]int64{1, 0, 0}; got != want {
 		t.Errorf("after baseline: searches run/reused, calibrations reused = %v, want %v", got, want)
 	}
-	pi, err := Plan(ctx, "pi", o)
+	pi, err := sweep.Plan(ctx, "pi", o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := moved(), [3]int64{1, 1, 0}; got != want {
 		t.Errorf("after pi: searches run/reused, calibrations reused = %v, want %v", got, want)
 	}
-	fig8, err := Plan(ctx, "fig8", o)
+	fig8, err := sweep.Plan(ctx, "fig8", o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := moved(), [3]int64{9, 1, 4}; got != want {
 		t.Errorf("after fig8: searches run/reused, calibrations reused = %v, want %v", got, want)
+	}
+	if n := searches.Load(); n != 9 {
+		t.Errorf("the stub searched %d times, want 9", n)
 	}
 
 	base := *baseline.Panels[0].Grid.Base.Calibration

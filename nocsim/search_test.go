@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/dvfs"
+	"repro/internal/sim"
 )
 
 // sequentialSearch is the reference bracket logic: every probe of a round
@@ -150,28 +152,65 @@ func TestProbeRoundStopsProbesAboveTheFirstSaturated(t *testing.T) {
 // TestSearchIgnoresControllerFields: the search belongs to the fabric and
 // its traffic, so the PI-transient scenario (Transient, the paper's
 // control period pinned against the quick shortening) and a gain or level
-// ablation must find the baseline's saturation rate, seed by seed.
+// ablation build the baseline's probes, seed by seed. The PI scenario
+// hands the search exactly what the baseline hands it — the same
+// scenario, fabric and traffic resolved alike — and is answered from the
+// baseline's search; gains and levels stay in the search's key, so an
+// ablation repeats the search but cannot change it.
 func TestSearchIgnoresControllerFields(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode: runs sixteen saturation searches")
-	}
+	ctx := context.Background()
 	for seed := int64(1); seed <= 8; seed++ {
 		base := quickScenario()
 		base.Seed = seed
-		want, _, err := mustResolve(t, base).search(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
 		pi := base
+		pi.Policy, pi.Load = DMSD, 0.3
 		pi.Transient = true
 		pi.ControlPeriod = dvfs.ControlPeriodNodeCycles
-		pi.KI, pi.KP, pi.FreqLevels = 0.05, 0.025, 4
-		got, _, err := mustResolve(t, pi).search(context.Background())
-		if err != nil {
-			t.Fatal(err)
+		ablation := base
+		ablation.KI, ablation.KP, ablation.FreqLevels = 0.05, 0.025, 4
+
+		// What each search is handed: a memo of its own for each, so all
+		// three run.
+		var given [3]resolved
+		for i, s := range []Scenario{base, pi, ablation} {
+			t.Run(fmt.Sprintf("seed=%d/%d", seed, i), func(t *testing.T) {
+				stubSearch(t, func(r *resolved) float64 { given[i] = *r; return 0.4 })
+				if _, err := FindSaturation(ctx, s); err != nil {
+					t.Fatal(err)
+				}
+			})
 		}
-		if got != want {
-			t.Errorf("seed %d: saturation %v with controller fields set, %v without", seed, got, want)
+		if !reflect.DeepEqual(given[0], given[1]) {
+			t.Errorf("seed %d: the search is handed\n%+v\nfor the PI transient,\n%+v\nfor the baseline", seed, given[1].Scenario, given[0].Scenario)
 		}
+		probe := func(r *resolved) sim.Params {
+			p, err := r.simParams(0.3, dvfs.NewNoDVFS(r.FNodeHz), false, r.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Injector.Release()
+			p.Injector = nil
+			return p
+		}
+		want := probe(&given[0])
+		for i, what := range []string{"PI transient", "gain and level ablation"} {
+			if got := probe(&given[i+1]); !reflect.DeepEqual(got, want) {
+				t.Errorf("seed %d: probe parameters\n%+v\nfor the %s,\n%+v\nfor the baseline", seed, got, what, want)
+			}
+		}
+
+		// One memo: the PI transient reuses the baseline's search.
+		t.Run(fmt.Sprintf("seed=%d/shared", seed), func(t *testing.T) {
+			searches := 0
+			stubSearch(t, func(*resolved) float64 { searches++; return 0.4 })
+			for _, s := range []Scenario{base, pi} {
+				if _, err := FindSaturation(ctx, s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if searches != 1 {
+				t.Errorf("seed %d: %d searches for the baseline and its PI transient, want 1", seed, searches)
+			}
+		})
 	}
 }
