@@ -27,7 +27,7 @@
 //	internal/apps     H.264 and VCE multimedia communication graphs (Fig. 9)
 //	internal/volt     28-nm FDSOI F(Vdd) model (Fig. 5)
 //	internal/dvfs     No-DVFS, RMSD, DMSD policies and the PI controller
-//	internal/power    event-energy power model and integrator
+//	internal/power    event-energy power model, priced over a run's (f, V) segments
 //	internal/stats    streaming statistics
 //	internal/sim      the two-clock-domain simulation engine (context-aware)
 //	internal/exp      parallel deterministic experiment runner (worker pool)

@@ -17,6 +17,10 @@
 // flits/node/cycle. All of the paper's findings are power *ratios*
 // (RMSD vs DMSD vs No-DVFS), which depend on the V²F scaling and the
 // activity counts, not on the absolute calibration.
+//
+// A run is priced after it ends, from the constant-(f, V) segments the
+// engine recorded while it stepped (Segment): WindowMW is the one place
+// that turns them into a measurement window's average power.
 package power
 
 import (
@@ -137,57 +141,46 @@ func (m Model) LeakagePower(routers int, v float64) float64 {
 	return float64(routers) * m.PLeakRouter * scale
 }
 
-// Integrator accumulates energy over a simulation with time-varying
-// voltage and frequency. Call Slice once per accounting interval (e.g.
-// per DVFS control period) with the activity delta of that interval.
-type Integrator struct {
-	model   Model
-	routers int
-
-	energyJ float64
-	timeS   float64
-
-	// Per-component energy, for breakdown reporting.
-	switchJ float64
-	clockJ  float64
-	leakJ   float64
+// A Segment is a stretch of a run at one network frequency and supply
+// voltage: the router activity over it and its length in network cycles.
+type Segment struct {
+	Act    noc.RouterActivity
+	Cycles int64
+	V      float64 // volts
+	F      float64 // network frequency, Hz
 }
 
-// NewIntegrator builds an integrator for a network with the given number
-// of routers.
-func NewIntegrator(model Model, routers int) (*Integrator, error) {
-	if err := model.Validate(); err != nil {
-		return nil, err
+// WindowMW prices the segments of a run on a network of routers routers
+// and returns the average power over segs[from:], in milliwatts: the total
+// and its switching, clock and leakage parts. A window that holds no time
+// (from == len(segs)) prices at 0 throughout.
+//
+// The sums run over the whole run, in segment order, and the prefix before
+// from is subtracted, rather than summing the window's segments alone: that
+// is the rounding every pinned result was computed with.
+func (m Model) WindowMW(routers int, segs []Segment, from int) (total, switching, clock, leakage float64) {
+	if from >= len(segs) {
+		return 0, 0, 0, 0
 	}
-	if routers < 1 {
-		return nil, fmt.Errorf("power: %d routers", routers)
+	var energyJ, timeS, switchJ, clockJ, leakJ float64
+	var e0, t0, sw0, ck0, lk0 float64
+	for i, s := range segs {
+		if i == from {
+			e0, t0, sw0, ck0, lk0 = energyJ, timeS, switchJ, clockJ, leakJ
+		}
+		seconds := float64(s.Cycles) / s.F
+		sw := m.ActivityEnergy(s.Act, s.V)
+		ck := m.ClockEnergy(routers, s.Cycles, s.V)
+		lk := m.LeakagePower(routers, s.V) * seconds
+		switchJ += sw
+		clockJ += ck
+		leakJ += lk
+		energyJ += sw + ck + lk
+		timeS += seconds
 	}
-	return &Integrator{model: model, routers: routers}, nil
+	dt := timeS - t0
+	if dt <= 0 {
+		return 0, 0, 0, 0
+	}
+	return (energyJ - e0) / dt * 1e3, (switchJ - sw0) / dt * 1e3, (clockJ - ck0) / dt * 1e3, (leakJ - lk0) / dt * 1e3
 }
-
-// Slice accounts one interval of the simulation: activity delta a, elapsed
-// network cycles, supply voltage v, and elapsed wall time seconds (cycles
-// divided by the interval's network frequency).
-func (i *Integrator) Slice(a noc.RouterActivity, cycles int64, v, seconds float64) {
-	sw := i.model.ActivityEnergy(a, v)
-	ck := i.model.ClockEnergy(i.routers, cycles, v)
-	lk := i.model.LeakagePower(i.routers, v) * seconds
-	i.switchJ += sw
-	i.clockJ += ck
-	i.leakJ += lk
-	i.energyJ += sw + ck + lk
-	i.timeS += seconds
-}
-
-// Components returns the cumulative per-component energies in joules:
-// switching, clock, leakage. Callers snapshot them to compute windowed
-// breakdowns.
-func (i *Integrator) Components() (switchJ, clockJ, leakJ float64) {
-	return i.switchJ, i.clockJ, i.leakJ
-}
-
-// EnergyJ returns the total accumulated energy in joules.
-func (i *Integrator) EnergyJ() float64 { return i.energyJ }
-
-// TimeS returns the total accounted time in seconds.
-func (i *Integrator) TimeS() float64 { return i.timeS }

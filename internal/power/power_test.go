@@ -2,6 +2,8 @@ package power
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -91,19 +93,11 @@ func TestLeakageScaling(t *testing.T) {
 }
 
 // sliceMW prices one constant-(f, v) segment, activity a over cycles
-// network cycles on routers routers, through the integrator as the
-// engine does each control period, and returns its average switching,
+// network cycles on routers routers, and returns its average switching,
 // clock and leakage power in milliwatts.
-func sliceMW(t *testing.T, m Model, a noc.RouterActivity, routers int, cycles int64, f, v float64) (sw, ck, lk float64) {
-	t.Helper()
-	in, err := NewIntegrator(m, routers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seconds := float64(cycles) / f
-	in.Slice(a, cycles, v, seconds)
-	s, c, l := in.Components()
-	return s / seconds * 1e3, c / seconds * 1e3, l / seconds * 1e3
+func sliceMW(m Model, a noc.RouterActivity, routers int, cycles int64, f, v float64) (sw, ck, lk float64) {
+	_, sw, ck, lk = m.WindowMW(routers, []Segment{{Act: a, Cycles: cycles, V: v, F: f}}, 0)
+	return sw, ck, lk
 }
 
 func totalMW(sw, ck, lk float64) float64 { return sw + ck + lk }
@@ -112,7 +106,7 @@ func TestCalibrationIdlePower(t *testing.T) {
 	// At zero load the 5x5 network burns only clock + leakage. The paper's
 	// Fig. 6 No-DVFS curve starts around 50 mW.
 	m := Default28nm()
-	idleMW := totalMW(sliceMW(t, m, noc.RouterActivity{}, 25, 1_000_000, 1e9, 0.9))
+	idleMW := totalMW(sliceMW(m, noc.RouterActivity{}, 25, 1_000_000, 1e9, 0.9))
 	if idleMW < 35 || idleMW > 65 {
 		t.Errorf("idle power = %.1f mW, want ~50 mW", idleMW)
 	}
@@ -137,7 +131,7 @@ func TestCalibrationLoadedPower(t *testing.T) {
 		InjectFlits:    flits,
 		EjectFlits:     flits,
 	}
-	if mw := totalMW(sliceMW(t, m, a, 25, cycles, 1e9, 0.9)); mw < 180 || mw > 280 {
+	if mw := totalMW(sliceMW(m, a, 25, cycles, 1e9, 0.9)); mw < 180 || mw > 280 {
 		t.Errorf("0.4-load power = %.1f mW, want ~230 mW (Fig. 6 envelope)", mw)
 	}
 }
@@ -160,64 +154,162 @@ func TestDVFSPowerRatioMatchesPaper(t *testing.T) {
 			EjectFlits:     int64(float64(flits) * scale),
 		}
 	}
-	full := totalMW(sliceMW(t, m, mk(1), 25, cycles, 1e9, 0.9))
+	full := totalMW(sliceMW(m, mk(1), 25, cycles, 1e9, 0.9))
 	// RMSD at the same wall time: fewer cycles at 529 MHz, same flits.
 	fR := 529e6
 	cyclesR := int64(float64(cycles) * fR / 1e9)
-	rmsd := totalMW(sliceMW(t, m, mk(1), 25, cyclesR, fR, 0.66))
+	rmsd := totalMW(sliceMW(m, mk(1), 25, cyclesR, fR, 0.66))
 	if ratio := full / rmsd; ratio < 1.7 || ratio > 2.8 {
 		t.Errorf("No-DVFS/RMSD power ratio = %.2f, paper reports ~2.2", ratio)
 	}
 }
 
 func TestSteadyStateZeroCycles(t *testing.T) {
-	// A segment of no cycles and no time adds nothing: the engine closes
-	// one at every frequency change, however short.
-	in, err := NewIntegrator(Default28nm(), 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in.Slice(noc.RouterActivity{}, 0, 0.9, 0)
-	sw, ck, lk := in.Components()
-	if in.EnergyJ() != 0 || in.TimeS() != 0 || sw != 0 || ck != 0 || lk != 0 {
-		t.Errorf("zero-cycle slice added energy %g J over %g s", in.EnergyJ(), in.TimeS())
-	}
-}
-
-func TestIntegrator(t *testing.T) {
+	// A segment of no cycles and no time adds nothing, wherever it sits.
 	m := Default28nm()
-	in, err := NewIntegrator(m, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if in.EnergyJ() != 0 || in.TimeS() != 0 {
-		t.Error("fresh integrator has accounted energy")
-	}
 	a := noc.RouterActivity{BufWrites: 1000, BufReads: 1000, XbarTraversals: 1000}
-	in.Slice(a, 10000, 0.9, 10e-6)
-	in.Slice(a, 10000, 0.56, 30e-6)
-	if in.TimeS() != 40e-6 {
-		t.Errorf("TimeS = %g, want 40 µs", in.TimeS())
-	}
-	wantE := m.ActivityEnergy(a, 0.9) + m.ClockEnergy(25, 10000, 0.9) + m.LeakagePower(25, 0.9)*10e-6 +
-		m.ActivityEnergy(a, 0.56) + m.ClockEnergy(25, 10000, 0.56) + m.LeakagePower(25, 0.56)*30e-6
-	if math.Abs(in.EnergyJ()-wantE)/wantE > 1e-12 {
-		t.Errorf("EnergyJ = %g, want %g", in.EnergyJ(), wantE)
-	}
-	sw, ck, lk := in.Components()
-	if got := sw + ck + lk; math.Abs(got-wantE)/wantE > 1e-12 {
-		t.Errorf("components sum to %g J, want %g", got, wantE)
+	segs := []Segment{{Act: a, Cycles: 10000, V: 0.9, F: 1e9}, {Act: a, Cycles: 20000, V: 0.7, F: 6e8}}
+	zero := Segment{V: 0.56, F: 3e8}
+	for from := 0; from <= len(segs); from++ {
+		for at := 0; at <= len(segs); at++ {
+			with := slices.Insert(slices.Clone(segs), at, zero)
+			wFrom := from
+			if at < from {
+				wFrom++
+			}
+			t1, s1, c1, l1 := m.WindowMW(25, segs, from)
+			t2, s2, c2, l2 := m.WindowMW(25, with, wFrom)
+			if t1 != t2 || s1 != s2 || c1 != c2 || l1 != l2 {
+				t.Errorf("window from %d, zero segment at %d: %g %g %g %g, want %g %g %g %g", from, at, t2, s2, c2, l2, t1, s1, c1, l1)
+			}
+		}
 	}
 }
 
-func TestNewIntegratorValidation(t *testing.T) {
-	if _, err := NewIntegrator(Default28nm(), 0); err == nil {
-		t.Error("accepted zero routers")
+func TestWindowMW(t *testing.T) {
+	m := Default28nm()
+	a := noc.RouterActivity{BufWrites: 1000, BufReads: 1000, XbarTraversals: 1000}
+	warm := Segment{Act: a, Cycles: 5000, V: 0.75, F: 5e8}
+	segs := []Segment{warm, {Act: a, Cycles: 10000, V: 0.9, F: 1e9}, {Act: a, Cycles: 10000, V: 0.56, F: 1e9 / 3}}
+	total, sw, ck, lk := m.WindowMW(25, segs, 1)
+	const window = 40e-6 // 10 µs at 1 GHz, then 30 µs at 333 MHz
+	wantSw := (m.ActivityEnergy(a, 0.9) + m.ActivityEnergy(a, 0.56)) / window * 1e3
+	wantCk := (m.ClockEnergy(25, 10000, 0.9) + m.ClockEnergy(25, 10000, 0.56)) / window * 1e3
+	wantLk := (m.LeakagePower(25, 0.9)*10e-6 + m.LeakagePower(25, 0.56)*30e-6) / window * 1e3
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"total", total, wantSw + wantCk + wantLk},
+		{"switching", sw, wantSw}, {"clock", ck, wantCk}, {"leakage", lk, wantLk},
+	} {
+		if math.Abs(c.got-c.want)/c.want > 1e-9 {
+			t.Errorf("%s = %g mW, want %g", c.name, c.got, c.want)
+		}
 	}
-	bad := Default28nm()
-	bad.VNom = -1
-	if _, err := NewIntegrator(bad, 25); err == nil {
-		t.Error("accepted invalid model")
+}
+
+// refIntegrator is the accumulation the engine ran while it stepped before
+// energy was priced after the run: one Slice per closed segment, with the
+// sums snapshotted when the measurement window opened. WindowMW must
+// reproduce its window averages bit for bit.
+type refIntegrator struct {
+	model   Model
+	routers int
+
+	energyJ, timeS         float64
+	switchJ, clockJ, leakJ float64
+}
+
+func (i *refIntegrator) Slice(a noc.RouterActivity, cycles int64, v, seconds float64) {
+	sw := i.model.ActivityEnergy(a, v)
+	ck := i.model.ClockEnergy(i.routers, cycles, v)
+	lk := i.model.LeakagePower(i.routers, v) * seconds
+	i.switchJ += sw
+	i.clockJ += ck
+	i.leakJ += lk
+	i.energyJ += sw + ck + lk
+	i.timeS += seconds
+}
+
+// refWindowMW prices segs[from:] the way the engine did with the
+// integrator: the sums are snapshotted when the window opens, before
+// segment from, and subtracted at the end.
+func refWindowMW(m Model, routers int, segs []Segment, from int) (total, sw, ck, lk float64) {
+	in := &refIntegrator{model: m, routers: routers}
+	var start refIntegrator
+	for i, s := range segs {
+		if i == from {
+			start = *in
+		}
+		in.Slice(s.Act, s.Cycles, s.V, float64(s.Cycles)/s.F)
+	}
+	if from == len(segs) {
+		start = *in
+	}
+	if dt := in.timeS - start.timeS; dt > 0 {
+		total = (in.energyJ - start.energyJ) / dt * 1e3
+		sw = (in.switchJ - start.switchJ) / dt * 1e3
+		ck = (in.clockJ - start.clockJ) / dt * 1e3
+		lk = (in.leakJ - start.leakJ) / dt * 1e3
+	}
+	return total, sw, ck, lk
+}
+
+// TestWindowMWMatchesIntegrator: for random runs of 0–200 segments, the
+// window opening anywhere, V in [0.56, 0.9] and up to 1e5 cycles a
+// segment, WindowMW equals the step-time accumulation bit for bit.
+func TestWindowMWMatchesIntegrator(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261019))
+	m := Default28nm()
+	cases := 2000
+	if testing.Short() {
+		cases = 200
+	}
+	for c := 0; c < cases; c++ {
+		segs := make([]Segment, rng.Intn(201))
+		for i := range segs {
+			cycles := 1 + rng.Int63n(100_000)
+			act := func(perCycle int64) int64 { return rng.Int63n(cycles*perCycle + 1) }
+			segs[i] = Segment{
+				Act: noc.RouterActivity{
+					BufWrites: act(100), BufReads: act(100), XbarTraversals: act(100),
+					VCAllocs: act(5), SAAllocs: act(100), LinkFlits: act(80),
+					EjectFlits: act(25), InjectFlits: act(25),
+				},
+				Cycles: cycles,
+				V:      0.56 + (0.9-0.56)*rng.Float64(),
+				F:      1e8 + 9e8*rng.Float64(),
+			}
+		}
+		routers := 1 + rng.Intn(64)
+		from := rng.Intn(len(segs) + 1)
+		t1, s1, c1, l1 := m.WindowMW(routers, segs, from)
+		t2, s2, c2, l2 := refWindowMW(m, routers, segs, from)
+		if t1 != t2 || s1 != s2 || c1 != c2 || l1 != l2 {
+			t.Fatalf("case %d (%d segments, window from %d): got %v %v %v %v, integrator %v %v %v %v",
+				c, len(segs), from, t1, s1, c1, l1, t2, s2, c2, l2)
+		}
+	}
+}
+
+// TestEmptyWindowPricesZero: a run that measured no segments, because its
+// window opened as it ended or because it aborted before the window
+// opened, reports no power.
+func TestEmptyWindowPricesZero(t *testing.T) {
+	m := Default28nm()
+	a := noc.RouterActivity{BufWrites: 1000, BufReads: 1000, XbarTraversals: 1000}
+	warmup := []Segment{{Act: a, Cycles: 10000, V: 0.9, F: 1e9}, {Act: a, Cycles: 10000, V: 0.7, F: 6e8}}
+	for _, c := range []struct {
+		name string
+		segs []Segment
+	}{
+		{"no segments", nil},
+		{"aborted before its window", warmup},
+	} {
+		if total, sw, ck, lk := m.WindowMW(25, c.segs, len(c.segs)); total != 0 || sw != 0 || ck != 0 || lk != 0 {
+			t.Errorf("%s: %g mW (%g + %g + %g), want 0", c.name, total, sw, ck, lk)
+		}
 	}
 }
 

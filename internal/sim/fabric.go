@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/freelist"
 	"repro/internal/noc"
+	"repro/internal/power"
 	"repro/internal/stats"
 )
 
@@ -48,11 +49,13 @@ func newFabricKey(cfg noc.Config, faults []noc.Link) fabricKey {
 // concurrent run for each mesh used in the last freelist.IdleOps/2 runs.
 const maxPooledSlots = 1 << 16
 
-// A fabric is a network and the delay histogram a run on it fills: the
-// two things a run needs that the next run on the same key can reuse.
+// A fabric is a network, the delay histogram a run on it fills and the
+// buffer its power segments go to: the things a run needs that the next
+// run on the same key can reuse.
 type fabric struct {
 	net    *noc.Network
 	delayH *stats.Histogram
+	segs   []power.Segment
 }
 
 // fabrics holds the fabrics of finished runs for the next run on the
@@ -69,6 +72,7 @@ func acquireFabric(key fabricKey, faults []noc.Link) (*fabric, error) {
 	if fb, ok := fabrics.Get(key); ok {
 		fb.net.Reset()
 		fb.delayH.Reset()
+		fb.segs = fb.segs[:0]
 		return fb, nil
 	}
 	net, err := noc.NewNetworkWithFaults(key.cfg, faults)

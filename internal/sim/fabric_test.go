@@ -314,10 +314,10 @@ func TestFabricListIsBounded(t *testing.T) {
 	flushFabrics()
 }
 
-// TestSecondRunAllocations: with the fabric reused — the network and the
-// delay histogram — a run's set-up is four small objects (the engine and
-// the power integrator among them) whatever the mesh size. The injector
-// is the caller's and built outside.
+// TestSecondRunAllocations: with the fabric reused — the network, the
+// delay histogram and the segment buffer — a run's set-up is three small
+// objects (the engine among them) whatever the mesh size. The injector is
+// the caller's and built outside.
 func TestSecondRunAllocations(t *testing.T) {
 	cfg := noc.DefaultConfig()
 	pm := power.Default28nm()
@@ -340,8 +340,8 @@ func TestSecondRunAllocations(t *testing.T) {
 	}
 	flushFabrics()
 	oneCycle() // builds the network
-	if allocs := testing.AllocsPerRun(runs, oneCycle); allocs > 4 {
-		t.Errorf("a one-cycle run on a reused network allocates %.0f objects, want at most 4", allocs)
+	if allocs := testing.AllocsPerRun(runs, oneCycle); allocs > 3 {
+		t.Errorf("a one-cycle run on a reused network allocates %.0f objects, want at most 3", allocs)
 	} else {
 		t.Logf("a one-cycle run on a reused network allocates %.0f objects", allocs)
 	}

@@ -1,8 +1,8 @@
 // Package sim is the experiment engine: it couples the cycle-accurate
 // network (package noc), the node-clock injection processes (package
 // traffic), a global DVFS policy (package dvfs), the voltage-frequency
-// model (package volt) and the power integrator (package power) into a
-// single simulation with two clock domains, mirroring the paper's modified
+// model (package volt) and the power model (package power) into a single
+// simulation with two clock domains, mirroring the paper's modified
 // Booksim with a network clock decoupled from the node clock.
 //
 // The engine advances one *network* cycle at a time. Each network cycle
@@ -13,6 +13,11 @@
 // accumulated at the then-current network frequency, so a packet's delay
 // is its latency integrated over the frequency trajectory — exactly the
 // Lnoc/Fnoc relationship of Sec. III when the frequency is constant.
+//
+// Energy is priced after the run, not while it steps: the engine records
+// each constant-(f, V) segment it closes (activity, network cycles, V, f)
+// and the index of the segment where the measurement window opens, and
+// power.Model.WindowMW turns that list into the window's average power.
 package sim
 
 import (
@@ -41,7 +46,7 @@ type Params struct {
 	Policy dvfs.Policy
 	// VF maps commanded frequencies to supply voltages.
 	VF volt.Model
-	// Power, when non-nil, enables energy accounting.
+	// Power, when non-nil, prices the measurement window's energy.
 	Power *power.Model
 
 	// Faults lists directed mesh channels masked out of the fabric; the
@@ -195,6 +200,11 @@ func (p *Params) validate() error {
 	if p.Warmup < 0 || p.Measure < 1 {
 		errs = append(errs, fmt.Errorf("sim: warmup %d / measure %d", p.Warmup, p.Measure))
 	}
+	if p.Power != nil {
+		if err := p.Power.Validate(); err != nil {
+			errs = append(errs, fmt.Errorf("sim: power model: %w", err))
+		}
+	}
 	return errors.Join(errs...)
 }
 
@@ -234,19 +244,12 @@ func RunContext(ctx context.Context, p Params) (Result, error) {
 	if err := p.validate(); err != nil {
 		return Result{}, err
 	}
-	var integ *power.Integrator
-	if p.Power != nil {
-		var err error
-		if integ, err = power.NewIntegrator(*p.Power, p.Noc.Nodes()); err != nil {
-			return Result{}, err
-		}
-	}
 	key := newFabricKey(p.Noc, p.Faults)
 	fb, err := acquireFabric(key, p.Faults)
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := runOn(ctx, p, fb, integ)
+	res, err := runOn(ctx, p, fb)
 	// Reached when the run completed or was cancelled, not when it
 	// panicked: a fabric whose run blew up is not offered to another.
 	releaseFabric(key, fb)
@@ -256,7 +259,7 @@ func RunContext(ctx context.Context, p Params) (Result, error) {
 // runOn runs the engine on an acquired fabric. Whatever way the run
 // ends, panics included, the network gives back a core it borrowed and
 // has no helper left touching it by the time runOn returns.
-func runOn(ctx context.Context, p Params, fb *fabric, integ *power.Integrator) (Result, error) {
+func runOn(ctx context.Context, p Params, fb *fabric) (Result, error) {
 	net := fb.net
 	if err := net.SetIslands(p.Islands); err != nil {
 		return Result{}, err
@@ -271,12 +274,14 @@ func runOn(ctx context.Context, p Params, fb *fabric, integ *power.Integrator) (
 	eng := &engine{
 		p:      p,
 		net:    net,
-		integ:  integ,
 		delayH: fb.delayH,
+		segs:   fb.segs,
 		f:      p.Policy.Freq(),
 	}
 	eng.v = p.VF.VoltageFor(eng.f)
-	if err := eng.run(ctx); err != nil {
+	err := eng.run(ctx)
+	fb.segs = eng.segs // the grown buffer serves the fabric's next run
+	if err != nil {
 		return Result{}, err
 	}
 	return eng.result(), nil
@@ -284,9 +289,8 @@ func runOn(ctx context.Context, p Params, fb *fabric, integ *power.Integrator) (
 
 // engine holds the mutable state of one run.
 type engine struct {
-	p     Params
-	net   *noc.Network
-	integ *power.Integrator
+	p   Params
+	net *noc.Network
 
 	f, v  float64 // current network frequency (Hz) and voltage (V)
 	nowNs float64 // simulated real time
@@ -298,14 +302,8 @@ type engine struct {
 	measStartNs   float64
 	measStartNode int64 // node cycle when measurement started
 	measFlits     int64 // flits ejected during measurement
+	measStartSeg  int   // index in segs of the window's first segment
 	stableRuns    int   // consecutive control periods with a stable F
-	// Integrator snapshot at measurement start, so reported power covers
-	// only the measurement window.
-	measStartEnergy float64
-	measStartTime   float64
-	measStartSwitch float64
-	measStartClock  float64
-	measStartLeak   float64
 
 	latency stats.Stream // network cycles
 	delay   stats.Stream // nanoseconds
@@ -313,7 +311,9 @@ type engine struct {
 
 	ctrlDelay stats.Window // per-control-period delay average (ns)
 
-	// Power/frequency segment accounting (constant f,v per segment).
+	// Constant-(f, v) segments closed so far, priced after the run, and
+	// the network cycle and cumulative activity the open one started at.
+	segs          []power.Segment
 	segStartCycle int64
 	segAct        noc.RouterActivity
 	fTimeSum      float64 // ∫f dt over measurement
@@ -437,11 +437,7 @@ func (e *engine) beginMeasurement() {
 	_, _, _, ejected := e.net.Stats()
 	e.measFlits = -ejected // count from here: final ejected + this offset
 	e.closeSegment()
-	if e.integ != nil {
-		e.measStartEnergy = e.integ.EnergyJ()
-		e.measStartTime = e.integ.TimeS()
-		e.measStartSwitch, e.measStartClock, e.measStartLeak = e.integ.Components()
-	}
+	e.measStartSeg = len(e.segs)
 }
 
 // controlUpdate runs once per control period: it reports the window
@@ -514,19 +510,15 @@ func (e *engine) updateStability(m dvfs.Measurement, newF float64) {
 	}
 }
 
-// closeSegment accounts the elapsed constant-(f,v) segment into the power
-// integrator.
+// closeSegment records the elapsed constant-(f,v) segment.
 func (e *engine) closeSegment() {
 	cycles := e.net.Cycle() - e.segStartCycle
 	if cycles <= 0 {
 		return
 	}
-	if e.integ != nil {
-		act := e.net.Activity().RouterActivity
-		delta := act.Sub(e.segAct)
-		e.integ.Slice(delta, cycles, e.v, float64(cycles)/e.f)
-		e.segAct = act
-	}
+	act := e.net.Activity().RouterActivity
+	e.segs = append(e.segs, power.Segment{Act: act.Sub(e.segAct), Cycles: cycles, V: e.v, F: e.f})
+	e.segAct = act
 	e.segStartCycle = e.net.Cycle()
 }
 
@@ -567,14 +559,9 @@ func (e *engine) result() Result {
 		res.AvgFreqHz = e.f
 		res.AvgVolts = e.v
 	}
-	if e.integ != nil {
-		if dt := e.integ.TimeS() - e.measStartTime; dt > 0 {
-			res.AvgPowerMW = (e.integ.EnergyJ() - e.measStartEnergy) / dt * 1e3
-			sw, ck, lk := e.integ.Components()
-			res.SwitchingMW = (sw - e.measStartSwitch) / dt * 1e3
-			res.ClockMW = (ck - e.measStartClock) / dt * 1e3
-			res.LeakageMW = (lk - e.measStartLeak) / dt * 1e3
-		}
+	// A run aborted before its window opened measured no energy either.
+	if p.Power != nil && e.measuring {
+		res.AvgPowerMW, res.SwitchingMW, res.ClockMW, res.LeakageMW = p.Power.WindowMW(p.Noc.Nodes(), e.segs, e.measStartSeg)
 	}
 	return res
 }

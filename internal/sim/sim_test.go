@@ -53,6 +53,21 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// The power model is validated with the rest of the run's parameters,
+// before any cycle is simulated.
+func TestRunRejectsInvalidPowerModel(t *testing.T) {
+	p := testParams(t, 0.1, dvfs.NewNoDVFS(1e9))
+	p.Power.VNom = -1
+	if _, err := Run(p); err == nil {
+		t.Error("Run accepted invalid power model")
+	}
+	p = testParams(t, 0.1, dvfs.NewNoDVFS(1e9))
+	p.Noc.Width, p.Noc.Height = 0, 0
+	if _, err := Run(p); err == nil {
+		t.Error("Run accepted a mesh with zero routers")
+	}
+}
+
 func TestNoDVFSLatencyEqualsDelay(t *testing.T) {
 	// At a fixed 1 GHz network clock, 1 cycle = 1 ns, so latency in cycles
 	// and delay in ns must agree.
@@ -263,6 +278,22 @@ func TestSaturationFlag(t *testing.T) {
 	}
 	if !res.Saturated {
 		t.Error("0.9 load on 5x5 uniform should saturate")
+	}
+
+	// A run the backlog guard aborts before its window opens measured
+	// nothing: no throughput and no power.
+	p := testParams(t, 0.9, dvfs.NewNoDVFS(1e9))
+	p.backlogPerNode = 1
+	p.Warmup = 30000
+	if res, err = Run(p); err != nil {
+		t.Fatal(err)
+	}
+	if !res.Saturated || res.MeasuredNodeCycles != 0 {
+		t.Fatalf("the run did not abort before its window: %+v", res)
+	}
+	if res.Throughput != 0 || res.AvgPowerMW != 0 || res.SwitchingMW != 0 || res.ClockMW != 0 || res.LeakageMW != 0 {
+		t.Errorf("a run aborted before its window reports throughput %g, power %g mW (%g + %g + %g)",
+			res.Throughput, res.AvgPowerMW, res.SwitchingMW, res.ClockMW, res.LeakageMW)
 	}
 }
 

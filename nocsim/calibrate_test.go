@@ -480,12 +480,14 @@ func TestCancelledLeaderLeavesNoEntry(t *testing.T) {
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	defer cancelLeader()
 	leaderErr := make(chan error, 1)
+	// The leader has published its entry once a search is counted. The
+	// count is read before the leader starts, so a leader scheduled at
+	// once cannot count its search before the baseline is taken.
+	searches0, _, _, _ := CalibrationStats()
 	go func() {
 		_, err := Calibrate(leaderCtx, s)
 		leaderErr <- err
 	}()
-	// The leader has published its entry once a search is counted.
-	searches0, _, _, _ := CalibrationStats()
 	for {
 		if n, _, _, _ := CalibrationStats(); n > searches0 {
 			break
