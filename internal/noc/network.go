@@ -109,6 +109,9 @@ type Network struct {
 	// steady-state hot path allocation-free. Flits are plain values and
 	// need no pooling.
 	packetFree []*Packet
+	// packets is every Packet the network ever allocated: Reset puts them
+	// all back into packetFree, the queued and in-flight ones included.
+	packets []*Packet
 
 	// OnArrive, if non-nil, is invoked when a packet's tail flit is
 	// ejected. The cycle argument is the ejection cycle. The packet is
@@ -220,12 +223,13 @@ func NewNetworkWithFaults(cfg Config, faults []Link) (*Network, error) {
 // activity record as built, nothing staged or queued, no islands, no
 // OnArrive, no Spare (a borrowed slot is given back and the helper let
 // go first). It may be called in any state, including on a
-// run abandoned mid-flight, whose flits and packets are dropped. What a
-// run cannot change stays: the flat arrays themselves, the link and route
-// tables (and so the fault set), and the capacity the event buffers, the
-// source queues and the packet free list have grown to — which is what
-// makes a reset network cheaper than a new one and otherwise
-// indistinguishable from it.
+// run abandoned mid-flight, whose flits are dropped and whose queued and
+// in-flight packets go back to the free list with the delivered ones.
+// What a run cannot change stays: the flat arrays themselves, the link
+// and route tables (and so the fault set), the capacity the event
+// buffers and the source queues have grown to, and every packet the
+// network allocated — which is what makes a reset network cheaper than a
+// new one and otherwise indistinguishable from it.
 func (n *Network) Reset() {
 	n.SetSpare(nil)
 	n.resetLend()
@@ -252,6 +256,7 @@ func (n *Network) Reset() {
 		n.shards[i].reset()
 	}
 
+	n.packetFree = append(n.packetFree[:0], n.packets...)
 	n.quiet = true
 	n.OnArrive = nil
 	n.nextPacketID = 0
@@ -281,7 +286,9 @@ func (n *Network) getPacket() *Packet {
 		n.packetFree = n.packetFree[:k-1]
 		return p
 	}
-	return new(Packet)
+	p := new(Packet)
+	n.packets = append(n.packets, p)
+	return p
 }
 
 // NewPacket creates a packet from src to dst stamped with the current

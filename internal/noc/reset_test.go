@@ -11,7 +11,7 @@ import (
 // nil ones — and fails the test if any of those slices is not empty.
 func asBuilt(t *testing.T, n *Network) *Network {
 	t.Helper()
-	n.packetFree = nil
+	n.packetFree, n.packets = nil, nil
 	empty := func(name string, length int) {
 		if length != 0 {
 			t.Fatalf("%s holds %d entries after Reset", name, length)
@@ -36,6 +36,25 @@ func asBuilt(t *testing.T, n *Network) *Network {
 		s.queue.items = nil
 	}
 	return n
+}
+
+// allFree counts n's allocated packets that are in its free list, or
+// returns -1 when a free-list entry is not one of them or is there twice.
+func allFree(n *Network) int {
+	allocated := make(map[*Packet]bool, len(n.packets))
+	for _, p := range n.packets {
+		allocated[p] = true
+	}
+	free := 0
+	for _, p := range n.packetFree {
+		if allocated[p] {
+			free++
+			allocated[p] = false
+		} else {
+			return -1
+		}
+	}
+	return free
 }
 
 // TestResetEqualsNew: whatever a run left behind, Reset yields the state
@@ -100,15 +119,14 @@ func TestResetEqualsNew(t *testing.T) {
 				t.Fatal(err)
 			}
 			tc.dirty(used)
-			recyclable := len(used.packetFree)
 			used.Reset()
 			used.CheckInvariants()
 			fresh, err := NewNetworkWithFaults(tc.cfg, tc.faults)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(used.packetFree) != recyclable {
-				t.Errorf("Reset left %d of %d recycled packets", len(used.packetFree), recyclable)
+			if free := allFree(used); free != len(used.packets) {
+				t.Errorf("Reset left %d of %d allocated packets in the free list", free, len(used.packets))
 			}
 			if !reflect.DeepEqual(asBuilt(t, used), asBuilt(t, fresh)) {
 				t.Fatal("a reset network differs from a new one")

@@ -56,21 +56,36 @@ func (e *statusError) Error() string { return e.err.Error() }
 func (e *statusError) Unwrap() error { return e.err }
 
 // do performs one request and decodes the JSON response into out (when
-// non-nil and the reply is not 204 No Content). A 404 maps to
-// ErrUnknownManifest so pollers can tell "not planned yet" from
-// transport failures.
+// non-nil and the reply is not 204 No Content), read whole into a pooled
+// buffer sized from its Content-Length (readJSON).
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
+	resp, err := c.send(ctx, method, path, body)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if out == nil || resp.StatusCode == http.StatusNoContent {
+		return nil
+	}
+	return readJSON(resp.Body, resp.ContentLength, out)
+}
+
+// send performs one request with body JSON-encoded and returns the 2xx
+// reply, whose body the caller closes. Any other status is a
+// *statusError; a 404 maps to ErrUnknownManifest so pollers can tell
+// "not planned yet" from transport failures.
+func (c *Client) send(ctx context.Context, method, path string, body any) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		data, err := json.Marshal(body)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		rd = bytes.NewReader(data)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.Base+path, rd)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -80,10 +95,10 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	}
 	resp, err := c.http().Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
+		defer resp.Body.Close()
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		msg = bytes.TrimSpace(msg)
 		switch resp.StatusCode {
@@ -94,12 +109,9 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 		default:
 			err = fmt.Errorf("queue: %s %s: %s: %s", method, path, resp.Status, msg)
 		}
-		return &statusError{resp.StatusCode, err}
+		return nil, &statusError{resp.StatusCode, err}
 	}
-	if out == nil || resp.StatusCode == http.StatusNoContent {
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return resp, nil
 }
 
 // Manifest fetches one manifest by name.
@@ -206,14 +218,31 @@ func (c *Client) postRetry(ctx context.Context, req ResultRequest, attempts int)
 }
 
 // Points fetches a manifest's completed results, keyed by point index.
+// The reply, a stream as long as the manifest's results, is decoded one
+// record at a time straight into the map: no copy of it is held whole.
 func (c *Client) Points(ctx context.Context, name string) (map[int]nocsim.Result, error) {
-	var recs []manifest.Record
-	if err := c.do(ctx, http.MethodGet, "/v1/points/"+name, nil, &recs); err != nil {
+	resp, err := c.send(ctx, http.MethodGet, "/v1/points/"+name, nil)
+	if err != nil {
 		return nil, err
 	}
-	have := make(map[int]nocsim.Result, len(recs))
-	for _, rec := range recs {
+	defer resp.Body.Close()
+	dec := json.NewDecoder(resp.Body)
+	if tok, err := dec.Token(); err != nil {
+		return nil, fmt.Errorf("queue: points of %s: %w", name, err)
+	} else if tok != json.Delim('[') {
+		return nil, fmt.Errorf("queue: points of %s: reply is not an array", name)
+	}
+	have := map[int]nocsim.Result{}
+	var rec manifest.Record
+	for dec.More() {
+		rec = manifest.Record{}
+		if err := dec.Decode(&rec); err != nil {
+			return nil, fmt.Errorf("queue: points of %s: %w", name, err)
+		}
 		have[rec.Index] = rec.Result
+	}
+	if _, err := dec.Token(); err != nil { // the closing ']'
+		return nil, fmt.Errorf("queue: points of %s: %w", name, err)
 	}
 	return have, nil
 }

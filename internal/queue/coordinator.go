@@ -1,12 +1,12 @@
 package queue
 
 import (
+	"bytes"
 	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -66,19 +66,38 @@ type Coordinator struct {
 }
 
 type job struct {
-	m       *manifest.Manifest
-	sum     string // plan fingerprint, echoed in leases and checked on post
-	total   int
-	done    map[int]nocsim.Result
-	pending map[int]nocsim.Result // being journaled right now (c.mu released for the fsync)
-	leases  map[int]lease
-	expired map[int]bool // lease expired; the next grant is a re-issue
+	m     *manifest.Manifest
+	sum   string // plan fingerprint, echoed in leases and checked on post
+	total int
+	// slots holds every point, slots[i] point i. Its length is total
+	// from registration on, and a done slot never changes again, so a
+	// reader that saw a slot done under c.mu may read it without c.mu.
+	slots []slot
+	// done and journaling count the slots in those states.
+	done, journaling int
+	leases           map[int]lease
+	expired          map[int]bool // lease expired; the next grant is a re-issue
 	// next is the lowest index that may be free: every point below it is
 	// done, being journaled or leased. freeLocked advances it; an expired
 	// lease or a failed journal append moves it back.
 	next    int
 	journal *manifest.Journal // nil without a store
 }
+
+// A slot is one point of a job: its state and, unless it is free, its
+// result as the record the journal and GET /v1/points hold it as.
+type slot struct {
+	state slotState
+	rec   manifest.Record
+}
+
+type slotState uint8
+
+const (
+	free       slotState = iota // no result yet (it may be leased)
+	journaling                  // posted, its journal append in flight (c.mu released for the fsync)
+	done                        // journaled
+)
 
 type lease struct {
 	worker   string
@@ -138,7 +157,7 @@ func (c *Coordinator) Add(m *manifest.Manifest, have map[int]nocsim.Result) erro
 		return fmt.Errorf("queue: manifest %q already registered", m.Name)
 	}
 	j, err := c.registerLocked(m, have)
-	if err != nil || len(j.done) < j.total {
+	if err != nil || j.done < j.total {
 		return err
 	}
 	return c.refineLocked(j, j.resultsLocked())
@@ -177,9 +196,9 @@ func (c *Coordinator) refineLocked(j *job, results []nocsim.Result) error {
 // order, the zero Result for any other point. Callers hold c.mu.
 func (j *job) resultsLocked() []nocsim.Result {
 	results := make([]nocsim.Result, j.total)
-	for _, set := range []map[int]nocsim.Result{j.done, j.pending} {
-		for i, r := range set {
-			results[i] = r
+	for i := range j.slots {
+		if j.slots[i].state != free {
+			results[i] = j.slots[i].rec.Result
 		}
 	}
 	return results
@@ -204,18 +223,19 @@ func (c *Coordinator) registerLocked(m *manifest.Manifest, have map[int]nocsim.R
 			return nil, err
 		}
 	}
+	total := m.NumPoints()
 	j := &job{
 		m:       m,
 		sum:     sum,
-		total:   m.NumPoints(),
-		done:    map[int]nocsim.Result{},
-		pending: map[int]nocsim.Result{},
+		total:   total,
+		slots:   make([]slot, total),
 		leases:  map[int]lease{},
 		expired: map[int]bool{},
 	}
 	for i, r := range have {
-		if i >= 0 && i < j.total {
-			j.done[i] = r
+		if i >= 0 && i < total {
+			j.slots[i] = slot{done, manifest.Record{Index: i, Result: r}}
+			j.done++
 		}
 	}
 	if c.cfg.Store != nil {
@@ -293,10 +313,7 @@ func (c *Coordinator) pruneLocked(now time.Time) int {
 func (j *job) freeLocked() int {
 	for ; j.next < j.total; j.next++ {
 		i := j.next
-		if _, ok := j.done[i]; ok {
-			continue
-		}
-		if _, ok := j.pending[i]; ok {
+		if j.slots[i].state != free {
 			continue
 		}
 		if _, ok := j.leases[i]; ok {
@@ -340,7 +357,7 @@ func (c *Coordinator) leaseLocked(req LeaseRequest, now time.Time, carrier postR
 	}
 	complete := true
 	for _, name := range scope {
-		if len(c.jobs[name].done) < c.jobs[name].total {
+		if c.jobs[name].done < c.jobs[name].total {
 			complete = false
 			break
 		}
@@ -381,8 +398,8 @@ func (c *Coordinator) leaseLocked(req LeaseRequest, now time.Time, carrier postR
 //
 // The journal fsync happens outside the coordinator mutex — Journal has
 // its own lock — so lease grants and status polls from other workers
-// never queue behind per-line disk syncs; the pending set is what keeps
-// a concurrent duplicate from writing a second line meanwhile.
+// never queue behind per-line disk syncs; the point's journaling slot is
+// what keeps a concurrent duplicate from writing a second line meanwhile.
 // The post that hands in an adaptive manifest's last point registers
 // its follow-on first; if that fails, nothing is recorded.
 //
@@ -425,8 +442,8 @@ func (c *Coordinator) post(req ResultRequest) (LeaseResponse, error) {
 		return next, fmt.Errorf("%w: %s result computed against plan %s, serving %s; re-lease", errStalePlan, req.Name, req.Sum, j.sum)
 	}
 	at := postRef{req.Name, req.Index}
-	_, done := j.done[req.Index]
-	if _, pending := j.pending[req.Index]; done || pending {
+	s := &j.slots[req.Index]
+	if s.state != free {
 		// Duplicate: first result won (or is being journaled).
 		if req.Next != nil {
 			next = c.regrantLocked(req.Worker, at, now)
@@ -437,7 +454,7 @@ func (c *Coordinator) post(req ResultRequest) (LeaseResponse, error) {
 		c.mu.Unlock()
 		return next, nil
 	}
-	if j.m.RefineBudget > 0 && len(j.done)+len(j.pending) == j.total-1 {
+	if j.m.RefineBudget > 0 && j.done+j.journaling == j.total-1 {
 		results := j.resultsLocked() // every other point is in or being journaled
 		results[req.Index] = req.Result
 		if err := c.refineLocked(j, results); err != nil {
@@ -445,7 +462,8 @@ func (c *Coordinator) post(req ResultRequest) (LeaseResponse, error) {
 			return next, fmt.Errorf("queue: refining %s: %w", req.Name, err)
 		}
 	}
-	j.pending[req.Index] = req.Result
+	*s = slot{journaling, manifest.Record{Index: req.Index, Result: req.Result}}
+	j.journaling++
 	journal := j.journal
 	sum := j.sum
 	c.mu.Unlock()
@@ -465,7 +483,7 @@ func (c *Coordinator) post(req ResultRequest) (LeaseResponse, error) {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	delete(j.pending, req.Index)
+	j.journaling--
 	if storeErr != nil {
 		c.met.resultsStoreErrors++
 	}
@@ -473,10 +491,12 @@ func (c *Coordinator) post(req ResultRequest) (LeaseResponse, error) {
 		// Not recorded, and no lease granted: the lease stands (or
 		// expires) and the point will be posted again. Had it expired
 		// already, the point is free from now on.
+		*s = slot{}
 		j.next = min(j.next, req.Index)
 		return next, fmt.Errorf("queue: journaling %s point %d: %w", req.Name, req.Index, err)
 	}
-	j.done[req.Index] = req.Result
+	s.state = done
+	j.done++
 	delete(j.leases, req.Index)
 	delete(j.expired, req.Index)
 	c.met.completedTotal++
@@ -554,19 +574,53 @@ func (c *Coordinator) Names() []string {
 	return append([]string(nil), c.names...)
 }
 
-// Points returns a manifest's completed results, keyed by point index.
-func (c *Coordinator) Points(name string) (map[int]nocsim.Result, bool) {
+// writePoints writes a manifest's done points to w in ascending index
+// order, as the JSON array json.Encoder writes for their
+// []manifest.Record, byte for byte, or reports false for an unknown
+// manifest. The order is the slots' own: nothing is copied or sorted.
+// It holds c.mu only to find each next done slot, and encodes and
+// writes that slot without it; a point done meanwhile is written when
+// the scan has not passed it yet.
+func (c *Coordinator) writePoints(w http.ResponseWriter, name string) bool {
+	c.mu.Lock()
+	j, ok := c.jobs[name]
+	c.mu.Unlock()
+	if !ok {
+		return false
+	}
+	w.Header().Set("Content-Type", "application/json")
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	sep := byte('[')
+	for i := c.nextDone(j, 0); i >= 0; i = c.nextDone(j, i+1) {
+		buf.Reset()
+		buf.WriteByte(sep)
+		if enc.Encode(&j.slots[i].rec) != nil {
+			return true // a result json cannot encode: the reply stays torn, as the client will tell
+		}
+		if _, err := w.Write(buf.Bytes()[:buf.Len()-1]); err != nil { // all but Encode's newline
+			return true
+		}
+		sep = ','
+	}
+	if sep == '[' {
+		w.Write([]byte{sep})
+	}
+	w.Write([]byte("]\n"))
+	return true
+}
+
+// nextDone returns the lowest index from i on whose slot in j is done, or
+// -1 when none is.
+func (c *Coordinator) nextDone(j *job, i int) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	j, ok := c.jobs[name]
-	if !ok {
-		return nil, false
+	for ; i < j.total; i++ {
+		if j.slots[i].state == done {
+			return i
+		}
 	}
-	out := make(map[int]nocsim.Result, len(j.done))
-	for i, r := range j.done {
-		out[i] = r
-	}
-	return out, true
+	return -1
 }
 
 // Status reports one manifest's progress.
@@ -580,9 +634,9 @@ func (c *Coordinator) Status(name string) (Status, bool) {
 	return Status{
 		Name:       name,
 		Total:      j.total,
-		Done:       len(j.done),
+		Done:       j.done,
 		Leased:     len(j.leases),
-		Complete:   len(j.done) == j.total,
+		Complete:   j.done == j.total,
 		TTLSeconds: c.cfg.LeaseTTL.Seconds(),
 	}, true
 }
@@ -593,7 +647,7 @@ func (c *Coordinator) Complete() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, j := range c.jobs {
-		if len(j.done) < j.total {
+		if j.done < j.total {
 			return false
 		}
 	}
@@ -607,7 +661,7 @@ func (c *Coordinator) Complete() bool {
 //	POST /v1/lease               -> LeaseRequest -> LeaseResponse
 //	POST /v1/result              -> ResultRequest -> 204 | LeaseResponse (to ResultRequest.Next)
 //	POST /v1/renew               -> RenewRequest -> 204 | 409 (lease lost)
-//	GET  /v1/points/{name}       -> sorted [{index, result}, ...]
+//	GET  /v1/points/{name}       -> [{index, result}, ...] in ascending index order
 //	GET  /v1/status/{name}       -> Status
 //	GET  /metrics                -> Prometheus text format (see metrics.go)
 //
@@ -630,7 +684,7 @@ func (c *Coordinator) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/lease", func(w http.ResponseWriter, r *http.Request) {
 		var req LeaseRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
+		if err := readJSON(r.Body, r.ContentLength, &req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -643,7 +697,7 @@ func (c *Coordinator) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/result", func(w http.ResponseWriter, r *http.Request) {
 		var req ResultRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
+		if err := readJSON(r.Body, r.ContentLength, &req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -660,7 +714,7 @@ func (c *Coordinator) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/renew", func(w http.ResponseWriter, r *http.Request) {
 		var req RenewRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
+		if err := readJSON(r.Body, r.ContentLength, &req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -671,17 +725,9 @@ func (c *Coordinator) Handler() http.Handler {
 		w.WriteHeader(http.StatusNoContent)
 	})
 	mux.HandleFunc("GET /v1/points/{name}", func(w http.ResponseWriter, r *http.Request) {
-		have, ok := c.Points(r.PathValue("name"))
-		if !ok {
+		if !c.writePoints(w, r.PathValue("name")) {
 			http.Error(w, "unknown manifest", http.StatusNotFound)
-			return
 		}
-		recs := make([]manifest.Record, 0, len(have))
-		for i, res := range have {
-			recs = append(recs, manifest.Record{Index: i, Result: res})
-		}
-		sort.Slice(recs, func(a, b int) bool { return recs[a].Index < recs[b].Index })
-		writeJSON(w, recs)
 	})
 	mux.HandleFunc("GET /v1/status/{name}", func(w http.ResponseWriter, r *http.Request) {
 		st, ok := c.Status(r.PathValue("name"))
@@ -730,10 +776,6 @@ func rejectStatus(err error) int {
 	}
 	return http.StatusInternalServerError
 }
-
-// maxBody caps a request body: 16 MiB is far beyond any lease or result
-// and keeps a hostile peer from streaming gigabytes into the decoder.
-const maxBody = 16 << 20
 
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")

@@ -135,7 +135,8 @@ func TestFollowOnDerivedWithConcurrentPosts(t *testing.T) {
 	n := parent.NumPoints()
 	post(t, c, parent, 0, n-2, func(i int) nocsim.Result { return kneeResult(i, n) })
 	j := c.jobs["x"]
-	j.pending[n-2] = kneeResult(n-2, n) // mid-journal, as PostResult leaves it without c.mu
+	j.slots[n-2] = slot{journaling, manifest.Record{Index: n - 2, Result: kneeResult(n-2, n)}} // mid-journal, as PostResult leaves it without c.mu
+	j.journaling++
 	post(t, c, parent, n-1, n, func(i int) nocsim.Result { return kneeResult(i, n) })
 	if names := c.Names(); len(names) != 2 || names[1] != wantChild(t, parent).Name {
 		t.Fatalf("registered %v, want the parent and its derived child", names)

@@ -114,6 +114,40 @@ func TestOversizedBodiesRefused(t *testing.T) {
 	}
 }
 
+// TestRequestBodiesReadWhole: a body is one JSON value, with or without
+// a Content-Length. Trailing white space is fine, any other trailing
+// byte is a 400, and a body of unannounced length is cut off at maxBody
+// like an announced one.
+func TestRequestBodiesReadWhole(t *testing.T) {
+	c := New(Config{})
+	if err := c.Add(testManifest(t, "x", 2), nil); err != nil {
+		t.Fatal(err)
+	}
+	c.Seal()
+	for _, tc := range []struct {
+		body    string
+		chunked bool
+		want    int
+	}{
+		{`{"worker":"w"}`, false, http.StatusOK},
+		{"{\"worker\":\"w\"}\n \t", true, http.StatusOK},
+		{`{"worker":"w"} {}`, false, http.StatusBadRequest},
+		{`{"worker":"w"}x`, true, http.StatusBadRequest},
+		{`{"worker":"` + strings.Repeat("a", maxBody) + `"}`, true, http.StatusBadRequest},
+	} {
+		var body io.Reader = strings.NewReader(tc.body)
+		if tc.chunked {
+			body = io.MultiReader(body) // hides the length: ContentLength -1
+		}
+		req := httptest.NewRequest(http.MethodPost, "/v1/lease", body)
+		rec := httptest.NewRecorder()
+		c.Handler().ServeHTTP(rec, req)
+		if rec.Code != tc.want {
+			t.Errorf("POST /v1/lease %.40q (ContentLength %d): status %d, want %d", tc.body, req.ContentLength, rec.Code, tc.want)
+		}
+	}
+}
+
 // TestClientTokenRoundTrip drives the authed API through the Client: a
 // token-carrying client leases, posts and reads status exactly as
 // against an open coordinator.

@@ -156,7 +156,7 @@ func (c *Coordinator) renderMetrics(w *bytes.Buffer) {
 	fmt.Fprintf(w, "# HELP nocsim_manifest_points_done Points of the manifest completed (including any resumed from the journal).\n")
 	fmt.Fprintf(w, "# TYPE nocsim_manifest_points_done gauge\n")
 	for _, name := range c.names {
-		fmt.Fprintf(w, "nocsim_manifest_points_done{manifest=%s} %d\n", quoteLabel(name), len(c.jobs[name].done))
+		fmt.Fprintf(w, "nocsim_manifest_points_done{manifest=%s} %d\n", quoteLabel(name), c.jobs[name].done)
 	}
 	fmt.Fprintf(w, "# HELP nocsim_lease_ttl_seconds How long a lease of the manifest lives after its grant or last renewal; workers renew every third of it.\n")
 	fmt.Fprintf(w, "# TYPE nocsim_lease_ttl_seconds gauge\n")

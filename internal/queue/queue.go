@@ -25,6 +25,18 @@
 // post at once; only transport errors and 5xx (a journaling failure)
 // are retried. A post that fails grants no lease.
 //
+// Bodies: a request body, and a reply body the Client decodes, is read
+// whole into a pooled buffer sized from its Content-Length, up to 16
+// MiB, and must be exactly one JSON value: the coordinator answers bytes
+// after it other than white space with 400. GET /v1/points/{name}
+// answers the journaled points in ascending index order by
+// construction, not by a sort: a job holds its points in one slice of
+// slots indexed by point, and the reply is that slice's done slots
+// encoded one by one straight into the response, byte-identical to
+// json.Encoder's encoding of the []manifest.Record. This reply is
+// streamed, without a Content-Length or the 16 MiB cap, and
+// Client.Points decodes it a record at a time straight into its map.
+//
 // Renewal: every grant carries the lease's TTL (Config.LeaseTTL). While
 // nocsim.Run computes the point, the worker renews the lease every TTL/3
 // on its own clock with POST /v1/renew. The coordinator extends a lease
