@@ -108,6 +108,11 @@ func main() {
 	fmt.Fprintf(w, "standalone `nocsim` grid point uses. This re-rolled the DMSD numbers\n")
 	fmt.Fprintf(w, "once (vs the earlier sequential warm-start chain) by a few percent;\n")
 	fmt.Fprintf(w, "all claims stayed within band.\n\n")
+	fmt.Fprintf(w, "DMSD alone takes adaptive warm-up (`runOne`, `nocsim/engine.go`): its\n")
+	fmt.Fprintf(w, "measurement window opens once the commanded frequency has settled,\n")
+	fmt.Fprintf(w, "while No-DVFS and RMSD measure after the fixed warm-up. A same-load\n")
+	fmt.Fprintf(w, "comparison of the policies therefore compares different windows, and so\n")
+	fmt.Fprintf(w, "different packets, of runs that share a seed.\n\n")
 
 	log.Println("baseline bundle (figs 2/4/6/summary)...")
 	tables := generate("baseline")

@@ -19,6 +19,7 @@ package apps
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/noc"
 	"repro/internal/traffic"
@@ -256,48 +257,89 @@ func (a App) TotalPacketsPerFrame() float64 {
 // the qualitative shape of Fig. 10. See EXPERIMENTS.md.
 const DefaultPeakRate = 0.40
 
+// A Table is an application's traffic, built once from its graph: the
+// graph's Validate verdict, its traffic matrix, the per-node rates
+// relative to the busiest node, and the destination pattern an injector
+// draws from. Nothing changes it after NewTable, so one Table serves every
+// run at once; callers must not modify App or the matrix either.
+type Table struct {
+	App     App
+	err     error // what Matrix reports for App, or a rates or pattern error
+	matrix  [][]float64
+	rows    []float64 // traffic.RowRates(matrix): the busiest node's is 1
+	pattern *traffic.MatrixPattern
+}
+
+// NewTable builds a's Table. a must not change afterwards.
+func NewTable(a App) *Table {
+	t := &Table{App: a}
+	t.matrix, t.err = a.Matrix()
+	if t.err == nil {
+		t.rows, t.err = traffic.RowRates(t.matrix)
+	}
+	if t.err == nil {
+		mesh := noc.Config{Width: a.Width, Height: a.Height}
+		t.pattern, t.err = traffic.NewMatrixPattern(a.Name, mesh, t.matrix)
+	}
+	return t
+}
+
+// tables holds the paper applications' Tables, built on first use.
+var tables = sync.OnceValue(func() []*Table {
+	return []*Table{NewTable(H264()), NewTable(VCE())}
+})
+
+// Lookup returns the Table of the paper application named name (see
+// Apps), built once per process.
+func Lookup(name string) (*Table, bool) {
+	for _, t := range tables() {
+		if t.App.Name == name {
+			return t, true
+		}
+	}
+	return nil, false
+}
+
+// Matrix returns the application's packets-per-frame traffic matrix on
+// mesh node ids (App.Matrix), shared: the caller must not modify it.
+func (t *Table) Matrix() ([][]float64, error) {
+	if t.err != nil {
+		return nil, t.err
+	}
+	return t.matrix, nil
+}
+
 // Injector builds the traffic injector for the application at the given
 // relative speed (1.0 ≡ 75 frames/s in the paper's normalization). The
 // busiest source injects speed·peak flits per node cycle; all other
 // sources scale proportionally to their row sums. cfg must match the
 // application's mesh.
-func (a App) Injector(cfg noc.Config, speed, peak float64, seed int64) (*traffic.Injector, error) {
-	m, rates, err := a.demand(cfg, speed, peak)
+func (t *Table) Injector(cfg noc.Config, speed, peak float64, seed int64) (*traffic.Injector, error) {
+	rates, err := t.Rates(cfg, speed, peak)
 	if err != nil {
 		return nil, err
 	}
-	pattern, err := traffic.NewMatrixPattern(a.Name, cfg, m)
-	if err != nil {
-		return nil, err
-	}
-	return traffic.NewInjectorRates(cfg, pattern, rates, seed)
+	return traffic.NewInjectorRates(cfg, t.pattern, rates, seed)
 }
 
 // Rates returns the per-node injection rates (flits per node per node
-// cycle) of Injector(cfg, speed, peak, ·), without building it.
-func (a App) Rates(cfg noc.Config, speed, peak float64) ([]float64, error) {
-	_, rates, err := a.demand(cfg, speed, peak)
-	return rates, err
-}
-
-// demand checks the arguments and returns the application's traffic
-// matrix with the per-node rates at the given speed.
-func (a App) demand(cfg noc.Config, speed, peak float64) (m [][]float64, rates []float64, err error) {
+// cycle) of Injector(cfg, speed, peak, ·), without building it, in a
+// fresh slice.
+func (t *Table) Rates(cfg noc.Config, speed, peak float64) ([]float64, error) {
+	a := &t.App
 	if cfg.Width != a.Width || cfg.Height != a.Height {
-		return nil, nil, fmt.Errorf("apps: %s needs a %dx%d mesh, config is %dx%d",
+		return nil, fmt.Errorf("apps: %s needs a %dx%d mesh, config is %dx%d",
 			a.Name, a.Width, a.Height, cfg.Width, cfg.Height)
 	}
 	if speed < 0 || peak <= 0 {
-		return nil, nil, fmt.Errorf("apps: bad speed %g / peak %g", speed, peak)
+		return nil, fmt.Errorf("apps: bad speed %g / peak %g", speed, peak)
 	}
-	if m, err = a.Matrix(); err != nil {
-		return nil, nil, err
+	if t.err != nil {
+		return nil, t.err
 	}
-	if rates, err = traffic.RowRates(m); err != nil {
-		return nil, nil, err
+	rates := make([]float64, len(t.rows))
+	for i, r := range t.rows {
+		rates[i] = r * (speed * peak)
 	}
-	for i := range rates {
-		rates[i] *= speed * peak
-	}
-	return m, rates, nil
+	return rates, nil
 }

@@ -153,11 +153,11 @@ func TestInjectorScalesWithSpeed(t *testing.T) {
 	a := H264()
 	cfg := noc.DefaultConfig()
 	cfg.Width, cfg.Height = 4, 4
-	full, err := a.Injector(cfg, 1.0, DefaultPeakRate, 1)
+	full, err := NewTable(a).Injector(cfg, 1.0, DefaultPeakRate, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	half, err := a.Injector(cfg, 0.5, DefaultPeakRate, 1)
+	half, err := NewTable(a).Injector(cfg, 0.5, DefaultPeakRate, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestInjectorScalesWithSpeed(t *testing.T) {
 func TestInjectorRejectsWrongMesh(t *testing.T) {
 	a := H264()
 	cfg := noc.DefaultConfig() // 5x5, but H.264 needs 4x4
-	if _, err := a.Injector(cfg, 1, DefaultPeakRate, 1); err == nil {
+	if _, err := NewTable(a).Injector(cfg, 1, DefaultPeakRate, 1); err == nil {
 		t.Error("accepted wrong mesh size")
 	}
 }
@@ -178,10 +178,10 @@ func TestInjectorRejectsBadSpeed(t *testing.T) {
 	a := H264()
 	cfg := noc.DefaultConfig()
 	cfg.Width, cfg.Height = 4, 4
-	if _, err := a.Injector(cfg, -1, DefaultPeakRate, 1); err == nil {
+	if _, err := NewTable(a).Injector(cfg, -1, DefaultPeakRate, 1); err == nil {
 		t.Error("accepted negative speed")
 	}
-	if _, err := a.Injector(cfg, 1, 0, 1); err == nil {
+	if _, err := NewTable(a).Injector(cfg, 1, 0, 1); err == nil {
 		t.Error("accepted zero peak")
 	}
 }
@@ -213,7 +213,7 @@ func TestBusiestNodeGetsPeakRate(t *testing.T) {
 	if noc.NodeID(busiest) != yuv {
 		t.Errorf("busiest node %d, want yuv_gen (%d)", busiest, yuv)
 	}
-	inj, err := a.Injector(cfg, 1.0, 0.35, 2)
+	inj, err := NewTable(a).Injector(cfg, 1.0, 0.35, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

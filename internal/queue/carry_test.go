@@ -29,7 +29,7 @@ func serve(t *testing.T, c *Coordinator) (*httptest.Server, *Client) {
 // for its next lease in the same exchange.
 func postNext(t *testing.T, client *Client, worker, name string, i int) LeaseResponse {
 	t.Helper()
-	next, err := client.postRetry(context.Background(), ResultRequest{
+	next, err := client.postRetry(context.Background(), &ResultRequest{
 		Worker: worker, Name: name, Index: i, Result: fakeResult(i), Next: &LeaseRequest{Worker: worker},
 	}, 1)
 	if err != nil {
@@ -154,7 +154,7 @@ func TestFailedJournalGrantsNoLease(t *testing.T) {
 	}
 	_, client := serve(t, c)
 
-	next, err := client.postRetry(context.Background(), ResultRequest{
+	next, err := client.postRetry(context.Background(), &ResultRequest{
 		Worker: "w", Name: "x", Index: 0, Result: fakeResult(0), Next: &LeaseRequest{Worker: "w"},
 	}, 1)
 	var se *statusError
@@ -217,11 +217,14 @@ func (s *oldCoordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	relay(w, rec, stripJSON(rec.Body.Bytes(), "ttl_ns"))
 }
 
-// relay writes a recorded reply to w, with body in place of its own.
+// relay writes a recorded reply to w, with body in place of its own: its
+// headers but the Content-Length, which was the length of the reply's own
+// body.
 func relay(w http.ResponseWriter, rec *httptest.ResponseRecorder, body []byte) {
 	for k, v := range rec.Header() {
 		w.Header()[k] = v
 	}
+	w.Header().Del("Content-Length")
 	w.WriteHeader(rec.Code)
 	w.Write(body)
 }
@@ -314,7 +317,7 @@ func TestAdaptiveLastPostCarriesChildLease(t *testing.T) {
 	post(t, c, parent, 0, n-1, knee)
 	_, client := serve(t, c)
 
-	next, err := client.postRetry(context.Background(), ResultRequest{
+	next, err := client.postRetry(context.Background(), &ResultRequest{
 		Worker: "w", Name: "x", Index: n - 1, Result: knee(n - 1), Next: &LeaseRequest{Worker: "w"},
 	}, 1)
 	if err != nil {
@@ -378,7 +381,7 @@ func TestLostReplyRegrantsSameLease(t *testing.T) {
 		t.Fatalf("first lease = (%+v, %v), want point 0", ls, err)
 	}
 	lossy := &Client{Base: srv.URL, HTTP: &http.Client{Transport: &dropFirstReply{path: "/v1/result"}}}
-	next, err := lossy.postRetry(ctx, ResultRequest{
+	next, err := lossy.postRetry(ctx, &ResultRequest{
 		Worker: "w", Name: "x", Index: 0, Sum: ls.Sum, Result: fakeResult(0), Next: &LeaseRequest{Worker: "w"},
 	}, 0)
 	if err != nil {
@@ -440,11 +443,11 @@ func TestRegrantedLeaseGetsAFullTTL(t *testing.T) {
 	}
 	post := ResultRequest{Worker: "w", Name: "x", Index: 0, Sum: ls.Sum, Result: fakeResult(0), Next: &LeaseRequest{Worker: "w"}}
 	lossy := &Client{Base: srv.URL, HTTP: &http.Client{Transport: &dropFirstReply{path: "/v1/result"}}}
-	if _, err := lossy.postRetry(ctx, post, 1); err == nil {
+	if _, err := lossy.postRetry(ctx, &post, 1); err == nil {
 		t.Fatal("the post's reply was not lost")
 	}
 	clock.Advance(ttl * 9 / 10)
-	next, err := client.postRetry(ctx, post, 1)
+	next, err := client.postRetry(ctx, &post, 1)
 	if err != nil || next.Status != StatusLease || next.Index != 1 || next.TTL != ttl {
 		t.Fatalf("retried post carried (%+v, %v), want the lost reply's lease on point 1 for %v", next, err, ttl)
 	}

@@ -55,33 +55,65 @@ type statusError struct {
 func (e *statusError) Error() string { return e.err.Error() }
 func (e *statusError) Unwrap() error { return e.err }
 
-// do performs one request and decodes the JSON response into out (when
-// non-nil and the reply is not 204 No Content), read whole into a pooled
-// buffer sized from its Content-Length (readJSON).
-func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
+// do performs one request with in (when non-nil) JSON-encoded as its
+// body and decodes the JSON response into out (when non-nil and the
+// reply is not 204 No Content).
+func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+	var body *encoded
+	if in != nil {
+		var err error
+		if body, err = encode(in); err != nil {
+			return err
+		}
+	}
+	err := c.exchange(ctx, method, path, body, out)
+	if err == nil {
+		body.free() // the reply was read to its end (see encoded)
+	}
+	return err
+}
+
+// exchange is do with the request body already encoded (nil for none).
+// A reply other than 204 No Content is read whole into a pooled buffer
+// sized from its Content-Length (readBody), whether or not out takes it,
+// so when exchange returns nil the reply was read to its end. A lease
+// in the layout the coordinator writes is decoded without reflection
+// (decodeLease); any other reply goes to json.Unmarshal.
+func (c *Client) exchange(ctx context.Context, method, path string, body *encoded, out any) error {
 	resp, err := c.send(ctx, method, path, body)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if out == nil || resp.StatusCode == http.StatusNoContent {
+	if resp.StatusCode == http.StatusNoContent {
 		return nil
 	}
-	return readJSON(resp.Body, resp.ContentLength, out)
+	b, err := readBody(resp.Body, resp.ContentLength)
+	if err != nil {
+		return err
+	}
+	defer b.free()
+	if out == nil {
+		return nil
+	}
+	if l, ok := out.(*LeaseResponse); ok {
+		if decodeLease(b.buf.Bytes(), l) {
+			return nil
+		}
+		*l = LeaseResponse{} // what the declined decoder filled in
+	}
+	return json.Unmarshal(b.buf.Bytes(), out) // copies every string out of the buffer
 }
 
-// send performs one request with body JSON-encoded and returns the 2xx
-// reply, whose body the caller closes. Any other status is a
-// *statusError; a 404 maps to ErrUnknownManifest so pollers can tell
-// "not planned yet" from transport failures.
-func (c *Client) send(ctx context.Context, method, path string, body any) (*http.Response, error) {
+// send performs one request with body's bytes, json.Marshal's encoding
+// of the value, sent with their Content-Length (nil for no body), and
+// returns the 2xx reply, whose body the caller closes. Any other status
+// is a *statusError; a 404 maps to ErrUnknownManifest so pollers can
+// tell "not planned yet" from transport failures.
+func (c *Client) send(ctx context.Context, method, path string, body *encoded) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
-		data, err := json.Marshal(body)
-		if err != nil {
-			return nil, err
-		}
-		rd = bytes.NewReader(data)
+		rd = bytes.NewReader(body.marshaled()) // sets the request's Content-Length
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.Base+path, rd)
 	if err != nil {
@@ -160,41 +192,45 @@ func (c *Client) WaitManifest(ctx context.Context, name string, timeout time.Dur
 // Lease asks the coordinator for one point to compute.
 func (c *Client) Lease(ctx context.Context, req LeaseRequest) (LeaseResponse, error) {
 	var resp LeaseResponse
-	err := c.do(ctx, http.MethodPost, "/v1/lease", req, &resp)
+	err := c.do(ctx, http.MethodPost, "/v1/lease", &req, &resp)
 	return resp, err
 }
 
 // Renew extends a lease this worker holds (Coordinator.Renew). A lost
 // lease is a *statusError with code 409.
 func (c *Client) Renew(ctx context.Context, req RenewRequest) error {
-	return c.do(ctx, http.MethodPost, "/v1/renew", req, nil)
+	return c.do(ctx, http.MethodPost, "/v1/renew", &req, nil)
 }
 
 // PostResult posts one computed point back.
 func (c *Client) PostResult(ctx context.Context, req ResultRequest) error {
-	return c.do(ctx, http.MethodPost, "/v1/result", req, nil)
+	return c.do(ctx, http.MethodPost, "/v1/result", &req, nil)
 }
 
 // PostResultRetry posts with retry: a computed point is too expensive to
 // drop on a transient network error, so the post is retried with
 // exponential backoff (attempts tries total) before giving up.
 func (c *Client) PostResultRetry(ctx context.Context, req ResultRequest, attempts int) error {
-	_, err := c.postRetry(ctx, req, attempts)
+	_, err := c.postRetry(ctx, &req, attempts)
 	return err
 }
 
 // postRetry is PostResultRetry, returning the lease the reply carries
-// (the zero LeaseResponse for a 204). Only a transport error or a 5xx
-// is retried: a 4xx (wrong credentials, an unknown manifest, a stale
-// plan, an index out of range) would be refused again, and returns at
-// once. A retry of a post the coordinator applied but whose reply was
-// lost is acknowledged as a duplicate and handed the same lease.
-func (c *Client) postRetry(ctx context.Context, req ResultRequest, attempts int) (LeaseResponse, error) {
+// (the zero LeaseResponse for a 204). The request is encoded once, and
+// every try sends the same bytes. Only a transport error or a 5xx is
+// retried: a 4xx (wrong credentials, an unknown manifest, a stale plan,
+// an index out of range) would be refused again, and returns at once. A
+// retry of a post the coordinator applied but whose reply was lost is
+// acknowledged as a duplicate and handed the same lease.
+func (c *Client) postRetry(ctx context.Context, req *ResultRequest, attempts int) (LeaseResponse, error) {
 	if attempts <= 0 {
 		attempts = 5
 	}
+	body, err := encode(req)
+	if err != nil {
+		return LeaseResponse{}, err
+	}
 	backoff := 100 * time.Millisecond
-	var err error
 	for try := 0; try < attempts; try++ {
 		if try > 0 {
 			select {
@@ -205,7 +241,8 @@ func (c *Client) postRetry(ctx context.Context, req ResultRequest, attempts int)
 			backoff *= 2
 		}
 		var next LeaseResponse
-		if err = c.do(ctx, http.MethodPost, "/v1/result", req, &next); err == nil {
+		if err = c.exchange(ctx, http.MethodPost, "/v1/result", body, &next); err == nil {
+			body.free() // the reply was read to its end (see encoded)
 			return next, nil
 		}
 		var se *statusError

@@ -693,11 +693,11 @@ func (c *Coordinator) Handler() http.Handler {
 			http.Error(w, err.Error(), http.StatusNotFound)
 			return
 		}
-		writeJSON(w, resp)
+		writeJSON(w, &resp)
 	})
 	mux.HandleFunc("POST /v1/result", func(w http.ResponseWriter, r *http.Request) {
 		var req ResultRequest
-		if err := readJSON(r.Body, r.ContentLength, &req); err != nil {
+		if err := readResult(r.Body, r.ContentLength, &req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -710,7 +710,7 @@ func (c *Coordinator) Handler() http.Handler {
 			w.WriteHeader(http.StatusNoContent)
 			return
 		}
-		writeJSON(w, next)
+		writeJSON(w, &next)
 	})
 	mux.HandleFunc("POST /v1/renew", func(w http.ResponseWriter, r *http.Request) {
 		var req RenewRequest
@@ -735,7 +735,7 @@ func (c *Coordinator) Handler() http.Handler {
 			http.Error(w, "unknown manifest", http.StatusNotFound)
 			return
 		}
-		writeJSON(w, st)
+		writeJSON(w, &st)
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -775,9 +775,4 @@ func rejectStatus(err error) int {
 		return http.StatusBadRequest
 	}
 	return http.StatusInternalServerError
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
 }

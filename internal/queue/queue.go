@@ -28,7 +28,16 @@
 // Bodies: a request body, and a reply body the Client decodes, is read
 // whole into a pooled buffer sized from its Content-Length, up to 16
 // MiB, and must be exactly one JSON value: the coordinator answers bytes
-// after it other than white space with 400. GET /v1/points/{name}
+// after it other than white space with 400. A post is encoded once, into
+// a pooled buffer, and every retry sends the same bytes. The coordinator
+// decodes a post in the layout json.Marshal writes without reflection
+// (internal/jsonline), and any other body with json.Unmarshal, which
+// stays the reference for what a body means; the Client decodes a lease
+// reply the same way. Replies are encoded into pooled buffers and sent
+// with their Content-Length. None of this changes a byte: a post is
+// json.Marshal's encoding of the request, a reply json.Encoder's of the
+// value, and a journal line json.Marshal's of the record and a newline.
+// GET /v1/points/{name}
 // answers the journaled points in ascending index order by
 // construction, not by a sort: a job holds its points in one slice of
 // slots indexed by point, and the reply is that slice's done slots

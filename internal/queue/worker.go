@@ -166,6 +166,7 @@ func (w *Worker) loop(ctx context.Context) error {
 	}
 	ask := LeaseRequest{Worker: id, Name: w.Name}
 	var carried LeaseResponse // the lease the last post's reply carried
+	var post ResultRequest    // one per loop, so no post copies it to the heap
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -210,9 +211,8 @@ func (w *Worker) loop(ctx context.Context) error {
 				return fmt.Errorf("queue: worker %s: %s point %d: %w", id, ls.Name, ls.Index, err)
 			}
 			r.Meta.PointIndex = ls.Index
-			carried, err = w.Client.postRetry(ctx, ResultRequest{
-				Worker: id, Name: ls.Name, Index: ls.Index, Sum: ls.Sum, Result: r, Next: &ask,
-			}, 0)
+			post = ResultRequest{Worker: id, Name: ls.Name, Index: ls.Index, Sum: ls.Sum, Result: r, Next: &ask}
+			carried, err = w.Client.postRetry(ctx, &post, 0)
 			if err != nil {
 				if stop, err := fail(err); stop {
 					return err

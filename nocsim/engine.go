@@ -34,7 +34,7 @@ type resolved struct {
 	cfg     noc.Config
 	faults  []noc.Link
 	islands []noc.Island
-	app     apps.App // set when Scenario.App is
+	app     *apps.Table // set when Scenario.App is
 	trace   *trace.Injection
 	source  traffic.SourceConfig
 }

@@ -165,9 +165,11 @@ func (st *DirStore) LoadPoints(name string) (map[int]nocsim.Result, error) {
 // and that the next Journal truncates away.
 // Append is safe for concurrent use.
 type Journal struct {
-	mu sync.Mutex
-	f  *os.File
-	w  *bufio.Writer
+	mu  sync.Mutex
+	f   *os.File
+	w   *bufio.Writer
+	enc *json.Encoder // writes into w
+	rec Record        // the record enc is encoding, held here and not boxed anew for each line
 }
 
 // Journal opens the manifest's points file for appending, first cutting
@@ -183,20 +185,23 @@ func (st *DirStore) Journal(name string) (*Journal, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Journal{f: f, w: bufio.NewWriter(f)}, nil
+	j := &Journal{f: f, w: bufio.NewWriter(f)}
+	j.enc = json.NewEncoder(j.w)
+	return j, nil
 }
 
-// Append records one completed point: marshal, write, flush, sync. When
-// Append returns nil the line is durable; when it returns an error the
-// journal may hold a torn tail, which readers skip.
+// Append records one completed point: encode, write, flush, sync. The
+// line is json.Marshal's encoding of the Record and a newline, encoded
+// straight into the journal's buffered writer. When Append returns nil
+// the line is durable; when it returns an error the journal may hold a
+// torn tail, which readers skip.
 func (j *Journal) Append(i int, r nocsim.Result) error {
-	data, err := json.Marshal(Record{Index: i, Result: r})
-	if err != nil {
-		return err
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, err := j.w.Write(append(data, '\n')); err != nil {
+	j.rec = Record{Index: i, Result: r}
+	err := j.enc.Encode(&j.rec) // writes nothing unless the whole value encodes
+	j.rec = Record{}
+	if err != nil {
 		return err
 	}
 	if err := j.w.Flush(); err != nil {

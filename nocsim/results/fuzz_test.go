@@ -3,9 +3,12 @@ package results
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"net/url"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"repro/nocsim"
@@ -144,4 +147,63 @@ func FuzzReplay(f *testing.F) {
 				len(kept), err, len(data), bytes.LastIndexByte(data, '\n')+1, end)
 		}
 	})
+}
+
+// FuzzParseQuery reads arbitrary URL query strings the way the results
+// service does (the first value of each key) and requires of ParseQuery
+// that it never panics and that a query it accepts, written back as URL
+// parameters, parses to itself, load bounds bit for bit.
+func FuzzParseQuery(f *testing.F) {
+	for _, raw := range []string{
+		"plan=fig7&policy=rmsd&min_load=0.2&limit=5",
+		"fig=fig7&panel=uniform&pattern=tornado&app=h264&mesh=5x5&max_load=0.25",
+		"manifest=baseline&min_load=-0&max_load=1e-1&limit=0",
+		"min_load=NaN", "max_load=1e400", "limit=-1", "limit=%2B5", "mesh=5%20x5",
+		"min_load=0x1p-2&max_load=0.3e0", "polcy=rmsd", "plan=a;b", "%zz=1", "policy",
+	} {
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		values, _ := url.ParseQuery(raw) // what it could parse, as net/http's Request.URL.Query
+		q, err := ParseQuery(firstValues(values))
+		if err != nil {
+			return
+		}
+		back := url.Values{}
+		for k, v := range map[string]string{"plan": q.Plan, "panel": q.Panel, "policy": q.Policy, "pattern": q.Pattern, "app": q.App, "mesh": q.Mesh} {
+			if v != "" {
+				back.Set(k, v)
+			}
+		}
+		if q.MinLoad != 0 || math.Signbit(q.MinLoad) {
+			back.Set("min_load", strconv.FormatFloat(q.MinLoad, 'g', -1, 64))
+		}
+		if q.MaxLoad != 0 || math.Signbit(q.MaxLoad) {
+			back.Set("max_load", strconv.FormatFloat(q.MaxLoad, 'g', -1, 64))
+		}
+		if q.Limit != 0 {
+			back.Set("limit", strconv.Itoa(q.Limit))
+		}
+		values, err = url.ParseQuery(back.Encode())
+		if err != nil {
+			t.Fatalf("%q: the parameters of %+v do not parse: %v", raw, q, err)
+		}
+		again, err := ParseQuery(firstValues(values))
+		if err != nil || again != q || math.Float64bits(again.MinLoad) != math.Float64bits(q.MinLoad) ||
+			math.Float64bits(again.MaxLoad) != math.Float64bits(q.MaxLoad) {
+			t.Fatalf("%q parsed to %+v; written back as %q it parses to %+v, %v", raw, q, back.Encode(), again, err)
+		}
+	})
+}
+
+// firstValues keeps the first value of each key, as the results service
+// does before ParseQuery.
+func firstValues(v url.Values) map[string]string {
+	params := map[string]string{}
+	for k, vs := range v {
+		if len(vs) > 0 {
+			params[k] = vs[0]
+		}
+	}
+	return params
 }

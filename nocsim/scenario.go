@@ -296,7 +296,7 @@ func (s Scenario) normalized() Scenario {
 		// Validate to report.
 		if s.App != "" {
 			if app, err := appByName(s.App); err == nil {
-				s.Mesh.Width, s.Mesh.Height = app.Width, app.Height
+				s.Mesh.Width, s.Mesh.Height = app.App.Width, app.App.Height
 			}
 		}
 	}
@@ -381,9 +381,9 @@ func (s Scenario) Validate() error {
 		app, err := appByName(s.App)
 		if err != nil {
 			errs = append(errs, err)
-		} else if s.Mesh.Width != app.Width || s.Mesh.Height != app.Height {
+		} else if a := &app.App; s.Mesh.Width != a.Width || s.Mesh.Height != a.Height {
 			errs = append(errs, fmt.Errorf("nocsim: app %q is mapped on a %dx%d mesh, scenario has %dx%d",
-				s.App, app.Width, app.Height, s.Mesh.Width, s.Mesh.Height))
+				s.App, a.Width, a.Height, s.Mesh.Width, s.Mesh.Height))
 		}
 	}
 	if sp := s.Source; sp != nil {
@@ -478,12 +478,11 @@ func (s Scenario) nocIslands() []noc.Island {
 	return out
 }
 
-// appByName resolves a multimedia workload by its name.
-func appByName(name string) (apps.App, error) {
-	for _, a := range apps.Apps() {
-		if a.Name == name {
-			return a, nil
-		}
+// appByName resolves a multimedia workload by its name, to the traffic
+// table built once per process.
+func appByName(name string) (*apps.Table, error) {
+	if t, ok := apps.Lookup(name); ok {
+		return t, nil
 	}
-	return apps.App{}, fmt.Errorf("nocsim: unknown app %q (want h264 or vce)", name)
+	return nil, fmt.Errorf("nocsim: unknown app %q (want h264 or vce)", name)
 }
