@@ -279,7 +279,7 @@ func NewTable(a App) *Table {
 	}
 	if t.err == nil {
 		mesh := noc.Config{Width: a.Width, Height: a.Height}
-		t.pattern, t.err = traffic.NewMatrixPattern(a.Name, mesh, t.matrix)
+		t.pattern, t.err = traffic.NewMatrixPattern(mesh, t.matrix)
 	}
 	return t
 }

@@ -75,22 +75,17 @@ func (p *DMSD) WarmStart(f float64) {
 // TargetNs returns the delay setpoint in nanoseconds.
 func (p *DMSD) TargetNs() float64 { return p.targetNs }
 
-// Name implements Policy.
-func (*DMSD) Name() string { return "dmsd" }
-
 // Next implements Policy.
 func (p *DMSD) Next(m Measurement) float64 {
-	if m.DelaySamples == 0 {
-		// No packets arrived in the window: with nothing in flight the
-		// delay constraint is trivially met, so coast down gently by
-		// feeding the most optimistic error (delay 0).
-		u := p.pi.Update(-1)
-		p.f = p.rng.apply(p.rng.FMin + u*(p.rng.FMax-p.rng.FMin))
-		return p.f
+	// When no packets arrived in the window, nothing is in flight and the
+	// delay constraint is trivially met: coast down gently by feeding the
+	// most optimistic error (delay 0).
+	err := -1.0
+	if m.DelaySamples > 0 {
+		err = (m.AvgDelayNs - p.targetNs) / p.targetNs
 	}
-	err := (m.AvgDelayNs - p.targetNs) / p.targetNs
 	u := p.pi.Update(err)
-	p.f = p.rng.apply(p.rng.FMin + u*(p.rng.FMax-p.rng.FMin))
+	p.f = p.rng.apply(p.rng.FMin + float64(u*(p.rng.FMax-p.rng.FMin)))
 	return p.f
 }
 
@@ -101,5 +96,5 @@ func (p *DMSD) Freq() float64 { return p.f }
 // point (FMax unless WarmStart moved it).
 func (p *DMSD) Reset() {
 	p.pi.Reset(p.u0)
-	p.f = p.rng.apply(p.rng.FMin + p.u0*(p.rng.FMax-p.rng.FMin))
+	p.f = p.rng.apply(p.rng.FMin + float64(p.u0*(p.rng.FMax-p.rng.FMin)))
 }

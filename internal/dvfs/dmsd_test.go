@@ -16,9 +16,6 @@ func newTestDMSD(t *testing.T) *DMSD {
 
 func TestDMSDBasics(t *testing.T) {
 	p := newTestDMSD(t)
-	if p.Name() != "dmsd" {
-		t.Errorf("Name = %q", p.Name())
-	}
 	if p.TargetNs() != 150 {
 		t.Errorf("TargetNs = %g", p.TargetNs())
 	}

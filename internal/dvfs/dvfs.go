@@ -53,8 +53,6 @@ func (m Measurement) NodeRate() float64 {
 // control period and returns the network clock frequency for the next
 // period, in Hz, already clipped to the actuator's range.
 type Policy interface {
-	// Name returns the policy's short name ("nodvfs", "rmsd", "dmsd").
-	Name() string
 	// Next consumes one control-period measurement and returns the next
 	// network frequency in Hz.
 	Next(m Measurement) float64
@@ -110,9 +108,6 @@ type NoDVFS struct {
 
 // NewNoDVFS returns the baseline policy pinned at fnode Hz.
 func NewNoDVFS(fnode float64) *NoDVFS { return &NoDVFS{fnode: fnode} }
-
-// Name implements Policy.
-func (*NoDVFS) Name() string { return "nodvfs" }
 
 // Next implements Policy.
 func (p *NoDVFS) Next(Measurement) float64 { return p.fnode }

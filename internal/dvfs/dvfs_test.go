@@ -63,9 +63,6 @@ func TestMeasurementNodeRate(t *testing.T) {
 
 func TestNoDVFSConstant(t *testing.T) {
 	p := NewNoDVFS(1e9)
-	if p.Name() != "nodvfs" {
-		t.Errorf("Name = %q", p.Name())
-	}
 	if p.Freq() != 1e9 {
 		t.Errorf("Freq = %g", p.Freq())
 	}

@@ -34,7 +34,7 @@ func (p *PI) Update(err float64) float64 {
 	}
 	p.started = true
 	p.prevErr = err
-	p.u = Clip(p.u+p.KI*err+p.KP*dErr, p.UMin, p.UMax)
+	p.u = Clip(p.u+float64(p.KI*err)+float64(p.KP*dErr), p.UMin, p.UMax)
 	return p.u
 }
 

@@ -36,9 +36,6 @@ func NewRMSD(fnode, lambdaMax float64, rng Range) (*RMSD, error) {
 	return &RMSD{fnode: fnode, lmax: lambdaMax, rng: rng, f: rng.FMax}, nil
 }
 
-// Name implements Policy.
-func (*RMSD) Name() string { return "rmsd" }
-
 // Next implements Policy: the frequency-scaling law of Eq. (2).
 func (p *RMSD) Next(m Measurement) float64 {
 	p.f = p.rng.apply(p.fnode * m.NodeRate() / p.lmax)

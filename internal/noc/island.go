@@ -7,13 +7,15 @@ import "fmt"
 // their pipelines at Speed times the network clock (a static relative
 // divider layered under whatever global frequency the DVFS policy
 // commands). Later islands win where rectangles overlap; tiles covered
-// by no island run at full speed.
+// by no island run at full speed. nocsim publishes it as Island; its
+// JSON form is the wire form of a scenario's islands.
 type Island struct {
+	// X0, Y0 and X1, Y1 are the inclusive corner coordinates.
 	X0 int `json:"x0"`
 	Y0 int `json:"y0"`
 	X1 int `json:"x1"`
 	Y1 int `json:"y1"`
-	// Speed is the relative clock multiplier in (0, 1].
+	// Speed is the island's clock divider in (0, 1]; 1 means full speed.
 	Speed float64 `json:"speed"`
 }
 

@@ -111,20 +111,22 @@ func (m Model) vScale2(v float64) float64 {
 // counts in a at supply voltage v. Injection and ejection flits traverse
 // short PE links (EIOLink); router-to-router flits pay ELink.
 func (m Model) ActivityEnergy(a noc.RouterActivity, v float64) float64 {
-	e := float64(a.BufWrites)*m.EBufWrite +
-		float64(a.BufReads)*m.EBufRead +
-		float64(a.XbarTraversals)*m.EXbar +
-		float64(a.VCAllocs)*m.EVCAlloc +
-		float64(a.SAAllocs)*m.ESAAlloc +
-		float64(a.LinkFlits)*m.ELink +
-		float64(a.InjectFlits+a.EjectFlits)*m.EIOLink
-	return e * m.vScale2(v)
+	// Each product is converted explicitly, so that no port fuses it into
+	// the sum with one rounding where amd64 rounds twice.
+	e := float64(float64(a.BufWrites)*m.EBufWrite) +
+		float64(float64(a.BufReads)*m.EBufRead) +
+		float64(float64(a.XbarTraversals)*m.EXbar) +
+		float64(float64(a.VCAllocs)*m.EVCAlloc) +
+		float64(float64(a.SAAllocs)*m.ESAAlloc) +
+		float64(float64(a.LinkFlits)*m.ELink) +
+		float64(float64(a.InjectFlits+a.EjectFlits)*m.EIOLink)
+	return float64(e * m.vScale2(v))
 }
 
 // ClockEnergy returns the clock-tree energy, in joules, of routers running
 // for cycles cycles at supply voltage v.
 func (m Model) ClockEnergy(routers int, cycles int64, v float64) float64 {
-	return float64(routers) * float64(cycles) * m.EClkCycle * m.vScale2(v)
+	return float64(float64(routers) * float64(cycles) * m.EClkCycle * m.vScale2(v))
 }
 
 // LeakagePower returns the total leakage power, in watts, of routers at
@@ -138,7 +140,7 @@ func (m Model) LeakagePower(routers int, v float64) float64 {
 	} else {
 		scale = math.Pow(s, m.LeakExp)
 	}
-	return float64(routers) * m.PLeakRouter * scale
+	return float64(float64(routers) * m.PLeakRouter * scale)
 }
 
 // A Segment is a stretch of a run at one network frequency and supply
@@ -171,7 +173,7 @@ func (m Model) WindowMW(routers int, segs []Segment, from int) (total, switching
 		seconds := float64(s.Cycles) / s.F
 		sw := m.ActivityEnergy(s.Act, s.V)
 		ck := m.ClockEnergy(routers, s.Cycles, s.V)
-		lk := m.LeakagePower(routers, s.V) * seconds
+		lk := float64(m.LeakagePower(routers, s.V) * seconds)
 		switchJ += sw
 		clockJ += ck
 		leakJ += lk

@@ -103,7 +103,7 @@ func (m Model) MaxArrivalRate() float64 { return m.Mu0 * m.FMax }
 // Sojourn returns the M/M/1 mean sojourn time in seconds at arrival rate
 // lambda and frequency f, or +Inf when the queue is unstable.
 func (m Model) Sojourn(lambda, f float64) float64 {
-	mu := m.Mu0 * f
+	mu := float64(m.Mu0 * f)
 	if lambda >= mu {
 		return math.Inf(1)
 	}
@@ -141,7 +141,7 @@ func (m Model) FreqDMSD(lambda, targetS float64) float64 {
 // LambdaMin returns the arrival rate at which the RMSD law leaves the
 // FMin clip: ρmax·µ0·FMin — the delay peak location.
 func (m Model) LambdaMin(rhoMax float64) float64 {
-	return rhoMax * m.Mu0 * m.FMin
+	return float64(rhoMax * m.Mu0 * m.FMin)
 }
 
 // Power returns the model power in watts at arrival rate lambda and
@@ -150,8 +150,8 @@ func (m Model) Power(lambda, f float64) float64 {
 	v := m.VF.VoltageFor(f)
 	sv := v / m.VNom
 	rho := math.Min(1, lambda/(m.Mu0*f))
-	dyn := (m.PDyn0*rho + m.PIdle0) * sv * sv * (f / m.FMax)
-	leak := m.PLeak0 * sv * sv * sv
+	dyn := float64((float64(m.PDyn0*rho) + m.PIdle0) * sv * sv * (f / m.FMax))
+	leak := float64(m.PLeak0 * sv * sv * sv)
 	return dyn + leak
 }
 

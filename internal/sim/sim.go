@@ -110,51 +110,67 @@ const (
 	settlePeriods = 5
 )
 
-// Sample is one point of the frequency/voltage trace.
+// Sample is one point of a run's frequency/delay trace, one per control
+// period. nocsim publishes it as TraceSample; its JSON form is the wire
+// form of a transient Result's trace.
 type Sample struct {
-	TimeNs  float64
-	FreqHz  float64
-	Volts   float64
-	DelayNs float64 // window average delay reported to the controller
+	// TimeNs is the simulated time of the sample.
+	TimeNs float64 `json:"time_ns"`
+	// FreqHz and Volts are the commanded operating point.
+	FreqHz float64 `json:"freq_hz"`
+	Volts  float64 `json:"volts"`
+	// DelayNs is the window-average delay reported to the controller.
+	DelayNs float64 `json:"delay_ns"`
 }
 
-// Result carries the measured steady-state metrics of one run.
-type Result struct {
+// Metrics are the paper's measured steady-state quantities for one run.
+// They are a pure function of the run's parameters and seed: the same
+// run reproduces them bit for bit. nocsim publishes them as
+// nocsim.Metrics, and their JSON form is the wire form of its Result.
+type Metrics struct {
 	// AvgLatencyCycles is the mean packet latency in network clock cycles
 	// (Fig. 2a's metric).
-	AvgLatencyCycles float64
+	AvgLatencyCycles float64 `json:"avg_latency_cycles"`
 	// AvgDelayNs is the mean packet delay in nanoseconds (Fig. 2b's
-	// metric).
-	AvgDelayNs float64
+	// metric: latency integrated over the frequency trajectory).
+	AvgDelayNs float64 `json:"avg_delay_ns"`
 	// P99DelayNs approximates the 99th-percentile delay.
-	P99DelayNs float64
+	P99DelayNs float64 `json:"p99_delay_ns"`
 	// Packets is the number of packets measured.
-	Packets int64
+	Packets int64 `json:"packets"`
 	// OfferedRate is the nominal offered load in flits per node per node
-	// cycle: the mean of the injector's configured per-node rates
+	// cycle: the mean of the configured per-node rates
 	// (Injector.MeanRate), not the flits the sources generated in the
 	// measurement window.
-	OfferedRate float64
+	OfferedRate float64 `json:"offered_rate"`
 	// Throughput is the accepted rate in flits per node per node cycle.
-	Throughput float64
+	Throughput float64 `json:"throughput"`
 	// AvgFreqHz and AvgVolts are time-weighted averages over the
 	// measurement window.
-	AvgFreqHz float64
-	AvgVolts  float64
+	AvgFreqHz float64 `json:"avg_freq_hz"`
+	AvgVolts  float64 `json:"avg_volts"`
 	// AvgPowerMW is the average network power in milliwatts over the
-	// measurement window (0 when Params.Power is nil).
-	AvgPowerMW float64
-	// SwitchingMW, ClockMW and LeakageMW decompose AvgPowerMW.
-	SwitchingMW, ClockMW, LeakageMW float64
+	// measurement window (0 when Params.Power is nil); SwitchingMW,
+	// ClockMW and LeakageMW decompose it.
+	AvgPowerMW  float64 `json:"avg_power_mw"`
+	SwitchingMW float64 `json:"switching_mw"`
+	ClockMW     float64 `json:"clock_mw"`
+	LeakageMW   float64 `json:"leakage_mw"`
+	// Saturated reports whether the run hit a saturation guard.
+	Saturated bool `json:"saturated"`
+	// ElapsedNs is the simulated real time of the measurement window.
+	ElapsedNs float64 `json:"elapsed_ns"`
+	// NetCycles is the number of network cycles simulated in total.
+	NetCycles int64 `json:"net_cycles"`
+}
+
+// Result is what one run measured: its Metrics, the actual length of its
+// measurement window, and its frequency trace.
+type Result struct {
+	Metrics
 	// MeasuredNodeCycles is the actual length of the measurement window in
 	// node cycles; it equals Params.Measure unless the run aborted early.
 	MeasuredNodeCycles int64
-	// Saturated reports whether the run hit a saturation guard.
-	Saturated bool
-	// ElapsedNs is the simulated real time of the measurement window.
-	ElapsedNs float64
-	// NetCycles is the number of network cycles simulated in total.
-	NetCycles int64
 	// Trace holds the frequency trace when Params.TraceFreq is set.
 	Trace []Sample
 }
@@ -400,9 +416,9 @@ func (e *engine) run(ctx context.Context) error {
 		e.net.Step()
 
 		if e.measuring {
-			dt := dtNs * 1e-9
-			e.fTimeSum += e.f * dt
-			e.vTimeSum += e.v * dt
+			dt := float64(dtNs * 1e-9)
+			e.fTimeSum += float64(e.f * dt)
+			e.vTimeSum += float64(e.v * dt)
 			e.measTime += dt
 		}
 	}
@@ -538,16 +554,18 @@ func (e *engine) result() Result {
 		throughput = float64(ejected+e.measFlits) / float64(measCycles) / float64(p.Noc.Nodes())
 	}
 	res := Result{
-		AvgLatencyCycles:   e.latency.Mean(),
-		AvgDelayNs:         e.delay.Mean(),
-		P99DelayNs:         e.delayH.Quantile(0.99),
-		Packets:            e.latency.N(),
-		Throughput:         throughput,
-		OfferedRate:        p.Injector.MeanRate(),
+		Metrics: Metrics{
+			AvgLatencyCycles: e.latency.Mean(),
+			AvgDelayNs:       e.delay.Mean(),
+			P99DelayNs:       e.delayH.Quantile(0.99),
+			Packets:          e.latency.N(),
+			Throughput:       throughput,
+			OfferedRate:      p.Injector.MeanRate(),
+			Saturated:        e.saturated,
+			ElapsedNs:        e.nowNs - e.measStartNs,
+			NetCycles:        e.net.Cycle(),
+		},
 		MeasuredNodeCycles: measCycles,
-		Saturated:          e.saturated,
-		ElapsedNs:          e.nowNs - e.measStartNs,
-		NetCycles:          e.net.Cycle(),
 		Trace:              e.trace,
 	}
 	if e.measTime > 0 {

@@ -396,7 +396,7 @@ func TestMatrixTrafficRuns(t *testing.T) {
 	}
 	w[0][24] = 5
 	w[6][18] = 2
-	mp, err := traffic.NewMatrixPattern("pair", cfg, w)
+	mp, err := traffic.NewMatrixPattern(cfg, w)
 	if err != nil {
 		t.Fatal(err)
 	}

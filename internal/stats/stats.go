@@ -133,7 +133,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	for i, c := range h.bins {
 		cum += c
 		if cum >= target {
-			return h.lo + (float64(i)+0.5)*w
+			return h.lo + float64((float64(i)+0.5)*w)
 		}
 	}
 	return h.hi

@@ -119,12 +119,9 @@ func TestMatrixPatternDistribution(t *testing.T) {
 	}
 	w[0][1] = 3
 	w[0][2] = 1
-	mp, err := NewMatrixPattern("test", cfg, w)
+	mp, err := NewMatrixPattern(cfg, w)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if mp.Name() != "test" {
-		t.Errorf("Name() = %q", mp.Name())
 	}
 	rng := newTestRand(6)
 	n1, n2 := 0, 0
@@ -155,20 +152,20 @@ func TestMatrixPatternValidation(t *testing.T) {
 	}
 	w := mk()
 	w[0][0] = 1
-	if _, err := NewMatrixPattern("x", cfg, w); err == nil {
+	if _, err := NewMatrixPattern(cfg, w); err == nil {
 		t.Error("accepted self traffic")
 	}
 	w = mk()
 	w[1][2] = -1
-	if _, err := NewMatrixPattern("x", cfg, w); err == nil {
+	if _, err := NewMatrixPattern(cfg, w); err == nil {
 		t.Error("accepted negative weight")
 	}
-	if _, err := NewMatrixPattern("x", cfg, mk()[:10]); err == nil {
+	if _, err := NewMatrixPattern(cfg, mk()[:10]); err == nil {
 		t.Error("accepted short matrix")
 	}
 	w = mk()
 	w[0] = w[0][:10]
-	if _, err := NewMatrixPattern("x", cfg, w); err == nil {
+	if _, err := NewMatrixPattern(cfg, w); err == nil {
 		t.Error("accepted short row")
 	}
 }
@@ -180,7 +177,7 @@ func TestMatrixPatternSilentSourcePanics(t *testing.T) {
 		w[i] = make([]float64, 25)
 	}
 	w[0][1] = 1
-	mp, err := NewMatrixPattern("x", cfg, w)
+	mp, err := NewMatrixPattern(cfg, w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,6 @@ import (
 // This is the "custom traffic matrices" Booksim extension the paper built
 // for the multimedia workloads of Sec. VI.
 type MatrixPattern struct {
-	name string
 	// cum[s] is the cumulative distribution over destinations for source s
 	// (empty when s sends nothing).
 	cum [][]float64
@@ -25,15 +24,14 @@ type MatrixPattern struct {
 
 // NewMatrixPattern validates weights and prepares per-source cumulative
 // destination distributions.
-func NewMatrixPattern(name string, cfg noc.Config, weights [][]float64) (*MatrixPattern, error) {
+func NewMatrixPattern(cfg noc.Config, weights [][]float64) (*MatrixPattern, error) {
 	n := cfg.Nodes()
 	if len(weights) != n {
 		return nil, fmt.Errorf("traffic: matrix has %d rows for %d nodes", len(weights), n)
 	}
 	mp := &MatrixPattern{
-		name: name,
-		cum:  make([][]float64, n),
-		dst:  make([][]noc.NodeID, n),
+		cum: make([][]float64, n),
+		dst: make([][]noc.NodeID, n),
 	}
 	for s, row := range weights {
 		if len(row) != n {
@@ -66,9 +64,6 @@ func NewMatrixPattern(name string, cfg noc.Config, weights [][]float64) (*Matrix
 	}
 	return mp, nil
 }
-
-// Name implements Pattern.
-func (mp *MatrixPattern) Name() string { return mp.name }
 
 // Dest implements Pattern. It panics if called for a source with no
 // outgoing traffic; injectors must give such sources rate zero.

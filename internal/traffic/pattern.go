@@ -15,8 +15,6 @@ import (
 // Pattern maps a source node to a destination for each generated packet.
 // Implementations must be deterministic given the supplied rng.
 type Pattern interface {
-	// Name returns the pattern's short name (e.g. "tornado").
-	Name() string
 	// Dest picks the destination for a packet injected at src. It must
 	// never return src itself.
 	Dest(src noc.NodeID, rng *rand.Rand) noc.NodeID
@@ -30,9 +28,6 @@ type Uniform struct {
 
 // NewUniform returns the uniform-random pattern for cfg's mesh.
 func NewUniform(cfg noc.Config) Uniform { return Uniform{cfg: cfg} }
-
-// Name implements Pattern.
-func (Uniform) Name() string { return "uniform" }
 
 // Dest implements Pattern.
 func (u Uniform) Dest(src noc.NodeID, rng *rand.Rand) noc.NodeID {
@@ -49,14 +44,9 @@ func (u Uniform) Dest(src noc.NodeID, rng *rand.Rand) noc.NodeID {
 // uniform pattern so that every node still injects (matching Booksim's
 // handling of fixed points).
 type permutationPattern struct {
-	name string
-	cfg  noc.Config
-	dst  []noc.NodeID
-	uni  Uniform
+	dst []noc.NodeID
+	uni Uniform
 }
-
-// Name implements Pattern.
-func (p *permutationPattern) Name() string { return p.name }
 
 // Dest implements Pattern.
 func (p *permutationPattern) Dest(src noc.NodeID, rng *rand.Rand) noc.NodeID {
@@ -71,8 +61,8 @@ func (p *permutationPattern) Dest(src noc.NodeID, rng *rand.Rand) noc.NodeID {
 // fixed points); exposed for analysis and tests.
 func (p *permutationPattern) Image(src noc.NodeID) noc.NodeID { return p.dst[src] }
 
-func newPermutation(name string, cfg noc.Config, f func(x, y int) (int, int)) *permutationPattern {
-	p := &permutationPattern{name: name, cfg: cfg, uni: NewUniform(cfg)}
+func newPermutation(cfg noc.Config, f func(x, y int) (int, int)) *permutationPattern {
+	p := &permutationPattern{uni: NewUniform(cfg)}
 	p.dst = make([]noc.NodeID, cfg.Nodes())
 	for id := 0; id < cfg.Nodes(); id++ {
 		x, y := cfg.Coord(noc.NodeID(id))
@@ -87,7 +77,7 @@ func newPermutation(name string, cfg noc.Config, f func(x, y int) (int, int)) *p
 // mod ky). On a mesh (no wraparound links) this stresses the central
 // channels heavily.
 func NewTornado(cfg noc.Config) Pattern {
-	return newPermutation("tornado", cfg, func(x, y int) (int, int) {
+	return newPermutation(cfg, func(x, y int) (int, int) {
 		return (x + (cfg.Width+1)/2 - 1) % cfg.Width, (y + (cfg.Height+1)/2 - 1) % cfg.Height
 	})
 }
@@ -95,7 +85,7 @@ func NewTornado(cfg noc.Config) Pattern {
 // NewBitComplement returns the bit-complement pattern, realized on
 // arbitrary mesh sizes as the coordinate complement dst = (kx-1-x, ky-1-y).
 func NewBitComplement(cfg noc.Config) Pattern {
-	return newPermutation("bitcomp", cfg, func(x, y int) (int, int) {
+	return newPermutation(cfg, func(x, y int) (int, int) {
 		return cfg.Width - 1 - x, cfg.Height - 1 - y
 	})
 }
@@ -106,14 +96,14 @@ func NewTranspose(cfg noc.Config) (Pattern, error) {
 	if cfg.Width != cfg.Height {
 		return nil, fmt.Errorf("traffic: transpose needs a square mesh, got %dx%d", cfg.Width, cfg.Height)
 	}
-	return newPermutation("transpose", cfg, func(x, y int) (int, int) {
+	return newPermutation(cfg, func(x, y int) (int, int) {
 		return y, x
 	}), nil
 }
 
 // NewNeighbor returns the nearest-neighbor pattern dst = ((x+1) mod kx, y).
 func NewNeighbor(cfg noc.Config) Pattern {
-	return newPermutation("neighbor", cfg, func(x, y int) (int, int) {
+	return newPermutation(cfg, func(x, y int) (int, int) {
 		return (x + 1) % cfg.Width, y
 	})
 }
@@ -129,7 +119,7 @@ func NewBitReverse(cfg noc.Config) (Pattern, error) {
 	if 1<<bits != n {
 		return nil, fmt.Errorf("traffic: bitrev needs a power-of-two node count, got %d", n)
 	}
-	p := &permutationPattern{name: "bitrev", cfg: cfg, uni: NewUniform(cfg)}
+	p := &permutationPattern{uni: NewUniform(cfg)}
 	p.dst = make([]noc.NodeID, n)
 	for id := 0; id < n; id++ {
 		rev := 0
@@ -154,7 +144,7 @@ func NewShuffle(cfg noc.Config) (Pattern, error) {
 	if 1<<bits != n {
 		return nil, fmt.Errorf("traffic: shuffle needs a power-of-two node count, got %d", n)
 	}
-	p := &permutationPattern{name: "shuffle", cfg: cfg, uni: NewUniform(cfg)}
+	p := &permutationPattern{uni: NewUniform(cfg)}
 	p.dst = make([]noc.NodeID, n)
 	for id := 0; id < n; id++ {
 		p.dst[id] = noc.NodeID(((id << 1) | (id >> (bits - 1))) & (n - 1))

@@ -3,6 +3,7 @@ package traffic
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/noc"
@@ -123,18 +124,18 @@ func TestNeighborDefinition(t *testing.T) {
 func TestPermutationPatternsAreBijections(t *testing.T) {
 	cfg := cfg5()
 	transpose, _ := NewTranspose(cfg)
-	for _, pat := range []Pattern{NewTornado(cfg), NewBitComplement(cfg), transpose, NewNeighbor(cfg)} {
-		p := pat.(*permutationPattern)
+	for i, pat := range []Pattern{NewTornado(cfg), NewBitComplement(cfg), transpose, NewNeighbor(cfg)} {
+		p, name := pat.(*permutationPattern), PaperPatterns()[i]
 		seen := make(map[noc.NodeID]bool)
 		for id := 0; id < cfg.Nodes(); id++ {
 			img := p.Image(noc.NodeID(id))
 			if seen[img] {
-				t.Errorf("%s: image %d hit twice", p.Name(), img)
+				t.Errorf("%s: image %d hit twice", name, img)
 			}
 			seen[img] = true
 		}
 		if len(seen) != cfg.Nodes() {
-			t.Errorf("%s: only %d images", p.Name(), len(seen))
+			t.Errorf("%s: only %d images", name, len(seen))
 		}
 	}
 }
@@ -197,15 +198,35 @@ func TestShuffleRejectsNonPowerOfTwo(t *testing.T) {
 	}
 }
 
+// TestByName checks ByName's dispatch: each name yields the traffic
+// matrix of its own constructor, on a 5x5 mesh and, for the patterns
+// that need a power-of-two node count, on a 4x4.
 func TestByName(t *testing.T) {
 	cfg := cfg5()
-	for _, name := range []string{"uniform", "tornado", "bitcomp", "transpose", "neighbor"} {
-		p, err := ByName(name, cfg)
+	cfg4 := cfg
+	cfg4.Width, cfg4.Height = 4, 4
+	transpose, _ := NewTranspose(cfg)
+	bitrev, _ := NewBitReverse(cfg4)
+	shuffle, _ := NewShuffle(cfg4)
+	for _, c := range []struct {
+		name string
+		cfg  noc.Config
+		want Pattern
+	}{
+		{"uniform", cfg, NewUniform(cfg)},
+		{"tornado", cfg, NewTornado(cfg)},
+		{"bitcomp", cfg, NewBitComplement(cfg)},
+		{"transpose", cfg, transpose},
+		{"neighbor", cfg, NewNeighbor(cfg)},
+		{"bitrev", cfg4, bitrev},
+		{"shuffle", cfg4, shuffle},
+	} {
+		p, err := ByName(c.name, c.cfg)
 		if err != nil {
-			t.Fatalf("ByName(%q): %v", name, err)
+			t.Fatalf("ByName(%q): %v", c.name, err)
 		}
-		if p.Name() != name {
-			t.Errorf("ByName(%q).Name() = %q", name, p.Name())
+		if !reflect.DeepEqual(Matrix(p, c.cfg), Matrix(c.want, c.cfg)) {
+			t.Errorf("ByName(%q) draws another traffic matrix than its constructor", c.name)
 		}
 	}
 	if _, err := ByName("nonsense", cfg); err == nil {
@@ -232,19 +253,22 @@ func TestPaperPatterns(t *testing.T) {
 
 func TestMatrixRowsSumToOne(t *testing.T) {
 	cfg := cfg5()
-	transpose, _ := NewTranspose(cfg)
-	for _, p := range []Pattern{NewUniform(cfg), NewTornado(cfg), transpose, NewNeighbor(cfg)} {
+	for _, name := range []string{"uniform", "tornado", "transpose", "neighbor"} {
+		p, err := ByName(name, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		m := Matrix(p, cfg)
 		for s, row := range m {
 			sum := 0.0
 			for d, w := range row {
 				if d == s && w != 0 {
-					t.Errorf("%s: self weight at %d", p.Name(), s)
+					t.Errorf("%s: self weight at %d", name, s)
 				}
 				sum += w
 			}
 			if math.Abs(sum-1) > 1e-9 {
-				t.Errorf("%s: row %d sums to %g", p.Name(), s, sum)
+				t.Errorf("%s: row %d sums to %g", name, s, sum)
 			}
 		}
 	}

@@ -134,7 +134,7 @@ func TestScheduleMatchesPerCycleReference(t *testing.T) {
 			hot[s][12] += 0.3
 		}
 	}
-	hotspot, err := NewMatrixPattern("hotspot", cfg, hot)
+	hotspot, err := NewMatrixPattern(cfg, hot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestScheduleMatchesPerCycleReference(t *testing.T) {
 	weights[3][4] = 0.5
 	weights[11][2], weights[11][12], weights[11][20] = 1, 2, 4
 	weights[24][0] = 9
-	app, err := NewMatrixPattern("app", cfg, weights)
+	app, err := NewMatrixPattern(cfg, weights)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,20 +26,45 @@ const (
 )
 
 // SourceConfig selects and parameterizes a bursty packet-generation
-// process layered under a destination pattern. The zero value means the
-// default Bernoulli process.
+// process layered under a destination pattern. The long-run mean rate is
+// always the nominal one: burstiness redistributes the same traffic in
+// time, it never adds traffic. The zero value means the default
+// Bernoulli process. nocsim publishes it as SourceSpec; its JSON form is
+// the wire form of a scenario's source.
 type SourceConfig struct {
-	// Kind is "" (Bernoulli), SourceMMPP or SourcePareto.
-	Kind string
-	// BurstRatio is the ON-state rate multiplier β > 1; the source is ON
-	// a 1/β fraction of the time, preserving the mean rate.
-	BurstRatio float64
-	// BurstLen is the mean ON sojourn in node cycles (≥ 1). The mean OFF
-	// sojourn is BurstLen·(BurstRatio−1), fixing the ON fraction at 1/β.
-	BurstLen float64
-	// ParetoAlpha is the Pareto tail index in (1, 2] (heavier tails as it
-	// approaches 1); used only by SourcePareto.
-	ParetoAlpha float64
+	// Kind is "" (Bernoulli), SourceMMPP ("mmpp") or SourcePareto
+	// ("pareto").
+	Kind string `json:"kind"`
+	// BurstRatio is the ON-state rate multiplier β > 1. A source is ON a
+	// 1/β fraction of the time at β times the nominal rate (default 4).
+	BurstRatio float64 `json:"burst_ratio,omitempty"`
+	// BurstLen is the mean ON sojourn in node cycles, at least 1
+	// (default 64). The mean OFF sojourn is BurstLen·(β−1), fixing the
+	// ON fraction at 1/β.
+	BurstLen float64 `json:"burst_len,omitempty"`
+	// ParetoAlpha is the Pareto tail index in (1, 2], heavier tails as
+	// it approaches 1 (default 1.5); used only by SourcePareto.
+	ParetoAlpha float64 `json:"pareto_alpha,omitempty"`
+}
+
+// WithDefaults returns the configuration with every zero parameter
+// replaced by its documented default (ratio 4, length 64, alpha 1.5). A
+// configuration with an empty Kind is returned unchanged: defaults only
+// make sense once a process is selected.
+func (s SourceConfig) WithDefaults() SourceConfig {
+	if s.Kind == "" {
+		return s
+	}
+	if s.BurstRatio == 0 {
+		s.BurstRatio = 4
+	}
+	if s.BurstLen == 0 {
+		s.BurstLen = 64
+	}
+	if s.Kind == SourcePareto && s.ParetoAlpha == 0 {
+		s.ParetoAlpha = 1.5
+	}
+	return s
 }
 
 // Validate checks the parameter ranges; the zero value is valid.
@@ -76,7 +101,9 @@ func (s SourceConfig) sojourn(on bool, rng *rand.Rand) int64 {
 		// Pareto with scale xm = mean·(α−1)/α has mean exactly `mean`.
 		alpha := s.ParetoAlpha
 		xm := mean * (alpha - 1) / alpha
-		u := 1 - rng.Float64() // (0, 1]
+		// (0, 1]. Float64 inlines to a product; the conversion keeps it
+		// from fusing into the subtraction on ports that fuse.
+		u := 1 - float64(rng.Float64())
 		d := int64(xm/math.Pow(u, 1/alpha) + 0.5)
 		if d < 1 {
 			d = 1
@@ -88,7 +115,7 @@ func (s SourceConfig) sojourn(on bool, rng *rand.Rand) int64 {
 	if p >= 1 {
 		return 1
 	}
-	u := 1 - rng.Float64() // (0, 1]
+	u := 1 - float64(rng.Float64()) // (0, 1]
 	d := int64(math.Floor(math.Log(u)/math.Log(1-p))) + 1
 	if d < 1 {
 		d = 1
@@ -165,7 +192,7 @@ func NewReplayInjector(cfg noc.Config, tr *trace.Injection) (*Injector, error) {
 	if err != nil {
 		return nil, err
 	}
-	pattern, err := NewMatrixPattern("trace", cfg, tr.Matrix())
+	pattern, err := NewMatrixPattern(cfg, tr.Matrix())
 	if err != nil {
 		return nil, err
 	}

@@ -137,6 +137,12 @@
 // default, its validation rule, and the cmd/nocsim flag that sets it
 // ("—" when only the API or a JSON file can).
 //
+// Four public types are aliases of the engine types that compute them,
+// and their fields, defaults and JSON tags are declared there: Metrics
+// and TraceSample are sim.Metrics and sim.Sample (internal/sim), Island
+// is noc.Island (internal/noc) and SourceSpec is traffic.SourceConfig
+// (internal/traffic). A new metric is added once, to sim.Metrics.
+//
 // Fabric (object "mesh"):
 //
 //	mesh.width, mesh.height   int     default 5x5 as a pair (an app scenario

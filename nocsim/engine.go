@@ -24,19 +24,17 @@ import (
 // it is memoized; calibrate.go puts the memo on top.
 
 // resolved is a normalized, valid scenario together with what its runs
-// read beyond the scenario's scalars, resolved once: the engine's fabric
-// configuration, the parsed faults and islands, the app, the loaded trace
-// and the burst source. Every scalar is read from the Scenario itself,
-// held by value: a pointer to the caller's copy would send it to the heap
-// with the slices the engine keeps.
+// read beyond the scenario's own fields, resolved once: the engine's
+// fabric configuration, the parsed faults, the app and the loaded trace.
+// Everything else, islands and burst source included, is read from the
+// Scenario itself, held by value: a pointer to the caller's copy would
+// send it to the heap with the slices the engine keeps.
 type resolved struct {
 	Scenario
-	cfg     noc.Config
-	faults  []noc.Link
-	islands []noc.Island
-	app     *apps.Table // set when Scenario.App is
-	trace   *trace.Injection
-	source  traffic.SourceConfig
+	cfg    noc.Config
+	faults []noc.Link
+	app    *apps.Table // set when Scenario.App is
+	trace  *trace.Injection
 }
 
 // resolve prepares the runs of s, which must be normalized and valid.
@@ -45,7 +43,7 @@ func (s Scenario) resolve() (resolved, error) {
 	if err != nil {
 		return resolved{}, err
 	}
-	r := resolved{Scenario: s, cfg: cfg, islands: s.nocIslands(), source: s.Source.toTraffic()}
+	r := resolved{Scenario: s, cfg: cfg}
 	if s.App != "" {
 		if r.app, err = appByName(s.App); err != nil {
 			return resolved{}, err
@@ -84,8 +82,8 @@ func (r *resolved) injector(load float64, seed int64) (*traffic.Injector, error)
 	if err != nil {
 		return nil, err
 	}
-	if r.source.Kind != "" {
-		if err := inj.SetSource(r.source); err != nil {
+	if r.Source != nil {
+		if err := inj.SetSource(*r.Source); err != nil {
 			return nil, err
 		}
 	}
@@ -132,7 +130,7 @@ func (r *resolved) simParams(load float64, pol dvfs.Policy, adaptive bool, seed 
 		FNode:          r.FNodeHz,
 		AdaptiveWarmup: adaptive,
 		Faults:         r.faults,
-		Islands:        r.islands,
+		Islands:        r.Islands,
 	}
 	if r.PacketLog != nil {
 		p.PacketLog = r.PacketLog.log
@@ -261,7 +259,7 @@ func (r *resolved) search(ctx context.Context) (float64, searchStats, error) {
 	hi := maxLoad
 	if r.Pattern != "" {
 		if p, err := traffic.ByName(r.Pattern, r.cfg); err == nil {
-			c, err := noc.TheoreticalCapacity(r.cfg, r.faults, r.islands, traffic.Matrix(p, r.cfg))
+			c, err := noc.TheoreticalCapacity(r.cfg, r.faults, r.Islands, traffic.Matrix(p, r.cfg))
 			if err == nil && c > 0 && c < 1 {
 				hi = min(c*1.1, maxLoad)
 			}
@@ -352,9 +350,9 @@ func searchSaturation(ctx context.Context, workers int, hi, maxLoad float64, pro
 	// parallel one wastes at most the part of a probe already run.
 	for round := 0; round < 5 && (hi-lo)/hi > 0.02; round++ {
 		probes := []float64{
-			lo + 0.25*(hi-lo),
-			lo + 0.50*(hi-lo),
-			lo + 0.75*(hi-lo),
+			lo + float64(0.25*(hi-lo)),
+			lo + float64(0.50*(hi-lo)),
+			lo + float64(0.75*(hi-lo)),
 		}
 		first, err := probeRound(ctx, workers, probes, probe, &st)
 		if err != nil {

@@ -154,7 +154,7 @@ func Refine(parent *Manifest, results []nocsim.Result, budget int) (*Manifest, e
 			}
 			knee := kneeIdx(delays, saturated)
 			for i := 0; i < nl-1; i++ {
-				s := math.Abs(delays[i+1]-delays[i])/rng + 0.5*math.Max(curv[i], curv[i+1])
+				s := math.Abs(delays[i+1]-delays[i])/rng + float64(0.5*math.Max(curv[i], curv[i+1]))
 				if knee >= 1 {
 					if i == knee-1 {
 						s += kneeBonus

@@ -155,8 +155,19 @@ func (q *Query) matches(panel string, mesh meshDims, r *nocsim.Result) bool {
 // shared vocabulary of the HTTP API and tests. Unknown keys error, so a
 // typoed filter cannot silently select everything, and so does a value
 // that is not wholly a number: a finite one for the load bounds, one
-// that is not negative for the limit.
+// that is not negative for the limit. plan, fig and manifest are three
+// names for one filter, and a query may use only one of them.
 func ParseQuery(params map[string]string) (Query, error) {
+	var plan string
+	for _, k := range []string{"fig", "manifest", "plan"} {
+		if _, ok := params[k]; !ok {
+			continue
+		}
+		if plan != "" {
+			return Query{}, fmt.Errorf("results: query names both %s and %s; use one", plan, k)
+		}
+		plan = k
+	}
 	var q Query
 	for k, v := range params {
 		switch k {

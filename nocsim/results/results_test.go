@@ -422,6 +422,24 @@ func TestParseQuery(t *testing.T) {
 	if err != nil || q.MinLoad != 0.1 || q.MaxLoad != 0.25 || q.Limit != 0 {
 		t.Fatalf("parsed = (%+v, %v)", q, err)
 	}
+	// plan, fig and manifest name one filter: a query naming two is
+	// refused, whatever order the map yields them in, and not answered
+	// for whichever one came last.
+	for i := 0; i < 20; i++ {
+		q, err := ParseQuery(map[string]string{"plan": "a", "fig": "b"})
+		if want := "results: query names both fig and plan; use one"; err == nil || err.Error() != want {
+			t.Fatalf("ParseQuery(plan=a, fig=b) = (%+v, %v), want error %q", q, err, want)
+		}
+		q, err = ParseQuery(map[string]string{"plan": "a", "fig": "b", "manifest": "c"})
+		if want := "results: query names both fig and manifest; use one"; err == nil || err.Error() != want {
+			t.Fatalf("ParseQuery(plan=a, fig=b, manifest=c) = (%+v, %v), want error %q", q, err, want)
+		}
+	}
+	for _, k := range []string{"plan", "fig", "manifest"} {
+		if q, err := ParseQuery(map[string]string{k: "fig7"}); err != nil || q.Plan != "fig7" {
+			t.Errorf("ParseQuery(%s=fig7) = (%+v, %v)", k, q, err)
+		}
+	}
 }
 
 // TestMeshFilterIsItsPrint: a parsed mesh filter matches a scenario's

@@ -45,15 +45,12 @@ func run(ctx context.Context, s Scenario) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	out := Result{
+	return Result{
 		Scenario: s,
-		Metrics:  metricsFrom(res),
+		Metrics:  res.Metrics,
+		Trace:    res.Trace,
 		Meta:     RunMeta{Seed: s.Seed, Workers: s.Workers, WallTime: time.Since(start)},
-	}
-	for _, sm := range res.Trace {
-		out.Trace = append(out.Trace, TraceSample{TimeNs: sm.TimeNs, FreqHz: sm.FreqHz, Volts: sm.Volts, DelayNs: sm.DelayNs})
-	}
-	return out, nil
+	}, nil
 }
 
 // FabricUse counts how the process's simulations came by their two large
@@ -122,5 +119,5 @@ func TheoreticalCapacity(s Scenario) (float64, error) {
 		}
 		m = traffic.Matrix(p, r.cfg)
 	}
-	return noc.TheoreticalCapacity(r.cfg, r.faults, r.islands, m)
+	return noc.TheoreticalCapacity(r.cfg, r.faults, r.Islands, m)
 }

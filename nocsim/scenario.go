@@ -75,85 +75,22 @@ func (m Mesh) toNoc() (noc.Config, error) {
 	}, nil
 }
 
-// Source kinds accepted by SourceSpec and the -source CLI flag.
+// The source kinds SourceSpec and the -source CLI flag accept, as
+// traffic.SourceMMPP and traffic.SourcePareto declare them.
 const (
-	// SourceMMPP is a two-state Markov-modulated process: each source
-	// alternates between OFF (rate 0) and ON (rate BurstRatio × nominal)
-	// with geometric sojourn times, preserving the mean rate.
-	SourceMMPP = traffic.SourceMMPP
-	// SourcePareto is the same on-off alternation with Pareto-tailed
-	// sojourn times, producing self-similar burst trains.
+	SourceMMPP   = traffic.SourceMMPP
 	SourcePareto = traffic.SourcePareto
 )
 
 // SourceSpec selects a bursty packet-generation process layered under a
 // synthetic destination pattern, replacing the default Bernoulli
-// (Poisson-like) process. The long-run mean rate is always the
-// scenario's Load: burstiness redistributes the same traffic in time, it
-// never adds traffic.
-type SourceSpec struct {
-	// Kind is SourceMMPP ("mmpp") or SourcePareto ("pareto").
-	Kind string `json:"kind"`
-	// BurstRatio is the ON-state rate multiplier β > 1. A source is ON a
-	// 1/β fraction of the time at β times the nominal rate (default 4).
-	BurstRatio float64 `json:"burst_ratio,omitempty"`
-	// BurstLen is the mean ON sojourn in node cycles, at least 1
-	// (default 64). The mean OFF sojourn is BurstLen·(β−1).
-	BurstLen float64 `json:"burst_len,omitempty"`
-	// ParetoAlpha is the Pareto tail index in (1, 2], heavier tails as
-	// it approaches 1 (default 1.5); used only by SourcePareto.
-	ParetoAlpha float64 `json:"pareto_alpha,omitempty"`
-}
+// (Poisson-like) process. The traffic package declares it
+// (traffic.SourceConfig), fields, defaults and JSON form alike.
+type SourceSpec = traffic.SourceConfig
 
-// withDefaults returns a copy of the spec with every zero parameter
-// replaced by its documented default (ratio 4, length 64, alpha 1.5);
-// the receiver is never mutated. A spec with an empty Kind is returned
-// unchanged: defaults only make sense once a process is selected.
-func (sp SourceSpec) withDefaults() *SourceSpec {
-	if sp.Kind == "" {
-		return &sp
-	}
-	if sp.BurstRatio == 0 {
-		sp.BurstRatio = 4
-	}
-	if sp.BurstLen == 0 {
-		sp.BurstLen = 64
-	}
-	if sp.Kind == SourcePareto && sp.ParetoAlpha == 0 {
-		sp.ParetoAlpha = 1.5
-	}
-	return &sp
-}
-
-// toTraffic converts the spec to the internal source configuration.
-func (sp *SourceSpec) toTraffic() traffic.SourceConfig {
-	if sp == nil {
-		return traffic.SourceConfig{}
-	}
-	return traffic.SourceConfig{
-		Kind: sp.Kind, BurstRatio: sp.BurstRatio,
-		BurstLen: sp.BurstLen, ParetoAlpha: sp.ParetoAlpha,
-	}
-}
-
-// Island is a rectangular region of routers running at a reduced clock:
-// the island's routers advance only a Speed fraction of network cycles,
-// layered under whatever global frequency the DVFS policy actuates.
-// Rectangles are inclusive of both corners; overlapping islands resolve
-// in favour of the later one in the scenario's list.
-type Island struct {
-	// X0, Y0 and X1, Y1 are the inclusive corner coordinates.
-	X0 int `json:"x0"`
-	Y0 int `json:"y0"`
-	X1 int `json:"x1"`
-	Y1 int `json:"y1"`
-	// Speed is the island's clock divider in (0, 1]; 1 means full speed.
-	Speed float64 `json:"speed"`
-}
-
-func (i Island) toNoc() noc.Island {
-	return noc.Island{X0: i.X0, Y0: i.Y0, X1: i.X1, Y1: i.Y1, Speed: i.Speed}
-}
+// Island is a rectangular region of routers running at a reduced clock,
+// as the network declares it (noc.Island), fields and JSON form alike.
+type Island = noc.Island
 
 // Calibration fixes the policy operating points of a scenario, following
 // the paper's recipe (Sec. III/IV): λmax 10% below the measured
@@ -319,7 +256,8 @@ func (s Scenario) normalized() Scenario {
 		s.PeakRate = apps.DefaultPeakRate
 	}
 	if s.Source != nil {
-		s.Source = s.Source.withDefaults()
+		src := s.Source.WithDefaults()
+		s.Source = &src
 	}
 	if s.Load == 0 {
 		s.Load = 0.2 // the paper's reference operating point
@@ -393,7 +331,7 @@ func (s Scenario) Validate() error {
 		case s.App != "":
 			errs = append(errs, errors.New("nocsim: bursty sources combine with patterns only, not apps"))
 		default:
-			if err := sp.toTraffic().Validate(); err != nil {
+			if err := sp.Validate(); err != nil {
 				errs = append(errs, err)
 			}
 		}
@@ -409,7 +347,7 @@ func (s Scenario) Validate() error {
 		}
 	}
 	if len(s.Islands) > 0 && cfgOK {
-		if err := noc.ValidateIslands(cfg, s.nocIslands()); err != nil {
+		if err := noc.ValidateIslands(cfg, s.Islands); err != nil {
 			errs = append(errs, err)
 		}
 	}
@@ -464,18 +402,6 @@ func parseFaults(refs []string) ([]noc.Link, error) {
 		links = append(links, l)
 	}
 	return links, nil
-}
-
-// nocIslands converts the scenario's islands to the engine form.
-func (s Scenario) nocIslands() []noc.Island {
-	if len(s.Islands) == 0 {
-		return nil
-	}
-	out := make([]noc.Island, len(s.Islands))
-	for i, isl := range s.Islands {
-		out[i] = isl.toNoc()
-	}
-	return out
 }
 
 // appByName resolves a multimedia workload by its name, to the traffic

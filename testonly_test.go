@@ -216,8 +216,8 @@ func isMethod(obj types.Object) bool {
 
 // unreached returns the declarations no reached declaration uses. A
 // method is also reached, once its receiver type is, when the standard
-// library calls it or a reached interface type that the receiver
-// implements requires it.
+// library calls it or a reached declaration calls it through an
+// interface the receiver implements.
 func unreached(decls []*decl) []*decl {
 	reached := make(map[*decl]bool)
 	used := make(map[types.Object]bool)
@@ -269,7 +269,9 @@ func unreached(decls []*decl) []*decl {
 
 // implicitlyCalled reports whether a concrete method of a reached type is
 // called without being named: by the standard library, or through one of
-// the reached interfaces its receiver type implements.
+// the reached interfaces its receiver type implements, where a reached
+// declaration calls that interface method. An interface requiring a
+// method nobody calls through it does not keep the method alive.
 func implicitlyCalled(m *types.Func, used map[types.Object]bool, ifaces []*types.Interface) bool {
 	recv := m.Type().(*types.Signature).Recv().Type()
 	if p, ok := recv.(*types.Pointer); ok {
@@ -284,7 +286,7 @@ func implicitlyCalled(m *types.Func, used map[types.Object]bool, ifaces []*types
 	}
 	for _, it := range ifaces {
 		for i := 0; i < it.NumMethods(); i++ {
-			if it.Method(i).Name() == m.Name() &&
+			if im := it.Method(i); used[im] && im.Name() == m.Name() &&
 				(types.Implements(named, it) || types.Implements(types.NewPointer(named), it)) {
 				return true
 			}
